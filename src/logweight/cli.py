@@ -4,9 +4,10 @@ machine-readable reports.
 One binary, subcommand style.  Reports are JSON on stdout unless --out is
 given; human summaries go to stderr.  Exit codes: 0 verification passed,
 1 a verified bound failed, 2 input or precondition error.  All commands
-are deterministic given their flags and seed; the LOGWEIGHT_THREADS
-environment variable caps internal parallelism (grid evaluation is
-sequential numpy, so it currently only bounds BLAS threads).
+are deterministic given their flags and seed.  logweight has no
+internal parallelism; the LOGWEIGHT_THREADS environment variable only
+presets the BLAS thread variables (OMP_NUM_THREADS, OPENBLAS_NUM_THREADS,
+MKL_NUM_THREADS) that are not already set.
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ def cmd_verify_lemmas(args) -> int:
     _emit_report(report.to_json_dict(), args.out)
     worst = min((c.worst_margin for c in report.checks), default=math.inf)
     print(f"lemmas {'passed' if report.passed else 'FAILED'}: worst margin "
-          f"{worst:.3e}", file=sys.stderr)
+          f"{worst:.3e}, {report.basis} basis", file=sys.stderr)
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 

@@ -22,13 +22,13 @@ and costs O(log(1/root_tol)) evaluations of F and F'.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .numerics import NEG_INF
-from .weight_model import WeightFunction, check_log_convexity
+from .weight_model import WeightFunction, check_log_convexity, is_known_convex
 
 # Threshold t_0 above which the integer-exponent estimates keep the 9/10
 # and 5/9 constants used by the verifier (they need 1/t < 10/9).
@@ -37,6 +37,10 @@ T0_INTEGER_ESTIMATES = 0.9
 # Margins are normalized by the magnitude of the compared log quantities;
 # a check passes when the worst normalized margin clears this slack.
 LEMMA_SLACK = 1e-9
+
+_TAIL_WINDOW = 8  # lines summed on each side of k in the lemma tail sums
+_TAIL_BLOCK = 1 << 14  # float64 tail terms per block of intervals (128 kB)
+_XI_BRACKET = 1e-12  # half-width, relative to |xi|, tried around a stored xi
 
 _GATE_POINTS = 200
 _GATE_SHRINK = 1e-6
@@ -155,7 +159,7 @@ def _bisect(fn, lo, hi, positive_at_lo, tol):
     # slopes of F blow up like 1/|x| or faster, so an absolute-in-x stop
     # would leave function residuals that grow without bound.  Both the
     # bracket width and the tolerance scale with |x|, so the iteration
-    # count stays near log2(1/tol) regardless of scale.
+    # count stays near log2(1/tol) regardless of scale; returns the bracket.
     for _ in range(200):
         if hi - lo <= tol * abs(hi):
             break
@@ -164,7 +168,7 @@ def _bisect(fn, lo, hi, positive_at_lo, tol):
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return lo, hi
 
 
 def next_tangent(w: WeightFunction, x_prev: float, h: float,
@@ -220,7 +224,7 @@ def next_tangent(w: WeightFunction, x_prev: float, h: float,
             break
         lo, g_lo = hi, g_hi
         hi = hi / 2.0
-    xi = _bisect(big_g, lo, hi, positive_at_lo=True, tol=root_tol)
+    xi = 0.5 * sum(_bisect(big_g, lo, hi, positive_at_lo=True, tol=root_tol))
     delta = w.big_f_prime(xi)
     log_a = w.big_f(xi) - delta * xi
     if not (delta > 0.0 and math.isfinite(log_a)):
@@ -244,7 +248,7 @@ def next_tangent(w: WeightFunction, x_prev: float, h: float,
             break
         lo2 = hi2
         hi2 = hi2 / 2.0
-    x_next = _bisect(big_h, lo2, hi2, positive_at_lo=False, tol=root_tol)
+    x_next = 0.5 * sum(_bisect(big_h, lo2, hi2, positive_at_lo=False, tol=root_tol))
     return TangentLine(delta=delta, log_a=log_a, xi=xi), x_next
 
 
@@ -353,6 +357,7 @@ class LemmaReport:
     passed: bool
     samples_per_interval: int
     delta: Optional[float] = None
+    basis: str = "sampled"  # "convexity": a proof up to LEMMA_SLACK
 
     def check(self, name: str) -> LemmaCheck:
         for c in self.checks:
@@ -363,59 +368,81 @@ class LemmaReport:
     def to_json_dict(self) -> dict:
         return {
             "passed": self.passed,
+            "basis": self.basis,
             "samples_per_interval": self.samples_per_interval,
             "delta": self.delta,
-            "checks": [
-                {
-                    "name": c.name,
-                    "worst_margin": c.worst_margin,
-                    "witness_x": c.witness_x,
-                    "witness_k": c.witness_k,
-                    "n_points": c.n_points,
-                    "passed": c.passed,
-                }
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
         }
 
 
 def _normalized_margins(lhs, rhs):
-    lhs = np.asarray(lhs, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
     scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-    return (lhs - rhs) / scale
+    with np.errstate(invalid="ignore"):  # an unbounded rhs fails unboundedly
+        return np.where(np.isposinf(rhs), -np.inf, (lhs - rhs) / scale)
 
 
-class _Worst:
-    """Order-independent min-reduction with witness."""
+def _worst(name, margins, xs, ks, points_each=1) -> LemmaCheck:
+    """Worst margin and witness (xs, ks broadcast to the margins, each for
+    `points_each` points); the first wins ties, a NaN margin fails."""
+    margins = np.asarray(margins, dtype=float)
+    if margins.size == 0:
+        return LemmaCheck(name, math.inf, None, None, 0, True)
+    i = int(np.argmin(margins))
+    worst = float(margins.flat[i])
+    return LemmaCheck(name, worst, float(np.broadcast_to(xs, margins.shape).flat[i]),
+                      int(np.broadcast_to(ks, margins.shape).flat[i]),
+                      margins.size * points_each, worst >= -LEMMA_SLACK)
 
-    def __init__(self, name):
-        self.name = name
-        self.margin = math.inf
-        self.x = None
-        self.k = None
-        self.n = 0
 
-    def update(self, margins, xs, k):
-        margins = np.asarray(margins, dtype=float)
-        self.n += margins.size
-        if margins.size == 0:
-            return
-        i = int(np.argmin(margins))
-        if margins[i] < self.margin:
-            self.margin = float(margins[i])
-            self.x = float(np.asarray(xs, dtype=float)[i])
-            self.k = k
+def _min_above_line(w, line, x_lo, x_hi, x0, tol):
+    """Certified lower bound of g = F - l over [x0, 0), the point c it is
+    attached to, and F(c).  g is convex with its minimum where F' = slope,
+    bracketed around the stored xi when the F' signs confirm it, else
+    bisected from [x_lo, x_hi] (widened to [x0, x_lo], or halved toward 0
+    as in next_tangent).  On the bracket [p, q] with midpoint c the secant
+    bounds give g >= 2 g(c) - max g(p, c, q), outside it min(g(p), g(q))."""
+    def psi(x):
+        return w.big_f_prime(x) - line.delta
 
-    def check(self, slack=LEMMA_SLACK):
-        return LemmaCheck(
-            name=self.name,
-            worst_margin=self.margin,
-            witness_x=self.x,
-            witness_k=self.k,
-            n_points=self.n,
-            passed=(self.n == 0) or (self.margin >= -slack),
-        )
+    xi = line.xi
+    if xi is not None and psi(xi * (1.0 + _XI_BRACKET)) <= 0.0 <= psi(xi * (1.0 - _XI_BRACKET)):
+        lo, hi = xi * (1.0 + _XI_BRACKET), xi * (1.0 - _XI_BRACKET)
+    else:
+        lo, hi = x_lo, x_hi
+        if psi(lo) > 0.0:
+            lo, hi = x0, lo
+        while psi(hi) < 0.0 and hi < -tol:
+            lo, hi = hi, hi / 2.0
+        if psi(lo) >= 0.0:  # F - l increases from x0 on
+            hi = lo
+        elif psi(hi) < 0.0:  # F - l still decreases at the floor of |x|
+            lo = hi
+        else:
+            lo, hi = _bisect(psi, lo, hi, positive_at_lo=False, tol=tol)
+    c = 0.5 * (lo + hi)
+    f_lo, f_c, f_hi = (w.big_f(x) for x in (lo, c, hi))
+    g_lo, g_c, g_hi = f_lo - line.value(lo), f_c - line.value(c), f_hi - line.value(hi)
+    return min(g_lo, g_hi, 2.0 * g_c - max(g_lo, g_c, g_hi)), c, f_c
+
+
+def _tail_log_bound(k, pts, log_as, slopes, gap):
+    """Log upper bound of sum_{|m-k|>=2} exp(log_a_m + slope_m x) at `pts`
+    on I_{k+1} (0-based k per row): lines within _TAIL_WINDOW of k are
+    summed; past each window edge every line lies `gap` below its
+    neighbour (the separation checks), so the rest is at most the edge
+    line times e^{-gap} / (1 - e^{-gap}).  -inf: empty; +inf: gap <= 0."""
+    K, W = log_as.size, _TAIL_WINDOW
+    idx = k[:, None] + np.r_[-W:-1, 2:W + 1, -W, W]  # the window, then its edges
+    valid = (idx >= 0) & (idx < K)
+    valid[:, -2], valid[:, -1] = k - W >= 1, k + W <= K - 2
+    idx = np.clip(idx, 0, K - 1)
+    terms = log_as[idx][:, :, None] + slopes[idx][:, :, None] * pts[:, None, :]
+    terms[:, -2:] += -gap - math.log(-math.expm1(-gap)) if gap > 0.0 else math.inf
+    terms[~valid] = -np.inf
+    top = terms.max(axis=1)
+    top = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore"):
+        return top + np.log(np.exp(terms - top[:, None, :]).sum(axis=1))
 
 
 def verify_tangent_lemmas(state: ConstructionState, w: WeightFunction,
@@ -432,7 +459,7 @@ def verify_tangent_lemmas(state: ConstructionState, w: WeightFunction,
     Checks (K = number of lines, I_k = [x_{k-1}, x_k]):
       lines_later_below    l_m >= l_{m+1} + h on [x_0, x_{m-1}]
       lines_earlier_below  l_m >= l_{m-1} + h on [x_m, 0)
-      segment_upper        l_k <= F on [x_0, ...) (tangency from below)
+      segment_upper        l_k <= F on [x_0, 0) (tangency from below)
       segment_lower        F - h <= l_k on I_k (chord conditions)
       segment_tail_half    sum_{|m-k|>=2} a_m t^{delta_m} < 1/2 a_k t^{delta_k} on I_k
       segment_upper_int    integer-exponent form of segment_upper
@@ -440,6 +467,13 @@ def verify_tangent_lemmas(state: ConstructionState, w: WeightFunction,
       segment_tail_int     integer tail < (5/9) a_k t^{e_k} on I_k
       segment_tail_delta   tail < (delta/2) a_k t^{delta_k} on I_k
       segment_tail_delta_int  integer tail < (5 delta / 9) a_k t^{e_k} on I_k
+
+    Each check is decided where it is extreme, in O(K * samples) work:
+    line pairs at the ends of their ranges (x -> 0 as a limit, witness_x
+    = 0), segment_upper at one tangency bracket per line (its integer form
+    follows as e_k > delta_k), the rest at the interval endpoints; interior
+    samples can only lower a margin.  basis "convexity" (F convex by
+    construction) makes a pass a proof up to the slack, else "sampled".
     """
     if samples_per_interval < 2:
         raise ValueError("samples_per_interval must be at least 2")
@@ -457,9 +491,11 @@ def verify_tangent_lemmas(state: ConstructionState, w: WeightFunction,
     h = state.params.h
     xs = np.asarray(state.xs)
     K = len(state.lines)
+    n = samples_per_interval
     deltas = np.asarray(state.deltas)
     log_as = np.asarray(state.log_as)
     es = np.asarray(state.es, dtype=float)
+    ks = np.arange(1, K + 1)
 
     # State/weight consistency gate: the chord identities must hold.
     for k in (1, K):
@@ -470,113 +506,75 @@ def verify_tangent_lemmas(state: ConstructionState, w: WeightFunction,
                 "state does not match this weight (chord residual "
                 f"{abs(lhs - rhs):.3g} at k={k})")
 
-    def interval(k, n=samples_per_interval):
-        return np.linspace(xs[k - 1], xs[k], n)
+    lb, c, f_c = np.array([
+        _min_above_line(w, line, xs[k], xs[k + 1], xs[0], state.params.root_tol)
+        for k, line in enumerate(state.lines)]).T
 
-    # Points approaching 0 past the last abscissa, used for the open-ended
-    # inequality ranges; F is only sampled where it stays finite.
-    ext = [float(xs[-1]) / 2.0 ** j for j in range(1, 9)]
-    ext_f = [x for x in ext if math.isfinite(w.big_f(x))]
+    # line pairs (l_i, l_{i+1}) in row i, at the two ends of each range
+    i = np.arange(K - 1)
+    later_x = np.stack([np.full(K - 1, xs[0]), xs[:K - 1]], axis=1)
+    earlier_x = np.stack([xs[2:], np.zeros(K - 1)], axis=1)
 
-    def line_vals(idx, pts):
-        return log_as[idx] + deltas[idx] * np.asarray(pts)
+    def pairs(slopes):
+        def at(j, x):
+            return log_as[j, None] + slopes[j, None] * x
+        return ((at(i, later_x), at(i + 1, later_x)),
+                (at(i + 1, earlier_x), at(i, earlier_x)))
 
-    checks = []
+    later, earlier = pairs(deltas)
+    checks = [
+        _worst("lines_later_below", _normalized_margins(later[0], later[1] + h),
+               later_x, i[:, None] + 1),
+        _worst("lines_earlier_below", _normalized_margins(earlier[0], earlier[1] + h),
+               earlier_x, i[:, None] + 2)]
+    # per exponent form: slopes, name suffix, tail name, lower shift, tail
+    # factor; the smallest separation gap of each form bounds its tails
+    forms = [(deltas, "", "segment_tail_half", -h, 0.5),
+             (es, "_int", "segment_tail_int", math.log(T0_INTEGER_ESTIMATES) - h, 5.0 / 9.0)]
+    gaps = [min(np.min(hi - lo, initial=math.inf) for hi, lo in pairs(s)) for s in (deltas, es)]
 
-    later = _Worst("lines_later_below")
-    for m in range(1, K):  # l_m vs l_{m+1}, valid on [x0, x_{m-1}]
-        pts = np.linspace(xs[0], xs[m - 1], samples_per_interval)
-        later.update(_normalized_margins(line_vals(m - 1, pts),
-                                         line_vals(m, pts) + h), pts, m)
-    checks.append(later.check())
+    # Sampled checks, in blocks of intervals (row k-1 is I_k), keep each
+    # interval's minimum; F is evaluated once per distinct point.
+    row_min, row_x = {}, {}
 
-    earlier = _Worst("lines_earlier_below")
-    for m in range(2, K + 1):  # l_m vs l_{m-1}, valid on [x_m, 0)
-        pts = np.concatenate([np.linspace(xs[m], xs[-1], samples_per_interval),
-                              np.asarray(ext)])
-        earlier.update(_normalized_margins(line_vals(m - 1, pts),
-                                           line_vals(m - 2, pts) + h), pts, m)
-    checks.append(earlier.check())
+    def record(name, margins):
+        row_min.setdefault(name, np.empty(K))[k] = margins.min(axis=1)
+        row_x.setdefault(name, np.empty(K))[k] = pts[np.arange(k.size), margins.argmin(axis=1)]
 
-    up = _Worst("segment_upper")
-    up_int = _Worst("segment_upper_int")
-    low = _Worst("segment_lower")
-    low_int = _Worst("segment_lower_int")
-    tail = _Worst("segment_tail_half")
-    tail_int = _Worst("segment_tail_int")
-    tail_d = _Worst("segment_tail_delta")
-    tail_d_int = _Worst("segment_tail_delta_int")
-    log_half = math.log(0.5)
-    log_59 = math.log(5.0 / 9.0)
+    f_start = w.big_f(float(xs[0]))
+    rows = max(1, _TAIL_BLOCK // (2 * _TAIL_WINDOW * n))
+    for start in range(0, K, rows):
+        k = np.arange(start, min(start + rows, K))
+        pts = np.linspace(xs[k], xs[k + 1], n, axis=1)
+        f_rest = np.fromiter((w.big_f(float(x)) for x in pts[:, 1:].ravel()), float,
+                             k.size * (n - 1)).reshape(k.size, n - 1)
+        f_pts = np.column_stack([np.r_[f_start, f_rest[:-1, -1]], f_rest])
+        f_start = f_rest[-1, -1]
+        for (slopes, suffix, tail_name, lower_c, tail_c), gap in zip(forms, gaps):
+            lk = log_as[k, None] + slopes[k, None] * pts
+            lse = _tail_log_bound(k, pts, log_as, slopes, gap)
+            record("segment_lower" + suffix, _normalized_margins(lk, f_pts + lower_c))
+            record(tail_name, _normalized_margins(math.log(tail_c) + lk, lse))
+            if delta is not None:
+                record("segment_tail_delta" + suffix,
+                       _normalized_margins(math.log(tail_c * delta) + lk, lse))
 
-    # Per interval, the work is restricted to lines that can matter there.
-    # A line whose larger endpoint value on the interval lies below the
-    # smaller endpoint value of some other line is dominated pointwise
-    # (lines are monotone between endpoints), so it never attains the
-    # upper envelope; for the tail sums, lines more than 250 log units
-    # below can shift the log of the sum by at most K e^{-250}, far under
-    # the 1e-9 slack.  This keeps deep runs (thousands of lines) linear.
-    def process_interval(k, pts, f_pts, with_tails):
-        ends = np.stack([pts[0] * deltas + log_as, pts[-1] * deltas + log_as])
-        ends_i = np.stack([pts[0] * es + log_as, pts[-1] * es + log_as])
-        for e_mat, up_acc, coeff in ((ends, up, deltas), (ends_i, up_int, es)):
-            dominated_by = e_mat.min(axis=0).max()
-            live = np.nonzero(e_mat.max(axis=0) >= dominated_by)[0]
-            env = (log_as[live][:, None] + coeff[live][:, None] * pts[None, :]).max(axis=0)
-            up_acc.update(_normalized_margins(f_pts, env), pts, k)
+    def sampled(name, mask=slice(None)):
+        return _worst(name, row_min[name][mask], row_x[name][mask], ks[mask], n)
 
-        lk = line_vals(k - 1, pts)
-        lk_int = log_as[k - 1] + es[k - 1] * pts
-        low.update(_normalized_margins(lk, f_pts - h), pts, k)
-        low_int.update(_normalized_margins(
-            lk_int, math.log(T0_INTEGER_ESTIMATES) - h + f_pts), pts, k)
-        if not with_tails:
-            return
-        others = np.asarray([m for m in range(1, K + 1) if abs(m - k) >= 2]) - 1
-        if others.size == 0:
-            return
-        for e_mat, coeff, acc, acc_d, const, const_d in (
-                (ends, deltas, tail, tail_d, log_half,
-                 None if delta is None else math.log(delta / 2.0)),
-                (ends_i, es, tail_int, tail_d_int, log_59,
-                 None if delta is None else math.log(5.0 * delta / 9.0))):
-            cutoff = e_mat[:, others].min(axis=0).max() - 250.0
-            live = others[e_mat[:, others].max(axis=0) >= cutoff]
-            mat = log_as[live][:, None] + coeff[live][:, None] * pts[None, :]
-            mmax = mat.max(axis=0)
-            lse = mmax + np.log(np.sum(np.exp(mat - mmax[None, :]), axis=0))
-            lhs = lk if coeff is deltas else lk_int
-            acc.update(_normalized_margins(const + lhs, lse), pts, k)
-            if const_d is not None:
-                acc_d.update(_normalized_margins(const_d + lhs, lse), pts, k)
-
-    for k in range(1, K + 1):
-        pts = interval(k)
-        f_pts = np.array([w.big_f(float(x)) for x in pts])
-        process_interval(k, pts, f_pts, with_tails=True)
-    if ext_f:
-        # the upper (tangency) estimates extend past the last abscissa
-        pts = np.asarray(ext_f)
-        f_pts = np.array([w.big_f(float(x)) for x in pts])
-        ends = np.stack([pts[0] * deltas + log_as, pts[-1] * deltas + log_as])
-        for e_mat, up_acc, coeff in ((ends, up, deltas),
-                                     (np.stack([pts[0] * es + log_as,
-                                                pts[-1] * es + log_as]),
-                                      up_int, es)):
-            dominated_by = e_mat.min(axis=0).max()
-            live = np.nonzero(e_mat.max(axis=0) >= dominated_by)[0]
-            env = (log_as[live][:, None] + coeff[live][:, None] * pts[None, :]).max(axis=0)
-            up_acc.update(_normalized_margins(f_pts, env), pts, K)
-
-    checks.extend([up.check(), low.check(), tail.check(),
-                   up_int.check(), low_int.check(), tail_int.check()])
+    has_tail = (ks >= 3) | (ks <= K - 2)  # a line two or more indices away
+    for slopes, suffix, tail_name, _, _ in forms:
+        upper = lb / np.maximum(1.0, np.maximum(np.abs(f_c), np.abs(log_as + slopes * c)))
+        checks += [_worst("segment_upper" + suffix, upper, c, ks),
+                   sampled("segment_lower" + suffix), sampled(tail_name, has_tail)]
     if delta is not None:
-        checks.extend([tail_d.check(), tail_d_int.check()])
-
+        checks += [sampled("segment_tail_delta", has_tail),
+                   sampled("segment_tail_delta_int", has_tail)]
     checks = tuple(checks)
     return LemmaReport(
         checks=checks,
         passed=all(c.passed for c in checks),
         samples_per_interval=samples_per_interval,
         delta=delta,
+        basis="convexity" if is_known_convex(w) else "sampled",
     )

@@ -409,6 +409,23 @@ def check_log_convexity(w: WeightFunction, x_grid, tol: float = STRICTNESS_TOL) 
     )
 
 
+def is_known_convex(w) -> bool:
+    """Whether F is convex by construction, not merely on samples: an
+    analytic constructible family with its analytic F', or a tabulated
+    profile whose knot slopes increase strictly (compared exactly, in
+    rational arithmetic) with a non-negative regularizer."""
+    family = getattr(w, "family", None)
+    if family in CONSTRUCTIBLE_FAMILIES:
+        return w.deriv_mode == "analytic"
+    if family != "tabulated":
+        return False
+    from fractions import Fraction
+    knots = [(Fraction(x), Fraction(f)) for x, f in w.table]
+    slopes = [(f1 - f0) / (x1 - x0) for (x0, f0), (x1, f1) in zip(knots, knots[1:])]
+    return (all(b > a for a, b in zip(slopes, slopes[1:]))
+            and all(p >= 0.0 for p in w.params))
+
+
 def check_doubling(w: WeightFunction, s_grid, cap: float = DOUBLING_CAP) -> DoublingResult:
     """Estimate the doubling constant sup_s omega(1-s/2)/omega(1-s).
 
