@@ -30,7 +30,7 @@ from .series import (AdjustedPair, LacunarySeries, SandwichReport,
 from .weight_model import (CONSTRUCTIBLE_FAMILIES, ConvexityReport,
                            DoublingResult, OmegaValue, WeightFunction,
                            big_F_eval, check_doubling, check_log_convexity,
-                           check_unbounded, log_omega_eval, make_weight,
+                           check_unbounded, make_weight,
                            omega_eval, weight_from_knots, weight_from_spec,
                            weight_to_spec)
 
@@ -48,7 +48,7 @@ __all__ = [
     "equivalence_constants", "eval_series", "eval_series_grid",
     "family_from_manifest", "frequency_profile", "h_for_delta",
     "hadamard_check", "hull_weight", "log_convex_envelope",
-    "log_omega_eval", "make_weight", "max_modulus", "max_modulus_adaptive",
+    "make_weight", "max_modulus", "max_modulus_adaptive",
     "max_modulus_profile", "modulus_sum", "modulus_sum_grid",
     "monomial_family", "next_tangent", "omega_eval", "polynomial_callable",
     "provider_from_interleaved",

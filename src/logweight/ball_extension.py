@@ -26,8 +26,8 @@ from scipy.special import ndtri
 from scipy.stats import qmc
 
 from .construction import ConstructionState, h_for_delta
-from .numerics import NEG_INF, logsumexp
-from .series import ScaledComplex
+from .numerics import exp_or_inf, logsumexp, normalized_margins
+from .series import ScaledComplex, _eval_points, _lacunary_sums
 from .weight_model import WeightFunction
 
 SUP_NORM_SLACK = 1e-9
@@ -295,6 +295,20 @@ class BallFunctionSystem:
     def Q(self) -> int:
         return self.family.Q
 
+    def _coefficients(self, index: int, zeta: np.ndarray):
+        """Function `index` restricted to the complex line through zeta is
+        the series sum_j a_j W_q[e_j](zeta) lam^{e_j}; returns its
+        log-moduli, unit phases and exponents, with one provider call per
+        term."""
+        func = self.functions[index]
+        w = np.array([self.family.eval(func.q, e, zeta) for _, e in func.terms],
+                     dtype=complex)
+        mags = np.abs(w)
+        with np.errstate(divide="ignore"):
+            log_mods = np.array([log_a for log_a, _ in func.terms]) + np.log(mags)
+        return (log_mods, w / np.where(mags > 0.0, mags, 1.0),
+                np.array([e for _, e in func.terms], dtype=float))
+
     def eval(self, index: int, t: float, zeta: np.ndarray) -> ScaledComplex:
         """Evaluate function `index` (0-based) at z = t * zeta, |zeta| = 1.
 
@@ -302,36 +316,32 @@ class BallFunctionSystem:
         so the radial scale separates exactly and only the largest term
         magnitude is exponentiated.
         """
-        func = self.functions[index]
-        if func.is_one:
+        if self.functions[index].is_one:
             return ScaledComplex.normalize(1.0 + 0j, 0.0)
         if not 0.0 <= t < 1.0:
             raise ValueError(f"t={t} outside [0, 1)")
-        if t == 0.0 or not func.terms:
-            # every term has e >= 1; a one-step construction leaves the
-            # even-parity functions empty
-            return ScaledComplex(0j, NEG_INF)
-        log_t = math.log(t)
-        vals = [self.family.eval(func.q, e, zeta) for _, e in func.terms]
-        logs = []
-        for (log_a, e), v in zip(func.terms, vals):
-            a = abs(v)
-            logs.append(log_a + e * log_t + (math.log(a) if a > 0 else NEG_INF))
-        l_max = max(logs)
-        if l_max == NEG_INF:
-            return ScaledComplex(0j, NEG_INF)
-        total = 0j
-        for lv, v in zip(logs, vals):
-            if lv - l_max < -200.0:
-                continue
-            total += math.exp(lv - l_max) * (v / abs(v))
-        return ScaledComplex.normalize(total, l_max)
+        return _eval_points(*self._coefficients(index, zeta), np.array([t], dtype=complex))[0]
 
     def log_modulus_sum(self, t: float, zeta: np.ndarray,
                         include_constant: bool = False) -> float:
         logs = [self.eval(i, t, zeta).log_abs
                 for i in range(len(self.functions) - (0 if include_constant else 1))]
         return logsumexp(logs)
+
+    def _log_modulus_sums(self, ts: np.ndarray, pts: np.ndarray) -> np.ndarray:
+        """log sum_{m <= 2Q} |f_m(t zeta)| for every radius t (rows) and
+        sphere point zeta (columns), one kernel call per function and
+        point over all radii."""
+        with np.errstate(divide="ignore"):
+            log_ts = np.log(ts)
+            logs = np.empty((len(self.functions) - 1, ts.size, len(pts)))
+            for p, zeta in enumerate(pts):
+                for m in range(len(self.functions) - 1):
+                    log_mods, units, es = self._coefficients(m, zeta)
+                    sums, scales = _lacunary_sums(log_mods, units, es, log_ts,
+                                                  np.ones((es.size, 1), dtype=complex))
+                    logs[m, :, p] = np.log(np.abs(sums[:, 0])) + scales
+        return logsumexp(logs, axis=0)
 
     def slice_callable(self, index: int, zeta: np.ndarray, shift: int = 0):
         """The slice lam -> f(lam * zeta) as a one-variable callable.
@@ -341,39 +351,22 @@ class BallFunctionSystem:
         example the three-circles convexity check) applies directly to
         ball functions through their slices.  A nonzero `shift` divides by
         lam^shift termwise; shifting by the least exponent makes the slice
-        nonvanishing at 0, as the convexity check requires.
+        nonvanishing at 0, as the convexity check requires.  `lam` may be
+        an array of points (the values come back as an array of
+        ScaledComplex); points of equal modulus share one kernel call, so
+        a circle of sample points costs one call.
         """
-        func = self.functions[index]
-        if func.is_one:
+        if self.functions[index].is_one:
             return lambda lam: ScaledComplex.normalize(1.0 + 0j, 0.0)
-        if not func.terms:
-            return lambda lam: ScaledComplex(0j, NEG_INF)
-        ws = [self.family.eval(func.q, e, zeta) for _, e in func.terms]
+        log_mods, units, es = self._coefficients(index, zeta)
+        es = es - shift
 
-        def slice_fn(lam: complex) -> ScaledComplex:
-            lam = complex(lam)
-            if abs(lam) >= 1.0:
+        def slice_fn(lam):
+            lam = np.asarray(lam, dtype=complex)
+            if np.any(np.abs(lam) >= 1.0):
                 raise ValueError("slice argument must lie in the open unit disk")
-            if lam == 0:
-                for (log_a, e), wv in zip(func.terms, ws):
-                    if e == shift and wv != 0:
-                        return ScaledComplex.normalize(wv / abs(wv), log_a + math.log(abs(wv)))
-                return ScaledComplex(0j, NEG_INF)
-            log_r = math.log(abs(lam))
-            arg = cmath.phase(lam)
-            logs = [log_a + (e - shift) * log_r
-                    + (math.log(abs(wv)) if wv != 0 else NEG_INF)
-                    for (log_a, e), wv in zip(func.terms, ws)]
-            l_max = max(logs)
-            if l_max == NEG_INF:
-                return ScaledComplex(0j, NEG_INF)
-            total = 0j
-            for (log_a, e), wv, lv in zip(func.terms, ws, logs):
-                if lv - l_max < -200.0:
-                    continue
-                phase = cmath.exp(1j * math.fmod((e - shift) * arg, 2.0 * math.pi))
-                total += math.exp(lv - l_max) * phase * (wv / abs(wv))
-            return ScaledComplex.normalize(total, l_max)
+            values = _eval_points(log_mods, units, es, lam.ravel()).reshape(lam.shape)
+            return values if lam.ndim else values[()]
 
         return slice_fn
 
@@ -465,40 +458,25 @@ def ball_lower_bound_check(sys: BallFunctionSystem, w: WeightFunction,
     h = state.params.h
     log_bound_const = math.log(0.4 * delta) - h
 
-    worst = math.inf
-    wit_t = None
-    wit_i = None
-    log_c = -math.inf
-    for t in ts:
-        t = float(t)
-        log_w = w.log_omega(t)
-        bound = log_bound_const + log_w
-        for i, zeta in enumerate(pts):
-            s_log = sys.log_modulus_sum(t, zeta, include_constant=False)
-            margin = (s_log - bound) / max(1.0, abs(s_log), abs(bound))
-            if margin < worst:
-                worst = margin
-                wit_t = t
-                wit_i = i
-            s_all = logsumexp([s_log, 0.0])  # constant contributes log 1
-            log_c = max(log_c, log_w - s_all)
-
-    # Inner ball: the constant function dominates once omega is capped.
-    for t in np.linspace(0.0, state.t0, 16):
-        t = float(t)
-        log_w = w.log_omega(t)
-        for i, zeta in enumerate(pts[: min(16, len(pts))]):
-            s_log = sys.log_modulus_sum(t, zeta, include_constant=False) if t > 0 else NEG_INF
-            s_all = logsumexp([s_log, 0.0])
-            log_c = max(log_c, log_w - s_all)
+    log_w = np.array([w.log_omega(float(t)) for t in ts])
+    s_log = sys._log_modulus_sums(ts, pts)
+    margins = normalized_margins(s_log, log_bound_const + log_w[:, None])
+    wit_t, wit_i = np.unravel_index(np.argmin(margins), margins.shape)
+    # The constant function adds log 1 = 0 to every modulus sum; in the
+    # inner ball |z| <= t0 it takes over once omega is capped.
+    log_c = float(np.max(log_w[:, None] - np.logaddexp(s_log, 0.0)))
+    t_in = np.linspace(0.0, state.t0, 16)
+    log_w_in = np.array([w.log_omega(float(t)) for t in t_in])
+    s_in = sys._log_modulus_sums(t_in, pts[:16])
+    log_c = max(log_c, float(np.max(log_w_in[:, None] - np.logaddexp(s_in, 0.0))))
 
     return BallReport(
-        passed=bool(worst >= -BALL_SLACK),
-        lower_margin=float(worst),
-        witness_t=wit_t,
-        witness_point=wit_i,
-        c_measured=math.exp(log_c) if log_c <= 709.0 else math.inf,
-        log_c_measured=float(log_c),
+        passed=bool(margins[wit_t, wit_i] >= -BALL_SLACK),
+        lower_margin=float(margins[wit_t, wit_i]),
+        witness_t=float(ts[wit_t]),
+        witness_point=int(wit_i),
+        c_measured=exp_or_inf(log_c),
+        log_c_measured=log_c,
         t_count=int(ts.size),
         sphere_samples=sphere_samples,
         delta=delta,

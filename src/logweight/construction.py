@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import NEG_INF
+from .numerics import NEG_INF, logsumexp, normalized_margins
 from .weight_model import WeightFunction, check_log_convexity, is_known_convex
 
 # Threshold t_0 above which the integer-exponent estimates keep the 9/10
@@ -375,12 +375,6 @@ class LemmaReport:
         }
 
 
-def _normalized_margins(lhs, rhs):
-    scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-    with np.errstate(invalid="ignore"):  # an unbounded rhs fails unboundedly
-        return np.where(np.isposinf(rhs), -np.inf, (lhs - rhs) / scale)
-
-
 def _worst(name, margins, xs, ks, points_each=1) -> LemmaCheck:
     """Worst margin and witness (xs, ks broadcast to the margins, each for
     `points_each` points); the first wins ties, a NaN margin fails."""
@@ -439,10 +433,7 @@ def _tail_log_bound(k, pts, log_as, slopes, gap):
     terms = log_as[idx][:, :, None] + slopes[idx][:, :, None] * pts[:, None, :]
     terms[:, -2:] += -gap - math.log(-math.expm1(-gap)) if gap > 0.0 else math.inf
     terms[~valid] = -np.inf
-    top = terms.max(axis=1)
-    top = np.where(np.isfinite(top), top, 0.0)
-    with np.errstate(divide="ignore"):
-        return top + np.log(np.exp(terms - top[:, None, :]).sum(axis=1))
+    return logsumexp(terms, axis=1)
 
 
 def verify_tangent_lemmas(state: ConstructionState, w: WeightFunction,
@@ -523,9 +514,9 @@ def verify_tangent_lemmas(state: ConstructionState, w: WeightFunction,
 
     later, earlier = pairs(deltas)
     checks = [
-        _worst("lines_later_below", _normalized_margins(later[0], later[1] + h),
+        _worst("lines_later_below", normalized_margins(later[0], later[1] + h),
                later_x, i[:, None] + 1),
-        _worst("lines_earlier_below", _normalized_margins(earlier[0], earlier[1] + h),
+        _worst("lines_earlier_below", normalized_margins(earlier[0], earlier[1] + h),
                earlier_x, i[:, None] + 2)]
     # per exponent form: slopes, name suffix, tail name, lower shift, tail
     # factor; the smallest separation gap of each form bounds its tails
@@ -553,11 +544,11 @@ def verify_tangent_lemmas(state: ConstructionState, w: WeightFunction,
         for (slopes, suffix, tail_name, lower_c, tail_c), gap in zip(forms, gaps):
             lk = log_as[k, None] + slopes[k, None] * pts
             lse = _tail_log_bound(k, pts, log_as, slopes, gap)
-            record("segment_lower" + suffix, _normalized_margins(lk, f_pts + lower_c))
-            record(tail_name, _normalized_margins(math.log(tail_c) + lk, lse))
+            record("segment_lower" + suffix, normalized_margins(lk, f_pts + lower_c))
+            record(tail_name, normalized_margins(math.log(tail_c) + lk, lse))
             if delta is not None:
                 record("segment_tail_delta" + suffix,
-                       _normalized_margins(math.log(tail_c * delta) + lk, lse))
+                       normalized_margins(math.log(tail_c * delta) + lk, lse))
 
     def sampled(name, mask=slice(None)):
         return _worst(name, row_min[name][mask], row_x[name][mask], ks[mask], n)

@@ -20,6 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .numerics import exp_or_inf, logsumexp
 from .series import ScaledComplex
 from .weight_model import WeightFunction, weight_from_knots
 
@@ -35,26 +36,26 @@ _ADAPTIVE_CAP = 1 << 16
 _ADAPTIVE_TOL = 1e-9
 
 
+def _log_abs(v) -> float:
+    if isinstance(v, ScaledComplex):
+        return v.log_abs
+    a = abs(complex(v))
+    return math.log(a) if a > 0 else -math.inf
+
+
 def _log_abs_values(f: Callable, zs: np.ndarray) -> np.ndarray:
     """Evaluate f on an array of points, accepting callables that return
     complex scalars or ScaledComplex, vectorized or not."""
     try:
-        vals = f(zs)
-        arr = np.asarray(vals)
-        if arr.shape == zs.shape and arr.dtype != object:
+        arr = np.asarray(f(zs))
+        if arr.shape == zs.shape:
+            if arr.dtype == object:
+                return np.array([_log_abs(v) for v in arr.ravel()]).reshape(zs.shape)
             with np.errstate(divide="ignore"):
                 return np.where(np.abs(arr) > 0, np.log(np.abs(arr)), -np.inf)
     except (TypeError, ValueError):
         pass
-    out = np.empty(zs.shape, dtype=float)
-    for i, z in enumerate(zs.ravel()):
-        v = f(complex(z))
-        if isinstance(v, ScaledComplex):
-            out.ravel()[i] = v.log_abs
-        else:
-            a = abs(complex(v))
-            out.ravel()[i] = math.log(a) if a > 0 else -math.inf
-    return out
+    return np.array([_log_abs(f(complex(z))) for z in zs.ravel()]).reshape(zs.shape)
 
 
 def max_modulus(f: Callable, r: float, theta_count: int) -> float:
@@ -159,8 +160,7 @@ def hadamard_check(fs: Sequence[Callable], r_grid, theta_count: int = 0,
 
     profiles = [max_modulus_profile(f, rs, theta_count) for f in fs]
     logs = np.array([p.log_values for p in profiles])  # (m, r)
-    l_max = logs.max(axis=0)
-    log_s = l_max + np.log(np.sum(np.exp(logs - l_max[None, :]), axis=0))
+    log_s = logsumexp(logs, axis=0)
     d2 = log_s[2:] - 2.0 * log_s[1:-1] + log_s[:-2]
     i = int(np.argmin(d2))
     return HadamardReport(
@@ -320,8 +320,8 @@ def equivalence_constants(u, v, log_inputs: bool = False,
     lo = float(ratios.min())
     hi = float(ratios.max())
     return EquivalenceConstants(
-        c1=math.exp(lo) if lo <= 709.0 else math.inf,
-        c2=math.exp(hi) if hi <= 709.0 else math.inf,
+        c1=exp_or_inf(lo),
+        c2=exp_or_inf(hi),
         log_c1=lo,
         log_c2=hi,
         unbounded=bool(hi - lo > cap_log),

@@ -1,5 +1,6 @@
-"""Small numeric helpers shared across modules: compensated summation and
-log-domain reductions that tolerate -inf sentinels."""
+"""Small numeric helpers shared across modules: log-domain reductions
+that tolerate -inf sentinels, normalized margins and overflow-safe
+exponentials."""
 
 from __future__ import annotations
 
@@ -11,33 +12,33 @@ LOG_MAX = math.log(np.finfo(np.float64).max)  # ~709.78, exp overflow threshold
 NEG_INF = float("-inf")
 
 
-def neumaier_sum(values) -> float:
-    """Sum of floats with Neumaier's improved Kahan compensation.
-
-    The running error term also captures the case where the incoming value
-    is larger in magnitude than the running sum, which plain Kahan loses.
-    """
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-    return total + comp
-
-
-def logsumexp(log_values) -> float:
-    """log(sum(exp(v))) over a 1-d sequence, stable, -inf passes through."""
+def logsumexp(log_values, axis=None):
+    """Stable log(sum(exp(v))) over all values (a float) or along `axis`
+    (an array).  -inf entries add nothing, so an empty or all -inf sum is
+    -inf; a +inf entry makes the sum +inf."""
     arr = np.asarray(log_values, dtype=float)
-    if arr.size == 0:
-        return NEG_INF
-    m = float(np.max(arr))
-    if m == NEG_INF:
-        return NEG_INF
-    return m + math.log(float(np.sum(np.exp(arr - m))))
+    top = np.max(arr, axis=axis, keepdims=True, initial=NEG_INF)
+    top = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore"):
+        out = (np.squeeze(top, axis=axis)
+               + np.log(np.sum(np.exp(arr - top), axis=axis)))
+    return float(out) if axis is None else out
+
+
+def normalized_margins(lhs, rhs):
+    """Log-domain margins lhs - rhs divided by max(1, |lhs|, |rhs|), so
+    they are relative to the size of the compared sides.  An infinite
+    difference is kept, so an lhs at -inf or an rhs at +inf fails
+    unboundedly."""
+    diff = np.subtract(lhs, rhs)
+    scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    return np.divide(diff, scale, out=diff, where=~np.isinf(diff))
+
+
+def exp_or_inf(x: float) -> float:
+    """exp(x) for reporting a constant measured in the log domain; inf
+    once x passes 709, near the end of the float64 range."""
+    return math.exp(x) if x <= 709.0 else math.inf
 
 
 def logaddexp(a: float, b: float) -> float:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construction import ConstructionState, next_tangent
-from .numerics import NEG_INF, logaddexp, neumaier_sum
+from .numerics import NEG_INF, exp_or_inf, logaddexp, normalized_margins
 from .weight_model import WeightFunction
 
 # Terms this far (log scale) below the leading one cannot move a float64
@@ -132,38 +132,54 @@ def split_parity(state: ConstructionState) -> SeriesPair:
     )
 
 
-def eval_series(s: LacunarySeries, z: complex) -> ScaledComplex:
-    """Evaluate the series at |z| < 1, stably at any coefficient scale.
+def _lacunary_sums(log_mods, units, exponents, log_radii, phases):
+    """The kernel behind every series evaluation: sums of the terms
+    exp(log_mods_k + exponents_k x_r) units_k phases_kj at log-radii x_r
+    and angle columns j, with the largest term magnitude per radius
+    factored out.
 
-    Factors out L_max = max_k (log_coeff_k + e_k log|z|); terms more than
-    200 below it are dropped, the rest are summed in ascending exponent
-    order with Neumaier compensation on the real and imaginary parts.
+    Returns (sums, log_scales) of shapes (radii, columns) and (radii,):
+    the value is sums[r, j] * exp(log_scales[r]).  Terms more than
+    DROP_THRESHOLD below the largest are dropped.  x = -inf (radius 0)
+    keeps only the exponent-0 terms; a radius with no nonzero term gives
+    sum 0 and scale -inf.
     """
+    with np.errstate(invalid="ignore"):  # 0 * -inf at z = 0; all terms -inf
+        logs = log_mods[:, None] + exponents[:, None] * log_radii
+        np.copyto(logs, log_mods[:, None], where=np.isnan(logs))  # z^0 = 1
+        l_max = logs.max(axis=0, initial=NEG_INF)
+        logs -= l_max
+    keep = logs >= -DROP_THRESHOLD
+    live = keep.any(axis=1)
+    mant = np.where(keep[live], np.exp(logs[live]), 0.0)
+    coeff_phases = phases[live]
+    coeff_phases *= units[live, None]
+    return mant.T @ coeff_phases, l_max
+
+
+def _eval_points(log_mods, units, exponents, zs) -> np.ndarray:
+    """sum_k exp(log_mods_k) units_k z^exponents_k at the points of the
+    1-d array zs, as ScaledComplex values: one kernel call per distinct
+    |z|, with phases e^{i fmod(e arg z, 2 pi)}."""
+    rs = np.abs(zs)
+    out = np.empty(zs.shape, dtype=object)
+    for r in set(rs.tolist()):  # each group fills its own points
+        at = rs == r
+        phases = np.exp(1j * np.fmod(np.multiply.outer(exponents, np.angle(zs[at])), _TWO_PI))
+        log_r = math.log(r) if r > 0.0 else NEG_INF
+        sums, scales = _lacunary_sums(log_mods, units, exponents, np.array([log_r]), phases)
+        out[at] = [ScaledComplex.normalize(complex(v), float(scales[0])) for v in sums[0]]
+    return out
+
+
+def eval_series(s: LacunarySeries, z: complex) -> ScaledComplex:
+    """Evaluate the series at |z| < 1, stably at any coefficient scale:
+    a one-point call of the grid kernel with phases e^{i e theta}."""
     z = complex(z)
     if abs(z) >= 1.0:
         raise ValueError(f"|z| = {abs(z)} is outside the open unit disk")
-    if not s.terms:
-        return ScaledComplex(0j, NEG_INF)
-    if z == 0:
-        for lc, e in s.terms:
-            if e == 0:
-                return ScaledComplex.normalize(1.0 + 0j, lc)
-        return ScaledComplex(0j, NEG_INF)
-    log_r = math.log(abs(z))
-    theta = cmath.phase(z)
-    logs = [lc + e * log_r for lc, e in s.terms]
-    l_max = max(logs)
-    re_parts = []
-    im_parts = []
-    for (lc, e), lv in zip(s.terms, logs):
-        d = lv - l_max
-        if d < -DROP_THRESHOLD:
-            continue
-        term = cmath.exp(complex(d, math.fmod(e * theta, _TWO_PI)))
-        re_parts.append(term.real)
-        im_parts.append(term.imag)
-    total = complex(neumaier_sum(re_parts), neumaier_sum(im_parts))
-    return ScaledComplex.normalize(total, l_max)
+    return _eval_points(np.array(s.log_coeffs), np.ones(len(s.terms), dtype=complex),
+                        np.array(s.exponents, dtype=float), np.array([z]))[0]
 
 
 def modulus_sum(pair: SeriesPair, z: complex) -> float:
@@ -198,44 +214,27 @@ def eval_series_grid(s: LacunarySeries, t_values, theta_count: int,
 
     Angles are theta_j = 2 pi j / theta_count with j over theta_indices
     (all of them by default).  Returns shape (len(t_values), n_angles).
-    Rows whose terms all fall 200 below the per-radius maximum are
-    skipped, which keeps deep constructions (thousands of terms)
-    affordable.
+    Radii are evaluated in blocks of 256, each keeping only the terms
+    within DROP_THRESHOLD of its per-radius maxima, which keeps deep
+    constructions (thousands of terms) affordable.
     """
     ts = np.asarray(t_values, dtype=float)
     if ts.size and (ts.min() < 0.0 or ts.max() >= 1.0):
         raise ValueError("radii must lie in [0, 1)")
     n_angles = theta_count if theta_indices is None else len(theta_indices)
     out = np.full((ts.size, n_angles), NEG_INF)
-    if not s.terms or ts.size == 0:
+    if not s.terms:
         return out
     log_coeffs = np.asarray(s.log_coeffs)
+    units = np.ones(len(s.terms), dtype=complex)
     exponents = np.asarray(s.exponents, dtype=float)
     phases = _phase_table(s.exponents, theta_count, theta_indices)
-
-    zero_mask = ts == 0.0
-    if zero_mask.any():
-        for lc, e in s.terms:
-            if e == 0:
-                out[zero_mask, :] = lc
-    pos = np.nonzero(~zero_mask)[0]
-    if pos.size == 0:
-        return out
-    xs = np.log(ts[pos])
-
-    block = 256
-    for start in range(0, pos.size, block):
-        sel = pos[start:start + block]
-        xb = xs[start:start + block]
-        logs = log_coeffs[:, None] + exponents[:, None] * xb[None, :]
-        l_max = logs.max(axis=0)
-        rel = logs - l_max[None, :]
-        live = np.nonzero((rel >= -DROP_THRESHOLD).any(axis=1))[0]
-        mant = np.where(rel[live] >= -DROP_THRESHOLD, np.exp(rel[live]), 0.0)
-        total = mant.T @ phases[live]  # (len(sel), n_angles)
-        mag = np.abs(total)
-        with np.errstate(divide="ignore"):
-            out[sel, :] = np.where(mag > 0.0, np.log(mag), NEG_INF) + l_max[:, None]
+    with np.errstate(divide="ignore"):
+        xs = np.log(ts)
+        for start in range(0, ts.size, 256):
+            block = slice(start, start + 256)
+            sums, scales = _lacunary_sums(log_coeffs, units, exponents, xs[block], phases)
+            out[block] = np.log(np.abs(sums)) + scales[:, None]
     return out
 
 
@@ -274,11 +273,6 @@ class SandwichReport:
         }
 
 
-def _normalized(diff, a, b):
-    scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-    return diff / scale
-
-
 def sandwich_check(pair: SeriesPair, w: WeightFunction, t_grid,
                    theta_count: int = 256) -> SandwichReport:
     """Certify (2/5)e^{-h} omega < |G1|+|G2| < 4 omega on the grid.
@@ -300,8 +294,8 @@ def sandwich_check(pair: SeriesPair, w: WeightFunction, t_grid,
     log_w = np.array([w.log_omega(float(t)) for t in ts])
     lo_bound = math.log(0.4) - pair.h + log_w
     hi_bound = math.log(4.0) + log_w
-    lower = _normalized(log_s - lo_bound[:, None], log_s, lo_bound[:, None])
-    upper = _normalized(hi_bound[:, None] - log_s, log_s, hi_bound[:, None])
+    lower = normalized_margins(log_s, lo_bound[:, None])
+    upper = normalized_margins(hi_bound[:, None], log_s)
 
     thetas = _TWO_PI * np.arange(theta_count) / theta_count
     li = np.unravel_index(np.argmin(lower), lower.shape)
@@ -477,8 +471,8 @@ def zero_adjust(pair: SeriesPair, w: WeightFunction, theta_count: int = 720,
         theta_index=best_c,
         theta_candidates=theta_count,
         e1=e1,
-        c_low=math.exp(log_c_low),
-        c_high=math.exp(log_c_high),
+        c_low=exp_or_inf(log_c_low),
+        c_high=exp_or_inf(log_c_high),
         log_c_low=log_c_low,
         log_c_high=log_c_high,
         t0=pair.t0,

@@ -373,10 +373,6 @@ def omega_eval(w: WeightFunction, t: float) -> OmegaValue:
     return OmegaValue(lw, True)
 
 
-def log_omega_eval(w: WeightFunction, t: float) -> float:
-    return w.log_omega(t)
-
-
 def big_F_eval(w: WeightFunction, x: float, order: int = 0) -> float:
     """F(x) (order 0) or F'(x) (order 1); raises on non-finite results."""
     if order not in (0, 1):

@@ -235,6 +235,60 @@ class TestBallLowerBound:
             lw.ball_lower_bound_check(system, w, [0.5], sphere_samples=64)
 
 
+def per_point_ball_check(system, w, t_grid, sphere_samples):
+    """The ball check one point at a time through log_modulus_sum: worst
+    margin with its first witness in (t, point) order, and log C over the
+    grid and the inner-ball samples (t = 0 included)."""
+    pts = lw.sphere_points(system.family.d, sphere_samples, seed=0)
+    bound_const = math.log(0.4 * system.family.delta_claimed) - system.state.params.h
+    worst, witness, log_c = math.inf, None, -math.inf
+    for t in t_grid:
+        bound = bound_const + w.log_omega(float(t))
+        for i, zeta in enumerate(pts):
+            s = system.log_modulus_sum(float(t), zeta)
+            margin = (s - bound) / max(1.0, abs(s), abs(bound))
+            if margin < worst:
+                worst, witness = margin, (float(t), i)
+            log_c = max(log_c, w.log_omega(float(t)) - np.logaddexp(s, 0.0))
+    for t in np.linspace(0.0, system.state.t0, 16):
+        for zeta in pts[:16]:
+            s = system.log_modulus_sum(float(t), zeta)
+            log_c = max(log_c, w.log_omega(float(t)) - np.logaddexp(s, 0.0))
+    return worst, witness, log_c
+
+
+class TestBatchedBallCheck:
+    """ball_lower_bound_check evaluates each function at one sphere point
+    over all radii in one call; it must agree with the per-point path."""
+
+    def assert_matches(self, system, w, t_grid):
+        rep = lw.ball_lower_bound_check(system, w, t_grid, sphere_samples=64)
+        worst, witness, log_c = per_point_ball_check(system, w, t_grid, 64)
+        assert abs(rep.lower_margin - worst) <= 1e-12 * max(1.0, abs(worst))
+        assert abs(rep.log_c_measured - log_c) <= 1e-12 * max(1.0, abs(log_c))
+        assert (rep.witness_t, rep.witness_point) == witness
+
+    def test_monomial_on_ramey(self):
+        w, state = ramey_state(t_stop=1.0 - 1e-9)
+        system = lw.build_ball_functions(state, lw.monomial_family(),
+                                         sphere_samples=64)
+        self.assert_matches(system, w, np.linspace(0.951, state.t_last, 12))
+
+    def test_coordinate_d2_with_complex_phases(self):
+        # Assembled directly: the family fails verify_family, but its
+        # values z_q^e carry non-real phases at the Sobol sphere points.
+        w, state = ramey_state()
+        fam = lw.coordinate_family_d2(delta_claimed=0.5)
+        funcs = []
+        for parity in (1, 0):
+            terms = tuple((l.log_a, e) for i, (l, e) in
+                          enumerate(zip(state.lines, state.es)) if (i + 1) % 2 == parity)
+            funcs += [lw.ball_extension.BallFunction(q=q, terms=terms) for q in (1, 2)]
+        funcs.append(lw.ball_extension.BallFunction(q=0, terms=(), is_one=True))
+        system = lw.BallFunctionSystem(functions=tuple(funcs), family=fam, state=state)
+        self.assert_matches(system, w, np.linspace(0.951, state.t_last, 12))
+
+
 class TestSliceReduction:
     """Fixing a sphere point turns each ball function into a one-variable
     lacunary series, so the disk-side converse machinery applies to the
@@ -257,6 +311,25 @@ class TestSliceReduction:
                              for lc, e in func.terms)
                 got = sl(lam).to_complex()
                 assert got == pytest.approx(direct, rel=1e-11)
+
+    def test_array_of_points_matches_pointwise(self):
+        w, state = ramey_state()
+        fam = lw.coordinate_family_d2(delta_claimed=0.5)
+        odd = tuple((l.log_a, e) for i, (l, e) in
+                    enumerate(zip(state.lines, state.es)) if (i + 1) % 2 == 1)
+        func = lw.ball_extension.BallFunction(q=2, terms=odd)
+        system = lw.BallFunctionSystem(functions=(func,), family=fam,
+                                       state=state)
+        sl = system.slice_callable(0, lw.sphere_points(2, 64, seed=3)[7])
+        lams = np.outer([0.0, 0.3, 0.95], np.exp(2j * np.pi * np.arange(8) / 8))
+        values = sl(lams)
+        assert values.shape == lams.shape
+        for lam, v in zip(lams.ravel(), values.ravel()):
+            assert v.log_abs == pytest.approx(sl(complex(lam)).log_abs, rel=1e-13)
+        # max_modulus hands the whole circle over in one call
+        sizes = []
+        lw.max_modulus(lambda z: sizes.append(np.size(z)) or sl(z), 0.5, 64)
+        assert sizes == [64]
 
     def test_shifted_slices_are_log_convex(self):
         w, state = ramey_state()

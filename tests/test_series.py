@@ -223,6 +223,19 @@ class TestZeroAdjust:
         assert ratios.min() == adj.log_c_low
         assert ratios.max() == adj.log_c_high
 
+    def test_constants_past_float_range_are_inf(self):
+        # Dividing double_exp's G1 by z^e1 (e1 ~ 1.8e11) puts log c_high
+        # near 1e10: the constants read inf, their logs stay finite.
+        w = lw.make_weight("double_exp")
+        state = lw.run_construction(
+            w, ConstructionParams(x0=math.log(0.95), k_max=60))
+        adj = lw.zero_adjust(lw.split_parity(state), w, theta_count=16,
+                             inner_radii=10, inner_angles=16,
+                             outer_t_points=20, outer_angles=16)
+        assert adj.c_high == math.inf
+        assert 709.0 < adj.log_c_high < math.inf
+        assert math.isfinite(adj.log_c_low)
+
 
 class TestFrequencyProfile:
     def test_simple(self):
