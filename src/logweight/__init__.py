@@ -18,9 +18,8 @@ from .construction import (ConstructionError, ConstructionParams,
                            next_tangent, run_construction,
                            verify_tangent_lemmas)
 from .envelope import (EnvelopeResult, EquivalenceConstants, HadamardReport,
-                       MaxModulusProfile, equivalence_constants,
-                       hadamard_check, hull_weight, log_convex_envelope,
-                       max_modulus, max_modulus_adaptive, max_modulus_profile,
+                       equivalence_constants, hadamard_check, hull_weight,
+                       log_convex_envelope, max_modulus, max_modulus_adaptive,
                        polynomial_callable, random_polynomials)
 from .series import (AdjustedPair, LacunarySeries, SandwichReport,
                      ScaledComplex, SeriesPair, eval_series,
@@ -39,7 +38,7 @@ __all__ = [
     "ConstructionError", "ConstructionParams", "ConstructionState",
     "ConvexityReport", "DoublingResult", "EnvelopeResult",
     "EquivalenceConstants", "ExponentCollisionError", "FamilyReport",
-    "HadamardReport", "LacunarySeries", "LemmaReport", "MaxModulusProfile",
+    "HadamardReport", "LacunarySeries", "LemmaReport",
     "NotStrictlyConvexError", "OmegaValue", "PolynomialFamily",
     "SandwichReport", "ScaledComplex", "SeriesPair", "SlowGrowthError",
     "TangentLine", "WeightFunction", "ball_lower_bound_check",
@@ -48,8 +47,8 @@ __all__ = [
     "equivalence_constants", "eval_series", "eval_series_grid",
     "family_from_manifest", "frequency_profile", "h_for_delta",
     "hadamard_check", "hull_weight", "log_convex_envelope",
-    "make_weight", "max_modulus", "max_modulus_adaptive",
-    "max_modulus_profile", "modulus_sum", "modulus_sum_grid",
+    "make_weight", "max_modulus", "max_modulus_adaptive", "modulus_sum",
+    "modulus_sum_grid",
     "monomial_family", "next_tangent", "omega_eval", "polynomial_callable",
     "provider_from_interleaved",
     "random_polynomials", "run_construction", "sandwich_check",

@@ -357,7 +357,8 @@ class BallFunctionSystem:
         a circle of sample points costs one call.
         """
         if self.functions[index].is_one:
-            return lambda lam: ScaledComplex.normalize(1.0 + 0j, 0.0)
+            one = ScaledComplex.normalize(1.0 + 0j, 0.0)
+            return lambda lam: np.full(np.shape(lam), one, dtype=object)[()]
         log_mods, units, es = self._coefficients(index, zeta)
         es = es - shift
 

@@ -21,7 +21,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .numerics import exp_or_inf, logsumexp
-from .series import ScaledComplex
 from .weight_model import WeightFunction, weight_from_knots
 
 # Discrete convexity tolerance for sampled three-circles checks; absorbs
@@ -36,77 +35,70 @@ _ADAPTIVE_CAP = 1 << 16
 _ADAPTIVE_TOL = 1e-9
 
 
-def _log_abs(v) -> float:
-    if isinstance(v, ScaledComplex):
-        return v.log_abs
-    a = abs(complex(v))
-    return math.log(a) if a > 0 else -math.inf
-
-
 def _log_abs_values(f: Callable, zs: np.ndarray) -> np.ndarray:
-    """Evaluate f on an array of points, accepting callables that return
-    complex scalars or ScaledComplex, vectorized or not."""
-    try:
-        arr = np.asarray(f(zs))
-        if arr.shape == zs.shape:
-            if arr.dtype == object:
-                return np.array([_log_abs(v) for v in arr.ravel()]).reshape(zs.shape)
-            with np.errstate(divide="ignore"):
-                return np.where(np.abs(arr) > 0, np.log(np.abs(arr)), -np.inf)
-    except (TypeError, ValueError):
-        pass
-    return np.array([_log_abs(f(complex(z))) for z in zs.ravel()]).reshape(zs.shape)
+    """log|f| on an array of points.  f takes the whole array and returns
+    an array of its shape, of complex values or of ScaledComplex."""
+    arr = np.asarray(f(zs))
+    if arr.shape != zs.shape:
+        raise ValueError(f"callable returned shape {arr.shape} for points of shape {zs.shape}")
+    if arr.dtype == object:
+        return np.array([v.log_abs for v in arr.ravel()], dtype=float).reshape(zs.shape)
+    with np.errstate(divide="ignore"):
+        return np.where(np.abs(arr) > 0, np.log(np.abs(arr)), -np.inf)
+
+
+def _sampled_maxima(f: Callable, rs: np.ndarray, theta_count: int) -> np.ndarray:
+    """log max_j |f(r e^{2 pi i j / theta_count})| for every r in rs, with
+    the radii split so that no call of f gets more than _ADAPTIVE_CAP
+    points (a single circle may have more)."""
+    circle = np.exp(1j * (2.0 * math.pi * np.arange(theta_count) / theta_count))
+    step = max(1, _ADAPTIVE_CAP // theta_count)
+    return np.concatenate(
+        [np.max(_log_abs_values(f, rs[i:i + step, None] * circle), axis=1)
+         for i in range(0, rs.size, step)])
+
+
+def _log_max_moduli(f: Callable, rs, theta_count: int):
+    """log max |f| on the circle |z| = r for every radius, and the largest
+    angle count used.
+
+    theta_count > 0 samples every circle at that many angles.  theta_count
+    0 refines: from _ADAPTIVE_START angles, doubling, each radius stops once
+    two successive maxima agree within _ADAPTIVE_TOL, and every radius stops
+    at _ADAPTIVE_CAP.  f is called on the radii still refining together.
+    """
+    rs = np.asarray(rs, dtype=float)
+    if theta_count and theta_count < 16:
+        raise ValueError("theta_count must be at least 16")
+    outside = rs[~((rs >= 0.0) & (rs < 1.0))]
+    if outside.size:
+        raise ValueError(f"r={outside[0]} outside [0, 1)")
+    n = theta_count or _ADAPTIVE_START
+    values = _sampled_maxima(f, rs, n)
+    active = np.arange(0 if theta_count else rs.size)
+    while active.size and n < _ADAPTIVE_CAP:
+        n *= 2
+        cur = _sampled_maxima(f, rs[active], n)
+        with np.errstate(invalid="ignore"):  # -inf - -inf: never settled
+            settled = np.abs(cur - values[active]) < _ADAPTIVE_TOL
+        values[active] = cur
+        active = active[~settled]
+    return values, n
 
 
 def max_modulus(f: Callable, r: float, theta_count: int) -> float:
     """log max_j |f(r e^{2 pi i j / theta_count})|."""
     if theta_count < 16:
         raise ValueError("theta_count must be at least 16")
-    if not 0.0 <= r < 1.0:
-        raise ValueError(f"r={r} outside [0, 1)")
-    thetas = 2.0 * math.pi * np.arange(theta_count) / theta_count
-    zs = r * np.exp(1j * thetas)
-    return float(np.max(_log_abs_values(f, zs)))
+    return float(_log_max_moduli(f, [r], theta_count)[0][0])
 
 
-def max_modulus_adaptive(f: Callable, r: float, start: int = _ADAPTIVE_START,
-                         tol: float = _ADAPTIVE_TOL,
-                         cap: int = _ADAPTIVE_CAP):
-    """Double the angle count until log M stabilizes within tol (or the
-    cap is hit).  Returns (log M, theta_count_used)."""
-    n = start
-    prev = max_modulus(f, r, n)
-    while n < cap:
-        n *= 2
-        cur = max_modulus(f, r, n)
-        if abs(cur - prev) < tol:
-            return cur, n
-        prev = cur
-    return prev, n
-
-
-@dataclass(frozen=True)
-class MaxModulusProfile:
-    r_grid: tuple
-    log_values: tuple
-    theta_count: int
-
-
-def max_modulus_profile(f: Callable, r_grid, theta_count: int = 0) -> MaxModulusProfile:
-    """Profile of log M over the radii; theta_count 0 means adaptive."""
-    rs = np.asarray(r_grid, dtype=float)
-    if np.any(np.diff(rs) <= 0):
-        raise ValueError("r_grid must be strictly increasing")
-    used = theta_count
-    vals = []
-    for r in rs:
-        if theta_count:
-            vals.append(max_modulus(f, float(r), theta_count))
-        else:
-            v, n = max_modulus_adaptive(f, float(r))
-            vals.append(v)
-            used = max(used, n)
-    return MaxModulusProfile(tuple(float(r) for r in rs), tuple(vals), used)
+def max_modulus_adaptive(f: Callable, r: float):
+    """Double the angle count from 64 until two successive values of log M
+    agree within 1e-9, or up to 2^16 angles.  Returns (log M,
+    theta_count_used)."""
+    values, n = _log_max_moduli(f, [r], 0)
+    return float(values[0]), n
 
 
 @dataclass(frozen=True)
@@ -152,15 +144,11 @@ def hadamard_check(fs: Sequence[Callable], r_grid, theta_count: int = 0,
     if np.max(du) - np.min(du) > 1e-9 * np.max(du):
         raise ValueError("r_grid must be uniform in log r")
     for m, f in enumerate(fs):
-        v = f(np.zeros(1, dtype=complex)) if _is_vectorized(f) else f(0j)
-        val = np.asarray(v).ravel()[0]
-        mag = abs(val.to_complex()) if isinstance(val, ScaledComplex) else abs(complex(val))
-        if mag == 0:
+        if _log_abs_values(f, np.zeros(1, dtype=complex))[0] == -math.inf:
             raise ValueError(f"function {m} vanishes at 0")
 
-    profiles = [max_modulus_profile(f, rs, theta_count) for f in fs]
-    logs = np.array([p.log_values for p in profiles])  # (m, r)
-    log_s = logsumexp(logs, axis=0)
+    profiles = [_log_max_moduli(f, rs, theta_count) for f in fs]
+    log_s = logsumexp(np.array([values for values, _ in profiles]), axis=0)
     d2 = log_s[2:] - 2.0 * log_s[1:-1] + log_s[:-2]
     i = int(np.argmin(d2))
     return HadamardReport(
@@ -169,17 +157,9 @@ def hadamard_check(fs: Sequence[Callable], r_grid, theta_count: int = 0,
         witness_r=float(rs[i + 1]),
         n_functions=len(fs),
         r_count=int(rs.size),
-        theta_count=max(p.theta_count for p in profiles),
+        theta_count=max(n for _, n in profiles),
         tol=tol,
     )
-
-
-def _is_vectorized(f) -> bool:
-    try:
-        out = f(np.zeros(2, dtype=complex))
-        return np.asarray(out).shape == (2,)
-    except Exception:
-        return False
 
 
 def random_polynomials(count: int, max_degree: int, seed: int):

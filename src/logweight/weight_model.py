@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .numerics import LOG_MAX, triangle_wave
+from .numerics import LOG_MAX, exp_or_inf, triangle_wave
 
 # Slope gap below which F' is not considered strictly increasing.
 STRICTNESS_TOL = 1e-10
@@ -437,8 +437,7 @@ def check_doubling(w: WeightFunction, s_grid, cap: float = DOUBLING_CAP) -> Doub
         ratio = w.log_omega_one_minus(s / 2.0) - w.log_omega_one_minus(s)
         worst = max(worst, ratio)
     is_doubling = math.isfinite(worst) and worst < log_cap
-    a_est = math.exp(worst) if worst <= LOG_MAX else math.inf
-    return DoublingResult(is_doubling, a_est, worst)
+    return DoublingResult(is_doubling, exp_or_inf(worst), worst)
 
 
 def check_unbounded(w: WeightFunction, threshold: float = UNBOUNDED_LOG_THRESHOLD):

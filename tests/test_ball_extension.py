@@ -346,3 +346,17 @@ class TestSliceReduction:
         rep = lw.hadamard_check([sl], np.geomspace(0.1, 0.9, 24),
                                 theta_count=256)
         assert rep.passed
+
+
+class TestConstantSlice:
+    def test_takes_arrays(self):
+        w, state = ramey_state()
+        system = lw.build_ball_functions(state, lw.monomial_family(),
+                                         sphere_samples=64)
+        sl = system.slice_callable(len(system.functions) - 1, np.ones(1, dtype=complex))
+        lams = np.full((2, 3), 0.5 + 0j)
+        assert all(v.to_complex() == 1.0 for v in sl(lams).ravel())
+        assert sl(lams).shape == lams.shape
+        assert sl(0.5 + 0j).to_complex() == 1.0
+        rep = lw.hadamard_check([sl], np.geomspace(0.1, 0.9, 8), theta_count=64)
+        assert rep.passed and rep.min_second_diff == 0.0

@@ -1,5 +1,6 @@
 """Max-modulus profiles, three-circles convexity, hull decision procedure."""
 
+import cmath
 import math
 
 import numpy as np
@@ -177,3 +178,27 @@ class TestRegularizationPathway:
         rep = lw.sandwich_check(pair, wb, t_grid, theta_count=64)
         assert rep.lower_margin >= -(env.gap + 0.2)
         assert rep.upper_margin >= -0.06
+
+
+class TestArrayContract:
+    def test_scalar_only_callable_rejected(self):
+        f = lambda z: cmath.exp(z) + 1.0
+        with pytest.raises((TypeError, ValueError)):
+            lw.hadamard_check([f], np.geomspace(0.1, 0.9, 16))
+
+    @pytest.mark.parametrize("f", [lambda z: np.ones(3, dtype=complex),
+                                   lambda z: 1.0 + 0j,
+                                   lambda z: z.ravel()])
+    def test_wrong_shape_rejected(self, f):
+        with pytest.raises(ValueError):
+            lw.max_modulus(f, 0.5, 64)
+
+
+class TestAdaptiveStopRule:
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 5: the doubling rule stops once a doubling fails to beat "
+        "the old maximum; this polynomial stops at 128 angles, 0.0137 low"))
+    def test_no_underestimate(self):
+        f = lw.polynomial_callable(lw.random_polynomials(100, 30, seed=7)[98])
+        value, used = lw.max_modulus_adaptive(f, 0.95)
+        assert lw.max_modulus(f, 0.95, 1 << 18) - value <= 1e-9

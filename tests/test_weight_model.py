@@ -235,3 +235,13 @@ class TestJsonSpec:
             lw.make_weight("tabulated", table=[[0.5, 2.0], [0.2, 1.0], [0.8, 3.0]])
         with pytest.raises(ValueError):
             lw.make_weight("tabulated", table=[[0.2, 2.0], [0.5, 1.0], [0.8, 3.0]])
+
+
+class TestDoublingCutoff:
+    def test_constant_past_709_is_inf(self):
+        # log a = 709.5 lies between exp_or_inf's 709.0 and float overflow
+        # at ~709.78; the doubling report cuts off where every other report does
+        w = lw.make_weight("power", (709.5 / math.log(2),))
+        res = lw.check_doubling(w, np.geomspace(1e-3, 1, 20))
+        assert res.log_a_estimate == pytest.approx(709.5, abs=1e-9)
+        assert res.a_estimate == math.inf
