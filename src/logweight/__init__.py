@@ -27,11 +27,9 @@ from .series import (AdjustedPair, LacunarySeries, SandwichReport,
                      modulus_sum_grid, sandwich_check, split_parity,
                      tail_margin, zero_adjust)
 from .weight_model import (CONSTRUCTIBLE_FAMILIES, ConvexityReport,
-                           DoublingResult, OmegaValue, WeightFunction,
-                           big_F_eval, check_doubling, check_log_convexity,
-                           check_unbounded, make_weight,
-                           omega_eval, weight_from_knots, weight_from_spec,
-                           weight_to_spec)
+                           DoublingResult, WeightFunction, check_doubling,
+                           check_log_convexity, check_unbounded, make_weight,
+                           weight_from_knots, weight_from_spec, weight_to_spec)
 
 __all__ = [
     "AdjustedPair", "BallFunctionSystem", "CONSTRUCTIBLE_FAMILIES",
@@ -39,17 +37,17 @@ __all__ = [
     "ConvexityReport", "DoublingResult", "EnvelopeResult",
     "EquivalenceConstants", "ExponentCollisionError", "FamilyReport",
     "HadamardReport", "LacunarySeries", "LemmaReport",
-    "NotStrictlyConvexError", "OmegaValue", "PolynomialFamily",
+    "NotStrictlyConvexError", "PolynomialFamily",
     "SandwichReport", "ScaledComplex", "SeriesPair", "SlowGrowthError",
     "TangentLine", "WeightFunction", "ball_lower_bound_check",
-    "big_F_eval", "build_ball_functions", "check_doubling",
+    "build_ball_functions", "check_doubling",
     "check_log_convexity", "check_unbounded", "coordinate_family_d2",
     "equivalence_constants", "eval_series", "eval_series_grid",
     "family_from_manifest", "frequency_profile", "h_for_delta",
     "hadamard_check", "hull_weight", "log_convex_envelope",
     "make_weight", "max_modulus", "max_modulus_adaptive", "modulus_sum",
     "modulus_sum_grid",
-    "monomial_family", "next_tangent", "omega_eval", "polynomial_callable",
+    "monomial_family", "next_tangent", "polynomial_callable",
     "provider_from_interleaved",
     "random_polynomials", "run_construction", "sandwich_check",
     "sphere_points", "split_parity", "tail_margin", "verify_family",

@@ -4,10 +4,7 @@ machine-readable reports.
 One binary, subcommand style.  Reports are JSON on stdout unless --out is
 given; human summaries go to stderr.  Exit codes: 0 verification passed,
 1 a verified bound failed, 2 input or precondition error.  All commands
-are deterministic given their flags and seed.  logweight has no
-internal parallelism; the LOGWEIGHT_THREADS environment variable only
-presets the BLAS thread variables (OMP_NUM_THREADS, OPENBLAS_NUM_THREADS,
-MKL_NUM_THREADS) that are not already set.
+are deterministic given their flags and seed.
 """
 
 from __future__ import annotations
@@ -15,15 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-
-# BLAS reads its thread caps at load time, so this must run before the
-# first numpy import anywhere in the process (the console script enters
-# through this module, making here the right place).
-if os.environ.get("LOGWEIGHT_THREADS"):
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, os.environ["LOGWEIGHT_THREADS"])
 
 import numpy as np
 

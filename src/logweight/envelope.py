@@ -37,14 +37,19 @@ _ADAPTIVE_TOL = 1e-9
 
 def _log_abs_values(f: Callable, zs: np.ndarray) -> np.ndarray:
     """log|f| on an array of points.  f takes the whole array and returns
-    an array of its shape, of complex values or of ScaledComplex."""
+    an array of its shape, of complex values or of ScaledComplex.  A NaN
+    value raises: it is neither zero nor a modulus to maximize."""
     arr = np.asarray(f(zs))
     if arr.shape != zs.shape:
         raise ValueError(f"callable returned shape {arr.shape} for points of shape {zs.shape}")
     if arr.dtype == object:
-        return np.array([v.log_abs for v in arr.ravel()], dtype=float).reshape(zs.shape)
-    with np.errstate(divide="ignore"):
-        return np.where(np.abs(arr) > 0, np.log(np.abs(arr)), -np.inf)
+        logs = np.array([v.log_abs for v in arr.ravel()], dtype=float).reshape(zs.shape)
+    else:
+        with np.errstate(divide="ignore"):
+            logs = np.log(np.abs(arr))
+    if np.isnan(logs).any():
+        raise ValueError("callable returned NaN")
+    return logs
 
 
 def _sampled_maxima(f: Callable, rs: np.ndarray, theta_count: int) -> np.ndarray:

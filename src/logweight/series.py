@@ -160,7 +160,9 @@ def _lacunary_sums(log_mods, units, exponents, log_radii, phases):
 def _eval_points(log_mods, units, exponents, zs) -> np.ndarray:
     """sum_k exp(log_mods_k) units_k z^exponents_k at the points of the
     1-d array zs, as ScaledComplex values: one kernel call per distinct
-    |z|, with phases e^{i fmod(e arg z, 2 pi)}."""
+    float |z|, with phases e^{i fmod(e arg z, 2 pi)}.  Points r e^{i theta}
+    of one sampled circle round to a few distinct |z| (3-5 on 256 angles),
+    so a circle costs that many calls, not one."""
     rs = np.abs(zs)
     out = np.empty(zs.shape, dtype=object)
     for r in set(rs.tolist()):  # each group fills its own points

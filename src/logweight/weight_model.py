@@ -7,9 +7,11 @@ growth analysis happens through
     F(x) = log omega(e^x),   x < 0,
 
 because omega is comparable to a sum of two holomorphic moduli exactly
-when F is (equivalent to) a convex function.  Everything is evaluated in
-the log domain: omega itself overflows float64 long before the fast
-families stop being tractable.
+when F is (equivalent to) a convex function.  Each family is defined by
+F and F' alone, and omega is evaluated only through F: log omega(t) =
+F(log t) and log omega(1 - s) = F(log1p(-s)).  Everything stays in the log
+domain: omega itself overflows float64 long before the fast families stop
+being tractable.
 
 Families
 --------
@@ -54,13 +56,6 @@ _EPS_CBRT = float(np.finfo(float).eps) ** (1.0 / 3.0)
 CONSTRUCTIBLE_FAMILIES = ("ramey_ullrich", "power", "exp_power", "double_exp")
 
 
-class OmegaValue(NamedTuple):
-    """omega(t), returned in log form when exp would overflow float64."""
-
-    value: float
-    is_log: bool
-
-
 def _u(x: float) -> float:
     """1 - e^x computed accurately for x near 0-."""
     return -math.expm1(x)
@@ -71,8 +66,6 @@ class _Family:
     name: str
     n_params: int
     defaults: tuple
-    log_omega: Callable  # (t, params) -> float
-    log_omega_1m: Callable  # (s, params) -> log omega(1 - s), accurate in s
     big_f: Callable  # (x, params) -> float, may return +inf for fast weights
     big_f_prime: Optional[Callable]  # analytic F' or None
 
@@ -105,44 +98,32 @@ def _inv_log_f(x, p):
 _FAMILIES = {
     "ramey_ullrich": _Family(
         "ramey_ullrich", 0, (),
-        lambda t, p: -math.log1p(-t),
-        lambda s, p: -math.log(s),
         _ramey_f,
         lambda x, p: math.exp(x) / _u(x),
     ),
     "power": _Family(
         "power", 1, (2.0,),
-        lambda t, p: -p[0] * math.log1p(-t),
-        lambda s, p: -p[0] * math.log(s),
         _power_f,
         lambda x, p: p[0] * math.exp(x) / _u(x),
     ),
     "exp_power": _Family(
         "exp_power", 1, (1.0,),
-        lambda t, p: (1.0 - t) ** (-p[0]),
-        lambda s, p: s ** (-p[0]),
         _exp_power_f,
         lambda x, p: p[0] * _u(x) ** (-p[0] - 1.0) * math.exp(x),
     ),
     "double_exp": _Family(
         "double_exp", 0, (),
-        lambda t, p: math.exp(1.0 / (1.0 - t)) if 1.0 / (1.0 - t) <= LOG_MAX else math.inf,
-        lambda s, p: math.exp(1.0 / s) if 1.0 / s <= LOG_MAX else math.inf,
         _double_exp_f,
         lambda x, p: (math.exp(1.0 / _u(x) + x) / _u(x) ** 2
                       if 1.0 / _u(x) + x - 2.0 * math.log(_u(x)) <= LOG_MAX else math.inf),
     ),
     "log_power": _Family(
         "log_power", 1, (2.0,),
-        lambda t, p: p[0] * math.log1p(-math.log1p(-t)),
-        lambda s, p: p[0] * math.log1p(-math.log(s)),
         _log_power_f,
         lambda x, p: p[0] * math.exp(x) / (_u(x) * (1.0 - math.log(_u(x)))),
     ),
     "inv_log": _Family(
         "inv_log", 0, (),
-        lambda t, p: 0.0 if t == 0.0 else -1.0 / math.log(t),
-        lambda s, p: -1.0 / math.log1p(-s),
         _inv_log_f,
         lambda x, p: 1.0 / (x * x),
     ),
@@ -178,7 +159,7 @@ _FAMILY_ALIASES = {"perturbed": "perturbed_bump"}
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """A radial weight, evaluated through log omega and F = log omega(e^x).
+    """A radial weight, evaluated only through F = log omega(e^x) and F'.
 
     Immutable and side-effect free; instances are safe to share across
     threads.  `params` are family-specific (see module docstring);
@@ -223,28 +204,23 @@ class WeightFunction:
     # -- core evaluations ------------------------------------------------
 
     def log_omega(self, t: float) -> float:
-        """log omega(t) for t in [0, 1); may be +inf for fast families."""
+        """log omega(t) = F(log t) for t in [0, 1); may be +inf for fast
+        families.  omega(0) = exp(F(-inf)) exists for analytic families only."""
         if not 0.0 <= t < 1.0:
             raise ValueError(f"t={t} outside the weight domain [0, 1)")
-        if self.family == "tabulated":
-            if t <= 0.0:
-                raise ValueError("tabulated weight needs t > 0")
+        if t > 0.0:
             return self.big_f(math.log(t))
-        if self.family in _PERTURBATIONS:
-            if t <= 0.0:
-                raise ValueError("perturbed weight needs t > 0")
-            return self.big_f(math.log(t))
-        return _FAMILIES[self.family].log_omega(t, self.params)
+        if self.family not in _FAMILIES:
+            raise ValueError(f"{self.family} weight needs t > 0")
+        return self.big_f(-math.inf)
 
     def log_omega_one_minus(self, s: float) -> float:
-        """log omega(1 - s) computed from s directly, so that ratios like
-        omega(1-s/2)/omega(1-s) stay exact in the log domain."""
+        """log omega(1 - s) = F(log1p(-s)), computed from s directly (never
+        through 1 - s), so ratios like omega(1-s/2)/omega(1-s) stay accurate
+        as s -> 0."""
         if not 0.0 < s <= 1.0:
             raise ValueError(f"s={s} outside (0, 1]")
-        fam = _FAMILIES.get(self.family)
-        if fam is not None:
-            return fam.log_omega_1m(s, self.params)
-        return self.log_omega(1.0 - s)
+        return self.log_omega(0.0) if s == 1.0 else self.big_f(math.log1p(-s))
 
     def big_f(self, x: float) -> float:
         """F(x) = log omega(e^x) for x < 0; +inf where exp overflows."""
@@ -363,25 +339,6 @@ def weight_to_spec(w: WeightFunction) -> dict:
     if w.table is not None:
         spec["table"] = [[math.exp(x), math.exp(f)] for x, f in w.table]
     return spec
-
-
-def omega_eval(w: WeightFunction, t: float) -> OmegaValue:
-    """omega(t); falls back to the log value (flagged) past exp overflow."""
-    lw = w.log_omega(t)
-    if lw <= LOG_MAX:
-        return OmegaValue(math.exp(lw), False)
-    return OmegaValue(lw, True)
-
-
-def big_F_eval(w: WeightFunction, x: float, order: int = 0) -> float:
-    """F(x) (order 0) or F'(x) (order 1); raises on non-finite results."""
-    if order not in (0, 1):
-        raise ValueError("order must be 0 or 1")
-    val = w.big_f(x) if order == 0 else w.big_f_prime(x)
-    if not math.isfinite(val):
-        name = "F" if order == 0 else "F'"
-        raise OverflowError(f"{name}({x}) is not finite for family {w.family!r}")
-    return val
 
 
 def check_log_convexity(w: WeightFunction, x_grid, tol: float = STRICTNESS_TOL) -> ConvexityReport:

@@ -194,6 +194,33 @@ class TestArrayContract:
             lw.max_modulus(f, 0.5, 64)
 
 
+
+
+def _nan_where(mask, scaled):
+    """The constant 1, NaN where mask(z) holds; as ScaledComplex if scaled."""
+    def f(z):
+        vals = np.where(mask(z), np.nan, 1.0 + 0j)
+        if scaled:
+            vals = np.array([lw.ScaledComplex(complex(v), 0.0) for v in vals.ravel()],
+                            dtype=object).reshape(z.shape)
+        return vals
+    return f
+
+
+class TestNaNValues:
+    """A NaN value is an error, never a zero that drops out of the maximum."""
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_nan_points_raise(self, scaled):
+        with pytest.raises(ValueError, match="NaN"):
+            lw.max_modulus(_nan_where(lambda z: z.real > 0, scaled), 0.5, 64)
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_nan_at_origin_is_not_vanishing(self, scaled):
+        with pytest.raises(ValueError, match="NaN"):
+            lw.hadamard_check([_nan_where(lambda z: z == 0, scaled)],
+                              np.geomspace(0.1, 0.9, 16), theta_count=64)
+
 class TestAdaptiveStopRule:
     @pytest.mark.xfail(strict=True, reason=(
         "ROADMAP item 5: the doubling rule stops once a doubling fails to beat "

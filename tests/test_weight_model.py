@@ -21,70 +21,110 @@ ANALYTIC_FAMILIES = [
 ]
 
 
+# omega in closed form, written in t: an oracle for the F-only definitions.
+CLOSED_FORM_LOG_OMEGA = {
+    "ramey_ullrich": lambda t, p: -math.log1p(-t),
+    "power": lambda t, p: -p[0] * math.log1p(-t),
+    "exp_power": lambda t, p: (1.0 - t) ** (-p[0]),
+    "double_exp": lambda t, p: math.exp(1.0 / (1.0 - t)),
+    "log_power": lambda t, p: p[0] * math.log1p(-math.log1p(-t)),
+    "inv_log": lambda t, p: -1.0 / math.log(t) if t > 0.0 else 0.0,
+}
+
+# One weight of every kind: each analytic family, tabulated (from t-omega
+# pairs and from knots with a regularizer) and each perturbation.
+EVERY_KIND = [lw.make_weight(f, p) for f, p in ANALYTIC_FAMILIES] + [
+    lw.make_weight("tabulated", table=[[0.2, 1.0], [0.5, 2.0], [0.9, 10.0]]),
+    lw.weight_from_knots([(-2.0, 0.1), (-1.0, 0.5), (-0.1, 3.0)], strictify=0.25),
+    lw.make_weight("perturbed_bump"),
+    lw.make_weight("perturbed_sawtooth"),
+    lw.make_weight("perturbed_unbounded_sawtooth"),
+]
+
+
 class TestOmegaEval:
     def test_ramey_at_zero(self):
         w = lw.make_weight("ramey_ullrich")
-        assert lw.omega_eval(w, 0.0) == (1.0, False)
+        assert math.exp(w.log_omega(0.0)) == 1.0
 
     def test_ramey_at_half(self):
         w = lw.make_weight("ramey_ullrich")
-        val, is_log = lw.omega_eval(w, 0.5)
-        assert not is_log
-        assert val == pytest.approx(2.0, rel=1e-15)
+        assert math.exp(w.log_omega(0.5)) == pytest.approx(2.0, rel=1e-15)
 
     def test_exp_power_at_09(self):
         w = lw.make_weight("exp_power", [1.0])
-        val, is_log = lw.omega_eval(w, 0.9)
-        assert not is_log
-        assert val == pytest.approx(math.exp(10.0), rel=1e-12)
+        assert math.exp(w.log_omega(0.9)) == pytest.approx(math.exp(10.0), rel=1e-12)
 
     def test_overflow_returns_log_form(self):
         w = lw.make_weight("exp_power", [2.0])
-        val, is_log = lw.omega_eval(w, 0.999)  # log omega = 1e6
-        assert is_log
-        assert val == pytest.approx(1e6, rel=1e-9)
+        assert w.log_omega(0.999) == pytest.approx(1e6, rel=1e-9)
 
     def test_domain_error(self):
         w = lw.make_weight("ramey_ullrich")
         for t in (-0.1, 1.0, 1.5):
             with pytest.raises(ValueError):
-                lw.omega_eval(w, t)
+                w.log_omega(t)
+
+
+class TestDerivedFromF:
+    """log omega is F read at log t (or log1p(-s)), bit for bit."""
+
+    @pytest.mark.parametrize("w", EVERY_KIND, ids=lambda w: w.family)
+    def test_log_omega_is_f_of_log_t(self, w):
+        for t in (1e-3, 0.2, 0.5, 0.9, 0.99, 1.0 - 1e-9):
+            assert w.log_omega(t) == w.big_f(math.log(t))
+        for s in (1e-12, 1e-6, 0.01, 0.5, 0.999):
+            assert w.log_omega_one_minus(s) == w.big_f(math.log1p(-s))
+
+    @pytest.mark.parametrize("w", EVERY_KIND, ids=lambda w: w.family)
+    def test_origin(self, w):
+        # omega(0) = exp(F(-inf)) for analytic families; the others have
+        # no value at t = 0 and keep raising there
+        if w.family in CLOSED_FORM_LOG_OMEGA:
+            assert w.log_omega(0.0) == w.big_f(-math.inf)
+            assert w.log_omega_one_minus(1.0) == w.log_omega(0.0)
+        else:
+            with pytest.raises(ValueError):
+                w.log_omega(0.0)
+            with pytest.raises(ValueError):
+                w.log_omega_one_minus(1.0)
 
 
 class TestBigF:
     def test_ramey_value(self):
         w = lw.make_weight("ramey_ullrich")
-        assert lw.big_F_eval(w, math.log(0.5), 0) == pytest.approx(math.log(2.0), rel=1e-15)
+        assert w.big_f(math.log(0.5)) == pytest.approx(math.log(2.0), rel=1e-15)
 
     def test_inv_log_value_and_slope(self):
         # omega(t) = exp(-1/log t) has F(x) = -1/x and F'(x) = 1/x^2
         w = lw.make_weight("inv_log")
-        assert lw.big_F_eval(w, -1.0, 0) == pytest.approx(1.0, rel=1e-15)
-        assert lw.big_F_eval(w, -1.0, 1) == pytest.approx(1.0, rel=1e-15)
+        assert w.big_f(-1.0) == pytest.approx(1.0, rel=1e-15)
+        assert w.big_f_prime(-1.0) == pytest.approx(1.0, rel=1e-15)
 
     def test_domain_error_nonnegative_x(self):
         w = lw.make_weight("ramey_ullrich")
         for x in (0.0, 0.5):
             with pytest.raises(ValueError):
-                lw.big_F_eval(w, x, 0)
+                w.big_f(x)
+            with pytest.raises(ValueError):
+                w.big_f_prime(x)
 
-    def test_numeric_error_on_overflow(self):
+    def test_overflow_gives_inf(self):
         w = lw.make_weight("double_exp")
-        with pytest.raises(OverflowError):
-            lw.big_F_eval(w, -1e-6, 0)
+        assert w.big_f(-1e-6) == math.inf
 
     @pytest.mark.parametrize("family,params", ANALYTIC_FAMILIES)
     def test_matches_omega_through_log(self, family, params):
-        # omega(t) and exp(F(log t)) are two evaluation paths of the same
-        # quantity and must agree in the value domain.
+        # log omega from F and omega in closed form are two evaluation
+        # paths of the same quantity and must agree in the value domain.
         w = lw.make_weight(family, params)
-        for t in (0.2, 0.5, 0.9, 0.95):
-            via_f = lw.big_F_eval(w, math.log(t), 0)
-            val, is_log = lw.omega_eval(w, t)
-            if not is_log:
-                assert math.exp(via_f) == pytest.approx(val, rel=1e-12)
+        for t in (0.0, 0.2, 0.5, 0.9, 0.95):
+            via_f = w.log_omega(t)
+            closed = CLOSED_FORM_LOG_OMEGA[family](t, params)
+            if closed <= 709.0:
+                assert math.exp(via_f) == pytest.approx(math.exp(closed), rel=1e-12)
             else:
-                assert via_f == pytest.approx(val, rel=1e-12)
+                assert via_f == pytest.approx(closed, rel=1e-12)
 
     @pytest.mark.parametrize("family,params", ANALYTIC_FAMILIES)
     def test_analytic_vs_finite_difference(self, family, params):
