@@ -18,16 +18,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 from .construction import ConstructionState, h_for_delta
 from .numerics import exp_or_inf, logsumexp, normalized_margins
-from .series import ScaledComplex, _eval_points, _lacunary_sums, split_parity
+from .series import ScaledComplex, _eval_points, _scaled_terms, split_parity
 from .weight_model import WeightFunction
 
 SUP_NORM_SLACK = 1e-9
@@ -137,6 +135,11 @@ def sphere_points(d: int, count: int, seed: int = 0) -> np.ndarray:
     families are extremal) is always included so that degenerate families
     are measured at their worst points exactly.
     """
+    # Imported here, not at module level: scipy takes about a second to
+    # import, and nothing else in the package needs it.
+    from scipy.special import ndtri
+    from scipy.stats import qmc
+
     if count < 2 * d + 2:
         raise ValueError(f"need at least {2 * d + 2} sphere samples for d={d}")
     structured = []
@@ -337,9 +340,8 @@ class BallFunctionSystem:
             for p, zeta in enumerate(pts):
                 for m in range(len(self.functions) - 1):
                     log_mods, units, es = self._coefficients(m, zeta)
-                    sums, scales = _lacunary_sums(log_mods, units, es, log_ts,
-                                                  np.ones((es.size, 1), dtype=complex))
-                    logs[m, :, p] = np.log(np.abs(sums[:, 0])) + scales
+                    mant, live, scales = _scaled_terms(log_mods, es, log_ts)
+                    logs[m, :, p] = np.log(np.abs(mant.T @ units[live])) + scales
         return logsumexp(logs, axis=0)
 
     def slice_callable(self, index: int, zeta: np.ndarray, shift: int = 0):
@@ -352,9 +354,9 @@ class BallFunctionSystem:
         lam^shift termwise; shifting by the least exponent makes the slice
         nonvanishing at 0, as the convexity check requires.  `lam` may be
         an array of points (the values come back as an array of
-        ScaledComplex); points of equal float modulus share one kernel
-        call, and since r e^{i theta} rounds |z|, a circle of sample points
-        costs a few calls (3-5 on 256 angles).
+        ScaledComplex); they go through the series kernel in blocks of 256
+        points, whatever their moduli, so a circle of 256 sample points
+        costs one kernel call.
         """
         if self.functions[index].is_one:
             one = ScaledComplex.normalize(1.0 + 0j, 0.0)
@@ -418,18 +420,7 @@ class BallReport:
     h: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "lower_margin": self.lower_margin,
-            "witness_t": self.witness_t,
-            "witness_point": self.witness_point,
-            "c_measured": self.c_measured,
-            "log_c_measured": self.log_c_measured,
-            "t_count": self.t_count,
-            "sphere_samples": self.sphere_samples,
-            "delta": self.delta,
-            "h": self.h,
-        }
+        return asdict(self)
 
 
 def ball_lower_bound_check(sys: BallFunctionSystem, w: WeightFunction,

@@ -15,7 +15,7 @@ log-convex surrogate to feed back into the construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -117,15 +117,7 @@ class HadamardReport:
     tol: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "min_second_diff": self.min_second_diff,
-            "witness_r": self.witness_r,
-            "n_functions": self.n_functions,
-            "r_count": self.r_count,
-            "theta_count": self.theta_count,
-            "tol": self.tol,
-        }
+        return asdict(self)
 
 
 def hadamard_check(fs: Sequence[Callable], r_grid, theta_count: int = 0,

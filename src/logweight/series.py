@@ -35,6 +35,9 @@ SANDWICH_SLACK = 1e-9
 
 _TWO_PI = 2.0 * math.pi
 
+# Radii of a grid, or points of a batch, that share one kernel call.
+_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class ScaledComplex:
@@ -52,7 +55,7 @@ class ScaledComplex:
     def normalize(value: complex, log_scale: float = 0.0) -> "ScaledComplex":
         if value == 0:
             return ScaledComplex(0j, NEG_INF)
-        k = math.floor(math.log2(abs(value)))
+        k = math.frexp(abs(value))[1] - 1
         return ScaledComplex(complex(value.real * 2.0 ** -k, value.imag * 2.0 ** -k),
                              log_scale + k * math.log(2.0))
 
@@ -132,17 +135,19 @@ def split_parity(state: ConstructionState) -> SeriesPair:
     )
 
 
-def _lacunary_sums(log_mods, units, exponents, log_radii, phases):
-    """The kernel behind every series evaluation: sums of the terms
-    exp(log_mods_k + exponents_k x_r) units_k phases_kj at log-radii x_r
-    and angle columns j, with the largest term magnitude per radius
-    factored out.
+def _scaled_terms(log_mods, exponents, log_radii):
+    """The kernel behind every series evaluation: the term magnitudes
+    exp(log_mods_k + exponents_k x_r) at log-radii x_r, with the largest
+    per radius factored out.
 
-    Returns (sums, log_scales) of shapes (radii, columns) and (radii,):
-    the value is sums[r, j] * exp(log_scales[r]).  Terms more than
-    DROP_THRESHOLD below the largest are dropped.  x = -inf (radius 0)
+    Returns (mant, live, log_scales): live masks the terms within
+    DROP_THRESHOLD of the largest at some radius, mant (live terms, radii)
+    holds their scaled magnitudes, 0 where a term is dropped at that
+    radius, and log_scales (radii,) the factored-out logs.  A caller
+    contracts mant with the phases of the live terms alone; the value at
+    radius r is that sum times exp(log_scales[r]).  x = -inf (radius 0)
     keeps only the exponent-0 terms; a radius with no nonzero term gives
-    sum 0 and scale -inf.
+    an all-zero column and scale -inf.
     """
     with np.errstate(invalid="ignore"):  # 0 * -inf at z = 0; all terms -inf
         logs = log_mods[:, None] + exponents[:, None] * log_radii
@@ -151,36 +156,38 @@ def _lacunary_sums(log_mods, units, exponents, log_radii, phases):
         logs -= l_max
     keep = logs >= -DROP_THRESHOLD
     live = keep.any(axis=1)
-    mant = np.where(keep[live], np.exp(logs[live]), 0.0)
-    coeff_phases = phases[live]
-    coeff_phases *= units[live, None]
-    return mant.T @ coeff_phases, l_max
+    return np.where(keep[live], np.exp(logs[live]), 0.0), live, l_max
 
 
 def _eval_points(log_mods, units, exponents, zs) -> np.ndarray:
     """sum_k exp(log_mods_k) units_k z^exponents_k at the points of the
-    1-d array zs, as ScaledComplex values: one kernel call per distinct
-    float |z|, with phases e^{i fmod(e arg z, 2 pi)}.  Points r e^{i theta}
-    of one sampled circle round to a few distinct |z| (3-5 on 256 angles),
-    so a circle costs that many calls, not one."""
-    rs = np.abs(zs)
+    1-d array zs, as ScaledComplex values, with phases
+    e^{i fmod(e arg z, 2 pi)}; units None means every unit is 1.  Points
+    go through the kernel in blocks of _BLOCK, each at its own radius, so
+    a sampled circle of up to _BLOCK angles costs one kernel call."""
+    # math.log: numpy's vectorized log differs in the last bit on some inputs.
+    log_rs = np.array([math.log(r) if r > 0.0 else NEG_INF for r in np.abs(zs).tolist()])
     out = np.empty(zs.shape, dtype=object)
-    for r in set(rs.tolist()):  # each group fills its own points
-        at = rs == r
-        phases = np.exp(1j * np.fmod(np.multiply.outer(exponents, np.angle(zs[at])), _TWO_PI))
-        log_r = math.log(r) if r > 0.0 else NEG_INF
-        sums, scales = _lacunary_sums(log_mods, units, exponents, np.array([log_r]), phases)
-        out[at] = [ScaledComplex.normalize(complex(v), float(scales[0])) for v in sums[0]]
+    for start in range(0, zs.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        mant, live, scales = _scaled_terms(log_mods, exponents, log_rs[block])
+        angles = np.fmod(np.multiply.outer(exponents[live], np.angle(zs[block])), _TWO_PI)
+        phases = np.exp(1j * angles)
+        if units is not None:
+            phases = phases * units[live, None]
+        sums = np.einsum("kp,kp->p", mant, phases)
+        out[block] = [ScaledComplex.normalize(complex(v), float(c))
+                      for v, c in zip(sums, scales)]
     return out
 
 
 def eval_series(s: LacunarySeries, z: complex) -> ScaledComplex:
     """Evaluate the series at |z| < 1, stably at any coefficient scale:
-    a one-point call of the grid kernel with phases e^{i e theta}."""
+    a one-point call of the kernel with phases e^{i e theta}."""
     z = complex(z)
     if abs(z) >= 1.0:
         raise ValueError(f"|z| = {abs(z)} is outside the open unit disk")
-    return _eval_points(np.array(s.log_coeffs), np.ones(len(s.terms), dtype=complex),
+    return _eval_points(np.array(s.log_coeffs), None,
                         np.array(s.exponents, dtype=float), np.array([z]))[0]
 
 
@@ -193,32 +200,17 @@ def modulus_sum(pair: SeriesPair, z: complex) -> float:
 # -- grid evaluation --------------------------------------------------------
 
 
-def _phase_table(exponents, theta_count: int, theta_indices=None) -> np.ndarray:
-    """exp(i e theta_j) on the uniform angle grid theta_j = 2 pi j / N,
-    computed through (e j mod N) in exact integer arithmetic so huge
-    exponents lose no phase accuracy.  theta_indices selects a subset of
-    the angle columns."""
-    if theta_indices is None:
-        j = np.arange(theta_count, dtype=np.int64)
-    else:
-        j = np.asarray(theta_indices, dtype=np.int64)
-    rows = []
-    for e in exponents:
-        rows.append((int(e) % theta_count) * j % theta_count)
-    idx = np.asarray(rows)
-    base = np.exp(2j * math.pi * np.arange(theta_count) / theta_count)
-    return base[idx]
-
-
 def eval_series_grid(s: LacunarySeries, t_values, theta_count: int,
                      theta_indices=None) -> np.ndarray:
     """log|series(t e^{i theta_j})| on the (t, theta) product grid.
 
     Angles are theta_j = 2 pi j / theta_count with j over theta_indices
     (all of them by default).  Returns shape (len(t_values), n_angles).
-    Radii are evaluated in blocks of 256, each keeping only the terms
-    within DROP_THRESHOLD of its per-radius maxima, which keeps deep
-    constructions (thousands of terms) affordable.
+    Radii are evaluated in blocks of _BLOCK, and phases are built only
+    for the terms live in the block (within DROP_THRESHOLD of a per-radius
+    maximum), from the exact residues e mod theta_count, so deep
+    constructions (thousands of terms) cost time and memory in the few
+    terms that matter at each radius.
     """
     ts = np.asarray(t_values, dtype=float)
     if ts.size and (ts.min() < 0.0 or ts.max() >= 1.0):
@@ -228,14 +220,17 @@ def eval_series_grid(s: LacunarySeries, t_values, theta_count: int,
     if not s.terms:
         return out
     log_coeffs = np.asarray(s.log_coeffs)
-    units = np.ones(len(s.terms), dtype=complex)
     exponents = np.asarray(s.exponents, dtype=float)
-    phases = _phase_table(s.exponents, theta_count, theta_indices)
+    residues = np.array([e % theta_count for e in s.exponents], dtype=np.int64)
+    j = (np.arange(theta_count) if theta_indices is None
+         else np.asarray(theta_indices, dtype=np.int64))
+    base = np.exp(2j * math.pi * np.arange(theta_count) / theta_count)
     with np.errstate(divide="ignore"):
         xs = np.log(ts)
-        for start in range(0, ts.size, 256):
-            block = slice(start, start + 256)
-            sums, scales = _lacunary_sums(log_coeffs, units, exponents, xs[block], phases)
+        for start in range(0, ts.size, _BLOCK):
+            block = slice(start, start + _BLOCK)
+            mant, live, scales = _scaled_terms(log_coeffs, exponents, xs[block])
+            sums = mant.T @ base[residues[live, None] * j % theta_count]
             out[block] = np.log(np.abs(sums)) + scales[:, None]
     return out
 

@@ -62,6 +62,18 @@ class TestScaledComplex:
         v = lw.ScaledComplex.normalize(3.0 + 4.0j, 100.0)
         assert v.log_abs == pytest.approx(math.log(5.0) + 100.0, rel=1e-14)
 
+    @pytest.mark.parametrize("power", [1.0, 2.0, 8.0, 1024.0, 2.0 ** 60, 2.0 ** -30])
+    def test_window_just_below_a_power_of_two(self, power):
+        # log2 of the float just below 8 or 1024 rounds up to the power, so
+        # a floor(log2) exponent leaves the mantissa just below 1.
+        x = math.nextafter(power, 0.0)
+        for value in (complex(x), complex(0.0, -x)):
+            v = lw.ScaledComplex.normalize(value)
+            assert 1.0 <= abs(v.mantissa) < 2.0
+            half = lw.ScaledComplex.normalize(value / 2, math.log(2.0))
+            assert v.mantissa == half.mantissa
+            assert v.log_scale == pytest.approx(half.log_scale, rel=1e-15)
+
 
 class TestEvalSeries:
     def test_single_term(self):
