@@ -24,7 +24,7 @@ from .envelope import (EnvelopeResult, EquivalenceConstants, HadamardReport,
 from .series import (AdjustedPair, LacunarySeries, SandwichReport,
                      ScaledComplex, SeriesPair, eval_series,
                      eval_series_grid, frequency_profile, modulus_sum,
-                     modulus_sum_grid, sandwich_check, split_parity,
+                     sandwich_check, sandwich_samples, split_parity,
                      tail_margin, zero_adjust)
 from .weight_model import (CONSTRUCTIBLE_FAMILIES, ConvexityReport,
                            DoublingResult, WeightFunction, check_doubling,
@@ -46,10 +46,9 @@ __all__ = [
     "family_from_manifest", "frequency_profile", "h_for_delta",
     "hadamard_check", "hull_weight", "log_convex_envelope",
     "make_weight", "max_modulus", "max_modulus_adaptive", "modulus_sum",
-    "modulus_sum_grid",
     "monomial_family", "next_tangent", "polynomial_callable",
     "provider_from_interleaved",
-    "random_polynomials", "run_construction", "sandwich_check",
+    "random_polynomials", "run_construction", "sandwich_check", "sandwich_samples",
     "sphere_points", "split_parity", "tail_margin", "verify_family",
     "verify_tangent_lemmas", "weight_from_knots", "weight_from_spec",
     "weight_to_spec", "zero_adjust",

@@ -25,7 +25,7 @@ import numpy as np
 
 from .construction import ConstructionState, h_for_delta
 from .numerics import exp_or_inf, logsumexp, normalized_margins
-from .series import ScaledComplex, _eval_points, _scaled_terms, split_parity
+from .series import ScaledComplex, _check_radii, _eval_points, _scaled_terms, split_parity
 from .weight_model import WeightFunction
 
 SUP_NORM_SLACK = 1e-9
@@ -434,12 +434,7 @@ def ball_lower_bound_check(sys: BallFunctionSystem, w: WeightFunction,
     constant function takes over.
     """
     state = sys.state
-    ts = np.asarray(t_grid, dtype=float)
-    if ts.size == 0:
-        raise ValueError("empty radius grid")
-    if ts.min() <= state.t0 or ts.max() > state.t_last:
-        raise ValueError(
-            f"radius grid must lie in (t0, t_last] = ({state.t0}, {state.t_last}]")
+    ts = _check_radii(t_grid, state.t0, state.t_last)
     pts = sphere_points(sys.family.d, sphere_samples, seed=seed)
     delta = sys.family.delta_claimed
     h = state.params.h

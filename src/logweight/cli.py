@@ -24,16 +24,13 @@ from .construction import (ConstructionError, ConstructionParams,
                            verify_tangent_lemmas)
 from .envelope import (hadamard_check, log_convex_envelope,
                        polynomial_callable, random_polynomials)
-from .series import sandwich_check, split_parity
+from .series import sandwich_check, sandwich_samples, split_parity
 from .weight_model import WeightFunction, make_weight, weight_from_spec
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
-
-
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
+EMIT_HEADER = "t,theta,log_g1_abs,log_g2_abs,log_sum,log_omega,lower_margin,upper_margin\n"
 
 
 def render_json(obj, indent: int = 0) -> str:
@@ -58,17 +55,23 @@ def render_json(obj, indent: int = 0) -> str:
     if isinstance(obj, float):
         if math.isinf(obj) or math.isnan(obj):
             return json.dumps(str(obj))
-        return _fmt(obj)
+        return format(float(obj), ".17g")
     return json.dumps(obj)
 
 
-def _emit_report(d: dict, out_path):
-    text = render_json(d) + "\n"
+def _write(chunks, out_path):
+    """Write the text chunks to out_path, or to stdout when it is not given."""
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
+
+
+def _verdict(passed: bool, summary: str) -> int:
+    """Print a verification's summary to stderr and return its exit code."""
+    print(summary, file=sys.stderr)
+    return EXIT_PASS if passed else EXIT_FAIL
 
 
 def _load_weight(args) -> WeightFunction:
@@ -98,10 +101,12 @@ def _add_weight_flags(p):
     p.add_argument("--weight", help='JSON weight spec {"family":, "params":, "table":}')
 
 
-def _t_range(args, state: ConstructionState):
+def _t_grid(args, state: ConstructionState) -> np.ndarray:
+    """--t-points radii evenly spaced over (--t-min, --t-max], which default
+    to the state's (t0, t_last]; no radius when --t-points <= 0."""
     t_min = args.t_min if args.t_min is not None else state.t0
     t_max = args.t_max if args.t_max is not None else state.t_last
-    return t_min, t_max
+    return np.linspace(t_min, t_max, max(args.t_points, 0) + 1)[1:]
 
 
 def cmd_construct(args) -> int:
@@ -111,7 +116,7 @@ def cmd_construct(args) -> int:
                                 t_stop=args.t_stop, root_tol=args.root_tol,
                                 auto_restart=args.auto_restart)
     state = run_construction(w, params)
-    _emit_report(state.to_json_dict(), args.out)
+    _write([render_json(state.to_json_dict()) + "\n"], args.out)
     print(f"constructed {len(state.lines)} lines, t range "
           f"({state.t0:.6g}, {state.t_last:.6g}]", file=sys.stderr)
     return EXIT_PASS
@@ -120,15 +125,12 @@ def cmd_construct(args) -> int:
 def cmd_verify_sandwich(args) -> int:
     w = _load_weight(args)
     state = _load_state(args.state)
-    pair = split_parity(state)
-    t_min, t_max = _t_range(args, state)
-    t_grid = np.linspace(t_min, t_max, args.t_points + 1)[1:]
-    report = sandwich_check(pair, w, t_grid, theta_count=args.angles)
-    _emit_report(report.to_json_dict(), args.out)
-    print(f"sandwich {'passed' if report.passed else 'FAILED'}: "
-          f"lower margin {report.lower_margin:.3e}, upper margin "
-          f"{report.upper_margin:.3e}", file=sys.stderr)
-    return EXIT_PASS if report.passed else EXIT_FAIL
+    report = sandwich_check(split_parity(state), w, _t_grid(args, state),
+                            theta_count=args.angles)
+    _write([render_json(report.to_json_dict()) + "\n"], args.out)
+    return _verdict(report.passed, f"sandwich {'passed' if report.passed else 'FAILED'}: "
+                    f"lower margin {report.lower_margin:.3e}, upper margin "
+                    f"{report.upper_margin:.3e}")
 
 
 def cmd_verify_lemmas(args) -> int:
@@ -136,11 +138,10 @@ def cmd_verify_lemmas(args) -> int:
     state = _load_state(args.state)
     report = verify_tangent_lemmas(state, w, samples_per_interval=args.samples,
                                    delta=args.delta)
-    _emit_report(report.to_json_dict(), args.out)
+    _write([render_json(report.to_json_dict()) + "\n"], args.out)
     worst = min((c.worst_margin for c in report.checks), default=math.inf)
-    print(f"lemmas {'passed' if report.passed else 'FAILED'}: worst margin "
-          f"{worst:.3e}, {report.basis} basis", file=sys.stderr)
-    return EXIT_PASS if report.passed else EXIT_FAIL
+    return _verdict(report.passed, f"lemmas {'passed' if report.passed else 'FAILED'}: "
+                    f"worst margin {worst:.3e}, {report.basis} basis")
 
 
 def cmd_verify_hadamard(args) -> int:
@@ -148,21 +149,19 @@ def cmd_verify_hadamard(args) -> int:
     fs = [polynomial_callable(c) for c in polys]
     r_grid = np.geomspace(args.r_min, args.r_max, args.r_points)
     report = hadamard_check(fs, r_grid)
-    _emit_report(report.to_json_dict(), args.out)
-    print(f"hadamard {'passed' if report.passed else 'FAILED'}: min second "
-          f"difference {report.min_second_diff:.3e}", file=sys.stderr)
-    return EXIT_PASS if report.passed else EXIT_FAIL
+    _write([render_json(report.to_json_dict()) + "\n"], args.out)
+    return _verdict(report.passed, f"hadamard {'passed' if report.passed else 'FAILED'}: "
+                    f"min second difference {report.min_second_diff:.3e}")
 
 
 def cmd_verify_envelope(args) -> int:
     w = _load_weight(args)
     x_grid = np.linspace(args.x_min, args.x_max, args.x_points)
     result = log_convex_envelope(w, x_grid, gap_bound=args.gap_bound)
-    _emit_report(result.to_json_dict(), args.out)
-    print(f"envelope gap {result.gap:.6g} "
-          f"({'equivalent' if result.equivalent else 'NOT equivalent'} to a "
-          "log-convex weight at this bound)", file=sys.stderr)
-    return EXIT_PASS if result.equivalent else EXIT_FAIL
+    _write([render_json(result.to_json_dict()) + "\n"], args.out)
+    return _verdict(result.equivalent, f"envelope gap {result.gap:.6g} "
+                    f"({'equivalent' if result.equivalent else 'NOT equivalent'} to a "
+                    "log-convex weight at this bound)")
 
 
 def cmd_verify_ball(args) -> int:
@@ -174,55 +173,37 @@ def cmd_verify_ball(args) -> int:
     fam_report = verify_family(fam, degrees, sphere_samples=args.sphere_samples,
                                seed=args.seed)
     if not fam_report.passed:
-        _emit_report(fam_report.to_json_dict(), args.out)
-        print("family conditions FAILED; see report", file=sys.stderr)
-        return EXIT_FAIL
+        _write([render_json(fam_report.to_json_dict()) + "\n"], args.out)
+        return _verdict(False, "family conditions FAILED; see report")
     system = build_ball_functions(state, fam, family_report=fam_report)
-    t_min, t_max = _t_range(args, state)
-    t_grid = np.linspace(t_min, t_max, args.t_points + 1)[1:]
-    report = ball_lower_bound_check(system, w, t_grid,
+    report = ball_lower_bound_check(system, w, _t_grid(args, state),
                                     sphere_samples=args.sphere_samples,
                                     seed=args.seed)
     out = {"family": fam_report.to_json_dict(), "lower_bound": report.to_json_dict()}
-    _emit_report(out, args.out)
-    print(f"ball lower bound {'passed' if report.passed else 'FAILED'}: margin "
-          f"{report.lower_margin:.3e}, C = {report.c_measured:.6g}",
-          file=sys.stderr)
-    return EXIT_PASS if report.passed else EXIT_FAIL
+    _write([render_json(out) + "\n"], args.out)
+    return _verdict(report.passed, f"ball lower bound {'passed' if report.passed else 'FAILED'}"
+                    f": margin {report.lower_margin:.3e}, C = {report.c_measured:.6g}")
 
 
 def cmd_emit(args) -> int:
     w = _load_weight(args)
     state = _load_state(args.state)
-    pair = split_parity(state)
-    t_min, t_max = _t_range(args, state)
-    if args.t_points > 0:
-        t_grid = np.linspace(t_min, t_max, args.t_points + 1)[1:]
-    else:
-        t_grid = np.empty(0)
-    header = "t,theta,log_g1_abs,log_g2_abs,log_sum,log_omega,lower_margin,upper_margin"
-    lines = [header]
-    if t_grid.size:
-        from .series import eval_series_grid
-        g1 = eval_series_grid(pair.g1, t_grid, args.angles)
-        g2 = eval_series_grid(pair.g2, t_grid, args.angles)
-        log_s = np.logaddexp(g1, g2)
-        thetas = 2.0 * math.pi * np.arange(args.angles) / args.angles
+    t_grid = _t_grid(args, state)
+    thetas, g1, g2, log_w, lo, hi = sandwich_samples(split_parity(state), w, t_grid,
+                                                     args.angles)
+    log_s = np.logaddexp(g1, g2)
+    # One % per radius; %.17g prints as format(x, ".17g") does, inf and nan too.
+    template = ("%.17g," * 7 + "%.17g\n") * args.angles
+
+    def chunks():
+        yield EMIT_HEADER
         for i, t in enumerate(t_grid):
-            log_w = w.log_omega(float(t))
-            lo = math.log(0.4) - pair.h + log_w
-            hi = math.log(4.0) + log_w
-            for j, th in enumerate(thetas):
-                row = (t, th, g1[i, j], g2[i, j], log_s[i, j], log_w,
-                       log_s[i, j] - lo, hi - log_s[i, j])
-                lines.append(",".join(_fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    print(f"emitted {max(len(lines) - 1, 0)} rows", file=sys.stderr)
+            cols = np.broadcast_arrays(t, thetas, g1[i], g2[i], log_s[i], log_w[i],
+                                       log_s[i] - lo[i], hi[i] - log_s[i])
+            yield template % tuple(np.stack(cols, axis=1).ravel().tolist())
+
+    _write(chunks(), args.out)
+    print(f"emitted {t_grid.size * args.angles} rows", file=sys.stderr)
     return EXIT_PASS
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construction import ConstructionState, next_tangent
+from .construction import ConstructionState, SlowGrowthError, next_tangent
 from .numerics import NEG_INF, exp_or_inf, logaddexp, normalized_margins
 from .weight_model import WeightFunction
 
@@ -122,13 +122,10 @@ def split_parity(state: ConstructionState) -> SeriesPair:
     """Odd-index lines (k = 1, 3, ...) feed g1, even-index lines feed g2."""
     if not state.lines:
         raise ValueError("state has no lines")
-    g1 = [(l.log_a, e) for i, (l, e) in enumerate(zip(state.lines, state.es))
-          if (i + 1) % 2 == 1]
-    g2 = [(l.log_a, e) for i, (l, e) in enumerate(zip(state.lines, state.es))
-          if (i + 1) % 2 == 0]
+    terms = [(l.log_a, e) for l, e in zip(state.lines, state.es)]
     return SeriesPair(
-        g1=LacunarySeries(tuple(g1)),
-        g2=LacunarySeries(tuple(g2)),
+        g1=LacunarySeries(tuple(terms[0::2])),
+        g2=LacunarySeries(tuple(terms[1::2])),
         t0=state.t0,
         h=state.params.h,
         t_last=state.t_last,
@@ -235,10 +232,25 @@ def eval_series_grid(s: LacunarySeries, t_values, theta_count: int,
     return out
 
 
-def modulus_sum_grid(pair: SeriesPair, t_values, theta_count: int) -> np.ndarray:
-    a = eval_series_grid(pair.g1, t_values, theta_count)
-    b = eval_series_grid(pair.g2, t_values, theta_count)
-    return np.logaddexp(a, b)
+def _ring_samples(f1: LacunarySeries, f2: LacunarySeries, w: WeightFunction,
+                  radii, angles: int, common: int, shift: int = 0):
+    """(log omega per radius, log|f1(e^{2 pi i shift/common} z)|,
+    log|f2(z)|) at z = t e^{2 pi i j/angles}, rows indexed by t; angles
+    must divide common."""
+    j = (np.arange(angles) * (common // angles) + shift) % common
+    f1_grid = eval_series_grid(f1, radii, common, theta_indices=j)
+    f2_grid = eval_series_grid(f2, radii, angles)
+    return np.array([w.log_omega(float(t)) for t in radii]), f1_grid, f2_grid
+
+
+def _check_radii(t_grid, t0: float, t_last: float) -> np.ndarray:
+    """The radius grid as an array, non-empty and within (t0, t_last]."""
+    ts = np.asarray(t_grid, dtype=float)
+    if ts.size == 0:
+        raise ValueError("empty radius grid")
+    if ts.min() <= t0 or ts.max() > t_last:
+        raise ValueError(f"radius grid must lie in (t0, t_last] = ({t0}, {t_last}]")
+    return ts
 
 
 # -- sandwich certification --------------------------------------------------
@@ -270,6 +282,21 @@ class SandwichReport:
         }
 
 
+def sandwich_samples(pair: SeriesPair, w: WeightFunction, t_grid, theta_count: int):
+    """The sandwich (2/5)e^{-h} omega < |G1|+|G2| < 4 omega sampled at
+    z = t e^{i theta_j}, theta_j = 2 pi j / theta_count.  Returns (thetas,
+    log_g1, log_g2, log_omega, log_lower, log_upper): log|G1| and log|G2|
+    with rows indexed by t, and per radius log omega and the bounds
+    log_lower = log(2/5) - h + log omega, log_upper = log 4 + log omega."""
+    if theta_count < 1:
+        raise ValueError("theta_count must be positive")
+    log_w, log_g1, log_g2 = _ring_samples(pair.g1, pair.g2, w, t_grid,
+                                          theta_count, theta_count)
+    thetas = _TWO_PI * np.arange(theta_count) / theta_count
+    return (thetas, log_g1, log_g2, log_w,
+            math.log(0.4) - pair.h + log_w, math.log(4.0) + log_w)
+
+
 def sandwich_check(pair: SeriesPair, w: WeightFunction, t_grid,
                    theta_count: int = 256) -> SandwichReport:
     """Certify (2/5)e^{-h} omega < |G1|+|G2| < 4 omega on the grid.
@@ -279,22 +306,13 @@ def sandwich_check(pair: SeriesPair, w: WeightFunction, t_grid,
     Margins are log-domain differences normalized by the magnitudes of the
     compared sides; pass means every margin >= -1e-9.
     """
-    ts = np.asarray(t_grid, dtype=float)
-    if ts.size == 0:
-        raise ValueError("empty radius grid")
-    if ts.min() <= pair.t0 or ts.max() > pair.t_last:
-        raise ValueError(
-            f"radius grid must lie in (t0, t_last] = ({pair.t0}, {pair.t_last}]")
-    if theta_count < 1:
-        raise ValueError("theta_count must be positive")
-    log_s = modulus_sum_grid(pair, ts, theta_count)
-    log_w = np.array([w.log_omega(float(t)) for t in ts])
-    lo_bound = math.log(0.4) - pair.h + log_w
-    hi_bound = math.log(4.0) + log_w
+    ts = _check_radii(t_grid, pair.t0, pair.t_last)
+    thetas, log_g1, log_g2, _, lo_bound, hi_bound = sandwich_samples(pair, w, ts, theta_count)
+    log_s = np.logaddexp(log_g1, log_g2)
+    del log_g1, log_g2  # two grids fewer alive while the margins are formed
     lower = normalized_margins(log_s, lo_bound[:, None])
     upper = normalized_margins(hi_bound[:, None], log_s)
 
-    thetas = _TWO_PI * np.arange(theta_count) / theta_count
     li = np.unravel_index(np.argmin(lower), lower.shape)
     ui = np.unravel_index(np.argmin(upper), upper.shape)
     lower_margin = float(lower[li])
@@ -342,12 +360,6 @@ class AdjustedPair:
     def eval_f1(self, z: complex) -> ScaledComplex:
         return eval_series(self.f1, cmath.exp(1j * self.theta_star) * z)
 
-    def eval_f2(self, z: complex) -> ScaledComplex:
-        return eval_series(self.f2, z)
-
-    def log_modulus_sum(self, z: complex) -> float:
-        return logaddexp(self.eval_f1(z).log_abs, self.eval_f2(z).log_abs)
-
     def sample_log_ratios(self, w: WeightFunction):
         """(log omega, log(|f1|+|f2|)) over exactly the sample grid the
         constants were measured on, for cross-checks against independent
@@ -389,40 +401,32 @@ def _log_ratio_samples(f1: LacunarySeries, f2: LacunarySeries,
     if outer_angles:
         common = int(np.lcm(common, outer_angles))
     shift = theta_index * (common // theta_count)
-
-    log_w_parts = []
-    log_s_parts = []
-
-    r_in = inner_disk_radii(t0, inner_radii)
-    j_in = (np.arange(inner_angles) * (common // inner_angles) + shift) % common
-    f1_in = eval_series_grid(f1, r_in, common, theta_indices=j_in)
-    f2_in = eval_series_grid(f2, r_in, inner_angles)
-    log_w_in = np.array([w.log_omega(float(t)) for t in r_in])
-    log_s_parts.append(np.logaddexp(f1_in, f2_in).ravel())
-    log_w_parts.append(np.repeat(log_w_in, inner_angles))
-
+    rings = [(inner_disk_radii(t0, inner_radii), inner_angles)]
     if outer_t_points > 0:
-        r_out = np.linspace(t0, t_last, outer_t_points + 1)[1:]
-        j_out = (np.arange(outer_angles) * (common // outer_angles) + shift) % common
-        f1_out = eval_series_grid(f1, r_out, common, theta_indices=j_out)
-        f2_out = eval_series_grid(f2, r_out, outer_angles)
-        log_w_out = np.array([w.log_omega(float(t)) for t in r_out])
-        log_s_parts.append(np.logaddexp(f1_out, f2_out).ravel())
-        log_w_parts.append(np.repeat(log_w_out, outer_angles))
-
+        rings.append((np.linspace(t0, t_last, outer_t_points + 1)[1:], outer_angles))
+    log_w_parts, log_s_parts = [], []
+    for radii, angles in rings:
+        log_w, f1_ring, f2_ring = _ring_samples(f1, f2, w, radii, angles, common, shift)
+        log_s_parts.append(np.logaddexp(f1_ring, f2_ring).ravel())
+        log_w_parts.append(np.repeat(log_w, angles))
     return np.concatenate(log_w_parts), np.concatenate(log_s_parts)
 
 
 def zero_adjust(pair: SeriesPair, w: WeightFunction, theta_count: int = 720,
                 inner_radii: int = 100, inner_angles: int = 64,
                 outer_t_points: int = 200, outer_angles: int = 64) -> AdjustedPair:
-    """Pick the rotation and report certified grid constants.
+    """Pick the rotation and report the grid constants measured on a
+    sample grid (a sampling claim, not a bound proved between samples).
 
     theta* is chosen among theta_count uniform candidates to maximize the
     minimum of (|f1| + |f2|)/omega over a polar grid of the closed disk
     |z| <= t0; the constants c_low/c_high are then measured over that grid
     united with an outer grid spanning (t0, t_last].
     """
+    if (min(theta_count, inner_angles) < 1 or inner_radii < 2
+            or (outer_t_points > 0 and outer_angles < 1)):
+        raise ValueError("zero_adjust needs theta_count, inner_angles >= 1, inner_radii "
+                         ">= 2, and outer_angles >= 1 when outer_t_points > 0")
     if not pair.g1.terms:
         raise ValueError("g1 is empty")
     e1 = pair.g1.exponents[0]
@@ -498,8 +502,6 @@ def tail_margin(state: ConstructionState, w: WeightFunction, t_grid,
     below rel_bound * omega(t).  Returns +inf when the weight admits no
     further tangent step at float resolution.
     """
-    from .construction import SlowGrowthError
-
     try:
         line, _ = next_tangent(w, state.xs[-1], state.params.h,
                                state.params.root_tol)

@@ -13,6 +13,11 @@ contraction sums many live terms in another order.
 Phases times units are formed out of place: numpy multiplies a lone
 complex pair in place without a fused multiply-add, so an in-place
 product would round differently for groups of one point.
+
+`reference_emit_csv` formats the sandwich samples of `logweight emit`
+cell by cell, and `reference_log_ratio_samples` evaluates zero
+adjustment's inner and outer rings as two separate blocks;
+`logweight` takes both from one (t, theta) ring sampler.
 """
 
 import math
@@ -20,7 +25,8 @@ import math
 import numpy as np
 
 from logweight.numerics import NEG_INF
-from logweight.series import DROP_THRESHOLD, ScaledComplex
+from logweight.series import (DROP_THRESHOLD, ScaledComplex, eval_series_grid,
+                              inner_disk_radii)
 
 
 def _lacunary_sums(log_mods, units, exponents, log_radii, phases):
@@ -80,3 +86,51 @@ def reference_points(log_mods, units, exponents, zs):
         sums, scales = _lacunary_sums(log_mods, units, exponents, np.array([log_r]), phases)
         out[at] = [ScaledComplex.normalize(complex(v), float(scales[0])) for v in sums[0]]
     return out
+
+
+def reference_emit_csv(pair, w, t_grid, angles):
+    """The CSV of `logweight emit` on the radii t_grid, one format per cell."""
+    lines = ["t,theta,log_g1_abs,log_g2_abs,log_sum,log_omega,lower_margin,upper_margin"]
+    if t_grid.size:
+        g1 = eval_series_grid(pair.g1, t_grid, angles)
+        g2 = eval_series_grid(pair.g2, t_grid, angles)
+        log_s = np.logaddexp(g1, g2)
+        thetas = 2.0 * math.pi * np.arange(angles) / angles
+        for i, t in enumerate(t_grid):
+            log_w = w.log_omega(float(t))
+            lo = math.log(0.4) - pair.h + log_w
+            hi = math.log(4.0) + log_w
+            for j, th in enumerate(thetas):
+                row = (t, th, g1[i, j], g2[i, j], log_s[i, j], log_w,
+                       log_s[i, j] - lo, hi - log_s[i, j])
+                lines.append(",".join(format(float(v), ".17g") for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def reference_log_ratio_samples(f1, f2, w, t0, t_last, theta_index, theta_count,
+                                inner_radii, inner_angles, outer_t_points, outer_angles):
+    """(log omega, log(|f1 rotated| + |f2|)) on the inner-disk grid, then
+    on the outer grid over (t0, t_last], as flat arrays."""
+    common = int(np.lcm(inner_angles, theta_count))
+    if outer_angles:
+        common = int(np.lcm(common, outer_angles))
+    shift = theta_index * (common // theta_count)
+
+    r_in = inner_disk_radii(t0, inner_radii)
+    j_in = (np.arange(inner_angles) * (common // inner_angles) + shift) % common
+    f1_in = eval_series_grid(f1, r_in, common, theta_indices=j_in)
+    f2_in = eval_series_grid(f2, r_in, inner_angles)
+    log_w_in = np.array([w.log_omega(float(t)) for t in r_in])
+    log_s_parts = [np.logaddexp(f1_in, f2_in).ravel()]
+    log_w_parts = [np.repeat(log_w_in, inner_angles)]
+
+    if outer_t_points > 0:
+        r_out = np.linspace(t0, t_last, outer_t_points + 1)[1:]
+        j_out = (np.arange(outer_angles) * (common // outer_angles) + shift) % common
+        f1_out = eval_series_grid(f1, r_out, common, theta_indices=j_out)
+        f2_out = eval_series_grid(f2, r_out, outer_angles)
+        log_w_out = np.array([w.log_omega(float(t)) for t in r_out])
+        log_s_parts.append(np.logaddexp(f1_out, f2_out).ravel())
+        log_w_parts.append(np.repeat(log_w_out, outer_angles))
+
+    return np.concatenate(log_w_parts), np.concatenate(log_s_parts)

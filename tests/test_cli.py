@@ -170,6 +170,14 @@ class TestEmit:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_no_angles_is_input_error(self, state_file, tmp_path, capsys):
+        out = tmp_path / "grid.csv"
+        rc = main(["emit", "--state", str(state_file), "--family", "ramey_ullrich",
+                   "--angles", "0", "--out", str(out)])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rows_sorted_by_t_then_theta(self, state_file, tmp_path):
         out = tmp_path / "grid.csv"
         main(["emit", "--state", str(state_file), "--family", "ramey_ullrich",
