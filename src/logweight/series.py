@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construction import ConstructionState, SlowGrowthError, next_tangent
-from .numerics import NEG_INF, exp_or_inf, logaddexp, normalized_margins
+from .numerics import NEG_INF, exp_or_inf, logaddexp, logsumexp, normalized_margins
 from .weight_model import WeightFunction
 
 # Terms this far (log scale) below the leading one cannot move a float64
@@ -34,6 +34,11 @@ DROP_THRESHOLD = 200.0
 SANDWICH_SLACK = 1e-9
 
 _TWO_PI = 2.0 * math.pi
+
+# Zero adjustment skips its rotation search when the tail of f1 sums to at
+# most this fraction of the leading term on |z| <= t0: then |f1| >= a_1/2
+# there, with a wide margin over rounding in the log-domain sum.
+DOMINANCE_BOUND = 0.5
 
 # Radii of a grid, or points of a batch, that share one kernel call.
 _BLOCK = 256
@@ -233,14 +238,17 @@ def eval_series_grid(s: LacunarySeries, t_values, theta_count: int,
 
 
 def _ring_samples(f1: LacunarySeries, f2: LacunarySeries, w: WeightFunction,
-                  radii, angles: int, common: int, shift: int = 0):
+                  radii, angles: int, common: int, shift: int = 0, known=None):
     """(log omega per radius, log|f1(e^{2 pi i shift/common} z)|,
     log|f2(z)|) at z = t e^{2 pi i j/angles}, rows indexed by t; angles
-    must divide common."""
+    must divide common.  known, when given, is the (log omega, log|f2|)
+    pair already evaluated on these radii."""
     j = (np.arange(angles) * (common // angles) + shift) % common
     f1_grid = eval_series_grid(f1, radii, common, theta_indices=j)
-    f2_grid = eval_series_grid(f2, radii, angles)
-    return np.array([w.log_omega(float(t)) for t in radii]), f1_grid, f2_grid
+    if known is None:
+        known = (np.array([w.log_omega(float(t)) for t in radii]),
+                 eval_series_grid(f2, radii, angles))
+    return known[0], f1_grid, known[1]
 
 
 def _check_radii(t_grid, t0: float, t_last: float) -> np.ndarray:
@@ -338,9 +346,16 @@ class AdjustedPair:
 
     Dividing out the leading exponent makes f1(0) = a_1 != 0 and can only
     increase the modulus inside the closed unit disk, so the lower bound
-    survives; the rotation theta* pushes the finitely many zeros of the
-    two factors apart on the sampled inner disk.  c_low and c_high are the
-    measured two-sided constants of (|f1|+|f2|)/omega over the sample set.
+    survives.  When the leading term of f1 dominates its tail on |z| <= t0
+    (rotation_basis "dominance", log_dominance = log rho <= log 1/2), f1
+    has no zero there and theta* = 0.  Only when dominance fails
+    (rotation_basis "search") is theta* searched, to push the finitely many
+    zeros of the two factors apart on the sampled inner disk.  c_low and
+    c_high are the measured two-sided constants of (|f1|+|f2|)/omega over
+    the sample set; the *_inner and *_annulus logs are the same extremes
+    over the inner disk and over the outer ring (None without one), and
+    log_inner_floor = log omega(t0) - log omega(0) is the spread the inner
+    constants must have wherever |f1|+|f2| is nearly constant there.
     """
 
     f1: LacunarySeries
@@ -356,6 +371,13 @@ class AdjustedPair:
     t0: float
     t_last: float
     grid_spec: tuple  # (inner_radii, inner_angles, outer_t_points, outer_angles)
+    rotation_basis: str  # "dominance" or "search"
+    log_dominance: float
+    log_c_low_inner: float
+    log_c_high_inner: float
+    log_c_low_annulus: float | None
+    log_c_high_annulus: float | None
+    log_inner_floor: float
 
     def eval_f1(self, z: complex) -> ScaledComplex:
         return eval_series(self.f1, cmath.exp(1j * self.theta_star) * z)
@@ -380,6 +402,13 @@ class AdjustedPair:
             "log_c_high": self.log_c_high,
             "f1_terms": [[lc, e] for lc, e in self.f1.terms],
             "f2_terms": [[lc, e] for lc, e in self.f2.terms],
+            "rotation_basis": self.rotation_basis,
+            "log_dominance": self.log_dominance,
+            "log_c_low_inner": self.log_c_low_inner,
+            "log_c_high_inner": self.log_c_high_inner,
+            "log_c_low_annulus": self.log_c_low_annulus,
+            "log_c_high_annulus": self.log_c_high_annulus,
+            "log_inner_floor": self.log_inner_floor,
         }
 
 
@@ -390,58 +419,62 @@ def inner_disk_radii(t0: float, count: int) -> np.ndarray:
     return t0 * np.sin(0.5 * math.pi * i / (count - 1))
 
 
-def _log_ratio_samples(f1: LacunarySeries, f2: LacunarySeries,
-                       w: WeightFunction, t0: float, t_last: float,
-                       theta_index: int, theta_count: int,
-                       inner_radii: int, inner_angles: int,
-                       outer_t_points: int, outer_angles: int):
-    """log omega and log(|f1 rotated| + |f2|) on the inner-disk grid united
-    with the outer sandwich grid, as flat arrays in a fixed order."""
+def _log_dominance(f1: LacunarySeries, t0: float) -> float:
+    """log rho, rho = sum_{m >= 2} a_m t0^{e_m - e_1} / a_1: on |z| <= t0,
+    |f1| >= a_1 (1 - rho), so rho < 1 rules out zeros of f1 there.
+    -inf for a single term."""
+    log_coeffs = np.asarray(f1.log_coeffs)
+    exponents = np.asarray(f1.exponents, dtype=float)
+    return logsumexp(log_coeffs[1:] - log_coeffs[0]
+                     + (exponents[1:] - exponents[0]) * math.log(t0))
+
+
+def _ratio_rings(f1: LacunarySeries, f2: LacunarySeries,
+                 w: WeightFunction, t0: float, t_last: float,
+                 theta_index: int, theta_count: int,
+                 inner_radii: int, inner_angles: int,
+                 outer_t_points: int, outer_angles: int, inner_known=None):
+    """Per ring (the inner disk, then the outer grid over (t0, t_last] when
+    outer_t_points > 0): log omega per radius and log(|f1 rotated| + |f2|)
+    with rows indexed by radius.  inner_known, when given, is the
+    (log omega, log|f2|) pair already evaluated on the inner radii."""
     common = int(np.lcm(inner_angles, theta_count))
     if outer_angles:
         common = int(np.lcm(common, outer_angles))
     shift = theta_index * (common // theta_count)
-    rings = [(inner_disk_radii(t0, inner_radii), inner_angles)]
+    rings = [(inner_disk_radii(t0, inner_radii), inner_angles, inner_known)]
     if outer_t_points > 0:
-        rings.append((np.linspace(t0, t_last, outer_t_points + 1)[1:], outer_angles))
-    log_w_parts, log_s_parts = [], []
-    for radii, angles in rings:
-        log_w, f1_ring, f2_ring = _ring_samples(f1, f2, w, radii, angles, common, shift)
-        log_s_parts.append(np.logaddexp(f1_ring, f2_ring).ravel())
-        log_w_parts.append(np.repeat(log_w, angles))
-    return np.concatenate(log_w_parts), np.concatenate(log_s_parts)
+        rings.append((np.linspace(t0, t_last, outer_t_points + 1)[1:], outer_angles, None))
+    out = []
+    for radii, angles, known in rings:
+        log_w, f1_ring, f2_ring = _ring_samples(f1, f2, w, radii, angles, common, shift,
+                                                known)
+        out.append((log_w, np.logaddexp(f1_ring, f2_ring)))
+    return out
 
 
-def zero_adjust(pair: SeriesPair, w: WeightFunction, theta_count: int = 720,
-                inner_radii: int = 100, inner_angles: int = 64,
-                outer_t_points: int = 200, outer_angles: int = 64) -> AdjustedPair:
-    """Pick the rotation and report the grid constants measured on a
-    sample grid (a sampling claim, not a bound proved between samples).
+def _log_ratio_samples(*args):
+    """log omega and log(|f1 rotated| + |f2|) on the inner-disk grid united
+    with the outer sandwich grid, as flat arrays in a fixed order; the
+    arguments are those of _ratio_rings."""
+    rings = _ratio_rings(*args)
+    return (np.concatenate([np.repeat(log_w, log_s.shape[1]) for log_w, log_s in rings]),
+            np.concatenate([log_s.ravel() for _, log_s in rings]))
 
-    theta* is chosen among theta_count uniform candidates to maximize the
-    minimum of (|f1| + |f2|)/omega over a polar grid of the closed disk
-    |z| <= t0; the constants c_low/c_high are then measured over that grid
-    united with an outer grid spanning (t0, t_last].
-    """
-    if (min(theta_count, inner_angles) < 1 or inner_radii < 2
-            or (outer_t_points > 0 and outer_angles < 1)):
-        raise ValueError("zero_adjust needs theta_count, inner_angles >= 1, inner_radii "
-                         ">= 2, and outer_angles >= 1 when outer_t_points > 0")
-    if not pair.g1.terms:
-        raise ValueError("g1 is empty")
-    e1 = pair.g1.exponents[0]
-    f1 = pair.g1.shifted(e1)
 
+def _search_rotation(f1: LacunarySeries, f2: LacunarySeries, w: WeightFunction,
+                     r_in, theta_count: int, inner_angles: int):
+    """The candidate c < theta_count whose rotation maximizes the minimum
+    of (|f1(e^{2 pi i c/theta_count} z)| + |f2(z)|)/omega over the inner
+    grid, plus the inner (log omega, log|f2|) it evaluated."""
     # Evaluating f1 on a common refined angle grid lets each candidate
     # rotation reuse exact phases: angle(j, c) = 2 pi (j/inner_angles +
     # c/theta_count) lives on the lcm grid.
     common = int(np.lcm(inner_angles, theta_count))
     stride_j = common // inner_angles
     stride_c = common // theta_count
-
-    r_in = inner_disk_radii(pair.t0, inner_radii)
     f1_in = eval_series_grid(f1, r_in, common)
-    f2_in = eval_series_grid(pair.g2, r_in, inner_angles)
+    f2_in = eval_series_grid(f2, r_in, inner_angles)
     log_w_in = np.array([w.log_omega(float(t)) for t in r_in])
 
     j_idx = np.arange(inner_angles) * stride_j
@@ -456,20 +489,54 @@ def zero_adjust(pair: SeriesPair, w: WeightFunction, theta_count: int = 720,
             best_c = c
     if best_min == -math.inf:
         raise RuntimeError("adjustment failed - refine grids")
+    return best_c, (log_w_in, f2_in)
 
-    theta_star = _TWO_PI * best_c / theta_count
 
-    log_w_all, log_s_all = _log_ratio_samples(
-        f1, pair.g2, w, pair.t0, pair.t_last, best_c, theta_count,
-        inner_radii, inner_angles, outer_t_points, outer_angles)
-    ratios = log_s_all - log_w_all
-    log_c_low = float(ratios.min())
-    log_c_high = float(ratios.max())
+def zero_adjust(pair: SeriesPair, w: WeightFunction, theta_count: int = 720,
+                inner_radii: int = 100, inner_angles: int = 64,
+                outer_t_points: int = 200, outer_angles: int = 64) -> AdjustedPair:
+    """Pick the rotation and report the grid constants measured on a
+    sample grid (a sampling claim, not a bound proved between samples).
+
+    When the leading term of f1 = G1/z^{e1} dominates its tail on the
+    closed disk |z| <= t0 (rho <= DOMINANCE_BOUND, see _log_dominance), f1
+    has no zero there and theta* = 0 with no search.  Only when dominance
+    fails is theta* searched among theta_count uniform candidates, to
+    maximize the minimum of (|f1| + |f2|)/omega over a polar grid of that
+    disk.  The constants c_low/c_high are then measured over that grid
+    united with an outer grid spanning (t0, t_last].
+    """
+    if (min(theta_count, inner_angles) < 1 or inner_radii < 2
+            or (outer_t_points > 0 and outer_angles < 1)):
+        raise ValueError("zero_adjust needs theta_count, inner_angles >= 1, inner_radii "
+                         ">= 2, and outer_angles >= 1 when outer_t_points > 0")
+    if not pair.g1.terms:
+        raise ValueError("g1 is empty")
+    e1 = pair.g1.exponents[0]
+    f1 = pair.g1.shifted(e1)
+
+    log_rho = _log_dominance(f1, pair.t0)
+    if log_rho <= math.log(DOMINANCE_BOUND):
+        basis, theta_index, inner_known = "dominance", 0, None
+    else:
+        basis = "search"
+        theta_index, inner_known = _search_rotation(
+            f1, pair.g2, w, inner_disk_radii(pair.t0, inner_radii), theta_count,
+            inner_angles)
+
+    rings = _ratio_rings(f1, pair.g2, w, pair.t0, pair.t_last, theta_index, theta_count,
+                         inner_radii, inner_angles, outer_t_points, outer_angles,
+                         inner_known)
+    ratios = [log_s - log_w[:, None] for log_w, log_s in rings]
+    inner, *annulus = ratios
+    log_c_low = float(np.min([r.min() for r in ratios]))
+    log_c_high = float(np.max([r.max() for r in ratios]))
+    log_w_in = rings[0][0]
     return AdjustedPair(
         f1=f1,
         f2=pair.g2,
-        theta_star=theta_star,
-        theta_index=best_c,
+        theta_star=_TWO_PI * theta_index / theta_count,
+        theta_index=theta_index,
         theta_candidates=theta_count,
         e1=e1,
         c_low=exp_or_inf(log_c_low),
@@ -479,6 +546,13 @@ def zero_adjust(pair: SeriesPair, w: WeightFunction, theta_count: int = 720,
         t0=pair.t0,
         t_last=pair.t_last,
         grid_spec=(inner_radii, inner_angles, outer_t_points, outer_angles),
+        rotation_basis=basis,
+        log_dominance=log_rho,
+        log_c_low_inner=float(inner.min()),
+        log_c_high_inner=float(inner.max()),
+        log_c_low_annulus=float(annulus[0].min()) if annulus else None,
+        log_c_high_annulus=float(annulus[0].max()) if annulus else None,
+        log_inner_floor=float(log_w_in[-1] - log_w_in[0]),
     )
 
 

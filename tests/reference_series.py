@@ -18,13 +18,18 @@ product would round differently for groups of one point.
 cell by cell, and `reference_log_ratio_samples` evaluates zero
 adjustment's inner and outer rings as two separate blocks;
 `logweight` takes both from one (t, theta) ring sampler.
+
+`reference_zero_adjust` always runs the search over every candidate
+rotation on the inner disk; `logweight.zero_adjust` skips it when the
+leading term of f1 dominates there, and shares the search's inner
+evaluations with the constants' sample grid.
 """
 
 import math
 
 import numpy as np
 
-from logweight.numerics import NEG_INF
+from logweight.numerics import NEG_INF, exp_or_inf
 from logweight.series import (DROP_THRESHOLD, ScaledComplex, eval_series_grid,
                               inner_disk_radii)
 
@@ -134,3 +139,53 @@ def reference_log_ratio_samples(f1, f2, w, t0, t_last, theta_index, theta_count,
         log_w_parts.append(np.repeat(log_w_out, outer_angles))
 
     return np.concatenate(log_w_parts), np.concatenate(log_s_parts)
+
+
+def reference_zero_adjust(pair, w, theta_count=720, inner_radii=100, inner_angles=64,
+                          outer_t_points=200, outer_angles=64):
+    """The rotation picked by the full search and the constants on the
+    rotated sample grid: (the report keys of the search, log omega,
+    log(|f1| + |f2|)), the last two flat as in `reference_log_ratio_samples`."""
+    e1 = pair.g1.exponents[0]
+    f1 = pair.g1.shifted(e1)
+    common = int(np.lcm(inner_angles, theta_count))
+    stride_j = common // inner_angles
+    stride_c = common // theta_count
+
+    r_in = inner_disk_radii(pair.t0, inner_radii)
+    f1_in = eval_series_grid(f1, r_in, common)
+    f2_in = eval_series_grid(pair.g2, r_in, inner_angles)
+    log_w_in = np.array([w.log_omega(float(t)) for t in r_in])
+
+    j_idx = np.arange(inner_angles) * stride_j
+    best_c = -1
+    best_min = -math.inf
+    for c in range(theta_count):
+        rot = f1_in[:, (j_idx + c * stride_c) % common]
+        ratio = np.logaddexp(rot, f2_in) - log_w_in[:, None]
+        m = float(ratio.min())
+        if m > best_min:
+            best_min = m
+            best_c = c
+    if best_min == -math.inf:
+        raise RuntimeError("adjustment failed - refine grids")
+
+    log_w_all, log_s_all = reference_log_ratio_samples(
+        f1, pair.g2, w, pair.t0, pair.t_last, best_c, theta_count,
+        inner_radii, inner_angles, outer_t_points, outer_angles)
+    ratios = log_s_all - log_w_all
+    log_c_low = float(ratios.min())
+    log_c_high = float(ratios.max())
+    report = {
+        "theta_star": 2.0 * math.pi * best_c / theta_count,
+        "theta_index": best_c,
+        "theta_candidates": theta_count,
+        "e1": e1,
+        "c_low": exp_or_inf(log_c_low),
+        "c_high": exp_or_inf(log_c_high),
+        "log_c_low": log_c_low,
+        "log_c_high": log_c_high,
+        "f1_terms": [[lc, e] for lc, e in f1.terms],
+        "f2_terms": [[lc, e] for lc, e in pair.g2.terms],
+    }
+    return report, log_w_all, log_s_all
