@@ -14,6 +14,7 @@ log-convex surrogate to feed back into the construction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
@@ -52,12 +53,22 @@ def _log_abs_values(f: Callable, zs: np.ndarray) -> np.ndarray:
     return logs
 
 
-def _sampled_maxima(f: Callable, rs: np.ndarray, theta_count: int) -> np.ndarray:
-    """log max_j |f(r e^{2 pi i j / theta_count})| for every r in rs, with
-    the radii split so that no call of f gets more than _ADAPTIVE_CAP
-    points (a single circle may have more)."""
-    circle = np.exp(1j * (2.0 * math.pi * np.arange(theta_count) / theta_count))
-    step = max(1, _ADAPTIVE_CAP // theta_count)
+@functools.lru_cache(maxsize=32)
+def _unit_circle(n: int) -> np.ndarray:
+    """The n-th roots of unity e^{2 pi i j / n}, built once per n and read
+    only.  Index 2j of the 2n-circle is index j of the n-circle bit for
+    bit: 2 pi (2j) / (2n) rounds as 2 pi j / n, since doubling is exact."""
+    circle = np.exp(1j * (2.0 * math.pi * np.arange(n) / n))
+    circle.flags.writeable = False
+    return circle
+
+
+def _sampled_maxima(f: Callable, rs: np.ndarray, circle: np.ndarray) -> np.ndarray:
+    """log max_j |f(r circle[j])| for every r in rs, with the radii split so
+    that no call of f gets more than _ADAPTIVE_CAP points (a single circle
+    may have more).  circle is a set of unit points: a whole circle, or
+    the new midpoints of a doubled one."""
+    step = max(1, _ADAPTIVE_CAP // circle.size)
     return np.concatenate(
         [np.max(_log_abs_values(f, rs[i:i + step, None] * circle), axis=1)
          for i in range(0, rs.size, step)])
@@ -70,7 +81,11 @@ def _log_max_moduli(f: Callable, rs, theta_count: int):
     theta_count > 0 samples every circle at that many angles.  theta_count
     0 refines: from _ADAPTIVE_START angles, doubling, each radius stops once
     two successive maxima agree within _ADAPTIVE_TOL, and every radius stops
-    at _ADAPTIVE_CAP.  f is called on the radii still refining together.
+    at _ADAPTIVE_CAP.  The n-angle grid is the even half of the 2n-angle
+    grid, so each doubling calls f only on the n new midpoints (odd
+    indices) of the radii still refining, together, and takes the larger
+    of the old maximum and the midpoints' maximum: every angle is
+    evaluated once, with the values of sampling all 2n afresh.
     """
     rs = np.asarray(rs, dtype=float)
     if theta_count and theta_count < 16:
@@ -79,11 +94,12 @@ def _log_max_moduli(f: Callable, rs, theta_count: int):
     if outside.size:
         raise ValueError(f"r={outside[0]} outside [0, 1)")
     n = theta_count or _ADAPTIVE_START
-    values = _sampled_maxima(f, rs, n)
+    values = _sampled_maxima(f, rs, _unit_circle(n))
     active = np.arange(0 if theta_count else rs.size)
     while active.size and n < _ADAPTIVE_CAP:
         n *= 2
-        cur = _sampled_maxima(f, rs[active], n)
+        cur = np.maximum(values[active],
+                         _sampled_maxima(f, rs[active], _unit_circle(n)[1::2]))
         with np.errstate(invalid="ignore"):  # -inf - -inf: never settled
             settled = np.abs(cur - values[active]) < _ADAPTIVE_TOL
         values[active] = cur
@@ -132,6 +148,8 @@ def hadamard_check(fs: Sequence[Callable], r_grid, theta_count: int = 0,
     selects adaptive angle refinement.
     """
     rs = np.asarray(r_grid, dtype=float)
+    if not fs:
+        raise ValueError("need at least one function")
     if rs.size < 3:
         raise ValueError("r_grid needs at least 3 points")
     if np.any(rs <= 0) or np.any(rs >= 1) or np.any(np.diff(rs) <= 0):
@@ -162,6 +180,10 @@ def hadamard_check(fs: Sequence[Callable], r_grid, theta_count: int = 0,
 def random_polynomials(count: int, max_degree: int, seed: int):
     """Seeded random polynomials with coefficients in the complex unit box
     and constant term 1, as ascending coefficient arrays."""
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
+    if max_degree < 1:
+        raise ValueError(f"max_degree must be at least 1, got {max_degree}")
     rng = np.random.default_rng(seed)
     polys = []
     for _ in range(count):
@@ -172,9 +194,34 @@ def random_polynomials(count: int, max_degree: int, seed: int):
     return polys
 
 
-def polynomial_callable(coeffs) -> Callable:
-    c = np.asarray(coeffs)
-    return lambda z: np.polynomial.polynomial.polyval(z, c)
+class PolynomialCallable:
+    """z -> sum_k coeffs[k] z^k on a scalar or an array, by Horner's rule
+    in place.  It starts and steps as numpy.polynomial.polynomial.polyval
+    does (c[-1] + z*0, then c[k] + acc*z), so the values agree bit for
+    bit, without a new array per step."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        c = np.array(coeffs, ndmin=1)
+        if c.ndim != 1 or c.size == 0:
+            raise ValueError("need a non-empty 1-d coefficient array")
+        self.coeffs = c + 0.0 if c.dtype.kind in "biu" else c
+
+    def __call__(self, z):
+        c = self.coeffs
+        acc = c[-1] + z * 0
+        for k in range(c.size - 2, -1, -1):
+            acc *= z
+            acc += c[k]
+        return acc
+
+
+def polynomial_callable(coeffs) -> PolynomialCallable:
+    """The polynomial with ascending coefficients coeffs, as a callable
+    that takes the arrays of the max-modulus sampler and keeps its
+    coefficients in `.coeffs`."""
+    return PolynomialCallable(coeffs)
 
 
 # -- lower convex envelope ----------------------------------------------------

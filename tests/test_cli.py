@@ -100,6 +100,14 @@ class TestVerify:
         report = json.loads(capsys.readouterr().out)
         assert report["min_second_diff"] >= -1e-7
 
+    @pytest.mark.parametrize("flags, match", [(["--random-polys", "0"], "at least one function"),
+                                              (["--max-degree", "0"], "max_degree")])
+    def test_hadamard_bad_inputs(self, flags, match, capsys):
+        rc = main(["verify", "hadamard", *flags])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and match in err
+
     def test_ball_monomial(self, state_file, capsys):
         rc = main(["verify", "ball", "--state", str(state_file),
                    "--family", "ramey_ullrich", "--poly-family", "monomial_d1",

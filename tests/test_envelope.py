@@ -77,6 +77,48 @@ class TestHadamard:
         with pytest.raises(ValueError):
             lw.hadamard_check([f], np.linspace(0.1, 0.9, 16), theta_count=64)
 
+    def test_no_functions_rejected(self):
+        with pytest.raises(ValueError, match="at least one function"):
+            lw.hadamard_check([], np.geomspace(0.1, 0.9, 16))
+
+    def test_bench_report_pinned(self):
+        # the report of the CLI defaults, as sampling every angle afresh
+        # at each doubling gave it
+        fs = [lw.polynomial_callable(c) for c in lw.random_polynomials(100, 30, seed=7)]
+        rep = lw.hadamard_check(fs, np.geomspace(0.05, 0.95, 64))
+        assert rep.to_json_dict() == {
+            "passed": True, "min_second_diff": 8.660217394140801e-05,
+            "witness_r": 0.05239232609751095, "n_functions": 100, "r_count": 64,
+            "theta_count": 65536, "tol": 1e-07}
+
+
+class TestPolynomials:
+    def test_horner_matches_polyval_bitwise(self):
+        rng = np.random.default_rng(3)
+        z = rng.uniform(-1, 1, (17, 129)) + 1j * rng.uniform(-1, 1, (17, 129))
+        for c in lw.random_polynomials(100, 30, seed=7):
+            p = lw.polynomial_callable(c)
+            assert np.array_equal(p(z).view(np.uint64),
+                                  np.polynomial.polynomial.polyval(z, c).view(np.uint64))
+            scalar, ref = p(0.3 - 0.7j), np.polynomial.polynomial.polyval(0.3 - 0.7j, c)
+            assert np.shape(scalar) == ()
+            assert np.array([scalar]).view(np.uint64).tolist() == \
+                np.array([ref]).view(np.uint64).tolist()
+
+    def test_coefficients_kept(self):
+        c = np.array([1.0, 2.0 - 1.0j, 0.5j])
+        assert np.array_equal(lw.polynomial_callable(c).coeffs, c)
+
+    def test_empty_coefficients_rejected(self):
+        with pytest.raises(ValueError):
+            lw.polynomial_callable([])
+
+    @pytest.mark.parametrize("count, max_degree, match", [(3, 0, "max_degree"),
+                                                          (-1, 5, "count")])
+    def test_random_polynomials_inputs(self, count, max_degree, match):
+        with pytest.raises(ValueError, match=match):
+            lw.random_polynomials(count, max_degree, seed=7)
+
 
 class TestEnvelope:
     def test_convex_family_zero_gap(self):

@@ -68,18 +68,54 @@ class TestCallSizes:
 
     def test_radii_split_at_cap(self):
         # a function that vanishes never settles, so all 8 radii refine to
-        # the cap; from 2^14 angles on, a level no longer fits in one call
+        # the cap; each doubling to m angles evaluates the m/2 new
+        # midpoints, and from 2^15 angles on they no longer fit in one call
         sizes = []
         f = lambda z: sizes.append(np.size(z)) or np.zeros_like(z)
         values, n = _log_max_moduli(f, np.linspace(0.1, 0.8, 8), 0)
         assert n == CAP
         assert np.all(values == -np.inf)
         assert max(sizes) == CAP
-        levels = [64 << k for k in range(11)]
-        assert sizes == [min(8 * m, CAP) for m in levels for _ in range(-(-8 * m // CAP))]
+        levels = [128 << k for k in range(10)]
+        assert sizes == [512] + [min(8 * m // 2, CAP) for m in levels
+                                 for _ in range(-(-8 * m // 2 // CAP))]
 
     def test_wide_circle_is_one_call(self):
         sizes = []
         f = lambda z: sizes.append(np.size(z)) or z + 1.0
         _log_max_moduli(f, [0.3, 0.6], 2 * CAP)
         assert sizes == [2 * CAP, 2 * CAP]
+
+
+class TestPointCounts:
+    """Every angle is evaluated once: 64 points per radius at the first
+    level, then the n/2 new midpoints per radius still refining at n
+    angles, so a radius that stops at n angles costs n points."""
+
+    def test_levels_match_reference_angle_counts(self):
+        rs = np.geomspace(0.05, 0.95, 64)
+        for c in lw.random_polynomials(5, 30, seed=7):
+            p = lw.polynomial_callable(c)
+            shapes = []
+            _log_max_moduli(lambda z: shapes.append(z.shape) or p(z), rs, 0)
+            _, ns = reference_profile(p, rs, 0)
+            levels = [(rs.size, 64)] + [(sum(k >= n for k in ns), n // 2)
+                                        for n in (128 << j for j in range(10))]
+            calls = iter(shapes)
+            for active, cols in levels:
+                taken = 0
+                while taken < active:
+                    rows, got = next(calls)
+                    assert got == cols
+                    taken += rows
+                assert taken == active
+            assert next(calls, None) is None
+            assert sum(rows * cols for rows, cols in shapes) == sum(ns)
+
+    def test_bench_polynomials_total(self):
+        points = []
+        rs = np.geomspace(0.05, 0.95, 64)
+        for c in lw.random_polynomials(100, 30, seed=7):
+            p = lw.polynomial_callable(c)
+            _log_max_moduli(lambda z: points.append(z.size) or p(z), rs, 0)
+        assert sum(points) == 3_905_664
