@@ -23,6 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._sobol import MAX_DIM, ndtri, scrambled_sobol
 from .construction import ConstructionState, h_for_delta
 from .numerics import exp_or_inf, logsumexp, normalized_margins
 from .series import ScaledComplex, _check_radii, _eval_points, _scaled_terms, split_parity
@@ -133,13 +134,12 @@ def sphere_points(d: int, count: int, seed: int = 0) -> np.ndarray:
     normalized covers the sphere uniformly; a small structured prefix
     (coordinate vectors and balanced-modulus vectors, where coordinate
     families are extremal) is always included so that degenerate families
-    are measured at their worst points exactly.
+    are measured at their worst points exactly.  The Sobol sequence has
+    2d dimensions, so d may be at most MAX_DIM / 2 = 32.
     """
-    # Imported here, not at module level: scipy takes about a second to
-    # import, and nothing else in the package needs it.
-    from scipy.special import ndtri
-    from scipy.stats import qmc
-
+    if not 1 <= d <= MAX_DIM // 2:
+        raise ValueError(f"sphere_points needs 1 <= d <= {MAX_DIM // 2} "
+                         f"(a {MAX_DIM}-dimensional Sobol table), got d={d}")
     if count < 2 * d + 2:
         raise ValueError(f"need at least {2 * d + 2} sphere samples for d={d}")
     structured = []
@@ -155,10 +155,7 @@ def sphere_points(d: int, count: int, seed: int = 0) -> np.ndarray:
     structured.append(phases / math.sqrt(d))
     structured = np.asarray(structured)
 
-    n_rand = count - len(structured)
-    sob = qmc.Sobol(2 * d, scramble=True, seed=seed)
-    m = 1 << max(1, math.ceil(math.log2(max(n_rand, 1))))
-    raw = sob.random(m)[:n_rand]
+    raw = scrambled_sobol(2 * d, count - len(structured), seed)
     g = ndtri(np.clip(raw, 1e-12, 1.0 - 1e-12))
     z = g[:, :d] + 1j * g[:, d:]
     norms = np.linalg.norm(z, axis=1)

@@ -26,3 +26,22 @@ def test_import_loads_no_scipy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_ball_runs_load_no_scipy(tmp_path):
+    # sphere points come from the numpy Sobol and ndtri ports, so a whole
+    # construct-and-verify-ball session runs without scipy
+    state = str(tmp_path / "state.json")
+    weight = ["--family", "ramey_ullrich"]
+    runs = [["construct", *weight, "--h", "2", "--t0", "0.95", "--t-stop", "0.9999",
+             "--out", state]]
+    for fam, extra in (("monomial_d1", []), ("coordinate_d2", ["--degrees", "8"])):
+        runs.append(["verify", "ball", *weight, "--state", state, "--poly-family", fam,
+                     "--t-points", "8", *extra, "--out", str(tmp_path / f"{fam}.json")])
+    code = ("import sys; from logweight.cli import main; "
+            f"codes = [main(argv) for argv in {runs!r}]; "
+            "print(codes, [m for m in sys.modules if m.startswith('scipy')])")
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0, 1] []"
