@@ -242,7 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
     pl = vsub.add_parser("lemmas")
     _add_weight_flags(pl)
     pl.add_argument("--state", required=True)
-    pl.add_argument("--samples", type=int, default=50)
+    pl.add_argument("--samples", type=int, default=50,
+                    help="points per interval, endpoints included, for basis "
+                         "'sampled'; basis 'convexity' uses the two endpoints")
     pl.add_argument("--delta", type=float, default=None)
     pl.add_argument("--out")
     pl.set_defaults(func=cmd_verify_lemmas)

@@ -17,6 +17,11 @@ Exponentiating, l_k describes the monomial bound a_k t^{delta_k}, which
 Both solves are bisection on residual functions that are strictly
 monotone whenever F is strictly convex, so every step is deterministic
 and costs O(log(1/root_tol)) evaluations of F and F'.
+
+A weight is duck-typed: this module calls only `big_f(x)`,
+`big_f_prime(x)` and `big_f_and_prime(x)` (which returns the pair
+(F(x), F'(x)) with the bits of the two separate calls) at x < 0, and
+reads an optional `family` to name the lemma basis.
 """
 
 from __future__ import annotations
@@ -195,8 +200,7 @@ def next_tangent(w: WeightFunction, x_prev: float, h: float,
         raise OverflowError(f"F({x_prev}) is not finite; start farther from 0")
 
     def big_g(xi):
-        f = w.big_f(xi)
-        fp = w.big_f_prime(xi)
+        f, fp = w.big_f_and_prime(xi)
         if not (math.isfinite(f) and math.isfinite(fp)):
             return NEG_INF
         return f + fp * (x_prev - xi) - f_prev + h
@@ -225,8 +229,8 @@ def next_tangent(w: WeightFunction, x_prev: float, h: float,
         lo, g_lo = hi, g_hi
         hi = hi / 2.0
     xi = 0.5 * sum(_bisect(big_g, lo, hi, positive_at_lo=True, tol=root_tol))
-    delta = w.big_f_prime(xi)
-    log_a = w.big_f(xi) - delta * xi
+    f_xi, delta = w.big_f_and_prime(xi)
+    log_a = f_xi - delta * xi
     if not (delta > 0.0 and math.isfinite(log_a)):
         raise ConstructionError(f"degenerate tangent at xi={xi}")
 
@@ -263,8 +267,7 @@ def _convexity_gate(w: WeightFunction, x0: float):
     finite = []
     for x in xs:
         x = float(x)
-        f = w.big_f(x)
-        fp = w.big_f_prime(x)
+        f, fp = w.big_f_and_prime(x)
         if not (math.isfinite(f) and math.isfinite(fp)):
             break
         finite.append(x)
@@ -459,12 +462,17 @@ def verify_tangent_lemmas(state: ConstructionState, w: WeightFunction,
       segment_tail_delta   tail < (delta/2) a_k t^{delta_k} on I_k
       segment_tail_delta_int  integer tail < (5 delta / 9) a_k t^{e_k} on I_k
 
-    Each check is decided where it is extreme, in O(K * samples) work:
-    line pairs at the ends of their ranges (x -> 0 as a limit, witness_x
-    = 0), segment_upper at one tangency bracket per line (its integer form
-    follows as e_k > delta_k), the rest at the interval endpoints; interior
-    samples can only lower a margin.  basis "convexity" (F convex by
-    construction) makes a pass a proof up to the slack, else "sampled".
+    Each check is decided where it is extreme: line pairs at the ends of
+    their ranges (x -> 0 as a limit, witness_x = 0), segment_upper at one
+    tangency bracket per line (its integer form follows as e_k > delta_k),
+    the rest at the interval endpoints.  basis "convexity" (F convex by
+    construction) makes a pass a proof up to the slack: F - l_k and every
+    log-sum-exp of lines are convex, so the raw margins of segment_lower*,
+    segment_tail_* and segment_tail_delta* are concave in x and these
+    checks use the two endpoints alone, in O(K) work, whatever
+    `samples_per_interval` says.  Under basis "sampled" they take
+    `samples_per_interval` points per interval, endpoints included, in
+    O(K * samples) work.  The report records the count used.
     """
     if samples_per_interval < 2:
         raise ValueError("samples_per_interval must be at least 2")
@@ -482,7 +490,8 @@ def verify_tangent_lemmas(state: ConstructionState, w: WeightFunction,
     h = state.params.h
     xs = np.asarray(state.xs)
     K = len(state.lines)
-    n = samples_per_interval
+    basis = "convexity" if is_known_convex(w) else "sampled"
+    n = 2 if basis == "convexity" else samples_per_interval
     deltas = np.asarray(state.deltas)
     log_as = np.asarray(state.log_as)
     es = np.asarray(state.es, dtype=float)
@@ -565,7 +574,7 @@ def verify_tangent_lemmas(state: ConstructionState, w: WeightFunction,
     return LemmaReport(
         checks=checks,
         passed=all(c.passed for c in checks),
-        samples_per_interval=samples_per_interval,
+        samples_per_interval=n,
         delta=delta,
-        basis="convexity" if is_known_convex(w) else "sampled",
+        basis=basis,
     )

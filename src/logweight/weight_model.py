@@ -8,10 +8,10 @@ growth analysis happens through
 
 because omega is comparable to a sum of two holomorphic moduli exactly
 when F is (equivalent to) a convex function.  Each family is defined by
-F and F' alone, and omega is evaluated only through F: log omega(t) =
-F(log t) and log omega(1 - s) = F(log1p(-s)).  Everything stays in the log
-domain: omega itself overflows float64 long before the fast families stop
-being tractable.
+F and the pair (F, F') alone, and omega is evaluated only through F:
+log omega(t) = F(log t) and log omega(1 - s) = F(log1p(-s)).  Everything
+stays in the log domain: omega itself overflows float64 long before the
+fast families stop being tractable.
 
 Families
 --------
@@ -66,20 +66,37 @@ class _Family:
     name: str
     n_params: int
     defaults: tuple
-    big_f: Callable  # (x, params) -> float, may return +inf for fast weights
-    big_f_prime: Optional[Callable]  # analytic F' or None
+    big_f: Callable  # (x, params) -> F, may return +inf for fast weights
+    # (x, params) -> (F, F'), u = 1 - e^x computed once; its arithmetic is
+    # that of big_f and of the analytic F', so both values match bit for bit
+    big_f_and_prime: Callable
 
 
 def _ramey_f(x, p):
     return -math.log(_u(x))
 
 
+def _ramey_fp(x, p):
+    u = _u(x)
+    return -math.log(u), math.exp(x) / u
+
+
 def _power_f(x, p):
     return -p[0] * math.log(_u(x))
 
 
+def _power_fp(x, p):
+    u = _u(x)
+    return -p[0] * math.log(u), p[0] * math.exp(x) / u
+
+
 def _exp_power_f(x, p):
     return _u(x) ** (-p[0])
+
+
+def _exp_power_fp(x, p):
+    u = _u(x)
+    return u ** (-p[0]), p[0] * u ** (-p[0] - 1.0) * math.exp(x)
 
 
 def _double_exp_f(x, p):
@@ -87,46 +104,39 @@ def _double_exp_f(x, p):
     return math.exp(inner) if inner <= LOG_MAX else math.inf
 
 
+def _double_exp_fp(x, p):
+    u = _u(x)
+    inner = 1.0 / u
+    return (math.exp(inner) if inner <= LOG_MAX else math.inf,
+            math.exp(inner + x) / u ** 2
+            if inner + x - 2.0 * math.log(u) <= LOG_MAX else math.inf)
+
+
 def _log_power_f(x, p):
     return p[0] * math.log1p(-math.log(_u(x)))
+
+
+def _log_power_fp(x, p):
+    u = _u(x)
+    log_u = math.log(u)
+    return p[0] * math.log1p(-log_u), p[0] * math.exp(x) / (u * (1.0 - log_u))
 
 
 def _inv_log_f(x, p):
     return -1.0 / x
 
 
+def _inv_log_fp(x, p):
+    return -1.0 / x, 1.0 / (x * x)
+
+
 _FAMILIES = {
-    "ramey_ullrich": _Family(
-        "ramey_ullrich", 0, (),
-        _ramey_f,
-        lambda x, p: math.exp(x) / _u(x),
-    ),
-    "power": _Family(
-        "power", 1, (2.0,),
-        _power_f,
-        lambda x, p: p[0] * math.exp(x) / _u(x),
-    ),
-    "exp_power": _Family(
-        "exp_power", 1, (1.0,),
-        _exp_power_f,
-        lambda x, p: p[0] * _u(x) ** (-p[0] - 1.0) * math.exp(x),
-    ),
-    "double_exp": _Family(
-        "double_exp", 0, (),
-        _double_exp_f,
-        lambda x, p: (math.exp(1.0 / _u(x) + x) / _u(x) ** 2
-                      if 1.0 / _u(x) + x - 2.0 * math.log(_u(x)) <= LOG_MAX else math.inf),
-    ),
-    "log_power": _Family(
-        "log_power", 1, (2.0,),
-        _log_power_f,
-        lambda x, p: p[0] * math.exp(x) / (_u(x) * (1.0 - math.log(_u(x)))),
-    ),
-    "inv_log": _Family(
-        "inv_log", 0, (),
-        _inv_log_f,
-        lambda x, p: 1.0 / (x * x),
-    ),
+    "ramey_ullrich": _Family("ramey_ullrich", 0, (), _ramey_f, _ramey_fp),
+    "power": _Family("power", 1, (2.0,), _power_f, _power_fp),
+    "exp_power": _Family("exp_power", 1, (1.0,), _exp_power_f, _exp_power_fp),
+    "double_exp": _Family("double_exp", 0, (), _double_exp_f, _double_exp_fp),
+    "log_power": _Family("log_power", 1, (2.0,), _log_power_f, _log_power_fp),
+    "inv_log": _Family("inv_log", 0, (), _inv_log_f, _inv_log_fp),
 }
 
 # Diagnostic perturbations on top of the ramey_ullrich profile.  They are
@@ -246,9 +256,19 @@ class WeightFunction:
                 slope += self.params[0] * math.exp(x)
             return slope
         fam = _FAMILIES.get(self.family)
-        if self.deriv_mode == "analytic" and fam is not None and fam.big_f_prime is not None:
-            return fam.big_f_prime(x, self.params)
+        if self.deriv_mode == "analytic" and fam is not None:
+            return fam.big_f_and_prime(x, self.params)[1]
         return self._fd_prime(x)
+
+    def big_f_and_prime(self, x: float) -> tuple:
+        """(F(x), F'(x)), each bit for bit what big_f and big_f_prime give;
+        an analytic family evaluates both in one call."""
+        fam = _FAMILIES.get(self.family)
+        if self.deriv_mode == "analytic" and fam is not None:
+            if x >= 0.0:
+                raise ValueError(f"x={x} must be negative")
+            return fam.big_f_and_prime(x, self.params)
+        return self.big_f(x), self.big_f_prime(x)
 
     def _fd_prime(self, x: float) -> float:
         h = max(_EPS_CBRT * abs(x), 1e-8)

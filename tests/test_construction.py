@@ -6,9 +6,12 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import logweight as lw
-from logweight.construction import ConstructionParams
+from logweight.construction import ConstructionError, ConstructionParams
+from reference_construction import reference_run_construction
 
 
 SQRT2 = math.sqrt(2.0)
@@ -42,6 +45,9 @@ class SoftLines:
         v = self.s * x + self.b
         e = np.exp(v - v.max())
         return float((self.s * e).sum() / e.sum() + self.eps / (x * x))
+
+    def big_f_and_prime(self, x):
+        return self.big_f(x), self.big_f_prime(x)
 
 
 def collision_profile():
@@ -224,6 +230,48 @@ class TestExponentCollision:
                                   auto_restart=True))
         assert all(b > a for a, b in zip(state.es, state.es[1:]))
         assert state.params.x0 > -120.0  # restarted closer to 0
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def assert_same_run(w, params):
+    new, ref = lw.run_construction(w, params), reference_run_construction(w, params)
+    assert new.es == ref.es
+    for get in (lambda s: s.xs, lambda s: s.deltas, lambda s: s.log_as,
+                lambda s: [line.xi for line in s.lines]):
+        np.testing.assert_array_equal(bits(get(new)), bits(get(ref)))
+    return new
+
+
+class TestFusedStepOracle:
+    """run_construction, with F and F' fused, against the step that calls
+    them apart: every abscissa, coefficient and tangency point bit for bit."""
+
+    @pytest.mark.parametrize("family, params, kw, lines", [
+        ("double_exp", (), dict(k_max=200), 200),
+        ("exp_power", (2.0,), dict(k_max=5000, t_stop=0.999), 601),
+        ("exp_power", (1.0,), {}, 68),
+        ("ramey_ullrich", (), dict(t_stop=1.0 - 1e-9), 4),
+        ("power", (3.0,), {}, None),
+        ("inv_log", (), {}, None),
+    ])
+    def test_bench_states(self, family, params, kw, lines):
+        state = assert_same_run(lw.make_weight(family, params),
+                                ConstructionParams(x0=math.log(0.95), **kw))
+        assert lines is None or len(state.lines) == lines
+
+    @settings(max_examples=25, deadline=None)
+    @given(alpha=st.floats(0.25, 4.0), t0=st.floats(0.5, 0.97))
+    def test_exp_power_property(self, alpha, t0):
+        w = lw.make_weight("exp_power", (alpha,))
+        params = ConstructionParams(x0=math.log(t0), k_max=60, t_stop=0.999)
+        try:
+            assert_same_run(w, params)
+        except ConstructionError as err:
+            with pytest.raises(type(err)):
+                reference_run_construction(w, params)
 
 
 class TestHForDelta:

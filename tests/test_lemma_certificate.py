@@ -94,6 +94,102 @@ class TestAgainstSampledReference:
         assert bad.xs[2] <= low.witness_x <= bad.xs[3]
 
 
+@functools.lru_cache(maxsize=None)
+def exp_power_a2():
+    # the deep benchmark state, K = 601
+    w = lw.make_weight("exp_power", (2.0,))
+    return w, lw.run_construction(w, ConstructionParams(x0=X0, k_max=5000, t_stop=0.999)), None
+
+
+# (worst_margin, witness_x, witness_k) of every check, as the verifier
+# reported them at 50 samples per interval before basis "convexity" moved
+# to the interval endpoints.
+PINNED_50 = {
+    'ramey_ullrich': {
+        'lines_later_below': (0.9883587318491877, -0.05129329438755058, 3),
+        'lines_earlier_below': (0.12783530592803471, -9.436093173814722e-10, 4),
+        'segment_upper': (-1.9895802571123797e-16, -0.00013259208215568287, 2),
+        'segment_lower': (-6.694561519553003e-15, -8.102269828273604e-08, 4),
+        'segment_tail_half': (0.2710726620547975, -8.102269828273604e-08, 4),
+        'segment_upper_int': (-1.9895802571123797e-16, -0.00013259208215568287, 2),
+        'segment_lower_int': (0.005609860065005581, -9.436093173814722e-10, 4),
+        'segment_tail_int': (0.27666188751681087, -8.102269828273604e-08, 4),
+    },
+    'exp_power': {
+        'lines_later_below': (0.0015018335399376345, -0.00010464908681735252, 67),
+        'lines_earlier_below': (0.0013508485970510154, -9.884624324404769e-05, 68),
+        'segment_upper': (-4.2240511502098665e-16, -0.00011611657516799592, 63),
+        'segment_lower': (-3.256654205567129e-14, -0.05129329438755058, 1),
+        'segment_tail_half': (0.0015221885800386949, -0.00010168560422356695, 68),
+        'segment_upper_int': (-4.2240511502098674e-16, -0.00011611657516799592, 63),
+        'segment_lower_int': (1.0409893743230013e-05, -9.884624324404769e-05, 68),
+        'segment_tail_int': (0.00153288960064425, -0.00010168560422356695, 68),
+    },
+    'power_delta': {
+        'lines_later_below': (0.9967421557292554, -0.05129329438755058, 3),
+        'lines_earlier_below': (0.11848933753570723, -5.778678563307958e-12, 4),
+        'segment_upper': (-1.880512059303734e-16, -0.008927611577567541, 1),
+        'segment_lower': (-2.1815004006231603e-15, -0.00016710767038343225, 1),
+        'segment_tail_half': (0.31900629012627263, -1.7737176461507198e-09, 4),
+        'segment_upper_int': (-1.880512059303734e-16, -0.008927611577567541, 1),
+        'segment_lower_int': (0.0023024723694712707, -5.778678563307958e-12, 4),
+        'segment_tail_int': (0.32113418951989503, -1.7737176461507198e-09, 4),
+        'segment_tail_delta': (0.2108953761492529, -1.7737176461507198e-09, 4),
+        'segment_tail_delta_int': (0.2137511162680629, -1.7737176461507198e-09, 4),
+    },
+    'double_exp': {
+        'lines_later_below': (2.789444231240425e-08, -0.05120409714347646, 199),
+        'lines_earlier_below': (2.788171396617013e-08, -0.05120320537486828, 200),
+        'segment_upper': (-7.82001794799314e-15, -0.05127898181708332, 32),
+        'segment_lower': (-7.740379743240683e-15, -0.05125207386290373, 92),
+        'segment_tail_half': (3.0489708808031874e-08, -0.051203651236457995, 200),
+        'segment_upper_int': (-7.820017947993154e-15, -0.05127898181708332, 32),
+        'segment_lower_int': (1.086178030408399e-10, -0.05121973261619771, 163),
+        'segment_tail_int': (3.06181425116772e-08, -0.051203651236457995, 200),
+    },
+    'exp_power_a2': {
+        'lines_later_below': (1.4096570265465578e-05, -0.0010030072731013842, 600),
+        'lines_earlier_below': (1.3952493521790371e-05, -0.0009997328866307876, 601),
+        'segment_upper': (-8.843053621387824e-16, -0.0013790038366911952, 433),
+        'segment_lower': (-5.3741874145494085e-15, -0.04735895078506204, 2),
+        'segment_tail_half': (1.5307219673346192e-05, -0.001001367403355189, 601),
+        'segment_upper_int': (-8.84305362138783e-16, -0.0013790038366911952, 433),
+        'segment_lower_int': (1.0434052630895939e-07, -0.0009997328866307876, 601),
+        'segment_tail_int': (1.5412391605733996e-05, -0.001001367403355189, 601),
+    },
+}
+
+
+class TestEndpointRule:
+    """Under basis "convexity" the chord and tail checks use the interval
+    endpoints alone; the margins and witnesses are those of 50 samples."""
+
+    @pytest.mark.parametrize("name", list(PINNED_50))
+    def test_samples_ignored_under_convexity(self, name):
+        w, state, delta = exp_power_a2() if name == "exp_power_a2" else built(name)
+        two = lw.verify_tangent_lemmas(state, w, 2, delta=delta)
+        fifty = lw.verify_tangent_lemmas(state, w, 50, delta=delta)
+        assert two.basis == "convexity" and two.samples_per_interval == 2
+        assert fifty.to_json_dict() == two.to_json_dict()
+        assert fifty.check("segment_lower").n_points == 2 * len(state.lines)
+
+    @pytest.mark.parametrize("samples", [2, 50])
+    @pytest.mark.parametrize("name", list(PINNED_50))
+    def test_margins_and_witnesses_pinned(self, name, samples):
+        w, state, delta = exp_power_a2() if name == "exp_power_a2" else built(name)
+        rep = lw.verify_tangent_lemmas(state, w, samples, delta=delta)
+        got = {c.name: (c.worst_margin, c.witness_x, c.witness_k) for c in rep.checks}
+        assert got == PINNED_50[name]
+
+    @pytest.mark.parametrize("samples", [2, 7, 50])
+    def test_sampled_basis_keeps_samples(self, samples):
+        w, state, _ = built("ramey_ullrich")
+        fd = lw.make_weight("ramey_ullrich", deriv_mode="fd")
+        rep = lw.verify_tangent_lemmas(state, fd, samples)
+        assert rep.basis == "sampled" and rep.samples_per_interval == samples
+        assert rep.check("segment_lower").n_points == samples * len(state.lines)
+
+
 class TestTangencyBound:
     @pytest.mark.parametrize("factor", [1e-3, 0.3, 0.9, 1.0, 1.1, 3.0, 1e30])
     def test_bound_below_dense_samples(self, factor):

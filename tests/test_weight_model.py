@@ -7,7 +7,9 @@ import pytest
 import sympy as sp
 
 import logweight as lw
+from logweight.construction import _gate_grid
 from logweight.weight_model import UNBOUNDED_LOG_THRESHOLD
+from reference_construction import separate_f_prime
 
 
 ANALYTIC_FAMILIES = [
@@ -142,6 +144,73 @@ class TestBigF:
         vals = [w.big_f(float(x)) for x in xs]
         finite = [v for v in vals if math.isfinite(v)]
         assert all(b >= a for a, b in zip(finite, finite[1:]))
+
+
+# x < 0 from far out to the float floor, the construction's convexity
+# gate grid, and the window where double_exp's F' and then F overflow.
+FUSED_XS = np.unique(np.concatenate([
+    -np.geomspace(60.0, 1e-300, 8000),
+    _gate_grid(math.log(0.95)),
+    np.linspace(-2e-3, -1.2e-3, 1600),
+]))
+
+# a power of two multiplies exactly, so non-dyadic parameters are needed
+# to tell apart two orders of the same products
+FUSED_ANALYTIC = ANALYTIC_FAMILIES + [("exp_power", (2.0,)), ("exp_power", (1.7,)),
+                                      ("power", (2.0,)), ("log_power", (2.5,))]
+
+
+def fused_and_apart(w, f_prime, xs):
+    """Bits of (F, F') from big_f_and_prime and from big_f with f_prime,
+    and the ArithmeticError each raised instead (None when it did not)."""
+    def run(fn):
+        vals, errs = [], []
+        for x in xs:
+            try:
+                vals.append(fn(float(x)))
+                errs.append(None)
+            except ArithmeticError as err:
+                vals.append((math.nan, math.nan))
+                errs.append(type(err))
+        return np.asarray(vals, dtype=float).view(np.uint64), errs
+    return run(w.big_f_and_prime), run(lambda x: (w.big_f(x), f_prime(x)))
+
+
+class TestFusedFAndPrime:
+    """big_f_and_prime is (big_f, big_f_prime) bit for bit, inf for inf."""
+
+    @pytest.mark.parametrize("family,params", FUSED_ANALYTIC)
+    def test_analytic_families(self, family, params):
+        w = lw.make_weight(family, params)
+        # against the family's F' formula evaluated on its own, and against
+        # big_f_prime, which reads the fused pair
+        for f_prime in (lambda x: separate_f_prime(w, x), w.big_f_prime):
+            (fused, fused_err), (apart, apart_err) = fused_and_apart(w, f_prime, FUSED_XS)
+            np.testing.assert_array_equal(fused, apart)
+            assert fused_err == apart_err
+        assert fused_err.count(None) > len(FUSED_XS) // 4
+
+    def test_double_exp_overflow_window(self):
+        w = lw.make_weight("double_exp")
+        pairs = [w.big_f_and_prime(float(x)) for x in FUSED_XS if -2e-3 <= x <= -1.2e-3]
+        kinds = {(math.isfinite(f), math.isfinite(fp)) for f, fp in pairs}
+        assert kinds == {(True, True), (True, False), (False, False)}
+
+    @pytest.mark.parametrize("w", EVERY_KIND[len(ANALYTIC_FAMILIES):] + [
+        lw.make_weight(f, p, deriv_mode="fd") for f, p in FUSED_ANALYTIC],
+        ids=lambda w: f"{w.family}-{w.deriv_mode}")
+    def test_fd_tabulated_perturbed(self, w):
+        (fused, fused_err), (apart, apart_err) = fused_and_apart(
+            w, w.big_f_prime, FUSED_XS[::4])
+        np.testing.assert_array_equal(fused, apart)
+        assert fused_err == apart_err
+
+    @pytest.mark.parametrize("w", EVERY_KIND + [lw.make_weight("exp_power", (2.0,), deriv_mode="fd")],
+                             ids=lambda w: f"{w.family}-{w.deriv_mode}")
+    def test_domain_error_nonnegative_x(self, w):
+        for x in (0.0, -0.0, 5e-324, 1.0):
+            with pytest.raises(ValueError):
+                w.big_f_and_prime(x)
 
 
 class TestLogConvexity:
