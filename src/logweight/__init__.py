@@ -19,8 +19,8 @@ from .construction import (ConstructionError, ConstructionParams,
                            verify_tangent_lemmas)
 from .envelope import (EnvelopeResult, EquivalenceConstants, HadamardReport,
                        equivalence_constants, hadamard_check, hull_weight,
-                       log_convex_envelope, max_modulus, max_modulus_adaptive,
-                       polynomial_callable, random_polynomials)
+                       log_convex_envelope, max_modulus, polynomial_callable,
+                       random_polynomials)
 from .series import (AdjustedPair, LacunarySeries, SandwichReport,
                      ScaledComplex, SeriesPair, eval_series,
                      eval_series_grid, frequency_profile, modulus_sum,
@@ -45,7 +45,7 @@ __all__ = [
     "equivalence_constants", "eval_series", "eval_series_grid",
     "family_from_manifest", "frequency_profile", "h_for_delta",
     "hadamard_check", "hull_weight", "log_convex_envelope",
-    "make_weight", "max_modulus", "max_modulus_adaptive", "modulus_sum",
+    "make_weight", "max_modulus", "modulus_sum",
     "monomial_family", "next_tangent", "polynomial_callable",
     "provider_from_interleaved",
     "random_polynomials", "run_construction", "sandwich_check", "sandwich_samples",

@@ -151,7 +151,8 @@ def cmd_verify_hadamard(args) -> int:
     report = hadamard_check(fs, r_grid)
     _write([render_json(report.to_json_dict()) + "\n"], args.out)
     return _verdict(report.passed, f"hadamard {'passed' if report.passed else 'FAILED'}: "
-                    f"min second difference {report.min_second_diff:.3e}")
+                    f"min second difference {report.min_second_diff:.3e}, "
+                    f"{report.basis} basis (log width {report.log_bracket_width:.3g})")
 
 
 def cmd_verify_envelope(args) -> int:

@@ -33,7 +33,8 @@ from typing import Optional
 import numpy as np
 
 from .numerics import NEG_INF, logsumexp, normalized_margins
-from .weight_model import WeightFunction, check_log_convexity, is_known_convex
+from .weight_model import (STRICTNESS_TOL, ConvexityReport, WeightFunction,
+                           _slope_report, is_known_convex)
 
 # Threshold t_0 above which the integer-exponent estimates keep the 9/10
 # and 5/9 constants used by the verifier (they need 1/t < 10/9).
@@ -261,24 +262,27 @@ def _gate_grid(x0: float):
     return -mags  # increasing toward 0
 
 
-def _convexity_gate(w: WeightFunction, x0: float):
-    xs = _gate_grid(x0)
+def _convexity_gate(w: WeightFunction, x0: float) -> ConvexityReport:
+    """check_log_convexity on the finite prefix of the gate grid, from the
+    slopes of one fused (F, F') call per point; raises unless strict."""
     # Fast families overflow near 0; keep the finite prefix of the grid.
-    finite = []
-    for x in xs:
+    finite, slopes = [], []
+    for x in _gate_grid(x0):
         x = float(x)
         f, fp = w.big_f_and_prime(x)
         if not (math.isfinite(f) and math.isfinite(fp)):
             break
         finite.append(x)
+        slopes.append(fp)
     if len(finite) < 3:
         raise OverflowError("F is not finite on enough of the gate grid")
-    report = check_log_convexity(w, finite)
+    report = _slope_report(np.array(finite), np.array(slopes), STRICTNESS_TOL)
     if not report.is_strictly_convex:
         raise NotStrictlyConvexError(
             "weight is not strictly convex on the gate grid "
             f"(min slope gap {report.min_slope_gap:.3g}, first violation near "
             f"x = {report.violation_points[0]:.6g})")
+    return report
 
 
 def run_construction(w: WeightFunction, params: ConstructionParams) -> ConstructionState:

@@ -90,13 +90,21 @@ def _power_fp(x, p):
     return -p[0] * math.log(u), p[0] * math.exp(x) / u
 
 
+def _pow_or_inf(u, a):
+    """u ** a for u > 0; +inf where float ** overflows (a < 0, u -> 0)."""
+    try:
+        return u ** a
+    except OverflowError:
+        return math.inf
+
+
 def _exp_power_f(x, p):
-    return _u(x) ** (-p[0])
+    return _pow_or_inf(_u(x), -p[0])
 
 
 def _exp_power_fp(x, p):
     u = _u(x)
-    return u ** (-p[0]), p[0] * u ** (-p[0] - 1.0) * math.exp(x)
+    return _pow_or_inf(u, -p[0]), p[0] * _pow_or_inf(u, -p[0] - 1.0) * math.exp(x)
 
 
 def _double_exp_f(x, p):
@@ -372,6 +380,12 @@ def check_log_convexity(w: WeightFunction, x_grid, tol: float = STRICTNESS_TOL) 
     slopes = np.array([w.big_f_prime(float(x)) for x in xs])
     if not np.all(np.isfinite(slopes)):
         raise OverflowError("F' is not finite on the whole grid")
+    return _slope_report(xs, slopes, tol)
+
+
+def _slope_report(xs: np.ndarray, slopes: np.ndarray, tol: float) -> ConvexityReport:
+    """check_log_convexity's report from the finite slopes F'(xs) on an
+    increasing grid of at least 3 points."""
     gaps = np.diff(slopes)
     bad = np.nonzero(gaps <= tol)[0]
     return ConvexityReport(

@@ -21,11 +21,18 @@ def _u(x):
     return -math.expm1(x)
 
 
+def _pow_or_inf(u, a):
+    try:
+        return u ** a
+    except OverflowError:  # the families promise +inf where F' overflows
+        return math.inf
+
+
 # The analytic F' of every family, as separate formulas.
 SEPARATE_F_PRIME = {
     "ramey_ullrich": lambda x, p: math.exp(x) / _u(x),
     "power": lambda x, p: p[0] * math.exp(x) / _u(x),
-    "exp_power": lambda x, p: p[0] * _u(x) ** (-p[0] - 1.0) * math.exp(x),
+    "exp_power": lambda x, p: p[0] * _pow_or_inf(_u(x), -p[0] - 1.0) * math.exp(x),
     "double_exp": lambda x, p: (math.exp(1.0 / _u(x) + x) / _u(x) ** 2
                                 if 1.0 / _u(x) + x - 2.0 * math.log(_u(x)) <= LOG_MAX
                                 else math.inf),

@@ -100,6 +100,14 @@ class TestVerify:
         report = json.loads(capsys.readouterr().out)
         assert report["min_second_diff"] >= -1e-7
 
+    def test_hadamard_names_basis(self, capsys):
+        rc = main(["verify", "hadamard", "--random-polys", "10", "--seed", "7"])
+        assert rc == 0
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert report["basis"] == "bracket" and report["converged"] is True
+        assert f"bracket basis (log width {report['log_bracket_width']:.3g})" in captured.err
+
     @pytest.mark.parametrize("flags, match", [(["--random-polys", "0"], "at least one function"),
                                               (["--max-degree", "0"], "max_degree")])
     def test_hadamard_bad_inputs(self, flags, match, capsys):

@@ -1,5 +1,6 @@
 """Tangent-line induction: solver precision, run invariants, lemma checks."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -10,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import logweight as lw
-from logweight.construction import ConstructionError, ConstructionParams
+from logweight.construction import (ConstructionError, ConstructionParams,
+                                    _convexity_gate, _gate_grid)
+from logweight.weight_model import check_log_convexity
 from reference_construction import reference_run_construction
 
 
@@ -243,6 +246,63 @@ def assert_same_run(w, params):
                 lambda s: [line.xi for line in s.lines]):
         np.testing.assert_array_equal(bits(get(new)), bits(get(ref)))
     return new
+
+
+class CountingWeight:
+    """A weight's F, F' and fused (F, F'), counting the calls of each."""
+
+    def __init__(self, w):
+        self.w, self.calls = w, {"big_f": 0, "big_f_prime": 0, "big_f_and_prime": 0}
+
+    def __getattr__(self, name):
+        method = getattr(self.w, name)
+        if name not in self.calls:
+            return method
+
+        def counted(x):
+            self.calls[name] += 1
+            return method(x)
+        return counted
+
+
+class TestConvexityGate:
+    """The gate decides on the fused slopes: one (F, F') call per grid
+    point, no F' call, and check_log_convexity's report and errors."""
+
+    @pytest.mark.parametrize("w, x0", [
+        (lw.make_weight("exp_power", (2.0,)), math.log(0.95)),
+        (lw.make_weight("double_exp"), math.log(0.95)),
+        (lw.make_weight("perturbed_sawtooth"), -1.5),
+        (lw.weight_from_knots([(-3.0, 0.0), (-1.0, 1.0), (-0.5, 1.5), (-0.1, 2.0)]), -2.0),
+    ], ids=["exp_power", "double_exp", "sawtooth", "linear_knots"])
+    def test_one_fused_call_per_point(self, w, x0):
+        grid = [float(x) for x in _gate_grid(x0)]
+        prefix = list(itertools.takewhile(
+            lambda x: all(map(math.isfinite, w.big_f_and_prime(x))), grid))
+        counted = CountingWeight(w)
+        try:
+            expected = check_log_convexity(w, prefix)
+        except (OverflowError, ValueError):
+            with pytest.raises(OverflowError, match="enough of the gate grid"):
+                _convexity_gate(counted, x0)
+        else:
+            if expected.is_strictly_convex:
+                assert _convexity_gate(counted, x0) == expected
+            else:
+                with pytest.raises(lw.NotStrictlyConvexError,
+                                   match=f"min slope gap {expected.min_slope_gap:.3g}, "):
+                    _convexity_gate(counted, x0)
+        assert counted.calls["big_f_prime"] == counted.calls["big_f"] == 0
+        assert counted.calls["big_f_and_prime"] == min(len(prefix) + 1, len(grid))
+
+    def test_bench_gate_calls(self):
+        counted = CountingWeight(lw.make_weight("exp_power", (2.0,)))
+        lw.run_construction(counted, ConstructionParams(x0=math.log(0.95), k_max=1))
+        assert counted.calls["big_f_prime"] == 0
+
+    def test_too_few_finite_points(self):
+        with pytest.raises(OverflowError, match="enough of the gate grid"):
+            _convexity_gate(CountingWeight(lw.make_weight("double_exp")), -1e-3)
 
 
 class TestFusedStepOracle:

@@ -8,6 +8,7 @@ import pytest
 
 import logweight as lw
 from logweight.construction import ConstructionParams
+from logweight.envelope import _log_max_moduli
 
 
 class TestMaxModulus:
@@ -42,7 +43,7 @@ class TestMaxModulus:
 
     def test_adaptive_converges(self):
         f = lambda z: z**5 + 1.0
-        val, used = lw.max_modulus_adaptive(f, 0.5)
+        val = _log_max_moduli(f, [0.5], 0).values[0]
         dense = lw.max_modulus(f, 0.5, 1 << 16)
         assert val == pytest.approx(dense, abs=1e-8)
 
@@ -82,14 +83,29 @@ class TestHadamard:
             lw.hadamard_check([], np.geomspace(0.1, 0.9, 16))
 
     def test_bench_report_pinned(self):
-        # the report of the CLI defaults, as sampling every angle afresh
-        # at each doubling gave it
-        fs = [lw.polynomial_callable(c) for c in lw.random_polynomials(100, 30, seed=7)]
+        # the sampled report of the CLI's polynomials, as sampling every
+        # angle afresh at each doubling gave it; polyval keeps them opaque
+        polyval = np.polynomial.polynomial.polyval
+        fs = [lambda z, c=c: polyval(z, c) for c in lw.random_polynomials(100, 30, seed=7)]
         rep = lw.hadamard_check(fs, np.geomspace(0.05, 0.95, 64))
         assert rep.to_json_dict() == {
             "passed": True, "min_second_diff": 8.660217394140801e-05,
             "witness_r": 0.05239232609751095, "n_functions": 100, "r_count": 64,
-            "theta_count": 65536, "tol": 1e-07}
+            "theta_count": 65536, "tol": 1e-07, "basis": "sampled",
+            "converged": False, "log_bracket_width": None}
+
+    def test_bench_report_bracket_pinned(self):
+        # the same polynomials bracketed: FFT and Newton rounding is not
+        # pinned bit for bit, so the floats are compared to 1e-9
+        fs = [lw.polynomial_callable(c) for c in lw.random_polynomials(100, 30, seed=7)]
+        rep = lw.hadamard_check(fs, np.geomspace(0.05, 0.95, 64)).to_json_dict()
+        floats = {key: rep.pop(key) for key in ("min_second_diff", "log_bracket_width")}
+        assert floats == pytest.approx({"min_second_diff": 8.671652026404075e-05,
+                                        "log_bracket_width": 0.041591875216195895}, rel=1e-9)
+        assert rep == {
+            "passed": True, "witness_r": 0.05239232609751095, "n_functions": 100,
+            "r_count": 64, "theta_count": 256, "tol": 1e-07, "basis": "bracket",
+            "converged": True}
 
 
 def _bits(values):
@@ -266,10 +282,7 @@ class TestNaNValues:
                               np.geomspace(0.1, 0.9, 16), theta_count=64)
 
 class TestAdaptiveStopRule:
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 5: the doubling rule stops once a doubling fails to beat "
-        "the old maximum; this polynomial stops at 128 angles, 0.0137 low"))
     def test_no_underestimate(self):
         f = lw.polynomial_callable(lw.random_polynomials(100, 30, seed=7)[98])
-        value, used = lw.max_modulus_adaptive(f, 0.95)
+        value = _log_max_moduli(f, [0.95], 0).values[0]
         assert lw.max_modulus(f, 0.95, 1 << 18) - value <= 1e-9

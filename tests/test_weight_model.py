@@ -115,6 +115,20 @@ class TestBigF:
         w = lw.make_weight("double_exp")
         assert w.big_f(-1e-6) == math.inf
 
+    @pytest.mark.parametrize("alpha", [2.0, 1.7])
+    def test_exp_power_overflow_gives_inf(self, alpha):
+        # float ** raises OverflowError where (1 - t)^(-alpha) passes the
+        # float range; F and F' read +inf there, each on its own
+        w = lw.make_weight("exp_power", (alpha,))
+        assert w.log_omega_one_minus(1e-200) == math.inf
+        assert w.big_f(-1e-200) == w.big_f_prime(-1e-200) == math.inf
+        assert w.big_f_and_prime(-1e-200) == (math.inf, math.inf)
+        # F still finite, F' = alpha u^(-alpha-1) e^x past the range
+        x = -(1e-310 ** (1.0 / (alpha + 1.0)))
+        f, fp = w.big_f_and_prime(x)
+        assert f == (-math.expm1(x)) ** (-alpha) < math.inf and fp == math.inf
+        assert w.big_f_prime(x) == math.inf
+
     @pytest.mark.parametrize("family,params", ANALYTIC_FAMILIES)
     def test_matches_omega_through_log(self, family, params):
         # log omega from F and omega in closed form are two evaluation
