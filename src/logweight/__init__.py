@@ -21,7 +21,7 @@ from .envelope import (EnvelopeResult, EquivalenceConstants, HadamardReport,
                        equivalence_constants, hadamard_check, hull_weight,
                        log_convex_envelope, max_modulus, polynomial_callable,
                        random_polynomials)
-from .series import (AdjustedPair, LacunarySeries, SandwichReport,
+from .series import (AdjustedPair, LacunarySeries, SandwichReport, ScaledArray,
                      ScaledComplex, SeriesPair, eval_series,
                      eval_series_grid, frequency_profile, modulus_sum,
                      sandwich_check, sandwich_samples, split_parity,
@@ -38,7 +38,7 @@ __all__ = [
     "EquivalenceConstants", "ExponentCollisionError", "FamilyReport",
     "HadamardReport", "LacunarySeries", "LemmaReport",
     "NotStrictlyConvexError", "PolynomialFamily",
-    "SandwichReport", "ScaledComplex", "SeriesPair", "SlowGrowthError",
+    "SandwichReport", "ScaledArray", "ScaledComplex", "SeriesPair", "SlowGrowthError",
     "TangentLine", "WeightFunction", "ball_lower_bound_check",
     "build_ball_functions", "check_doubling",
     "check_log_convexity", "check_unbounded", "coordinate_family_d2",

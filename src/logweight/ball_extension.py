@@ -299,8 +299,10 @@ class BallFunctionSystem:
         """Function `index` restricted to the complex line through zeta is
         the series sum_j a_j W_q[e_j](zeta) lam^{e_j}; returns its
         log-moduli, unit phases and exponents, with one provider call per
-        term."""
+        term.  The constant function is the one term 1 = e^0 lam^0."""
         func = self.functions[index]
+        if func.is_one:
+            return np.zeros(1), np.ones(1, dtype=complex), np.zeros(1)
         w = np.array([self.family.eval(func.q, e, zeta) for _, e in func.terms],
                      dtype=complex)
         mags = np.abs(w)
@@ -316,11 +318,9 @@ class BallFunctionSystem:
         so the radial scale separates exactly and only the largest term
         magnitude is exponentiated.
         """
-        if self.functions[index].is_one:
-            return ScaledComplex.normalize(1.0 + 0j, 0.0)
         if not 0.0 <= t < 1.0:
             raise ValueError(f"t={t} outside [0, 1)")
-        return _eval_points(*self._coefficients(index, zeta), np.array([t], dtype=complex))[0]
+        return _eval_points(*self._coefficients(index, zeta), np.array([t + 0j])).item(0)
 
     def log_modulus_sum(self, t: float, zeta: np.ndarray) -> float:
         """log sum_{m <= 2Q} |f_m(t zeta)|, without the constant function."""
@@ -349,15 +349,12 @@ class BallFunctionSystem:
         example the three-circles convexity check) applies directly to
         ball functions through their slices.  A nonzero `shift` divides by
         lam^shift termwise; shifting by the least exponent makes the slice
-        nonvanishing at 0, as the convexity check requires.  `lam` may be
-        an array of points (the values come back as an array of
-        ScaledComplex); they go through the series kernel in blocks of 256
-        points, whatever their moduli, so a circle of 256 sample points
-        costs one kernel call.
+        nonvanishing at 0, as the convexity check requires.  A scalar `lam`
+        gives a ScaledComplex; an array of points gives one ScaledArray of
+        its shape.  The points go through the series kernel in blocks of
+        256, whatever their moduli, so a circle of 256 sample points costs
+        one kernel call.
         """
-        if self.functions[index].is_one:
-            one = ScaledComplex.normalize(1.0 + 0j, 0.0)
-            return lambda lam: np.full(np.shape(lam), one, dtype=object)[()]
         log_mods, units, es = self._coefficients(index, zeta)
         es = es - shift
 
@@ -365,8 +362,8 @@ class BallFunctionSystem:
             lam = np.asarray(lam, dtype=complex)
             if np.any(np.abs(lam) >= 1.0):
                 raise ValueError("slice argument must lie in the open unit disk")
-            values = _eval_points(log_mods, units, es, lam.ravel()).reshape(lam.shape)
-            return values if lam.ndim else values[()]
+            values = _eval_points(log_mods, units, es, lam)
+            return values if lam.ndim else values.item()
 
         return slice_fn
 

@@ -30,6 +30,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .numerics import exp_or_inf, logsumexp
+from .series import ScaledArray
 from .weight_model import WeightFunction, weight_from_knots
 
 # Discrete convexity tolerance of the three-circles check.  Under basis
@@ -65,16 +66,12 @@ class _MaxModuli(NamedTuple):
 
 def _log_abs_values(values, zs: np.ndarray) -> np.ndarray:
     """log|f| from values = f(zs).  f takes the whole array of points and
-    returns an array of its shape, of complex values or of ScaledComplex.
-    A NaN value raises: it is neither zero nor a modulus to maximize."""
-    arr = np.asarray(values)
-    if arr.shape != zs.shape:
-        raise ValueError(f"callable returned shape {arr.shape} for points of shape {zs.shape}")
-    if arr.dtype == object:
-        logs = np.array([v.log_abs for v in arr.ravel()], dtype=float).reshape(zs.shape)
-    else:
-        with np.errstate(divide="ignore"):
-            logs = np.log(np.abs(arr))
+    returns values of its shape, complex or a ScaledArray (as ball slices
+    do).  A NaN value raises: it is neither zero nor a modulus to maximize."""
+    with np.errstate(divide="ignore"):
+        logs = values.log_abs if isinstance(values, ScaledArray) else np.log(np.abs(values))
+    if logs.shape != zs.shape:
+        raise ValueError(f"callable returned shape {logs.shape} for points of shape {zs.shape}")
     if np.isnan(logs).any():
         raise ValueError("callable returned NaN")
     return logs
@@ -348,16 +345,17 @@ def hadamard_check(fs: Sequence[Callable], r_grid, theta_count: int = 0,
 
 def _polynomial_behind(f: Callable, m: int) -> Callable:
     """f, or the PolynomialCallable that f forwards to, once f(0) != 0 is
-    checked.  A callable that returns a PolynomialCallable's own output
-    array, unchanged, when called at 0 (a wrapper that counts or traces
-    calls, say) is taken to be that polynomial, so that a wrapped
-    polynomial gets the bracket too; every other callable stays
-    opaque."""
+    checked.  A bare polynomial with finite coefficients is not called:
+    Horner's rule gives coeffs[0] at 0.  A callable that returns a
+    PolynomialCallable's own output array, unchanged, when called at 0 (a
+    wrapper that counts or traces calls, say) is taken to be that
+    polynomial, so that it gets the bracket too; the rest stay opaque."""
     zero = np.zeros(1, dtype=complex)
     calls = []
     token = _POLYNOMIAL_CALLS.set(calls)
     try:
-        values = f(zero)
+        bare = isinstance(f, PolynomialCallable) and np.isfinite(f.coeffs).all()
+        values = f.coeffs[:1] if bare else f(zero)
     finally:
         _POLYNOMIAL_CALLS.reset(token)
     if _log_abs_values(values, zero)[0] == -math.inf:

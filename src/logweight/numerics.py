@@ -49,8 +49,3 @@ def logaddexp(a: float, b: float) -> float:
         return a
     return float(np.logaddexp(a, b))
 
-
-def triangle_wave(s):
-    """Periodic triangle in [0, 1]: zero at integers, peak 1 at half-integers."""
-    frac = s - np.floor(s)
-    return 1.0 - 2.0 * np.abs(frac - 0.5)

@@ -34,6 +34,7 @@ DROP_THRESHOLD = 200.0
 SANDWICH_SLACK = 1e-9
 
 _TWO_PI = 2.0 * math.pi
+_LN2 = math.log(2.0)
 
 # Zero adjustment skips its rotation search when the tail of f1 sums to at
 # most this fraction of the leading term on |z| <= t0: then |f1| >= a_1/2
@@ -62,7 +63,7 @@ class ScaledComplex:
             return ScaledComplex(0j, NEG_INF)
         k = math.frexp(abs(value))[1] - 1
         return ScaledComplex(complex(value.real * 2.0 ** -k, value.imag * 2.0 ** -k),
-                             log_scale + k * math.log(2.0))
+                             log_scale + k * _LN2)
 
     @property
     def is_zero(self) -> bool:
@@ -78,6 +79,32 @@ class ScaledComplex:
         if self.is_zero:
             return 0j
         return self.mantissa * math.exp(self.log_scale)
+
+
+@dataclass(frozen=True)
+class ScaledArray:
+    """ScaledComplex values elementwise: mantissa and log_scale arrays of one shape."""
+
+    mantissa: np.ndarray
+    log_scale: np.ndarray
+
+    @staticmethod
+    def normalize(values: np.ndarray, log_scale: np.ndarray) -> "ScaledArray":
+        """ScaledComplex.normalize elementwise, bit for bit: |v| and log|m| by
+        Python's abs and math.log (numpy's differ in the last bit on some values)."""
+        k = np.frexp(np.reshape([abs(v) for v in values.ravel().tolist()], values.shape))[1] - 1
+        mantissa = np.empty_like(values)
+        mantissa.real, mantissa.imag = np.ldexp(values.real, -k), np.ldexp(values.imag, -k)
+        mantissa[values == 0] = 0.0
+        return ScaledArray(mantissa, np.where(mantissa == 0, NEG_INF, log_scale + k * _LN2))
+
+    def item(self, index=()) -> ScaledComplex:
+        return ScaledComplex(complex(self.mantissa[index]), float(self.log_scale[index]))
+
+    @property
+    def log_abs(self) -> np.ndarray:
+        logs = [math.log(abs(m)) if m else NEG_INF for m in self.mantissa.ravel().tolist()]
+        return np.add(logs, self.log_scale.ravel()).reshape(self.mantissa.shape)
 
 
 @dataclass(frozen=True)
@@ -161,26 +188,24 @@ def _scaled_terms(log_mods, exponents, log_radii):
     return np.where(keep[live], np.exp(logs[live]), 0.0), live, l_max
 
 
-def _eval_points(log_mods, units, exponents, zs) -> np.ndarray:
-    """sum_k exp(log_mods_k) units_k z^exponents_k at the points of the
-    1-d array zs, as ScaledComplex values, with phases
-    e^{i fmod(e arg z, 2 pi)}; units None means every unit is 1.  Points
-    go through the kernel in blocks of _BLOCK, each at its own radius, so
-    a sampled circle of up to _BLOCK angles costs one kernel call."""
+def _eval_points(log_mods, units, exponents, zs) -> ScaledArray:
+    """sum_k exp(log_mods_k) units_k z^exponents_k at the points zs, as a
+    ScaledArray of their shape, phases e^{i fmod(e arg z, 2 pi)}; units None
+    means every unit is 1.  Points go through the kernel in blocks of
+    _BLOCK, each at its own radius: a circle of _BLOCK angles is one call."""
+    flat = zs.ravel()
     # math.log: numpy's vectorized log differs in the last bit on some inputs.
-    log_rs = np.array([math.log(r) if r > 0.0 else NEG_INF for r in np.abs(zs).tolist()])
-    out = np.empty(zs.shape, dtype=object)
-    for start in range(0, zs.size, _BLOCK):
+    log_rs = np.array([math.log(r) if r > 0.0 else NEG_INF for r in np.abs(flat).tolist()])
+    sums, scales = np.empty(flat.shape, dtype=complex), np.empty(flat.shape)
+    for start in range(0, flat.size, _BLOCK):
         block = slice(start, start + _BLOCK)
-        mant, live, scales = _scaled_terms(log_mods, exponents, log_rs[block])
-        angles = np.fmod(np.multiply.outer(exponents[live], np.angle(zs[block])), _TWO_PI)
+        mant, live, scales[block] = _scaled_terms(log_mods, exponents, log_rs[block])
+        angles = np.fmod(np.multiply.outer(exponents[live], np.angle(flat[block])), _TWO_PI)
         phases = np.exp(1j * angles)
         if units is not None:
             phases = phases * units[live, None]
-        sums = np.einsum("kp,kp->p", mant, phases)
-        out[block] = [ScaledComplex.normalize(complex(v), float(c))
-                      for v, c in zip(sums, scales)]
-    return out
+        sums[block] = np.einsum("kp,kp->p", mant, phases)
+    return ScaledArray.normalize(sums.reshape(zs.shape), scales.reshape(zs.shape))
 
 
 def eval_series(s: LacunarySeries, z: complex) -> ScaledComplex:
@@ -190,7 +215,7 @@ def eval_series(s: LacunarySeries, z: complex) -> ScaledComplex:
     if abs(z) >= 1.0:
         raise ValueError(f"|z| = {abs(z)} is outside the open unit disk")
     return _eval_points(np.array(s.log_coeffs), None,
-                        np.array(s.exponents, dtype=float), np.array([z]))[0]
+                        np.array(s.exponents, dtype=float), np.array([z])).item(0)
 
 
 def modulus_sum(pair: SeriesPair, z: complex) -> float:

@@ -37,7 +37,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .numerics import LOG_MAX, exp_or_inf, triangle_wave
+from .numerics import LOG_MAX, exp_or_inf
 
 # Slope gap below which F' is not considered strictly increasing.
 STRICTNESS_TOL = 1e-10
@@ -156,14 +156,19 @@ def _bump(x, p):
     return height * max(0.0, 1.0 - abs(x - x_star) / width)
 
 
+def _triangle_wave(s: float) -> float:
+    """Triangle in [0, 1], zero at integers; s % 1.0 rounds as s - floor(s)."""
+    return 1.0 - 2.0 * abs(s % 1.0 - 0.5)
+
+
 def _sawtooth(x, p):
     amp, period = p
-    return amp * float(triangle_wave(x / period))
+    return amp * _triangle_wave(x / period)
 
 
 def _unbounded_sawtooth(x, p):
     scale, log_period = p
-    return (scale / abs(x)) * float(triangle_wave(math.log(1.0 / abs(x)) / log_period))
+    return (scale / abs(x)) * _triangle_wave(math.log(1.0 / abs(x)) / log_period)
 
 
 _PERTURBATIONS = {

@@ -16,6 +16,7 @@ import numpy as np
 
 from logweight.envelope import HADAMARD_TOL, HadamardReport, PolynomialCallable
 from logweight.numerics import logsumexp
+from logweight.series import ScaledArray
 
 START = 64
 CAP = 1 << 16
@@ -25,9 +26,9 @@ DENSE = 1 << 18
 
 def reference_max_modulus(f, r: float, theta_count: int) -> float:
     thetas = 2.0 * math.pi * np.arange(theta_count) / theta_count
-    values = np.asarray(f(r * np.exp(1j * thetas)))
-    if values.dtype == object:
-        logs = np.array([v.log_abs for v in values])
+    values = f(r * np.exp(1j * thetas))
+    if isinstance(values, ScaledArray):
+        logs = values.log_abs
     else:
         with np.errstate(divide="ignore"):
             logs = np.where(np.abs(values) > 0, np.log(np.abs(values)), -np.inf)

@@ -30,8 +30,8 @@ import math
 import numpy as np
 
 from logweight.numerics import NEG_INF, exp_or_inf
-from logweight.series import (DROP_THRESHOLD, ScaledComplex, eval_series_grid,
-                              inner_disk_radii)
+from logweight.series import (DROP_THRESHOLD, ScaledArray, ScaledComplex,
+                              eval_series_grid, inner_disk_radii)
 
 
 def _lacunary_sums(log_mods, units, exponents, log_radii, phases):
@@ -78,19 +78,27 @@ def reference_grid(s, t_values, theta_count, theta_indices=None):
     return out
 
 
+def stack_scaled(values) -> ScaledArray:
+    """ScaledComplex values gathered into one ScaledArray."""
+    return ScaledArray(np.array([v.mantissa for v in values], dtype=complex),
+                       np.array([v.log_scale for v in values], dtype=float))
+
+
 def reference_points(log_mods, units, exponents, zs):
-    """sum_k exp(log_mods_k) units_k z^exponents_k at the points zs, as
-    ScaledComplex values, one sum per distinct float |z|."""
+    """sum_k exp(log_mods_k) units_k z^exponents_k at the points zs, one
+    sum per distinct float |z|, each normalized on its own by
+    ScaledComplex.normalize and gathered into a ScaledArray."""
     rs = np.abs(zs)
-    out = np.empty(zs.shape, dtype=object)
+    out = [None] * zs.size
     for r in set(rs.tolist()):
-        at = rs == r
+        at = np.flatnonzero(rs == r)
         phases = np.exp(1j * np.fmod(np.multiply.outer(exponents, np.angle(zs[at])),
                                      2.0 * math.pi))
         log_r = math.log(r) if r > 0.0 else NEG_INF
         sums, scales = _lacunary_sums(log_mods, units, exponents, np.array([log_r]), phases)
-        out[at] = [ScaledComplex.normalize(complex(v), float(scales[0])) for v in sums[0]]
-    return out
+        for i, v in zip(at, sums[0]):
+            out[i] = ScaledComplex.normalize(complex(v), float(scales[0]))
+    return stack_scaled(out)
 
 
 def reference_emit_csv(pair, w, t_grid, angles):

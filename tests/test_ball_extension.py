@@ -323,9 +323,9 @@ class TestSliceReduction:
         sl = system.slice_callable(0, lw.sphere_points(2, 64, seed=3)[7])
         lams = np.outer([0.0, 0.3, 0.95], np.exp(2j * np.pi * np.arange(8) / 8))
         values = sl(lams)
-        assert values.shape == lams.shape
-        for lam, v in zip(lams.ravel(), values.ravel()):
-            assert v.log_abs == pytest.approx(sl(complex(lam)).log_abs, rel=1e-13)
+        assert values.mantissa.shape == lams.shape
+        for lam, log_abs in zip(lams.ravel(), values.log_abs.ravel()):
+            assert log_abs == pytest.approx(sl(complex(lam)).log_abs, rel=1e-13)
         # max_modulus hands the whole circle over in one call
         sizes = []
         lw.max_modulus(lambda z: sizes.append(np.size(z)) or sl(z), 0.5, 64)
@@ -355,8 +355,12 @@ class TestConstantSlice:
                                          sphere_samples=64)
         sl = system.slice_callable(len(system.functions) - 1, np.ones(1, dtype=complex))
         lams = np.full((2, 3), 0.5 + 0j)
-        assert all(v.to_complex() == 1.0 for v in sl(lams).ravel())
-        assert sl(lams).shape == lams.shape
+        values = sl(lams)
+        assert np.all(values.mantissa * np.exp(values.log_scale) == 1.0)
+        assert values.mantissa.shape == lams.shape
         assert sl(0.5 + 0j).to_complex() == 1.0
+        for t in (0.0, 0.5):
+            assert system.eval(len(system.functions) - 1, t, np.ones(1, dtype=complex)) == \
+                lw.ScaledComplex(1 + 0j, 0.0)
         rep = lw.hadamard_check([sl], np.geomspace(0.1, 0.9, 8), theta_count=64)
         assert rep.passed and rep.min_second_diff == 0.0

@@ -9,6 +9,7 @@ import pytest
 import logweight as lw
 from logweight.construction import ConstructionParams
 from logweight.envelope import _log_max_moduli
+from logweight.series import ScaledArray
 
 
 class TestMaxModulus:
@@ -257,12 +258,11 @@ class TestArrayContract:
 
 
 def _nan_where(mask, scaled):
-    """The constant 1, NaN where mask(z) holds; as ScaledComplex if scaled."""
+    """The constant 1, NaN where mask(z) holds; as a ScaledArray if scaled."""
     def f(z):
         vals = np.where(mask(z), np.nan, 1.0 + 0j)
         if scaled:
-            vals = np.array([lw.ScaledComplex(complex(v), 0.0) for v in vals.ravel()],
-                            dtype=object).reshape(z.shape)
+            vals = ScaledArray(vals, np.zeros(z.shape))
         return vals
     return f
 

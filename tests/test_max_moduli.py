@@ -226,3 +226,28 @@ class TestReportBasis:
         assert lw.hadamard_check(counted, self.rs).to_json_dict() == bare
         assert calls == [1] * len(fs)
         assert lw.hadamard_check(scaled, self.rs).basis == "sampled"
+
+
+class TestOriginProbe:
+    """hadamard_check reads f(0) of a bare polynomial with finite
+    coefficients from coeffs[0]; every other callable is called at 0."""
+
+    rs = np.geomspace(0.05, 0.95, 16)
+
+    def test_bare_polynomial_not_called(self, monkeypatch):
+        fs = [lw.polynomial_callable(c) for c in lw.random_polynomials(5, 30, seed=7)]
+        calls = []
+        monkeypatch.setattr(lw.envelope.PolynomialCallable, "__call__",
+                            lambda self, z: calls.append(np.size(z)))
+        assert lw.hadamard_check(fs, self.rs).basis == "bracket"
+        assert calls == []
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_infinite_top_coefficient_raises_nan(self):
+        with pytest.raises(ValueError, match="NaN"):
+            lw.hadamard_check([lw.polynomial_callable([1.0, 0.5, np.inf])], self.rs)
+
+    @pytest.mark.parametrize("coeffs", [[0.0, 1.0], [0j, 0.5, -1j]])
+    def test_zero_constant_term_vanishes(self, coeffs):
+        with pytest.raises(ValueError, match="function 0 vanishes at 0"):
+            lw.hadamard_check([lw.polynomial_callable(coeffs)], self.rs)

@@ -4,17 +4,22 @@
 |z|-grouped point evaluation as oracles.
 """
 
+import hashlib
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import logweight as lw
 from logweight import series
-from logweight.series import _eval_points, inner_disk_radii
+from logweight.envelope import _log_max_moduli
+from logweight.series import ScaledArray, ScaledComplex, _eval_points, inner_disk_radii
 
-from reference_series import reference_grid, reference_points
+from reference_series import reference_grid, reference_points, stack_scaled
 
 X0 = math.log(0.95)
 
@@ -36,8 +41,9 @@ def slice_system():
 
 
 def bits(values):
-    return np.array([[v.mantissa.real, v.mantissa.imag, v.log_scale]
-                     for v in values]).tobytes()
+    """The bytes of a ScaledArray: mantissa parts and log scale per point."""
+    m = values.mantissa.ravel()
+    return np.column_stack([m.real, m.imag, values.log_scale.ravel()]).tobytes()
 
 
 class TestGridMatchesReference:
@@ -102,7 +108,7 @@ class TestPointsMatchReference:
         log_mods = np.array(s.log_coeffs)
         es = np.array(s.exponents, dtype=float)
         zs = np.array([0j, 0.5, -0.3j, deep_pair.t0 * 1j, deep_pair.t_last * np.exp(2j)])
-        assert bits([lw.eval_series(s, z) for z in zs]) == \
+        assert bits(stack_scaled([lw.eval_series(s, z) for z in zs])) == \
             bits(reference_points(log_mods, np.ones(es.size, dtype=complex), es, zs))
 
     def test_dense_series_agree_to_rounding(self):
@@ -117,7 +123,8 @@ class TestPointsMatchReference:
             zs = rng.uniform(0.01, 0.999, 600) * np.exp(2j * math.pi * rng.uniform(size=600))
             got = _eval_points(log_mods, units, es, zs)
             want = reference_points(log_mods, units, es, zs)
-            for a, b, z in zip(got, want, zs):
+            for i, z in enumerate(zs):
+                a, b = got.item(i), want.item(i)
                 top = float(np.max(log_mods + es * math.log(abs(z))))
                 diff = a.mantissa * math.exp(a.log_scale - top) - b.mantissa * math.exp(b.log_scale - top)
                 assert abs(diff) <= 4 * k * np.finfo(float).eps
@@ -140,3 +147,113 @@ class TestOneKernelCallPerBlock:
         system.slice_callable(0, zeta)(lam)
         assert len(seen) == calls
         assert max(seen) <= 256
+
+
+def per_point(values, log_scales):
+    """ScaledComplex.normalize of every value on its own, gathered."""
+    return stack_scaled([ScaledComplex.normalize(complex(v), float(c))
+                         for v, c in zip(values.tolist(), log_scales.tolist())])
+
+
+def log_abs_bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestArrayNormalization:
+    """The array path normalizes every sum as ScaledComplex.normalize does,
+    bit for bit, and reads log|value| as ScaledComplex.log_abs does."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n_terms=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_eval_points_matches_per_point_normalize(self, data, n_terms, seed):
+        rng = np.random.default_rng(seed)
+        exponents = np.sort(rng.choice(120, n_terms, replace=False)).astype(float)
+        log_mods = rng.uniform(-30.0, 30.0, n_terms)
+        units = np.exp(2j * math.pi * rng.uniform(size=n_terms))
+        cancel = n_terms >= 2 and data.draw(st.booleans(), label="cancelling pair")
+        if cancel:
+            # at z = 1 the first two terms are equal and opposite and every
+            # other term is dropped, so the sum there is exactly 0
+            log_mods[:2], units[:2] = log_mods.max() + 250.0, (1.0, -1.0)
+        radii = rng.uniform(0.0, 0.999, 300)
+        radii[rng.integers(0, 300, 5)] = 0.0
+        zs = radii * np.exp(2j * math.pi * rng.uniform(size=300))
+        zs[rng.integers(0, 300, 3)] = 1.0
+        seen = []
+        normalize = ScaledArray.normalize
+
+        def spy(values, log_scale):
+            seen.append((values.copy(), log_scale.copy()))
+            return normalize(values, log_scale)
+
+        with mock.patch.object(ScaledArray, "normalize", staticmethod(spy)):
+            got = _eval_points(log_mods, units, exponents, zs)
+        (sums, scales), = seen
+        want = per_point(sums, scales)
+        assert bits(got) == bits(want)
+        assert log_abs_bits(got.log_abs) == log_abs_bits(
+            [want.item(i).log_abs for i in range(zs.size)])
+        if cancel:
+            assert np.all(sums[zs == 1.0] == 0) and np.all(np.isfinite(scales[zs == 1.0]))
+
+    def test_edge_values(self):
+        # powers of two and their neighbours, signed zeros, a wide exponent
+        # range, zero sums at a finite scale, inf and NaN
+        tops = np.ldexp(1.0, np.arange(-1000, 1001, 37))
+        mags = np.concatenate([tops, np.nextafter(tops, 0.0), np.nextafter(tops, np.inf)])
+        values = np.concatenate([
+            mags + 0j, -mags + 0j, mags * 1j, complex(-0.0, 1.0) * mags, mags * (0.6 - 0.8j),
+            [0j, complex(-0.0, -0.0), complex(0.0, -0.0), np.inf + 0j, complex(np.nan, 0.0)]])
+        scales = np.linspace(-700.0, 700.0, values.size)
+        scales[-5:-2] = (3.5, -np.inf, 0.0)
+        with np.errstate(invalid="ignore"):
+            got = ScaledArray.normalize(values, scales)
+        assert bits(got) == bits(per_point(values, scales))
+        assert log_abs_bits(got.log_abs) == log_abs_bits(
+            [got.item(i).log_abs for i in range(values.size)])
+        assert got.item(-5) == ScaledComplex(0j, -math.inf)
+
+
+class TestBenchmarkSlices:
+    """The two slices of the benchmark: exp_power alpha = 1, the last of
+    sphere_points(1, 64, 7), each shifted by its least exponent, on 24
+    radii by 256 angles."""
+
+    rs = np.geomspace(0.1, 0.9, 24)
+    # sha256 of the per-radius log max |f| and of the (mantissa, log scale)
+    # bits of every point, as the per-point ScaledComplex path gave them
+    pins = {0: ("8377b611ac96a57b3d59efd75f8d9e937ea27955683b32a88075b1ea1e7f1c1a",
+                "dc6a855c17fb921b1f7f69b747ea51e056acef60adca6b730b0f8b70438c4dae"),
+            1: ("4461d05d0443aacbf5ec2a4439609e99c0fac7b86723816c830077ed01bce582",
+                "a046b1eab7cc968545351ef465bd59dd7f6b43884e0ab601e8c789f9c9b84e43")}
+
+    def slice_fn(self, slice_system, index):
+        system, zeta = slice_system
+        shift = min(e for _, e in system.functions[index].terms)
+        return system.slice_callable(index, zeta, shift=shift)
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_reports_pinned(self, slice_system, index):
+        f = self.slice_fn(slice_system, index)
+        assert lw.hadamard_check([f], self.rs, theta_count=256).to_json_dict() == {
+            "passed": True, "min_second_diff": 0.0, "witness_r": 0.11002434828571835,
+            "n_functions": 1, "r_count": 24, "theta_count": 256, "tol": 1e-07,
+            "basis": "sampled", "converged": True, "log_bracket_width": None}
+        values_pin, points_pin = self.pins[index]
+        values = _log_max_moduli(f, self.rs, 256).values
+        assert hashlib.sha256(values.tobytes()).hexdigest() == values_pin
+        circle = np.exp(2j * math.pi * np.arange(256) / 256)
+        points = f(self.rs[:, None] * circle)
+        assert hashlib.sha256(bits(points)).hexdigest() == points_pin
+
+    def test_no_scaled_complex_per_point(self, slice_system, monkeypatch):
+        f = self.slice_fn(slice_system, 0)
+        built = []
+        init = ScaledComplex.__init__
+        monkeypatch.setattr(ScaledComplex, "__init__",
+                            lambda self, *args: built.append(1) or init(self, *args))
+        circle = np.exp(2j * math.pi * np.arange(256) / 256)
+        values = f(self.rs[:, None] * circle)
+        assert isinstance(values, ScaledArray) and values.mantissa.shape == (24, 256)
+        assert built == []
+        assert isinstance(f(0.5 + 0j), ScaledComplex) and built == [1]

@@ -8,7 +8,7 @@ import sympy as sp
 
 import logweight as lw
 from logweight.construction import _gate_grid
-from logweight.weight_model import UNBOUNDED_LOG_THRESHOLD
+from logweight.weight_model import UNBOUNDED_LOG_THRESHOLD, _triangle_wave
 from reference_construction import separate_f_prime
 
 
@@ -269,6 +269,50 @@ class TestLogConvexity:
             lw.check_log_convexity(w, [-1.0, -0.5])
         with pytest.raises(ValueError):
             lw.check_log_convexity(w, [-1.0, -1.5, -0.5])
+
+
+def _numpy_triangle_wave(s):
+    """The triangle of the perturbed weights as numpy computed it."""
+    frac = s - np.floor(s)
+    return 1.0 - 2.0 * np.abs(frac - 0.5)
+
+
+class TestTriangleWave:
+    """The scalar triangle of the sawtooth weights has the numpy formula's bits."""
+
+    def test_bits_match_numpy_formula(self):
+        rng = np.random.default_rng(17)
+        cli_x = np.linspace(-2.0, -0.005, 2001)  # the CLI's envelope grid
+        halves = np.arange(-40, 41) * 0.5
+        probes = np.concatenate([
+            rng.uniform(-10.0, 10.0, 20000), rng.uniform(-1.0, 1.0, 20000),
+            rng.normal(0.0, 1e6, 5000), -np.exp(rng.uniform(-50.0, 50.0, 5000)),
+            cli_x / 0.25, np.log(1.0 / np.abs(cli_x)) / 0.5,
+            halves, np.nextafter(halves, np.inf), np.nextafter(halves, -np.inf),
+            [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 2.0 ** 53 + 2.0]])
+        got = np.array([_triangle_wave(s) for s in probes.tolist()])
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      _numpy_triangle_wave(probes).view(np.uint64))
+
+    def test_non_finite_gives_nan(self):
+        with np.errstate(invalid="ignore"):
+            for s in (math.inf, -math.inf, math.nan):
+                assert math.isnan(_triangle_wave(s)) and np.isnan(_numpy_triangle_wave(s))
+
+    @pytest.mark.parametrize("name", ["perturbed_sawtooth", "perturbed_unbounded_sawtooth"])
+    def test_weights_on_cli_grid(self, name):
+        w = lw.make_weight(name)
+        scale, period = w.params
+        xs = np.linspace(-2.0, -0.005, 2001).tolist()
+        ramey = [-math.log(-math.expm1(x)) for x in xs]
+        if name == "perturbed_sawtooth":
+            want = [f + scale * float(_numpy_triangle_wave(x / period))
+                    for f, x in zip(ramey, xs)]
+        else:
+            want = [f + (scale / abs(x)) * float(_numpy_triangle_wave(math.log(1.0 / abs(x))
+                                                                    / period))
+                    for f, x in zip(ramey, xs)]
+        assert [w.big_f(x) for x in xs] == want
 
 
 class TestDoubling:
