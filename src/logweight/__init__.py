@@ -25,7 +25,7 @@ from .series import (AdjustedPair, LacunarySeries, SandwichReport, ScaledArray,
                      ScaledComplex, SeriesPair, eval_series,
                      eval_series_grid, frequency_profile, modulus_sum,
                      sandwich_check, sandwich_samples, split_parity,
-                     tail_margin, zero_adjust)
+                     zero_adjust)
 from .weight_model import (CONSTRUCTIBLE_FAMILIES, ConvexityReport,
                            DoublingResult, WeightFunction, check_doubling,
                            check_log_convexity, check_unbounded, make_weight,
@@ -49,7 +49,7 @@ __all__ = [
     "monomial_family", "next_tangent", "polynomial_callable",
     "provider_from_interleaved",
     "random_polynomials", "run_construction", "sandwich_check", "sandwich_samples",
-    "sphere_points", "split_parity", "tail_margin", "verify_family",
+    "sphere_points", "split_parity", "verify_family",
     "verify_tangent_lemmas", "weight_from_knots", "weight_from_spec",
     "weight_to_spec", "zero_adjust",
 ]

@@ -15,13 +15,12 @@ sums mantissas of order one.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .construction import ConstructionState, SlowGrowthError, next_tangent
+from .construction import ConstructionState
 from .numerics import NEG_INF, exp_or_inf, logaddexp, logsumexp, normalized_margins
 from .weight_model import WeightFunction
 
@@ -36,9 +35,9 @@ SANDWICH_SLACK = 1e-9
 _TWO_PI = 2.0 * math.pi
 _LN2 = math.log(2.0)
 
-# Zero adjustment skips its rotation search when the tail of f1 sums to at
-# most this fraction of the leading term on |z| <= t0: then |f1| >= a_1/2
-# there, with a wide margin over rounding in the log-domain sum.
+# Zero adjustment needs the tail of f1 to sum to at most this fraction of
+# the leading term on |z| <= t0: then |f1| >= a_1/2 there, with a wide
+# margin over rounding in the log-domain sum.
 DOMINANCE_BOUND = 0.5
 
 # Radii of a grid, or points of a batch, that share one kernel call.
@@ -62,7 +61,7 @@ class ScaledComplex:
         if value == 0:
             return ScaledComplex(0j, NEG_INF)
         k = math.frexp(abs(value))[1] - 1
-        return ScaledComplex(complex(value.real * 2.0 ** -k, value.imag * 2.0 ** -k),
+        return ScaledComplex(complex(math.ldexp(value.real, -k), math.ldexp(value.imag, -k)),
                              log_scale + k * _LN2)
 
     @property
@@ -227,31 +226,28 @@ def modulus_sum(pair: SeriesPair, z: complex) -> float:
 # -- grid evaluation --------------------------------------------------------
 
 
-def eval_series_grid(s: LacunarySeries, t_values, theta_count: int,
-                     theta_indices=None) -> np.ndarray:
+def eval_series_grid(s: LacunarySeries, t_values, theta_count: int) -> np.ndarray:
     """log|series(t e^{i theta_j})| on the (t, theta) product grid.
 
-    Angles are theta_j = 2 pi j / theta_count with j over theta_indices
-    (all of them by default).  Returns shape (len(t_values), n_angles).
-    Radii are evaluated in blocks of _BLOCK, and phases are built only
-    for the terms live in the block (within DROP_THRESHOLD of a per-radius
-    maximum), from the exact residues e mod theta_count, so deep
-    constructions (thousands of terms) cost time and memory in the few
-    terms that matter at each radius.
+    Angles are theta_j = 2 pi j / theta_count, j < theta_count.  Returns
+    shape (len(t_values), theta_count).  Radii are evaluated in blocks of
+    _BLOCK, and phases are built only for the terms live in the block
+    (within DROP_THRESHOLD of a per-radius maximum), from the exact
+    residues e mod theta_count, so deep constructions (thousands of
+    terms) cost time and memory in the few terms that matter at each
+    radius.
     """
     ts = np.asarray(t_values, dtype=float)
     if ts.size and (ts.min() < 0.0 or ts.max() >= 1.0):
         raise ValueError("radii must lie in [0, 1)")
-    n_angles = theta_count if theta_indices is None else len(theta_indices)
-    out = np.full((ts.size, n_angles), NEG_INF)
+    out = np.full((ts.size, theta_count), NEG_INF)
     if not s.terms:
         return out
     log_coeffs = np.asarray(s.log_coeffs)
     exponents = np.asarray(s.exponents, dtype=float)
     residues = np.array([e % theta_count for e in s.exponents], dtype=np.int64)
-    j = (np.arange(theta_count) if theta_indices is None
-         else np.asarray(theta_indices, dtype=np.int64))
-    base = np.exp(2j * math.pi * np.arange(theta_count) / theta_count)
+    j = np.arange(theta_count)
+    base = np.exp(2j * math.pi * j / theta_count)
     with np.errstate(divide="ignore"):
         xs = np.log(ts)
         for start in range(0, ts.size, _BLOCK):
@@ -263,17 +259,11 @@ def eval_series_grid(s: LacunarySeries, t_values, theta_count: int,
 
 
 def _ring_samples(f1: LacunarySeries, f2: LacunarySeries, w: WeightFunction,
-                  radii, angles: int, common: int, shift: int = 0, known=None):
-    """(log omega per radius, log|f1(e^{2 pi i shift/common} z)|,
-    log|f2(z)|) at z = t e^{2 pi i j/angles}, rows indexed by t; angles
-    must divide common.  known, when given, is the (log omega, log|f2|)
-    pair already evaluated on these radii."""
-    j = (np.arange(angles) * (common // angles) + shift) % common
-    f1_grid = eval_series_grid(f1, radii, common, theta_indices=j)
-    if known is None:
-        known = (np.array([w.log_omega(float(t)) for t in radii]),
-                 eval_series_grid(f2, radii, angles))
-    return known[0], f1_grid, known[1]
+                  radii, angles: int):
+    """(log omega per radius, log|f1(z)|, log|f2(z)|) at z = t e^{2 pi i
+    j/angles}, rows indexed by t."""
+    return (np.array([w.log_omega(float(t)) for t in radii]),
+            eval_series_grid(f1, radii, angles), eval_series_grid(f2, radii, angles))
 
 
 def _check_radii(t_grid, t0: float, t_last: float) -> np.ndarray:
@@ -323,8 +313,7 @@ def sandwich_samples(pair: SeriesPair, w: WeightFunction, t_grid, theta_count: i
     log_lower = log(2/5) - h + log omega, log_upper = log 4 + log omega."""
     if theta_count < 1:
         raise ValueError("theta_count must be positive")
-    log_w, log_g1, log_g2 = _ring_samples(pair.g1, pair.g2, w, t_grid,
-                                          theta_count, theta_count)
+    log_w, log_g1, log_g2 = _ring_samples(pair.g1, pair.g2, w, t_grid, theta_count)
     thetas = _TWO_PI * np.arange(theta_count) / theta_count
     return (thetas, log_g1, log_g2, log_w,
             math.log(0.4) - pair.h + log_w, math.log(4.0) + log_w)
@@ -367,26 +356,28 @@ def sandwich_check(pair: SeriesPair, w: WeightFunction, t_grid,
 
 @dataclass(frozen=True)
 class AdjustedPair:
-    """The final pair (f1, f2) with f1(z) = (G1/z^{e1})(e^{i theta*} z).
+    """The final pair (f1, f2) with f1 = G1/z^{e1} and f2 = G2.
 
     Dividing out the leading exponent makes f1(0) = a_1 != 0 and can only
     increase the modulus inside the closed unit disk, so the lower bound
-    survives.  When the leading term of f1 dominates its tail on |z| <= t0
-    (rotation_basis "dominance", log_dominance = log rho <= log 1/2), f1
-    has no zero there and theta* = 0.  Only when dominance fails
-    (rotation_basis "search") is theta* searched, to push the finitely many
-    zeros of the two factors apart on the sampled inner disk.  c_low and
-    c_high are the measured two-sided constants of (|f1|+|f2|)/omega over
-    the sample set; the *_inner and *_annulus logs are the same extremes
-    over the inner disk and over the outer ring (None without one), and
-    log_inner_floor = log omega(t0) - log omega(0) is the spread the inner
-    constants must have wherever |f1|+|f2| is nearly constant there.
+    survives.  zero_adjust admits only pairs whose f1 is dominated by its
+    leading term on |z| <= t0 (log_dominance = log rho <= log 1/2), so f1
+    has no zero there and is never rotated: theta_star, theta_index and
+    rotation_basis are constants, and theta_candidates only records the
+    theta_count asked for.  c_low and c_high are the measured two-sided
+    constants of (|f1|+|f2|)/omega over the sample set; the *_inner and
+    *_annulus logs are the same extremes over the inner disk and over the
+    outer ring (None without one), and log_inner_floor = log omega(t0) -
+    log omega(0) is the spread the inner constants must have wherever
+    |f1|+|f2| is nearly constant there.
     """
+
+    theta_star = 0.0
+    theta_index = 0
+    rotation_basis = "dominance"
 
     f1: LacunarySeries
     f2: LacunarySeries
-    theta_star: float
-    theta_index: int
     theta_candidates: int
     e1: int
     c_low: float
@@ -396,7 +387,6 @@ class AdjustedPair:
     t0: float
     t_last: float
     grid_spec: tuple  # (inner_radii, inner_angles, outer_t_points, outer_angles)
-    rotation_basis: str  # "dominance" or "search"
     log_dominance: float
     log_c_low_inner: float
     log_c_high_inner: float
@@ -405,15 +395,15 @@ class AdjustedPair:
     log_inner_floor: float
 
     def eval_f1(self, z: complex) -> ScaledComplex:
-        return eval_series(self.f1, cmath.exp(1j * self.theta_star) * z)
+        return eval_series(self.f1, z)
 
     def sample_log_ratios(self, w: WeightFunction):
         """(log omega, log(|f1|+|f2|)) over exactly the sample grid the
-        constants were measured on, for cross-checks against independent
-        two-sided constant estimators."""
-        return _log_ratio_samples(self.f1, self.f2, w, self.t0, self.t_last,
-                                  self.theta_index, self.theta_candidates,
-                                  *self.grid_spec)
+        constants were measured on, as flat arrays, inner disk first, for
+        cross-checks against independent two-sided constant estimators."""
+        rings = _ratio_rings(self.f1, self.f2, w, self.t0, self.t_last, *self.grid_spec)
+        return (np.concatenate([np.repeat(log_w, log_s.shape[1]) for log_w, log_s in rings]),
+                np.concatenate([log_s.ravel() for _, log_s in rings]))
 
     def to_json_dict(self) -> dict:
         return {
@@ -456,80 +446,44 @@ def _log_dominance(f1: LacunarySeries, t0: float) -> float:
 
 def _ratio_rings(f1: LacunarySeries, f2: LacunarySeries,
                  w: WeightFunction, t0: float, t_last: float,
-                 theta_index: int, theta_count: int,
                  inner_radii: int, inner_angles: int,
-                 outer_t_points: int, outer_angles: int, inner_known=None):
+                 outer_t_points: int, outer_angles: int):
     """Per ring (the inner disk, then the outer grid over (t0, t_last] when
-    outer_t_points > 0): log omega per radius and log(|f1 rotated| + |f2|)
-    with rows indexed by radius.  inner_known, when given, is the
-    (log omega, log|f2|) pair already evaluated on the inner radii."""
-    common = int(np.lcm(inner_angles, theta_count))
-    if outer_angles:
-        common = int(np.lcm(common, outer_angles))
-    shift = theta_index * (common // theta_count)
-    rings = [(inner_disk_radii(t0, inner_radii), inner_angles, inner_known)]
+    outer_t_points > 0): log omega per radius and log(|f1| + |f2|) with
+    rows indexed by radius."""
+    rings = [(inner_disk_radii(t0, inner_radii), inner_angles)]
     if outer_t_points > 0:
-        rings.append((np.linspace(t0, t_last, outer_t_points + 1)[1:], outer_angles, None))
+        rings.append((np.linspace(t0, t_last, outer_t_points + 1)[1:], outer_angles))
     out = []
-    for radii, angles, known in rings:
-        log_w, f1_ring, f2_ring = _ring_samples(f1, f2, w, radii, angles, common, shift,
-                                                known)
+    for radii, angles in rings:
+        log_w, f1_ring, f2_ring = _ring_samples(f1, f2, w, radii, angles)
         out.append((log_w, np.logaddexp(f1_ring, f2_ring)))
     return out
-
-
-def _log_ratio_samples(*args):
-    """log omega and log(|f1 rotated| + |f2|) on the inner-disk grid united
-    with the outer sandwich grid, as flat arrays in a fixed order; the
-    arguments are those of _ratio_rings."""
-    rings = _ratio_rings(*args)
-    return (np.concatenate([np.repeat(log_w, log_s.shape[1]) for log_w, log_s in rings]),
-            np.concatenate([log_s.ravel() for _, log_s in rings]))
-
-
-def _search_rotation(f1: LacunarySeries, f2: LacunarySeries, w: WeightFunction,
-                     r_in, theta_count: int, inner_angles: int):
-    """The candidate c < theta_count whose rotation maximizes the minimum
-    of (|f1(e^{2 pi i c/theta_count} z)| + |f2(z)|)/omega over the inner
-    grid, plus the inner (log omega, log|f2|) it evaluated."""
-    # Evaluating f1 on a common refined angle grid lets each candidate
-    # rotation reuse exact phases: angle(j, c) = 2 pi (j/inner_angles +
-    # c/theta_count) lives on the lcm grid.
-    common = int(np.lcm(inner_angles, theta_count))
-    stride_j = common // inner_angles
-    stride_c = common // theta_count
-    f1_in = eval_series_grid(f1, r_in, common)
-    f2_in = eval_series_grid(f2, r_in, inner_angles)
-    log_w_in = np.array([w.log_omega(float(t)) for t in r_in])
-
-    j_idx = np.arange(inner_angles) * stride_j
-    best_c = -1
-    best_min = -math.inf
-    for c in range(theta_count):
-        rot = f1_in[:, (j_idx + c * stride_c) % common]
-        ratio = np.logaddexp(rot, f2_in) - log_w_in[:, None]
-        m = float(ratio.min())
-        if m > best_min:
-            best_min = m
-            best_c = c
-    if best_min == -math.inf:
-        raise RuntimeError("adjustment failed - refine grids")
-    return best_c, (log_w_in, f2_in)
 
 
 def zero_adjust(pair: SeriesPair, w: WeightFunction, theta_count: int = 720,
                 inner_radii: int = 100, inner_angles: int = 64,
                 outer_t_points: int = 200, outer_angles: int = 64) -> AdjustedPair:
-    """Pick the rotation and report the grid constants measured on a
-    sample grid (a sampling claim, not a bound proved between samples).
+    """Divide G1 by its leading power and report the grid constants
+    measured on a sample grid (a sampling claim, not a bound proved
+    between samples).
 
-    When the leading term of f1 = G1/z^{e1} dominates its tail on the
-    closed disk |z| <= t0 (rho <= DOMINANCE_BOUND, see _log_dominance), f1
-    has no zero there and theta* = 0 with no search.  Only when dominance
-    fails is theta* searched among theta_count uniform candidates, to
-    maximize the minimum of (|f1| + |f2|)/omega over a polar grid of that
-    disk.  The constants c_low/c_high are then measured over that grid
-    united with an outer grid spanning (t0, t_last].
+    The leading term of f1 = G1/z^{e1} must dominate its tail on the
+    closed disk |z| <= t0, rho <= DOMINANCE_BOUND (see _log_dominance):
+    then |f1| >= a_1/2 there and f1 has no zero to move.  A pair that
+    fails the bound is an input error.  A constructed state with
+    t0 >= 0.04 cannot fail it.  Its lemma check lines_later_below puts
+    the lines of one parity 2h apart at x0 = log t0: l_{k+2}(x0) <=
+    l_k(x0) - 2h.  The term a_k t0^{e_k} has log l_k(x0) + (e_k -
+    delta_k) x0, and rounding the slope delta_k up to the integer e_k
+    puts (e_k - delta_k) x0 in [x0, 0).  So the m-th tail term of f1 is
+    at most e^{|x0| - 2mh} times the leading one, and rho <= e^{|x0|} /
+    (e^{2h} - 1): 0.021 at h = 2, t0 = 0.9, and below 1/2 for every
+    t0 >= 0.04 as the construction needs h >= 2.
+
+    theta_count is only recorded, as theta_candidates.  The constants
+    c_low/c_high are measured over a polar grid of the inner disk united
+    with an outer grid spanning (t0, t_last].
     """
     if (min(theta_count, inner_angles) < 1 or inner_radii < 2
             or (outer_t_points > 0 and outer_angles < 1)):
@@ -539,19 +493,14 @@ def zero_adjust(pair: SeriesPair, w: WeightFunction, theta_count: int = 720,
         raise ValueError("g1 is empty")
     e1 = pair.g1.exponents[0]
     f1 = pair.g1.shifted(e1)
-
     log_rho = _log_dominance(f1, pair.t0)
-    if log_rho <= math.log(DOMINANCE_BOUND):
-        basis, theta_index, inner_known = "dominance", 0, None
-    else:
-        basis = "search"
-        theta_index, inner_known = _search_rotation(
-            f1, pair.g2, w, inner_disk_radii(pair.t0, inner_radii), theta_count,
-            inner_angles)
+    if not log_rho <= math.log(DOMINANCE_BOUND):
+        raise ValueError(f"f1 = G1/z^e1 is not dominated by its leading term on |z| <= t0: "
+                         f"rho = {exp_or_inf(log_rho):.6g} > DOMINANCE_BOUND = "
+                         f"{DOMINANCE_BOUND}")
 
-    rings = _ratio_rings(f1, pair.g2, w, pair.t0, pair.t_last, theta_index, theta_count,
-                         inner_radii, inner_angles, outer_t_points, outer_angles,
-                         inner_known)
+    rings = _ratio_rings(f1, pair.g2, w, pair.t0, pair.t_last, inner_radii, inner_angles,
+                         outer_t_points, outer_angles)
     ratios = [log_s - log_w[:, None] for log_w, log_s in rings]
     inner, *annulus = ratios
     log_c_low = float(np.min([r.min() for r in ratios]))
@@ -560,8 +509,6 @@ def zero_adjust(pair: SeriesPair, w: WeightFunction, theta_count: int = 720,
     return AdjustedPair(
         f1=f1,
         f2=pair.g2,
-        theta_star=_TWO_PI * theta_index / theta_count,
-        theta_index=theta_index,
         theta_candidates=theta_count,
         e1=e1,
         c_low=exp_or_inf(log_c_low),
@@ -571,7 +518,6 @@ def zero_adjust(pair: SeriesPair, w: WeightFunction, theta_count: int = 720,
         t0=pair.t0,
         t_last=pair.t_last,
         grid_spec=(inner_radii, inner_angles, outer_t_points, outer_angles),
-        rotation_basis=basis,
         log_dominance=log_rho,
         log_c_low_inner=float(inner.min()),
         log_c_high_inner=float(inner.max()),
@@ -587,29 +533,3 @@ def frequency_profile(state: ConstructionState) -> list:
     if len(state.es) < 2:
         raise ValueError("need at least 2 exponents")
     return [b / a for a, b in zip(state.es, state.es[1:])]
-
-
-def tail_margin(state: ConstructionState, w: WeightFunction, t_grid,
-                rel_bound: float = 1e-9) -> float:
-    """Soundness margin of the truncation over the given radii.
-
-    Computes the hypothetical next line of the induction and returns the
-    worst value of log(rel_bound * omega(t)) - log(a t^delta) over the
-    grid: >= 0 means every radius is far enough below the truncation point
-    that the first omitted term (and hence, by the geometric separation of
-    the lines, the whole omitted tail up to the factor 1/(1-e^{-h})) is
-    below rel_bound * omega(t).  Returns +inf when the weight admits no
-    further tangent step at float resolution.
-    """
-    try:
-        line, _ = next_tangent(w, state.xs[-1], state.params.h,
-                               state.params.root_tol)
-    except (SlowGrowthError, OverflowError):
-        return math.inf
-    worst = math.inf
-    for t in np.asarray(t_grid, dtype=float):
-        t = float(t)
-        x = math.log(t)
-        margin = (math.log(rel_bound) + w.log_omega(t)) - line.value(x)
-        worst = min(worst, margin)
-    return worst

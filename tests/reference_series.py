@@ -16,13 +16,15 @@ product would round differently for groups of one point.
 
 `reference_emit_csv` formats the sandwich samples of `logweight emit`
 cell by cell, and `reference_log_ratio_samples` evaluates zero
-adjustment's inner and outer rings as two separate blocks;
-`logweight` takes both from one (t, theta) ring sampler.
+adjustment's inner and outer rings as two separate blocks, both on
+`reference_grid`; `logweight` takes both from one (t, theta) ring
+sampler.
 
 `reference_zero_adjust` always runs the search over every candidate
-rotation on the inner disk; `logweight.zero_adjust` skips it when the
-leading term of f1 dominates there, and shares the search's inner
-evaluations with the constants' sample grid.
+rotation on the inner disk, on the lcm grid of the inner angles and the
+candidates, and measures the constants on the rotated subsets of that
+grid; `logweight.zero_adjust` admits only pairs whose f1 is dominated
+by its leading term there, never rotates, and samples at 2 pi j/angles.
 """
 
 import math
@@ -30,8 +32,7 @@ import math
 import numpy as np
 
 from logweight.numerics import NEG_INF, exp_or_inf
-from logweight.series import (DROP_THRESHOLD, ScaledArray, ScaledComplex,
-                              eval_series_grid, inner_disk_radii)
+from logweight.series import DROP_THRESHOLD, ScaledArray, ScaledComplex, inner_disk_radii
 
 
 def _lacunary_sums(log_mods, units, exponents, log_radii, phases):
@@ -105,8 +106,8 @@ def reference_emit_csv(pair, w, t_grid, angles):
     """The CSV of `logweight emit` on the radii t_grid, one format per cell."""
     lines = ["t,theta,log_g1_abs,log_g2_abs,log_sum,log_omega,lower_margin,upper_margin"]
     if t_grid.size:
-        g1 = eval_series_grid(pair.g1, t_grid, angles)
-        g2 = eval_series_grid(pair.g2, t_grid, angles)
+        g1 = reference_grid(pair.g1, t_grid, angles)
+        g2 = reference_grid(pair.g2, t_grid, angles)
         log_s = np.logaddexp(g1, g2)
         thetas = 2.0 * math.pi * np.arange(angles) / angles
         for i, t in enumerate(t_grid):
@@ -120,40 +121,25 @@ def reference_emit_csv(pair, w, t_grid, angles):
     return "\n".join(lines) + "\n"
 
 
-def reference_log_ratio_samples(f1, f2, w, t0, t_last, theta_index, theta_count,
-                                inner_radii, inner_angles, outer_t_points, outer_angles):
-    """(log omega, log(|f1 rotated| + |f2|)) on the inner-disk grid, then
-    on the outer grid over (t0, t_last], as flat arrays."""
-    common = int(np.lcm(inner_angles, theta_count))
-    if outer_angles:
-        common = int(np.lcm(common, outer_angles))
-    shift = theta_index * (common // theta_count)
-
-    r_in = inner_disk_radii(t0, inner_radii)
-    j_in = (np.arange(inner_angles) * (common // inner_angles) + shift) % common
-    f1_in = eval_series_grid(f1, r_in, common, theta_indices=j_in)
-    f2_in = eval_series_grid(f2, r_in, inner_angles)
-    log_w_in = np.array([w.log_omega(float(t)) for t in r_in])
-    log_s_parts = [np.logaddexp(f1_in, f2_in).ravel()]
-    log_w_parts = [np.repeat(log_w_in, inner_angles)]
-
+def reference_log_ratio_samples(f1, f2, w, t0, t_last, inner_radii, inner_angles,
+                                outer_t_points, outer_angles):
+    """(log omega, log(|f1| + |f2|)) on the inner-disk grid, then on the
+    outer grid over (t0, t_last], as flat arrays."""
+    rings = [(inner_disk_radii(t0, inner_radii), inner_angles)]
     if outer_t_points > 0:
-        r_out = np.linspace(t0, t_last, outer_t_points + 1)[1:]
-        j_out = (np.arange(outer_angles) * (common // outer_angles) + shift) % common
-        f1_out = eval_series_grid(f1, r_out, common, theta_indices=j_out)
-        f2_out = eval_series_grid(f2, r_out, outer_angles)
-        log_w_out = np.array([w.log_omega(float(t)) for t in r_out])
-        log_s_parts.append(np.logaddexp(f1_out, f2_out).ravel())
-        log_w_parts.append(np.repeat(log_w_out, outer_angles))
-
+        rings.append((np.linspace(t0, t_last, outer_t_points + 1)[1:], outer_angles))
+    log_w_parts, log_s_parts = [], []
+    for radii, angles in rings:
+        log_s = np.logaddexp(reference_grid(f1, radii, angles), reference_grid(f2, radii, angles))
+        log_w_parts.append(np.repeat([w.log_omega(float(t)) for t in radii], angles))
+        log_s_parts.append(log_s.ravel())
     return np.concatenate(log_w_parts), np.concatenate(log_s_parts)
 
 
 def reference_zero_adjust(pair, w, theta_count=720, inner_radii=100, inner_angles=64,
                           outer_t_points=200, outer_angles=64):
-    """The rotation picked by the full search and the constants on the
-    rotated sample grid: (the report keys of the search, log omega,
-    log(|f1| + |f2|)), the last two flat as in `reference_log_ratio_samples`."""
+    """The report keys of the rotation picked by the full search, with the
+    constants measured on the rotated sample grid."""
     e1 = pair.g1.exponents[0]
     f1 = pair.g1.shifted(e1)
     common = int(np.lcm(inner_angles, theta_count))
@@ -161,8 +147,8 @@ def reference_zero_adjust(pair, w, theta_count=720, inner_radii=100, inner_angle
     stride_c = common // theta_count
 
     r_in = inner_disk_radii(pair.t0, inner_radii)
-    f1_in = eval_series_grid(f1, r_in, common)
-    f2_in = eval_series_grid(pair.g2, r_in, inner_angles)
+    f1_in = reference_grid(f1, r_in, common)
+    f2_in = reference_grid(pair.g2, r_in, inner_angles)
     log_w_in = np.array([w.log_omega(float(t)) for t in r_in])
 
     j_idx = np.arange(inner_angles) * stride_j
@@ -178,13 +164,24 @@ def reference_zero_adjust(pair, w, theta_count=720, inner_radii=100, inner_angle
     if best_min == -math.inf:
         raise RuntimeError("adjustment failed - refine grids")
 
-    log_w_all, log_s_all = reference_log_ratio_samples(
-        f1, pair.g2, w, pair.t0, pair.t_last, best_c, theta_count,
-        inner_radii, inner_angles, outer_t_points, outer_angles)
-    ratios = log_s_all - log_w_all
+    # the constants' grid holds the outer angles too
+    if outer_angles:
+        common = int(np.lcm(common, outer_angles))
+    shift = best_c * (common // theta_count)
+    rings = [(r_in, inner_angles, log_w_in, f2_in)]
+    if outer_t_points > 0:
+        r_out = np.linspace(pair.t0, pair.t_last, outer_t_points + 1)[1:]
+        rings.append((r_out, outer_angles, np.array([w.log_omega(float(t)) for t in r_out]),
+                      reference_grid(pair.g2, r_out, outer_angles)))
+    ratios = []
+    for radii, angles, log_w, f2_ring in rings:
+        j = (np.arange(angles) * (common // angles) + shift) % common
+        f1_ring = reference_grid(f1, radii, common, theta_indices=j)
+        ratios.append((np.logaddexp(f1_ring, f2_ring) - log_w[:, None]).ravel())
+    ratios = np.concatenate(ratios)
     log_c_low = float(ratios.min())
     log_c_high = float(ratios.max())
-    report = {
+    return {
         "theta_star": 2.0 * math.pi * best_c / theta_count,
         "theta_index": best_c,
         "theta_candidates": theta_count,
@@ -196,4 +193,3 @@ def reference_zero_adjust(pair, w, theta_count=720, inner_radii=100, inner_angle
         "f1_terms": [[lc, e] for lc, e in f1.terms],
         "f2_terms": [[lc, e] for lc, e in pair.g2.terms],
     }
-    return report, log_w_all, log_s_all

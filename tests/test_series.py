@@ -263,17 +263,3 @@ class TestFrequencyProfile:
         _, state, _ = ramey_pair(t_stop=0.999999999)
         ratios = lw.frequency_profile(state)
         assert all(r > 1.05 for r in ratios)
-
-
-class TestTruncationTail:
-    def test_deep_run_tail_is_negligible_below(self):
-        # Build far past the verification range; the first omitted
-        # monomial is then under 1e-9 * omega everywhere we certify.
-        w, state, _ = ramey_pair(t_stop=1.0 - 1e-9)
-        margin = lw.tail_margin(state, w, np.linspace(0.951, 0.99, 100))
-        assert margin >= 0.0
-
-    def test_shallow_run_tail_is_not(self):
-        w, state, _ = ramey_pair(t_stop=0.96)
-        margin = lw.tail_margin(state, w, [state.t_last * 0.9999])
-        assert margin < 0.0

@@ -48,18 +48,13 @@ def bits(values):
 
 class TestGridMatchesReference:
     def test_lcm_grid_and_rotated_subsets(self, deep_pair):
-        # zero_adjust's inner disk: f1 on the lcm of 64 and 720 angles, in
-        # full and at the rotated 64-angle subsets its constants use.
+        # f1 on zero_adjust's inner disk at the lcm of 64 and 720 angles:
+        # its columns hold every rotated 64-angle subset.
         f1 = deep_pair.g1.shifted(deep_pair.g1.exponents[0])
         r_in = inner_disk_radii(deep_pair.t0, 100)
         common = int(np.lcm(64, 720))
         np.testing.assert_array_equal(lw.eval_series_grid(f1, r_in, common),
                                       reference_grid(f1, r_in, common))
-        for theta_index in (0, 1, 357, 719):
-            j = (np.arange(64) * (common // 64) + theta_index * (common // 720)) % common
-            np.testing.assert_array_equal(
-                lw.eval_series_grid(f1, r_in, common, theta_indices=j),
-                reference_grid(f1, r_in, common, theta_indices=j))
 
     def test_outer_radii_across_blocks(self, deep_pair):
         ts = np.linspace(deep_pair.t0, deep_pair.t_last, 601)[1:]
@@ -197,10 +192,11 @@ class TestArrayNormalization:
             assert np.all(sums[zs == 1.0] == 0) and np.all(np.isfinite(scales[zs == 1.0]))
 
     def test_edge_values(self):
-        # powers of two and their neighbours, signed zeros, a wide exponent
-        # range, zero sums at a finite scale, inf and NaN
+        # powers of two and their neighbours, a subnormal, signed zeros, a
+        # wide exponent range, zero sums at a finite scale, inf and NaN
         tops = np.ldexp(1.0, np.arange(-1000, 1001, 37))
-        mags = np.concatenate([tops, np.nextafter(tops, 0.0), np.nextafter(tops, np.inf)])
+        mags = np.concatenate([tops, np.nextafter(tops, 0.0), np.nextafter(tops, np.inf),
+                               [1e-310]])
         values = np.concatenate([
             mags + 0j, -mags + 0j, mags * 1j, complex(-0.0, 1.0) * mags, mags * (0.6 - 0.8j),
             [0j, complex(-0.0, -0.0), complex(0.0, -0.0), np.inf + 0j, complex(np.nan, 0.0)]])

@@ -1,8 +1,15 @@
-"""Zero adjustment decides the inner disk by dominance first: when the
-leading term of f1 outweighs its tail on |z| <= t0, no rotation search
-runs.  `reference_series.reference_zero_adjust` always searches; the
-report keys it shares with `AdjustedPair.to_json_dict()` and the sample
-ratios must agree bit for bit on both paths.
+"""Zero adjustment admits only pairs whose f1 = G1/z^{e1} is dominated by
+its leading term on |z| <= t0, and never rotates.  On the benchmark
+states the report keys it shares with the always-searching
+`reference_series.reference_zero_adjust` match byte for byte, and its
+sample ratios match the direct-angle rings of
+`reference_series.reference_log_ratio_samples` bit for bit.  A pair
+that fails dominance is an input error.
+
+The oracle measures its constants on the rotated subsets of the search's
+lcm angle grid, whose phase table rounds 2 pi 45j/2880 where zero_adjust
+rounds 2 pi j/64: on exp_power alpha = 1 at the defaults 9 outer-ring
+sample ratios differ from it by up to 6e-14, and the report bytes agree.
 """
 
 import contextlib
@@ -12,12 +19,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import logweight as lw
 from logweight import series
 from logweight.cli import main
 
-from reference_series import reference_zero_adjust
+from reference_series import reference_log_ratio_samples, reference_zero_adjust
 
 X0 = math.log(0.95)
 
@@ -54,32 +63,42 @@ def bench_state(request, tmp_path_factory):
 
 def crossing_pair():
     """f1 = 1 + 3z^2 and f2 = z^2 (1 + 3z^2): both vanish at +-i/sqrt(3),
-    inside t0 = 0.9, so the unrotated pair has common zeros."""
+    inside t0 = 0.9, so f1 is not dominated there (rho = 3 t0^2 = 2.43)."""
     g1 = lw.LacunarySeries(((0.0, 1), (math.log(3.0), 3)))
     g2 = lw.LacunarySeries(((0.0, 2), (math.log(3.0), 4)))
     return lw.SeriesPair(g1=g1, g2=g2, t0=0.9, h=2.0, t_last=0.95)
 
 
-def assert_matches_oracle(adj, w, expected):
-    report, log_w, log_s = expected
+def dominant_pair():
+    """f1 = 1 + z^4/10 and f2 = z^2 (1 + z^4/10): rho = t0^4/10 = 0.066 at
+    t0 = 0.9, so f1 has no zero on |z| <= t0."""
+    g1 = lw.LacunarySeries(((0.0, 1), (math.log(0.1), 5)))
+    g2 = lw.LacunarySeries(((0.0, 2), (math.log(0.1), 6)))
+    return lw.SeriesPair(g1=g1, g2=g2, t0=0.9, h=2.0, t_last=0.95)
+
+
+def assert_matches_oracle(adj, pair, w, **grid):
+    report = reference_zero_adjust(pair, w, **grid)
     got = adj.to_json_dict()
     assert list(got)[:len(report)] == list(report)
     assert tuple(got)[len(report):] == NEW_KEYS
     assert json.dumps({k: got[k] for k in report}) == json.dumps(report)
-    for a, b in zip(adj.sample_log_ratios(w), (log_w, log_s), strict=True):
+    expected = reference_log_ratio_samples(adj.f1, adj.f2, w, adj.t0, adj.t_last,
+                                           *adj.grid_spec)
+    for a, b in zip(adj.sample_log_ratios(w), expected, strict=True):
         np.testing.assert_array_equal(a, b)
 
 
 class CallCounter:
-    """Wraps `series.eval_series_grid`, recording (theta_count, all angles?)."""
+    """Wraps `series.eval_series_grid`, recording the angle count of each call."""
 
     def __init__(self, monkeypatch):
         self.calls = []
         inner = series.eval_series_grid
 
-        def counted(s, t_values, theta_count, theta_indices=None):
-            self.calls.append((theta_count, theta_indices is None))
-            return inner(s, t_values, theta_count, theta_indices)
+        def counted(s, t_values, theta_count):
+            self.calls.append(theta_count)
+            return inner(s, t_values, theta_count)
 
         monkeypatch.setattr(series, "eval_series_grid", counted)
 
@@ -92,7 +111,7 @@ class TestDominance:
         assert adj.rotation_basis == "dominance"
         assert adj.log_dominance < -30.0
         assert (adj.theta_index, adj.theta_star) == (0, 0.0)
-        assert_matches_oracle(adj, w, reference_zero_adjust(pair, w))
+        assert_matches_oracle(adj, pair, w)
 
     def test_dominant_state_skips_full_angle_grid(self, monkeypatch):
         w = lw.make_weight("ramey_ullrich")
@@ -100,9 +119,22 @@ class TestDominance:
         counter = CallCounter(monkeypatch)
         adj = lw.zero_adjust(lw.split_parity(state), w)
         assert adj.rotation_basis == "dominance"
-        common = int(np.lcm(64, 720))
-        assert (common, True) not in counter.calls
-        assert len(counter.calls) == 4  # f1 and f2 on each of the two rings
+        assert counter.calls == [64] * 4  # f1 and f2 on each ring, at its own angles
+
+    def test_each_ring_evaluated_once(self, monkeypatch):
+        w = lw.make_weight("ramey_ullrich")
+        log_omega_radii = []
+        inner = type(w).log_omega
+
+        def counted(self, t):
+            log_omega_radii.append(t)
+            return inner(self, t)
+
+        monkeypatch.setattr(type(w), "log_omega", counted)
+        counter = CallCounter(monkeypatch)
+        lw.zero_adjust(dominant_pair(), w)
+        assert len(counter.calls) == 4
+        assert len(log_omega_radii) == 100 + 200
 
     def test_single_term_has_no_tail(self):
         w = lw.make_weight("ramey_ullrich")
@@ -117,49 +149,56 @@ class TestDominance:
         g1 = lw.LacunarySeries(((math.log(2.0), 3), (0.0, 5), (math.log(0.5), 8)))
         pair = lw.SeriesPair(g1=g1, g2=lw.LacunarySeries(((0.0, 4),)), t0=0.9, h=2.0,
                              t_last=0.95)
-        adj = lw.zero_adjust(pair, lw.make_weight("ramey_ullrich"), theta_count=8,
-                             inner_radii=6, inner_angles=8, outer_t_points=4,
-                             outer_angles=8)
         rho = (0.9 ** 2 + 0.5 * 0.9 ** 5) / 2.0  # 0.553: dominance fails
-        assert adj.log_dominance == pytest.approx(math.log(rho), rel=1e-14)
-        assert adj.rotation_basis == "search"
+        log_rho = series._log_dominance(pair.g1.shifted(3), pair.t0)
+        assert log_rho == pytest.approx(math.log(rho), rel=1e-14)
+        with pytest.raises(ValueError, match=r"rho = 0\.552623 > DOMINANCE_BOUND = 0\.5"):
+            lw.zero_adjust(pair, lw.make_weight("ramey_ullrich"), theta_count=8,
+                           inner_radii=6, inner_angles=8, outer_t_points=4,
+                           outer_angles=8)
+
+    @settings(max_examples=40, deadline=None)
+    @given(family=st.sampled_from([("ramey_ullrich", ()), ("power", (2.0,)),
+                                   ("exp_power", (0.5,)), ("exp_power", (1.0,)),
+                                   ("exp_power", (2.0,)), ("double_exp", ())]),
+           t0=st.floats(0.1, 0.99), h=st.floats(2.0, 5.0))
+    def test_separation_bounds_dominance(self, family, t0, h):
+        # lines_later_below puts the lines of one parity 2h apart at x0, and
+        # rounding slopes up to integers costs at most |x0| in log.  (Past
+        # t0 = 0.998 double_exp's F leaves the float range on the
+        # construction's convexity gate.)
+        w = lw.make_weight(*family)
+        x0 = math.log(t0)
+        state = lw.run_construction(w, lw.ConstructionParams(x0=x0, h=h, k_max=40))
+        pair = lw.split_parity(state)
+        log_rho = series._log_dominance(pair.g1.shifted(pair.g1.exponents[0]), pair.t0)
+        assert log_rho <= abs(x0) - math.log(math.expm1(2.0 * h))
 
 
-class TestSearch:
+class TestNonDominance:
     @pytest.mark.parametrize("grid", [{}, {"theta_count": 30, "inner_radii": 12,
                                            "inner_angles": 7, "outer_t_points": 9,
                                            "outer_angles": 5}])
-    def test_failing_dominance_runs_search(self, grid):
-        w = lw.make_weight("ramey_ullrich")
-        pair = crossing_pair()
-        adj = lw.zero_adjust(pair, w, **grid)
-        assert adj.rotation_basis == "search"
-        assert adj.log_dominance == pytest.approx(math.log(3.0 * 0.81), rel=1e-14)
-        assert adj.theta_index != 0  # the unrotated pair shares its zeros
-        assert_matches_oracle(adj, w, reference_zero_adjust(pair, w, **grid))
-
-    def test_inner_ring_evaluated_once(self, monkeypatch):
-        w = lw.make_weight("ramey_ullrich")
-        log_omega_radii = []
-        inner = type(w).log_omega
-
-        def counted(self, t):
-            log_omega_radii.append(t)
-            return inner(self, t)
-
-        monkeypatch.setattr(type(w), "log_omega", counted)
+    def test_crossing_pair_is_an_input_error(self, grid, monkeypatch):
         counter = CallCounter(monkeypatch)
-        lw.zero_adjust(crossing_pair(), w)
-        assert len(counter.calls) == 5
-        assert counter.calls.count((int(np.lcm(64, 720)), True)) == 1
-        assert len(log_omega_radii) == 100 + 200
+        with pytest.raises(ValueError, match=r"rho = 2\.43 > DOMINANCE_BOUND = 0\.5"):
+            lw.zero_adjust(crossing_pair(), lw.make_weight("ramey_ullrich"), **grid)
+        assert counter.calls == []  # decided before any sampling
+
+    def test_overflowing_rho_is_named(self):
+        # log rho = 800: rho itself is past the float range
+        g1 = lw.LacunarySeries(((0.0, 1), (800.0 - 2.0 * math.log(0.9), 3)))
+        pair = lw.SeriesPair(g1=g1, g2=lw.LacunarySeries(((0.0, 2),)), t0=0.9, h=2.0,
+                             t_last=0.95)
+        with pytest.raises(ValueError, match=r"rho = inf > DOMINANCE_BOUND = 0\.5"):
+            lw.zero_adjust(pair, lw.make_weight("ramey_ullrich"))
 
 
 class TestRingConstants:
-    @pytest.mark.parametrize("pair_of", ["ramey", "crossing"])
+    @pytest.mark.parametrize("pair_of", ["ramey", "hand_built"])
     def test_rings_split_the_constants(self, pair_of):
         w = lw.make_weight("ramey_ullrich")
-        pair = (crossing_pair() if pair_of == "crossing" else
+        pair = (dominant_pair() if pair_of == "hand_built" else
                 lw.split_parity(lw.run_construction(w, lw.ConstructionParams(x0=X0))))
         adj = lw.zero_adjust(pair, w, theta_count=32, inner_radii=16, inner_angles=16,
                              outer_t_points=24, outer_angles=8)
@@ -174,7 +213,7 @@ class TestRingConstants:
         assert adj.log_inner_floor == w.log_omega(pair.t0) - w.log_omega(0.0)
 
     def test_no_outer_ring_has_no_annulus(self):
-        adj = lw.zero_adjust(crossing_pair(), lw.make_weight("ramey_ullrich"),
+        adj = lw.zero_adjust(dominant_pair(), lw.make_weight("ramey_ullrich"),
                              theta_count=8, inner_radii=6, inner_angles=8,
                              outer_t_points=0, outer_angles=0)
         assert adj.log_c_low_annulus is None and adj.log_c_high_annulus is None
