@@ -20,11 +20,11 @@ from . import __version__
 from .ball_extension import (ball_lower_bound_check, build_ball_functions,
                              family_from_manifest, verify_family)
 from .construction import (ConstructionError, ConstructionParams,
-                           ConstructionState, run_construction,
-                           verify_tangent_lemmas)
+                           ConstructionState, check_state_matches,
+                           run_construction, verify_tangent_lemmas)
 from .envelope import (hadamard_check, log_convex_envelope,
                        polynomial_callable, random_polynomials)
-from .series import sandwich_check, sandwich_samples, split_parity
+from .series import _sandwich_blocks, sandwich_check, split_parity
 from .weight_model import WeightFunction, make_weight, weight_from_spec
 
 EXIT_PASS = 0
@@ -89,9 +89,14 @@ def _load_weight(args) -> WeightFunction:
     return make_weight(args.family, params, table=table)
 
 
-def _load_state(path: str) -> ConstructionState:
-    with open(path) as fh:
-        return ConstructionState.from_json_dict(json.load(fh))
+def _load_inputs(args) -> tuple:
+    """(weight, state) from the weight flags and --state, after checking
+    that the state was built for that weight."""
+    w = _load_weight(args)
+    with open(args.state) as fh:
+        state = ConstructionState.from_json_dict(json.load(fh))
+    check_state_matches(state, w)
+    return w, state
 
 
 def _add_weight_flags(p):
@@ -123,8 +128,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify_sandwich(args) -> int:
-    w = _load_weight(args)
-    state = _load_state(args.state)
+    w, state = _load_inputs(args)
     report = sandwich_check(split_parity(state), w, _t_grid(args, state),
                             theta_count=args.angles)
     _write([render_json(report.to_json_dict()) + "\n"], args.out)
@@ -134,8 +138,7 @@ def cmd_verify_sandwich(args) -> int:
 
 
 def cmd_verify_lemmas(args) -> int:
-    w = _load_weight(args)
-    state = _load_state(args.state)
+    w, state = _load_inputs(args)
     report = verify_tangent_lemmas(state, w, samples_per_interval=args.samples,
                                    delta=args.delta)
     _write([render_json(report.to_json_dict()) + "\n"], args.out)
@@ -166,8 +169,7 @@ def cmd_verify_envelope(args) -> int:
 
 
 def cmd_verify_ball(args) -> int:
-    w = _load_weight(args)
-    state = _load_state(args.state)
+    w, state = _load_inputs(args)
     manifest = {"kind": args.poly_family, "delta": args.delta}
     fam = family_from_manifest(manifest)
     degrees = args.degrees or list(state.es)
@@ -187,21 +189,24 @@ def cmd_verify_ball(args) -> int:
 
 
 def cmd_emit(args) -> int:
-    w = _load_weight(args)
-    state = _load_state(args.state)
+    w, state = _load_inputs(args)
     t_grid = _t_grid(args, state)
-    thetas, g1, g2, log_w, lo, hi = sandwich_samples(split_parity(state), w, t_grid,
+    thetas, log_w, lo, hi, blocks = _sandwich_blocks(split_parity(state), w, t_grid,
                                                      args.angles)
-    log_s = np.logaddexp(g1, g2)
-    # One % per radius; %.17g prints as format(x, ".17g") does, inf and nan too.
-    template = ("%.17g," * 7 + "%.17g\n") * args.angles
+    # t and log omega are formatted once per radius and theta once per
+    # angle, leaving five %.17g per cell; %.17g prints as format(x, ".17g")
+    # does, inf and nan too.
+    template = "".join("{t},%.17g,%%.17g,%%.17g,%%.17g,{w},%%.17g,%%.17g\n" % th
+                       for th in thetas.tolist())
 
     def chunks():
         yield EMIT_HEADER
-        for i, t in enumerate(t_grid):
-            cols = np.broadcast_arrays(t, thetas, g1[i], g2[i], log_s[i], log_w[i],
-                                       log_s[i] - lo[i], hi[i] - log_s[i])
-            yield template % tuple(np.stack(cols, axis=1).ravel().tolist())
+        for rows, g1, g2 in blocks:
+            log_s = np.logaddexp(g1, g2)
+            cells = np.stack([g1, g2, log_s, log_s - lo[rows, None], hi[rows, None] - log_s],
+                             axis=2).reshape(log_s.shape[0], -1)
+            for t, w_t, row in zip(t_grid[rows].tolist(), log_w[rows].tolist(), cells):
+                yield template.format(t="%.17g" % t, w="%.17g" % w_t) % tuple(row.tolist())
 
     _write(chunks(), args.out)
     print(f"emitted {t_grid.size * args.angles} rows", file=sys.stderr)

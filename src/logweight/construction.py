@@ -443,6 +443,24 @@ def _tail_log_bound(k, pts, log_as, slopes, gap):
     return logsumexp(terms, axis=1)
 
 
+def check_state_matches(state: ConstructionState, w: WeightFunction) -> None:
+    """Raise ValueError unless the state was built for this weight: the
+    chord identities l_k(x_{k-1}) = F(x_{k-1}) - h must hold, to 1e-6
+    relative, at the first and the last line (two evaluations of F)."""
+    if not state.lines:
+        raise ValueError("state has no lines")
+    h = state.params.h
+    K = len(state.lines)
+    for k in (1, K):
+        x = float(state.xs[k - 1])
+        lhs = state.lines[k - 1].value(x)
+        rhs = w.big_f(x) - h
+        if abs(lhs - rhs) > 1e-6 * max(1.0, abs(rhs)):
+            raise ValueError(
+                "state does not match this weight (chord residual "
+                f"{abs(lhs - rhs):.3g} at k={k})")
+
+
 def verify_tangent_lemmas(state: ConstructionState, w: WeightFunction,
                           samples_per_interval: int = 50,
                           delta: Optional[float] = None) -> LemmaReport:
@@ -501,15 +519,7 @@ def verify_tangent_lemmas(state: ConstructionState, w: WeightFunction,
     es = np.asarray(state.es, dtype=float)
     ks = np.arange(1, K + 1)
 
-    # State/weight consistency gate: the chord identities must hold.
-    for k in (1, K):
-        lhs = state.lines[k - 1].value(xs[k - 1])
-        rhs = w.big_f(float(xs[k - 1])) - h
-        if abs(lhs - rhs) > 1e-6 * max(1.0, abs(rhs)):
-            raise ValueError(
-                "state does not match this weight (chord residual "
-                f"{abs(lhs - rhs):.3g} at k={k})")
-
+    check_state_matches(state, w)
     lb, c, f_c = np.array([
         _min_above_line(w, line, xs[k], xs[k + 1], xs[0], state.params.root_tol)
         for k, line in enumerate(state.lines)]).T

@@ -25,13 +25,15 @@ def logsumexp(log_values, axis=None):
     return float(out) if axis is None else out
 
 
-def normalized_margins(lhs, rhs):
+def normalized_margins(lhs, rhs, scale=None):
     """Log-domain margins lhs - rhs divided by max(1, |lhs|, |rhs|), so
-    they are relative to the size of the compared sides.  An infinite
+    they are relative to the size of the compared sides; a caller that
+    has formed that scale already passes it as `scale`.  An infinite
     difference is kept, so an lhs at -inf or an rhs at +inf fails
     unboundedly."""
     diff = np.subtract(lhs, rhs)
-    scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    if scale is None:
+        scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
     return np.divide(diff, scale, out=diff, where=~np.isinf(diff))
 
 

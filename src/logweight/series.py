@@ -226,35 +226,63 @@ def modulus_sum(pair: SeriesPair, z: complex) -> float:
 # -- grid evaluation --------------------------------------------------------
 
 
-def eval_series_grid(s: LacunarySeries, t_values, theta_count: int) -> np.ndarray:
-    """log|series(t e^{i theta_j})| on the (t, theta) product grid.
+def _grid_kernel(s: LacunarySeries, theta_count: int):
+    """Set s up once for the (t, theta) grid, theta_j = 2 pi j /
+    theta_count, and return its block evaluator: log-radii of at most
+    _BLOCK radii -> log|s(t e^{i theta_j})| with rows indexed by radius.
 
-    Angles are theta_j = 2 pi j / theta_count, j < theta_count.  Returns
-    shape (len(t_values), theta_count).  Radii are evaluated in blocks of
-    _BLOCK, and phases are built only for the terms live in the block
-    (within DROP_THRESHOLD of a per-radius maximum), from the exact
-    residues e mod theta_count, so deep constructions (thousands of
-    terms) cost time and memory in the few terms that matter at each
-    radius.
+    Phases are built only for the terms live in the block (within
+    DROP_THRESHOLD of a per-radius maximum), from the exact residues
+    e mod theta_count, so deep constructions (thousands of terms) cost
+    time and memory in the few terms that matter at each radius.
     """
-    ts = np.asarray(t_values, dtype=float)
-    if ts.size and (ts.min() < 0.0 or ts.max() >= 1.0):
-        raise ValueError("radii must lie in [0, 1)")
-    out = np.full((ts.size, theta_count), NEG_INF)
+    if theta_count < 1:
+        raise ValueError(f"theta_count must be at least 1, got {theta_count}")
     if not s.terms:
-        return out
+        return lambda xs: np.full((xs.size, theta_count), NEG_INF)
     log_coeffs = np.asarray(s.log_coeffs)
     exponents = np.asarray(s.exponents, dtype=float)
     residues = np.array([e % theta_count for e in s.exponents], dtype=np.int64)
     j = np.arange(theta_count)
     base = np.exp(2j * math.pi * j / theta_count)
+
+    def block(xs):
+        mant, live, scales = _scaled_terms(log_coeffs, exponents, xs)
+        sums = mant.T @ base[residues[live, None] * j % theta_count]
+        with np.errstate(divide="ignore"):
+            logs = np.log(np.abs(sums))
+        logs += scales[:, None]
+        return logs
+
+    return block
+
+
+def _log_radii(t_values):
+    """(radii, log radii) as arrays; radii must lie in [0, 1)."""
+    ts = np.asarray(t_values, dtype=float)
+    if ts.size and (ts.min() < 0.0 or ts.max() >= 1.0):
+        raise ValueError("radii must lie in [0, 1)")
     with np.errstate(divide="ignore"):
-        xs = np.log(ts)
-        for start in range(0, ts.size, _BLOCK):
-            block = slice(start, start + _BLOCK)
-            mant, live, scales = _scaled_terms(log_coeffs, exponents, xs[block])
-            sums = mant.T @ base[residues[live, None] * j % theta_count]
-            out[block] = np.log(np.abs(sums)) + scales[:, None]
+        return ts, np.log(ts)
+
+
+def _row_blocks(count: int) -> list:
+    """Consecutive slices of at most _BLOCK rows covering range(count)."""
+    return [slice(start, min(start + _BLOCK, count)) for start in range(0, count, _BLOCK)]
+
+
+def eval_series_grid(s: LacunarySeries, t_values, theta_count: int) -> np.ndarray:
+    """log|series(t e^{i theta_j})| on the (t, theta) product grid.
+
+    Angles are theta_j = 2 pi j / theta_count, j < theta_count.  Returns
+    shape (len(t_values), theta_count), filled _BLOCK radii at a time by
+    the evaluator of _grid_kernel.
+    """
+    kernel = _grid_kernel(s, theta_count)
+    ts, xs = _log_radii(t_values)
+    out = np.empty((ts.size, theta_count))
+    for rows in _row_blocks(ts.size):
+        out[rows] = kernel(xs[rows])
     return out
 
 
@@ -305,18 +333,45 @@ class SandwichReport:
         }
 
 
+def _sandwich_blocks(pair: SeriesPair, w: WeightFunction, t_grid, theta_count: int):
+    """The samples of sandwich_samples, streamed: (thetas, log_omega,
+    log_lower, log_upper, blocks), the first four whole, and blocks
+    yielding (rows, log|G1|, log|G2|) for consecutive slices rows of at
+    most _BLOCK radii.  Every input error is raised here, before the
+    first block is evaluated."""
+    g1 = _grid_kernel(pair.g1, theta_count)
+    g2 = _grid_kernel(pair.g2, theta_count)
+    log_w = np.array([w.log_omega(float(t)) for t in t_grid])
+    ts, xs = _log_radii(t_grid)
+    thetas = _TWO_PI * np.arange(theta_count) / theta_count
+    blocks = ((rows, g1(xs[rows]), g2(xs[rows])) for rows in _row_blocks(ts.size))
+    return thetas, log_w, math.log(0.4) - pair.h + log_w, math.log(4.0) + log_w, blocks
+
+
 def sandwich_samples(pair: SeriesPair, w: WeightFunction, t_grid, theta_count: int):
     """The sandwich (2/5)e^{-h} omega < |G1|+|G2| < 4 omega sampled at
     z = t e^{i theta_j}, theta_j = 2 pi j / theta_count.  Returns (thetas,
     log_g1, log_g2, log_omega, log_lower, log_upper): log|G1| and log|G2|
     with rows indexed by t, and per radius log omega and the bounds
     log_lower = log(2/5) - h + log omega, log_upper = log 4 + log omega."""
-    if theta_count < 1:
-        raise ValueError("theta_count must be positive")
-    log_w, log_g1, log_g2 = _ring_samples(pair.g1, pair.g2, w, t_grid, theta_count)
-    thetas = _TWO_PI * np.arange(theta_count) / theta_count
-    return (thetas, log_g1, log_g2, log_w,
-            math.log(0.4) - pair.h + log_w, math.log(4.0) + log_w)
+    thetas, log_w, lo, hi, blocks = _sandwich_blocks(pair, w, t_grid, theta_count)
+    log_g1 = np.empty((log_w.size, theta_count))
+    log_g2 = np.empty_like(log_g1)
+    for rows, g1, g2 in blocks:
+        log_g1[rows], log_g2[rows] = g1, g2
+    return thetas, log_g1, log_g2, log_w, lo, hi
+
+
+def _first_worst(worst, margins: np.ndarray, row0: int):
+    """np.argmin over a row-major grid that arrives in row blocks: worst
+    is the (margin, row, column) kept so far, or None, and margins the
+    block starting at row row0.  An earlier cell keeps a tie, and NaN
+    counts as smallest."""
+    r, c = np.unravel_index(np.argmin(margins), margins.shape)
+    m = float(margins[r, c])
+    if worst is None or m < worst[0] or (math.isnan(m) and not math.isnan(worst[0])):
+        return m, row0 + int(r), int(c)
+    return worst
 
 
 def sandwich_check(pair: SeriesPair, w: WeightFunction, t_grid,
@@ -326,25 +381,33 @@ def sandwich_check(pair: SeriesPair, w: WeightFunction, t_grid,
     Every t must lie in (t0, t_last], the range the construction actually
     covered; radii outside it are an input error, not a bound failure.
     Margins are log-domain differences normalized by the magnitudes of the
-    compared sides; pass means every margin >= -1e-9.
+    compared sides; pass means every margin >= -1e-9.  The grid is reduced
+    _BLOCK radii at a time and never held whole.  Each witness is the
+    first (t, theta) cell in row-major order, rows indexed by t, whose
+    margin is the worst, a NaN margin counting as worst: the cell
+    np.argmin picks over the whole grid.
     """
     ts = _check_radii(t_grid, pair.t0, pair.t_last)
-    thetas, log_g1, log_g2, _, lo_bound, hi_bound = sandwich_samples(pair, w, ts, theta_count)
-    log_s = np.logaddexp(log_g1, log_g2)
-    del log_g1, log_g2  # two grids fewer alive while the margins are formed
-    lower = normalized_margins(log_s, lo_bound[:, None])
-    upper = normalized_margins(hi_bound[:, None], log_s)
-
-    li = np.unravel_index(np.argmin(lower), lower.shape)
-    ui = np.unravel_index(np.argmin(upper), upper.shape)
-    lower_margin = float(lower[li])
-    upper_margin = float(upper[ui])
+    thetas, _, lo_bound, hi_bound, blocks = _sandwich_blocks(pair, w, ts, theta_count)
+    # max(1, |bound|) once per radius; a cell's scale is its max with |log_s|
+    lo_scale = np.maximum(1.0, np.abs(lo_bound))[:, None]
+    hi_scale = np.maximum(1.0, np.abs(hi_bound))[:, None]
+    lower = upper = None
+    for rows, log_s, log_g2 in blocks:
+        np.logaddexp(log_s, log_g2, out=log_s)
+        del log_g2
+        abs_s = np.abs(log_s)
+        lower = _first_worst(lower, normalized_margins(
+            log_s, lo_bound[rows, None], np.maximum(abs_s, lo_scale[rows])), rows.start)
+        upper = _first_worst(upper, normalized_margins(
+            hi_bound[rows, None], log_s, np.maximum(abs_s, hi_scale[rows])), rows.start)
+        del log_s, abs_s  # freed before the next block is evaluated
     return SandwichReport(
-        passed=bool(lower_margin >= -SANDWICH_SLACK and upper_margin >= -SANDWICH_SLACK),
-        lower_margin=lower_margin,
-        lower_witness=(float(ts[li[0]]), float(thetas[li[1]])),
-        upper_margin=upper_margin,
-        upper_witness=(float(ts[ui[0]]), float(thetas[ui[1]])),
+        passed=bool(lower[0] >= -SANDWICH_SLACK and upper[0] >= -SANDWICH_SLACK),
+        lower_margin=lower[0],
+        lower_witness=(float(ts[lower[1]]), float(thetas[lower[2]])),
+        upper_margin=upper[0],
+        upper_witness=(float(ts[upper[1]]), float(thetas[upper[2]])),
         t_count=int(ts.size),
         theta_count=theta_count,
         h=pair.h,

@@ -14,6 +14,9 @@ Phases times units are formed out of place: numpy multiplies a lone
 complex pair in place without a fused multiply-add, so an in-place
 product would round differently for groups of one point.
 
+`reference_sandwich_check` forms the whole (t, theta) grid of margins
+and takes its witnesses by `np.argmin`; `logweight.sandwich_check`
+reduces blocks of 256 radii and never holds the grid.
 `reference_emit_csv` formats the sandwich samples of `logweight emit`
 cell by cell, and `reference_log_ratio_samples` evaluates zero
 adjustment's inner and outer rings as two separate blocks, both on
@@ -31,8 +34,9 @@ import math
 
 import numpy as np
 
-from logweight.numerics import NEG_INF, exp_or_inf
-from logweight.series import DROP_THRESHOLD, ScaledArray, ScaledComplex, inner_disk_radii
+from logweight.numerics import NEG_INF, exp_or_inf, normalized_margins
+from logweight.series import (DROP_THRESHOLD, SANDWICH_SLACK, ScaledArray, ScaledComplex,
+                              inner_disk_radii)
 
 
 def _lacunary_sums(log_mods, units, exponents, log_radii, phases):
@@ -100,6 +104,31 @@ def reference_points(log_mods, units, exponents, zs):
         for i, v in zip(at, sums[0]):
             out[i] = ScaledComplex.normalize(complex(v), float(scales[0]))
     return stack_scaled(out)
+
+
+def reference_sandwich_check(pair, w, t_grid, theta_count):
+    """The report dict of `sandwich_check` from the full grids of
+    log|G1|, log|G2| and both normalized margins."""
+    ts = np.asarray(t_grid, dtype=float)
+    log_s = np.logaddexp(reference_grid(pair.g1, ts, theta_count),
+                         reference_grid(pair.g2, ts, theta_count))
+    log_w = np.array([w.log_omega(float(t)) for t in ts])
+    lower = normalized_margins(log_s, (math.log(0.4) - pair.h + log_w)[:, None])
+    upper = normalized_margins((math.log(4.0) + log_w)[:, None], log_s)
+    thetas = 2.0 * math.pi * np.arange(theta_count) / theta_count
+    li = np.unravel_index(np.argmin(lower), lower.shape)
+    ui = np.unravel_index(np.argmin(upper), upper.shape)
+    lower_margin, upper_margin = float(lower[li]), float(upper[ui])
+    return {
+        "passed": bool(lower_margin >= -SANDWICH_SLACK and upper_margin >= -SANDWICH_SLACK),
+        "lower_margin": lower_margin,
+        "lower_witness": {"t": float(ts[li[0]]), "theta": float(thetas[li[1]])},
+        "upper_margin": upper_margin,
+        "upper_witness": {"t": float(ts[ui[0]]), "theta": float(thetas[ui[1]])},
+        "t_count": int(ts.size),
+        "theta_count": theta_count,
+        "h": pair.h,
+    }
 
 
 def reference_emit_csv(pair, w, t_grid, angles):

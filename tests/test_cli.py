@@ -140,6 +140,41 @@ class TestVerify:
         assert rc == 2
 
 
+@pytest.fixture(scope="module")
+def exp_power_state(tmp_path_factory):
+    path = tmp_path_factory.mktemp("exp_power") / "state.json"
+    assert main(["construct", "--family", "exp_power", "--params", "1",
+                 "--t-stop", "0.9999", "--out", str(path)]) == 0
+    return path
+
+
+class TestStateWeightGate:
+    """Every command that loads a state with a weight rejects a state built
+    for another weight, before any output."""
+
+    @pytest.mark.parametrize("command", [
+        ["verify", "sandwich"],
+        ["verify", "lemmas"],
+        ["verify", "ball", "--poly-family", "monomial_d1"],
+        ["emit"],
+    ])
+    def test_mismatched_weight_is_input_error(self, exp_power_state, tmp_path, command,
+                                              capsys):
+        out = tmp_path / "report"
+        rc = main([*command, "--state", str(exp_power_state), "--family", "ramey_ullrich",
+                   "--out", str(out)])
+        assert rc == 2
+        assert "state does not match this weight" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_matching_weight_passes(self, exp_power_state, capsys):
+        rc = main(["verify", "sandwich", "--state", str(exp_power_state),
+                   "--family", "exp_power", "--params", "1", "--t-points", "50",
+                   "--angles", "8"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
 class TestEmit:
     def test_row_count_and_header(self, state_file, tmp_path):
         out = tmp_path / "grid.csv"

@@ -1,9 +1,10 @@
 """One (t, theta) sampler behind the sandwich check, `emit` and zero
-adjustment: the same bytes and bits as the per-cell and two-ring copies
-in `reference_series`, within a memory bound, and input errors for grid
-sizes the samplers cannot use.
+adjustment: the same bytes and bits as the full-grid, per-cell and
+two-ring copies in `reference_series`, within a memory bound, and input
+errors for grid sizes the samplers cannot use.
 """
 
+import itertools
 import json
 import math
 import tracemalloc
@@ -12,9 +13,10 @@ import numpy as np
 import pytest
 
 import logweight as lw
-from logweight.cli import main
+from logweight.cli import main, render_json
 
-from reference_series import reference_emit_csv, reference_log_ratio_samples
+from reference_series import (reference_emit_csv, reference_log_ratio_samples,
+                              reference_sandwich_check)
 
 X0 = math.log(0.95)
 
@@ -53,6 +55,7 @@ class TestEmitMatchesCellwiseCopy:
         (["--t-points", "13", "--angles", "3", "--t-min", "0.5"], 0.5, 13, 3),
         (["--t-points", "0"], None, 0, 4),
         (["--t-points", "-3"], None, -3, 4),
+        (["--t-points", "300", "--angles", "5"], None, 300, 5),  # crosses a 256-radius block
     ])
     def test_byte_equal_csv(self, cli_state, tmp_path, extra, t_min, t_points, angles):
         flags, path, state, w = cli_state
@@ -63,6 +66,20 @@ class TestEmitMatchesCellwiseCopy:
                   else np.empty(0))
         expected = reference_emit_csv(lw.split_parity(state), w, t_grid, angles)
         assert out.read_text() == expected
+
+    def test_non_finite_log_omega(self, tmp_path):
+        # double_exp's log omega overflows to inf past t ~ 0.9986
+        path, out = tmp_path / "state.json", tmp_path / "grid.csv"
+        flags = ["--family", "double_exp"]
+        assert main(["construct", *flags, "--k-max", "20", "--out", str(path)]) == 0
+        assert main(["emit", *flags, "--state", str(path), "--t-points", "300",
+                     "--angles", "5", "--t-max", "0.9999", "--out", str(out)]) == 0
+        state = lw.ConstructionState.from_json_dict(json.loads(path.read_text()))
+        t_grid = np.linspace(state.t0, 0.9999, 301)[1:]
+        text = out.read_text()
+        assert text == reference_emit_csv(lw.split_parity(state), lw.make_weight("double_exp"),
+                                          t_grid, 5)
+        assert ",inf,-inf,inf\n" in text
 
 
 class TestLogRatioSamplesMatchTwoRingCopy:
@@ -95,9 +112,17 @@ class TestSandwichSamples:
         with pytest.raises(ValueError, match="theta_count"):
             lw.sandwich_samples(lw.split_parity(state), w, [state.t_last], 0)
 
+    @pytest.mark.parametrize("theta_count", [0, -1])
+    def test_grid_rejects_no_angles(self, cli_state, theta_count):
+        _, _, state, _ = cli_state
+        pair = lw.split_parity(state)
+        for s in (pair.g1, lw.LacunarySeries(())):
+            with pytest.raises(ValueError, match="theta_count"):
+                lw.eval_series_grid(s, [0.5, state.t_last], theta_count)
+
     def test_check_memory_bound(self):
-        # 2000 x 256 doubles take 4.1 MB per grid; holding log|G1| and
-        # log|G2| while the margins are formed costs about 8 MB more.
+        # The check reduces blocks of 256 radii: its peak stays below one
+        # 2000 x 256 grid of doubles (4.096 MB).
         w = lw.make_weight("exp_power", (1.0,))
         state = lw.run_construction(w, lw.ConstructionParams(x0=X0, t_stop=0.9999))
         assert len(state.lines) == 68
@@ -109,7 +134,81 @@ class TestSandwichSamples:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 24e6
+        assert peak < 2000 * 256 * 8
+
+
+# The two deep states of the lemma benchmark, as make_weight arguments and
+# ConstructionParams keywords.
+DEEP_STATES = {
+    "double_exp": (("double_exp", ()), {"k_max": 2000}),
+    "exp_power_a2": (("exp_power", (2.0,)), {"k_max": 5000, "t_stop": 0.999}),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(DEEP_STATES))
+def deep_state(request):
+    weight, params = DEEP_STATES[request.param]
+    w = lw.make_weight(*weight)
+    return lw.run_construction(w, lw.ConstructionParams(x0=X0, **params)), w
+
+
+def assert_same_report(pair, w, ts, theta_count):
+    report = lw.sandwich_check(pair, w, ts, theta_count=theta_count)
+    expected = reference_sandwich_check(pair, w, ts, theta_count)
+    assert render_json(report.to_json_dict()) == render_json(expected)
+    return report
+
+
+class TestSandwichCheckMatchesFullGrid:
+    """The block reduction gives the bytes of the full-grid check: margins
+    and the np.argmin witnesses."""
+
+    def test_deep_states(self, deep_state):
+        state, w = deep_state
+        assert len(state.lines) in (601, 2000)
+        ts = np.linspace(state.t0, state.t_last, 2001)[1:]
+        assert assert_same_report(lw.split_parity(state), w, ts, 256).passed
+
+    @pytest.mark.parametrize("t_count, theta_count", [
+        (2000, 256), *itertools.product([1, 255, 256, 257, 600], [1, 5, 64])])
+    def test_cli_states(self, cli_state, t_count, theta_count):
+        _, _, state, w = cli_state
+        ts = np.linspace(state.t0, state.t_last, t_count + 1)[1:]
+        assert_same_report(lw.split_parity(state), w, ts, theta_count)
+
+    # log|G1| = 0 under a flat weight: every cell ties in both margins.
+    FLAT = lw.weight_from_knots([(-5.0, 0.0), (-0.01, 0.0)])
+
+    def test_all_margins_tie(self):
+        pair = lw.SeriesPair(g1=lw.LacunarySeries(((0.0, 0),)), g2=lw.LacunarySeries(()),
+                             t0=0.5, h=2.0, t_last=0.9)
+        ts = np.linspace(pair.t0, pair.t_last, 601)[1:]
+        report = assert_same_report(pair, self.FLAT, ts, 5)
+        assert report.lower_witness == report.upper_witness == (ts[0], 0.0)
+
+    def test_nan_counts_as_smallest(self):
+        # a NaN log omega at one radius of the second block makes its row NaN
+        pair = lw.SeriesPair(g1=lw.LacunarySeries(((0.0, 0), (-1.0, 3))),
+                             g2=lw.LacunarySeries(()), t0=0.5, h=2.0, t_last=0.9)
+        ts = np.linspace(pair.t0, pair.t_last, 601)[1:]
+        flat = self.FLAT
+
+        class NanAtOneRadius:
+            def log_omega(self, t):
+                return math.nan if t == ts[300] else flat.log_omega(t)
+
+        report = assert_same_report(pair, NanAtOneRadius(), ts, 5)
+        assert report.lower_witness == report.upper_witness == (ts[300], 0.0)
+        assert math.isnan(report.lower_margin) and not report.passed
+
+    def test_empty_series(self):
+        pair = lw.SeriesPair(g1=lw.LacunarySeries(()), g2=lw.LacunarySeries(()),
+                             t0=0.5, h=2.0, t_last=0.9)
+        ts = np.linspace(pair.t0, pair.t_last, 301)[1:]
+        report = assert_same_report(pair, self.FLAT, ts, 3)
+        assert (report.lower_margin, report.upper_margin) == (-math.inf, math.inf)
+        assert report.lower_witness == report.upper_witness == (ts[0], 0.0)
+        assert not report.passed
 
 
 class TestZeroAdjustGridSizes:
