@@ -17,39 +17,30 @@ from .construction import (ConstructionError, ConstructionParams,
                            SlowGrowthError, TangentLine, h_for_delta,
                            next_tangent, run_construction,
                            verify_tangent_lemmas)
-from .envelope import (EnvelopeResult, EquivalenceConstants, HadamardReport,
-                       equivalence_constants, hadamard_check, hull_weight,
-                       log_convex_envelope, max_modulus, polynomial_callable,
+from .envelope import (EnvelopeResult, HadamardReport, hadamard_check,
+                       log_convex_envelope, polynomial_callable,
                        random_polynomials)
 from .series import (AdjustedPair, LacunarySeries, SandwichReport, ScaledArray,
-                     ScaledComplex, SeriesPair, eval_series,
-                     eval_series_grid, frequency_profile, modulus_sum,
-                     sandwich_check, sandwich_samples, split_parity,
-                     zero_adjust)
+                     SeriesPair, eval_series, eval_series_grid, sandwich_check,
+                     sandwich_samples, split_parity, zero_adjust)
 from .weight_model import (CONSTRUCTIBLE_FAMILIES, ConvexityReport,
-                           DoublingResult, WeightFunction, check_doubling,
-                           check_log_convexity, check_unbounded, make_weight,
+                           WeightFunction, check_log_convexity, make_weight,
                            weight_from_knots, weight_from_spec, weight_to_spec)
 
 __all__ = [
     "AdjustedPair", "BallFunctionSystem", "CONSTRUCTIBLE_FAMILIES",
     "ConstructionError", "ConstructionParams", "ConstructionState",
-    "ConvexityReport", "DoublingResult", "EnvelopeResult",
-    "EquivalenceConstants", "ExponentCollisionError", "FamilyReport",
-    "HadamardReport", "LacunarySeries", "LemmaReport",
-    "NotStrictlyConvexError", "PolynomialFamily",
-    "SandwichReport", "ScaledArray", "ScaledComplex", "SeriesPair", "SlowGrowthError",
-    "TangentLine", "WeightFunction", "ball_lower_bound_check",
-    "build_ball_functions", "check_doubling",
-    "check_log_convexity", "check_unbounded", "coordinate_family_d2",
-    "equivalence_constants", "eval_series", "eval_series_grid",
-    "family_from_manifest", "frequency_profile", "h_for_delta",
-    "hadamard_check", "hull_weight", "log_convex_envelope",
-    "make_weight", "max_modulus", "modulus_sum",
+    "ConvexityReport", "EnvelopeResult", "ExponentCollisionError",
+    "FamilyReport", "HadamardReport", "LacunarySeries", "LemmaReport",
+    "NotStrictlyConvexError", "PolynomialFamily", "SandwichReport",
+    "ScaledArray", "SeriesPair", "SlowGrowthError", "TangentLine",
+    "WeightFunction", "ball_lower_bound_check", "build_ball_functions",
+    "check_log_convexity", "coordinate_family_d2", "eval_series",
+    "eval_series_grid", "family_from_manifest", "h_for_delta",
+    "hadamard_check", "log_convex_envelope", "make_weight",
     "monomial_family", "next_tangent", "polynomial_callable",
-    "provider_from_interleaved",
-    "random_polynomials", "run_construction", "sandwich_check", "sandwich_samples",
-    "sphere_points", "split_parity", "verify_family",
-    "verify_tangent_lemmas", "weight_from_knots", "weight_from_spec",
-    "weight_to_spec", "zero_adjust",
+    "provider_from_interleaved", "random_polynomials", "run_construction",
+    "sandwich_check", "sandwich_samples", "sphere_points", "split_parity",
+    "verify_family", "verify_tangent_lemmas", "weight_from_knots",
+    "weight_from_spec", "weight_to_spec", "zero_adjust",
 ]

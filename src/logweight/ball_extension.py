@@ -26,7 +26,7 @@ import numpy as np
 from ._sobol import MAX_DIM, ndtri, scrambled_sobol
 from .construction import ConstructionState, h_for_delta
 from .numerics import exp_or_inf, logsumexp, normalized_margins
-from .series import ScaledComplex, _check_radii, _eval_points, _scaled_terms, split_parity
+from .series import ScaledArray, _check_radii, _eval_points, _scaled_terms, split_parity
 from .weight_model import WeightFunction
 
 SUP_NORM_SLACK = 1e-9
@@ -311,8 +311,9 @@ class BallFunctionSystem:
         return (log_mods, w / np.where(mags > 0.0, mags, 1.0),
                 np.array([e for _, e in func.terms], dtype=float))
 
-    def eval(self, index: int, t: float, zeta: np.ndarray) -> ScaledComplex:
-        """Evaluate function `index` (0-based) at z = t * zeta, |zeta| = 1.
+    def eval(self, index: int, t: float, zeta: np.ndarray) -> ScaledArray:
+        """Evaluate function `index` (0-based) at z = t * zeta, |zeta| = 1,
+        as a 0-d ScaledArray.
 
         Homogeneity turns each term into exp(log_a + e log t) W_q[e](zeta),
         so the radial scale separates exactly and only the largest term
@@ -320,12 +321,7 @@ class BallFunctionSystem:
         """
         if not 0.0 <= t < 1.0:
             raise ValueError(f"t={t} outside [0, 1)")
-        return _eval_points(*self._coefficients(index, zeta), np.array([t + 0j])).item(0)
-
-    def log_modulus_sum(self, t: float, zeta: np.ndarray) -> float:
-        """log sum_{m <= 2Q} |f_m(t zeta)|, without the constant function."""
-        return logsumexp([self.eval(i, t, zeta).log_abs
-                          for i in range(len(self.functions) - 1)])
+        return _eval_points(*self._coefficients(index, zeta), np.array(t + 0j))
 
     def _log_modulus_sums(self, ts: np.ndarray, pts: np.ndarray) -> np.ndarray:
         """log sum_{m <= 2Q} |f_m(t zeta)| for every radius t (rows) and
@@ -349,21 +345,20 @@ class BallFunctionSystem:
         example the three-circles convexity check) applies directly to
         ball functions through their slices.  A nonzero `shift` divides by
         lam^shift termwise; shifting by the least exponent makes the slice
-        nonvanishing at 0, as the convexity check requires.  A scalar `lam`
-        gives a ScaledComplex; an array of points gives one ScaledArray of
-        its shape.  The points go through the series kernel in blocks of
-        256, whatever their moduli, so a circle of 256 sample points costs
-        one kernel call.
+        nonvanishing at 0, as the convexity check requires.  Points `lam`
+        in the open unit disk (NaN is not) give one ScaledArray of their
+        shape, 0-d for a scalar.  The points go through the series kernel
+        in blocks of 256, whatever their moduli, so a circle of 256 sample
+        points costs one kernel call.
         """
         log_mods, units, es = self._coefficients(index, zeta)
         es = es - shift
 
         def slice_fn(lam):
             lam = np.asarray(lam, dtype=complex)
-            if np.any(np.abs(lam) >= 1.0):
+            if not np.all(np.abs(lam) < 1.0):
                 raise ValueError("slice argument must lie in the open unit disk")
-            values = _eval_points(log_mods, units, es, lam)
-            return values if lam.ndim else values.item()
+            return _eval_points(log_mods, units, es, lam)
 
         return slice_fn
 

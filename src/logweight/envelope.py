@@ -29,9 +29,9 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .numerics import exp_or_inf, logsumexp
+from .numerics import logsumexp
 from .series import ScaledArray
-from .weight_model import WeightFunction, weight_from_knots
+from .weight_model import WeightFunction
 
 # Discrete convexity tolerance of the three-circles check.  Under basis
 # "sampled" it absorbs the angle-grid error of sampled maxima, which
@@ -39,7 +39,8 @@ from .weight_model import WeightFunction, weight_from_knots
 # and the report bounds their error by log_bracket_width.
 HADAMARD_TOL = 1e-7
 
-# Default cap on the envelope gap: equivalence constants up to e^50.
+# Default cap on the envelope gap: F within 50 of its hull, so omega
+# within a factor e^50 of the log-convex hull weight.
 GAP_BOUND = 50.0
 
 _ADAPTIVE_START = 64
@@ -256,13 +257,6 @@ def _unit_powers(theta: np.ndarray, count: int) -> np.ndarray:
         powers[j:2 * j] = powers[:min(j, count - j)] * unit
         unit, j = unit * unit, 2 * j
     return powers
-
-
-def max_modulus(f: Callable, r: float, theta_count: int) -> float:
-    """log max_j |f(r e^{2 pi i j / theta_count})|."""
-    if theta_count < 16:
-        raise ValueError("theta_count must be at least 16")
-    return float(_log_max_moduli(f, [r], theta_count).values[0])
 
 
 @dataclass(frozen=True)
@@ -494,50 +488,4 @@ def log_convex_envelope(w: WeightFunction, x_grid,
         gap_witness=float(xs[i]),
         equivalent=bool(gap <= gap_bound),
         gap_bound=gap_bound,
-    )
-
-
-def hull_weight(result: EnvelopeResult, strictify: float = 0.0) -> WeightFunction:
-    """The hull as a weight: a log-convex surrogate for the weight that
-    produced it, optionally strictified (adds strictify * e^x to F) so the
-    tangent construction can run on it."""
-    return weight_from_knots(result.hull_knots, strictify=strictify)
-
-
-# -- equivalence constants ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EquivalenceConstants:
-    c1: float
-    c2: float
-    log_c1: float
-    log_c2: float
-    unbounded: bool
-
-
-def equivalence_constants(u, v, log_inputs: bool = False,
-                          cap_log: float = GAP_BOUND) -> EquivalenceConstants:
-    """Two-sided constants C1 <= v/u <= C2 over shared samples, computed in
-    the log domain; flagged unbounded when the log-ratio spread exceeds
-    cap_log."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape or u.size == 0:
-        raise ValueError("u and v must be non-empty samples on a shared grid")
-    if log_inputs:
-        lu, lv = u, v
-    else:
-        if np.any(u <= 0.0) or np.any(v <= 0.0):
-            raise ValueError("samples must be positive")
-        lu, lv = np.log(u), np.log(v)
-    ratios = lv - lu
-    lo = float(ratios.min())
-    hi = float(ratios.max())
-    return EquivalenceConstants(
-        c1=exp_or_inf(lo),
-        c2=exp_or_inf(hi),
-        log_c1=lo,
-        log_c2=hi,
-        unbounded=bool(hi - lo > cap_log),
     )

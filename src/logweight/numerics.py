@@ -42,12 +42,3 @@ def exp_or_inf(x: float) -> float:
     once x passes 709, near the end of the float64 range."""
     return math.exp(x) if x <= 709.0 else math.inf
 
-
-def logaddexp(a: float, b: float) -> float:
-    """Stable log(e^a + e^b) for scalars, -inf acting as additive zero."""
-    if a == NEG_INF:
-        return b
-    if b == NEG_INF:
-        return a
-    return float(np.logaddexp(a, b))
-

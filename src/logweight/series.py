@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construction import ConstructionState
-from .numerics import NEG_INF, exp_or_inf, logaddexp, logsumexp, normalized_margins
+from .numerics import NEG_INF, exp_or_inf, logsumexp, normalized_margins
 from .weight_model import WeightFunction
 
 # Terms this far (log scale) below the leading one cannot move a float64
@@ -45,60 +45,29 @@ _BLOCK = 256
 
 
 @dataclass(frozen=True)
-class ScaledComplex:
-    """A complex value mantissa * exp(log_scale) with |mantissa| in [1, 2).
+class ScaledArray:
+    """Complex values mantissa * exp(log_scale), elementwise over mantissa
+    and log_scale arrays of one shape (0-d for a single value), with
+    |mantissa| in [1, 2).
 
     Zero is represented by mantissa 0 and log_scale -inf.  Normalizing to
     a power-of-two window keeps the representation unique, so equality and
     serialization are stable.
     """
 
-    mantissa: complex
-    log_scale: float
-
-    @staticmethod
-    def normalize(value: complex, log_scale: float = 0.0) -> "ScaledComplex":
-        if value == 0:
-            return ScaledComplex(0j, NEG_INF)
-        k = math.frexp(abs(value))[1] - 1
-        return ScaledComplex(complex(math.ldexp(value.real, -k), math.ldexp(value.imag, -k)),
-                             log_scale + k * _LN2)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.mantissa == 0
-
-    @property
-    def log_abs(self) -> float:
-        if self.is_zero:
-            return NEG_INF
-        return math.log(abs(self.mantissa)) + self.log_scale
-
-    def to_complex(self) -> complex:
-        if self.is_zero:
-            return 0j
-        return self.mantissa * math.exp(self.log_scale)
-
-
-@dataclass(frozen=True)
-class ScaledArray:
-    """ScaledComplex values elementwise: mantissa and log_scale arrays of one shape."""
-
     mantissa: np.ndarray
     log_scale: np.ndarray
 
     @staticmethod
     def normalize(values: np.ndarray, log_scale: np.ndarray) -> "ScaledArray":
-        """ScaledComplex.normalize elementwise, bit for bit: |v| and log|m| by
-        Python's abs and math.log (numpy's differ in the last bit on some values)."""
+        """values * exp(log_scale) in the window: |v| by Python's abs and
+        log|m| in log_abs by math.log, one value at a time (numpy's differ
+        in the last bit on some values)."""
         k = np.frexp(np.reshape([abs(v) for v in values.ravel().tolist()], values.shape))[1] - 1
         mantissa = np.empty_like(values)
         mantissa.real, mantissa.imag = np.ldexp(values.real, -k), np.ldexp(values.imag, -k)
         mantissa[values == 0] = 0.0
         return ScaledArray(mantissa, np.where(mantissa == 0, NEG_INF, log_scale + k * _LN2))
-
-    def item(self, index=()) -> ScaledComplex:
-        return ScaledComplex(complex(self.mantissa[index]), float(self.log_scale[index]))
 
     @property
     def log_abs(self) -> np.ndarray:
@@ -207,20 +176,15 @@ def _eval_points(log_mods, units, exponents, zs) -> ScaledArray:
     return ScaledArray.normalize(sums.reshape(zs.shape), scales.reshape(zs.shape))
 
 
-def eval_series(s: LacunarySeries, z: complex) -> ScaledComplex:
+def eval_series(s: LacunarySeries, z: complex) -> ScaledArray:
     """Evaluate the series at |z| < 1, stably at any coefficient scale:
-    a one-point call of the kernel with phases e^{i e theta}."""
+    a one-point call of the kernel with phases e^{i e theta}, as a 0-d
+    ScaledArray.  A NaN point is outside the disk."""
     z = complex(z)
-    if abs(z) >= 1.0:
+    if not abs(z) < 1.0:
         raise ValueError(f"|z| = {abs(z)} is outside the open unit disk")
     return _eval_points(np.array(s.log_coeffs), None,
-                        np.array(s.exponents, dtype=float), np.array([z])).item(0)
-
-
-def modulus_sum(pair: SeriesPair, z: complex) -> float:
-    """log(|G1(z)| + |G2(z)|); -inf when both vanish (e.g. at z = 0)."""
-    return logaddexp(eval_series(pair.g1, z).log_abs,
-                     eval_series(pair.g2, z).log_abs)
+                        np.array(s.exponents, dtype=float), np.array(z))
 
 
 # -- grid evaluation --------------------------------------------------------
@@ -457,9 +421,6 @@ class AdjustedPair:
     log_c_high_annulus: float | None
     log_inner_floor: float
 
-    def eval_f1(self, z: complex) -> ScaledComplex:
-        return eval_series(self.f1, z)
-
     def sample_log_ratios(self, w: WeightFunction):
         """(log omega, log(|f1|+|f2|)) over exactly the sample grid the
         constants were measured on, as flat arrays, inner disk first, for
@@ -589,10 +550,3 @@ def zero_adjust(pair: SeriesPair, w: WeightFunction, theta_count: int = 720,
         log_inner_floor=float(log_w_in[-1] - log_w_in[0]),
     )
 
-
-def frequency_profile(state: ConstructionState) -> list:
-    """Consecutive exponent ratios e_{k+1}/e_k; ratios sinking toward 1
-    are the weakly lacunary regime of fast weights."""
-    if len(state.es) < 2:
-        raise ValueError("need at least 2 exponents")
-    return [b / a for a, b in zip(state.es, state.es[1:])]

@@ -31,27 +31,21 @@ perturbed_*     diagnostic families: a convex base plus a bump or sawtooth,
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .numerics import LOG_MAX, exp_or_inf
+from .numerics import LOG_MAX
 
 # Slope gap below which F' is not considered strictly increasing.
 STRICTNESS_TOL = 1e-10
-# Doubling constant cap: larger estimates count as "not doubling".
-DOUBLING_CAP = 1e6
-# Unboundedness heuristic: require log omega(1 - 1e-6) > this.
-UNBOUNDED_LOG_THRESHOLD = 10.0
-UNBOUNDED_PROBE_S = 1e-6
 
 _EPS_CBRT = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
 # The four analytic families fast enough to drive the tangent construction
-# at desk scale.  log_power grows too slowly (it fails the unboundedness
-# heuristic and exhausts float resolution within a few tangent steps) and
+# at desk scale.  log_power grows too slowly (log omega(1 - 1e-6) is below
+# 10, and it exhausts float resolution within a few tangent steps) and
 # inv_log is kept as a closed-form oracle.
 CONSTRUCTIBLE_FAMILIES = ("ramey_ullrich", "power", "exp_power", "double_exp")
 
@@ -322,12 +316,6 @@ class ConvexityReport:
     tol: float = STRICTNESS_TOL
 
 
-class DoublingResult(NamedTuple):
-    is_doubling: bool
-    a_estimate: float
-    log_a_estimate: float
-
-
 # -- public operations ----------------------------------------------------
 
 
@@ -417,33 +405,3 @@ def is_known_convex(w) -> bool:
     return (all(b > a for a, b in zip(slopes, slopes[1:]))
             and all(p >= 0.0 for p in w.params))
 
-
-def check_doubling(w: WeightFunction, s_grid, cap: float = DOUBLING_CAP) -> DoublingResult:
-    """Estimate the doubling constant sup_s omega(1-s/2)/omega(1-s).
-
-    Computed in the log domain from s directly (never through 1 - s), so
-    families with an exact ratio report it to full precision.
-    """
-    log_cap = math.log(cap)
-    worst = -math.inf
-    for s in np.asarray(s_grid, dtype=float):
-        s = float(s)
-        if not 0.0 < s <= 1.0:
-            raise ValueError(f"s={s} outside (0, 1]")
-        ratio = w.log_omega_one_minus(s / 2.0) - w.log_omega_one_minus(s)
-        worst = max(worst, ratio)
-    is_doubling = math.isfinite(worst) and worst < log_cap
-    return DoublingResult(is_doubling, exp_or_inf(worst), worst)
-
-
-def check_unbounded(w: WeightFunction, threshold: float = UNBOUNDED_LOG_THRESHOLD):
-    """Heuristic unboundedness gate: log omega(1 - 1e-6) > threshold.
-
-    Returns None (with a warning) for tabulated weights, where
-    unboundedness cannot be decided from finite data.
-    """
-    if w.family == "tabulated":
-        warnings.warn("unboundedness is not verifiable for tabulated weights",
-                      stacklevel=2)
-        return None
-    return w.log_omega_one_minus(UNBOUNDED_PROBE_S) > threshold

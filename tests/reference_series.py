@@ -10,6 +10,12 @@ series of a construction, where a few terms are live at any radius, it
 must reproduce these values bit for bit; on dense series its block
 contraction sums many live terms in another order.
 
+`reference_normalize` and `reference_log_abs` put one value in the
+mantissa window by math.frexp, math.ldexp and math.log; `ScaledArray`
+normalizes whole arrays and must give the same bits.
+`reference_modulus_sum` and `reference_ball_modulus_sum` add moduli one
+point at a time, through `eval_series` and `BallFunctionSystem.eval`.
+
 Phases times units are formed out of place: numpy multiplies a lone
 complex pair in place without a fused multiply-add, so an in-place
 product would round differently for groups of one point.
@@ -34,8 +40,8 @@ import math
 
 import numpy as np
 
-from logweight.numerics import NEG_INF, exp_or_inf, normalized_margins
-from logweight.series import (DROP_THRESHOLD, SANDWICH_SLACK, ScaledArray, ScaledComplex,
+from logweight.numerics import NEG_INF, exp_or_inf, logsumexp, normalized_margins
+from logweight.series import (DROP_THRESHOLD, SANDWICH_SLACK, ScaledArray, eval_series,
                               inner_disk_radii)
 
 
@@ -83,16 +89,48 @@ def reference_grid(s, t_values, theta_count, theta_indices=None):
     return out
 
 
-def stack_scaled(values) -> ScaledArray:
-    """ScaledComplex values gathered into one ScaledArray."""
-    return ScaledArray(np.array([v.mantissa for v in values], dtype=complex),
-                       np.array([v.log_scale for v in values], dtype=float))
+def reference_normalize(value: complex, log_scale: float = 0.0) -> tuple:
+    """(mantissa, log_scale) of value * exp(log_scale) with |mantissa| in
+    [1, 2), zero as (0, -inf): one value by math.frexp and math.ldexp."""
+    if value == 0:
+        return 0j, NEG_INF
+    k = math.frexp(abs(value))[1] - 1
+    return (complex(math.ldexp(value.real, -k), math.ldexp(value.imag, -k)),
+            log_scale + k * math.log(2.0))
+
+
+def reference_log_abs(mantissa: complex, log_scale: float) -> float:
+    """log|mantissa * exp(log_scale)|, one value by math.log."""
+    return NEG_INF if mantissa == 0 else math.log(abs(mantissa)) + log_scale
+
+
+def stack_scaled(pairs) -> ScaledArray:
+    """(mantissa, log_scale) pairs gathered into one 1-d ScaledArray."""
+    pairs = list(pairs)
+    return ScaledArray(np.array([m for m, _ in pairs], dtype=complex),
+                       np.array([c for _, c in pairs], dtype=float))
+
+
+def to_complex(v: ScaledArray) -> complex:
+    """The value of a 0-d ScaledArray as a complex number."""
+    return complex(v.mantissa) * math.exp(float(v.log_scale))
+
+
+def reference_modulus_sum(pair, z) -> float:
+    """log(|G1(z)| + |G2(z)|) at one point; -inf where both vanish."""
+    return float(np.logaddexp(eval_series(pair.g1, z).log_abs, eval_series(pair.g2, z).log_abs))
+
+
+def reference_ball_modulus_sum(system, t, zeta) -> float:
+    """log sum_{m <= 2Q} |f_m(t zeta)| at one point, without the constant
+    function."""
+    return logsumexp([system.eval(m, t, zeta).log_abs for m in range(len(system.functions) - 1)])
 
 
 def reference_points(log_mods, units, exponents, zs):
     """sum_k exp(log_mods_k) units_k z^exponents_k at the points zs, one
     sum per distinct float |z|, each normalized on its own by
-    ScaledComplex.normalize and gathered into a ScaledArray."""
+    reference_normalize and gathered into a ScaledArray."""
     rs = np.abs(zs)
     out = [None] * zs.size
     for r in set(rs.tolist()):
@@ -102,7 +140,7 @@ def reference_points(log_mods, units, exponents, zs):
         log_r = math.log(r) if r > 0.0 else NEG_INF
         sums, scales = _lacunary_sums(log_mods, units, exponents, np.array([log_r]), phases)
         for i, v in zip(at, sums[0]):
-            out[i] = ScaledComplex.normalize(complex(v), float(scales[0]))
+            out[i] = reference_normalize(complex(v), float(scales[0]))
     return stack_scaled(out)
 
 

@@ -1,9 +1,12 @@
 """The public API: every exported name exists, and importing it stays light."""
 
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import logweight as lw
 
@@ -17,6 +20,37 @@ def test_every_exported_name_resolves():
 
 def test_exported_names_are_unique():
     assert len(set(lw.__all__)) == len(lw.__all__)
+
+
+# Names that were public once and are gone: one value type (ScaledArray)
+# and no entry point that nothing in the package calls.
+REMOVED = {
+    "logweight": ("ScaledComplex", "modulus_sum", "frequency_profile", "max_modulus",
+                  "hull_weight", "equivalence_constants", "EquivalenceConstants",
+                  "check_doubling", "DoublingResult", "check_unbounded"),
+    "logweight.series": ("ScaledComplex", "modulus_sum", "frequency_profile",
+                         "ScaledArray.item", "AdjustedPair.eval_f1"),
+    "logweight.ball_extension": ("BallFunctionSystem.log_modulus_sum",),
+    "logweight.envelope": ("max_modulus", "hull_weight", "equivalence_constants",
+                           "EquivalenceConstants"),
+    "logweight.weight_model": ("check_doubling", "DoublingResult", "check_unbounded",
+                               "DOUBLING_CAP", "UNBOUNDED_LOG_THRESHOLD",
+                               "UNBOUNDED_PROBE_S"),
+    "logweight.numerics": ("logaddexp",),
+}
+
+
+@pytest.mark.parametrize("module", sorted(REMOVED))
+def test_removed_names_stay_removed(module):
+    def resolves(obj, dotted):
+        for part in dotted.split("."):
+            if not hasattr(obj, part):
+                return False
+            obj = getattr(obj, part)
+        return True
+
+    mod = importlib.import_module(module)
+    assert [name for name in REMOVED[module] if resolves(mod, name)] == []
 
 
 def test_import_loads_no_scipy():

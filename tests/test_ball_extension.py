@@ -9,6 +9,8 @@ import pytest
 import logweight as lw
 import logweight.ball_extension
 from logweight.construction import ConstructionParams
+from logweight.envelope import _log_max_moduli
+from reference_series import reference_ball_modulus_sum, reference_modulus_sum, to_complex
 
 
 def ramey_state(t_stop=0.9999, h=2.0):
@@ -197,8 +199,8 @@ class TestBallLowerBound:
         for t in (0.96, 0.999):
             for zeta in pts[:6]:
                 z = t * complex(zeta[0])
-                ball = system.log_modulus_sum(t, zeta)
-                disk = lw.modulus_sum(pair, z)
+                ball = reference_ball_modulus_sum(system, t, zeta)
+                disk = reference_modulus_sum(pair, z)
                 assert ball == pytest.approx(disk, rel=1e-12)
 
     def test_single_line_state(self):
@@ -211,8 +213,8 @@ class TestBallLowerBound:
                                          sphere_samples=64)
         zeta = np.ones(1, dtype=complex)
         assert len(state.lines) == 1
-        assert system.eval(1, 0.97, zeta).is_zero
-        assert system.slice_callable(1, zeta)(0.5 + 0j).is_zero
+        for zero in (system.eval(1, 0.97, zeta), system.slice_callable(1, zeta)(0.5 + 0j)):
+            assert zero.mantissa == 0 and zero.log_scale == -math.inf
         rep = lw.ball_lower_bound_check(
             system, w, np.linspace(0.951, state.t_last, 10), sphere_samples=64)
         assert rep.passed
@@ -236,7 +238,7 @@ class TestBallLowerBound:
 
 
 def per_point_ball_check(system, w, t_grid, sphere_samples):
-    """The ball check one point at a time through log_modulus_sum: worst
+    """The ball check one point at a time through BallFunctionSystem.eval: worst
     margin with its first witness in (t, point) order, and log C over the
     grid and the inner-ball samples (t = 0 included)."""
     pts = lw.sphere_points(system.family.d, sphere_samples, seed=0)
@@ -245,14 +247,14 @@ def per_point_ball_check(system, w, t_grid, sphere_samples):
     for t in t_grid:
         bound = bound_const + w.log_omega(float(t))
         for i, zeta in enumerate(pts):
-            s = system.log_modulus_sum(float(t), zeta)
+            s = reference_ball_modulus_sum(system, float(t), zeta)
             margin = (s - bound) / max(1.0, abs(s), abs(bound))
             if margin < worst:
                 worst, witness = margin, (float(t), i)
             log_c = max(log_c, w.log_omega(float(t)) - np.logaddexp(s, 0.0))
     for t in np.linspace(0.0, system.state.t0, 16):
         for zeta in pts[:16]:
-            s = system.log_modulus_sum(float(t), zeta)
+            s = reference_ball_modulus_sum(system, float(t), zeta)
             log_c = max(log_c, w.log_omega(float(t)) - np.logaddexp(s, 0.0))
     return worst, witness, log_c
 
@@ -309,7 +311,7 @@ class TestSliceReduction:
                 lam = t * cmath.exp(1j * th)
                 direct = sum(math.exp(lc) * lam**e * complex(zeta[1]) ** e
                              for lc, e in func.terms)
-                got = sl(lam).to_complex()
+                got = to_complex(sl(lam))
                 assert got == pytest.approx(direct, rel=1e-11)
 
     def test_array_of_points_matches_pointwise(self):
@@ -326,10 +328,19 @@ class TestSliceReduction:
         assert values.mantissa.shape == lams.shape
         for lam, log_abs in zip(lams.ravel(), values.log_abs.ravel()):
             assert log_abs == pytest.approx(sl(complex(lam)).log_abs, rel=1e-13)
-        # max_modulus hands the whole circle over in one call
+        # the max-modulus sampler hands the whole circle over in one call
         sizes = []
-        lw.max_modulus(lambda z: sizes.append(np.size(z)) or sl(z), 0.5, 64)
+        _log_max_moduli(lambda z: sizes.append(np.size(z)) or sl(z), [0.5], 64)
         assert sizes == [64]
+
+    @pytest.mark.parametrize("lam", [complex(math.nan, 0.0), np.array([0.5, complex(0.0, math.nan)]),
+                                     1.0 + 0j])
+    def test_points_off_the_open_disk_rejected(self, lam):
+        w, state = ramey_state()
+        system = lw.build_ball_functions(state, lw.monomial_family(), sphere_samples=64)
+        sl = system.slice_callable(0, np.ones(1, dtype=complex))
+        with pytest.raises(ValueError, match="open unit disk"):
+            sl(lam)
 
     def test_shifted_slices_are_log_convex(self):
         w, state = ramey_state()
@@ -342,7 +353,7 @@ class TestSliceReduction:
         zeta = np.full(2, 1.0 / math.sqrt(2.0), dtype=complex)
         e1 = func.terms[0][1]
         sl = system.slice_callable(0, zeta, shift=e1)
-        assert not sl(0j).is_zero
+        assert sl(0j).mantissa != 0
         rep = lw.hadamard_check([sl], np.geomspace(0.1, 0.9, 24),
                                 theta_count=256)
         assert rep.passed
@@ -358,9 +369,9 @@ class TestConstantSlice:
         values = sl(lams)
         assert np.all(values.mantissa * np.exp(values.log_scale) == 1.0)
         assert values.mantissa.shape == lams.shape
-        assert sl(0.5 + 0j).to_complex() == 1.0
+        assert to_complex(sl(0.5 + 0j)) == 1.0
         for t in (0.0, 0.5):
-            assert system.eval(len(system.functions) - 1, t, np.ones(1, dtype=complex)) == \
-                lw.ScaledComplex(1 + 0j, 0.0)
+            one = system.eval(len(system.functions) - 1, t, np.ones(1, dtype=complex))
+            assert (one.mantissa, one.log_scale) == (1 + 0j, 0.0)
         rep = lw.hadamard_check([sl], np.geomspace(0.1, 0.9, 8), theta_count=64)
         assert rep.passed and rep.min_second_diff == 0.0

@@ -12,40 +12,45 @@ from logweight.envelope import _log_max_moduli
 from logweight.series import ScaledArray
 
 
+def max_modulus(f, r, theta_count):
+    """log max_j |f(r e^{2 pi i j / theta_count})| at one radius."""
+    return float(_log_max_moduli(f, [r], theta_count).values[0])
+
+
 class TestMaxModulus:
     def test_monomial_exact(self):
         for n in (1, 5, 12):
             f = lambda z, n=n: z**n
             for r in (0.1, 0.5, 0.9):
-                assert lw.max_modulus(f, r, 64) == pytest.approx(
+                assert max_modulus(f, r, 64) == pytest.approx(
                     n * math.log(r), rel=1e-14)
 
     def test_quadratic_near_boundary(self):
         f = lambda z: z**2 + 1.0
-        val = lw.max_modulus(f, 0.999999, 4096)
+        val = max_modulus(f, 0.999999, 4096)
         assert math.exp(val) == pytest.approx(2.0, abs=1e-5)
 
     def test_constant(self):
         f = lambda z: np.full_like(np.asarray(z), 3.0 - 4.0j)
         for r in (0.1, 0.7):
-            assert lw.max_modulus(f, r, 64) == pytest.approx(math.log(5.0))
+            assert max_modulus(f, r, 64) == pytest.approx(math.log(5.0))
 
     def test_monotone_in_radius(self):
         # maximum principle at grid resolution
         coeffs = lw.random_polynomials(1, 20, seed=5)[0]
         f = lw.polynomial_callable(coeffs)
         rs = np.linspace(0.05, 0.95, 40)
-        vals = [lw.max_modulus(f, float(r), 512) for r in rs]
+        vals = [max_modulus(f, float(r), 512) for r in rs]
         assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
 
     def test_angle_floor(self):
         with pytest.raises(ValueError):
-            lw.max_modulus(lambda z: z, 0.5, 8)
+            max_modulus(lambda z: z, 0.5, 8)
 
     def test_adaptive_converges(self):
         f = lambda z: z**5 + 1.0
         val = _log_max_moduli(f, [0.5], 0).values[0]
-        dense = lw.max_modulus(f, 0.5, 1 << 16)
+        dense = max_modulus(f, 0.5, 1 << 16)
         assert val == pytest.approx(dense, abs=1e-8)
 
 
@@ -166,7 +171,7 @@ class TestEnvelope:
         w = lw.make_weight("perturbed_bump")
         grid = np.linspace(-2.0, -0.01, 400)
         res = lw.log_convex_envelope(w, grid)
-        hull_w = lw.hull_weight(res)
+        hull_w = lw.weight_from_knots(res.hull_knots)
         res2 = lw.log_convex_envelope(hull_w, grid)
         assert res2.gap <= 1e-12
 
@@ -194,33 +199,6 @@ class TestEnvelope:
             lw.log_convex_envelope(w, [-1.0, -1.2, -0.5])
 
 
-class TestEquivalenceConstants:
-    def test_identical(self):
-        u = np.array([1.0, 2.0, 3.0])
-        res = lw.equivalence_constants(u, u)
-        assert res.c1 == pytest.approx(1.0) and res.c2 == pytest.approx(1.0)
-        assert not res.unbounded
-
-    def test_constant_multiple(self):
-        u = np.array([1.0, 2.0, 3.0])
-        res = lw.equivalence_constants(u, 3.0 * u)
-        assert res.c1 == pytest.approx(3.0, rel=1e-14)
-        assert res.c2 == pytest.approx(3.0, rel=1e-14)
-
-    def test_unbounded_flag(self):
-        u = np.array([1.0, 1.0])
-        v = np.array([1.0, math.exp(60.0)])
-        assert lw.equivalence_constants(u, v, cap_log=50.0).unbounded
-
-    def test_positive_required(self):
-        with pytest.raises(ValueError):
-            lw.equivalence_constants([1.0, -1.0], [1.0, 1.0])
-
-    def test_log_inputs(self):
-        res = lw.equivalence_constants([0.0, 0.0], [2.0, 5.0], log_inputs=True)
-        assert res.log_c1 == 2.0 and res.log_c2 == 5.0
-
-
 class TestRegularizationPathway:
     def test_hull_fed_construction_degrades_by_at_most_gap(self):
         # A mild bump (height 1/2) spoils convexity; the hull removes it.
@@ -231,7 +209,7 @@ class TestRegularizationPathway:
         grid = -np.geomspace(2.0, 1e-5, 2001)
         env = lw.log_convex_envelope(wb, grid)
         assert env.gap <= 0.5 + 1e-6
-        hull_w = lw.hull_weight(env, strictify=0.05)
+        hull_w = lw.weight_from_knots(env.hull_knots, strictify=0.05)
         state = lw.run_construction(
             hull_w, ConstructionParams(x0=math.log(0.95), h=2.0, t_stop=0.999))
         pair = lw.split_parity(state)
@@ -252,7 +230,7 @@ class TestArrayContract:
                                    lambda z: z.ravel()])
     def test_wrong_shape_rejected(self, f):
         with pytest.raises(ValueError):
-            lw.max_modulus(f, 0.5, 64)
+            max_modulus(f, 0.5, 64)
 
 
 
@@ -273,7 +251,7 @@ class TestNaNValues:
     @pytest.mark.parametrize("scaled", [False, True])
     def test_nan_points_raise(self, scaled):
         with pytest.raises(ValueError, match="NaN"):
-            lw.max_modulus(_nan_where(lambda z: z.real > 0, scaled), 0.5, 64)
+            max_modulus(_nan_where(lambda z: z.real > 0, scaled), 0.5, 64)
 
     @pytest.mark.parametrize("scaled", [False, True])
     def test_nan_at_origin_is_not_vanishing(self, scaled):
@@ -285,4 +263,4 @@ class TestAdaptiveStopRule:
     def test_no_underestimate(self):
         f = lw.polynomial_callable(lw.random_polynomials(100, 30, seed=7)[98])
         value = _log_max_moduli(f, [0.95], 0).values[0]
-        assert lw.max_modulus(f, 0.95, 1 << 18) - value <= 1e-9
+        assert max_modulus(f, 0.95, 1 << 18) - value <= 1e-9

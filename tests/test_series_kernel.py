@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 import logweight as lw
 from logweight import series
 from logweight.envelope import _log_max_moduli
-from logweight.series import ScaledArray, ScaledComplex, _eval_points, inner_disk_radii
+from logweight.series import ScaledArray, _eval_points, inner_disk_radii
 
-from reference_series import reference_grid, reference_points, stack_scaled
+from reference_series import (reference_grid, reference_log_abs, reference_normalize,
+                              reference_points, stack_scaled)
 
 X0 = math.log(0.95)
 
@@ -103,7 +104,8 @@ class TestPointsMatchReference:
         log_mods = np.array(s.log_coeffs)
         es = np.array(s.exponents, dtype=float)
         zs = np.array([0j, 0.5, -0.3j, deep_pair.t0 * 1j, deep_pair.t_last * np.exp(2j)])
-        assert bits(stack_scaled([lw.eval_series(s, z) for z in zs])) == \
+        values = [lw.eval_series(s, z) for z in zs]
+        assert bits(stack_scaled((v.mantissa, v.log_scale) for v in values)) == \
             bits(reference_points(log_mods, np.ones(es.size, dtype=complex), es, zs))
 
     def test_dense_series_agree_to_rounding(self):
@@ -119,9 +121,9 @@ class TestPointsMatchReference:
             got = _eval_points(log_mods, units, es, zs)
             want = reference_points(log_mods, units, es, zs)
             for i, z in enumerate(zs):
-                a, b = got.item(i), want.item(i)
                 top = float(np.max(log_mods + es * math.log(abs(z))))
-                diff = a.mantissa * math.exp(a.log_scale - top) - b.mantissa * math.exp(b.log_scale - top)
+                diff = (got.mantissa[i] * math.exp(got.log_scale[i] - top)
+                        - want.mantissa[i] * math.exp(want.log_scale[i] - top))
                 assert abs(diff) <= 4 * k * np.finfo(float).eps
 
 
@@ -145,9 +147,15 @@ class TestOneKernelCallPerBlock:
 
 
 def per_point(values, log_scales):
-    """ScaledComplex.normalize of every value on its own, gathered."""
-    return stack_scaled([ScaledComplex.normalize(complex(v), float(c))
-                         for v, c in zip(values.tolist(), log_scales.tolist())])
+    """reference_normalize of every value on its own, gathered."""
+    return stack_scaled(reference_normalize(complex(v), float(c))
+                        for v, c in zip(values.tolist(), log_scales.tolist()))
+
+
+def per_point_log_abs(values):
+    """reference_log_abs of every value of a 1-d ScaledArray."""
+    return [reference_log_abs(m, c)
+            for m, c in zip(values.mantissa.tolist(), values.log_scale.tolist())]
 
 
 def log_abs_bits(values):
@@ -155,8 +163,8 @@ def log_abs_bits(values):
 
 
 class TestArrayNormalization:
-    """The array path normalizes every sum as ScaledComplex.normalize does,
-    bit for bit, and reads log|value| as ScaledComplex.log_abs does."""
+    """The array path normalizes every sum as reference_normalize does,
+    bit for bit, and reads log|value| as reference_log_abs does."""
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n_terms=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
@@ -186,8 +194,7 @@ class TestArrayNormalization:
         (sums, scales), = seen
         want = per_point(sums, scales)
         assert bits(got) == bits(want)
-        assert log_abs_bits(got.log_abs) == log_abs_bits(
-            [want.item(i).log_abs for i in range(zs.size)])
+        assert log_abs_bits(got.log_abs) == log_abs_bits(per_point_log_abs(want))
         if cancel:
             assert np.all(sums[zs == 1.0] == 0) and np.all(np.isfinite(scales[zs == 1.0]))
 
@@ -205,9 +212,8 @@ class TestArrayNormalization:
         with np.errstate(invalid="ignore"):
             got = ScaledArray.normalize(values, scales)
         assert bits(got) == bits(per_point(values, scales))
-        assert log_abs_bits(got.log_abs) == log_abs_bits(
-            [got.item(i).log_abs for i in range(values.size)])
-        assert got.item(-5) == ScaledComplex(0j, -math.inf)
+        assert log_abs_bits(got.log_abs) == log_abs_bits(per_point_log_abs(got))
+        assert (got.mantissa[-5], got.log_scale[-5]) == (0j, -math.inf)
 
 
 class TestBenchmarkSlices:
@@ -217,7 +223,7 @@ class TestBenchmarkSlices:
 
     rs = np.geomspace(0.1, 0.9, 24)
     # sha256 of the per-radius log max |f| and of the (mantissa, log scale)
-    # bits of every point, as the per-point ScaledComplex path gave them
+    # bits of every point, as the earlier per-point scalar path gave them
     pins = {0: ("8377b611ac96a57b3d59efd75f8d9e937ea27955683b32a88075b1ea1e7f1c1a",
                 "dc6a855c17fb921b1f7f69b747ea51e056acef60adca6b730b0f8b70438c4dae"),
             1: ("4461d05d0443aacbf5ec2a4439609e99c0fac7b86723816c830077ed01bce582",
@@ -242,14 +248,21 @@ class TestBenchmarkSlices:
         points = f(self.rs[:, None] * circle)
         assert hashlib.sha256(bits(points)).hexdigest() == points_pin
 
-    def test_no_scaled_complex_per_point(self, slice_system, monkeypatch):
+    def test_no_scaled_complex_per_point(self, slice_system):
+        # ScaledArray is the one value type: eval_series,
+        # BallFunctionSystem.eval and a slice at a scalar give a 0-d
+        # ScaledArray with the bits of the one-point array call
+        system, zeta = slice_system
+        s = lw.split_parity(system.state).g1
+        log_mods, es = np.array(s.log_coeffs), np.array(s.exponents, dtype=float)
         f = self.slice_fn(slice_system, 0)
-        built = []
-        init = ScaledComplex.__init__
-        monkeypatch.setattr(ScaledComplex, "__init__",
-                            lambda self, *args: built.append(1) or init(self, *args))
-        circle = np.exp(2j * math.pi * np.arange(256) / 256)
-        values = f(self.rs[:, None] * circle)
-        assert isinstance(values, ScaledArray) and values.mantissa.shape == (24, 256)
-        assert built == []
-        assert isinstance(f(0.5 + 0j), ScaledComplex) and built == [1]
+        for scalar, one_point in [
+                (lw.eval_series(s, 0.5 + 0.25j),
+                 _eval_points(log_mods, None, es, np.array([0.5 + 0.25j]))),
+                (system.eval(1, 0.75, zeta),
+                 _eval_points(*system._coefficients(1, zeta), np.array([0.75 + 0j]))),
+                (f(0.5 + 0j), f(np.array([0.5 + 0j])))]:
+            assert isinstance(scalar, ScaledArray)
+            assert scalar.mantissa.shape == scalar.log_scale.shape == ()
+            assert bits(scalar) == bits(one_point)
+            assert scalar.log_abs.tobytes() == one_point.log_abs.tobytes()

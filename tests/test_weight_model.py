@@ -2,13 +2,13 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
-import sympy as sp
 
 import logweight as lw
 from logweight.construction import _gate_grid
-from logweight.weight_model import UNBOUNDED_LOG_THRESHOLD, _triangle_wave
+from logweight.weight_model import _triangle_wave
 from reference_construction import separate_f_prime
 
 
@@ -236,15 +236,16 @@ class TestLogConvexity:
         assert rep.violation_points == ()
 
     def test_ramey_against_symbolic_derivatives(self):
-        # Independent oracle: differentiate F(x) = -log(1 - e^x) with sympy.
-        x = sp.Symbol("x")
-        f_expr = -sp.log(1 - sp.exp(x))
-        fp = sp.lambdify(x, sp.diff(f_expr, x), "math")
-        fpp = sp.lambdify(x, sp.diff(f_expr, x, 2), "math")
+        # Independent oracle: differentiate F(x) = -log(1 - e^x) at 50
+        # digits with mpmath.
+        f = lambda x: -mpmath.log(1 - mpmath.exp(x))
         w = lw.make_weight("ramey_ullrich")
-        for xv in np.linspace(-2.0, -0.01, 25):
-            assert w.big_f_prime(float(xv)) == pytest.approx(fp(float(xv)), rel=1e-12)
-            assert fpp(float(xv)) > 0
+        with mpmath.workdps(50):
+            for xv in np.linspace(-2.0, -0.01, 25):
+                x = mpmath.mpf(float(xv))
+                fp = float(mpmath.diff(f, x))
+                assert w.big_f_prime(float(xv)) == pytest.approx(fp, rel=1e-12)
+                assert mpmath.diff(f, x, 2) > 0
 
     def test_linear_tabulated_not_strict(self):
         # omega = e^3 t^2 makes F(x) = 2x + 3, exactly linear.
@@ -315,50 +316,57 @@ class TestTriangleWave:
         assert [w.big_f(x) for x in xs] == want
 
 
+def doubling_log_ratios(w, s_grid):
+    """log omega(1 - s/2) / omega(1 - s) at every s of the grid."""
+    return np.array([w.log_omega_one_minus(s / 2.0) - w.log_omega_one_minus(s)
+                     for s in map(float, s_grid)])
+
+
 class TestDoubling:
+    """The doubling ratio omega(1-s/2)/omega(1-s) from log_omega_one_minus,
+    which works from s directly (never through 1 - s)."""
+
     def test_ramey_exactly_two(self):
         w = lw.make_weight("ramey_ullrich")
-        res = lw.check_doubling(w, np.geomspace(1e-6, 1.0, 200))
-        assert res.is_doubling
-        assert abs(res.a_estimate - 2.0) < 1e-12
-        assert abs(res.log_a_estimate - math.log(2.0)) < 1e-12
+        ratios = doubling_log_ratios(w, np.geomspace(1e-6, 1.0, 200))
+        assert np.all(np.abs(ratios - math.log(2.0)) < 1e-12)
 
     def test_power_cube(self):
         w = lw.make_weight("power", [3.0])
-        res = lw.check_doubling(w, np.geomspace(1e-6, 1.0, 50))
-        assert res.is_doubling
-        assert res.a_estimate == pytest.approx(8.0, rel=1e-12)
+        ratios = doubling_log_ratios(w, np.geomspace(1e-6, 1.0, 50))
+        assert np.exp(ratios) == pytest.approx(np.full(50, 8.0), rel=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_exp_power_not_doubling(self, alpha):
+        # log ratio (2^alpha - 1) s^-alpha grows without bound as s -> 0
         w = lw.make_weight("exp_power", [alpha])
-        res = lw.check_doubling(w, np.geomspace(1e-6, 1.0, 200))
-        assert not res.is_doubling
+        s_grid = np.geomspace(1e-6, 1.0, 200)
+        ratios = doubling_log_ratios(w, s_grid)
+        assert ratios.max() > math.log(1e6)
+        np.testing.assert_allclose(ratios, (2.0 ** alpha - 1.0) * s_grid ** -alpha,
+                                   rtol=1e-9)
 
     def test_domain(self):
         w = lw.make_weight("ramey_ullrich")
-        with pytest.raises(ValueError):
-            lw.check_doubling(w, [0.0])
-        with pytest.raises(ValueError):
-            lw.check_doubling(w, [1.5])
+        for s in (0.0, 1.5, math.nan):
+            with pytest.raises(ValueError):
+                w.log_omega_one_minus(s)
 
 
 class TestUnboundedness:
+    """Growth of omega(1 - s) toward the boundary, read at s = 1e-6."""
+
     def test_constructible_families_pass(self):
         for family in lw.CONSTRUCTIBLE_FAMILIES:
-            assert lw.check_unbounded(lw.make_weight(family)) is True
+            assert lw.make_weight(family).log_omega_one_minus(1e-6) > 10.0
 
     def test_log_power_fails_heuristic(self):
+        # log_power grows too slowly to drive the construction:
+        # 2 log(1 + log 1e6) = 5.39
         w = lw.make_weight("log_power")
-        assert lw.check_unbounded(w) is False
-        # the heuristic threshold, not a statement about the true limit
-        assert w.log_omega_one_minus(1e-6) < UNBOUNDED_LOG_THRESHOLD
-
-    def test_tabulated_warns(self):
-        table = [[0.2, 1.0], [0.5, 2.0], [0.8, 5.0]]
-        w = lw.make_weight("tabulated", table=table)
-        with pytest.warns(UserWarning):
-            assert lw.check_unbounded(w) is None
+        assert w.log_omega_one_minus(1e-6) == pytest.approx(
+            2.0 * math.log1p(math.log(1e6)), rel=1e-12)
+        assert w.log_omega_one_minus(1e-6) < 10.0
 
 
 class TestJsonSpec:
@@ -402,13 +410,3 @@ class TestJsonSpec:
             lw.make_weight("tabulated", table=[[0.5, 2.0], [0.2, 1.0], [0.8, 3.0]])
         with pytest.raises(ValueError):
             lw.make_weight("tabulated", table=[[0.2, 2.0], [0.5, 1.0], [0.8, 3.0]])
-
-
-class TestDoublingCutoff:
-    def test_constant_past_709_is_inf(self):
-        # log a = 709.5 lies between exp_or_inf's 709.0 and float overflow
-        # at ~709.78; the doubling report cuts off where every other report does
-        w = lw.make_weight("power", (709.5 / math.log(2),))
-        res = lw.check_doubling(w, np.geomspace(1e-3, 1, 20))
-        assert res.log_a_estimate == pytest.approx(709.5, abs=1e-9)
-        assert res.a_estimate == math.inf
