@@ -8,9 +8,12 @@ h_for_delta(delta)) produces 2Q functions whose modulus sum dominates
 (2 delta / 5) e^{-h} omega(|z|) outside the inner ball |z| <= t0; adding
 the constant function 1 covers the inside, for 2Q + 1 functions total.
 
-Family existence is not constructed here: providers are supplied and
-their claims verified numerically on deterministic sphere samples.  The
-d = 1 monomial family reproduces the disk pipeline exactly; the d = 2
+A provider evaluates one W_q[n] at an array of points in the series
+kernel's log-polar form, (log|W|, W/|W|), so every check makes one
+provider call per (q, n) whatever the number of sphere points.  Family
+existence is not constructed here: providers are supplied and their
+claims verified numerically on deterministic sphere samples.  The d = 1
+monomial family reproduces the disk pipeline exactly; the d = 2
 coordinate family ships as a negative example (it has no uniform delta).
 """
 
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -26,7 +29,8 @@ import numpy as np
 from ._sobol import MAX_DIM, ndtri, scrambled_sobol
 from .construction import ConstructionState, h_for_delta
 from .numerics import exp_or_inf, logsumexp, normalized_margins
-from .series import ScaledArray, _check_radii, _eval_points, _scaled_terms, split_parity
+from .series import (_TWO_PI, ScaledArray, _check_radii, _eval_points, _log_omegas,
+                     _scaled_terms, split_parity)
 from .weight_model import WeightFunction
 
 SUP_NORM_SLACK = 1e-9
@@ -36,24 +40,32 @@ BALL_SLACK = 1e-9
 
 _EPS = float(np.finfo(float).eps)
 
+# W(lambda z) = lambda^n W(z) is probed at these lambda and the first _PROBED
+# sphere points; in log-polar form |lambda|^n stays in range at any degree.
+_PROBES = np.array([1j, 0.7 + 0.0j, 0.9 * cmath.exp(1j * math.pi / 3.0)])
+_PROBED = 8
+
 
 def _degree_noise(n: int) -> float:
-    """Relative noise floor of evaluating a degree-n homogeneous polynomial
-    in float64: powering accumulates O(n eps), so conditions cannot be
-    certified tighter than this for very large degrees.  At desk-scale
-    degrees (n below ~1e6) the fixed tolerances above dominate."""
+    """Relative noise floor of a degree-n homogeneous polynomial in float64:
+    its log-modulus and phase are n times a rounded log|z| and arg z, off by
+    O(n eps), so conditions cannot be certified tighter than this for very
+    large degrees.  Below n ~ 1e6 the fixed tolerances above dominate."""
     return 8.0 * n * _EPS
 
 
 @dataclass(frozen=True)
 class PolynomialFamily:
-    """Provider of homogeneous polynomials; provider(q, n, z) evaluates
-    W_q[n] at a point z of C^d (1-based q)."""
+    """Provider of homogeneous polynomials: provider(q, n, pts) evaluates
+    W_q[n] (1-based q) at the points pts of C^d, an array of shape (P, d),
+    and returns (log_abs, unit), log|W| as a float and W/|W| as a complex
+    array of shape (P,).  A zero value has log_abs -inf and any finite
+    unit."""
 
     d: int
     Q: int
     delta_claimed: float
-    provider: Callable[[int, int, np.ndarray], complex]
+    provider: Callable[[int, int, np.ndarray], tuple]
     name: str = "custom"
 
     def __post_init__(self):
@@ -62,22 +74,37 @@ class PolynomialFamily:
         if not 0.0 < self.delta_claimed <= 1.0:
             raise ValueError("delta_claimed must lie in (0, 1]")
 
-    def eval(self, q: int, n: int, z: np.ndarray) -> complex:
+    def eval(self, q: int, n: int, pts: np.ndarray):
+        """The provider's (log_abs, unit) at pts; a NaN or an array of
+        another shape than (P,) raises ValueError."""
         try:
-            return complex(self.provider(q, n, z))
+            log_abs, unit = self.provider(q, n, pts)
+            log_abs, unit = np.asarray(log_abs, dtype=float), np.asarray(unit, dtype=complex)
         except Exception as exc:  # surface degree/index context
             raise RuntimeError(
                 f"family {self.name!r} provider failed at q={q}, n={n}") from exc
+        if (log_abs.shape != (len(pts),) or unit.shape != log_abs.shape
+                or np.isnan(log_abs).any() or np.isnan(unit).any()):
+            raise ValueError(f"family {self.name!r} provider gave NaN or not "
+                             f"{len(pts)} values at q={q}, n={n}")
+        return log_abs, unit
+
+
+def _coordinate_power(q: int, n: int, pts: np.ndarray):
+    """z_q^n at the points pts (rows) in log-polar form: (n log|z_q|,
+    e^{i fmod(n arg z_q, 2 pi)}), the phases of the series kernel.  The
+    modulus is never powered, so |zeta_1^n| = 1 holds on the circle."""
+    z = pts[:, q - 1]
+    with np.errstate(divide="ignore"):
+        log_abs = n * np.log(np.abs(z)) if n else np.zeros(z.shape)
+    return log_abs, np.exp(1j * np.fmod(n * np.angle(z), _TWO_PI))
 
 
 def monomial_family() -> PolynomialFamily:
     """d = 1, Q = 1, W_1[n](z) = z^n: the family that reduces the ball
     pipeline to the disk one, with delta = 1."""
-    return PolynomialFamily(
-        d=1, Q=1, delta_claimed=1.0,
-        provider=lambda q, n, z: complex(z[0]) ** n,
-        name="monomial_d1",
-    )
+    return PolynomialFamily(d=1, Q=1, delta_claimed=1.0, provider=_coordinate_power,
+                            name="monomial_d1")
 
 
 def coordinate_family_d2(delta_claimed: float = 0.5) -> PolynomialFamily:
@@ -85,11 +112,8 @@ def coordinate_family_d2(delta_claimed: float = 0.5) -> PolynomialFamily:
     At balanced points |z_1| = |z_2| = 1/sqrt(2) the max drops like
     2^{-n/2}, so no uniform delta exists and verify_family must reject
     the claim for large enough degree."""
-    return PolynomialFamily(
-        d=2, Q=2, delta_claimed=delta_claimed,
-        provider=lambda q, n, z: complex(z[q - 1]) ** n,
-        name="coordinate_d2",
-    )
+    return PolynomialFamily(d=2, Q=2, delta_claimed=delta_claimed,
+                            provider=_coordinate_power, name="coordinate_d2")
 
 
 _BUILTIN_FAMILIES = {
@@ -99,14 +123,17 @@ _BUILTIN_FAMILIES = {
 
 
 def provider_from_interleaved(fn: Callable) -> Callable:
-    """Adapt an external plugin f(q, n, coords) -> complex, where coords
-    are interleaved real pairs [re_1, im_1, ..., re_d, im_d], to the
-    complex-vector provider signature used internally."""
-    def provider(q: int, n: int, z: np.ndarray) -> complex:
-        coords = np.empty(2 * len(z))
-        coords[0::2] = np.real(z)
-        coords[1::2] = np.imag(z)
-        return complex(fn(q, n, coords))
+    """Adapt an external plugin f(q, n, coords) -> complex at one point,
+    where coords are interleaved real pairs [re_1, im_1, ..., re_d, im_d],
+    to the provider contract.  This adapter is the one per-point loop: it
+    calls the plugin once per row of pts."""
+    def provider(q: int, n: int, pts: np.ndarray):
+        coords = np.empty((len(pts), 2 * pts.shape[1]))
+        coords[:, 0::2], coords[:, 1::2] = pts.real, pts.imag
+        w = np.array([complex(fn(q, n, c)) for c in coords], dtype=complex)
+        mags = np.abs(w)
+        with np.errstate(divide="ignore"):
+            return np.log(mags), w / np.where(mags > 0.0, mags, 1.0)
     return provider
 
 
@@ -117,9 +144,7 @@ def family_from_manifest(manifest: dict) -> PolynomialFamily:
         raise ValueError(f"unknown builtin family kind {kind!r}")
     fam = _BUILTIN_FAMILIES[kind]()
     if "delta" in manifest and manifest["delta"] is not None:
-        fam = PolynomialFamily(d=fam.d, Q=fam.Q,
-                               delta_claimed=float(manifest["delta"]),
-                               provider=fam.provider, name=fam.name)
+        fam = replace(fam, delta_claimed=float(manifest["delta"]))
     for key, val in (("d", fam.d), ("Q", fam.Q)):
         if key in manifest and int(manifest[key]) != val:
             raise ValueError(f"manifest {key}={manifest[key]} does not match "
@@ -142,17 +167,11 @@ def sphere_points(d: int, count: int, seed: int = 0) -> np.ndarray:
                          f"(a {MAX_DIM}-dimensional Sobol table), got d={d}")
     if count < 2 * d + 2:
         raise ValueError(f"need at least {2 * d + 2} sphere samples for d={d}")
-    structured = []
-    for q in range(d):
-        v = np.zeros(d, dtype=complex)
-        v[q] = 1.0
-        structured.append(v)
-        v = np.zeros(d, dtype=complex)
-        v[q] = cmath.exp(0.5j * math.pi / (q + 1))
-        structured.append(v)
+    eye = np.eye(d, dtype=complex)
+    structured = [row for q in range(d)
+                  for row in (eye[q], eye[q] * cmath.exp(0.5j * math.pi / (q + 1)))]
     structured.append(np.full(d, 1.0 / math.sqrt(d), dtype=complex))
-    phases = np.exp(2j * math.pi * np.arange(d) / max(d, 2))
-    structured.append(phases / math.sqrt(d))
+    structured.append(np.exp(2j * math.pi * np.arange(d) / max(d, 2)) / math.sqrt(d))
     structured = np.asarray(structured)
 
     raw = scrambled_sobol(2 * d, count - len(structured), seed)
@@ -191,94 +210,76 @@ class FamilyReport:
         raise KeyError(n)
 
     def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "delta_claimed": self.delta_claimed,
-            "sphere_samples": self.sphere_samples,
-            "passed": self.passed,
-            "per_degree": [
-                {
-                    "degree": r.degree,
-                    "sup_norm": r.sup_norm,
-                    "min_of_max": r.min_of_max,
-                    "homogeneity_residual": r.homogeneity_residual,
-                    "passed": r.passed,
-                }
-                for r in self.per_degree
-            ],
-        }
+        keys = ("degree", "sup_norm", "min_of_max", "homogeneity_residual", "passed")
+        return {"family": self.family, "delta_claimed": self.delta_claimed,
+                "sphere_samples": self.sphere_samples, "passed": self.passed,
+                "per_degree": [{k: getattr(r, k) for k in keys} for r in self.per_degree]}
 
 
-def _homogeneity_residual(fam: PolynomialFamily, n: int, pts: np.ndarray) -> float:
-    """Relative residual of W(lambda z) = lambda^n W(z) at probe scalings.
+def _eval_rows(fam: PolynomialFamily, calls, pts: np.ndarray):
+    """fam.eval(q, n, pts) for each (q, n) of calls as (calls, P) arrays
+    of log-moduli and units."""
+    rows = np.array([fam.eval(q, n, pts) for q, n in calls], dtype=complex)
+    rows = rows.reshape(len(calls), 2, len(pts))
+    return rows[:, 0].real, rows[:, 1]
 
-    lambda = i is exact for any degree (i^n cycles through 4 values); a
-    contracting probe is added only while |lambda|^n stays representable.
-    """
-    probes = [1j]
-    if n * abs(math.log(0.7)) < 600.0:
-        probes.append(0.7 + 0.0j)
-        probes.append(0.9 * cmath.exp(1j * math.pi / 3.0))
-    worst = 0.0
-    for z in pts[: min(8, len(pts))]:
-        for q in range(1, fam.Q + 1):
-            base = fam.eval(q, n, z)
-            for lam in probes:
-                lhs = fam.eval(q, n, lam * z)
-                rhs = lam ** n * base
-                denom = max(abs(rhs), 1e-30)
-                worst = max(worst, abs(lhs - rhs) / denom)
-    return worst
+
+def _homogeneity_residual(n: int, log_abs: np.ndarray, units: np.ndarray) -> float:
+    """Worst relative residual |W(lambda z) - lambda^n W(z)| / |lambda^n W(z)|
+    over the lambdas of _PROBES, from (Q, columns) values whose first
+    _PROBED columns are W at points z and whose last columns are W at
+    lambda z, probe by probe.  Both sides stay in log-polar form, so no
+    power is formed; where W vanishes at z and at lambda z, 0/0 counts 0."""
+    lam_log, lam_unit = _coordinate_power(1, n, _PROBES[:, None])
+    shape = (len(log_abs), _PROBES.size, _PROBED)
+    lhs_log = log_abs[:, -_PROBES.size * _PROBED:].reshape(shape)
+    lhs_unit = units[:, -_PROBES.size * _PROBED:].reshape(shape)
+    rhs_log = lam_log[:, None] + log_abs[:, None, :_PROBED]
+    with np.errstate(invalid="ignore"):
+        rel = np.abs(np.exp(lhs_log - rhs_log) * lhs_unit
+                     - lam_unit[:, None] * units[:, None, :_PROBED])
+    return float(np.max(rel, initial=0.0, where=~np.isnan(rel)))
 
 
 def verify_family(fam: PolynomialFamily, degrees, sphere_samples: int = 256,
                   seed: int = 0) -> FamilyReport:
     """Measure the family's claims per degree on deterministic samples:
     sup norm <= 1, min over the sphere of max_q |W_q[n]| >= delta, and
-    homogeneity."""
+    homogeneity.  Each (q, n) is one provider call, on the sphere samples
+    and the homogeneity probes together."""
     if sphere_samples < 64:
         raise ValueError("sphere_samples must be at least 64")
     pts = sphere_points(fam.d, sphere_samples, seed=seed)
     # Float sphere points carry norms 1 + O(eps); a degree-n homogeneous
     # polynomial amplifies that to (1 + O(eps))^n, which swamps the 1e-9
-    # tolerances once n ~ 1e7.  Rescaling by ||zeta||^n (in log form)
-    # measures the value at the exact sphere point zeta/||zeta||.
+    # tolerances once n ~ 1e7.  Subtracting n log ||zeta|| measures the
+    # value at the exact sphere point zeta/||zeta||.
     log_norms = 0.5 * np.log1p(np.sum(np.abs(pts) ** 2, axis=1) - 1.0)
+    batch = np.concatenate([pts, (_PROBES[:, None, None] * pts[:_PROBED]).reshape(-1, fam.d)])
     reports = []
     for n in degrees:
         n = int(n)
-        mags = np.empty((fam.Q, len(pts)))
-        for q in range(1, fam.Q + 1):
-            for i, z in enumerate(pts):
-                a = abs(fam.eval(q, n, z))
-                mags[q - 1, i] = (math.exp(math.log(a) - n * log_norms[i])
-                                  if a > 0.0 else 0.0)
+        log_abs, units = _eval_rows(fam, [(q, n) for q in range(1, fam.Q + 1)], batch)
+        mags = np.exp(log_abs[:, :len(pts)] - n * log_norms)
         sup_norm = float(mags.max())
         min_of_max = float(mags.max(axis=0).min())
-        resid = _homogeneity_residual(fam, n, pts)
+        resid = _homogeneity_residual(n, log_abs, units)
         noise = _degree_noise(n)
         sup_ok = sup_norm <= 1.0 + max(SUP_NORM_SLACK, noise)
         min_ok = min_of_max >= fam.delta_claimed - max(MIN_OF_MAX_SLACK, noise)
         hom_ok = resid <= max(HOMOGENEITY_TOL, noise)
         reports.append(DegreeReport(
-            degree=n, sup_norm=sup_norm, min_of_max=min_of_max,
-            homogeneity_residual=resid,
-            passed=sup_ok and min_ok and hom_ok,
-            sup_ok=sup_ok, min_ok=min_ok, homogeneity_ok=hom_ok,
-        ))
-    return FamilyReport(
-        family=fam.name,
-        delta_claimed=fam.delta_claimed,
-        sphere_samples=sphere_samples,
-        per_degree=tuple(reports),
-        passed=all(r.passed for r in reports),
-    )
+            degree=n, sup_norm=sup_norm, min_of_max=min_of_max, homogeneity_residual=resid,
+            passed=sup_ok and min_ok and hom_ok, sup_ok=sup_ok, min_ok=min_ok,
+            homogeneity_ok=hom_ok))
+    return FamilyReport(family=fam.name, delta_claimed=fam.delta_claimed,
+                        sphere_samples=sphere_samples, per_degree=tuple(reports),
+                        passed=all(r.passed for r in reports))
 
 
 @dataclass(frozen=True)
 class BallFunction:
-    """One assembled function: sum_j exp(log_a_j) W_q[e_j], or the
-    constant 1."""
+    """One assembled function: sum_j exp(log_a_j) W_q[e_j], or the constant 1."""
 
     q: int  # 0 for the constant function
     terms: tuple  # ((log_a, e), ...), empty for the constant
@@ -291,25 +292,23 @@ class BallFunctionSystem:
     family: PolynomialFamily
     state: ConstructionState
 
-    @property
-    def Q(self) -> int:
-        return self.family.Q
-
-    def _coefficients(self, index: int, zeta: np.ndarray):
-        """Function `index` restricted to the complex line through zeta is
-        the series sum_j a_j W_q[e_j](zeta) lam^{e_j}; returns its
-        log-moduli, unit phases and exponents, with one provider call per
-        term.  The constant function is the one term 1 = e^0 lam^0."""
+    def _coefficients(self, index: int, pts: np.ndarray):
+        """Along a sphere point zeta, function `index` is the series
+        sum_j a_j W_q[e_j](zeta) lam^{e_j}: log a_j and e_j as (K,) arrays,
+        then log|W_q[e_j]| and its units at the rows of pts as (K, P)
+        arrays, one provider call per term.  The constant is 1 = e^0 lam^0."""
         func = self.functions[index]
         if func.is_one:
-            return np.zeros(1), np.ones(1, dtype=complex), np.zeros(1)
-        w = np.array([self.family.eval(func.q, e, zeta) for _, e in func.terms],
-                     dtype=complex)
-        mags = np.abs(w)
-        with np.errstate(divide="ignore"):
-            log_mods = np.array([log_a for log_a, _ in func.terms]) + np.log(mags)
-        return (log_mods, w / np.where(mags > 0.0, mags, 1.0),
-                np.array([e for _, e in func.terms], dtype=float))
+            return (np.zeros(1), np.zeros(1), np.zeros((1, len(pts))),
+                    np.ones((1, len(pts)), dtype=complex))
+        log_w, units = _eval_rows(self.family, [(func.q, e) for _, e in func.terms], pts)
+        return (np.array([log_a for log_a, _ in func.terms]),
+                np.array([e for _, e in func.terms], dtype=float), log_w, units)
+
+    def _line(self, index: int, zeta: np.ndarray):
+        """(log-moduli, units, exponents) along one sphere point zeta."""
+        log_a, es, log_w, units = self._coefficients(index, np.reshape(zeta, (1, -1)))
+        return log_a + log_w[:, 0], units[:, 0], es
 
     def eval(self, index: int, t: float, zeta: np.ndarray) -> ScaledArray:
         """Evaluate function `index` (0-based) at z = t * zeta, |zeta| = 1,
@@ -321,20 +320,21 @@ class BallFunctionSystem:
         """
         if not 0.0 <= t < 1.0:
             raise ValueError(f"t={t} outside [0, 1)")
-        return _eval_points(*self._coefficients(index, zeta), np.array(t + 0j))
+        return _eval_points(*self._line(index, zeta), np.array(t + 0j))
 
     def _log_modulus_sums(self, ts: np.ndarray, pts: np.ndarray) -> np.ndarray:
         """log sum_{m <= 2Q} |f_m(t zeta)| for every radius t (rows) and
-        sphere point zeta (columns), one kernel call per function and
-        point over all radii."""
+        sphere point zeta (columns).  Per function, one kernel call scales
+        the terms a_j t^{e_j} over all radii, and its live rows contract
+        with the coefficients W_q[e_j](zeta) of every point at once."""
         with np.errstate(divide="ignore"):
             log_ts = np.log(ts)
             logs = np.empty((len(self.functions) - 1, ts.size, len(pts)))
-            for p, zeta in enumerate(pts):
-                for m in range(len(self.functions) - 1):
-                    log_mods, units, es = self._coefficients(m, zeta)
-                    mant, live, scales = _scaled_terms(log_mods, es, log_ts)
-                    logs[m, :, p] = np.log(np.abs(mant.T @ units[live])) + scales
+            for m in range(len(self.functions) - 1):
+                log_a, es, log_w, units = self._coefficients(m, pts)
+                mant, live, scales = _scaled_terms(log_a, es, log_ts)
+                sums = mant.T @ (np.exp(log_w[live]) * units[live])
+                logs[m] = np.log(np.abs(sums)) + scales[:, None]
         return logsumexp(logs, axis=0)
 
     def slice_callable(self, index: int, zeta: np.ndarray, shift: int = 0):
@@ -351,7 +351,7 @@ class BallFunctionSystem:
         in blocks of 256, whatever their moduli, so a circle of 256 sample
         points costs one kernel call.
         """
-        log_mods, units, es = self._coefficients(index, zeta)
+        log_mods, units, es = self._line(index, zeta)
         es = es - shift
 
         def slice_fn(lam):
@@ -429,27 +429,20 @@ def ball_lower_bound_check(sys: BallFunctionSystem, w: WeightFunction,
     h = state.params.h
     log_bound_const = math.log(0.4 * delta) - h
 
-    log_w = np.array([w.log_omega(float(t)) for t in ts])
+    log_w = _log_omegas(w, ts)
     s_log = sys._log_modulus_sums(ts, pts)
     margins = normalized_margins(s_log, log_bound_const + log_w[:, None])
     wit_t, wit_i = np.unravel_index(np.argmin(margins), margins.shape)
     # The constant function adds log 1 = 0 to every modulus sum; in the
     # inner ball |z| <= t0 it takes over once omega is capped.
-    log_c = float(np.max(log_w[:, None] - np.logaddexp(s_log, 0.0)))
     t_in = np.linspace(0.0, state.t0, 16)
-    log_w_in = np.array([w.log_omega(float(t)) for t in t_in])
     s_in = sys._log_modulus_sums(t_in, pts[:16])
-    log_c = max(log_c, float(np.max(log_w_in[:, None] - np.logaddexp(s_in, 0.0))))
+    log_c = max(float(np.max(log_w[:, None] - np.logaddexp(s_log, 0.0))),
+                float(np.max(_log_omegas(w, t_in)[:, None] - np.logaddexp(s_in, 0.0))))
 
     return BallReport(
         passed=bool(margins[wit_t, wit_i] >= -BALL_SLACK),
-        lower_margin=float(margins[wit_t, wit_i]),
-        witness_t=float(ts[wit_t]),
-        witness_point=int(wit_i),
-        c_measured=exp_or_inf(log_c),
-        log_c_measured=log_c,
-        t_count=int(ts.size),
-        sphere_samples=sphere_samples,
-        delta=delta,
-        h=h,
-    )
+        lower_margin=float(margins[wit_t, wit_i]), witness_t=float(ts[wit_t]),
+        witness_point=int(wit_i), c_measured=exp_or_inf(log_c),
+        log_c_measured=log_c, t_count=int(ts.size), sphere_samples=sphere_samples,
+        delta=delta, h=h)

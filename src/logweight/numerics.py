@@ -39,6 +39,7 @@ def normalized_margins(lhs, rhs, scale=None):
 
 def exp_or_inf(x: float) -> float:
     """exp(x) for reporting a constant measured in the log domain; inf
-    once x passes 709, near the end of the float64 range."""
-    return math.exp(x) if x <= 709.0 else math.inf
+    once x passes 709, near the end of the float64 range, and NaN for
+    NaN."""
+    return math.inf if x > 709.0 else math.exp(x)
 

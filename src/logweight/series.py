@@ -250,12 +250,17 @@ def eval_series_grid(s: LacunarySeries, t_values, theta_count: int) -> np.ndarra
     return out
 
 
+def _log_omegas(w: WeightFunction, radii) -> np.ndarray:
+    """log omega at each radius, one scalar call per radius."""
+    return np.array([w.log_omega(float(t)) for t in radii])
+
+
 def _ring_samples(f1: LacunarySeries, f2: LacunarySeries, w: WeightFunction,
                   radii, angles: int):
     """(log omega per radius, log|f1(z)|, log|f2(z)|) at z = t e^{2 pi i
     j/angles}, rows indexed by t."""
-    return (np.array([w.log_omega(float(t)) for t in radii]),
-            eval_series_grid(f1, radii, angles), eval_series_grid(f2, radii, angles))
+    return (_log_omegas(w, radii), eval_series_grid(f1, radii, angles),
+            eval_series_grid(f2, radii, angles))
 
 
 def _check_radii(t_grid, t0: float, t_last: float) -> np.ndarray:
@@ -305,7 +310,7 @@ def _sandwich_blocks(pair: SeriesPair, w: WeightFunction, t_grid, theta_count: i
     first block is evaluated."""
     g1 = _grid_kernel(pair.g1, theta_count)
     g2 = _grid_kernel(pair.g2, theta_count)
-    log_w = np.array([w.log_omega(float(t)) for t in t_grid])
+    log_w = _log_omegas(w, t_grid)
     ts, xs = _log_radii(t_grid)
     thetas = _TWO_PI * np.arange(theta_count) / theta_count
     blocks = ((rows, g1(xs[rows]), g2(xs[rows])) for rows in _row_blocks(ts.size))

@@ -8,9 +8,18 @@ import pytest
 
 import logweight as lw
 import logweight.ball_extension
+import logweight.cli
+from logweight.cli import main
 from logweight.construction import ConstructionParams
 from logweight.envelope import _log_max_moduli
+from logweight.numerics import exp_or_inf
 from reference_series import reference_ball_modulus_sum, reference_modulus_sum, to_complex
+
+
+def first_coordinate_power(q, n, pts):
+    """z_1^n at the rows of pts in the provider contract: (log|z_1^n|,
+    unit phase)."""
+    return n * np.log(np.abs(pts[:, 0])), np.exp(1j * n * np.angle(pts[:, 0]))
 
 
 def ramey_state(t_stop=0.9999, h=2.0):
@@ -59,7 +68,9 @@ class TestVerifyFamily:
     def test_oversized_polynomials_fail_sup_norm(self):
         fam = lw.PolynomialFamily(
             d=1, Q=1, delta_claimed=1.0,
-            provider=lambda q, n, z: 2.0 * complex(z[0]) ** n, name="doubled")
+            provider=lambda q, n, pts: (math.log(2.0) + first_coordinate_power(q, n, pts)[0],
+                                        first_coordinate_power(q, n, pts)[1]),
+            name="doubled")
         rep = lw.verify_family(fam, [3], sphere_samples=64)
         r = rep.degree(3)
         assert not r.sup_ok
@@ -119,7 +130,7 @@ class TestBuildBallFunctions:
         w, state = ramey_state()
         fam = lw.PolynomialFamily(
             d=1, Q=3, delta_claimed=1.0,
-            provider=lambda q, n, z: complex(z[0]) ** n, name="triple")
+            provider=first_coordinate_power, name="triple")
         system = lw.build_ball_functions(state, fam, sphere_samples=64)
         assert len(system.functions) == 7
 
@@ -163,7 +174,7 @@ class TestBuildBallFunctions:
         w, state = ramey_state()  # h = 2
         fam = lw.PolynomialFamily(
             d=1, Q=1, delta_claimed=0.01,
-            provider=lambda q, n, z: complex(z[0]) ** n, name="needs_big_h")
+            provider=first_coordinate_power, name="needs_big_h")
         with pytest.raises(ValueError, match="h"):
             lw.build_ball_functions(state, fam, sphere_samples=64)
 
@@ -375,3 +386,99 @@ class TestConstantSlice:
             assert (one.mantissa, one.log_scale) == (1 + 0j, 0.0)
         rep = lw.hadamard_check([sl], np.geomspace(0.1, 0.9, 8), theta_count=64)
         assert rep.passed and rep.min_second_diff == 0.0
+
+
+def nan_left_half_plugin(q, n, coords):
+    """An interleaved plugin with W_1 = NaN where Re z < 0 and W_2 = z^n."""
+    z = complex(coords[0], coords[1])
+    return complex(math.nan, 0.0) if q == 1 and z.real < 0.0 else z ** n
+
+
+def nan_left_half_family():
+    return lw.PolynomialFamily(
+        d=1, Q=2, delta_claimed=1.0,
+        provider=lw.provider_from_interleaved(nan_left_half_plugin), name="nan_left")
+
+
+@pytest.fixture(scope="module")
+def bench_states():
+    """The two states of the CLI benchmark, built at the construct defaults."""
+    def build(weight, t_stop):
+        return lw.run_construction(weight, ConstructionParams(x0=math.log(0.95), h=2.0,
+                                                              t_stop=t_stop))
+    return {"ramey_ullrich": build(lw.make_weight("ramey_ullrich"), 0.999999999),
+            "exp_power_a1": build(lw.make_weight("exp_power", [1.0]), 0.9999)}
+
+
+class TestArrayProviders:
+    """Providers evaluate one (q, n) at every point of an array in
+    log-polar form."""
+
+    def test_calls_do_not_grow_with_sphere_samples(self):
+        sizes = []
+
+        def counting(q, n, pts):
+            sizes.append(len(pts))
+            return first_coordinate_power(q, n, pts)
+
+        fam = lw.PolynomialFamily(d=1, Q=2, delta_claimed=1.0, provider=counting)
+        calls = []
+        for samples in (64, 512):
+            sizes.clear()
+            assert lw.verify_family(fam, [1, 5, 88], sphere_samples=samples).passed
+            calls.append(len(sizes))
+            assert min(sizes) > samples
+        assert calls == [6, 6]  # one call per (q, n)
+
+    def test_nan_provider_rejected(self):
+        with pytest.raises(ValueError, match=r"'nan_left'.*q=1, n=1\b"):
+            lw.verify_family(nan_left_half_family(), [1, 3, 5, 88], sphere_samples=64)
+
+    @pytest.mark.parametrize("values", [
+        lambda pts: (np.zeros(len(pts) + 1), np.ones(len(pts) + 1)),
+        lambda pts: (np.zeros(len(pts)), np.full(len(pts), complex(0.0, math.nan))),
+    ])
+    def test_wrong_shape_or_nan_unit_rejected(self, values):
+        fam = lw.PolynomialFamily(d=1, Q=1, delta_claimed=1.0, name="broken",
+                                  provider=lambda q, n, pts: values(pts))
+        with pytest.raises(ValueError, match="'broken'.*q=1, n=2"):
+            lw.verify_family(fam, [2], sphere_samples=64)
+
+    def test_nan_provider_exits_2(self, tmp_path, monkeypatch, capsys):
+        state = tmp_path / "state.json"
+        assert main(["construct", "--family", "ramey_ullrich", "--t-stop", "0.999999999",
+                     "--out", str(state)]) == 0
+        monkeypatch.setattr(logweight.cli, "family_from_manifest",
+                            lambda manifest: nan_left_half_family())
+        rc = main(["verify", "ball", "--family", "ramey_ullrich", "--state", str(state),
+                   "--poly-family", "monomial_d1", "--sphere-samples", "64"])
+        assert rc == 2
+        assert "nan_left" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("x, expected", [(0.0, 1.0), (-math.inf, 0.0),
+                                             (709.0, math.exp(709.0)), (709.5, math.inf)])
+    def test_exp_or_inf(self, x, expected):
+        assert exp_or_inf(x) == expected
+
+    def test_exp_or_inf_keeps_nan(self):
+        assert math.isnan(exp_or_inf(math.nan))
+
+    @pytest.mark.parametrize("name", ["ramey_ullrich", "exp_power_a1"])
+    def test_monomials_exact_at_bench_degrees(self, bench_states, name):
+        # |zeta^n| = 1 on the circle: the log-modulus n log|zeta| and
+        # n log||zeta|| cancel, with no powering noise even at n ~ 1e8
+        state = bench_states[name]
+        assert max(state.es) > 5e7
+        rep = lw.verify_family(lw.monomial_family(), state.es, sphere_samples=128, seed=7)
+        assert rep.passed
+        assert {(r.sup_norm, r.min_of_max) for r in rep.per_degree} == {(1.0, 1.0)}
+
+    @pytest.mark.parametrize("name, first", [("ramey_ullrich", 88), ("exp_power_a1", 663)])
+    def test_coordinate_d2_verdicts_at_bench_degrees(self, bench_states, name, first):
+        # no uniform delta: min-of-max, and only min-of-max, fails at every
+        # degree of both states, from the first one on
+        state = bench_states[name]
+        rep = lw.verify_family(lw.coordinate_family_d2(), state.es, sphere_samples=128, seed=7)
+        assert state.es[0] == first and len(rep.per_degree) == len(state.es)
+        assert {(r.passed, r.sup_ok, r.min_ok, r.homogeneity_ok)
+                for r in rep.per_degree} == {(False, True, False, True)}

