@@ -22,7 +22,7 @@ from .envelope import (EnvelopeResult, HadamardReport, hadamard_check,
                        random_polynomials)
 from .series import (AdjustedPair, LacunarySeries, SandwichReport, ScaledArray,
                      SeriesPair, eval_series, eval_series_grid, sandwich_check,
-                     sandwich_samples, split_parity, zero_adjust)
+                     split_parity, zero_adjust)
 from .weight_model import (CONSTRUCTIBLE_FAMILIES, ConvexityReport,
                            WeightFunction, check_log_convexity, make_weight,
                            weight_from_knots, weight_from_spec, weight_to_spec)
@@ -40,7 +40,7 @@ __all__ = [
     "hadamard_check", "log_convex_envelope", "make_weight",
     "monomial_family", "next_tangent", "polynomial_callable",
     "provider_from_interleaved", "random_polynomials", "run_construction",
-    "sandwich_check", "sandwich_samples", "sphere_points", "split_parity",
-    "verify_family", "verify_tangent_lemmas", "weight_from_knots",
-    "weight_from_spec", "weight_to_spec", "zero_adjust",
+    "sandwich_check", "sphere_points", "split_parity", "verify_family",
+    "verify_tangent_lemmas", "weight_from_knots", "weight_from_spec",
+    "weight_to_spec", "zero_adjust",
 ]

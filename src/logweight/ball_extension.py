@@ -29,8 +29,8 @@ import numpy as np
 from ._sobol import MAX_DIM, ndtri, scrambled_sobol
 from .construction import ConstructionState, h_for_delta
 from .numerics import exp_or_inf, logsumexp, normalized_margins
-from .series import (_TWO_PI, ScaledArray, _check_radii, _eval_points, _log_omegas,
-                     _scaled_terms, split_parity)
+from .series import (_TWO_PI, ScaledArray, _check_radii, _eval_points, _first_worst,
+                     _log_omegas, _scaled_terms, split_parity)
 from .weight_model import WeightFunction
 
 SUP_NORM_SLACK = 1e-9
@@ -432,7 +432,7 @@ def ball_lower_bound_check(sys: BallFunctionSystem, w: WeightFunction,
     log_w = _log_omegas(w, ts)
     s_log = sys._log_modulus_sums(ts, pts)
     margins = normalized_margins(s_log, log_bound_const + log_w[:, None])
-    wit_t, wit_i = np.unravel_index(np.argmin(margins), margins.shape)
+    margin, wit_t, wit_i = _first_worst(None, margins, 0)
     # The constant function adds log 1 = 0 to every modulus sum; in the
     # inner ball |z| <= t0 it takes over once omega is capped.
     t_in = np.linspace(0.0, state.t0, 16)
@@ -441,8 +441,7 @@ def ball_lower_bound_check(sys: BallFunctionSystem, w: WeightFunction,
                 float(np.max(_log_omegas(w, t_in)[:, None] - np.logaddexp(s_in, 0.0))))
 
     return BallReport(
-        passed=bool(margins[wit_t, wit_i] >= -BALL_SLACK),
-        lower_margin=float(margins[wit_t, wit_i]), witness_t=float(ts[wit_t]),
-        witness_point=int(wit_i), c_measured=exp_or_inf(log_c),
+        passed=bool(margin >= -BALL_SLACK), lower_margin=margin,
+        witness_t=float(ts[wit_t]), witness_point=wit_i, c_measured=exp_or_inf(log_c),
         log_c_measured=log_c, t_count=int(ts.size), sphere_samples=sphere_samples,
         delta=delta, h=h)

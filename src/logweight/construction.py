@@ -47,6 +47,7 @@ LEMMA_SLACK = 1e-9
 _TAIL_WINDOW = 8  # lines summed on each side of k in the lemma tail sums
 _TAIL_BLOCK = 1 << 14  # float64 tail terms per block of intervals (128 kB)
 _XI_BRACKET = 1e-12  # half-width, relative to |xi|, tried around a stored xi
+_X_FLOOR = -2.0 ** -53  # x halves toward 0 no further: exp(x) is the last float < 1
 
 _GATE_POINTS = 200
 _GATE_SHRINK = 1e-6
@@ -192,7 +193,8 @@ def next_tangent(w: WeightFunction, x_prev: float, h: float,
         -h at xi and is strictly increasing there.
 
     Both roots are bracketed by geometrically halving the abscissa toward
-    0 and then bisected to root_tol.
+    0, no further than the float floor _X_FLOOR, and then bisected to the
+    relative tolerance root_tol.
     """
     if x_prev >= 0.0:
         raise ValueError("x_prev must be negative")
@@ -211,11 +213,11 @@ def next_tangent(w: WeightFunction, x_prev: float, h: float,
     hi = x_prev / 2.0
     decreased = False
     while True:
-        if hi > -root_tol:
+        if hi > _X_FLOOR:
             if decreased:
                 raise SlowGrowthError(
                     "weight grows too slowly (or is not unbounded): no tangent "
-                    f"line drops {h} below F left of x = {-root_tol}")
+                    f"line drops {h} below F left of the float floor x = {_X_FLOOR}")
             raise NotStrictlyConvexError(
                 "weight profile is not strictly convex: the tangent never "
                 "separates from the chord")
@@ -245,10 +247,10 @@ def next_tangent(w: WeightFunction, x_prev: float, h: float,
     lo2 = xi
     hi2 = xi / 2.0
     while True:
-        if hi2 > -root_tol:
+        if hi2 > _X_FLOOR:
             raise SlowGrowthError(
                 "weight grows too slowly (or is not unbounded): F - h never "
-                f"crosses the tangent line again left of x = {-root_tol}")
+                f"crosses the tangent line again left of the float floor x = {_X_FLOOR}")
         if big_h(hi2) >= 0.0:
             break
         lo2 = hi2
@@ -400,8 +402,9 @@ def _min_above_line(w, line, x_lo, x_hi, x0, tol):
     attached to, and F(c).  g is convex with its minimum where F' = slope,
     bracketed around the stored xi when the F' signs confirm it, else
     bisected from [x_lo, x_hi] (widened to [x0, x_lo], or halved toward 0
-    as in next_tangent).  On the bracket [p, q] with midpoint c the secant
-    bounds give g >= 2 g(c) - max g(p, c, q), outside it min(g(p), g(q))."""
+    down to _X_FLOOR as in next_tangent) to the relative tolerance tol.
+    On the bracket [p, q] with midpoint c the secant bounds give
+    g >= 2 g(c) - max g(p, c, q), outside it min(g(p), g(q))."""
     def psi(x):
         return w.big_f_prime(x) - line.delta
 
@@ -412,7 +415,7 @@ def _min_above_line(w, line, x_lo, x_hi, x0, tol):
         lo, hi = x_lo, x_hi
         if psi(lo) > 0.0:
             lo, hi = x0, lo
-        while psi(hi) < 0.0 and hi < -tol:
+        while psi(hi) < 0.0 and hi < _X_FLOOR:
             lo, hi = hi, hi / 2.0
         if psi(lo) >= 0.0:  # F - l increases from x0 on
             hi = lo

@@ -99,12 +99,11 @@ def _sampled_maxima(f: Callable, rs: np.ndarray, circle: np.ndarray) -> np.ndarr
 
 
 def _log_max_moduli(f: Callable, rs, theta_count: int) -> _MaxModuli:
-    """log max |f| on the circle |z| = r for every radius, by one of two
-    rules.
+    """log max |f| on the circle |z| = r for every radius, by the sampled
+    rule, for any callable: a sampling claim, with no upper bound.  The
+    bracket of polynomials is _polynomial_maxima, and hadamard_check is the
+    one place that chooses between the two.
 
-    A PolynomialCallable under theta_count 0 is bracketed exactly (see
-    _polynomial_maxima): the result carries an upper bound per radius.
-    Every other callable, and any theta_count > 0, is a sampling claim.
     theta_count > 0 samples every circle at that many angles.  theta_count
     0 refines: from _ADAPTIVE_START angles, doubling, each radius stops once
     two successive maxima agree within _ADAPTIVE_TOL, and every radius stops
@@ -122,8 +121,6 @@ def _log_max_moduli(f: Callable, rs, theta_count: int) -> _MaxModuli:
     outside = rs[~((rs >= 0.0) & (rs < 1.0))]
     if outside.size:
         raise ValueError(f"r={outside[0]} outside [0, 1)")
-    if not theta_count and isinstance(f, PolynomialCallable):
-        return _polynomial_maxima([f.coeffs], rs)[0]
     n = theta_count or _ADAPTIVE_START
     values = _sampled_maxima(f, rs, _unit_circle(n))
     active = np.arange(0 if theta_count else rs.size)
@@ -415,28 +412,14 @@ def polynomial_callable(coeffs) -> PolynomialCallable:
 @dataclass(frozen=True)
 class EnvelopeResult:
     """Lower convex hull of sampled F, the worst gap F - hull, and the
-    bounded-gap equivalence verdict."""
+    bounded-gap equivalence verdict.  The hull is its knots, piecewise
+    linear between them; weight_from_knots(hull_knots) is the hull weight."""
 
     hull_knots: tuple  # ((x, F_hull(x)), ...)
     gap: float
     gap_witness: Optional[float]
     equivalent: bool
     gap_bound: float
-
-    def hull_value(self, x):
-        xs = np.array([k[0] for k in self.hull_knots])
-        ys = np.array([k[1] for k in self.hull_knots])
-        x = np.asarray(x, dtype=float)
-        # np.interp clamps; extend the end segments linearly instead.
-        y = np.interp(x, xs, ys)
-        left = x < xs[0]
-        right = x > xs[-1]
-        if xs.size >= 2:
-            s0 = (ys[1] - ys[0]) / (xs[1] - xs[0])
-            s1 = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
-            y = np.where(left, ys[0] + s0 * (x - xs[0]), y)
-            y = np.where(right, ys[-1] + s1 * (x - xs[-1]), y)
-        return y if y.shape else float(y)
 
     def to_json_dict(self) -> dict:
         return {

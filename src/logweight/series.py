@@ -60,10 +60,11 @@ class ScaledArray:
 
     @staticmethod
     def normalize(values: np.ndarray, log_scale: np.ndarray) -> "ScaledArray":
-        """values * exp(log_scale) in the window: |v| by Python's abs and
-        log|m| in log_abs by math.log, one value at a time (numpy's differ
-        in the last bit on some values)."""
-        k = np.frexp(np.reshape([abs(v) for v in values.ravel().tolist()], values.shape))[1] - 1
+        """values * exp(log_scale) in the window.  |v| is np.hypot, the libm
+        hypot behind Python's abs(complex), with its bits (inf past overflow,
+        where abs raises; kernel sums stay below the live term count); log|m|
+        in log_abs is math.log per value, as numpy's differs in the last bit."""
+        k = np.frexp(np.hypot(values.real, values.imag))[1] - 1
         mantissa = np.empty_like(values)
         mantissa.real, mantissa.imag = np.ldexp(values.real, -k), np.ldexp(values.imag, -k)
         mantissa[values == 0] = 0.0
@@ -71,8 +72,9 @@ class ScaledArray:
 
     @property
     def log_abs(self) -> np.ndarray:
-        logs = [math.log(abs(m)) if m else NEG_INF for m in self.mantissa.ravel().tolist()]
-        return np.add(logs, self.log_scale.ravel()).reshape(self.mantissa.shape)
+        m = self.mantissa
+        logs = [math.log(a) if a else NEG_INF for a in np.hypot(m.real, m.imag).ravel().tolist()]
+        return np.add(logs, self.log_scale.ravel()).reshape(m.shape)
 
 
 @dataclass(frozen=True)
@@ -255,14 +257,6 @@ def _log_omegas(w: WeightFunction, radii) -> np.ndarray:
     return np.array([w.log_omega(float(t)) for t in radii])
 
 
-def _ring_samples(f1: LacunarySeries, f2: LacunarySeries, w: WeightFunction,
-                  radii, angles: int):
-    """(log omega per radius, log|f1(z)|, log|f2(z)|) at z = t e^{2 pi i
-    j/angles}, rows indexed by t."""
-    return (_log_omegas(w, radii), eval_series_grid(f1, radii, angles),
-            eval_series_grid(f2, radii, angles))
-
-
 def _check_radii(t_grid, t0: float, t_last: float) -> np.ndarray:
     """The radius grid as an array, non-empty and within (t0, t_last]."""
     ts = np.asarray(t_grid, dtype=float)
@@ -303,11 +297,13 @@ class SandwichReport:
 
 
 def _sandwich_blocks(pair: SeriesPair, w: WeightFunction, t_grid, theta_count: int):
-    """The samples of sandwich_samples, streamed: (thetas, log_omega,
-    log_lower, log_upper, blocks), the first four whole, and blocks
-    yielding (rows, log|G1|, log|G2|) for consecutive slices rows of at
-    most _BLOCK radii.  Every input error is raised here, before the
-    first block is evaluated."""
+    """The sandwich (2/5)e^{-h} omega < |G1|+|G2| < 4 omega sampled at
+    z = t e^{i theta_j}, theta_j = 2 pi j / theta_count, streamed: (thetas,
+    log_omega, log_lower, log_upper, blocks), per radius log omega and the
+    bounds log(2/5) - h + log omega and log 4 + log omega, and blocks
+    yielding (rows, log|G1|, log|G2|), rows indexed by t, for consecutive
+    slices rows of at most _BLOCK radii.  Every input error is raised
+    here, before the first block is evaluated."""
     g1 = _grid_kernel(pair.g1, theta_count)
     g2 = _grid_kernel(pair.g2, theta_count)
     log_w = _log_omegas(w, t_grid)
@@ -315,20 +311,6 @@ def _sandwich_blocks(pair: SeriesPair, w: WeightFunction, t_grid, theta_count: i
     thetas = _TWO_PI * np.arange(theta_count) / theta_count
     blocks = ((rows, g1(xs[rows]), g2(xs[rows])) for rows in _row_blocks(ts.size))
     return thetas, log_w, math.log(0.4) - pair.h + log_w, math.log(4.0) + log_w, blocks
-
-
-def sandwich_samples(pair: SeriesPair, w: WeightFunction, t_grid, theta_count: int):
-    """The sandwich (2/5)e^{-h} omega < |G1|+|G2| < 4 omega sampled at
-    z = t e^{i theta_j}, theta_j = 2 pi j / theta_count.  Returns (thetas,
-    log_g1, log_g2, log_omega, log_lower, log_upper): log|G1| and log|G2|
-    with rows indexed by t, and per radius log omega and the bounds
-    log_lower = log(2/5) - h + log omega, log_upper = log 4 + log omega."""
-    thetas, log_w, lo, hi, blocks = _sandwich_blocks(pair, w, t_grid, theta_count)
-    log_g1 = np.empty((log_w.size, theta_count))
-    log_g2 = np.empty_like(log_g1)
-    for rows, g1, g2 in blocks:
-        log_g1[rows], log_g2[rows] = g1, g2
-    return thetas, log_g1, log_g2, log_w, lo, hi
 
 
 def _first_worst(worst, margins: np.ndarray, row0: int):
@@ -483,11 +465,9 @@ def _ratio_rings(f1: LacunarySeries, f2: LacunarySeries,
     rings = [(inner_disk_radii(t0, inner_radii), inner_angles)]
     if outer_t_points > 0:
         rings.append((np.linspace(t0, t_last, outer_t_points + 1)[1:], outer_angles))
-    out = []
-    for radii, angles in rings:
-        log_w, f1_ring, f2_ring = _ring_samples(f1, f2, w, radii, angles)
-        out.append((log_w, np.logaddexp(f1_ring, f2_ring)))
-    return out
+    return [(_log_omegas(w, radii), np.logaddexp(eval_series_grid(f1, radii, angles),
+                                                 eval_series_grid(f2, radii, angles)))
+            for radii, angles in rings]
 
 
 def zero_adjust(pair: SeriesPair, w: WeightFunction, theta_count: int = 720,

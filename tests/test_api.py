@@ -27,12 +27,12 @@ def test_exported_names_are_unique():
 REMOVED = {
     "logweight": ("ScaledComplex", "modulus_sum", "frequency_profile", "max_modulus",
                   "hull_weight", "equivalence_constants", "EquivalenceConstants",
-                  "check_doubling", "DoublingResult", "check_unbounded"),
+                  "check_doubling", "DoublingResult", "check_unbounded", "sandwich_samples"),
     "logweight.series": ("ScaledComplex", "modulus_sum", "frequency_profile",
-                         "ScaledArray.item", "AdjustedPair.eval_f1"),
+                         "ScaledArray.item", "AdjustedPair.eval_f1", "sandwich_samples"),
     "logweight.ball_extension": ("BallFunctionSystem.log_modulus_sum",),
     "logweight.envelope": ("max_modulus", "hull_weight", "equivalence_constants",
-                           "EquivalenceConstants"),
+                           "EquivalenceConstants", "EnvelopeResult.hull_value"),
     "logweight.weight_model": ("check_doubling", "DoublingResult", "check_unbounded",
                                "DOUBLING_CAP", "UNBOUNDED_LOG_THRESHOLD",
                                "UNBOUNDED_PROBE_S"),

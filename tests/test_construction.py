@@ -197,10 +197,22 @@ class TestRunConstruction:
 
     def test_slow_growth_error(self):
         w = lw.make_weight("log_power")
-        with pytest.raises(lw.SlowGrowthError):
+        with pytest.raises(lw.SlowGrowthError, match=r"float floor x = -1\.1102230246251565e-16"):
             lw.run_construction(
                 w, ConstructionParams(x0=math.log(0.95), h=2.0,
                                       t_stop=1.0 - 1e-15, k_max=50))
+
+    def test_deep_run_passes_the_bisection_tolerance(self):
+        # The halving searches stop at x = -2^-53, not at -root_tol: a run
+        # to t = 1 - 1e-12 brackets its last crossing, within 2 root_tol of
+        # 0, by an abscissa right of x = -root_tol.
+        w, state = ramey_state(t_stop=0.999999999999)
+        assert len(state.lines) == 6
+        assert -2.0 * state.params.root_tol < state.xs[-1] < -state.params.root_tol
+        assert state.t_last > 0.999999999999
+        assert lw.verify_tangent_lemmas(state, w).passed
+        ts = np.linspace(state.t0, state.t_last, 201)[1:]
+        assert lw.sandwich_check(lw.split_parity(state), w, ts, theta_count=32).passed
 
     def test_convexity_gate(self):
         table = [[t, math.exp(2.0 * math.log(t) + 3.0)] for t in (0.2, 0.4, 0.6, 0.8)]

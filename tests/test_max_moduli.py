@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import logweight as lw
-from logweight.envelope import _log_max_moduli
+from logweight.envelope import _log_max_moduli, _polynomial_maxima
 from reference_max_modulus import (CAP, dense_log_max_modulus,
                                    reference_hadamard_check, reference_profile)
 
@@ -143,7 +143,7 @@ class TestPolynomialBracket:
     def test_rotated_monomial(self, n):
         # phi lies off every grid angle 2 pi j / N
         rs = np.array([0.0, 0.05, 0.5, 0.9, 0.99])
-        profile = _log_max_moduli(rotated_monomial(n, phi=0.1234567), rs, 0)
+        profile = _polynomial_maxima([rotated_monomial(n, phi=0.1234567).coeffs], rs)[0]
         exact = np.log1p(rs ** n)
         assert profile.upper is not None and profile.converged
         assert profile.theta_count == max(64, 1 << (8 * (n + 1) - 1).bit_length())
@@ -155,28 +155,31 @@ class TestPolynomialBracket:
            r=st.floats(0.05, 0.99))
     def test_brackets_dense_samples(self, seed, max_degree, r):
         c = lw.random_polynomials(1, max_degree, seed)[0]
-        profile = _log_max_moduli(lw.polynomial_callable(c), [r], 0)
+        profile = _polynomial_maxima([lw.polynomial_callable(c).coeffs], np.asarray([r], float))[0]
         dense = dense_log_max_modulus(c, r)
         assert profile.converged
         assert profile.values[0] >= dense - 1e-15
         assert profile.upper[0] >= dense
 
     def test_degree_zero(self):
-        profile = _log_max_moduli(lw.polynomial_callable([2.0 - 1.0j]), [0.0, 0.5, 0.9], 0)
+        profile = _polynomial_maxima([lw.polynomial_callable([2.0 - 1.0j]).coeffs],
+                                     np.asarray([0.0, 0.5, 0.9], float))[0]
         assert profile.values.tolist() == [math.log(abs(2.0 - 1.0j))] * 3
         assert profile.upper.tolist() == profile.values.tolist()
         assert profile.theta_count == 64 and profile.converged
 
     def test_trailing_zeros_dropped(self):
-        rs = [0.0, 0.3, 0.8]
-        trimmed = _log_max_moduli(lw.polynomial_callable([1.0, 0.5j, -0.25]), rs, 0)
-        padded = _log_max_moduli(lw.polynomial_callable([1.0, 0.5j, -0.25, 0.0, 0.0]), rs, 0)
+        rs = np.asarray([0.0, 0.3, 0.8], float)
+        trimmed = _polynomial_maxima([lw.polynomial_callable([1.0, 0.5j, -0.25]).coeffs], rs)[0]
+        padded = _polynomial_maxima(
+            [lw.polynomial_callable([1.0, 0.5j, -0.25, 0.0, 0.0]).coeffs], rs)[0]
         assert padded.values.tolist() == trimmed.values.tolist()
         assert padded.upper.tolist() == trimmed.upper.tolist()
         assert padded.theta_count == trimmed.theta_count == 64
 
     def test_zero_polynomial(self):
-        profile = _log_max_moduli(lw.polynomial_callable([0.0, 0.0]), [0.0, 0.5], 0)
+        profile = _polynomial_maxima([lw.polynomial_callable([0.0, 0.0]).coeffs],
+                                     np.asarray([0.0, 0.5], float))[0]
         assert profile.values.tolist() == [-math.inf, -math.inf]
         assert profile.upper.tolist() == [-math.inf, -math.inf]
 
@@ -207,7 +210,7 @@ class TestReportBasis:
         fs = [lw.polynomial_callable(c) for c in lw.random_polynomials(5, 30, seed=7)]
         rep = lw.hadamard_check(fs, self.rs)
         assert rep.basis == "bracket" and rep.converged
-        profiles = [_log_max_moduli(f, self.rs, 0) for f in fs]
+        profiles = [_polynomial_maxima([f.coeffs], self.rs)[0] for f in fs]
         width = np.max(np.logaddexp.reduce([p.upper for p in profiles], axis=0)
                        - np.logaddexp.reduce([p.values for p in profiles], axis=0))
         assert rep.log_bracket_width == pytest.approx(width, rel=1e-12)

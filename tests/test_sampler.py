@@ -14,6 +14,7 @@ import pytest
 
 import logweight as lw
 from logweight.cli import main, render_json
+from logweight.series import _sandwich_blocks
 
 from reference_series import (reference_emit_csv, reference_log_ratio_samples,
                               reference_sandwich_check)
@@ -93,12 +94,23 @@ class TestLogRatioSamplesMatchTwoRingCopy:
                                                      *adj.grid_spec))
 
 
+def gather_sandwich_blocks(pair, w, ts, theta_count):
+    """(thetas, log_g1, log_g2, log_omega, log_lower, log_upper) with the
+    streamed blocks of _sandwich_blocks gathered into whole grids."""
+    thetas, log_w, lo, hi, blocks = _sandwich_blocks(pair, w, ts, theta_count)
+    log_g1 = np.empty((log_w.size, theta_count))
+    log_g2 = np.empty_like(log_g1)
+    for rows, g1, g2 in blocks:
+        log_g1[rows], log_g2[rows] = g1, g2
+    return thetas, log_g1, log_g2, log_w, lo, hi
+
+
 class TestSandwichSamples:
     def test_matches_check_margins(self, cli_state):
         _, _, state, w = cli_state
         pair = lw.split_parity(state)
         ts = np.linspace(state.t0, state.t_last, 41)[1:]
-        thetas, g1, g2, log_w, lo, hi = lw.sandwich_samples(pair, w, ts, 16)
+        thetas, g1, g2, log_w, lo, hi = gather_sandwich_blocks(pair, w, ts, 16)
         assert thetas.shape == (16,) and g1.shape == g2.shape == (40, 16)
         np.testing.assert_array_equal(log_w, [w.log_omega(float(t)) for t in ts])
         np.testing.assert_allclose(hi - lo, math.log(10.0) + pair.h, rtol=1e-12)
@@ -110,7 +122,7 @@ class TestSandwichSamples:
     def test_rejects_no_angles(self, cli_state):
         _, _, state, w = cli_state
         with pytest.raises(ValueError, match="theta_count"):
-            lw.sandwich_samples(lw.split_parity(state), w, [state.t_last], 0)
+            _sandwich_blocks(lw.split_parity(state), w, [state.t_last], 0)
 
     @pytest.mark.parametrize("theta_count", [0, -1])
     def test_grid_rejects_no_angles(self, cli_state, theta_count):

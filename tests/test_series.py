@@ -86,6 +86,20 @@ class TestScaledComplex:
                 [reference_log_abs(*reference_normalize(x, 100.0))
                  for x in np.ravel(values)], np.shape(values)).tolist()
 
+    def test_array_matches_scalar_reference_bits(self):
+        # |v| from np.hypot of the parts has the bits of Python's abs, over
+        # the whole float range, subnormals and signed zeros included
+        rng = np.random.default_rng(5)
+        values = ((rng.standard_normal(2048) + 1j * rng.standard_normal(2048))
+                  * np.exp2(rng.integers(-1070, 1020, 2048)))
+        tiny = 5e-324
+        values = np.r_[values, [tiny, tiny * 1j, -tiny - tiny * 1j, 2.2e-308 + tiny * 1j,
+                                complex(-0.0, 3.0), complex(3.0, -0.0), 1e308 + 1e308j]]
+        arr = self.normalize(values, 7.0)
+        expected = [reference_normalize(v, 7.0) for v in values.tolist()]
+        assert list(zip(arr.mantissa.tolist(), arr.log_scale.tolist())) == expected
+        assert arr.log_abs.tolist() == [reference_log_abs(*e) for e in expected]
+
     @pytest.mark.parametrize("power", [1.0, 2.0, 8.0, 1024.0, 2.0 ** 60, 2.0 ** -30])
     def test_window_just_below_a_power_of_two(self, power):
         # log2 of the float just below 8 or 1024 rounds up to the power, so
