@@ -123,7 +123,7 @@ def cmd_construct(args) -> int:
     state = run_construction(w, params)
     _write([render_json(state.to_json_dict()) + "\n"], args.out)
     print(f"constructed {len(state.lines)} lines, t range "
-          f"({state.t0:.6g}, {state.t_last:.6g}]", file=sys.stderr)
+          f"({state.t0:.17g}, {state.t_last:.17g}]", file=sys.stderr)
     return EXIT_PASS
 
 

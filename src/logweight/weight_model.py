@@ -7,11 +7,13 @@ growth analysis happens through
     F(x) = log omega(e^x),   x < 0,
 
 because omega is comparable to a sum of two holomorphic moduli exactly
-when F is (equivalent to) a convex function.  Each family is defined by
-F and the pair (F, F') alone, and omega is evaluated only through F:
-log omega(t) = F(log t) and log omega(1 - s) = F(log1p(-s)).  Everything
-stays in the log domain: omega itself overflows float64 long before the
-fast families stop being tractable.
+when F is (equivalent to) a convex function.  Every family is one row of
+_FAMILIES, its F and its pair (F, F'), and omega is evaluated only through
+F: log omega(t) = F(log t) and log omega(1 - s) = F(log1p(-s)).  F' is in
+closed form for the six analytic families, the segment slope for
+tabulated, and a central difference for perturbed_*.  Everything stays in
+the log domain: omega itself overflows float64 long before the fast
+families stop being tractable.
 
 Families
 --------
@@ -22,7 +24,8 @@ double_exp      omega(t) = exp(exp(1/(1-t)))
 log_power       omega(t) = (1 + log(1/(1-t)))^b,  params (b,), b > 0
 inv_log         omega(t) = exp(-1/log t), i.e. F(x) = -1/x (closed-form
                 tangent oracle family)
-tabulated       piecewise-linear F through given (t, omega) knots
+tabulated       piecewise-linear F through given (t, omega) knots, plus an
+                optional strictify * e^x, params () or (strictify,)
 perturbed_*     diagnostic families: a convex base plus a bump or sawtooth,
                 used to exercise the convexity / envelope decision paths.
                 These model *invalid* weights and may be non-monotone.
@@ -31,7 +34,7 @@ perturbed_*     diagnostic families: a convex base plus a bump or sawtooth,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -57,13 +60,15 @@ def _u(x: float) -> float:
 
 @dataclass(frozen=True)
 class _Family:
-    name: str
-    n_params: int
+    n_params: int  # a tabulated weight may also take none
     defaults: tuple
-    big_f: Callable  # (x, params) -> F, may return +inf for fast weights
-    # (x, params) -> (F, F'), u = 1 - e^x computed once; its arithmetic is
-    # that of big_f and of the analytic F', so both values match bit for bit
+    big_f: Callable  # (x, args) -> F, may return +inf for fast weights
+    # (x, args) -> (F, F'); its F has the bits of big_f, and an analytic
+    # family computes u = 1 - e^x once for both
     big_f_and_prime: Callable
+    analytic: bool  # closed-form F', positive params, omega(0) = exp(F(-inf))
+    # (params, table) -> the args of the two above; a table is ignored
+    args: Callable = lambda params, table: params
 
 
 def _ramey_f(x, p):
@@ -132,22 +137,22 @@ def _inv_log_fp(x, p):
     return -1.0 / x, 1.0 / (x * x)
 
 
-_FAMILIES = {
-    "ramey_ullrich": _Family("ramey_ullrich", 0, (), _ramey_f, _ramey_fp),
-    "power": _Family("power", 1, (2.0,), _power_f, _power_fp),
-    "exp_power": _Family("exp_power", 1, (1.0,), _exp_power_f, _exp_power_fp),
-    "double_exp": _Family("double_exp", 0, (), _double_exp_f, _double_exp_fp),
-    "log_power": _Family("log_power", 1, (2.0,), _log_power_f, _log_power_fp),
-    "inv_log": _Family("inv_log", 0, (), _inv_log_f, _inv_log_fp),
-}
+def _central_difference(big_f):
+    """(F, F') from big_f alone, F' by a central difference with step
+    max(eps^(1/3) |x|, 1e-8), capped at |x|/2 so both points stay negative."""
+    def big_f_and_prime(x, p):
+        h = min(max(_EPS_CBRT * abs(x), 1e-8), abs(x) / 2.0)
+        return big_f(x, p), (big_f(x + h, p) - big_f(x - h, p)) / (2.0 * h)
+    return big_f_and_prime
+
 
 # Diagnostic perturbations on top of the ramey_ullrich profile.  They are
 # intentionally not monotone: the point is to feed the convexity checks and
 # the envelope decision with controlled counterexamples.
 
-def _bump(x, p):
+def _bump_f(x, p):
     height, x_star, width = p
-    return height * max(0.0, 1.0 - abs(x - x_star) / width)
+    return _ramey_f(x, ()) + height * max(0.0, 1.0 - abs(x - x_star) / width)
 
 
 def _triangle_wave(s: float) -> float:
@@ -155,20 +160,57 @@ def _triangle_wave(s: float) -> float:
     return 1.0 - 2.0 * abs(s % 1.0 - 0.5)
 
 
-def _sawtooth(x, p):
+def _sawtooth_f(x, p):
     amp, period = p
-    return amp * _triangle_wave(x / period)
+    return _ramey_f(x, ()) + amp * _triangle_wave(x / period)
 
 
-def _unbounded_sawtooth(x, p):
+def _unbounded_sawtooth_f(x, p):
     scale, log_period = p
-    return (scale / abs(x)) * _triangle_wave(math.log(1.0 / abs(x)) / log_period)
+    return _ramey_f(x, ()) + (scale / abs(x)) * _triangle_wave(
+        math.log(1.0 / abs(x)) / log_period)
 
 
-_PERTURBATIONS = {
-    "perturbed_bump": (_bump, (3.0, -1.0, 0.02)),
-    "perturbed_sawtooth": (_sawtooth, (0.5, 0.25)),
-    "perturbed_unbounded_sawtooth": (_unbounded_sawtooth, (2.0, 0.5)),
+def _knot_args(params, table):
+    """The tabulated family's args (xs, Fs, params) from its (x, F) knots."""
+    if not table or len(table) < 2:
+        raise ValueError("tabulated weight needs at least 2 knots")
+    xs, fs = zip(*table)
+    if any(b <= a for a, b in zip(xs, xs[1:])) or xs[-1] >= 0.0:
+        raise ValueError("tabulated knots must be strictly increasing and negative")
+    if any(b < a for a, b in zip(fs, fs[1:])):
+        raise ValueError("tabulated omega must be non-decreasing")
+    return np.array(xs), np.array(fs), params
+
+
+def _tabulated_fp(x, a):
+    xs, fs, p = a
+    # end segments extrapolate linearly, which keeps the profile convex
+    i = int(np.clip(np.searchsorted(xs, x), 1, len(xs) - 1))
+    x0, x1, f0, f1 = xs[i - 1], xs[i], fs[i - 1], fs[i]
+    f = float(f0 + (f1 - f0) * (x - x0) / (x1 - x0))
+    slope = float((f1 - f0) / (x1 - x0))
+    if p:  # optional strict-convexity regularizer
+        f += p[0] * math.exp(x)
+        slope += p[0] * math.exp(x)
+    return f, slope
+
+
+_FAMILIES = {
+    "ramey_ullrich": _Family(0, (), _ramey_f, _ramey_fp, True),
+    "power": _Family(1, (2.0,), _power_f, _power_fp, True),
+    "exp_power": _Family(1, (1.0,), _exp_power_f, _exp_power_fp, True),
+    "double_exp": _Family(0, (), _double_exp_f, _double_exp_fp, True),
+    "log_power": _Family(1, (2.0,), _log_power_f, _log_power_fp, True),
+    "inv_log": _Family(0, (), _inv_log_f, _inv_log_fp, True),
+    "tabulated": _Family(1, (), lambda x, a: _tabulated_fp(x, a)[0], _tabulated_fp, False,
+                         _knot_args),
+    "perturbed_bump": _Family(3, (3.0, -1.0, 0.02), _bump_f,
+                              _central_difference(_bump_f), False),
+    "perturbed_sawtooth": _Family(2, (0.5, 0.25), _sawtooth_f,
+                                  _central_difference(_sawtooth_f), False),
+    "perturbed_unbounded_sawtooth": _Family(2, (2.0, 0.5), _unbounded_sawtooth_f,
+                                            _central_difference(_unbounded_sawtooth_f), False),
 }
 
 _FAMILY_ALIASES = {"perturbed": "perturbed_bump"}
@@ -180,43 +222,34 @@ class WeightFunction:
 
     Immutable and side-effect free; instances are safe to share across
     threads.  `params` are family-specific (see module docstring);
-    `table` holds (x, F) knots for the tabulated family; `deriv_mode`
-    selects the analytic derivative when the family has one, otherwise a
-    central finite difference with step max(eps^(1/3) |x|, 1e-8).
+    `table` holds (x, F) knots for the tabulated family.  Each method reads
+    the family's row of _FAMILIES: F' is closed-form for the analytic
+    families, the segment slope for tabulated, and a central difference
+    for the perturbed ones.
     """
 
     family: str
     params: tuple = ()
     table: Optional[tuple] = None  # ((x_0, F_0), ...), x strictly increasing
-    deriv_mode: str = "analytic"  # "analytic" | "fd"
+    _row: _Family = field(init=False, repr=False, compare=False)
+    _args: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.family == "tabulated":
-            if not self.table or len(self.table) < 2:
-                raise ValueError("tabulated weight needs at least 2 knots")
-            xs = [k[0] for k in self.table]
-            fs = [k[1] for k in self.table]
-            if any(b <= a for a, b in zip(xs, xs[1:])) or xs[-1] >= 0.0:
-                raise ValueError("tabulated knots must be strictly increasing and negative")
-            if any(b < a for a, b in zip(fs, fs[1:])):
-                raise ValueError("tabulated omega must be non-decreasing")
-        elif self.family in _PERTURBATIONS:
-            pert, defaults = _PERTURBATIONS[self.family]
-            if not self.params:
-                object.__setattr__(self, "params", defaults)
-            object.__setattr__(self, "deriv_mode", "fd")
-        else:
-            fam = _FAMILIES.get(self.family)
-            if fam is None:
-                raise ValueError(f"unknown weight family {self.family!r}")
-            if not self.params:
-                object.__setattr__(self, "params", fam.defaults)
-            if len(self.params) != fam.n_params:
-                raise ValueError(
-                    f"family {self.family!r} takes {fam.n_params} parameter(s), "
-                    f"got {len(self.params)}")
-            if any(p <= 0 for p in self.params):
-                raise ValueError(f"family {self.family!r} parameters must be positive")
+        row = _FAMILIES.get(self.family)
+        if row is None:
+            raise ValueError(f"unknown weight family {self.family!r}")
+        params = self.params or row.defaults
+        if params and len(params) != row.n_params:
+            raise ValueError(f"family {self.family!r} takes {row.n_params} "
+                             f"parameter(s), got {len(params)}")
+        if row.analytic and any(p <= 0 for p in params):
+            raise ValueError(f"family {self.family!r} parameters must be positive")
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "_row", row)
+        object.__setattr__(self, "_args", row.args(params, self.table))
+
+    def __reduce__(self):  # rebuild from the fields; the row's closures do not pickle
+        return WeightFunction, (self.family, self.params, self.table)
 
     # -- core evaluations ------------------------------------------------
 
@@ -227,7 +260,7 @@ class WeightFunction:
             raise ValueError(f"t={t} outside the weight domain [0, 1)")
         if t > 0.0:
             return self.big_f(math.log(t))
-        if self.family not in _FAMILIES:
+        if not self._row.analytic:
             raise ValueError(f"{self.family} weight needs t > 0")
         return self.big_f(-math.inf)
 
@@ -243,67 +276,17 @@ class WeightFunction:
         """F(x) = log omega(e^x) for x < 0; +inf where exp overflows."""
         if x >= 0.0:
             raise ValueError(f"x={x} must be negative")
-        if self.family == "tabulated":
-            base = self._table_interp(x)
-            if self.params:  # optional strict-convexity regularizer
-                base += self.params[0] * math.exp(x)
-            return base
-        if self.family in _PERTURBATIONS:
-            pert, _ = _PERTURBATIONS[self.family]
-            return _ramey_f(x, ()) + pert(x, self.params)
-        return _FAMILIES[self.family].big_f(x, self.params)
+        return self._row.big_f(x, self._args)
 
     def big_f_prime(self, x: float) -> float:
-        """F'(x), analytic when available and deriv_mode permits."""
-        if x >= 0.0:
-            raise ValueError(f"x={x} must be negative")
-        if self.family == "tabulated":
-            slope = self._table_slope(x)
-            if self.params:
-                slope += self.params[0] * math.exp(x)
-            return slope
-        fam = _FAMILIES.get(self.family)
-        if self.deriv_mode == "analytic" and fam is not None:
-            return fam.big_f_and_prime(x, self.params)[1]
-        return self._fd_prime(x)
+        """F'(x), the second value of big_f_and_prime."""
+        return self.big_f_and_prime(x)[1]
 
     def big_f_and_prime(self, x: float) -> tuple:
-        """(F(x), F'(x)), each bit for bit what big_f and big_f_prime give;
-        an analytic family evaluates both in one call."""
-        fam = _FAMILIES.get(self.family)
-        if self.deriv_mode == "analytic" and fam is not None:
-            if x >= 0.0:
-                raise ValueError(f"x={x} must be negative")
-            return fam.big_f_and_prime(x, self.params)
-        return self.big_f(x), self.big_f_prime(x)
-
-    def _fd_prime(self, x: float) -> float:
-        h = max(_EPS_CBRT * abs(x), 1e-8)
-        h = min(h, abs(x) / 2.0)  # keep both stencil points negative
-        return (self.big_f(x + h) - self.big_f(x - h)) / (2.0 * h)
-
-    # -- tabulated interpolation ------------------------------------------
-
-    def _knot_arrays(self):
-        cached = self.__dict__.get("_knots")
-        if cached is None:
-            cached = (np.array([k[0] for k in self.table]),
-                      np.array([k[1] for k in self.table]))
-            object.__setattr__(self, "_knots", cached)
-        return cached
-
-    def _table_interp(self, x: float) -> float:
-        xs, fs = self._knot_arrays()
-        # end segments extrapolate linearly, which keeps the profile convex
-        i = int(np.clip(np.searchsorted(xs, x), 1, len(xs) - 1))
-        x0, x1 = xs[i - 1], xs[i]
-        f0, f1 = fs[i - 1], fs[i]
-        return float(f0 + (f1 - f0) * (x - x0) / (x1 - x0))
-
-    def _table_slope(self, x: float) -> float:
-        xs, fs = self._knot_arrays()
-        i = int(np.clip(np.searchsorted(xs, x), 1, len(xs) - 1))
-        return float((fs[i] - fs[i - 1]) / (xs[i] - xs[i - 1]))
+        """(F(x), F'(x)), F bit for bit what big_f gives."""
+        if x >= 0.0:
+            raise ValueError(f"x={x} must be negative")
+        return self._row.big_f_and_prime(x, self._args)
 
 
 @dataclass(frozen=True)
@@ -319,8 +302,7 @@ class ConvexityReport:
 # -- public operations ----------------------------------------------------
 
 
-def make_weight(family: str, params: Sequence[float] = (), table=None,
-                deriv_mode: str = "analytic") -> WeightFunction:
+def make_weight(family: str, params: Sequence[float] = (), table=None) -> WeightFunction:
     """Build a WeightFunction, resolving family aliases."""
     family = _FAMILY_ALIASES.get(family, family)
     tab = None
@@ -335,7 +317,7 @@ def make_weight(family: str, params: Sequence[float] = (), table=None,
                     raise ValueError(f"table value omega={v} must be positive")
             tab = tuple((math.log(t), math.log(v)) for t, v in tab)
     return WeightFunction(family=family, params=tuple(float(p) for p in params),
-                          table=tab, deriv_mode=deriv_mode)
+                          table=tab)
 
 
 def weight_from_knots(knots, strictify: float = 0.0) -> WeightFunction:
@@ -391,14 +373,12 @@ def _slope_report(xs: np.ndarray, slopes: np.ndarray, tol: float) -> ConvexityRe
 
 def is_known_convex(w) -> bool:
     """Whether F is convex by construction, not merely on samples: an
-    analytic constructible family with its analytic F', or a tabulated
-    profile whose knot slopes increase strictly (compared exactly, in
-    rational arithmetic) with a non-negative regularizer."""
+    analytic constructible family, or a tabulated profile whose knot slopes
+    increase strictly (compared exactly, in rational arithmetic) with a
+    non-negative regularizer."""
     family = getattr(w, "family", None)
-    if family in CONSTRUCTIBLE_FAMILIES:
-        return w.deriv_mode == "analytic"
     if family != "tabulated":
-        return False
+        return family in CONSTRUCTIBLE_FAMILIES
     from fractions import Fraction
     knots = [(Fraction(x), Fraction(f)) for x, f in w.table]
     slopes = [(f1 - f0) / (x1 - x0) for (x0, f0), (x1, f1) in zip(knots, knots[1:])]

@@ -44,7 +44,7 @@ SEPARATE_F_PRIME = {
 def separate_f_prime(w, x):
     """F'(x) by the family formula for an analytic weight, else w's own."""
     formula = SEPARATE_F_PRIME.get(getattr(w, "family", None))
-    if formula is None or w.deriv_mode != "analytic":
+    if formula is None:
         return w.big_f_prime(x)
     if x >= 0.0:
         raise ValueError(f"x={x} must be negative")

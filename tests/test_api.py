@@ -35,7 +35,8 @@ REMOVED = {
                            "EquivalenceConstants", "EnvelopeResult.hull_value"),
     "logweight.weight_model": ("check_doubling", "DoublingResult", "check_unbounded",
                                "DOUBLING_CAP", "UNBOUNDED_LOG_THRESHOLD",
-                               "UNBOUNDED_PROBE_S"),
+                               "UNBOUNDED_PROBE_S", "WeightFunction.deriv_mode",
+                               "_PERTURBATIONS"),
     "logweight.numerics": ("logaddexp",),
 }
 

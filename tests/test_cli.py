@@ -54,6 +54,16 @@ class TestConstruct:
         assert rc == 2
         assert "not strictly convex" in capsys.readouterr().err
 
+    def test_t_range_stays_inside_disk(self, capsys):
+        # the last radius is exp(-1.28e-13), which 6 digits would print as 1
+        assert main(["construct", "--family", "ramey_ullrich",
+                     "--t-stop", "0.999999999999"]) == 0
+        captured = capsys.readouterr()
+        state = lw.ConstructionState.from_json_dict(json.loads(captured.out))
+        t0, t_last = captured.err.split("t range (")[1].rstrip("]\n").split(", ")
+        assert (float(t0), float(t_last)) == (state.t0, state.t_last)
+        assert float(t_last) < 1.0
+
     def test_malformed_flags_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["construct", "--no-such-flag"])
@@ -90,6 +100,11 @@ class TestVerify:
         report = json.loads(captured.out)
         assert report["equivalent"] is False
         assert report["gap"] > 10.0
+
+    def test_envelope_param_count_names_family(self, capsys):
+        rc = main(["verify", "envelope", "--family", "perturbed_bump", "--params", "1"])
+        assert rc == 2
+        assert "'perturbed_bump' takes 3 parameter(s), got 1" in capsys.readouterr().err
 
     def test_envelope_convex_passes(self, capsys):
         rc = main(["verify", "envelope", "--family", "ramey_ullrich"])

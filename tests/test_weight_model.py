@@ -1,6 +1,10 @@
 """Weight families, the log-log profile F, and its diagnostics."""
 
+import dataclasses
+import hashlib
 import math
+import pickle
+import struct
 
 import mpmath
 import numpy as np
@@ -8,7 +12,7 @@ import pytest
 
 import logweight as lw
 from logweight.construction import _gate_grid
-from logweight.weight_model import _triangle_wave
+from logweight.weight_model import _central_difference, _triangle_wave
 from reference_construction import separate_f_prime
 
 
@@ -42,6 +46,21 @@ EVERY_KIND = [lw.make_weight(f, p) for f, p in ANALYTIC_FAMILIES] + [
     lw.make_weight("perturbed_sawtooth"),
     lw.make_weight("perturbed_unbounded_sawtooth"),
 ]
+
+
+def central_difference_weight(family, params=()):
+    """An analytic family's weight whose F' comes from the perturbed
+    families' central-difference helper instead of its closed form."""
+    w = lw.make_weight(family, params)
+    row = dataclasses.replace(w._row, big_f_and_prime=_central_difference(w._row.big_f))
+    object.__setattr__(w, "_row", row)
+    return w
+
+
+def deriv_id(w):
+    """family-fd where F' is a central difference, else family-analytic."""
+    fd = w._row.big_f_and_prime.__qualname__.startswith("_central_difference")
+    return f"{w.family}-{'fd' if fd else 'analytic'}"
 
 
 class TestOmegaEval:
@@ -90,6 +109,14 @@ class TestDerivedFromF:
                 w.log_omega(0.0)
             with pytest.raises(ValueError):
                 w.log_omega_one_minus(1.0)
+
+
+@pytest.mark.parametrize("w", EVERY_KIND, ids=lambda w: w.family)
+def test_pickle_round_trip(w):
+    back = pickle.loads(pickle.dumps(w))
+    assert back == w
+    assert [back.big_f_and_prime(x) for x in (-2.0, -0.5, -1e-3)] == [
+        w.big_f_and_prime(x) for x in (-2.0, -0.5, -1e-3)]
 
 
 class TestBigF:
@@ -145,7 +172,7 @@ class TestBigF:
     @pytest.mark.parametrize("family,params", ANALYTIC_FAMILIES)
     def test_analytic_vs_finite_difference(self, family, params):
         wa = lw.make_weight(family, params)
-        wf = lw.make_weight(family, params, deriv_mode="fd")
+        wf = central_difference_weight(family, params)
         for x in (-3.0, -1.0, -0.3, -0.05):
             da = wa.big_f_prime(x)
             df = wf.big_f_prime(x)
@@ -211,20 +238,73 @@ class TestFusedFAndPrime:
         assert kinds == {(True, True), (True, False), (False, False)}
 
     @pytest.mark.parametrize("w", EVERY_KIND[len(ANALYTIC_FAMILIES):] + [
-        lw.make_weight(f, p, deriv_mode="fd") for f, p in FUSED_ANALYTIC],
-        ids=lambda w: f"{w.family}-{w.deriv_mode}")
+        central_difference_weight(f, p) for f, p in FUSED_ANALYTIC], ids=deriv_id)
     def test_fd_tabulated_perturbed(self, w):
         (fused, fused_err), (apart, apart_err) = fused_and_apart(
             w, w.big_f_prime, FUSED_XS[::4])
         np.testing.assert_array_equal(fused, apart)
         assert fused_err == apart_err
 
-    @pytest.mark.parametrize("w", EVERY_KIND + [lw.make_weight("exp_power", (2.0,), deriv_mode="fd")],
-                             ids=lambda w: f"{w.family}-{w.deriv_mode}")
+    @pytest.mark.parametrize("w", EVERY_KIND + [central_difference_weight("exp_power", (2.0,))],
+                             ids=deriv_id)
     def test_domain_error_nonnegative_x(self, w):
         for x in (0.0, -0.0, 5e-324, 1.0):
             with pytest.raises(ValueError):
                 w.big_f_and_prime(x)
+
+
+# One weight of every kind, alias and tabulated variant, with the digest
+# of everything it returns or raises on PINNED_XS: F, F', (F, F') at each
+# x, then log omega at t = 0, 0.3, 0.9.  The digests were recorded before
+# every kind became one row of the family table, which kept these bits and
+# exception types; so must any later change to how a weight is evaluated.
+PINNED_KNOTS = [(-2.0, 0.1), (-1.0, 0.5), (-0.4, 1.2), (-0.1, 3.0)]
+PINNED_PAIRS = [[0.2, 1.0], [0.5, 2.0], [0.8, 4.0], [0.9, 10.0]]
+PINNED_WEIGHTS = {
+    "ramey_ullrich": (lambda: lw.make_weight("ramey_ullrich"), "a426470d9b5856ec"),
+    "power": (lambda: lw.make_weight("power", (2.5,)), "fa91d790a4c4a65b"),
+    "exp_power-1": (lambda: lw.make_weight("exp_power", (1.0,)), "baa530ca4bae4524"),
+    "exp_power-2": (lambda: lw.make_weight("exp_power", (2.0,)), "432d68c3b494b7c9"),
+    "double_exp": (lambda: lw.make_weight("double_exp"), "94aaa89ec6436c28"),
+    "log_power": (lambda: lw.make_weight("log_power", (1.5,)), "680184a3a5d58e4d"),
+    "inv_log": (lambda: lw.make_weight("inv_log"), "08116c9aca543bbb"),
+    "perturbed_bump": (lambda: lw.make_weight("perturbed_bump"), "b1cab7fb4db591bd"),
+    "perturbed_sawtooth": (lambda: lw.make_weight("perturbed_sawtooth"), "e1b92e36b6645bc7"),
+    "perturbed_unbounded_sawtooth": (lambda: lw.make_weight("perturbed_unbounded_sawtooth"),
+                                     "48242dc62059ecaa"),
+    "perturbed": (lambda: lw.make_weight("perturbed", (2.0, -0.5, 0.1)), "5dd99ceb0de56110"),
+    "knots": (lambda: lw.weight_from_knots(PINNED_KNOTS), "cef33681403b2c30"),
+    "knots-strictify": (lambda: lw.weight_from_knots(PINNED_KNOTS, strictify=0.3),
+                        "8b0dc984ffdd52c3"),
+    "pairs": (lambda: lw.make_weight("tabulated", table=PINNED_PAIRS), "e25f09d6e5a39a42"),
+    "pairs-strictify": (lambda: lw.make_weight("tabulated", (0.3,), table=PINNED_PAIRS),
+                        "9a579439fbe54c74"),
+}
+PINNED_XS = [float(x) for x in -np.geomspace(5.0, 1e-15, 3000)] + [-math.inf]
+
+
+def _outcome(fn, arg):
+    """The float64 bytes fn(arg) returns, or the name of what it raises."""
+    try:
+        out = fn(arg)
+    except Exception as err:
+        return type(err).__name__.encode()
+    vals = out if isinstance(out, tuple) else (out,)
+    return struct.pack(f"<{len(vals)}d", *vals)
+
+
+@pytest.mark.parametrize("name", list(PINNED_WEIGHTS))
+def test_pinned_bits_of_every_kind(name):
+    make, want = PINNED_WEIGHTS[name]
+    w = make()
+    h = hashlib.sha256()
+    with np.errstate(all="ignore"):
+        for x in PINNED_XS:
+            for fn in (w.big_f, w.big_f_prime, w.big_f_and_prime):
+                h.update(_outcome(fn, x))
+        for t in (0.0, 0.3, 0.9):
+            h.update(_outcome(w.log_omega, t))
+    assert h.hexdigest()[:16] == want
 
 
 class TestLogConvexity:
@@ -404,6 +484,25 @@ class TestJsonSpec:
             lw.make_weight("power", [-1.0])
         with pytest.raises(ValueError):
             lw.make_weight("power", [1.0, 2.0])
+
+    @pytest.mark.parametrize("family,params", [
+        ("ramey_ullrich", (1.0,)), ("exp_power", (1.0, 2.0)), ("perturbed_bump", (1.0,)),
+        ("perturbed", (1.0, 2.0)), ("perturbed_sawtooth", (1.0, 2.0, 3.0)),
+        ("perturbed_unbounded_sawtooth", (1.0,))])
+    def test_param_count_checked_at_construction(self, family, params):
+        with pytest.raises(ValueError, match="parameter"):
+            lw.make_weight(family, params)
+
+    def test_tabulated_takes_at_most_one_param(self):
+        knots = [(-2.0, 0.1), (-1.0, 0.5)]
+        assert lw.weight_from_knots(knots).params == ()
+        assert lw.make_weight("tabulated", (0.5,), table=[[0.2, 1.0], [0.5, 2.0]]).params == (0.5,)
+        with pytest.raises(ValueError, match="'tabulated' takes 1 parameter"):
+            lw.make_weight("tabulated", (0.5, 1.0), table=[[0.2, 1.0], [0.5, 2.0]])
+
+    def test_perturbed_params_may_be_negative(self):
+        # the bump's centre is an x < 0; only analytic families need positive params
+        assert lw.make_weight("perturbed_bump", (1.0, -0.5, 0.1)).params == (1.0, -0.5, 0.1)
 
     def test_table_validation(self):
         with pytest.raises(ValueError):
