@@ -8,9 +8,7 @@ __version__ = "0.1.0"
 from .ball_extension import (BallFunctionSystem, FamilyReport,
                              PolynomialFamily, ball_lower_bound_check,
                              build_ball_functions, coordinate_family_d2,
-                             family_from_manifest, monomial_family,
-                             provider_from_interleaved, sphere_points,
-                             verify_family)
+                             monomial_family, sphere_points, verify_family)
 from .construction import (ConstructionError, ConstructionParams,
                            ConstructionState, ExponentCollisionError,
                            LemmaReport, NotStrictlyConvexError,
@@ -36,10 +34,10 @@ __all__ = [
     "ScaledArray", "SeriesPair", "SlowGrowthError", "TangentLine",
     "WeightFunction", "ball_lower_bound_check", "build_ball_functions",
     "check_log_convexity", "coordinate_family_d2", "eval_series",
-    "eval_series_grid", "family_from_manifest", "h_for_delta",
+    "eval_series_grid", "h_for_delta",
     "hadamard_check", "log_convex_envelope", "make_weight",
     "monomial_family", "next_tangent", "polynomial_callable",
-    "provider_from_interleaved", "random_polynomials", "run_construction",
+    "random_polynomials", "run_construction",
     "sandwich_check", "sphere_points", "split_parity", "verify_family",
     "verify_tangent_lemmas", "weight_from_knots", "weight_from_spec",
     "weight_to_spec", "zero_adjust",

@@ -10,6 +10,7 @@ are deterministic given their flags and seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -17,8 +18,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .ball_extension import (ball_lower_bound_check, build_ball_functions,
-                             family_from_manifest, verify_family)
+from .ball_extension import (_BUILTIN_FAMILIES, ball_lower_bound_check,
+                             build_ball_functions, verify_family)
 from .construction import (ConstructionError, ConstructionParams,
                            ConstructionState, check_state_matches,
                            run_construction, verify_tangent_lemmas)
@@ -170,8 +171,9 @@ def cmd_verify_envelope(args) -> int:
 
 def cmd_verify_ball(args) -> int:
     w, state = _load_inputs(args)
-    manifest = {"kind": args.poly_family, "delta": args.delta}
-    fam = family_from_manifest(manifest)
+    fam = _BUILTIN_FAMILIES[args.poly_family]()
+    if args.delta is not None:
+        fam = dataclasses.replace(fam, delta_claimed=args.delta)
     degrees = args.degrees or list(state.es)
     fam_report = verify_family(fam, degrees, sphere_samples=args.sphere_samples,
                                seed=args.seed)
@@ -278,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_weight_flags(pb)
     pb.add_argument("--state", required=True)
     pb.add_argument("--poly-family", required=True,
-                    choices=["monomial_d1", "coordinate_d2"])
+                    choices=list(_BUILTIN_FAMILIES))
     pb.add_argument("--delta", type=float, default=None,
                     help="override the family's claimed delta")
     pb.add_argument("--degrees", type=int, nargs="*", default=None)

@@ -32,17 +32,13 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import NEG_INF, logsumexp, normalized_margins
+from .numerics import MARGIN_SLACK, NEG_INF, logsumexp, normalized_margins
 from .weight_model import (STRICTNESS_TOL, ConvexityReport, WeightFunction,
                            _slope_report, is_known_convex)
 
 # Threshold t_0 above which the integer-exponent estimates keep the 9/10
 # and 5/9 constants used by the verifier (they need 1/t < 10/9).
 T0_INTEGER_ESTIMATES = 0.9
-
-# Margins are normalized by the magnitude of the compared log quantities;
-# a check passes when the worst normalized margin clears this slack.
-LEMMA_SLACK = 1e-9
 
 _TAIL_WINDOW = 8  # lines summed on each side of k in the lemma tail sums
 _TAIL_BLOCK = 1 << 14  # float64 tail terms per block of intervals (128 kB)
@@ -366,7 +362,7 @@ class LemmaReport:
     passed: bool
     samples_per_interval: int
     delta: Optional[float] = None
-    basis: str = "sampled"  # "convexity": a proof up to LEMMA_SLACK
+    basis: str = "sampled"  # "convexity": a proof up to MARGIN_SLACK
 
     def check(self, name: str) -> LemmaCheck:
         for c in self.checks:
@@ -394,7 +390,7 @@ def _worst(name, margins, xs, ks, points_each=1) -> LemmaCheck:
     worst = float(margins.flat[i])
     return LemmaCheck(name, worst, float(np.broadcast_to(xs, margins.shape).flat[i]),
                       int(np.broadcast_to(ks, margins.shape).flat[i]),
-                      margins.size * points_each, worst >= -LEMMA_SLACK)
+                      margins.size * points_each, worst >= -MARGIN_SLACK)
 
 
 def _min_above_line(w, line, x_lo, x_hi, x0, tol):
@@ -497,7 +493,11 @@ def verify_tangent_lemmas(state: ConstructionState, w: WeightFunction,
     checks use the two endpoints alone, in O(K) work, whatever
     `samples_per_interval` says.  Under basis "sampled" they take
     `samples_per_interval` points per interval, endpoints included, in
-    O(K * samples) work.  The report records the count used.
+    O(K * samples) work, and so does segment_upper*, against the lines
+    l_{k-1}, l_k, l_{k+1} on I_k (the line-pair checks put the others
+    below them), and at x_K / 2^j, j = 1..8, against l_K; its margin is the
+    smaller of these and the bracket bound.  The report records the count
+    used.
     """
     if samples_per_interval < 2:
         raise ValueError("samples_per_interval must be at least 2")
@@ -571,6 +571,11 @@ def verify_tangent_lemmas(state: ConstructionState, w: WeightFunction,
             lk = log_as[k, None] + slopes[k, None] * pts
             lse = _tail_log_bound(k, pts, log_as, slopes, gap)
             record("segment_lower" + suffix, normalized_margins(lk, f_pts + lower_c))
+            if basis == "sampled":  # the lines that can top F on I_k
+                near = [log_as[j, None] + slopes[j, None] * pts
+                        for j in (np.maximum(k - 1, 0), np.minimum(k + 1, K - 1))]
+                record("segment_upper" + suffix,
+                       normalized_margins(f_pts, np.maximum(lk, np.maximum(*near))))
             record(tail_name, normalized_margins(math.log(tail_c) + lk, lse))
             if delta is not None:
                 record("segment_tail_delta" + suffix,
@@ -580,10 +585,20 @@ def verify_tangent_lemmas(state: ConstructionState, w: WeightFunction,
         return _worst(name, row_min[name][mask], row_x[name][mask], ks[mask], n)
 
     has_tail = (ks >= 3) | (ks <= K - 2)  # a line two or more indices away
+    if basis == "sampled":  # toward 0 past x_K, where l_K tops the other lines
+        ext_x = xs[-1] / 2.0 ** np.arange(1, 9)
+        ext_f = np.array([w.big_f(float(x)) for x in ext_x])
     for slopes, suffix, tail_name, _, _ in forms:
+        name = "segment_upper" + suffix
         upper = lb / np.maximum(1.0, np.maximum(np.abs(f_c), np.abs(log_as + slopes * c)))
-        checks += [_worst("segment_upper" + suffix, upper, c, ks),
-                   sampled("segment_lower" + suffix), sampled(tail_name, has_tail)]
+        upper_check = _worst(name, upper, c, ks)
+        if basis == "sampled":  # without convexity the samples may undercut the brackets
+            ext = normalized_margins(ext_f, log_as[-1] + slopes[-1] * ext_x)
+            upper_check = replace(
+                _worst(name, np.r_[upper, row_min[name], ext], np.r_[c, row_x[name], ext_x],
+                       np.r_[ks, ks, np.full(ext_x.size, K)]),
+                n_points=K * (n + 1) + ext_x.size)
+        checks += [upper_check, sampled("segment_lower" + suffix), sampled(tail_name, has_tail)]
     if delta is not None:
         checks += [sampled("segment_tail_delta", has_tail),
                    sampled("segment_tail_delta_int", has_tail)]

@@ -11,6 +11,10 @@ import numpy as np
 LOG_MAX = math.log(np.finfo(np.float64).max)  # ~709.78, exp overflow threshold
 NEG_INF = float("-inf")
 
+# A check on normalized margins (lemmas, sandwich, ball bound) passes when
+# its worst margin is at least -MARGIN_SLACK.
+MARGIN_SLACK = 1e-9
+
 
 def logsumexp(log_values, axis=None):
     """Stable log(sum(exp(v))) over all values (a float) or along `axis`

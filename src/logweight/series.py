@@ -21,16 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construction import ConstructionState
-from .numerics import NEG_INF, exp_or_inf, logsumexp, normalized_margins
+from .numerics import MARGIN_SLACK, NEG_INF, exp_or_inf, logsumexp, normalized_margins
 from .weight_model import WeightFunction
 
 # Terms this far (log scale) below the leading one cannot move a float64
 # sum at 1e-12 relative accuracy even in million-term sums; they are dropped.
 DROP_THRESHOLD = 200.0
-
-# Normalized-margin slack for the sandwich bounds, matching the lemma
-# verifier convention.
-SANDWICH_SLACK = 1e-9
 
 _TWO_PI = 2.0 * math.pi
 _LN2 = math.log(2.0)
@@ -354,7 +350,7 @@ def sandwich_check(pair: SeriesPair, w: WeightFunction, t_grid,
             hi_bound[rows, None], log_s, np.maximum(abs_s, hi_scale[rows])), rows.start)
         del log_s, abs_s  # freed before the next block is evaluated
     return SandwichReport(
-        passed=bool(lower[0] >= -SANDWICH_SLACK and upper[0] >= -SANDWICH_SLACK),
+        passed=bool(lower[0] >= -MARGIN_SLACK and upper[0] >= -MARGIN_SLACK),
         lower_margin=lower[0],
         lower_witness=(float(ts[lower[1]]), float(thetas[lower[2]])),
         upper_margin=upper[0],

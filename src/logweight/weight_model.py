@@ -67,8 +67,9 @@ class _Family:
     # family computes u = 1 - e^x once for both
     big_f_and_prime: Callable
     analytic: bool  # closed-form F', positive params, omega(0) = exp(F(-inf))
-    # (params, table) -> the args of the two above; a table is ignored
+    # (params, table) -> the args of the two above; only tabulated takes a table
     args: Callable = lambda params, table: params
+    divisor: str = ""  # the name of a last parameter that x is divided by
 
 
 def _ramey_f(x, p):
@@ -206,11 +207,12 @@ _FAMILIES = {
     "tabulated": _Family(1, (), lambda x, a: _tabulated_fp(x, a)[0], _tabulated_fp, False,
                          _knot_args),
     "perturbed_bump": _Family(3, (3.0, -1.0, 0.02), _bump_f,
-                              _central_difference(_bump_f), False),
+                              _central_difference(_bump_f), False, divisor="width"),
     "perturbed_sawtooth": _Family(2, (0.5, 0.25), _sawtooth_f,
-                                  _central_difference(_sawtooth_f), False),
+                                  _central_difference(_sawtooth_f), False, divisor="period"),
     "perturbed_unbounded_sawtooth": _Family(2, (2.0, 0.5), _unbounded_sawtooth_f,
-                                            _central_difference(_unbounded_sawtooth_f), False),
+                                            _central_difference(_unbounded_sawtooth_f), False,
+                                            divisor="log-period"),
 }
 
 _FAMILY_ALIASES = {"perturbed": "perturbed_bump"}
@@ -244,6 +246,11 @@ class WeightFunction:
                              f"parameter(s), got {len(params)}")
         if row.analytic and any(p <= 0 for p in params):
             raise ValueError(f"family {self.family!r} parameters must be positive")
+        if row.divisor and not (math.isfinite(params[-1]) and params[-1] != 0.0):
+            raise ValueError(f"family {self.family!r} needs a finite nonzero {row.divisor}, "
+                             f"got {params[-1]}")
+        if self.table is not None and self.family != "tabulated":
+            raise ValueError(f"family {self.family!r} takes no table")
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "_row", row)
         object.__setattr__(self, "_args", row.args(params, self.table))
@@ -303,19 +310,18 @@ class ConvexityReport:
 
 
 def make_weight(family: str, params: Sequence[float] = (), table=None) -> WeightFunction:
-    """Build a WeightFunction, resolving family aliases."""
+    """Build a WeightFunction, resolving family aliases.  A table, for the
+    tabulated family only, holds (t, omega) pairs, read as (x, F) knots."""
     family = _FAMILY_ALIASES.get(family, family)
     tab = None
     if table is not None:
         tab = tuple((float(t), float(v)) for t, v in table)
-        # JSON tables come as (t, omega) pairs; convert to (x, F) knots.
-        if family == "tabulated" and tab and tab[0][0] > 0.0:
-            for t, v in tab:
-                if not 0.0 < t < 1.0:
-                    raise ValueError(f"table abscissa t={t} outside (0, 1)")
-                if v <= 0.0:
-                    raise ValueError(f"table value omega={v} must be positive")
-            tab = tuple((math.log(t), math.log(v)) for t, v in tab)
+        for t, v in tab:
+            if not 0.0 < t < 1.0:
+                raise ValueError(f"table abscissa t={t} outside (0, 1)")
+            if v <= 0.0:
+                raise ValueError(f"table value omega={v} must be positive")
+        tab = tuple((math.log(t), math.log(v)) for t, v in tab)
     return WeightFunction(family=family, params=tuple(float(p) for p in params),
                           table=tab)
 

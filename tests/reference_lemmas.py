@@ -13,8 +13,8 @@ from typing import Optional
 
 import numpy as np
 
-from logweight.construction import (LEMMA_SLACK, T0_INTEGER_ESTIMATES,
-                                    LemmaCheck, LemmaReport, h_for_delta)
+from logweight.construction import T0_INTEGER_ESTIMATES, LemmaCheck, LemmaReport, h_for_delta
+from logweight.numerics import MARGIN_SLACK
 
 
 def _normalized_margins(lhs, rhs):
@@ -45,7 +45,7 @@ class _Worst:
             self.x = float(np.asarray(xs, dtype=float)[i])
             self.k = k
 
-    def check(self, slack=LEMMA_SLACK):
+    def check(self, slack=MARGIN_SLACK):
         return LemmaCheck(
             name=self.name,
             worst_margin=self.margin,

@@ -40,8 +40,8 @@ import math
 
 import numpy as np
 
-from logweight.numerics import NEG_INF, exp_or_inf, logsumexp, normalized_margins
-from logweight.series import (DROP_THRESHOLD, SANDWICH_SLACK, ScaledArray, eval_series,
+from logweight.numerics import MARGIN_SLACK, NEG_INF, exp_or_inf, logsumexp, normalized_margins
+from logweight.series import (DROP_THRESHOLD, ScaledArray, eval_series,
                               inner_disk_radii)
 
 
@@ -158,7 +158,7 @@ def reference_sandwich_check(pair, w, t_grid, theta_count):
     ui = np.unravel_index(np.argmin(upper), upper.shape)
     lower_margin, upper_margin = float(lower[li]), float(upper[ui])
     return {
-        "passed": bool(lower_margin >= -SANDWICH_SLACK and upper_margin >= -SANDWICH_SLACK),
+        "passed": bool(lower_margin >= -MARGIN_SLACK and upper_margin >= -MARGIN_SLACK),
         "lower_margin": lower_margin,
         "lower_witness": {"t": float(ts[li[0]]), "theta": float(thetas[li[1]])},
         "upper_margin": upper_margin,

@@ -27,10 +27,12 @@ def test_exported_names_are_unique():
 REMOVED = {
     "logweight": ("ScaledComplex", "modulus_sum", "frequency_profile", "max_modulus",
                   "hull_weight", "equivalence_constants", "EquivalenceConstants",
-                  "check_doubling", "DoublingResult", "check_unbounded", "sandwich_samples"),
+                  "check_doubling", "DoublingResult", "check_unbounded", "sandwich_samples",
+                  "provider_from_interleaved", "family_from_manifest"),
     "logweight.series": ("ScaledComplex", "modulus_sum", "frequency_profile",
                          "ScaledArray.item", "AdjustedPair.eval_f1", "sandwich_samples"),
-    "logweight.ball_extension": ("BallFunctionSystem.log_modulus_sum",),
+    "logweight.ball_extension": ("BallFunctionSystem.log_modulus_sum",
+                                 "provider_from_interleaved", "family_from_manifest"),
     "logweight.envelope": ("max_modulus", "hull_weight", "equivalence_constants",
                            "EquivalenceConstants", "EnvelopeResult.hull_value"),
     "logweight.weight_model": ("check_doubling", "DoublingResult", "check_unbounded",

@@ -16,10 +16,11 @@ from logweight.numerics import exp_or_inf
 from reference_series import reference_ball_modulus_sum, reference_modulus_sum, to_complex
 
 
-def first_coordinate_power(q, n, pts):
-    """z_1^n at the rows of pts in the provider contract: (log|z_1^n|,
-    unit phase)."""
-    return n * np.log(np.abs(pts[:, 0])), np.exp(1j * n * np.angle(pts[:, 0]))
+def first_coordinate_power(q, ns, pts):
+    """z_1^n for the degrees ns (rows) at the points pts (columns) in the
+    provider contract: (log|z_1^n|, unit phase)."""
+    z = pts[:, 0]
+    return ns[:, None] * np.log(np.abs(z)), np.exp(1j * ns[:, None] * np.angle(z))
 
 
 def ramey_state(t_stop=0.9999, h=2.0):
@@ -82,38 +83,16 @@ class TestVerifyFamily:
         fam = lw.PolynomialFamily(d=1, Q=1, delta_claimed=1.0, provider=bad)
         with pytest.raises(RuntimeError, match="q=1, n=4"):
             lw.verify_family(fam, [4], sphere_samples=64)
+        with pytest.raises(RuntimeError, match=r"q=1, n=4, 9, 16, \.\.\. \(4 degrees\)"):
+            lw.verify_family(fam, [4, 9, 16, 25], sphere_samples=64)
+
+    def test_no_degrees_pass(self):
+        rep = lw.verify_family(lw.coordinate_family_d2(), [], sphere_samples=64)
+        assert rep.passed and rep.per_degree == ()
 
     def test_sample_floor(self):
         with pytest.raises(ValueError):
             lw.verify_family(lw.monomial_family(), [2], sphere_samples=32)
-
-
-class TestManifest:
-    def test_interleaved_plugin_adapter(self):
-        def plugin(q, n, coords):
-            z = coords[0::2] + 1j * coords[1::2]
-            return complex(z[q - 1]) ** n
-
-        fam = lw.PolynomialFamily(
-            d=2, Q=2, delta_claimed=0.01,
-            provider=lw.provider_from_interleaved(plugin), name="plugin")
-        rep = lw.verify_family(fam, [2], sphere_samples=64)
-        assert rep.degree(2).sup_norm == pytest.approx(1.0, abs=1e-12)
-        assert rep.degree(2).homogeneity_residual <= 1e-10
-
-    def test_builtin_kinds(self):
-        fam = lw.family_from_manifest({"kind": "monomial_d1"})
-        assert (fam.d, fam.Q, fam.delta_claimed) == (1, 1, 1.0)
-        fam2 = lw.family_from_manifest({"kind": "coordinate_d2", "delta": 0.25})
-        assert fam2.delta_claimed == 0.25
-
-    def test_mismatched_dimension_rejected(self):
-        with pytest.raises(ValueError):
-            lw.family_from_manifest({"kind": "monomial_d1", "d": 2})
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            lw.family_from_manifest({"kind": "mystery"})
 
 
 class TestBuildBallFunctions:
@@ -388,16 +367,17 @@ class TestConstantSlice:
         assert rep.passed and rep.min_second_diff == 0.0
 
 
-def nan_left_half_plugin(q, n, coords):
-    """An interleaved plugin with W_1 = NaN where Re z < 0 and W_2 = z^n."""
-    z = complex(coords[0], coords[1])
-    return complex(math.nan, 0.0) if q == 1 and z.real < 0.0 else z ** n
+def nan_left_half_provider(q, ns, pts):
+    """W_1 = NaN where Re z < 0 and W_2 = z^n."""
+    log_abs, unit = first_coordinate_power(q, ns, pts)
+    if q == 1:
+        log_abs[:, pts[:, 0].real < 0.0] = math.nan
+    return log_abs, unit
 
 
 def nan_left_half_family():
-    return lw.PolynomialFamily(
-        d=1, Q=2, delta_claimed=1.0,
-        provider=lw.provider_from_interleaved(nan_left_half_plugin), name="nan_left")
+    return lw.PolynomialFamily(d=1, Q=2, delta_claimed=1.0,
+                               provider=nan_left_half_provider, name="nan_left")
 
 
 @pytest.fixture(scope="module")
@@ -411,28 +391,48 @@ def bench_states():
 
 
 class TestArrayProviders:
-    """Providers evaluate one (q, n) at every point of an array in
-    log-polar form."""
+    """Providers evaluate one q at every degree of an array and every point
+    of another, in log-polar form."""
 
-    def test_calls_do_not_grow_with_sphere_samples(self):
-        sizes = []
+    def test_calls_do_not_grow_with_sphere_samples(self, bench_states):
+        # one provider call per q, whatever the numbers of sphere samples
+        # and degrees; the ball check takes each function's coefficients
+        # once, for the radius grid and the inner ball together
+        calls = []
 
-        def counting(q, n, pts):
-            sizes.append(len(pts))
-            return first_coordinate_power(q, n, pts)
+        def counting(q, ns, pts):
+            calls.append((q, len(ns), len(pts)))
+            return first_coordinate_power(q, ns, pts)
 
         fam = lw.PolynomialFamily(d=1, Q=2, delta_claimed=1.0, provider=counting)
-        calls = []
-        for samples in (64, 512):
-            sizes.clear()
-            assert lw.verify_family(fam, [1, 5, 88], sphere_samples=samples).passed
-            calls.append(len(sizes))
-            assert min(sizes) > samples
-        assert calls == [6, 6]  # one call per (q, n)
+        state = bench_states["exp_power_a1"]
+        assert len(state.es) == 68
+        for degrees in ([88], state.es):
+            for samples in (64, 512):
+                calls.clear()
+                assert lw.verify_family(fam, degrees, sphere_samples=samples).passed
+                assert [call[:2] for call in calls] == [(1, len(degrees)), (2, len(degrees))]
+                assert min(call[2] for call in calls) > samples
+        system = lw.build_ball_functions(state, fam, sphere_samples=64)
+        calls.clear()
+        lw.ball_lower_bound_check(system, lw.make_weight("exp_power", [1.0]),
+                                  np.linspace(0.96, state.t_last, 8), sphere_samples=64)
+        assert len(calls) == 2 * fam.Q
 
     def test_nan_provider_rejected(self):
         with pytest.raises(ValueError, match=r"'nan_left'.*q=1, n=1\b"):
             lw.verify_family(nan_left_half_family(), [1, 3, 5, 88], sphere_samples=64)
+
+    def test_nan_names_first_degree_with_one(self):
+        def nan_from_degree_5(q, ns, pts):
+            log_abs, unit = first_coordinate_power(q, ns, pts)
+            log_abs[ns >= 5] = math.nan
+            return log_abs, unit
+
+        fam = lw.PolynomialFamily(d=1, Q=1, delta_claimed=1.0, provider=nan_from_degree_5,
+                                  name="late_nan")
+        with pytest.raises(ValueError, match=r"'late_nan'.*q=1, n=5\b"):
+            lw.verify_family(fam, [1, 3, 5, 88], sphere_samples=64)
 
     @pytest.mark.parametrize("values", [
         lambda pts: (np.zeros(len(pts) + 1), np.ones(len(pts) + 1)),
@@ -448,8 +448,8 @@ class TestArrayProviders:
         state = tmp_path / "state.json"
         assert main(["construct", "--family", "ramey_ullrich", "--t-stop", "0.999999999",
                      "--out", str(state)]) == 0
-        monkeypatch.setattr(logweight.cli, "family_from_manifest",
-                            lambda manifest: nan_left_half_family())
+        monkeypatch.setitem(logweight.ball_extension._BUILTIN_FAMILIES, "monomial_d1",
+                            nan_left_half_family)
         rc = main(["verify", "ball", "--family", "ramey_ullrich", "--state", str(state),
                    "--poly-family", "monomial_d1", "--sphere-samples", "64"])
         assert rc == 2

@@ -36,6 +36,16 @@ def built(name):
     return w, lw.run_construction(w, ConstructionParams(x0=X0, **kw)), delta
 
 
+def dipped_bump():
+    """The K = 4 ramey_ullrich state and perturbed_bump with a dip of depth
+    1 at the midpoint of I_2, a fifth of I_2 wide."""
+    w = lw.make_weight("ramey_ullrich")
+    state = lw.run_construction(w, ConstructionParams(x0=X0, t_stop=0.999999999))
+    xs = state.xs
+    return lw.make_weight("perturbed_bump",
+                          (-1.0, 0.5 * (xs[1] + xs[2]), 0.2 * (xs[2] - xs[1]))), state
+
+
 class DuckWeight:
     """ramey_ullrich's F and F' behind an object with no `family`: convex,
     but not known to be, so its lemma report takes the sampled basis."""
@@ -90,6 +100,20 @@ class TestAgainstSampledReference:
             assert not new.passed
             failed = [c for c in new.checks if not c.passed]
             assert all(c.witness_x is not None and c.witness_k is not None for c in failed)
+
+    @pytest.mark.parametrize("samples", [7, 50])
+    def test_non_convex_weight(self, samples):
+        # a dip in F inside I_2, between the tangency brackets: only the
+        # sampled points see it (7 samples put one at the dip's centre)
+        w, state = dipped_bump()
+        new = lw.verify_tangent_lemmas(state, w, samples)
+        ref = reference_verify_tangent_lemmas(state, w, samples)
+        assert new.basis == "sampled" and not ref.passed and not new.passed
+        for c_new, c_ref in zip(new.checks, ref.checks):
+            assert c_new.passed == c_ref.passed, c_new.name
+            assert c_new.worst_margin <= c_ref.worst_margin + 1e-12, c_new.name
+        assert not new.check("segment_upper").passed
+        assert not new.check("segment_upper_int").passed
 
     def test_lowered_third_line_fails(self):
         # line 3 of the K=4 state lowered by 4: the chord gate (k = 1 and
@@ -264,6 +288,20 @@ class TestBasis:
         assert rep.to_json_dict()["basis"] == "convexity"
         fd = DuckWeight()
         assert lw.verify_tangent_lemmas(state, fd).to_json_dict()["basis"] == "sampled"
+
+    def test_cli_sampled_basis_catches_a_dip(self, tmp_path, capsys):
+        # the chord gate (k = 1 and K) and the tangency brackets miss the
+        # dip in I_2; the sampled segment_upper finds it
+        w, state = dipped_bump()
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(state.to_json_dict()))
+        params = ",".join(repr(p) for p in w.params)
+        assert main(["verify", "lemmas", "--state", str(path), "--family", "perturbed_bump",
+                     f"--params={params}"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        upper = {c["name"]: c for c in report["checks"]}["segment_upper"]
+        assert report["basis"] == "sampled" and upper["witness_k"] == 2
+        assert upper["worst_margin"] < -0.05
 
     def test_cli_prints_basis(self, tmp_path, capsys):
         path = tmp_path / "state.json"

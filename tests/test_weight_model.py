@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import logweight as lw
+from logweight.cli import main
 from logweight.construction import _gate_grid
 from logweight.weight_model import _central_difference, _triangle_wave
 from reference_construction import separate_f_prime
@@ -509,3 +510,32 @@ class TestJsonSpec:
             lw.make_weight("tabulated", table=[[0.5, 2.0], [0.2, 1.0], [0.8, 3.0]])
         with pytest.raises(ValueError):
             lw.make_weight("tabulated", table=[[0.2, 2.0], [0.5, 1.0], [0.8, 3.0]])
+
+    @pytest.mark.parametrize("family, params", [
+        ("perturbed_bump", (3.0, -1.0, 0.0)), ("perturbed_sawtooth", (0.5, 0.0)),
+        ("perturbed_sawtooth", (0.5, math.inf)),
+        ("perturbed_unbounded_sawtooth", (2.0, math.nan))])
+    def test_zero_or_nonfinite_divisor_rejected(self, family, params):
+        # the width, period or log-period divides x in F
+        with pytest.raises(ValueError, match=f"'{family}' needs a finite nonzero"):
+            lw.make_weight(family, params)
+
+    def test_zero_period_exits_2(self, capsys):
+        assert main(["verify", "envelope", "--family", "perturbed_sawtooth",
+                     "--params", "0.5,0"]) == 2
+        assert "perturbed_sawtooth" in capsys.readouterr().err
+
+    def test_table_only_for_tabulated(self, tmp_path, capsys):
+        with pytest.raises(ValueError, match="'power' takes no table"):
+            lw.make_weight("power", (3.0,), table=[[0.2, 1.0], [0.5, 2.0]])
+        table = tmp_path / "table.json"
+        table.write_text("[[0.2, 1.0], [0.5, 2.0]]")
+        assert main(["verify", "envelope", "--family", "power", "--params", "3",
+                     "--table", str(table)]) == 2
+        assert "takes no table" in capsys.readouterr().err
+
+    def test_table_pairs_only(self):
+        # a table is read as (t, omega) pairs; (x, F) knots go through
+        # weight_from_knots
+        with pytest.raises(ValueError, match="outside"):
+            lw.make_weight("tabulated", table=[[-1.0, 0.0], [-0.5, 0.5]])
