@@ -39,6 +39,17 @@ DOMINANCE_BOUND = 0.5
 # Radii of a grid, or points of a batch, that share one kernel call.
 _BLOCK = 256
 
+# Term rows of one grid kernel call over a run of radii, unless a single
+# radius needs more.  A construction has about 5 live terms per radius;
+# on the deep 2000 x 256 sandwich grids 32 rows ran fastest of 8 to 256.
+_RUN_ROWS = 32
+
+# A term stays a grid candidate at a radius while its log is within
+# _REACH of the largest there: 1 past DROP_THRESHOLD, far above the
+# rounding of logs below _LOG_RANGE in magnitude (|log coeff| + e_0 |x|).
+_REACH = DROP_THRESHOLD + 1.0
+_LOG_RANGE = 2.0 ** 46
+
 
 @dataclass(frozen=True)
 class ScaledArray:
@@ -142,7 +153,10 @@ def _scaled_terms(log_mods, exponents, log_radii):
     contracts mant with the phases of the live terms alone; the value at
     radius r is that sum times exp(log_scales[r]).  x = -inf (radius 0)
     keeps only the exponent-0 terms; a radius with no nonzero term gives
-    an all-zero column and scale -inf.
+    an all-zero column and scale -inf.  The table is (terms given, radii),
+    so the grid path hands over only the candidate rows of a run of radii
+    (see _grid_kernel): every term that could be kept at those radii, so
+    the maximum, the live set and the mantissas are those over all terms.
     """
     with np.errstate(invalid="ignore"):  # 0 * -inf at z = 0; all terms -inf
         logs = log_mods[:, None] + exponents[:, None] * log_radii
@@ -188,15 +202,113 @@ def eval_series(s: LacunarySeries, z: complex) -> ScaledArray:
 # -- grid evaluation --------------------------------------------------------
 
 
-def _grid_kernel(s: LacunarySeries, theta_count: int):
-    """Set s up once for the (t, theta) grid, theta_j = 2 pi j /
-    theta_count, and return its block evaluator: log-radii of at most
-    _BLOCK radii -> log|s(t e^{i theta_j})| with rows indexed by radius.
+def _term_windows(log_coeffs: np.ndarray, exponents: np.ndarray):
+    """(first, last): nondecreasing bounds over the terms such that every
+    term within _REACH of the largest at log-radius x has an index in
+    range(searchsorted(last, x), searchsorted(first, x, "right")).
 
-    Phases are built only for the terms live in the block (within
-    DROP_THRESHOLD of a per-radius maximum), from the exact residues
-    e mod theta_count, so deep constructions (thousands of terms) cost
-    time and memory in the few terms that matter at each radius.
+    Term k's log is the line L_k = log_coeffs_k + exponents_k x, and its
+    gap below the upper envelope U of all the lines is concave in x, so
+    the term is within _REACH of U on one interval [a_k, b_k].  U comes
+    from a stack over the slopes.  a_k is where L_k + _REACH meets the
+    line of U active there, found for all k at once by a binary search
+    over U's take-over points, and b_k likewise; O(K log K) in all.  Any
+    line of U with a smaller (larger) slope than L_k bounds a_k from
+    below (b_k from above), so the interval holds wherever the search
+    lands.  first is the suffix minimum of the a_k and last the prefix
+    maximum of the b_k, an empty interval counting as none.  Only term 0
+    has a_0 = -inf, so at x = -inf term 0 is the one candidate.
+    """
+    lc, es = log_coeffs.tolist(), exponents.tolist()
+    hull, take = [0], [NEG_INF]  # lines of U by slope, and where each takes over
+    for k in range(1, len(lc)):
+        while True:
+            x = (lc[hull[-1]] - lc[k]) / (es[k] - es[hull[-1]])
+            if x > take[-1]:
+                break
+            hull.pop()
+            take.pop()
+        hull.append(k)
+        take.append(x)
+    c, s, xb = log_coeffs[hull], exponents[hull], np.array(take)
+    with np.errstate(invalid="ignore"):
+        u = c + s * xb  # U at each take-over point (NaN at -inf, never read)
+
+    # One binary search for both ends of every term.  For a_k: the last
+    # line i in [0, below_k) of U whose take-over point has U - L_k >
+    # _REACH, i.e. lies left of a_k (line 0 always counts).  For b_k: the
+    # last i in [above_k, H) whose take-over point has U - L_k < _REACH
+    # (line above_k always counts).  Slopes below (above) e_k make
+    # U - L_k fall (rise), so each test flips once along its range.
+    count, size = exponents.size, s.size
+    below = np.searchsorted(s, exponents, "left")
+    above = np.searchsorted(s, exponents, "right")
+    e2 = np.concatenate([exponents, exponents])
+    level = np.concatenate([log_coeffs, log_coeffs]) + _REACH
+    sign = np.repeat([1.0, -1.0], count)
+    pos = np.concatenate([np.zeros_like(below), np.minimum(above, size - 1)])
+    end = np.concatenate([below, np.full_like(above, size)])
+    step = 1 << (size.bit_length() - 1)
+    while step:
+        cand = pos + step
+        at = np.minimum(cand, size - 1)
+        move = (cand < end) & (sign * (u[at] - e2 * xb[at] - level) > 0.0)
+        pos = np.where(move, cand, pos)
+        step >>= 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = (c[pos] - level) / (e2 - s[pos])  # where L_k + _REACH meets line pos
+    a = np.where(below > 0, cross[:count], NEG_INF)
+    b = np.where(above < size, cross[count:], -NEG_INF)
+    empty = ~(a <= b)
+    a[empty], b[empty] = -NEG_INF, NEG_INF
+    return np.minimum.accumulate(a[::-1])[::-1], np.maximum.accumulate(b)
+
+
+def _runs(windows, xs) -> list:
+    """The kernel calls of one block of log-radii xs: (rows, at) pairs,
+    rows a slice of term indices holding every candidate of the radii
+    xs[at].  A block whose candidates span at most _RUN_ROWS rows is one
+    call in its own order (at = slice(None)).  Otherwise radii go by
+    increasing x, and a run grows while its rows stay within _RUN_ROWS.
+    A radius where rounding might pass _REACH (e_0 |x| past the room
+    left by the coefficients, or NaN) takes every row, in one more call.
+    A single run always holds the whole block in its own order."""
+    first, last, room, e0 = windows
+    count = first.size
+    lo = np.searchsorted(last, xs, "left")
+    hi = np.searchsorted(first, xs, "right")
+    with np.errstate(invalid="ignore"):  # 0 * inf at x = -inf
+        wide = ~(e0 * -xs <= room) & (xs != NEG_INF)
+    lo[wide], hi[wide] = 0, count
+    if hi.max() - lo.min() <= _RUN_ROWS:
+        return [(slice(lo.min(), hi.max()), slice(None))]
+    runs = [(slice(0, count), np.flatnonzero(wide))] if wide.any() else []
+    order = np.flatnonzero(~wide)
+    order = order[np.argsort(xs[order], kind="stable")]
+    lo, hi = lo[order], hi[order]  # both nondecreasing now
+    start = 0
+    while start < order.size:
+        stop = max(start + 1, int(np.searchsorted(hi, lo[start] + _RUN_ROWS, "right")))
+        runs.append((slice(lo[start], hi[stop - 1]), order[start:stop]))
+        start = stop
+    return runs
+
+
+def _grid_kernel(s: LacunarySeries, theta_count: int, radii: int):
+    """Set s up once for a grid of `radii` radii by the angles theta_j =
+    2 pi j / theta_count, and return its block evaluator: log-radii of at
+    most _BLOCK radii -> log|s(t e^{i theta_j})|, rows indexed by radius.
+
+    A grid whose blocks hold at most _BLOCK^2 (term, radius) cells takes
+    each block in one call of _scaled_terms over all the terms.  A longer
+    series first gets its candidate windows (_term_windows, once), and
+    each block goes through the kernel in runs of radii over their
+    candidate rows alone (_runs), so no call tabulates more than
+    _RUN_ROWS terms unless one radius needs them.  Phases are built for
+    the live rows of a call alone, from the exact residues e mod
+    theta_count.  Either way a radius keeps the live set, the maximum and
+    the mantissas of one call over all the terms, bit for bit, and only
+    rows that are zero at every radius of a call leave its contraction.
     """
     if theta_count < 1:
         raise ValueError(f"theta_count must be at least 1, got {theta_count}")
@@ -207,14 +319,31 @@ def _grid_kernel(s: LacunarySeries, theta_count: int):
     residues = np.array([e % theta_count for e in s.exponents], dtype=np.int64)
     j = np.arange(theta_count)
     base = np.exp(2j * math.pi * j / theta_count)
+    # windows need finite coefficients and exponents that stay distinct as floats
+    room = _LOG_RANGE - float(np.max(np.abs(log_coeffs)))
+    windows = None
+    if (log_coeffs.size * min(radii, _BLOCK) > _BLOCK * _BLOCK and room > 0.0
+            and exponents[-1] <= 2.0 ** 53):
+        windows = (*_term_windows(log_coeffs, exponents), room, exponents[0])
 
-    def block(xs):
-        mant, live, scales = _scaled_terms(log_coeffs, exponents, xs)
-        sums = mant.T @ base[residues[live, None] * j % theta_count]
+    def contract(rows, xs):
+        mant, live, scales = _scaled_terms(log_coeffs[rows], exponents[rows], xs)
+        sums = mant.T @ base[residues[rows][live, None] * j % theta_count]
         with np.errstate(divide="ignore"):
             logs = np.log(np.abs(sums))
         logs += scales[:, None]
         return logs
+
+    def block(xs):
+        if windows is None:
+            return contract(slice(None), xs)
+        runs = _runs(windows, xs)
+        if len(runs) == 1:
+            return contract(runs[0][0], xs)
+        out = np.empty((xs.size, theta_count))
+        for rows, at in runs:
+            out[at] = contract(rows, xs[at])
+        return out
 
     return block
 
@@ -240,7 +369,7 @@ def eval_series_grid(s: LacunarySeries, t_values, theta_count: int) -> np.ndarra
     shape (len(t_values), theta_count), filled _BLOCK radii at a time by
     the evaluator of _grid_kernel.
     """
-    kernel = _grid_kernel(s, theta_count)
+    kernel = _grid_kernel(s, theta_count, np.size(t_values))
     ts, xs = _log_radii(t_values)
     out = np.empty((ts.size, theta_count))
     for rows in _row_blocks(ts.size):
@@ -300,8 +429,8 @@ def _sandwich_blocks(pair: SeriesPair, w: WeightFunction, t_grid, theta_count: i
     yielding (rows, log|G1|, log|G2|), rows indexed by t, for consecutive
     slices rows of at most _BLOCK radii.  Every input error is raised
     here, before the first block is evaluated."""
-    g1 = _grid_kernel(pair.g1, theta_count)
-    g2 = _grid_kernel(pair.g2, theta_count)
+    g1 = _grid_kernel(pair.g1, theta_count, np.size(t_grid))
+    g2 = _grid_kernel(pair.g2, theta_count, np.size(t_grid))
     log_w = _log_omegas(w, t_grid)
     ts, xs = _log_radii(t_grid)
     thetas = _TWO_PI * np.arange(theta_count) / theta_count

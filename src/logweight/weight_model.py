@@ -156,6 +156,14 @@ def _bump_f(x, p):
     return _ramey_f(x, ()) + height * max(0.0, 1.0 - abs(x - x_star) / width)
 
 
+def _bump_args(params, table):
+    """The bump's args: 1 - |x - x*| / width is a bump only for width > 0,
+    and an unbounded tent for width < 0 (width 0 fails the divisor check)."""
+    if params[-1] < 0.0:
+        raise ValueError(f"family 'perturbed_bump' needs a positive width, got {params[-1]}")
+    return params
+
+
 def _triangle_wave(s: float) -> float:
     """Triangle in [0, 1], zero at integers; s % 1.0 rounds as s - floor(s)."""
     return 1.0 - 2.0 * abs(s % 1.0 - 0.5)
@@ -207,7 +215,8 @@ _FAMILIES = {
     "tabulated": _Family(1, (), lambda x, a: _tabulated_fp(x, a)[0], _tabulated_fp, False,
                          _knot_args),
     "perturbed_bump": _Family(3, (3.0, -1.0, 0.02), _bump_f,
-                              _central_difference(_bump_f), False, divisor="width"),
+                              _central_difference(_bump_f), False, _bump_args,
+                              divisor="width"),
     "perturbed_sawtooth": _Family(2, (0.5, 0.25), _sawtooth_f,
                                   _central_difference(_sawtooth_f), False, divisor="period"),
     "perturbed_unbounded_sawtooth": _Family(2, (2.0, 0.5), _unbounded_sawtooth_f,

@@ -1,14 +1,18 @@
 """Test-only reference: lacunary series evaluation with a full phase table.
 
 `reference_grid` builds exp(i e theta_j) for every term and angle column
-from the exact residues (e j mod N), then sums the terms within
-DROP_THRESHOLD of each radius's largest, in blocks of 256 radii.
-`reference_points` groups points by their exact float modulus and makes
-one such sum per group.  `logweight.series` builds phases only for the
-live terms and blocks points regardless of modulus.  On the lacunary
-series of a construction, where a few terms are live at any radius, it
-must reproduce these values bit for bit; on dense series its block
-contraction sums many live terms in another order.
+from the exact residues (e j mod N), tabulates every term at every
+radius, then sums the terms within DROP_THRESHOLD of each radius's
+largest, in blocks of 256 radii.  `reference_points` groups points by
+their exact float modulus and makes one such sum per group.
+`logweight.series` builds phases only for the live terms.  On a grid of
+a long series it first finds each term's window, the x-interval where
+it can be live, and contracts each block in runs of radii over the
+candidate rows of the run alone; it must reproduce `reference_grid` bit
+for bit on any series.  It blocks points regardless of modulus: on the
+lacunary series of a construction, where a few terms are live at any
+radius, it must reproduce `reference_points` bit for bit; on dense
+series its block contraction sums many live terms in another order.
 
 `reference_normalize` and `reference_log_abs` put one value in the
 mantissa window by math.frexp, math.ldexp and math.log; `ScaledArray`

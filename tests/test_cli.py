@@ -289,3 +289,35 @@ def test_golden_bytes(name, state_file, tmp_path):
     args = [str(state_file) if a == "STATE" else a for a in args]
     assert main([*args, "--out", str(out)]) == code
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.fixture(scope="module")
+def deep_state_file(tmp_path_factory):
+    """double_exp to k_max 2000: 1,000 terms per series, so the grid
+    kernel cuts its blocks into runs of radii."""
+    path = tmp_path_factory.mktemp("deep") / "state.json"
+    assert main(["construct", "--family", "double_exp", "--k-max", "2000",
+                 "--out", str(path)]) == 0
+    return path
+
+
+# id -> (arguments, sha256 of the --out bytes), recorded while the grid
+# kernel still tabulated every term at every radius.
+DEEP_GOLDEN = {
+    "state": ([], "56bed2338b1ede655e9c5b74a01aa0c383e10c8e09da73c1e9b0f302ba887d91"),
+    "sandwich": (["verify", "sandwich", "--t-points", "200", "--angles", "64"],
+                 "2771c97580b7b20d84025c25e2437f18d008b2e2c9edfe54d6fb88253aa0684a"),
+    "emit": (["emit", "--t-points", "200", "--angles", "64"],
+             "55e125f7a9fc4846598c71baa61e3b9cd709ed2e74f40d06a741ef5e52bab703"),
+}
+
+
+@pytest.mark.parametrize("name", DEEP_GOLDEN)
+def test_deep_golden_bytes(name, deep_state_file, tmp_path):
+    args, digest = DEEP_GOLDEN[name]
+    out = deep_state_file
+    if args:
+        out = tmp_path / "report"
+        assert main([*args, "--state", str(deep_state_file), "--family", "double_exp",
+                     "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -1,4 +1,5 @@
-"""The series kernel: phases only for live terms, the same values.
+"""The series kernel: tables and phases only for candidate terms, the
+same values.
 
 `reference_series` keeps the full-phase-table grid evaluation and the
 |z|-grouped point evaluation as oracles.
@@ -34,6 +35,22 @@ def deep_pair():
 
 
 @pytest.fixture(scope="module")
+def deep_pair_a2():
+    """exp_power alpha = 2 to t = 0.999: K = 601, about 300 terms per series."""
+    w = lw.make_weight("exp_power", (2.0,))
+    state = lw.run_construction(w, lw.ConstructionParams(x0=X0, k_max=5000, t_stop=0.999))
+    return lw.split_parity(state)
+
+
+@pytest.fixture(scope="module")
+def shallow_case():
+    """exp_power alpha = 1 to t = 0.9999: K = 68, 34 terms per series."""
+    w = lw.make_weight("exp_power", (1.0,))
+    state = lw.run_construction(w, lw.ConstructionParams(x0=X0, t_stop=0.9999))
+    return lw.split_parity(state), w
+
+
+@pytest.fixture(scope="module")
 def slice_system():
     """The ball system and sphere point behind the benchmark's slices."""
     w = lw.make_weight("exp_power", (1.0,))
@@ -63,6 +80,60 @@ class TestGridMatchesReference:
             np.testing.assert_array_equal(lw.eval_series_grid(s, ts, 256),
                                           reference_grid(s, ts, 256))
 
+    @pytest.mark.parametrize("case", ["deep_pair", "deep_pair_a2"])
+    def test_benchmark_sandwich_grid(self, case, request):
+        # the 2000 x 256 sandwich grid over (t0, t_last] of both deep
+        # benchmark states: runs of radii over their candidate rows give
+        # the bits of one call over every term
+        pair = request.getfixturevalue(case)
+        ts = np.linspace(pair.t0, pair.t_last, 2001)[1:]
+        for s in (pair.g1, pair.g2):
+            assert lw.eval_series_grid(s, ts, 256).tobytes() == \
+                reference_grid(s, ts, 256).tobytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(n_terms=st.integers(257, 360), n_radii=st.integers(200, 600),
+           theta_count=st.integers(1, 9), from_zero=st.booleans(),
+           sharpness=st.floats(0.05, 20.0), n_sunk=st.integers(0, 8),
+           dead=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_any_series_matches_reference(self, n_terms, n_radii, theta_count, from_zero,
+                                          sharpness, n_sunk, dead, seed):
+        # Tangent-like terms b e - a e log e, so that the largest term moves
+        # through the exponents as t grows, plus noise; some middle terms
+        # sunk far below their neighbours (gaps in the live sets), maybe a
+        # zero coefficient (log -inf) or a least exponent above 0.  Radii
+        # from 0 and 1e-300 up to 0.999, unsorted, some repeated.
+        rng = np.random.default_rng(seed)
+        es = np.sort(rng.choice(10**6, n_terms, replace=False)) + (0 if from_zero else 1)
+        if from_zero:
+            es[0] = 0
+        e = es.astype(float)
+        log_coeffs = sharpness * (15.0 * e - e * np.log(np.maximum(e, 1.0)))
+        log_coeffs += rng.uniform(-300.0, 300.0, n_terms) * rng.uniform(size=n_terms) ** 4
+        sunk = rng.integers(1, n_terms - 1, n_sunk)
+        log_coeffs[sunk] -= rng.uniform(150.0, 5000.0, n_sunk)
+        if dead:
+            log_coeffs[rng.integers(0, n_terms)] = -math.inf
+        s = series.LacunarySeries(tuple(zip(log_coeffs.tolist(), es.tolist())))
+        ts = np.exp(-rng.exponential(2.0, n_radii))
+        ts = np.minimum(ts, 0.999)
+        ts[rng.integers(0, n_radii, 4)] = 0.0
+        ts[rng.integers(0, n_radii, 2)] = 1e-300
+        ts[rng.integers(0, n_radii, 20)] = ts[rng.integers(0, n_radii, 20)]
+        assert lw.eval_series_grid(s, ts, theta_count).tobytes() == \
+            reference_grid(s, ts, theta_count).tobytes()
+
+    def test_radii_past_the_log_range(self):
+        # e_0 = 1e12: at t = 1e-300 the logs reach 7e14, where rounding
+        # could pass the candidate margin, so such radii (and NaN) take
+        # every row
+        es = 10**12 + np.arange(300) * 10**9
+        log_coeffs = 0.01 * (es - 10**12) ** 0.5
+        s = series.LacunarySeries(tuple(zip(log_coeffs.tolist(), es.tolist())))
+        ts = np.concatenate([np.linspace(0.0, 0.999, 300), [1e-300, math.nan, 1e-200]])
+        with np.errstate(invalid="ignore"):
+            assert lw.eval_series_grid(s, ts, 8).tobytes() == reference_grid(s, ts, 8).tobytes()
+
     def test_phase_memory_follows_live_terms(self, deep_pair):
         # The full phase table of 1,000 terms over 2,880 angles takes 46 MB
         # (complex) plus 23 MB of indices; at radii <= t0 only a few terms
@@ -76,6 +147,48 @@ class TestGridMatchesReference:
         finally:
             tracemalloc.stop()
         assert peak < 24e6
+
+
+class TestNoLongTables:
+    """On the sandwich and zero adjustment paths of double_exp K = 2000 no
+    kernel call tabulates more than a few dozen of the 1,000 terms of a
+    series, and neither path needs more memory than on a series of 34."""
+
+    def test_rows_per_kernel_call(self, deep_pair, monkeypatch):
+        rows = []
+        kernel = series._scaled_terms
+
+        def counting(*args):
+            rows.append(np.size(args[0]))
+            return kernel(*args)
+
+        monkeypatch.setattr(series, "_scaled_terms", counting)
+        w = lw.make_weight("double_exp")
+        ts = np.linspace(deep_pair.t0, deep_pair.t_last, 2001)[1:]
+        assert lw.sandwich_check(deep_pair, w, ts, 256).passed
+        lw.zero_adjust(deep_pair, w)
+        assert rows and max(rows) <= 64
+
+    def test_peak_memory_as_on_a_short_series(self, deep_pair, shallow_case):
+        # a (1000, 256) table of logs alone takes 2 MB; the parity series
+        # of exp_power alpha = 1 have 34 terms
+        def peaks(pair, w):
+            ts = np.linspace(pair.t0, pair.t_last, 2001)[1:]
+            out = []
+            for check in (lambda: lw.sandwich_check(pair, w, ts, 256),
+                          lambda: lw.zero_adjust(pair, w)):
+                tracemalloc.start()
+                try:
+                    check()
+                    out.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            return out
+
+        deep = peaks(deep_pair, lw.make_weight("double_exp"))
+        short = peaks(*shallow_case)
+        for d, s in zip(deep, short):
+            assert d <= s + 250_000
 
 
 class TestPointsMatchReference:

@@ -520,6 +520,15 @@ class TestJsonSpec:
         with pytest.raises(ValueError, match=f"'{family}' needs a finite nonzero"):
             lw.make_weight(family, params)
 
+    def test_negative_bump_width_rejected(self, capsys):
+        # 1 - |x - x*| / width with width < 0 is an unbounded tent, not a
+        # bump: F - F_ramey would read 78 at x = -0.5
+        with pytest.raises(ValueError, match="'perturbed_bump' needs a positive width, got -0.02"):
+            lw.make_weight("perturbed_bump", (3.0, -1.0, -0.02))
+        assert main(["verify", "envelope", "--family", "perturbed_bump",
+                     "--params", "3,-1,-0.02"]) == 2
+        assert "needs a positive width" in capsys.readouterr().err
+
     def test_zero_period_exits_2(self, capsys):
         assert main(["verify", "envelope", "--family", "perturbed_sawtooth",
                      "--params", "0.5,0"]) == 2
