@@ -271,8 +271,9 @@ def _runs(windows, xs) -> list:
     call in its own order (at = slice(None)).  Otherwise radii go by
     increasing x, and a run grows while its rows stay within _RUN_ROWS.
     A radius where rounding might pass _REACH (e_0 |x| past the room
-    left by the coefficients, or NaN) takes every row, in one more call.
-    A single run always holds the whole block in its own order."""
+    left by the coefficients) takes every row, in one more call; NaN
+    radii never get here, as _log_radii rejects them.  A single run
+    always holds the whole block in its own order."""
     first, last, room, e0 = windows
     count = first.size
     lo = np.searchsorted(last, xs, "left")
@@ -294,37 +295,65 @@ def _runs(windows, xs) -> list:
     return runs
 
 
-def _grid_kernel(s: LacunarySeries, theta_count: int, radii: int):
-    """Set s up once for a grid of `radii` radii by the angles theta_j =
-    2 pi j / theta_count, and return its block evaluator: log-radii of at
-    most _BLOCK radii -> log|s(t e^{i theta_j})|, rows indexed by radius.
+class _GridTerms:
+    """A series set up for grid evaluation: its terms as arrays and, made
+    on first need, its candidate windows (_term_windows).  The grids of
+    one caller that evaluate the series through one _GridTerms share the
+    windows; nothing outlives the object."""
+
+    def __init__(self, s: LacunarySeries):
+        self.terms = s.terms
+        self.int_exponents = s.exponents
+        self.log_coeffs = np.asarray(s.log_coeffs)
+        self.exponents = np.asarray(self.int_exponents, dtype=float)
+        self._windows = None
+
+    def windows(self, radii: int):
+        """(first, last, room, e_0) for the blocks of a grid of `radii`
+        radii, or None where a block takes one call over all the terms."""
+        log_coeffs, exponents = self.log_coeffs, self.exponents
+        # windows need finite coefficients and exponents that stay distinct as floats
+        room = _LOG_RANGE - float(np.max(np.abs(log_coeffs)))
+        if not (log_coeffs.size * min(radii, _BLOCK) > _BLOCK * _BLOCK and room > 0.0
+                and exponents[-1] <= 2.0 ** 53):
+            return None
+        if self._windows is None:
+            self._windows = (*_term_windows(log_coeffs, exponents), room, exponents[0])
+        return self._windows
+
+
+def _grid_kernel(s, theta_count: int, radii: int, columns: int | None = None):
+    """Set s (a LacunarySeries or its _GridTerms) up for a grid of `radii`
+    radii by the angles theta_j = 2 pi j / theta_count, and return its
+    block evaluator: log-radii of at most _BLOCK radii -> log|s(t e^{i
+    theta_j})|, rows indexed by radius, for the first `columns` angles j
+    (all theta_count of them by default).
 
     A grid whose blocks hold at most _BLOCK^2 (term, radius) cells takes
     each block in one call of _scaled_terms over all the terms.  A longer
-    series first gets its candidate windows (_term_windows, once), and
-    each block goes through the kernel in runs of radii over their
-    candidate rows alone (_runs), so no call tabulates more than
-    _RUN_ROWS terms unless one radius needs them.  Phases are built for
-    the live rows of a call alone, from the exact residues e mod
-    theta_count.  Either way a radius keeps the live set, the maximum and
-    the mantissas of one call over all the terms, bit for bit, and only
-    rows that are zero at every radius of a call leave its contraction.
+    series first gets its candidate windows (_term_windows, once per
+    _GridTerms), and each block goes through the kernel in runs of radii
+    over their candidate rows alone (_runs), so no call tabulates more
+    than _RUN_ROWS terms unless one radius needs them.  Phases are built
+    for the live rows of a call and the columns asked for alone, from the
+    exact residues e mod theta_count, so column j has the bits it has on
+    the full grid.  Either way a radius keeps the live set, the maximum
+    and the mantissas of one call over all the terms, bit for bit, and
+    only rows that are zero at every radius of a call leave its
+    contraction.
     """
     if theta_count < 1:
         raise ValueError(f"theta_count must be at least 1, got {theta_count}")
+    if columns is None:
+        columns = theta_count
     if not s.terms:
-        return lambda xs: np.full((xs.size, theta_count), NEG_INF)
-    log_coeffs = np.asarray(s.log_coeffs)
-    exponents = np.asarray(s.exponents, dtype=float)
-    residues = np.array([e % theta_count for e in s.exponents], dtype=np.int64)
-    j = np.arange(theta_count)
-    base = np.exp(2j * math.pi * j / theta_count)
-    # windows need finite coefficients and exponents that stay distinct as floats
-    room = _LOG_RANGE - float(np.max(np.abs(log_coeffs)))
-    windows = None
-    if (log_coeffs.size * min(radii, _BLOCK) > _BLOCK * _BLOCK and room > 0.0
-            and exponents[-1] <= 2.0 ** 53):
-        windows = (*_term_windows(log_coeffs, exponents), room, exponents[0])
+        return lambda xs: np.full((xs.size, columns), NEG_INF)
+    grid = s if isinstance(s, _GridTerms) else _GridTerms(s)
+    log_coeffs, exponents = grid.log_coeffs, grid.exponents
+    residues = np.array([e % theta_count for e in grid.int_exponents], dtype=np.int64)
+    j = np.arange(columns)
+    base = np.exp(2j * math.pi * np.arange(theta_count) / theta_count)
+    windows = grid.windows(radii)
 
     def contract(rows, xs):
         mant, live, scales = _scaled_terms(log_coeffs[rows], exponents[rows], xs)
@@ -340,7 +369,7 @@ def _grid_kernel(s: LacunarySeries, theta_count: int, radii: int):
         runs = _runs(windows, xs)
         if len(runs) == 1:
             return contract(runs[0][0], xs)
-        out = np.empty((xs.size, theta_count))
+        out = np.empty((xs.size, columns))
         for rows, at in runs:
             out[at] = contract(rows, xs[at])
         return out
@@ -349,9 +378,10 @@ def _grid_kernel(s: LacunarySeries, theta_count: int, radii: int):
 
 
 def _log_radii(t_values):
-    """(radii, log radii) as arrays; radii must lie in [0, 1)."""
+    """(radii, log radii) as arrays; radii must lie in [0, 1), so NaN is
+    rejected too (min and max pass NaN on)."""
     ts = np.asarray(t_values, dtype=float)
-    if ts.size and (ts.min() < 0.0 or ts.max() >= 1.0):
+    if ts.size and not (ts.min() >= 0.0 and ts.max() < 1.0):
         raise ValueError("radii must lie in [0, 1)")
     with np.errstate(divide="ignore"):
         return ts, np.log(ts)
@@ -367,7 +397,9 @@ def eval_series_grid(s: LacunarySeries, t_values, theta_count: int) -> np.ndarra
 
     Angles are theta_j = 2 pi j / theta_count, j < theta_count.  Returns
     shape (len(t_values), theta_count), filled _BLOCK radii at a time by
-    the evaluator of _grid_kernel.
+    the evaluator of _grid_kernel.  Every column is evaluated, mirror
+    angles included (see sandwich_check).  s may also be the _GridTerms
+    of a series, so that several grids share its set-up.
     """
     kernel = _grid_kernel(s, theta_count, np.size(t_values))
     ts, xs = _log_radii(t_values)
@@ -383,11 +415,12 @@ def _log_omegas(w: WeightFunction, radii) -> np.ndarray:
 
 
 def _check_radii(t_grid, t0: float, t_last: float) -> np.ndarray:
-    """The radius grid as an array, non-empty and within (t0, t_last]."""
+    """The radius grid as an array, non-empty and within (t0, t_last];
+    NaN is rejected too (min and max pass NaN on)."""
     ts = np.asarray(t_grid, dtype=float)
     if ts.size == 0:
         raise ValueError("empty radius grid")
-    if ts.min() <= t0 or ts.max() > t_last:
+    if not (ts.min() > t0 and ts.max() <= t_last):
         raise ValueError(f"radius grid must lie in (t0, t_last] = ({t0}, {t_last}]")
     return ts
 
@@ -421,19 +454,23 @@ class SandwichReport:
         }
 
 
-def _sandwich_blocks(pair: SeriesPair, w: WeightFunction, t_grid, theta_count: int):
+def _sandwich_blocks(pair: SeriesPair, w: WeightFunction, t_grid, theta_count: int,
+                     columns: int | None = None):
     """The sandwich (2/5)e^{-h} omega < |G1|+|G2| < 4 omega sampled at
     z = t e^{i theta_j}, theta_j = 2 pi j / theta_count, streamed: (thetas,
     log_omega, log_lower, log_upper, blocks), per radius log omega and the
     bounds log(2/5) - h + log omega and log 4 + log omega, and blocks
     yielding (rows, log|G1|, log|G2|), rows indexed by t, for consecutive
-    slices rows of at most _BLOCK radii.  Every input error is raised
-    here, before the first block is evaluated."""
-    g1 = _grid_kernel(pair.g1, theta_count, np.size(t_grid))
-    g2 = _grid_kernel(pair.g2, theta_count, np.size(t_grid))
+    slices rows of at most _BLOCK radii.  Only the first `columns` angles
+    are evaluated, all theta_count by default: sandwich_check asks for
+    the distinct half theta_j <= pi, emit for every angle, as it prints
+    every cell.  Every input error is raised here, before the first
+    block is evaluated."""
+    g1 = _grid_kernel(pair.g1, theta_count, np.size(t_grid), columns)
+    g2 = _grid_kernel(pair.g2, theta_count, np.size(t_grid), columns)
     log_w = _log_omegas(w, t_grid)
     ts, xs = _log_radii(t_grid)
-    thetas = _TWO_PI * np.arange(theta_count) / theta_count
+    thetas = _TWO_PI * np.arange(theta_count if columns is None else columns) / theta_count
     blocks = ((rows, g1(xs[rows]), g2(xs[rows])) for rows in _row_blocks(ts.size))
     return thetas, log_w, math.log(0.4) - pair.h + log_w, math.log(4.0) + log_w, blocks
 
@@ -455,16 +492,29 @@ def sandwich_check(pair: SeriesPair, w: WeightFunction, t_grid,
     """Certify (2/5)e^{-h} omega < |G1|+|G2| < 4 omega on the grid.
 
     Every t must lie in (t0, t_last], the range the construction actually
-    covered; radii outside it are an input error, not a bound failure.
-    Margins are log-domain differences normalized by the magnitudes of the
-    compared sides; pass means every margin >= -1e-9.  The grid is reduced
-    _BLOCK radii at a time and never held whole.  Each witness is the
-    first (t, theta) cell in row-major order, rows indexed by t, whose
-    margin is the worst, a NaN margin counting as worst: the cell
-    np.argmin picks over the whole grid.
+    covered; radii outside it (or NaN) are an input error, not a bound
+    failure.  Margins are log-domain differences normalized by the
+    magnitudes of the compared sides; pass means every margin >= -1e-9.
+
+    G1 and G2 have positive coefficients, so G(conj z) = conj G(z) and
+    the bound takes one true value at theta_j and theta_{N-j}, N =
+    theta_count.  The check samples the distinct points alone, j = 0 ..
+    N // 2 (theta in [0, pi]), _BLOCK radii at a time, and never holds
+    the grid.  Each witness is the first (t, theta) cell in row-major
+    order, rows indexed by t, whose margin is the worst, a NaN margin
+    counting as worst; a mirror column N - j > j comes later in its row,
+    so this is the cell np.argmin picks over the whole grid, and both
+    witnesses have theta <= pi.  The one exception: the full grid
+    evaluates theta_j and theta_{N-j} separately, and on some inputs the
+    two roundings of one true value differ, so a margin there can differ
+    by that gap.  emit, eval_series_grid and zero_adjust keep all N
+    columns: emit prints every cell, and mirroring would move its last
+    bits (up to 512 ulps on exp_power alpha = 1); zero_adjust's sample
+    ratios are pinned to the full-grid reference.
     """
     ts = _check_radii(t_grid, pair.t0, pair.t_last)
-    thetas, _, lo_bound, hi_bound, blocks = _sandwich_blocks(pair, w, ts, theta_count)
+    thetas, _, lo_bound, hi_bound, blocks = _sandwich_blocks(pair, w, ts, theta_count,
+                                                             theta_count // 2 + 1)
     # max(1, |bound|) once per radius; a cell's scale is its max with |log_s|
     lo_scale = np.maximum(1.0, np.abs(lo_bound))[:, None]
     hi_scale = np.maximum(1.0, np.abs(hi_bound))[:, None]
@@ -586,12 +636,14 @@ def _ratio_rings(f1: LacunarySeries, f2: LacunarySeries,
                  outer_t_points: int, outer_angles: int):
     """Per ring (the inner disk, then the outer grid over (t0, t_last] when
     outer_t_points > 0): log omega per radius and log(|f1| + |f2|) with
-    rows indexed by radius."""
+    rows indexed by radius, on every angle of each ring.  f1 and f2 are
+    each set up once (_GridTerms) for both rings."""
     rings = [(inner_disk_radii(t0, inner_radii), inner_angles)]
     if outer_t_points > 0:
         rings.append((np.linspace(t0, t_last, outer_t_points + 1)[1:], outer_angles))
-    return [(_log_omegas(w, radii), np.logaddexp(eval_series_grid(f1, radii, angles),
-                                                 eval_series_grid(f2, radii, angles)))
+    g1, g2 = _GridTerms(f1), _GridTerms(f2)
+    return [(_log_omegas(w, radii), np.logaddexp(eval_series_grid(g1, radii, angles),
+                                                 eval_series_grid(g2, radii, angles)))
             for radii, angles in rings]
 
 

@@ -26,7 +26,8 @@ product would round differently for groups of one point.
 
 `reference_sandwich_check` forms the whole (t, theta) grid of margins
 and takes its witnesses by `np.argmin`; `logweight.sandwich_check`
-reduces blocks of 256 radii and never holds the grid.
+reduces blocks of 256 radii over the distinct angles theta <= pi alone
+(|G(conj z)| = |G(z)|) and never holds the grid.
 `reference_emit_csv` formats the sandwich samples of `logweight emit`
 cell by cell, and `reference_log_ratio_samples` evaluates zero
 adjustment's inner and outer rings as two separate blocks, both on

@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 import logweight as lw
+from logweight import series
 from logweight.cli import main, render_json
 from logweight.series import _sandwich_blocks
 
-from reference_series import (reference_emit_csv, reference_log_ratio_samples,
+from reference_series import (reference_emit_csv, reference_grid, reference_log_ratio_samples,
                               reference_sandwich_check)
 
 X0 = math.log(0.95)
@@ -124,6 +125,14 @@ class TestSandwichSamples:
         with pytest.raises(ValueError, match="theta_count"):
             _sandwich_blocks(lw.split_parity(state), w, [state.t_last], 0)
 
+    def test_nan_radius_rejected(self, cli_state):
+        _, _, state, w = cli_state
+        ts = np.linspace(state.t0, state.t_last, 301)[1:]
+        ts[100] = math.nan
+        for t_grid in (ts, [math.nan]):
+            with pytest.raises(ValueError, match="radius grid must lie"):
+                lw.sandwich_check(lw.split_parity(state), w, t_grid, theta_count=8)
+
     @pytest.mark.parametrize("theta_count", [0, -1])
     def test_grid_rejects_no_angles(self, cli_state, theta_count):
         _, _, state, _ = cli_state
@@ -133,8 +142,9 @@ class TestSandwichSamples:
                 lw.eval_series_grid(s, [0.5, state.t_last], theta_count)
 
     def test_check_memory_bound(self):
-        # The check reduces blocks of 256 radii: its peak stays below one
-        # 2000 x 256 grid of doubles (4.096 MB).
+        # The check reduces blocks of 256 radii over the 129 distinct
+        # angles theta <= pi: its peak stays below one 2000 x 129 grid of
+        # doubles (2.064 MB).
         w = lw.make_weight("exp_power", (1.0,))
         state = lw.run_construction(w, lw.ConstructionParams(x0=X0, t_stop=0.9999))
         assert len(state.lines) == 68
@@ -146,7 +156,7 @@ class TestSandwichSamples:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2000 * 256 * 8
+        assert peak < 2000 * 129 * 8
 
 
 # The two deep states of the lemma benchmark, as make_weight arguments and
@@ -221,6 +231,55 @@ class TestSandwichCheckMatchesFullGrid:
         assert (report.lower_margin, report.upper_margin) == (-math.inf, math.inf)
         assert report.lower_witness == report.upper_witness == (ts[0], 0.0)
         assert not report.passed
+
+
+class TestHalfAngleGrid:
+    """The sandwich check samples theta_j, j = 0 .. N // 2, alone: G1 and G2
+    have positive coefficients, so |G(conj z)| = |G(z)|."""
+
+    @pytest.mark.parametrize("theta_count", [1, 2, 5, 64, 256])
+    def test_check_contracts_distinct_columns(self, cli_state, monkeypatch, theta_count):
+        _, _, state, w = cli_state
+        shapes = []
+        make = series._grid_kernel
+
+        def recording(*args):
+            kernel = make(*args)
+
+            def block(xs):
+                out = kernel(xs)
+                shapes.append(out.shape)
+                return out
+
+            return block
+
+        monkeypatch.setattr(series, "_grid_kernel", recording)
+        ts = np.linspace(state.t0, state.t_last, 301)[1:]
+        report = lw.sandwich_check(lw.split_parity(state), w, ts, theta_count=theta_count)
+        # two series, two blocks of radii (256 + 44)
+        assert sorted(shapes) == sorted([(256, theta_count // 2 + 1), (44, theta_count // 2 + 1)]
+                                        * 2)
+        assert report.lower_witness[1] <= math.pi and report.upper_witness[1] <= math.pi
+
+    @staticmethod
+    def assert_mirror_columns_agree(state):
+        # Column N - j of the full grid evaluates the conjugate points of
+        # column j, rounding differently; on the benchmark states the gap
+        # stays below 1e-12 relative (512 ulps of a small log at most).
+        # Near a zero of a dense series it can be far larger.
+        pair = lw.split_parity(state)
+        ts = np.linspace(state.t0, state.t_last, 2001)[1:]
+        for s in (pair.g1, pair.g2):
+            grid = reference_grid(s, ts, 256)
+            mirror = grid[:, [0, *range(255, 0, -1)]]
+            assert np.isfinite(grid).all()
+            assert (np.abs(mirror - grid) <= 1e-12 * np.maximum(1.0, np.abs(grid))).all()
+
+    def test_mirror_columns_agree_on_deep_states(self, deep_state):
+        self.assert_mirror_columns_agree(deep_state[0])
+
+    def test_mirror_columns_agree_on_cli_states(self, cli_state):
+        self.assert_mirror_columns_agree(cli_state[2])
 
 
 class TestZeroAdjustGridSizes:

@@ -58,6 +58,40 @@ def slice_system():
     return lw.build_ball_functions(state, lw.monomial_family()), lw.sphere_points(1, 64, 7)[-1]
 
 
+def tangent_like_case(n_terms, n_radii, from_zero, sharpness, n_sunk, dead, seed):
+    """(series, radii): tangent-like terms b e - a e log e, so that the
+    largest term moves through the exponents as t grows, plus noise; some
+    middle terms sunk far below their neighbours (gaps in the live sets),
+    maybe a zero coefficient (log -inf) or a least exponent above 0.
+    Radii from 0 and 1e-300 up to 0.999, unsorted, some repeated."""
+    rng = np.random.default_rng(seed)
+    es = np.sort(rng.choice(10**6, n_terms, replace=False)) + (0 if from_zero else 1)
+    if from_zero:
+        es[0] = 0
+    e = es.astype(float)
+    log_coeffs = sharpness * (15.0 * e - e * np.log(np.maximum(e, 1.0)))
+    log_coeffs += rng.uniform(-300.0, 300.0, n_terms) * rng.uniform(size=n_terms) ** 4
+    sunk = rng.integers(1, n_terms - 1, n_sunk)
+    log_coeffs[sunk] -= rng.uniform(150.0, 5000.0, n_sunk)
+    if dead:
+        log_coeffs[rng.integers(0, n_terms)] = -math.inf
+    s = series.LacunarySeries(tuple(zip(log_coeffs.tolist(), es.tolist())))
+    ts = np.exp(-rng.exponential(2.0, n_radii))
+    ts = np.minimum(ts, 0.999)
+    ts[rng.integers(0, n_radii, 4)] = 0.0
+    ts[rng.integers(0, n_radii, 2)] = 1e-300
+    ts[rng.integers(0, n_radii, 20)] = ts[rng.integers(0, n_radii, 20)]
+    return s, ts
+
+
+# The arguments of tangent_like_case, with an angle count.
+TANGENT_LIKE = dict(
+    n_terms=st.integers(257, 360), n_radii=st.integers(200, 600),
+    theta_count=st.integers(1, 9), from_zero=st.booleans(),
+    sharpness=st.floats(0.05, 20.0), n_sunk=st.integers(0, 8),
+    dead=st.booleans(), seed=st.integers(0, 2**32 - 1))
+
+
 def bits(values):
     """The bytes of a ScaledArray: mantissa parts and log scale per point."""
     m = values.mantissa.ravel()
@@ -92,47 +126,46 @@ class TestGridMatchesReference:
                 reference_grid(s, ts, 256).tobytes()
 
     @settings(max_examples=25, deadline=None)
-    @given(n_terms=st.integers(257, 360), n_radii=st.integers(200, 600),
-           theta_count=st.integers(1, 9), from_zero=st.booleans(),
-           sharpness=st.floats(0.05, 20.0), n_sunk=st.integers(0, 8),
-           dead=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    def test_any_series_matches_reference(self, n_terms, n_radii, theta_count, from_zero,
-                                          sharpness, n_sunk, dead, seed):
-        # Tangent-like terms b e - a e log e, so that the largest term moves
-        # through the exponents as t grows, plus noise; some middle terms
-        # sunk far below their neighbours (gaps in the live sets), maybe a
-        # zero coefficient (log -inf) or a least exponent above 0.  Radii
-        # from 0 and 1e-300 up to 0.999, unsorted, some repeated.
-        rng = np.random.default_rng(seed)
-        es = np.sort(rng.choice(10**6, n_terms, replace=False)) + (0 if from_zero else 1)
-        if from_zero:
-            es[0] = 0
-        e = es.astype(float)
-        log_coeffs = sharpness * (15.0 * e - e * np.log(np.maximum(e, 1.0)))
-        log_coeffs += rng.uniform(-300.0, 300.0, n_terms) * rng.uniform(size=n_terms) ** 4
-        sunk = rng.integers(1, n_terms - 1, n_sunk)
-        log_coeffs[sunk] -= rng.uniform(150.0, 5000.0, n_sunk)
-        if dead:
-            log_coeffs[rng.integers(0, n_terms)] = -math.inf
-        s = series.LacunarySeries(tuple(zip(log_coeffs.tolist(), es.tolist())))
-        ts = np.exp(-rng.exponential(2.0, n_radii))
-        ts = np.minimum(ts, 0.999)
-        ts[rng.integers(0, n_radii, 4)] = 0.0
-        ts[rng.integers(0, n_radii, 2)] = 1e-300
-        ts[rng.integers(0, n_radii, 20)] = ts[rng.integers(0, n_radii, 20)]
+    @given(**TANGENT_LIKE)
+    def test_any_series_matches_reference(self, theta_count, **case):
+        s, ts = tangent_like_case(**case)
         assert lw.eval_series_grid(s, ts, theta_count).tobytes() == \
             reference_grid(s, ts, theta_count).tobytes()
 
+    @settings(max_examples=25, deadline=None)
+    @given(**TANGENT_LIKE)
+    def test_half_columns_match_reference(self, theta_count, **case):
+        # the columns j <= N // 2 that sandwich_check asks for have the
+        # bits of the full grid's first columns
+        s, ts = tangent_like_case(**case)
+        columns = theta_count // 2 + 1
+        kernel = series._grid_kernel(s, theta_count, ts.size, columns)
+        _, xs = series._log_radii(ts)
+        half = np.concatenate([kernel(xs[rows]) for rows in series._row_blocks(ts.size)])
+        assert half.shape == (ts.size, columns)
+        assert half.tobytes() == reference_grid(s, ts, theta_count)[:, :columns].tobytes()
+
     def test_radii_past_the_log_range(self):
         # e_0 = 1e12: at t = 1e-300 the logs reach 7e14, where rounding
-        # could pass the candidate margin, so such radii (and NaN) take
-        # every row
+        # could pass the candidate margin, so such radii take every row
         es = 10**12 + np.arange(300) * 10**9
         log_coeffs = 0.01 * (es - 10**12) ** 0.5
         s = series.LacunarySeries(tuple(zip(log_coeffs.tolist(), es.tolist())))
-        ts = np.concatenate([np.linspace(0.0, 0.999, 300), [1e-300, math.nan, 1e-200]])
-        with np.errstate(invalid="ignore"):
-            assert lw.eval_series_grid(s, ts, 8).tobytes() == reference_grid(s, ts, 8).tobytes()
+        ts = np.concatenate([np.linspace(0.0, 0.999, 300), [1e-300, 1e-200]])
+        assert lw.eval_series_grid(s, ts, 8).tobytes() == reference_grid(s, ts, 8).tobytes()
+
+    @pytest.mark.parametrize("nan_at", [0, 150, 301])
+    def test_nan_radius_rejected(self, nan_at):
+        # every comparison with NaN is false, so a range check written as
+        # "min < 0 or max >= 1" would let NaN through
+        es = 10**12 + np.arange(300) * 10**9
+        s = series.LacunarySeries(tuple(zip((0.01 * (es - 10**12) ** 0.5).tolist(),
+                                            es.tolist())))
+        ts = np.concatenate([np.linspace(0.0, 0.999, 300), [1e-300, 1e-200]])
+        ts[nan_at] = math.nan
+        for t_values in (ts, [math.nan]):
+            with pytest.raises(ValueError, match=r"radii must lie in \[0, 1\)"):
+                lw.eval_series_grid(s, t_values, 8)
 
     def test_phase_memory_follows_live_terms(self, deep_pair):
         # The full phase table of 1,000 terms over 2,880 angles takes 46 MB

@@ -121,6 +121,21 @@ class TestDominance:
         assert adj.rotation_basis == "dominance"
         assert counter.calls == [64] * 4  # f1 and f2 on each ring, at its own angles
 
+    def test_each_series_set_up_once(self, bench_state, monkeypatch):
+        # Only double_exp K = 2000 has series long enough for candidate
+        # windows; f1 and f2 get theirs once, for both rings.
+        w, state = bench_state
+        calls = []
+        windows = series._term_windows
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return windows(*args)
+
+        monkeypatch.setattr(series, "_term_windows", counted)
+        lw.zero_adjust(lw.split_parity(state), w)
+        assert len(calls) == (2 if len(state.lines) == 2000 else 0)
+
     def test_each_ring_evaluated_once(self, monkeypatch):
         w = lw.make_weight("ramey_ullrich")
         log_omega_radii = []
