@@ -26,7 +26,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._sobol import MAX_DIM, ndtri, scrambled_sobol
 from .construction import ConstructionState, h_for_delta
 from .numerics import MARGIN_SLACK, exp_or_inf, logsumexp, normalized_margins
 from .series import (_TWO_PI, ScaledArray, _check_radii, _eval_points, _first_worst,
@@ -131,16 +130,17 @@ _BUILTIN_FAMILIES = {
 def sphere_points(d: int, count: int, seed: int = 0) -> np.ndarray:
     """Deterministic points on the unit sphere of C^d.
 
-    A scrambled Sobol sequence mapped through the Gaussian inverse CDF and
-    normalized covers the sphere uniformly; a small structured prefix
-    (coordinate vectors and balanced-modulus vectors, where coordinate
-    families are extremal) is always included so that degenerate families
-    are measured at their worst points exactly.  The Sobol sequence has
-    2d dimensions, so d may be at most MAX_DIM / 2 = 32.
+    A small structured prefix (coordinate vectors and balanced-modulus
+    vectors, where coordinate families are extremal) is always included so
+    that degenerate families are measured at their worst points exactly.
+    The rest is a Kronecker sequence u_n = frac(s + n alpha), n = 1, 2, ...,
+    in [0, 1)^{2d}, with alpha_j = phi^{-j} for phi the root of
+    x^{2d+1} = x + 1 (Roberts' generalized golden ratio) and a seeded
+    random shift s (Cranley-Patterson), mapped by complex Box-Muller,
+    z_j = sqrt(-2 log(1 - u_j)) e^{2 pi i u_{d+j}}, and normalized.
     """
-    if not 1 <= d <= MAX_DIM // 2:
-        raise ValueError(f"sphere_points needs 1 <= d <= {MAX_DIM // 2} "
-                         f"(a {MAX_DIM}-dimensional Sobol table), got d={d}")
+    if d < 1:
+        raise ValueError(f"sphere_points needs d >= 1, got d={d}")
     if count < 2 * d + 2:
         raise ValueError(f"need at least {2 * d + 2} sphere samples for d={d}")
     eye = np.eye(d, dtype=complex)
@@ -150,12 +150,15 @@ def sphere_points(d: int, count: int, seed: int = 0) -> np.ndarray:
     structured.append(np.exp(2j * math.pi * np.arange(d) / max(d, 2)) / math.sqrt(d))
     structured = np.asarray(structured)
 
-    raw = scrambled_sobol(2 * d, count - len(structured), seed)
-    g = ndtri(np.clip(raw, 1e-12, 1.0 - 1e-12))
-    z = g[:, :d] + 1j * g[:, d:]
-    norms = np.linalg.norm(z, axis=1)
-    norms[norms == 0] = 1.0
-    z = z / norms[:, None]
+    phi = 2.0
+    for _ in range(32):  # x -> (1 + x)^{1/(2d+1)} contracts by < 1/4 on x >= 1
+        phi = (1.0 + phi) ** (1.0 / (2 * d + 1))
+    alpha = phi ** -np.arange(1.0, 2 * d + 1)
+    shift = np.random.default_rng(seed).random(2 * d)
+    n = np.arange(1.0, count - len(structured) + 1)
+    u = (shift + n[:, None] * alpha) % 1.0
+    z = np.sqrt(-2.0 * np.log1p(-u[:, :d])) * np.exp(1j * _TWO_PI * u[:, d:])
+    z = z / np.linalg.norm(z, axis=1)[:, None]
     return np.concatenate([structured, z], axis=0)
 
 

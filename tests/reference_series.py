@@ -22,7 +22,11 @@ point at a time, through `eval_series` and `BallFunctionSystem.eval`.
 
 Phases times units are formed out of place: numpy multiplies a lone
 complex pair in place without a fused multiply-add, so an in-place
-product would round differently for groups of one point.
+product would round differently for groups of one point.  For the same
+reason `reference_points` sums each point's terms by `np.einsum`, as the
+kernel does, and not by a matrix product: BLAS may fuse the products
+into the sum, and the two differ in the last bit once two terms are
+live.
 
 `reference_sandwich_check` forms the whole (t, theta) grid of margins
 and takes its witnesses by `np.argmin`; `logweight.sandwich_check`
@@ -50,9 +54,10 @@ from logweight.series import (DROP_THRESHOLD, ScaledArray, eval_series,
                               inner_disk_radii)
 
 
-def _lacunary_sums(log_mods, units, exponents, log_radii, phases):
-    """(sums, log_scales) of the terms exp(log_mods_k + exponents_k x_r)
-    units_k phases_kj, the largest magnitude per radius factored out."""
+def _live_terms(log_mods, exponents, log_radii):
+    """(mant, live, log_scales): the magnitudes exp(log_mods_k +
+    exponents_k x_r) of the live terms, the largest per radius factored
+    out, 0 where a term is dropped."""
     with np.errstate(invalid="ignore"):
         logs = log_mods[:, None] + exponents[:, None] * log_radii
         np.copyto(logs, log_mods[:, None], where=np.isnan(logs))
@@ -60,7 +65,13 @@ def _lacunary_sums(log_mods, units, exponents, log_radii, phases):
         logs -= l_max
     keep = logs >= -DROP_THRESHOLD
     live = keep.any(axis=1)
-    mant = np.where(keep[live], np.exp(logs[live]), 0.0)
+    return np.where(keep[live], np.exp(logs[live]), 0.0), live, l_max
+
+
+def _lacunary_sums(log_mods, units, exponents, log_radii, phases):
+    """(sums, log_scales) of the terms exp(log_mods_k + exponents_k x_r)
+    units_k phases_kj, the largest magnitude per radius factored out."""
+    mant, live, l_max = _live_terms(log_mods, exponents, log_radii)
     return mant.T @ (phases[live] * units[live, None]), l_max
 
 
@@ -143,8 +154,9 @@ def reference_points(log_mods, units, exponents, zs):
         phases = np.exp(1j * np.fmod(np.multiply.outer(exponents, np.angle(zs[at])),
                                      2.0 * math.pi))
         log_r = math.log(r) if r > 0.0 else NEG_INF
-        sums, scales = _lacunary_sums(log_mods, units, exponents, np.array([log_r]), phases)
-        for i, v in zip(at, sums[0]):
+        mant, live, scales = _live_terms(log_mods, exponents, np.array([log_r]))
+        sums = np.einsum("k,kp->p", mant[:, 0], phases[live] * units[live, None])
+        for i, v in zip(at, sums):
             out[i] = reference_normalize(complex(v), float(scales[0]))
     return stack_scaled(out)
 

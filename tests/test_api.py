@@ -57,7 +57,7 @@ def test_removed_names_stay_removed(module):
 
 
 def test_import_loads_no_scipy():
-    # scipy takes about a second to import; only sphere sampling needs it.
+    # scipy takes about a second to import, and the package runs on numpy alone.
     code = "import sys, logweight; print([m for m in sys.modules if m.startswith('scipy')])"
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
                           capture_output=True, text=True, timeout=120)
@@ -66,8 +66,8 @@ def test_import_loads_no_scipy():
 
 
 def test_cli_ball_runs_load_no_scipy(tmp_path):
-    # sphere points come from the numpy Sobol and ndtri ports, so a whole
-    # construct-and-verify-ball session runs without scipy
+    # sphere points are a closed-form Kronecker sequence in numpy, so a
+    # whole construct-and-verify-ball session runs without scipy
     state = str(tmp_path / "state.json")
     weight = ["--family", "ramey_ullrich"]
     runs = [["construct", *weight, "--h", "2", "--t0", "0.95", "--t-stop", "0.9999",

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import logweight as lw
 import logweight.ball_extension
@@ -45,6 +47,55 @@ class TestSpherePoints:
         pts = lw.sphere_points(2, 64, seed=0)
         target = np.full(2, 1.0 / math.sqrt(2.0))
         assert any(np.allclose(np.abs(p), target, atol=1e-12) for p in pts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 40), extra=st.integers(0, 300), seed=st.integers(0, 2**32 - 1))
+    def test_unit_points_after_the_structured_prefix(self, d, extra, seed):
+        pts = lw.sphere_points(d, 2 * d + 2 + extra, seed)
+        assert pts.shape == (2 * d + 2 + extra, d) and not np.isnan(pts.view(float)).any()
+        assert np.abs(np.linalg.norm(pts, axis=1) - 1.0).max() <= 1e-15
+        assert pts[:2 * d + 2].tobytes() == structured_prefix(d).tobytes()
+
+    def test_d_40_accepted(self):
+        pts = lw.sphere_points(40, 200, seed=3)
+        assert pts.shape == (200, 40)
+        assert np.abs(np.linalg.norm(pts, axis=1) - 1.0).max() <= 1e-15
+
+    def test_d_below_one_rejected(self):
+        with pytest.raises(ValueError, match="sphere_points needs d >= 1, got d=0"):
+            lw.sphere_points(0, 64)
+
+    def test_too_few_samples_keeps_its_message(self):
+        with pytest.raises(ValueError, match="need at least 6 sphere samples for d=2"):
+            lw.sphere_points(2, 5)
+
+    def test_d1_angular_gaps(self):
+        # For d = 1 the m points after the prefix sit at the angles
+        # 2 pi frac(s_2 + n alpha_2), whose gaps take at most three lengths
+        # (three-gap theorem); the largest is below 3 (2 pi / m) except
+        # where the partial quotient 12 of alpha_2 = [0; 1, 1, 3, 12, ...]
+        # acts, m = 26 ... 78, where it reaches 4.2 (2 pi / m) at m = 50.
+        for seed in (0, 7):
+            for m in range(1, 1001):
+                angles = np.sort(np.angle(lw.sphere_points(1, m + 4, seed)[4:, 0]))
+                gaps = np.diff(angles, append=angles[0] + 2.0 * math.pi)
+                bound = 4.25 if 26 <= m <= 78 else 3.0
+                assert gaps.max() < bound * 2.0 * math.pi / m, (seed, m)
+
+
+def structured_prefix(d):
+    """The first 2d + 2 sphere points: each coordinate vector and its
+    rotation by e^{i pi / (2 (q + 1))}, the real balanced vector, and the
+    balanced vector with phases e^{2 pi i q / max(d, 2)}."""
+    rows = []
+    for q in range(d):
+        for phase in (1.0, cmath.exp(0.5j * math.pi / (q + 1))):
+            v = np.zeros(d, dtype=complex)
+            v[q] = phase
+            rows.append(v)
+    rows.append(np.full(d, 1.0 / math.sqrt(d), dtype=complex))
+    rows.append(np.exp(2j * math.pi * np.arange(d) / max(d, 2)) / math.sqrt(d))
+    return np.asarray(rows)
 
 
 class TestVerifyFamily:
@@ -268,7 +319,7 @@ class TestBatchedBallCheck:
 
     def test_coordinate_d2_with_complex_phases(self):
         # Assembled directly: the family fails verify_family, but its
-        # values z_q^e carry non-real phases at the Sobol sphere points.
+        # values z_q^e carry non-real phases at the sampled sphere points.
         w, state = ramey_state()
         fam = lw.coordinate_family_d2(delta_claimed=0.5)
         funcs = []
@@ -463,22 +514,28 @@ class TestArrayProviders:
     def test_exp_or_inf_keeps_nan(self):
         assert math.isnan(exp_or_inf(math.nan))
 
+    @pytest.mark.parametrize("seed", [0, 1, 7])
     @pytest.mark.parametrize("name", ["ramey_ullrich", "exp_power_a1"])
-    def test_monomials_exact_at_bench_degrees(self, bench_states, name):
+    def test_monomials_exact_at_bench_degrees(self, bench_states, name, seed):
         # |zeta^n| = 1 on the circle: the log-modulus n log|zeta| and
         # n log||zeta|| cancel, with no powering noise even at n ~ 1e8
         state = bench_states[name]
         assert max(state.es) > 5e7
-        rep = lw.verify_family(lw.monomial_family(), state.es, sphere_samples=128, seed=7)
+        rep = lw.verify_family(lw.monomial_family(), state.es, sphere_samples=128, seed=seed)
         assert rep.passed
         assert {(r.sup_norm, r.min_of_max) for r in rep.per_degree} == {(1.0, 1.0)}
 
+    @pytest.mark.parametrize("seed", [0, 1, 7])
     @pytest.mark.parametrize("name, first", [("ramey_ullrich", 88), ("exp_power_a1", 663)])
-    def test_coordinate_d2_verdicts_at_bench_degrees(self, bench_states, name, first):
+    def test_coordinate_d2_verdicts_at_bench_degrees(self, bench_states, name, first, seed):
         # no uniform delta: min-of-max, and only min-of-max, fails at every
-        # degree of both states, from the first one on
+        # degree of both states, from the first one on, as the closed form
+        # min over the sphere of max_q |z_q|^n = 2^{-n/2} < delta says
         state = bench_states[name]
-        rep = lw.verify_family(lw.coordinate_family_d2(), state.es, sphere_samples=128, seed=7)
+        fam = lw.coordinate_family_d2()
+        rep = lw.verify_family(fam, state.es, sphere_samples=128, seed=seed)
         assert state.es[0] == first and len(rep.per_degree) == len(state.es)
+        assert [r.min_ok for r in rep.per_degree] == \
+            [2.0 ** (-n / 2) >= fam.delta_claimed for n in state.es]
         assert {(r.passed, r.sup_ok, r.min_ok, r.homogeneity_ok)
                 for r in rep.per_degree} == {(False, True, False, True)}

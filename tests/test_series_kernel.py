@@ -370,10 +370,10 @@ class TestBenchmarkSlices:
     rs = np.geomspace(0.1, 0.9, 24)
     # sha256 of the per-radius log max |f| and of the (mantissa, log scale)
     # bits of every point
-    pins = {0: ("8377b611ac96a57b3d59efd75f8d9e937ea27955683b32a88075b1ea1e7f1c1a",
-                "757f8a324232c2d89bb1c555ccf22b78551e1ab8d9e2d5f1225f18f8b10673f3"),
-            1: ("4461d05d0443aacbf5ec2a4439609e99c0fac7b86723816c830077ed01bce582",
-                "13b7f5ab072af3730e541c298e6c03fed05819b262c86a29377e84e591a94a7a")}
+    pins = {0: ("36ffc853aa3a3ed4549a06f25be502494ef23e6e7bd762dac3f598d3d723535b",
+                "452ebf041aa0992e5e198685c50de01516246e35e6c574850b42a351f41fcd9d"),
+            1: ("e62e5731779c6a05af394b005e4e732ace52ffd5f13a736e57664a320d6a6253",
+                "857ecc91002f0e64323755255ecea0b9bd781871eb818e3da68fc877caff5871")}
 
     def slice_fn(self, slice_system, index):
         system, zeta = slice_system
