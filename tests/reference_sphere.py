@@ -1,17 +1,16 @@
-"""Test-only reference: sphere sampling through scipy.
+"""Test-only reference: the sphere points with phi found by scipy.
 
-`reference_sphere_points` draws the random part of the sphere points with
-`scipy.stats.qmc.Sobol` and maps it through `scipy.special.ndtri`.
-`logweight.sphere_points` uses numpy ports of both; it must reproduce
-these points bit for bit.
+`reference_sphere_points` rebuilds the structured prefix row by row and
+takes phi, the root of x^{2d+1} = x + 1, from `scipy.optimize.brentq` on
+that polynomial. `logweight.sphere_points` finds phi by fixed-point steps
+of x -> (1 + x)^{1/(2d+1)}; it must reproduce these points bit for bit.
 """
 
 import cmath
 import math
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
+from scipy.optimize import brentq
 
 
 def reference_sphere_points(d: int, count: int, seed: int = 0) -> np.ndarray:
@@ -30,13 +29,13 @@ def reference_sphere_points(d: int, count: int, seed: int = 0) -> np.ndarray:
     structured.append(phases / math.sqrt(d))
     structured = np.asarray(structured)
 
-    n_rand = count - len(structured)
-    sob = qmc.Sobol(2 * d, scramble=True, seed=seed)
-    m = 1 << max(1, math.ceil(math.log2(max(n_rand, 1))))
-    raw = sob.random(m)[:n_rand]
-    g = ndtri(np.clip(raw, 1e-12, 1.0 - 1e-12))
-    z = g[:, :d] + 1j * g[:, d:]
-    norms = np.linalg.norm(z, axis=1)
-    norms[norms == 0] = 1.0
-    z = z / norms[:, None]
+    phi = brentq(lambda x: x ** (2 * d + 1) - x - 1.0, 1.0, 2.0,
+                 xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
+    alpha = phi ** -np.arange(1.0, 2 * d + 1)
+    shift = np.random.default_rng(seed).random(2 * d)
+    n = np.arange(1.0, count - len(structured) + 1)
+    u = np.mod(shift + n[:, None] * alpha, 1.0)
+    radius = np.sqrt(-2.0 * np.log1p(-u[:, :d]))
+    z = radius * np.exp(2j * math.pi * u[:, d:])
+    z = z / np.linalg.norm(z, axis=1)[:, None]
     return np.concatenate([structured, z], axis=0)

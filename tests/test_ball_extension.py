@@ -61,14 +61,6 @@ class TestSpherePoints:
         assert pts.shape == (200, 40)
         assert np.abs(np.linalg.norm(pts, axis=1) - 1.0).max() <= 1e-15
 
-    def test_d_below_one_rejected(self):
-        with pytest.raises(ValueError, match="sphere_points needs d >= 1, got d=0"):
-            lw.sphere_points(0, 64)
-
-    def test_too_few_samples_keeps_its_message(self):
-        with pytest.raises(ValueError, match="need at least 6 sphere samples for d=2"):
-            lw.sphere_points(2, 5)
-
     def test_d1_angular_gaps(self):
         # For d = 1 the m points after the prefix sit at the angles
         # 2 pi frac(s_2 + n alpha_2), whose gaps take at most three lengths
@@ -514,16 +506,17 @@ class TestArrayProviders:
     def test_exp_or_inf_keeps_nan(self):
         assert math.isnan(exp_or_inf(math.nan))
 
-    @pytest.mark.parametrize("seed", [0, 1, 7])
     @pytest.mark.parametrize("name", ["ramey_ullrich", "exp_power_a1"])
-    def test_monomials_exact_at_bench_degrees(self, bench_states, name, seed):
+    def test_monomials_exact_at_bench_degrees(self, bench_states, name):
         # |zeta^n| = 1 on the circle: the log-modulus n log|zeta| and
-        # n log||zeta|| cancel, with no powering noise even at n ~ 1e8
+        # n log||zeta|| cancel, with no powering noise even at n ~ 1e8,
+        # whichever sphere points the seed draws
         state = bench_states[name]
         assert max(state.es) > 5e7
-        rep = lw.verify_family(lw.monomial_family(), state.es, sphere_samples=128, seed=seed)
-        assert rep.passed
-        assert {(r.sup_norm, r.min_of_max) for r in rep.per_degree} == {(1.0, 1.0)}
+        for seed in (0, 1, 7):
+            rep = lw.verify_family(lw.monomial_family(), state.es, sphere_samples=128, seed=seed)
+            assert rep.passed, seed
+            assert {(r.sup_norm, r.min_of_max) for r in rep.per_degree} == {(1.0, 1.0)}, seed
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     @pytest.mark.parametrize("name, first", [("ramey_ullrich", 88), ("exp_power_a1", 663)])
