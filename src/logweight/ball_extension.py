@@ -27,9 +27,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .construction import ConstructionState, h_for_delta
-from .numerics import MARGIN_SLACK, exp_or_inf, logsumexp, normalized_margins
-from .series import (_TWO_PI, ScaledArray, _check_radii, _eval_points, _first_worst,
-                     _log_omegas, _scaled_terms, split_parity)
+from .numerics import MARGIN_SLACK, NEG_INF, exp_or_inf, logsumexp, normalized_margins
+from .series import (_TWO_PI, LacunarySeries, ScaledArray, _check_radii, _eval_points,
+                     _first_worst, _grid_kernel, _GridTerms, _log_omegas, _log_radii,
+                     _row_blocks, split_parity)
 from .weight_model import WeightFunction
 
 SUP_NORM_SLACK = 1e-9
@@ -269,21 +270,21 @@ class BallFunctionSystem:
 
     def _coefficients(self, index: int, pts: np.ndarray):
         """Along a sphere point zeta, function `index` is the series
-        sum_j a_j W_q[e_j](zeta) lam^{e_j}: log a_j and e_j as (K,) arrays,
-        then log|W_q[e_j]| and its units at the rows of pts as (K, P)
-        arrays, from one provider call.  The constant is 1 = e^0 lam^0."""
+        sum_j a_j W_q[e_j](zeta) lam^{e_j}: its terms a_j lam^{e_j} set up
+        for the grid kernel (_GridTerms), then log|W_q[e_j]| and its units
+        at the rows of pts as (K, P) arrays, from one provider call.  The
+        constant is 1 = e^0 lam^0."""
         func = self.functions[index]
         if func.is_one:
-            return (np.zeros(1), np.zeros(1), np.zeros((1, len(pts))),
+            return (_GridTerms(LacunarySeries(((0.0, 0),))), np.zeros((1, len(pts))),
                     np.ones((1, len(pts)), dtype=complex))
-        es = np.array([e for _, e in func.terms], dtype=float)
-        return (np.array([log_a for log_a, _ in func.terms]), es,
-                *self.family.eval(func.q, es, pts))
+        grid = _GridTerms(LacunarySeries(func.terms))
+        return grid, *self.family.eval(func.q, grid.exponents, pts)
 
     def _line(self, index: int, zeta: np.ndarray):
         """(log-moduli, units, exponents) along one sphere point zeta."""
-        log_a, es, log_w, units = self._coefficients(index, np.reshape(zeta, (1, -1)))
-        return log_a + log_w[:, 0], units[:, 0], es
+        grid, log_w, units = self._coefficients(index, np.reshape(zeta, (1, -1)))
+        return grid.log_coeffs + log_w[:, 0], units[:, 0], grid.exponents
 
     def eval(self, index: int, t: float, zeta: np.ndarray) -> ScaledArray:
         """Evaluate function `index` (0-based) at z = t * zeta, |zeta| = 1,
@@ -372,51 +373,49 @@ class BallReport:
         return asdict(self)
 
 
-def _log_modulus_sums(coeffs, ts: np.ndarray, count: int) -> np.ndarray:
-    """log sum_{m <= 2Q} |f_m(t zeta)| for every radius t (rows) and the
-    first `count` sphere points zeta (columns), from the _coefficients of
-    each function at the points.  Per function, one kernel call scales the
-    terms a_j t^{e_j} over all radii, and its live rows contract with the
-    coefficients W_q[e_j](zeta) of every point at once."""
-    with np.errstate(divide="ignore"):
-        log_ts = np.log(ts)
-        logs = np.empty((len(coeffs), ts.size, count))
-        for m, (log_a, es, log_w, units) in enumerate(coeffs):
-            mant, live, scales = _scaled_terms(log_a, es, log_ts)
-            sums = mant.T @ (np.exp(log_w[live, :count]) * units[live, :count])
-            logs[m] = np.log(np.abs(sums)) + scales[:, None]
-    return logsumexp(logs, axis=0)
+def _log_modulus_sums(funcs, xs: np.ndarray, count: int, radii: int) -> np.ndarray:
+    """log sum_{m <= 2Q} |f_m(t zeta)| at the log-radii xs of one block
+    (rows) and the first `count` sphere points zeta (columns), from the
+    _coefficients of each function: one grid kernel call per function,
+    made for a grid of `radii` radii, with the values W_q[e_j](zeta) as
+    column factors."""
+    return logsumexp([_grid_kernel(grid, lambda k: np.exp(log_v[k, :count]) * units[k, :count],
+                                   radii)(xs) for grid, log_v, units in funcs], axis=0)
 
 
 def ball_lower_bound_check(sys: BallFunctionSystem, w: WeightFunction,
                            t_grid, sphere_samples: int = 256,
                            seed: int = 0) -> BallReport:
-    """Certify (2 delta / 5) e^{-h} omega(t) < sum_{m<=2Q} |f_m(t zeta)|
-    over the product of the radius grid and deterministic sphere samples.
+    """Sample (2 delta / 5) e^{-h} omega(t) < sum_{m<=2Q} |f_m(t zeta)| on
+    the product of the radius grid and deterministic sphere samples (a
+    sampling claim, not a bound proved between samples).
 
     Also measures the constant C of omega(|z|) <= C sum_{m<=2Q+1} |f_m(z)|
     over the same grid extended into the inner ball |z| <= t0, where the
-    constant function takes over.
+    constant function takes over.  The radius grid goes through the grid
+    kernel _BLOCK radii at a time; the 16 x 16 inner samples share its set-up.
     """
     state = sys.state
     ts = _check_radii(t_grid, state.t0, state.t_last)
     pts = sphere_points(sys.family.d, sphere_samples, seed=seed)
     delta = sys.family.delta_claimed
     h = state.params.h
-    log_bound_const = math.log(0.4 * delta) - h
-
-    coeffs = [sys._coefficients(m, pts) for m in range(len(sys.functions) - 1)]
+    funcs = [sys._coefficients(m, pts) for m in range(len(sys.functions) - 1)]
     log_w = _log_omegas(w, ts)
-    s_log = _log_modulus_sums(coeffs, ts, len(pts))
-    margins = normalized_margins(s_log, log_bound_const + log_w[:, None])
-    margin, wit_t, wit_i = _first_worst(None, margins, 0)
+    log_bound = math.log(0.4 * delta) - h + log_w
+    xs = _log_radii(ts)[1]
+    worst, log_c = None, NEG_INF
+    for rows in _row_blocks(ts.size):
+        s_log = _log_modulus_sums(funcs, xs[rows], len(pts), ts.size)
+        worst = _first_worst(worst, normalized_margins(s_log, log_bound[rows, None]), rows.start)
+        log_c = np.maximum(log_c, np.max(log_w[rows, None] - np.logaddexp(s_log, 0.0)))
     # The constant function adds log 1 = 0 to every modulus sum; in the
     # inner ball |z| <= t0 it takes over once omega is capped.
-    t_in = np.linspace(0.0, state.t0, 16)
-    s_in = _log_modulus_sums(coeffs, t_in, 16)
-    log_c = max(float(np.max(log_w[:, None] - np.logaddexp(s_log, 0.0))),
+    t_in, x_in = _log_radii(np.linspace(0.0, state.t0, 16))
+    s_in = _log_modulus_sums(funcs, x_in, 16, ts.size)
+    log_c = max(float(log_c),
                 float(np.max(_log_omegas(w, t_in)[:, None] - np.logaddexp(s_in, 0.0))))
-
+    margin, wit_t, wit_i = worst
     return BallReport(
         passed=bool(margin >= -MARGIN_SLACK), lower_margin=margin,
         witness_t=float(ts[wit_t]), witness_point=wit_i, c_measured=exp_or_inf(log_c),

@@ -149,9 +149,9 @@ def _scaled_terms(log_mods, exponents, log_radii):
     Returns (mant, live, log_scales): live masks the terms within
     DROP_THRESHOLD of the largest at some radius, mant (live terms, radii)
     holds their scaled magnitudes, 0 where a term is dropped at that
-    radius, and log_scales (radii,) the factored-out logs.  A caller
-    contracts mant with the phases of the live terms alone; the value at
-    radius r is that sum times exp(log_scales[r]).  x = -inf (radius 0)
+    radius, and log_scales (radii,) the factored-out logs.  Callers sum
+    mant against the phases or factors of the live terms alone; the value
+    at radius r is that sum times exp(log_scales[r]).  x = -inf (radius 0)
     keeps only the exponent-0 terms; a radius with no nonzero term gives
     an all-zero column and scale -inf.  The table is (terms given, radii),
     so the grid path hands over only the candidate rows of a run of radii
@@ -313,7 +313,7 @@ class _GridTerms:
         radii, or None where a block takes one call over all the terms."""
         log_coeffs, exponents = self.log_coeffs, self.exponents
         # windows need finite coefficients and exponents that stay distinct as floats
-        room = _LOG_RANGE - float(np.max(np.abs(log_coeffs)))
+        room = _LOG_RANGE - float(np.max(np.abs(log_coeffs), initial=0.0))
         if not (log_coeffs.size * min(radii, _BLOCK) > _BLOCK * _BLOCK and room > 0.0
                 and exponents[-1] <= 2.0 ** 53):
             return None
@@ -322,59 +322,59 @@ class _GridTerms:
         return self._windows
 
 
-def _grid_kernel(s, theta_count: int, radii: int, columns: int | None = None):
-    """Set s (a LacunarySeries or its _GridTerms) up for a grid of `radii`
-    radii by the angles theta_j = 2 pi j / theta_count, and return its
-    block evaluator: log-radii of at most _BLOCK radii -> log|s(t e^{i
-    theta_j})|, rows indexed by radius, for the first `columns` angles j
-    (all theta_count of them by default).
+def _grid_kernel(grid: _GridTerms, factors, radii: int):
+    """The block evaluator of the product grid sum_k c_k t^{e_k} F_kj over
+    the series set up in grid, for a grid of `radii` radii: log-radii of
+    at most _BLOCK radii -> log|sum|, rows by radius.  factors(k) gives
+    F_kj for the live term rows k of a call (an index array): angle
+    phases (_phase_kernel) or a ball family's values W_q[e_k](zeta_j).
 
     A grid whose blocks hold at most _BLOCK^2 (term, radius) cells takes
     each block in one call of _scaled_terms over all the terms.  A longer
     series first gets its candidate windows (_term_windows, once per
     _GridTerms), and each block goes through the kernel in runs of radii
     over their candidate rows alone (_runs), so no call tabulates more
-    than _RUN_ROWS terms unless one radius needs them.  Phases are built
-    for the live rows of a call and the columns asked for alone, from the
-    exact residues e mod theta_count, so column j has the bits it has on
-    the full grid.  Either way a radius keeps the live set, the maximum
-    and the mantissas of one call over all the terms, bit for bit, and
-    only rows that are zero at every radius of a call leave its
-    contraction.
+    than _RUN_ROWS terms unless one radius needs them.  Either way a
+    radius keeps the live set, the maximum and the mantissas of one call
+    over all the terms, bit for bit, and only rows that are zero at every
+    radius of a call leave its contraction.
     """
-    if theta_count < 1:
-        raise ValueError(f"theta_count must be at least 1, got {theta_count}")
-    if columns is None:
-        columns = theta_count
-    if not s.terms:
-        return lambda xs: np.full((xs.size, columns), NEG_INF)
-    grid = s if isinstance(s, _GridTerms) else _GridTerms(s)
     log_coeffs, exponents = grid.log_coeffs, grid.exponents
-    residues = np.array([e % theta_count for e in grid.int_exponents], dtype=np.int64)
-    j = np.arange(columns)
-    base = np.exp(2j * math.pi * np.arange(theta_count) / theta_count)
     windows = grid.windows(radii)
 
     def contract(rows, xs):
         mant, live, scales = _scaled_terms(log_coeffs[rows], exponents[rows], xs)
-        sums = mant.T @ base[residues[rows][live, None] * j % theta_count]
+        sums = mant.T @ factors(rows.start + np.flatnonzero(live))
         with np.errstate(divide="ignore"):
             logs = np.log(np.abs(sums))
         logs += scales[:, None]
         return logs
 
     def block(xs):
-        if windows is None:
-            return contract(slice(None), xs)
-        runs = _runs(windows, xs)
+        runs = [(slice(0, None), None)] if windows is None else _runs(windows, xs)
         if len(runs) == 1:
             return contract(runs[0][0], xs)
-        out = np.empty((xs.size, columns))
+        out = None
         for rows, at in runs:
-            out[at] = contract(rows, xs[at])
+            logs = contract(rows, xs[at])
+            out = np.empty((xs.size, logs.shape[1])) if out is None else out
+            out[at] = logs
         return out
 
     return block
+
+
+def _phase_kernel(s, theta_count: int, radii: int, columns: int | None = None):
+    """_grid_kernel of s (a LacunarySeries or its _GridTerms) on the first
+    `columns` (default all) angles theta_j = 2 pi j / theta_count, phases
+    from the exact residues e mod theta_count, as on the full grid."""
+    if theta_count < 1:
+        raise ValueError(f"theta_count must be at least 1, got {theta_count}")
+    grid = s if isinstance(s, _GridTerms) else _GridTerms(s)
+    residues = np.array([e % theta_count for e in grid.int_exponents], dtype=np.int64)
+    j = np.arange(theta_count if columns is None else columns)
+    base = np.exp(2j * math.pi * np.arange(theta_count) / theta_count)
+    return _grid_kernel(grid, lambda k: base[residues[k, None] * j % theta_count], radii)
 
 
 def _log_radii(t_values):
@@ -397,11 +397,11 @@ def eval_series_grid(s: LacunarySeries, t_values, theta_count: int) -> np.ndarra
 
     Angles are theta_j = 2 pi j / theta_count, j < theta_count.  Returns
     shape (len(t_values), theta_count), filled _BLOCK radii at a time by
-    the evaluator of _grid_kernel.  Every column is evaluated, mirror
+    the evaluator of _phase_kernel.  Every column is evaluated, mirror
     angles included (see sandwich_check).  s may also be the _GridTerms
     of a series, so that several grids share its set-up.
     """
-    kernel = _grid_kernel(s, theta_count, np.size(t_values))
+    kernel = _phase_kernel(s, theta_count, np.size(t_values))
     ts, xs = _log_radii(t_values)
     out = np.empty((ts.size, theta_count))
     for rows in _row_blocks(ts.size):
@@ -466,8 +466,8 @@ def _sandwich_blocks(pair: SeriesPair, w: WeightFunction, t_grid, theta_count: i
     the distinct half theta_j <= pi, emit for every angle, as it prints
     every cell.  Every input error is raised here, before the first
     block is evaluated."""
-    g1 = _grid_kernel(pair.g1, theta_count, np.size(t_grid), columns)
-    g2 = _grid_kernel(pair.g2, theta_count, np.size(t_grid), columns)
+    g1 = _phase_kernel(pair.g1, theta_count, np.size(t_grid), columns)
+    g2 = _phase_kernel(pair.g2, theta_count, np.size(t_grid), columns)
     log_w = _log_omegas(w, t_grid)
     ts, xs = _log_radii(t_grid)
     thetas = _TWO_PI * np.arange(theta_count if columns is None else columns) / theta_count
@@ -489,12 +489,13 @@ def _first_worst(worst, margins: np.ndarray, row0: int):
 
 def sandwich_check(pair: SeriesPair, w: WeightFunction, t_grid,
                    theta_count: int = 256) -> SandwichReport:
-    """Certify (2/5)e^{-h} omega < |G1|+|G2| < 4 omega on the grid.
+    """Sample (2/5)e^{-h} omega < |G1|+|G2| < 4 omega on the grid (a
+    sampling claim, not a bound proved between samples).
 
-    Every t must lie in (t0, t_last], the range the construction actually
-    covered; radii outside it (or NaN) are an input error, not a bound
-    failure.  Margins are log-domain differences normalized by the
-    magnitudes of the compared sides; pass means every margin >= -1e-9.
+    Every t must lie in (t0, t_last], the range the construction covered;
+    other radii (or NaN) are an input error, not a bound failure.  Margins
+    are log-domain differences normalized by the magnitudes of the sides,
+    and the check passes when every margin is >= -1e-9.
 
     G1 and G2 have positive coefficients, so G(conj z) = conj G(z) and
     the bound takes one true value at theta_j and theta_{N-j}, N =

@@ -19,6 +19,11 @@ mantissa window by math.frexp, math.ldexp and math.log; `ScaledArray`
 normalizes whole arrays and must give the same bits.
 `reference_modulus_sum` and `reference_ball_modulus_sum` add moduli one
 point at a time, through `eval_series` and `BallFunctionSystem.eval`.
+`reference_ball_modulus_sums` tabulates every term of each ball function
+at every radius of a grid and contracts the live rows with the family
+values at every sphere point at once; `ball_lower_bound_check` streams
+the grid through the series grid kernel in blocks of 256 radii, in runs
+over candidate rows on long series, and must give the same bits.
 
 Phases times units are formed out of place: numpy multiplies a lone
 complex pair in place without a fused multiply-add, so an in-place
@@ -141,6 +146,23 @@ def reference_ball_modulus_sum(system, t, zeta) -> float:
     """log sum_{m <= 2Q} |f_m(t zeta)| at one point, without the constant
     function."""
     return logsumexp([system.eval(m, t, zeta).log_abs for m in range(len(system.functions) - 1)])
+
+
+def reference_ball_modulus_sums(system, t_values, pts):
+    """log sum_{m <= 2Q} |f_m(t zeta)| for every radius t (rows) and
+    sphere point zeta of pts (columns): per function one table of every
+    term at every radius and one contraction of its live rows with the
+    family values exp(log|W|) * W/|W| at every point."""
+    logs = []
+    with np.errstate(divide="ignore"):
+        xs = np.log(np.asarray(t_values, dtype=float))
+        for func in system.functions[:-1]:
+            es = np.array([e for _, e in func.terms], dtype=float)
+            log_w, units = system.family.eval(func.q, es, pts)
+            mant, live, scales = _live_terms(np.array([lc for lc, _ in func.terms]), es, xs)
+            sums = mant.T @ (np.exp(log_w[live]) * units[live])
+            logs.append(np.log(np.abs(sums)) + scales[:, None])
+    return logsumexp(logs, axis=0)
 
 
 def reference_points(log_mods, units, exponents, zs):

@@ -1,6 +1,7 @@
 """Polynomial families on the sphere and the assembled ball functions."""
 
 import cmath
+import json
 import math
 
 import numpy as np
@@ -15,7 +16,9 @@ from logweight.cli import main
 from logweight.construction import ConstructionParams
 from logweight.envelope import _log_max_moduli
 from logweight.numerics import exp_or_inf
-from reference_series import reference_ball_modulus_sum, reference_modulus_sum, to_complex
+from logweight import series
+from reference_series import (reference_ball_modulus_sum, reference_ball_modulus_sums,
+                              reference_modulus_sum, to_complex)
 
 
 def first_coordinate_power(q, ns, pts):
@@ -293,8 +296,9 @@ def per_point_ball_check(system, w, t_grid, sphere_samples):
 
 
 class TestBatchedBallCheck:
-    """ball_lower_bound_check evaluates each function at one sphere point
-    over all radii in one call; it must agree with the per-point path."""
+    """ball_lower_bound_check evaluates each function over a block of
+    radii at every sphere point at once; it must agree with the per-point
+    path."""
 
     def assert_matches(self, system, w, t_grid):
         rep = lw.ball_lower_bound_check(system, w, t_grid, sphere_samples=64)
@@ -310,18 +314,36 @@ class TestBatchedBallCheck:
         self.assert_matches(system, w, np.linspace(0.951, state.t_last, 12))
 
     def test_coordinate_d2_with_complex_phases(self):
-        # Assembled directly: the family fails verify_family, but its
-        # values z_q^e carry non-real phases at the sampled sphere points.
         w, state = ramey_state()
-        fam = lw.coordinate_family_d2(delta_claimed=0.5)
-        funcs = []
-        for parity in (1, 0):
-            terms = tuple((l.log_a, e) for i, (l, e) in
-                          enumerate(zip(state.lines, state.es)) if (i + 1) % 2 == parity)
-            funcs += [lw.ball_extension.BallFunction(q=q, terms=terms) for q in (1, 2)]
-        funcs.append(lw.ball_extension.BallFunction(q=0, terms=(), is_one=True))
-        system = lw.BallFunctionSystem(functions=tuple(funcs), family=fam, state=state)
-        self.assert_matches(system, w, np.linspace(0.951, state.t_last, 12))
+        self.assert_matches(coordinate_d2_system(state), w,
+                            np.linspace(0.951, state.t_last, 12))
+
+
+def coordinate_d2_system(state):
+    """The coordinate_d2 functions assembled directly: the family fails
+    verify_family, but its values z_q^e carry non-real phases at the
+    sampled sphere points."""
+    fam = lw.coordinate_family_d2(delta_claimed=0.5)
+    funcs = []
+    for parity in (1, 0):
+        terms = tuple((l.log_a, e) for i, (l, e) in
+                      enumerate(zip(state.lines, state.es)) if (i + 1) % 2 == parity)
+        funcs += [lw.ball_extension.BallFunction(q=q, terms=terms) for q in (1, 2)]
+    funcs.append(lw.ball_extension.BallFunction(q=0, terms=(), is_one=True))
+    return lw.BallFunctionSystem(functions=tuple(funcs), family=fam, state=state)
+
+
+def streamed_modulus_sums(system, t_values, pts, count=None, radii=None):
+    """log sum_{m <= 2Q} |f_m(t zeta)| at the first `count` points of pts
+    (default all) from the blocks of radii that ball_lower_bound_check
+    streams through the grid kernel, gathered; the kernels are made for a
+    grid of `radii` radii (default len(t_values))."""
+    funcs = [system._coefficients(m, pts) for m in range(len(system.functions) - 1)]
+    ts, xs = series._log_radii(t_values)
+    count = len(pts) if count is None else count
+    radii = ts.size if radii is None else radii
+    return np.concatenate([logweight.ball_extension._log_modulus_sums(
+        funcs, xs[rows], count, radii) for rows in series._row_blocks(ts.size)])
 
 
 class TestSliceReduction:
@@ -532,3 +554,91 @@ class TestArrayProviders:
             [2.0 ** (-n / 2) >= fam.delta_claimed for n in state.es]
         assert {(r.passed, r.sup_ok, r.min_ok, r.homogeneity_ok)
                 for r in rep.per_degree} == {(False, True, False, True)}
+
+
+@pytest.fixture(scope="module")
+def deep_ball_system():
+    """The monomial ball system of double_exp to K = 2000: 1,000 terms per
+    function, exponents to 1e14."""
+    state = lw.run_construction(lw.make_weight("double_exp"),
+                                ConstructionParams(x0=math.log(0.95), k_max=2000))
+    return lw.build_ball_functions(state, lw.monomial_family(), sphere_samples=128)
+
+
+class TestStreamedBlocks:
+    """ball_lower_bound_check streams its radius grid through the series
+    grid kernel in blocks of 256 radii, on long series in runs over their
+    candidate rows; gathered, the blocks have the bits of one contraction
+    of every term over the whole grid."""
+
+    @pytest.mark.parametrize("family", ["monomial_d1", "coordinate_d2"])
+    @pytest.mark.parametrize("name", ["ramey_ullrich", "exp_power_a1"])
+    def test_cli_grid_states(self, bench_states, name, family):
+        state = bench_states[name]
+        system = (lw.build_ball_functions(state, lw.monomial_family(), sphere_samples=128)
+                  if family == "monomial_d1" else coordinate_d2_system(state))
+        ts = np.linspace(state.t0, state.t_last, 33)[1:]
+        for seed in (0, 1, 7):
+            pts = lw.sphere_points(system.family.d, 128, seed)
+            assert streamed_modulus_sums(system, ts, pts).tobytes() == \
+                reference_ball_modulus_sums(system, ts, pts).tobytes(), seed
+
+    @pytest.mark.parametrize("t_points", [300, 2000])
+    def test_windowed_runs_over_blocks(self, deep_ball_system, t_points):
+        state = deep_ball_system.state
+        ts = np.linspace(state.t0, state.t_last, t_points + 1)[1:]
+        pts = lw.sphere_points(1, 128, 0)
+        assert streamed_modulus_sums(deep_ball_system, ts, pts).tobytes() == \
+            reference_ball_modulus_sums(deep_ball_system, ts, pts).tobytes()
+
+    def test_inner_ball_from_zero(self, deep_ball_system):
+        # the 16 inner radii from t = 0 through the windows of a
+        # 2000-radius grid, at the first 16 sphere points
+        t_in = np.linspace(0.0, deep_ball_system.state.t0, 16)
+        pts = lw.sphere_points(1, 128, 0)
+        inner = streamed_modulus_sums(deep_ball_system, t_in, pts, count=16, radii=2000)
+        assert inner.tobytes() == \
+            reference_ball_modulus_sums(deep_ball_system, t_in, pts[:16]).tobytes()
+
+
+class TestHullFedStates:
+    """A tabulated weight, as weight_from_knots makes from a hull, defines
+    omega on t > 0 alone.  A state built on it passes the sandwich check
+    over (t0, t_last], but zero_adjust and the ball check also sample the
+    inner disk and ball at t = 0, and raise there."""
+
+    T_ZERO = r"tabulated weight needs t > 0"
+
+    def test_inner_samples_raise(self):
+        source = lw.make_weight("exp_power", (1.0,))
+        knots = [(x, source.big_f(x)) for x in (-np.geomspace(2.0, 1e-9, 400)).tolist()]
+        w = lw.weight_from_knots(knots, strictify=1.0)
+        state = lw.run_construction(w, ConstructionParams(x0=math.log(0.95), t_stop=0.999))
+        assert len(state.lines) == 20
+        pair = lw.split_parity(state)
+        ts = np.linspace(state.t0, state.t_last, 201)[1:]
+        assert lw.sandwich_check(pair, w, ts).passed
+        with pytest.raises(ValueError, match=self.T_ZERO):
+            lw.zero_adjust(pair, w)
+        system = lw.build_ball_functions(state, lw.monomial_family(), sphere_samples=64)
+        with pytest.raises(ValueError, match=self.T_ZERO):
+            lw.ball_lower_bound_check(system, w, ts[:32], sphere_samples=64)
+
+    def test_verify_ball_exits_2(self, tmp_path, monkeypatch, capsys):
+        # The CLI reads tables as (t, omega) pairs, so these knots stop
+        # where omega still fits a float.  On this state the state check
+        # stops verify first (chord residual 0.04 at k = 1, above its
+        # 1e-6); past it, the inner ball raises at t = 0.
+        source = lw.make_weight("exp_power", (1.0,))
+        table = tmp_path / "hull.json"
+        table.write_text(json.dumps([[math.exp(x), math.exp(source.big_f(x))]
+                                     for x in (-np.geomspace(2.0, 2e-3, 400)).tolist()]))
+        state = tmp_path / "state.json"
+        flags = ["--family", "tabulated", "--params", "1", "--table", str(table)]
+        assert main(["construct", *flags, "--t-stop", "0.99", "--out", str(state)]) == 0
+        verify = ["verify", "ball", *flags, "--state", str(state), "--poly-family", "monomial_d1"]
+        assert main(verify) == 2
+        monkeypatch.setattr(logweight.cli, "check_state_matches", lambda state, w: None)
+        capsys.readouterr()
+        assert main(verify) == 2
+        assert self.T_ZERO in capsys.readouterr().err

@@ -27,11 +27,23 @@ X0 = math.log(0.95)
 
 
 @pytest.fixture(scope="module")
-def deep_pair():
+def deep_state():
     """double_exp to K = 2000: 1,000 terms per series, exponents to 1e14."""
     w = lw.make_weight("double_exp")
-    state = lw.run_construction(w, lw.ConstructionParams(x0=X0, k_max=2000))
-    return lw.split_parity(state)
+    return lw.run_construction(w, lw.ConstructionParams(x0=X0, k_max=2000))
+
+
+@pytest.fixture(scope="module")
+def deep_pair(deep_state):
+    return lw.split_parity(deep_state)
+
+
+@pytest.fixture(scope="module")
+def deep_ball(deep_state):
+    """The monomial ball system of the double_exp state, and a 2000-radius
+    grid over (t0, t_last]."""
+    system = lw.build_ball_functions(deep_state, lw.monomial_family(), sphere_samples=128)
+    return system, np.linspace(deep_state.t0, deep_state.t_last, 2001)[1:]
 
 
 @pytest.fixture(scope="module")
@@ -139,7 +151,7 @@ class TestGridMatchesReference:
         # bits of the full grid's first columns
         s, ts = tangent_like_case(**case)
         columns = theta_count // 2 + 1
-        kernel = series._grid_kernel(s, theta_count, ts.size, columns)
+        kernel = series._phase_kernel(s, theta_count, ts.size, columns)
         _, xs = series._log_radii(ts)
         half = np.concatenate([kernel(xs[rows]) for rows in series._row_blocks(ts.size)])
         assert half.shape == (ts.size, columns)
@@ -183,11 +195,16 @@ class TestGridMatchesReference:
 
 
 class TestNoLongTables:
-    """On the sandwich and zero adjustment paths of double_exp K = 2000 no
-    kernel call tabulates more than a few dozen of the 1,000 terms of a
-    series, and neither path needs more memory than on a series of 34."""
+    """On the sandwich, zero adjustment and ball check paths of double_exp
+    K = 2000 no kernel call tabulates more than a few dozen of the 1,000
+    terms of a series.  The sandwich and zero adjustment need no more
+    memory than on a series of 34, and the ball check less than one
+    (terms, radii) table of a function over its whole grid."""
 
-    def test_rows_per_kernel_call(self, deep_pair, monkeypatch):
+    @staticmethod
+    def rows_per_call(monkeypatch, run):
+        """The row count of every _scaled_terms call that run() makes,
+        also through a copy of the name in ball_extension, if any."""
         rows = []
         kernel = series._scaled_terms
 
@@ -196,11 +213,41 @@ class TestNoLongTables:
             return kernel(*args)
 
         monkeypatch.setattr(series, "_scaled_terms", counting)
+        monkeypatch.setattr(lw.ball_extension, "_scaled_terms", counting, raising=False)
+        run()
+        return rows
+
+    def test_rows_per_kernel_call(self, deep_pair, monkeypatch):
         w = lw.make_weight("double_exp")
         ts = np.linspace(deep_pair.t0, deep_pair.t_last, 2001)[1:]
-        assert lw.sandwich_check(deep_pair, w, ts, 256).passed
-        lw.zero_adjust(deep_pair, w)
+
+        def run():
+            assert lw.sandwich_check(deep_pair, w, ts, 256).passed
+            lw.zero_adjust(deep_pair, w)
+
+        rows = self.rows_per_call(monkeypatch, run)
         assert rows and max(rows) <= 64
+
+    def test_rows_per_ball_kernel_call(self, deep_ball, monkeypatch):
+        # the inner-ball samples share the windows of the radius grid
+        system, ts = deep_ball
+        rows = self.rows_per_call(monkeypatch, lambda: lw.ball_lower_bound_check(
+            system, lw.make_weight("double_exp"), ts, sphere_samples=128))
+        assert rows and max(rows) <= 64
+
+    def test_ball_check_peak_memory(self, deep_ball):
+        # the 2000 x 128 grid of one complex contraction alone takes 4 MB,
+        # and the (1000, 2000) term table of each function 16 MB; the
+        # family values of both functions take 6 MB
+        system, ts = deep_ball
+        tracemalloc.start()
+        try:
+            lw.ball_lower_bound_check(system, lw.make_weight("double_exp"), ts,
+                                      sphere_samples=128)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     def test_peak_memory_as_on_a_short_series(self, deep_pair, shallow_case):
         # a (1000, 256) table of logs alone takes 2 MB; the parity series
