@@ -29,8 +29,8 @@ import numpy as np
 from .construction import ConstructionState, h_for_delta
 from .numerics import MARGIN_SLACK, NEG_INF, exp_or_inf, logsumexp, normalized_margins
 from .series import (_TWO_PI, LacunarySeries, ScaledArray, _check_radii, _eval_points,
-                     _first_worst, _grid_kernel, _GridTerms, _log_omegas, _log_radii,
-                     _row_blocks, split_parity)
+                     _first_worst, _grid_kernel, _log_omegas, _log_radii, _row_blocks,
+                     split_parity)
 from .weight_model import WeightFunction
 
 SUP_NORM_SLACK = 1e-9
@@ -270,21 +270,21 @@ class BallFunctionSystem:
 
     def _coefficients(self, index: int, pts: np.ndarray):
         """Along a sphere point zeta, function `index` is the series
-        sum_j a_j W_q[e_j](zeta) lam^{e_j}: its terms a_j lam^{e_j} set up
-        for the grid kernel (_GridTerms), then log|W_q[e_j]| and its units
-        at the rows of pts as (K, P) arrays, from one provider call.  The
-        constant is 1 = e^0 lam^0."""
+        sum_j a_j W_q[e_j](zeta) lam^{e_j}: the series of its terms
+        a_j lam^{e_j}, then log|W_q[e_j]| and its units at the rows of pts
+        as (K, P) arrays, from one provider call.  The constant is
+        1 = e^0 lam^0."""
         func = self.functions[index]
         if func.is_one:
-            return (_GridTerms(LacunarySeries(((0.0, 0),))), np.zeros((1, len(pts))),
+            return (LacunarySeries(((0.0, 0),)), np.zeros((1, len(pts))),
                     np.ones((1, len(pts)), dtype=complex))
-        grid = _GridTerms(LacunarySeries(func.terms))
-        return grid, *self.family.eval(func.q, grid.exponents, pts)
+        s = LacunarySeries(func.terms)
+        return s, *self.family.eval(func.q, s.exponent_array, pts)
 
     def _line(self, index: int, zeta: np.ndarray):
         """(log-moduli, units, exponents) along one sphere point zeta."""
-        grid, log_w, units = self._coefficients(index, np.reshape(zeta, (1, -1)))
-        return grid.log_coeffs + log_w[:, 0], units[:, 0], grid.exponents
+        s, log_w, units = self._coefficients(index, np.reshape(zeta, (1, -1)))
+        return s.log_coeff_array + log_w[:, 0], units[:, 0], s.exponent_array
 
     def eval(self, index: int, t: float, zeta: np.ndarray) -> ScaledArray:
         """Evaluate function `index` (0-based) at z = t * zeta, |zeta| = 1,
@@ -373,14 +373,13 @@ class BallReport:
         return asdict(self)
 
 
-def _log_modulus_sums(funcs, xs: np.ndarray, count: int, radii: int) -> np.ndarray:
+def _log_modulus_sums(funcs, xs: np.ndarray, count: int) -> np.ndarray:
     """log sum_{m <= 2Q} |f_m(t zeta)| at the log-radii xs of one block
     (rows) and the first `count` sphere points zeta (columns), from the
     _coefficients of each function: one grid kernel call per function,
-    made for a grid of `radii` radii, with the values W_q[e_j](zeta) as
-    column factors."""
-    return logsumexp([_grid_kernel(grid, lambda k: np.exp(log_v[k, :count]) * units[k, :count],
-                                   radii)(xs) for grid, log_v, units in funcs], axis=0)
+    with the values W_q[e_j](zeta) as column factors."""
+    return logsumexp([_grid_kernel(s, lambda k: np.exp(log_v[k, :count]) * units[k, :count])(xs)
+                      for s, log_v, units in funcs], axis=0)
 
 
 def ball_lower_bound_check(sys: BallFunctionSystem, w: WeightFunction,
@@ -406,13 +405,13 @@ def ball_lower_bound_check(sys: BallFunctionSystem, w: WeightFunction,
     xs = _log_radii(ts)[1]
     worst, log_c = None, NEG_INF
     for rows in _row_blocks(ts.size):
-        s_log = _log_modulus_sums(funcs, xs[rows], len(pts), ts.size)
+        s_log = _log_modulus_sums(funcs, xs[rows], len(pts))
         worst = _first_worst(worst, normalized_margins(s_log, log_bound[rows, None]), rows.start)
         log_c = np.maximum(log_c, np.max(log_w[rows, None] - np.logaddexp(s_log, 0.0)))
     # The constant function adds log 1 = 0 to every modulus sum; in the
     # inner ball |z| <= t0 it takes over once omega is capped.
     t_in, x_in = _log_radii(np.linspace(0.0, state.t0, 16))
-    s_in = _log_modulus_sums(funcs, x_in, 16, ts.size)
+    s_in = _log_modulus_sums(funcs, x_in, 16)
     log_c = max(float(log_c),
                 float(np.max(_log_omegas(w, t_in)[:, None] - np.logaddexp(s_in, 0.0))))
     margin, wit_t, wit_i = worst

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -110,6 +111,31 @@ class LacunarySeries:
     def log_coeffs(self) -> tuple:
         return tuple(lc for lc, _ in self.terms)
 
+    @cached_property
+    def log_coeff_array(self) -> np.ndarray:
+        """log_coeffs as a float array, read only, as every caller shares it."""
+        values = np.array(self.log_coeffs, dtype=float)
+        values.flags.writeable = False
+        return values
+
+    @cached_property
+    def exponent_array(self) -> np.ndarray:
+        """exponents as a float array, read only, as every caller shares it."""
+        values = np.array(self.exponents, dtype=float)
+        values.flags.writeable = False
+        return values
+
+    @cached_property
+    def windows(self):
+        """(first, last, room, e_0) for the grid kernel's runs (_term_windows),
+        or None for at most _BLOCK terms or where windows could fail: on a
+        coefficient non-finite or past _LOG_RANGE, or an exponent past 2^53."""
+        log_coeffs, exponents = self.log_coeff_array, self.exponent_array
+        room = _LOG_RANGE - float(np.max(np.abs(log_coeffs), initial=0.0))
+        if not (log_coeffs.size > _BLOCK and room > 0.0 and exponents[-1] <= 2.0 ** 53):
+            return None
+        return (*_term_windows(log_coeffs, exponents), room, exponents[0])
+
     def shifted(self, shift: int) -> "LacunarySeries":
         """Divide by z^shift termwise (exponents must stay non-negative)."""
         return LacunarySeries(tuple((lc, e - shift) for lc, e in self.terms))
@@ -195,8 +221,7 @@ def eval_series(s: LacunarySeries, z: complex) -> ScaledArray:
     z = complex(z)
     if not abs(z) < 1.0:
         raise ValueError(f"|z| = {abs(z)} is outside the open unit disk")
-    return _eval_points(np.array(s.log_coeffs), None,
-                        np.array(s.exponents, dtype=float), np.array(z))
+    return _eval_points(s.log_coeff_array, None, s.exponent_array, np.array(z))
 
 
 # -- grid evaluation --------------------------------------------------------
@@ -295,52 +320,22 @@ def _runs(windows, xs) -> list:
     return runs
 
 
-class _GridTerms:
-    """A series set up for grid evaluation: its terms as arrays and, made
-    on first need, its candidate windows (_term_windows).  The grids of
-    one caller that evaluate the series through one _GridTerms share the
-    windows; nothing outlives the object."""
-
-    def __init__(self, s: LacunarySeries):
-        self.terms = s.terms
-        self.int_exponents = s.exponents
-        self.log_coeffs = np.asarray(s.log_coeffs)
-        self.exponents = np.asarray(self.int_exponents, dtype=float)
-        self._windows = None
-
-    def windows(self, radii: int):
-        """(first, last, room, e_0) for the blocks of a grid of `radii`
-        radii, or None where a block takes one call over all the terms."""
-        log_coeffs, exponents = self.log_coeffs, self.exponents
-        # windows need finite coefficients and exponents that stay distinct as floats
-        room = _LOG_RANGE - float(np.max(np.abs(log_coeffs), initial=0.0))
-        if not (log_coeffs.size * min(radii, _BLOCK) > _BLOCK * _BLOCK and room > 0.0
-                and exponents[-1] <= 2.0 ** 53):
-            return None
-        if self._windows is None:
-            self._windows = (*_term_windows(log_coeffs, exponents), room, exponents[0])
-        return self._windows
-
-
-def _grid_kernel(grid: _GridTerms, factors, radii: int):
+def _grid_kernel(s: LacunarySeries, factors):
     """The block evaluator of the product grid sum_k c_k t^{e_k} F_kj over
-    the series set up in grid, for a grid of `radii` radii: log-radii of
-    at most _BLOCK radii -> log|sum|, rows by radius.  factors(k) gives
-    F_kj for the live term rows k of a call (an index array): angle
-    phases (_phase_kernel) or a ball family's values W_q[e_k](zeta_j).
+    the series s: log-radii of at most _BLOCK radii -> log|sum|, rows by
+    radius.  factors(k) gives F_kj for the live term rows k of a call (an
+    index array): angle phases (_phase_kernel) or a ball family's values
+    W_q[e_k](zeta_j).
 
-    A grid whose blocks hold at most _BLOCK^2 (term, radius) cells takes
-    each block in one call of _scaled_terms over all the terms.  A longer
-    series first gets its candidate windows (_term_windows, once per
-    _GridTerms), and each block goes through the kernel in runs of radii
-    over their candidate rows alone (_runs), so no call tabulates more
-    than _RUN_ROWS terms unless one radius needs them.  Either way a
-    radius keeps the live set, the maximum and the mantissas of one call
-    over all the terms, bit for bit, and only rows that are zero at every
-    radius of a call leave its contraction.
+    A series with windows (LacunarySeries.windows) sends each block
+    through _scaled_terms in runs of radii over their candidate rows
+    alone (_runs), so no call tabulates more than _RUN_ROWS terms unless
+    one radius needs them; any other takes a block in one call.  Either
+    way a radius keeps the live set, the maximum and the mantissas of one
+    call over all the terms, bit for bit, and only rows that are zero at
+    every radius of a call leave its contraction.
     """
-    log_coeffs, exponents = grid.log_coeffs, grid.exponents
-    windows = grid.windows(radii)
+    log_coeffs, exponents, windows = s.log_coeff_array, s.exponent_array, s.windows
 
     def contract(rows, xs):
         mant, live, scales = _scaled_terms(log_coeffs[rows], exponents[rows], xs)
@@ -364,17 +359,15 @@ def _grid_kernel(grid: _GridTerms, factors, radii: int):
     return block
 
 
-def _phase_kernel(s, theta_count: int, radii: int, columns: int | None = None):
-    """_grid_kernel of s (a LacunarySeries or its _GridTerms) on the first
-    `columns` (default all) angles theta_j = 2 pi j / theta_count, phases
-    from the exact residues e mod theta_count, as on the full grid."""
+def _phase_kernel(s: LacunarySeries, theta_count: int, columns: int | None = None):
+    """_grid_kernel of s on the first `columns` (default all) angles
+    2 pi j / theta_count, phases from the exact residues e mod theta_count."""
     if theta_count < 1:
         raise ValueError(f"theta_count must be at least 1, got {theta_count}")
-    grid = s if isinstance(s, _GridTerms) else _GridTerms(s)
-    residues = np.array([e % theta_count for e in grid.int_exponents], dtype=np.int64)
+    residues = np.array([e % theta_count for e in s.exponents], dtype=np.int64)
     j = np.arange(theta_count if columns is None else columns)
     base = np.exp(2j * math.pi * np.arange(theta_count) / theta_count)
-    return _grid_kernel(grid, lambda k: base[residues[k, None] * j % theta_count], radii)
+    return _grid_kernel(s, lambda k: base[residues[k, None] * j % theta_count])
 
 
 def _log_radii(t_values):
@@ -398,10 +391,9 @@ def eval_series_grid(s: LacunarySeries, t_values, theta_count: int) -> np.ndarra
     Angles are theta_j = 2 pi j / theta_count, j < theta_count.  Returns
     shape (len(t_values), theta_count), filled _BLOCK radii at a time by
     the evaluator of _phase_kernel.  Every column is evaluated, mirror
-    angles included (see sandwich_check).  s may also be the _GridTerms
-    of a series, so that several grids share its set-up.
+    angles included (see sandwich_check).
     """
-    kernel = _phase_kernel(s, theta_count, np.size(t_values))
+    kernel = _phase_kernel(s, theta_count)
     ts, xs = _log_radii(t_values)
     out = np.empty((ts.size, theta_count))
     for rows in _row_blocks(ts.size):
@@ -466,8 +458,7 @@ def _sandwich_blocks(pair: SeriesPair, w: WeightFunction, t_grid, theta_count: i
     the distinct half theta_j <= pi, emit for every angle, as it prints
     every cell.  Every input error is raised here, before the first
     block is evaluated."""
-    g1 = _phase_kernel(pair.g1, theta_count, np.size(t_grid), columns)
-    g2 = _phase_kernel(pair.g2, theta_count, np.size(t_grid), columns)
+    g1, g2 = (_phase_kernel(s, theta_count, columns) for s in (pair.g1, pair.g2))
     log_w = _log_omegas(w, t_grid)
     ts, xs = _log_radii(t_grid)
     thetas = _TWO_PI * np.arange(theta_count if columns is None else columns) / theta_count
@@ -625,8 +616,7 @@ def _log_dominance(f1: LacunarySeries, t0: float) -> float:
     """log rho, rho = sum_{m >= 2} a_m t0^{e_m - e_1} / a_1: on |z| <= t0,
     |f1| >= a_1 (1 - rho), so rho < 1 rules out zeros of f1 there.
     -inf for a single term."""
-    log_coeffs = np.asarray(f1.log_coeffs)
-    exponents = np.asarray(f1.exponents, dtype=float)
+    log_coeffs, exponents = f1.log_coeff_array, f1.exponent_array
     return logsumexp(log_coeffs[1:] - log_coeffs[0]
                      + (exponents[1:] - exponents[0]) * math.log(t0))
 
@@ -637,14 +627,12 @@ def _ratio_rings(f1: LacunarySeries, f2: LacunarySeries,
                  outer_t_points: int, outer_angles: int):
     """Per ring (the inner disk, then the outer grid over (t0, t_last] when
     outer_t_points > 0): log omega per radius and log(|f1| + |f2|) with
-    rows indexed by radius, on every angle of each ring.  f1 and f2 are
-    each set up once (_GridTerms) for both rings."""
+    rows indexed by radius, on every angle of each ring."""
     rings = [(inner_disk_radii(t0, inner_radii), inner_angles)]
     if outer_t_points > 0:
         rings.append((np.linspace(t0, t_last, outer_t_points + 1)[1:], outer_angles))
-    g1, g2 = _GridTerms(f1), _GridTerms(f2)
-    return [(_log_omegas(w, radii), np.logaddexp(eval_series_grid(g1, radii, angles),
-                                                 eval_series_grid(g2, radii, angles)))
+    return [(_log_omegas(w, radii), np.logaddexp(eval_series_grid(f1, radii, angles),
+                                                 eval_series_grid(f2, radii, angles)))
             for radii, angles in rings]
 
 

@@ -333,17 +333,15 @@ def coordinate_d2_system(state):
     return lw.BallFunctionSystem(functions=tuple(funcs), family=fam, state=state)
 
 
-def streamed_modulus_sums(system, t_values, pts, count=None, radii=None):
+def streamed_modulus_sums(system, t_values, pts, count=None):
     """log sum_{m <= 2Q} |f_m(t zeta)| at the first `count` points of pts
     (default all) from the blocks of radii that ball_lower_bound_check
-    streams through the grid kernel, gathered; the kernels are made for a
-    grid of `radii` radii (default len(t_values))."""
+    streams through the grid kernel, gathered."""
     funcs = [system._coefficients(m, pts) for m in range(len(system.functions) - 1)]
     ts, xs = series._log_radii(t_values)
     count = len(pts) if count is None else count
-    radii = ts.size if radii is None else radii
     return np.concatenate([logweight.ball_extension._log_modulus_sums(
-        funcs, xs[rows], count, radii) for rows in series._row_blocks(ts.size)])
+        funcs, xs[rows], count) for rows in series._row_blocks(ts.size)])
 
 
 class TestSliceReduction:
@@ -592,11 +590,11 @@ class TestStreamedBlocks:
             reference_ball_modulus_sums(deep_ball_system, ts, pts).tobytes()
 
     def test_inner_ball_from_zero(self, deep_ball_system):
-        # the 16 inner radii from t = 0 through the windows of a
-        # 2000-radius grid, at the first 16 sphere points
+        # the 16 inner radii from t = 0 through the windows of the
+        # 1,000-term series, at the first 16 sphere points
         t_in = np.linspace(0.0, deep_ball_system.state.t0, 16)
         pts = lw.sphere_points(1, 128, 0)
-        inner = streamed_modulus_sums(deep_ball_system, t_in, pts, count=16, radii=2000)
+        inner = streamed_modulus_sums(deep_ball_system, t_in, pts, count=16)
         assert inner.tobytes() == \
             reference_ball_modulus_sums(deep_ball_system, t_in, pts[:16]).tobytes()
 

@@ -151,7 +151,7 @@ class TestGridMatchesReference:
         # bits of the full grid's first columns
         s, ts = tangent_like_case(**case)
         columns = theta_count // 2 + 1
-        kernel = series._phase_kernel(s, theta_count, ts.size, columns)
+        kernel = series._phase_kernel(s, theta_count, columns)
         _, xs = series._log_radii(ts)
         half = np.concatenate([kernel(xs[rows]) for rows in series._row_blocks(ts.size)])
         assert half.shape == (ts.size, columns)
@@ -197,7 +197,8 @@ class TestGridMatchesReference:
 class TestNoLongTables:
     """On the sandwich, zero adjustment and ball check paths of double_exp
     K = 2000 no kernel call tabulates more than a few dozen of the 1,000
-    terms of a series.  The sandwich and zero adjustment need no more
+    terms of a series, nor on zero adjustment of exp_power alpha = 2 of
+    its 300.  The sandwich and zero adjustment need no more
     memory than on a series of 34, and the ball check less than one
     (terms, radii) table of a function over its whole grid."""
 
@@ -217,13 +218,17 @@ class TestNoLongTables:
         run()
         return rows
 
-    def test_rows_per_kernel_call(self, deep_pair, monkeypatch):
-        w = lw.make_weight("double_exp")
-        ts = np.linspace(deep_pair.t0, deep_pair.t_last, 2001)[1:]
+    def test_rows_per_kernel_call(self, deep_pair, deep_pair_a2, monkeypatch):
+        # the zero_adjust rings of exp_power alpha = 2 have 100 and 200
+        # radii, and its series about 300 terms: they run in windows too
+        cases = [(deep_pair, lw.make_weight("double_exp")),
+                 (deep_pair_a2, lw.make_weight("exp_power", (2.0,)))]
 
         def run():
-            assert lw.sandwich_check(deep_pair, w, ts, 256).passed
-            lw.zero_adjust(deep_pair, w)
+            for pair, w in cases:
+                ts = np.linspace(pair.t0, pair.t_last, 2001)[1:]
+                assert lw.sandwich_check(pair, w, ts, 256).passed
+                lw.zero_adjust(pair, w)
 
         rows = self.rows_per_call(monkeypatch, run)
         assert rows and max(rows) <= 64
@@ -269,6 +274,33 @@ class TestNoLongTables:
         short = peaks(*shallow_case)
         for d, s in zip(deep, short):
             assert d <= s + 250_000
+
+
+class TestSetUpOnSeries:
+    """A series builds its arrays and candidate windows once, for every
+    grid it is evaluated on."""
+
+    def test_windows_built_once_per_series(self, deep_state, monkeypatch):
+        # g1 and g2 for the sandwich; zero_adjust reuses g2 and builds
+        # f1 = G1 / z^{e1}
+        pair = lw.split_parity(deep_state)
+        w = lw.make_weight("double_exp")
+        built = []
+        windows = series._term_windows
+
+        def counted(*args):
+            built.append(len(args[0]))
+            return windows(*args)
+
+        monkeypatch.setattr(series, "_term_windows", counted)
+        lw.sandwich_check(pair, w, np.linspace(pair.t0, pair.t_last, 301)[1:], 64)
+        lw.zero_adjust(pair, w)
+        assert built == [1000, 1000, 1000]
+
+    def test_cached_arrays_read_only(self, deep_pair):
+        for values in (deep_pair.g1.log_coeff_array, deep_pair.g1.exponent_array):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 0.0
 
 
 class TestPointsMatchReference:
