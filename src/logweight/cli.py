@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
+import itertools
 import json
 import math
 import sys
@@ -117,6 +119,8 @@ def _t_grid(args, state: ConstructionState) -> np.ndarray:
 
 def cmd_construct(args) -> int:
     w = _load_weight(args)
+    if args.x0 is None and not 0.0 < args.t0 < 1.0:
+        raise ValueError(f"--t0 must lie in (0, 1), got {args.t0}")
     x0 = args.x0 if args.x0 is not None else math.log(args.t0)
     params = ConstructionParams(x0=x0, h=args.h, k_max=args.k_max,
                                 t_stop=args.t_stop, root_tol=args.root_tol,
@@ -190,32 +194,54 @@ def cmd_verify_ball(args) -> int:
                     f": margin {report.lower_margin:.3e}, C = {report.c_measured:.6g}")
 
 
+def _emit_rows(t_grid, thetas, log_w, lo, hi, blocks):
+    """The CSV text of emit, one string per radius, from the grid
+    _sandwich_blocks streams: every column of every row, each value
+    printed with %.17g.
+
+    G1 and G2 have positive coefficients, so |G(conj z)| = |G(z)| and
+    column N - j samples the true values of column j, N = thetas.size.
+    Columns j = 0 .. N // 2 are formatted; a mirror column repeats its
+    partner's text when its five values have the same bits, and is
+    formatted itself otherwise.  Bits, not ==, decide, so 0.0 and -0.0
+    are told apart."""
+    n = thetas.size
+    half = n // 2 + 1
+    partners = slice(n - half, 0, -1)  # n - j for the columns j = half .. n - 1
+    # t and log omega are formatted once per radius and theta once per
+    # angle; %.17g prints as format(x, ".17g") does, inf and nan too.
+    cell = "%.17g,%.17g,%.17g,{w},%.17g,%.17g"
+    template = "".join("{t},%.17g,%%s\n" % th for th in thetas.tolist())
+    for rows, g1, g2 in blocks:
+        log_s = np.logaddexp(g1, g2)
+        cells = np.stack([g1, g2, log_s, log_s - lo[rows, None], hi[rows, None] - log_s],
+                         axis=2)
+        bits = cells.view(np.int64)
+        fresh = (bits[:, half:] != bits[:, partners]).any(axis=2)
+        for r, (t, w_t) in enumerate(zip(t_grid[rows].tolist(), log_w[rows].tolist())):
+            row_cell = cell.format(w="%.17g" % w_t)
+            values = tuple(cells[r, :half].ravel().tolist())
+            texts = ("\t".join([row_cell] * half) % values).split("\t")
+            texts += texts[partners]
+            for j in (half + np.flatnonzero(fresh[r])).tolist():
+                texts[j] = row_cell % tuple(cells[r, j].tolist())
+            yield template.format(t="%.17g" % t) % tuple(texts)
+
+
 def cmd_emit(args) -> int:
     w, state = _load_inputs(args)
     t_grid = _t_grid(args, state)
-    thetas, log_w, lo, hi, blocks = _sandwich_blocks(split_parity(state), w, t_grid,
-                                                     args.angles)
-    # t and log omega are formatted once per radius and theta once per
-    # angle, leaving five %.17g per cell; %.17g prints as format(x, ".17g")
-    # does, inf and nan too.
-    template = "".join("{t},%.17g,%%.17g,%%.17g,%%.17g,{w},%%.17g,%%.17g\n" % th
-                       for th in thetas.tolist())
-
-    def chunks():
-        yield EMIT_HEADER
-        for rows, g1, g2 in blocks:
-            log_s = np.logaddexp(g1, g2)
-            cells = np.stack([g1, g2, log_s, log_s - lo[rows, None], hi[rows, None] - log_s],
-                             axis=2).reshape(log_s.shape[0], -1)
-            for t, w_t, row in zip(t_grid[rows].tolist(), log_w[rows].tolist(), cells):
-                yield template.format(t="%.17g" % t, w="%.17g" % w_t) % tuple(row.tolist())
-
-    _write(chunks(), args.out)
+    grid = _sandwich_blocks(split_parity(state), w, t_grid, args.angles)
+    _write(itertools.chain([EMIT_HEADER], _emit_rows(t_grid, *grid)), args.out)
     print(f"emitted {t_grid.size * args.angles} rows", file=sys.stderr)
     return EXIT_PASS
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  Each command names
+    its cmd_* function, which main looks up when it runs, so a function
+    rebound on this module after the first call still takes effect."""
     parser = argparse.ArgumentParser(
         prog="logweight",
         description="Construct and certify lacunary series matching radial weights.")
@@ -232,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--root-tol", type=float, default=1e-13)
     pc.add_argument("--auto-restart", action="store_true")
     pc.add_argument("--out")
-    pc.set_defaults(func=cmd_construct)
+    pc.set_defaults(func="cmd_construct")
 
     pv = sub.add_parser("verify", help="run a verification suite")
     vsub = pv.add_subparsers(dest="verifier", required=True)
@@ -245,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--t-min", type=float, default=None)
     ps.add_argument("--t-max", type=float, default=None)
     ps.add_argument("--out")
-    ps.set_defaults(func=cmd_verify_sandwich)
+    ps.set_defaults(func="cmd_verify_sandwich")
 
     pl = vsub.add_parser("lemmas")
     _add_weight_flags(pl)
@@ -255,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "'sampled'; basis 'convexity' uses the two endpoints")
     pl.add_argument("--delta", type=float, default=None)
     pl.add_argument("--out")
-    pl.set_defaults(func=cmd_verify_lemmas)
+    pl.set_defaults(func="cmd_verify_lemmas")
 
     ph = vsub.add_parser("hadamard")
     ph.add_argument("--random-polys", type=int, default=100)
@@ -265,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     ph.add_argument("--r-min", type=float, default=0.05)
     ph.add_argument("--r-max", type=float, default=0.95)
     ph.add_argument("--out")
-    ph.set_defaults(func=cmd_verify_hadamard)
+    ph.set_defaults(func="cmd_verify_hadamard")
 
     pe = vsub.add_parser("envelope")
     _add_weight_flags(pe)
@@ -274,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--x-max", type=float, default=-0.005)
     pe.add_argument("--gap-bound", type=float, default=50.0)
     pe.add_argument("--out")
-    pe.set_defaults(func=cmd_verify_envelope)
+    pe.set_defaults(func="cmd_verify_envelope")
 
     pb = vsub.add_parser("ball")
     _add_weight_flags(pb)
@@ -290,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--t-min", type=float, default=None)
     pb.add_argument("--t-max", type=float, default=None)
     pb.add_argument("--out")
-    pb.set_defaults(func=cmd_verify_ball)
+    pb.set_defaults(func="cmd_verify_ball")
 
     pm = sub.add_parser("emit", help="emit a CSV of grid samples and margins")
     _add_weight_flags(pm)
@@ -300,15 +326,15 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--t-min", type=float, default=None)
     pm.add_argument("--t-max", type=float, default=None)
     pm.add_argument("--out")
-    pm.set_defaults(func=cmd_emit)
+    pm.set_defaults(func="cmd_emit")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = globals()[args.func]
     try:
-        return args.func(args)
+        return command(args)
     except (ValueError, KeyError, OSError, OverflowError, ConstructionError,
             json.JSONDecodeError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -456,8 +456,9 @@ def _sandwich_blocks(pair: SeriesPair, w: WeightFunction, t_grid, theta_count: i
     slices rows of at most _BLOCK radii.  Only the first `columns` angles
     are evaluated, all theta_count by default: sandwich_check asks for
     the distinct half theta_j <= pi, emit for every angle, as it prints
-    every cell.  Every input error is raised here, before the first
-    block is evaluated."""
+    every cell and reuses a mirror cell's text only when the bits agree.
+    Every input error is raised here, before the first block is
+    evaluated."""
     g1, g2 = (_phase_kernel(s, theta_count, columns) for s in (pair.g1, pair.g2))
     log_w = _log_omegas(w, t_grid)
     ts, xs = _log_radii(t_grid)
@@ -500,9 +501,11 @@ def sandwich_check(pair: SeriesPair, w: WeightFunction, t_grid,
     evaluates theta_j and theta_{N-j} separately, and on some inputs the
     two roundings of one true value differ, so a margin there can differ
     by that gap.  emit, eval_series_grid and zero_adjust keep all N
-    columns: emit prints every cell, and mirroring would move its last
-    bits (up to 512 ulps on exp_power alpha = 1); zero_adjust's sample
-    ratios are pinned to the full-grid reference.
+    columns.  emit keeps every column and its bytes: the two roundings
+    can differ by up to 512 ulps (exp_power alpha = 1), so it formats
+    the text of column j once and repeats it at N - j only where the
+    five values there have the same bits.  zero_adjust's sample ratios
+    are pinned to the full-grid reference.
     """
     ts = _check_radii(t_grid, pair.t0, pair.t_last)
     thetas, _, lo_bound, hi_bound, blocks = _sandwich_blocks(pair, w, ts, theta_count,

@@ -3,11 +3,18 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 import logweight as lw
+from logweight import cli
 from logweight.cli import main
+from logweight.series import _sandwich_blocks
+from reference_emit import reference_emit_rows
 from reference_series import reference_modulus_sum
 
 
@@ -68,6 +75,34 @@ class TestConstruct:
         with pytest.raises(SystemExit) as exc:
             main(["construct", "--no-such-flag"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("t0", ["0", "-0.5", "1", "nan"])
+    def test_t0_outside_unit_interval_is_input_error(self, t0, capsys):
+        rc = main(["construct", "--family", "ramey_ullrich", "--t0", t0])
+        assert rc == 2
+        assert "--t0 must lie in (0, 1)" in capsys.readouterr().err
+
+
+class TestEntryPoint:
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_commands_dispatch_at_call_time(self, state_file, tmp_path, monkeypatch):
+        out = tmp_path / "grid.csv"
+        args = ["emit", "--state", str(state_file), "--family", "ramey_ullrich",
+                "--out", str(out)]
+        assert main(args) == 0
+        monkeypatch.setattr(cli, "cmd_emit", lambda parsed: 42)
+        assert main(args) == 42
+
+    def test_python_m_runs_the_cli(self):
+        src = os.path.dirname(os.path.dirname(lw.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        done = subprocess.run([sys.executable, "-m", "logweight", "--version"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0
+        assert done.stdout.strip() == lw.__version__
 
 
 class TestVerify:
@@ -245,6 +280,53 @@ class TestEmit:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("angles", [1, 2, 3, 4, 7, 64])
+    @pytest.mark.parametrize("case", ["ramey_ullrich", "exp_power"])
+    def test_bytes_match_reference(self, case, angles, state_file, exp_power_state,
+                                   tmp_path):
+        path, flags, w = {
+            "ramey_ullrich": (state_file, ["--family", "ramey_ullrich"],
+                              lw.make_weight("ramey_ullrich")),
+            "exp_power": (exp_power_state, ["--family", "exp_power", "--params", "1"],
+                          lw.make_weight("exp_power", (1.0,))),
+        }[case]
+        out = tmp_path / "grid.csv"
+        assert main(["emit", "--state", str(path), *flags, "--t-points", "40",
+                     "--angles", str(angles), "--out", str(out)]) == 0
+        state = lw.ConstructionState.from_json_dict(json.loads(path.read_text()))
+        t_grid = np.linspace(state.t0, state.t_last, 41)[1:]
+        grid = _sandwich_blocks(lw.split_parity(state), w, t_grid, angles)
+        expected = cli.EMIT_HEADER + reference_emit_rows(t_grid, *grid)
+        assert out.read_text() == expected
+        if angles == 64:
+            # the mirror pairs that emit must format apart occur here
+            cells = [line.split(",", 2)[2] for line in expected.splitlines()[1:]]
+            rows = [cells[i:i + 64] for i in range(0, len(cells), 64)]
+            assert any(row[j] != row[64 - j] for row in rows for j in range(33, 64))
+
+    def test_row_formatter_special_values(self):
+        n = 6  # columns 4 and 5 mirror columns 2 and 1
+        g1 = np.full((4, n), 0.5)
+        g2 = np.full((4, n), -np.inf)
+        g1[0, 1], g1[0, 5] = 0.0, -0.0
+        g1[1, 2] = g1[1, 4] = np.nan
+        g1[1, 1], g1[1, 5] = np.nan, -np.nan
+        g1[2, 1], g1[2, 5] = np.inf, -np.inf
+        g2[2, 2] = g2[2, 4] = np.inf
+        g1[3, 2], g1[3, 4] = 0.1, np.nextafter(0.1, 1.0)
+        g1[3, 1] = g1[3, 5] = -0.0
+        t_grid = np.array([0.5, 0.6, 0.7, 0.8])
+        thetas = 2 * np.pi * np.arange(n) / n
+        log_w = np.array([1.0, -0.0, 2.0, 3.0])
+        lo, hi = log_w - 3.0, log_w + 1.0
+        blocks = [(slice(0, 2), g1[:2], g2[:2]), (slice(2, 4), g1[2:], g2[2:])]
+        with np.errstate(invalid="ignore"):  # logaddexp flags NaN inputs
+            text = "".join(cli._emit_rows(t_grid, thetas, log_w, lo, hi, blocks))
+            assert text == reference_emit_rows(t_grid, thetas, log_w, lo, hi, blocks)
+        cells = [line.split(",")[2] for line in text.splitlines()]
+        assert (cells[1], cells[5]) == ("0", "-0")
+        assert (cells[20], cells[22]) == ("0.10000000000000001", "0.10000000000000002")
 
     def test_rows_sorted_by_t_then_theta(self, state_file, tmp_path):
         out = tmp_path / "grid.csv"
