@@ -9,8 +9,9 @@ h_for_delta(delta)) produces 2Q functions whose modulus sum dominates
 the constant function 1 covers the inside, for 2Q + 1 functions total.
 
 A provider evaluates W_q at an array of degrees and an array of points in
-the series kernel's log-polar form (log|W|, W/|W|), so each check makes
-one provider call per index q.  Family existence is not constructed here:
+the series kernel's log-polar form (log|W|, W/|W|): verify_family makes
+one call per index q, the ball check one per grid kernel call for the
+degrees of its live rows.  Family existence is not constructed here:
 providers are supplied and their claims verified numerically on
 deterministic sphere samples.  The builtins, by name in _BUILTIN_FAMILIES,
 are the d = 1 monomial family, which reproduces the disk pipeline exactly,
@@ -22,6 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -58,7 +60,8 @@ class PolynomialFamily:
     of integers, at the points pts of C^d (columns), an array of shape (P, d),
     and returns (log_abs, unit), log|W| as a float and W/|W| as a complex
     array, both of shape (len(ns), P).  A zero value has log_abs -inf and
-    any finite unit."""
+    any finite unit.  A value must not depend on the other degrees or points
+    of the call, as the ball check asks for each kernel call's live rows."""
 
     d: int
     Q: int
@@ -261,6 +264,11 @@ class BallFunction:
     terms: tuple  # ((log_a, e), ...), empty for the constant
     is_one: bool = False
 
+    @cached_property
+    def series(self) -> LacunarySeries:
+        """The series of the terms a_j lam^{e_j}, built once; the constant is 1 = e^0 lam^0."""
+        return LacunarySeries(((0.0, 0),) if self.is_one else self.terms)
+
 
 @dataclass(frozen=True)
 class BallFunctionSystem:
@@ -268,22 +276,14 @@ class BallFunctionSystem:
     family: PolynomialFamily
     state: ConstructionState
 
-    def _coefficients(self, index: int, pts: np.ndarray):
-        """Along a sphere point zeta, function `index` is the series
-        sum_j a_j W_q[e_j](zeta) lam^{e_j}: the series of its terms
-        a_j lam^{e_j}, then log|W_q[e_j]| and its units at the rows of pts
-        as (K, P) arrays, from one provider call.  The constant is
-        1 = e^0 lam^0."""
-        func = self.functions[index]
-        if func.is_one:
-            return (LacunarySeries(((0.0, 0),)), np.zeros((1, len(pts))),
-                    np.ones((1, len(pts)), dtype=complex))
-        s = LacunarySeries(func.terms)
-        return s, *self.family.eval(func.q, s.exponent_array, pts)
-
     def _line(self, index: int, zeta: np.ndarray):
-        """(log-moduli, units, exponents) along one sphere point zeta."""
-        s, log_w, units = self._coefficients(index, np.reshape(zeta, (1, -1)))
+        """(log-moduli, units, exponents) of the series sum_j a_j W_q[e_j](zeta)
+        lam^{e_j} of function `index` along one sphere point zeta."""
+        func = self.functions[index]
+        s = func.series
+        if func.is_one:
+            return s.log_coeff_array, np.ones(1, dtype=complex), s.exponent_array
+        log_w, units = self.family.eval(func.q, s.exponent_array, np.reshape(zeta, (1, -1)))
         return s.log_coeff_array + log_w[:, 0], units[:, 0], s.exponent_array
 
     def eval(self, index: int, t: float, zeta: np.ndarray) -> ScaledArray:
@@ -373,13 +373,17 @@ class BallReport:
         return asdict(self)
 
 
-def _log_modulus_sums(funcs, xs: np.ndarray, count: int) -> np.ndarray:
+def _log_modulus_sums(sys: BallFunctionSystem, xs: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """log sum_{m <= 2Q} |f_m(t zeta)| at the log-radii xs of one block
-    (rows) and the first `count` sphere points zeta (columns), from the
-    _coefficients of each function: one grid kernel call per function,
-    with the values W_q[e_j](zeta) as column factors."""
-    return logsumexp([_grid_kernel(s, lambda k: np.exp(log_v[k, :count]) * units[k, :count])(xs)
-                      for s, log_v, units in funcs], axis=0)
+    (rows) and the sphere points zeta of pts (columns): one grid kernel
+    evaluation per function, each kernel call with the values W_q[e_j](zeta)
+    of its live rows alone as column factors, from one provider call."""
+    def values(func, k):
+        log_v, units = sys.family.eval(func.q, func.series.exponent_array[k], pts)
+        return np.exp(log_v) * units
+
+    return logsumexp([_grid_kernel(func.series, partial(values, func))(xs)
+                      for func in sys.functions[:-1]], axis=0)
 
 
 def ball_lower_bound_check(sys: BallFunctionSystem, w: WeightFunction,
@@ -392,26 +396,26 @@ def ball_lower_bound_check(sys: BallFunctionSystem, w: WeightFunction,
     Also measures the constant C of omega(|z|) <= C sum_{m<=2Q+1} |f_m(z)|
     over the same grid extended into the inner ball |z| <= t0, where the
     constant function takes over.  The radius grid goes through the grid
-    kernel _BLOCK radii at a time; the 16 x 16 inner samples share its set-up.
+    kernel _BLOCK radii at a time, with no (terms, samples) table of family
+    values; the 16 x 16 inner samples share each function's series.
     """
     state = sys.state
     ts = _check_radii(t_grid, state.t0, state.t_last)
     pts = sphere_points(sys.family.d, sphere_samples, seed=seed)
     delta = sys.family.delta_claimed
     h = state.params.h
-    funcs = [sys._coefficients(m, pts) for m in range(len(sys.functions) - 1)]
     log_w = _log_omegas(w, ts)
     log_bound = math.log(0.4 * delta) - h + log_w
     xs = _log_radii(ts)[1]
     worst, log_c = None, NEG_INF
     for rows in _row_blocks(ts.size):
-        s_log = _log_modulus_sums(funcs, xs[rows], len(pts))
+        s_log = _log_modulus_sums(sys, xs[rows], pts)
         worst = _first_worst(worst, normalized_margins(s_log, log_bound[rows, None]), rows.start)
         log_c = np.maximum(log_c, np.max(log_w[rows, None] - np.logaddexp(s_log, 0.0)))
     # The constant function adds log 1 = 0 to every modulus sum; in the
     # inner ball |z| <= t0 it takes over once omega is capped.
     t_in, x_in = _log_radii(np.linspace(0.0, state.t0, 16))
-    s_in = _log_modulus_sums(funcs, x_in, 16)
+    s_in = _log_modulus_sums(sys, x_in, pts[:16])
     log_c = max(float(log_c),
                 float(np.max(_log_omegas(w, t_in)[:, None] - np.logaddexp(s_in, 0.0))))
     margin, wit_t, wit_i = worst

@@ -127,14 +127,15 @@ class LacunarySeries:
 
     @cached_property
     def windows(self):
-        """(first, last, room, e_0) for the grid kernel's runs (_term_windows),
-        or None for at most _BLOCK terms or where windows could fail: on a
-        coefficient non-finite or past _LOG_RANGE, or an exponent past 2^53."""
+        """(first, last, room, e_0) for the grid kernel's runs: _term_windows,
+        or every row a candidate (one call per block) for at most _RUN_ROWS
+        terms and where _term_windows could fail: on a coefficient
+        non-finite or past _LOG_RANGE, or an exponent past 2^53."""
         log_coeffs, exponents = self.log_coeff_array, self.exponent_array
         room = _LOG_RANGE - float(np.max(np.abs(log_coeffs), initial=0.0))
-        if not (log_coeffs.size > _BLOCK and room > 0.0 and exponents[-1] <= 2.0 ** 53):
-            return None
-        return (*_term_windows(log_coeffs, exponents), room, exponents[0])
+        if log_coeffs.size > _RUN_ROWS and room > 0.0 and exponents[-1] <= 2.0 ** 53:
+            return (*_term_windows(log_coeffs, exponents), room, exponents[0])
+        return np.full(log_coeffs.size, NEG_INF), np.full(log_coeffs.size, -NEG_INF), -NEG_INF, 0.0
 
     def shifted(self, shift: int) -> "LacunarySeries":
         """Divide by z^shift termwise (exponents must stay non-negative)."""
@@ -292,29 +293,25 @@ def _term_windows(log_coeffs: np.ndarray, exponents: np.ndarray):
 def _runs(windows, xs) -> list:
     """The kernel calls of one block of log-radii xs: (rows, at) pairs,
     rows a slice of term indices holding every candidate of the radii
-    xs[at].  A block whose candidates span at most _RUN_ROWS rows is one
-    call in its own order (at = slice(None)).  Otherwise radii go by
-    increasing x, and a run grows while its rows stay within _RUN_ROWS.
-    A radius where rounding might pass _REACH (e_0 |x| past the room
-    left by the coefficients) takes every row, in one more call; NaN
-    radii never get here, as _log_radii rejects them.  A single run
-    always holds the whole block in its own order."""
+    xs[at].  Radii go by increasing x, and a run grows while its rows stay
+    within _RUN_ROWS, or within the rows of its first radius where that
+    radius needs more; so windows that make every row a candidate give
+    one run.  A radius where rounding might pass _REACH (e_0 |x| past the
+    room left by the coefficients) takes every row, in one more call; NaN
+    radii never get here, as _log_radii rejects them."""
     first, last, room, e0 = windows
-    count = first.size
     lo = np.searchsorted(last, xs, "left")
     hi = np.searchsorted(first, xs, "right")
     with np.errstate(invalid="ignore"):  # 0 * inf at x = -inf
         wide = ~(e0 * -xs <= room) & (xs != NEG_INF)
-    lo[wide], hi[wide] = 0, count
-    if hi.max() - lo.min() <= _RUN_ROWS:
-        return [(slice(lo.min(), hi.max()), slice(None))]
-    runs = [(slice(0, count), np.flatnonzero(wide))] if wide.any() else []
+    runs = [(slice(0, first.size), np.flatnonzero(wide))] if wide.any() else []
     order = np.flatnonzero(~wide)
     order = order[np.argsort(xs[order], kind="stable")]
     lo, hi = lo[order], hi[order]  # both nondecreasing now
     start = 0
     while start < order.size:
-        stop = max(start + 1, int(np.searchsorted(hi, lo[start] + _RUN_ROWS, "right")))
+        rows = max(_RUN_ROWS, hi[start] - lo[start])
+        stop = int(np.searchsorted(hi, lo[start] + rows, "right"))
         runs.append((slice(lo[start], hi[stop - 1]), order[start:stop]))
         start = stop
     return runs
@@ -327,13 +324,12 @@ def _grid_kernel(s: LacunarySeries, factors):
     index array): angle phases (_phase_kernel) or a ball family's values
     W_q[e_k](zeta_j).
 
-    A series with windows (LacunarySeries.windows) sends each block
-    through _scaled_terms in runs of radii over their candidate rows
-    alone (_runs), so no call tabulates more than _RUN_ROWS terms unless
-    one radius needs them; any other takes a block in one call.  Either
-    way a radius keeps the live set, the maximum and the mantissas of one
-    call over all the terms, bit for bit, and only rows that are zero at
-    every radius of a call leave its contraction.
+    Each block goes through _scaled_terms in runs of radii over their
+    candidate rows alone (_runs), so no call tabulates more than _RUN_ROWS
+    terms unless one radius needs them or the windows make every row a
+    candidate.  A radius keeps the live set, the maximum and the mantissas
+    of one call over all the terms, bit for bit, and only rows that are
+    zero at every radius of a call leave its contraction.
     """
     log_coeffs, exponents, windows = s.log_coeff_array, s.exponent_array, s.windows
 
@@ -346,7 +342,7 @@ def _grid_kernel(s: LacunarySeries, factors):
         return logs
 
     def block(xs):
-        runs = [(slice(0, None), None)] if windows is None else _runs(windows, xs)
+        runs = _runs(windows, xs)
         if len(runs) == 1:
             return contract(runs[0][0], xs)
         out = None

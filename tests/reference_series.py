@@ -5,11 +5,11 @@ from the exact residues (e j mod N), tabulates every term at every
 radius, then sums the terms within DROP_THRESHOLD of each radius's
 largest, in blocks of 256 radii.  `reference_points` groups points by
 their exact float modulus and makes one such sum per group.
-`logweight.series` builds phases only for the live terms.  On a grid of
-a long series it first finds each term's window, the x-interval where
-it can be live, and contracts each block in runs of radii over the
-candidate rows of the run alone; it must reproduce `reference_grid` bit
-for bit on any series.  It blocks points regardless of modulus: on the
+`logweight.series` builds phases only for the live terms.  On a grid it
+first finds each term's window, the x-interval where it can be live
+(every row, for at most 32 terms), and contracts each block in runs of
+radii over the candidate rows of the run alone; it must reproduce
+`reference_grid` bit for bit on any series.  It blocks points regardless of modulus: on the
 lacunary series of a construction, where a few terms are live at any
 radius, it must reproduce `reference_points` bit for bit; on dense
 series its block contraction sums many live terms in another order.
@@ -23,7 +23,8 @@ point at a time, through `eval_series` and `BallFunctionSystem.eval`.
 at every radius of a grid and contracts the live rows with the family
 values at every sphere point at once; `ball_lower_bound_check` streams
 the grid through the series grid kernel in blocks of 256 radii, in runs
-over candidate rows on long series, and must give the same bits.
+over candidate rows, asking the family for each run's live rows alone,
+and must give the same bits.
 
 Phases times units are formed out of place: numpy multiplies a lone
 complex pair in place without a fused multiply-add, so an in-place

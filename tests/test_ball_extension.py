@@ -337,11 +337,9 @@ def streamed_modulus_sums(system, t_values, pts, count=None):
     """log sum_{m <= 2Q} |f_m(t zeta)| at the first `count` points of pts
     (default all) from the blocks of radii that ball_lower_bound_check
     streams through the grid kernel, gathered."""
-    funcs = [system._coefficients(m, pts) for m in range(len(system.functions) - 1)]
     ts, xs = series._log_radii(t_values)
-    count = len(pts) if count is None else count
     return np.concatenate([logweight.ball_extension._log_modulus_sums(
-        funcs, xs[rows], count) for rows in series._row_blocks(ts.size)])
+        system, xs[rows], pts[:count]) for rows in series._row_blocks(ts.size)])
 
 
 class TestSliceReduction:
@@ -458,9 +456,10 @@ class TestArrayProviders:
     of another, in log-polar form."""
 
     def test_calls_do_not_grow_with_sphere_samples(self, bench_states):
-        # one provider call per q, whatever the numbers of sphere samples
-        # and degrees; the ball check takes each function's coefficients
-        # once, for the radius grid and the inner ball together
+        # verify_family makes one provider call per q, whatever the numbers
+        # of sphere samples and degrees; the ball check one per grid kernel
+        # call, for the degrees of its live rows, the same calls at any
+        # number of samples
         calls = []
 
         def counting(q, ns, pts):
@@ -477,10 +476,16 @@ class TestArrayProviders:
                 assert [call[:2] for call in calls] == [(1, len(degrees)), (2, len(degrees))]
                 assert min(call[2] for call in calls) > samples
         system = lw.build_ball_functions(state, fam, sphere_samples=64)
-        calls.clear()
-        lw.ball_lower_bound_check(system, lw.make_weight("exp_power", [1.0]),
-                                  np.linspace(0.96, state.t_last, 8), sphere_samples=64)
-        assert len(calls) == 2 * fam.Q
+        per_samples = []
+        for samples in (64, 512):
+            calls.clear()
+            lw.ball_lower_bound_check(system, lw.make_weight("exp_power", [1.0]),
+                                      np.linspace(0.96, state.t_last, 8), sphere_samples=samples)
+            assert {call[2] for call in calls} == {samples, 16}
+            per_samples.append([call[:2] for call in calls])
+        assert per_samples[0] == per_samples[1]
+        assert {q for q, _ in per_samples[0]} == {1, 2}
+        assert max(n for _, n in per_samples[0]) <= series._RUN_ROWS
 
     def test_nan_provider_rejected(self):
         with pytest.raises(ValueError, match=r"'nan_left'.*q=1, n=1\b"):
@@ -565,9 +570,9 @@ def deep_ball_system():
 
 class TestStreamedBlocks:
     """ball_lower_bound_check streams its radius grid through the series
-    grid kernel in blocks of 256 radii, on long series in runs over their
-    candidate rows; gathered, the blocks have the bits of one contraction
-    of every term over the whole grid."""
+    grid kernel in blocks of 256 radii, in runs over their candidate rows
+    with the family values of each run's live rows; gathered, the blocks
+    have the bits of one contraction of every term over the whole grid."""
 
     @pytest.mark.parametrize("family", ["monomial_d1", "coordinate_d2"])
     @pytest.mark.parametrize("name", ["ramey_ullrich", "exp_power_a1"])

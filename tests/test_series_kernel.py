@@ -166,6 +166,35 @@ class TestGridMatchesReference:
         ts = np.concatenate([np.linspace(0.0, 0.999, 300), [1e-300, 1e-200]])
         assert lw.eval_series_grid(s, ts, 8).tobytes() == reference_grid(s, ts, 8).tobytes()
 
+    @pytest.mark.parametrize("n_terms", [1, 2, 31, 32, 33, 34])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_short_series_match_reference(self, n_terms, seed):
+        # up to _RUN_ROWS terms every row is a candidate, in one call per
+        # block (_term_windows divides by zero on one or two terms); from
+        # 33 on the candidate windows split the block into runs.  Seed 3
+        # has a zero coefficient, which takes every row at any length.
+        s, ts = tangent_like_case(n_terms, 600, from_zero=seed % 2 == 0,
+                                  sharpness=(0.05, 1.0, 20.0, 1.0)[seed],
+                                  n_sunk=2 if n_terms > 2 else 0, dead=seed == 3, seed=seed)
+        for theta_count in (1, 7):
+            assert lw.eval_series_grid(s, ts, theta_count).tobytes() == \
+                reference_grid(s, ts, theta_count).tobytes()
+
+    @pytest.mark.parametrize("coeff_shift, exponent_base", [(2.0 ** 47, 0), (0.0, 2 ** 53)])
+    def test_past_the_window_range(self, monkeypatch, coeff_shift, exponent_base):
+        # a log-coefficient past 2^46 or an exponent past 2^53, where
+        # _term_windows could fail: every row is a candidate, in one
+        # _scaled_terms call per block of radii
+        s, ts = tangent_like_case(300, 600, True, 1.0, 4, False, 5)
+        s = series.LacunarySeries(tuple((lc + coeff_shift, exponent_base + 2 * e)
+                                        for lc, e in s.terms))
+        assert max(abs(lc) for lc in s.log_coeffs) > 2.0 ** 46 or s.exponents[-1] > 2 ** 53
+
+        def run():
+            assert lw.eval_series_grid(s, ts, 8).tobytes() == reference_grid(s, ts, 8).tobytes()
+
+        assert TestNoLongTables.rows_per_call(monkeypatch, run) == [300] * 3
+
     @pytest.mark.parametrize("nan_at", [0, 150, 301])
     def test_nan_radius_rejected(self, nan_at):
         # every comparison with NaN is false, so a range check written as
@@ -195,12 +224,12 @@ class TestGridMatchesReference:
 
 
 class TestNoLongTables:
-    """On the sandwich, zero adjustment and ball check paths of double_exp
-    K = 2000 no kernel call tabulates more than a few dozen of the 1,000
-    terms of a series, nor on zero adjustment of exp_power alpha = 2 of
-    its 300.  The sandwich and zero adjustment need no more
-    memory than on a series of 34, and the ball check less than one
-    (terms, radii) table of a function over its whole grid."""
+    """On the sandwich, zero adjustment and ball check paths no kernel call
+    tabulates more than _RUN_ROWS terms of a series: of the 1,000 of
+    double_exp K = 2000, the 300 of exp_power alpha = 2 or the 34 of
+    exp_power alpha = 1.  The sandwich and zero adjustment need no more
+    memory than on a series of 34, and the ball check asks the family for
+    the live rows of a call alone."""
 
     @staticmethod
     def rows_per_call(monkeypatch, run):
@@ -218,11 +247,11 @@ class TestNoLongTables:
         run()
         return rows
 
-    def test_rows_per_kernel_call(self, deep_pair, deep_pair_a2, monkeypatch):
-        # the zero_adjust rings of exp_power alpha = 2 have 100 and 200
-        # radii, and its series about 300 terms: they run in windows too
+    def test_rows_per_kernel_call(self, deep_pair, deep_pair_a2, shallow_case, monkeypatch):
+        # the zero_adjust rings have 100 and 200 radii; every series here
+        # has more than _RUN_ROWS terms, so runs in windows
         cases = [(deep_pair, lw.make_weight("double_exp")),
-                 (deep_pair_a2, lw.make_weight("exp_power", (2.0,)))]
+                 (deep_pair_a2, lw.make_weight("exp_power", (2.0,))), shallow_case]
 
         def run():
             for pair, w in cases:
@@ -231,19 +260,35 @@ class TestNoLongTables:
                 lw.zero_adjust(pair, w)
 
         rows = self.rows_per_call(monkeypatch, run)
-        assert rows and max(rows) <= 64
+        assert rows and max(rows) <= series._RUN_ROWS
 
     def test_rows_per_ball_kernel_call(self, deep_ball, monkeypatch):
-        # the inner-ball samples share the windows of the radius grid
+        # the inner-ball samples share the windows of the radius grid; each
+        # kernel call asks the family for the degrees of its live rows alone
         system, ts = deep_ball
+        live, degrees = [], []
+        kernel, family_eval = series._scaled_terms, lw.PolynomialFamily.eval
+
+        def counting(*args):
+            out = kernel(*args)
+            live.append(int(out[1].sum()))
+            return out
+
+        def asked(fam, q, ns, pts):
+            degrees.append(len(ns))
+            return family_eval(fam, q, ns, pts)
+
+        monkeypatch.setattr(series, "_scaled_terms", counting)
+        monkeypatch.setattr(lw.PolynomialFamily, "eval", asked)
         rows = self.rows_per_call(monkeypatch, lambda: lw.ball_lower_bound_check(
             system, lw.make_weight("double_exp"), ts, sphere_samples=128))
-        assert rows and max(rows) <= 64
+        assert rows and max(rows) <= series._RUN_ROWS
+        assert degrees == live
 
     def test_ball_check_peak_memory(self, deep_ball):
         # the 2000 x 128 grid of one complex contraction alone takes 4 MB,
         # and the (1000, 2000) term table of each function 16 MB; the
-        # family values of both functions take 6 MB
+        # (terms, samples) family values of both functions would take 6 MB
         system, ts = deep_ball
         tracemalloc.start()
         try:
@@ -252,7 +297,7 @@ class TestNoLongTables:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 16e6
+        assert peak < 3e6
 
     def test_peak_memory_as_on_a_short_series(self, deep_pair, shallow_case):
         # a (1000, 256) table of logs alone takes 2 MB; the parity series
@@ -296,6 +341,24 @@ class TestSetUpOnSeries:
         lw.sandwich_check(pair, w, np.linspace(pair.t0, pair.t_last, 301)[1:], 64)
         lw.zero_adjust(pair, w)
         assert built == [1000, 1000, 1000]
+
+    def test_ball_function_series_built_once(self, deep_ball, monkeypatch):
+        # a ball function builds its series once, not on every evaluation
+        system, _ = deep_ball
+        zeta = lw.sphere_points(1, 64, 7)[-1]
+        system.eval(0, 0.5, zeta)
+        system.slice_callable(1, zeta)
+        built = []
+        init = series.LacunarySeries.__post_init__
+
+        def counted(self):
+            built.append(len(self.terms))
+            init(self)
+
+        monkeypatch.setattr(series.LacunarySeries, "__post_init__", counted)
+        system.eval(0, 0.5, zeta)
+        system.slice_callable(1, zeta)(np.array([0.3, 0.5j]))
+        assert built == []
 
     def test_cached_arrays_read_only(self, deep_pair):
         for values in (deep_pair.g1.log_coeff_array, deep_pair.g1.exponent_array):

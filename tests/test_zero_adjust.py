@@ -122,9 +122,9 @@ class TestDominance:
         assert counter.calls == [64] * 4  # f1 and f2 on each ring, at its own angles
 
     def test_each_series_set_up_once(self, bench_state, monkeypatch):
-        # The deep states (K = 2000 and 601) have series of more than 256
-        # terms, which run in candidate windows; f1 and f2 get theirs once,
-        # for both rings.
+        # Series of more than _RUN_ROWS terms run in candidate windows: the
+        # deep states (K = 2000 and 601) and exp_power alpha = 1 (K = 68,
+        # 34 terms each).  f1 and f2 get theirs once, for both rings.
         w, state = bench_state
         calls = []
         windows = series._term_windows
@@ -134,8 +134,10 @@ class TestDominance:
             return windows(*args)
 
         monkeypatch.setattr(series, "_term_windows", counted)
-        lw.zero_adjust(lw.split_parity(state), w)
-        assert len(calls) == (2 if len(state.lines) > 512 else 0)
+        pair = lw.split_parity(state)
+        lw.zero_adjust(pair, w)
+        sizes = [len(s.terms) for s in (pair.g1, pair.g2)]
+        assert calls == [n for n in sizes if n > series._RUN_ROWS]
 
     def test_each_ring_evaluated_once(self, monkeypatch):
         w = lw.make_weight("ramey_ullrich")
