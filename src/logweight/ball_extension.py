@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import asdict, dataclass
 from functools import cached_property, partial
 from typing import Callable, Optional
@@ -131,8 +132,63 @@ _BUILTIN_FAMILIES = {
 }
 
 
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _uniform_shift(seed: int, count: int) -> np.ndarray:
+    """np.random.default_rng(seed).random(count), bit for bit, without
+    importing numpy.random (about 6 MB of resident memory).
+
+    SeedSequence(seed) hashes the seed's 32-bit words, least significant
+    first, into a pool of four words and draws eight words from it; the
+    first 128 bits seed PCG64's state and the next its stream (O'Neill,
+    HMC-CS-2014-0905), and each double is (x >> 11) 2^-53 of one XSL-RR
+    output x."""
+    def hasher(const, mult):  # each call hashes one word with the next constant
+        def hashmix(value):
+            nonlocal const
+            value ^= const
+            const = const * mult & _MASK32
+            value = value * const & _MASK32
+            return value ^ value >> 16
+        return hashmix
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return r ^ r >> 16
+
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    hashmix = hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(word) for word in (words + [0] * 4)[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    draw = hasher(0x8B51F9DD, 0x58F38DED)
+    state = [draw(pool[i % 4]) for i in range(8)]
+    u64 = [state[i] | state[i + 1] << 32 for i in range(0, 8, 2)]
+
+    # PCG64's set-seq start: from state 0, step, add the seed state, step
+    inc = ((u64[2] << 64 | u64[3]) << 1 | 1) & _MASK128
+    lcg = (inc + (u64[0] << 64 | u64[1])) * _PCG64_MULT + inc & _MASK128
+    out = np.empty(count)
+    for i in range(count):
+        lcg = lcg * _PCG64_MULT + inc & _MASK128
+        rot = lcg >> 122
+        x = (lcg >> 64 ^ lcg) & _MASK64
+        out[i] = ((x >> rot | x << (64 - rot)) & _MASK64) >> 11
+    return out * 2.0 ** -53
+
+
 def sphere_points(d: int, count: int, seed: int = 0) -> np.ndarray:
-    """Deterministic points on the unit sphere of C^d.
+    """Deterministic points on the unit sphere of C^d: the same (d, count,
+    seed) give the same bits.
 
     A small structured prefix (coordinate vectors and balanced-modulus
     vectors, where coordinate families are extremal) is always included so
@@ -141,12 +197,20 @@ def sphere_points(d: int, count: int, seed: int = 0) -> np.ndarray:
     in [0, 1)^{2d}, with alpha_j = phi^{-j} for phi the root of
     x^{2d+1} = x + 1 (Roberts' generalized golden ratio) and a seeded
     random shift s (Cranley-Patterson), mapped by complex Box-Muller,
-    z_j = sqrt(-2 log(1 - u_j)) e^{2 pi i u_{d+j}}, and normalized.
+    z_j = sqrt(-2 log(1 - u_j)) e^{2 pi i u_{d+j}}, and normalized.  The
+    shift is numpy's np.random.default_rng(seed).random(2 d), for an integer
+    seed >= 0.
     """
     if d < 1:
         raise ValueError(f"sphere_points needs d >= 1, got d={d}")
     if count < 2 * d + 2:
         raise ValueError(f"need at least {2 * d + 2} sphere samples for d={d}")
+    try:
+        index = operator.index(seed)
+    except TypeError:
+        index = -1
+    if index < 0:
+        raise ValueError(f"sphere_points needs an integer seed >= 0, got {seed!r}")
     eye = np.eye(d, dtype=complex)
     structured = [row for q in range(d)
                   for row in (eye[q], eye[q] * cmath.exp(0.5j * math.pi / (q + 1)))]
@@ -158,7 +222,7 @@ def sphere_points(d: int, count: int, seed: int = 0) -> np.ndarray:
     for _ in range(32):  # x -> (1 + x)^{1/(2d+1)} contracts by < 1/4 on x >= 1
         phi = (1.0 + phi) ** (1.0 / (2 * d + 1))
     alpha = phi ** -np.arange(1.0, 2 * d + 1)
-    shift = np.random.default_rng(seed).random(2 * d)
+    shift = _uniform_shift(index, 2 * d)
     n = np.arange(1.0, count - len(structured) + 1)
     u = (shift + n[:, None] * alpha) % 1.0
     z = np.sqrt(-2.0 * np.log1p(-u[:, :d])) * np.exp(1j * _TWO_PI * u[:, d:])

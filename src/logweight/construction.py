@@ -400,9 +400,14 @@ def _min_above_line(w, line, x_lo, x_hi, x0, tol):
     bisected from [x_lo, x_hi] (widened to [x0, x_lo], or halved toward 0
     down to _X_FLOOR as in next_tangent) to the relative tolerance tol.
     On the bracket [p, q] with midpoint c the secant bounds give
-    g >= 2 g(c) - max g(p, c, q), outside it min(g(p), g(q))."""
+    g >= 2 g(c) - max g(p, c, q), outside it min(g(p), g(q)).  F at p and
+    q comes from the fused (F, F') calls of the sign tests, so the stored
+    xi costs three evaluations of the weight."""
+    fused = {}
+
     def psi(x):
-        return w.big_f_prime(x) - line.delta
+        fused[x] = w.big_f_and_prime(x)
+        return fused[x][1] - line.delta
 
     xi = line.xi
     if xi is not None and psi(xi * (1.0 + _XI_BRACKET)) <= 0.0 <= psi(xi * (1.0 - _XI_BRACKET)):
@@ -420,7 +425,7 @@ def _min_above_line(w, line, x_lo, x_hi, x0, tol):
         else:
             lo, hi = _bisect(psi, lo, hi, positive_at_lo=False, tol=tol)
     c = 0.5 * (lo + hi)
-    f_lo, f_c, f_hi = (w.big_f(x) for x in (lo, c, hi))
+    f_lo, f_c, f_hi = (fused[x][0] if x in fused else w.big_f(x) for x in (lo, c, hi))
     g_lo, g_c, g_hi = f_lo - line.value(lo), f_c - line.value(c), f_hi - line.value(hi)
     return min(g_lo, g_hi, 2.0 * g_c - max(g_lo, g_c, g_hi)), c, f_c
 

@@ -431,9 +431,11 @@ class EnvelopeResult:
         }
 
 
-def _lower_hull(xs: np.ndarray, ys: np.ndarray):
-    """Monotone-chain lower hull of points already sorted by x.
-    Collinear middle points are dropped, so re-hulling the hull is exact."""
+def _lower_hull(xs: list, ys: list):
+    """Monotone-chain lower hull of points already sorted by x, given as
+    lists of floats (plain floats keep the cross products off numpy
+    scalars).  Collinear middle points are dropped, so re-hulling the hull
+    is exact."""
     hull = []
     for x, y in zip(xs, ys):
         while len(hull) >= 2:
@@ -442,7 +444,7 @@ def _lower_hull(xs: np.ndarray, ys: np.ndarray):
             if (x1 - x0) * (y - y0) - (y1 - y0) * (x - x0) > 0.0:
                 break
             hull.pop()
-        hull.append((float(x), float(y)))
+        hull.append((x, y))
     return hull
 
 
@@ -455,10 +457,12 @@ def log_convex_envelope(w: WeightFunction, x_grid,
         raise ValueError("x_grid needs at least 3 points")
     if np.any(xs >= 0.0) or np.any(np.diff(xs) <= 0.0):
         raise ValueError("x_grid must be strictly increasing and negative")
-    ys = np.array([w.big_f(float(x)) for x in xs])
+    x_list = xs.tolist()
+    f_list = list(map(w.big_f, x_list))
+    ys = np.array(f_list)
     if not np.all(np.isfinite(ys)):
         raise OverflowError("F is not finite on the whole grid")
-    knots = _lower_hull(xs, ys)
+    knots = _lower_hull(x_list, f_list)
     hx = np.array([k[0] for k in knots])
     hy = np.array([k[1] for k in knots])
     hull_at = np.interp(xs, hx, hy)

@@ -67,7 +67,8 @@ def test_import_loads_no_scipy():
 
 def test_cli_ball_runs_load_no_scipy(tmp_path):
     # sphere points are a closed-form Kronecker sequence in numpy, so a
-    # whole construct-and-verify-ball session runs without scipy
+    # whole construct-and-verify-ball session runs without scipy, and their
+    # shift is drawn without numpy.random (about 6 MB of resident memory)
     state = str(tmp_path / "state.json")
     weight = ["--family", "ramey_ullrich"]
     runs = [["construct", *weight, "--h", "2", "--t0", "0.95", "--t-stop", "0.9999",
@@ -77,8 +78,9 @@ def test_cli_ball_runs_load_no_scipy(tmp_path):
                      "--t-points", "8", *extra, "--out", str(tmp_path / f"{fam}.json")])
     code = ("import sys; from logweight.cli import main; "
             f"codes = [main(argv) for argv in {runs!r}]; "
-            "print(codes, [m for m in sys.modules if m.startswith('scipy')])")
+            "print(codes, [m for m in sys.modules if m.startswith('scipy')], "
+            "'numpy.random' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[0, 0, 1] []"
+    assert proc.stdout.strip() == "[0, 0, 1] [] False"

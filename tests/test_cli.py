@@ -186,6 +186,13 @@ class TestVerify:
         report = json.loads(captured.out)
         assert report["passed"] is False
 
+    def test_ball_negative_seed_is_input_error(self, state_file, capsys):
+        rc = main(["verify", "ball", "--state", str(state_file),
+                   "--family", "ramey_ullrich", "--poly-family", "monomial_d1",
+                   "--sphere-samples", "64", "--seed", "-1"])
+        assert rc == 2
+        assert "integer seed >= 0, got -1" in capsys.readouterr().err
+
     def test_missing_state_file(self, capsys):
         rc = main(["verify", "sandwich", "--state", "/nonexistent.json",
                    "--family", "ramey_ullrich"])

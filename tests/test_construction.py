@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import logweight as lw
 from logweight.construction import (ConstructionError, ConstructionParams,
-                                    _convexity_gate, _gate_grid)
+                                    _convexity_gate, _gate_grid, _min_above_line)
 from logweight.weight_model import check_log_convexity
 from reference_construction import reference_run_construction
 
@@ -315,6 +315,34 @@ class TestConvexityGate:
     def test_too_few_finite_points(self):
         with pytest.raises(OverflowError, match="enough of the gate grid"):
             _convexity_gate(CountingWeight(lw.make_weight("double_exp")), -1e-3)
+
+
+class TestMinAboveLineCalls:
+    """The lemma bound of one line reuses F from the fused (F, F') calls
+    of its sign tests: two fused calls and one F call on the stored xi."""
+
+    @pytest.mark.parametrize("w", [lw.make_weight("exp_power", (2.0,)),
+                                   lw.make_weight("ramey_ullrich")],
+                             ids=["exp_power", "ramey_ullrich"])
+    def test_three_evaluations_per_line(self, w):
+        state = lw.run_construction(w, ConstructionParams(x0=math.log(0.95), k_max=20))
+        xs = state.xs
+        for k, line in enumerate(state.lines):
+            counted = CountingWeight(w)
+            _, c, f_c = _min_above_line(counted, line, xs[k], xs[k + 1], xs[0],
+                                        state.params.root_tol)
+            assert counted.calls == {"big_f": 1, "big_f_prime": 0, "big_f_and_prime": 2}
+            assert f_c == w.big_f(c)
+
+    def test_bisection_path_evaluates_f_at_the_midpoint_only(self):
+        w = lw.make_weight("exp_power", (2.0,))
+        state = lw.run_construction(w, ConstructionParams(x0=math.log(0.95), k_max=20))
+        xs = state.xs
+        for k, line in enumerate(state.lines):
+            counted = CountingWeight(w)
+            _min_above_line(counted, replace(line, xi=None), xs[k], xs[k + 1], xs[0],
+                            state.params.root_tol)
+            assert counted.calls["big_f_prime"] == 0 and counted.calls["big_f"] <= 1
 
 
 class TestFusedStepOracle:

@@ -1,6 +1,7 @@
-"""The sphere points against a reference that finds phi with scipy, bit for
-bit, and the argument checks of `sphere_points`. (The module keeps the
-name it had when the points came from a scrambled Sobol sequence.)"""
+"""The sphere points against a reference that finds phi with scipy and
+draws the shift with numpy.random, bit for bit, and the argument checks of
+`sphere_points`. (The module keeps the name it had when the points came
+from a scrambled Sobol sequence.)"""
 
 import numpy as np
 import pytest
@@ -19,10 +20,13 @@ def assert_same_bits(a, b):
 
 
 # (d, count, seed) as the tests, the CLI defaults (--sphere-samples 128,
-# --seed 0 for both families) and the converse benchmark's (1, 64, 7) use them
+# --seed 0 for both families) and the converse benchmark's (1, 64, 7) use
+# them, then seeds at and past the 32-, 64- and 128-bit word boundaries
 SPHERE_CASES = [(1, 64, 0), (1, 64, 7), (1, 128, 0), (1, 256, 0),
                 (2, 64, 0), (2, 64, 1), (2, 64, 3), (2, 100, 0), (2, 100, 1),
-                (2, 128, 0), (2, 256, 0), (3, 200, 9)]
+                (2, 128, 0), (2, 256, 0), (3, 200, 9),
+                (1, 64, 2**32 - 1), (2, 64, 2**32), (3, 200, 2**64 + 3),
+                (2, 100, 2**128 + 17), (5, 64, 2**160 - 1)]
 
 
 class TestSpherePoints:
@@ -32,7 +36,8 @@ class TestSpherePoints:
                          reference_sphere_points(d, count, seed).view(float))
 
     @settings(max_examples=60, deadline=None)
-    @given(d=st.integers(1, 40), extra=st.integers(0, 300), seed=st.integers(0, 2**32 - 1))
+    @given(d=st.integers(1, 40), extra=st.integers(0, 300),
+           seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**256)))
     def test_matches_scipy_reference_property(self, d, extra, seed):
         count = 2 * d + 2 + extra
         assert_same_bits(lw.sphere_points(d, count, seed).view(float),
@@ -56,3 +61,12 @@ class TestSpherePoints:
     def test_too_few_samples_keeps_its_message(self):
         with pytest.raises(ValueError, match="need at least 6 sphere samples for d=2"):
             lw.sphere_points(2, 5)
+
+    @pytest.mark.parametrize("seed", [None, -1, -2**40, 1.0, "7"])
+    def test_seed_must_be_an_integer_at_least_zero(self, seed):
+        with pytest.raises(ValueError, match=f"integer seed >= 0, got {seed!r}"):
+            lw.sphere_points(1, 64, seed)
+
+    def test_integer_like_seed_accepted(self):
+        assert_same_bits(lw.sphere_points(2, 64, np.uint64(2**63 + 5)).view(float),
+                         lw.sphere_points(2, 64, 2**63 + 5).view(float))
