@@ -11,7 +11,7 @@ from .ball_extension import (BallFunctionSystem, FamilyReport,
                              monomial_family, sphere_points, verify_family)
 from .construction import (ConstructionError, ConstructionParams,
                            ConstructionState, ExponentCollisionError,
-                           LemmaReport, NotStrictlyConvexError,
+                           FloatFloorError, LemmaReport, NotStrictlyConvexError,
                            SlowGrowthError, TangentLine, h_for_delta,
                            next_tangent, run_construction,
                            verify_tangent_lemmas)
@@ -29,9 +29,10 @@ __all__ = [
     "AdjustedPair", "BallFunctionSystem", "CONSTRUCTIBLE_FAMILIES",
     "ConstructionError", "ConstructionParams", "ConstructionState",
     "ConvexityReport", "EnvelopeResult", "ExponentCollisionError",
-    "FamilyReport", "HadamardReport", "LacunarySeries", "LemmaReport",
-    "NotStrictlyConvexError", "PolynomialFamily", "SandwichReport",
-    "ScaledArray", "SeriesPair", "SlowGrowthError", "TangentLine",
+    "FamilyReport", "FloatFloorError", "HadamardReport", "LacunarySeries",
+    "LemmaReport", "NotStrictlyConvexError", "PolynomialFamily",
+    "SandwichReport", "ScaledArray", "SeriesPair", "SlowGrowthError",
+    "TangentLine",
     "WeightFunction", "ball_lower_bound_check", "build_ball_functions",
     "check_log_convexity", "coordinate_family_d2", "eval_series",
     "eval_series_grid", "h_for_delta",

@@ -22,10 +22,10 @@ import numpy as np
 from . import __version__
 from .ball_extension import (_BUILTIN_FAMILIES, ball_lower_bound_check,
                              build_ball_functions, verify_family)
-from .construction import (ConstructionError, ConstructionParams,
-                           ConstructionState, check_state_matches,
-                           run_construction, verify_tangent_lemmas)
-from .envelope import (hadamard_check, log_convex_envelope,
+from .construction import (ConstructionParams, ConstructionState,
+                           check_state_matches, run_construction,
+                           verify_tangent_lemmas)
+from .envelope import (GAP_BOUND, hadamard_check, log_convex_envelope,
                        polynomial_callable, random_polynomials)
 from .series import _sandwich_blocks, sandwich_check, split_parity
 from .weight_model import WeightFunction, make_weight, weight_from_spec
@@ -71,24 +71,26 @@ def _write(chunks, out_path):
         sys.stdout.writelines(chunks)
 
 
-def _verdict(passed: bool, summary: str) -> int:
-    """Print a verification's summary to stderr and return its exit code."""
+def _report(args, report: dict, passed: bool, summary: str) -> int:
+    """Write the report's JSON to --out, or to stdout when it is not given,
+    print the summary to stderr and return the exit code."""
+    _write([render_json(report) + "\n"], args.out)
     print(summary, file=sys.stderr)
     return EXIT_PASS if passed else EXIT_FAIL
 
 
 def _load_weight(args) -> WeightFunction:
-    if getattr(args, "weight", None):
+    if args.weight:
         with open(args.weight) as fh:
             return weight_from_spec(json.load(fh))
-    if not getattr(args, "family", None):
+    if not args.family:
         raise ValueError("give --family (with optional --params/--table) or --weight")
     table = None
-    if getattr(args, "table", None):
+    if args.table:
         with open(args.table) as fh:
             loaded = json.load(fh)
         table = loaded["table"] if isinstance(loaded, dict) else loaded
-    params = [float(p) for p in (args.params or "").split(",") if p != ""]
+    params = [float(p) for p in args.params.split(",") if p != ""]
     return make_weight(args.family, params, table=table)
 
 
@@ -100,13 +102,6 @@ def _load_inputs(args) -> tuple:
         state = ConstructionState.from_json_dict(json.load(fh))
     check_state_matches(state, w)
     return w, state
-
-
-def _add_weight_flags(p):
-    p.add_argument("--family", help="builtin weight family name")
-    p.add_argument("--params", default="", help="comma-separated family parameters")
-    p.add_argument("--table", help="JSON file with [[t, omega], ...] pairs")
-    p.add_argument("--weight", help='JSON weight spec {"family":, "params":, "table":}')
 
 
 def _t_grid(args, state: ConstructionState) -> np.ndarray:
@@ -126,51 +121,48 @@ def cmd_construct(args) -> int:
                                 t_stop=args.t_stop, root_tol=args.root_tol,
                                 auto_restart=args.auto_restart)
     state = run_construction(w, params)
-    _write([render_json(state.to_json_dict()) + "\n"], args.out)
-    print(f"constructed {len(state.lines)} lines, t range "
-          f"({state.t0:.17g}, {state.t_last:.17g}]", file=sys.stderr)
-    return EXIT_PASS
+    return _report(args, state.to_json_dict(), True,
+                   f"constructed {len(state.lines)} lines, t range "
+                   f"({state.t0:.17g}, {state.t_last:.17g}]")
 
 
 def cmd_verify_sandwich(args) -> int:
     w, state = _load_inputs(args)
     report = sandwich_check(split_parity(state), w, _t_grid(args, state),
                             theta_count=args.angles)
-    _write([render_json(report.to_json_dict()) + "\n"], args.out)
-    return _verdict(report.passed, f"sandwich {'passed' if report.passed else 'FAILED'}: "
-                    f"lower margin {report.lower_margin:.3e}, upper margin "
-                    f"{report.upper_margin:.3e}")
+    return _report(args, report.to_json_dict(), report.passed,
+                   f"sandwich {'passed' if report.passed else 'FAILED'}: lower margin "
+                   f"{report.lower_margin:.3e}, upper margin {report.upper_margin:.3e}")
 
 
 def cmd_verify_lemmas(args) -> int:
     w, state = _load_inputs(args)
     report = verify_tangent_lemmas(state, w, samples_per_interval=args.samples,
                                    delta=args.delta)
-    _write([render_json(report.to_json_dict()) + "\n"], args.out)
     worst = min((c.worst_margin for c in report.checks), default=math.inf)
-    return _verdict(report.passed, f"lemmas {'passed' if report.passed else 'FAILED'}: "
-                    f"worst margin {worst:.3e}, {report.basis} basis")
+    return _report(args, report.to_json_dict(), report.passed,
+                   f"lemmas {'passed' if report.passed else 'FAILED'}: "
+                   f"worst margin {worst:.3e}, {report.basis} basis")
 
 
 def cmd_verify_hadamard(args) -> int:
     polys = random_polynomials(args.random_polys, args.max_degree, args.seed)
-    fs = [polynomial_callable(c) for c in polys]
     r_grid = np.geomspace(args.r_min, args.r_max, args.r_points)
-    report = hadamard_check(fs, r_grid)
-    _write([render_json(report.to_json_dict()) + "\n"], args.out)
-    return _verdict(report.passed, f"hadamard {'passed' if report.passed else 'FAILED'}: "
-                    f"min second difference {report.min_second_diff:.3e}, "
-                    f"{report.basis} basis (log width {report.log_bracket_width:.3g})")
+    report = hadamard_check([polynomial_callable(c) for c in polys], r_grid)
+    return _report(args, report.to_json_dict(), report.passed,
+                   f"hadamard {'passed' if report.passed else 'FAILED'}: "
+                   f"min second difference {report.min_second_diff:.3e}, "
+                   f"{report.basis} basis (log width {report.log_bracket_width:.3g})")
 
 
 def cmd_verify_envelope(args) -> int:
     w = _load_weight(args)
     x_grid = np.linspace(args.x_min, args.x_max, args.x_points)
     result = log_convex_envelope(w, x_grid, gap_bound=args.gap_bound)
-    _write([render_json(result.to_json_dict()) + "\n"], args.out)
-    return _verdict(result.equivalent, f"envelope gap {result.gap:.6g} "
-                    f"({'equivalent' if result.equivalent else 'NOT equivalent'} to a "
-                    "log-convex weight at this bound)")
+    return _report(args, result.to_json_dict(), result.equivalent,
+                   f"envelope gap {result.gap:.6g} "
+                   f"({'equivalent' if result.equivalent else 'NOT equivalent'} to a "
+                   "log-convex weight at this bound)")
 
 
 def cmd_verify_ball(args) -> int:
@@ -178,20 +170,19 @@ def cmd_verify_ball(args) -> int:
     fam = _BUILTIN_FAMILIES[args.poly_family]()
     if args.delta is not None:
         fam = dataclasses.replace(fam, delta_claimed=args.delta)
-    degrees = args.degrees or list(state.es)
-    fam_report = verify_family(fam, degrees, sphere_samples=args.sphere_samples,
-                               seed=args.seed)
+    fam_report = verify_family(fam, args.degrees or list(state.es),
+                               sphere_samples=args.sphere_samples, seed=args.seed)
     if not fam_report.passed:
-        _write([render_json(fam_report.to_json_dict()) + "\n"], args.out)
-        return _verdict(False, "family conditions FAILED; see report")
+        return _report(args, fam_report.to_json_dict(), False,
+                       "family conditions FAILED; see report")
     system = build_ball_functions(state, fam, family_report=fam_report)
     report = ball_lower_bound_check(system, w, _t_grid(args, state),
                                     sphere_samples=args.sphere_samples,
                                     seed=args.seed)
-    out = {"family": fam_report.to_json_dict(), "lower_bound": report.to_json_dict()}
-    _write([render_json(out) + "\n"], args.out)
-    return _verdict(report.passed, f"ball lower bound {'passed' if report.passed else 'FAILED'}"
-                    f": margin {report.lower_margin:.3e}, C = {report.c_measured:.6g}")
+    return _report(args, {"family": fam_report.to_json_dict(),
+                          "lower_bound": report.to_json_dict()}, report.passed,
+                   f"ball lower bound {'passed' if report.passed else 'FAILED'}: "
+                   f"margin {report.lower_margin:.3e}, C = {report.c_measured:.6g}")
 
 
 def _emit_rows(t_grid, thetas, log_w, lo, hi, blocks):
@@ -248,8 +239,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pc = sub.add_parser("construct", help="run the tangent-line induction")
-    _add_weight_flags(pc)
+    # flags shared by several commands, declared once as argparse parents
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out")
+    weight = argparse.ArgumentParser(add_help=False, parents=[out])
+    weight.add_argument("--family", help="builtin weight family name")
+    weight.add_argument("--params", default="", help="comma-separated family parameters")
+    weight.add_argument("--table", help="JSON file with [[t, omega], ...] pairs")
+    weight.add_argument("--weight", help='JSON weight spec {"family":, "params":, "table":}')
+    state = argparse.ArgumentParser(add_help=False, parents=[weight])
+    state.add_argument("--state", required=True)
+
+    def command(subparsers, name, func, parent, t_points=None, **kwargs):
+        """A subcommand running `func` with the parent's flags.  --t-points
+        and its range are added per command, not as a parent: parents share
+        their actions, and so their defaults."""
+        p = subparsers.add_parser(name, parents=[parent], **kwargs)
+        p.set_defaults(func=func)
+        if t_points is not None:
+            p.add_argument("--t-points", type=int, default=t_points)
+            p.add_argument("--t-min", type=float, default=None)
+            p.add_argument("--t-max", type=float, default=None)
+        return p
+
+    pc = command(sub, "construct", "cmd_construct", weight,
+                 help="run the tangent-line induction")
     pc.add_argument("--h", type=float, default=2.0)
     pc.add_argument("--t0", type=float, default=0.95)
     pc.add_argument("--x0", type=float, default=None, help="overrides --t0")
@@ -257,76 +271,43 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--k-max", type=int, default=500)
     pc.add_argument("--root-tol", type=float, default=1e-13)
     pc.add_argument("--auto-restart", action="store_true")
-    pc.add_argument("--out")
-    pc.set_defaults(func="cmd_construct")
 
     pv = sub.add_parser("verify", help="run a verification suite")
     vsub = pv.add_subparsers(dest="verifier", required=True)
-
-    ps = vsub.add_parser("sandwich")
-    _add_weight_flags(ps)
-    ps.add_argument("--state", required=True)
-    ps.add_argument("--t-points", type=int, default=2000)
+    ps = command(vsub, "sandwich", "cmd_verify_sandwich", state, t_points=2000)
     ps.add_argument("--angles", type=int, default=256)
-    ps.add_argument("--t-min", type=float, default=None)
-    ps.add_argument("--t-max", type=float, default=None)
-    ps.add_argument("--out")
-    ps.set_defaults(func="cmd_verify_sandwich")
 
-    pl = vsub.add_parser("lemmas")
-    _add_weight_flags(pl)
-    pl.add_argument("--state", required=True)
+    pl = command(vsub, "lemmas", "cmd_verify_lemmas", state)
     pl.add_argument("--samples", type=int, default=50,
                     help="points per interval, endpoints included, for basis "
                          "'sampled'; basis 'convexity' uses the two endpoints")
     pl.add_argument("--delta", type=float, default=None)
-    pl.add_argument("--out")
-    pl.set_defaults(func="cmd_verify_lemmas")
 
-    ph = vsub.add_parser("hadamard")
+    ph = command(vsub, "hadamard", "cmd_verify_hadamard", out)
     ph.add_argument("--random-polys", type=int, default=100)
     ph.add_argument("--seed", type=int, default=7)
     ph.add_argument("--max-degree", type=int, default=30)
     ph.add_argument("--r-points", type=int, default=64)
     ph.add_argument("--r-min", type=float, default=0.05)
     ph.add_argument("--r-max", type=float, default=0.95)
-    ph.add_argument("--out")
-    ph.set_defaults(func="cmd_verify_hadamard")
 
-    pe = vsub.add_parser("envelope")
-    _add_weight_flags(pe)
+    pe = command(vsub, "envelope", "cmd_verify_envelope", weight)
     pe.add_argument("--x-points", type=int, default=2001)
     pe.add_argument("--x-min", type=float, default=-2.0)
     pe.add_argument("--x-max", type=float, default=-0.005)
-    pe.add_argument("--gap-bound", type=float, default=50.0)
-    pe.add_argument("--out")
-    pe.set_defaults(func="cmd_verify_envelope")
+    pe.add_argument("--gap-bound", type=float, default=GAP_BOUND)
 
-    pb = vsub.add_parser("ball")
-    _add_weight_flags(pb)
-    pb.add_argument("--state", required=True)
-    pb.add_argument("--poly-family", required=True,
-                    choices=list(_BUILTIN_FAMILIES))
+    pb = command(vsub, "ball", "cmd_verify_ball", state, t_points=32)
+    pb.add_argument("--poly-family", required=True, choices=list(_BUILTIN_FAMILIES))
     pb.add_argument("--delta", type=float, default=None,
                     help="override the family's claimed delta")
     pb.add_argument("--degrees", type=int, nargs="*", default=None)
-    pb.add_argument("--t-points", type=int, default=32)
     pb.add_argument("--sphere-samples", type=int, default=128)
     pb.add_argument("--seed", type=int, default=0)
-    pb.add_argument("--t-min", type=float, default=None)
-    pb.add_argument("--t-max", type=float, default=None)
-    pb.add_argument("--out")
-    pb.set_defaults(func="cmd_verify_ball")
 
-    pm = sub.add_parser("emit", help="emit a CSV of grid samples and margins")
-    _add_weight_flags(pm)
-    pm.add_argument("--state", required=True)
-    pm.add_argument("--t-points", type=int, default=10)
+    pm = command(sub, "emit", "cmd_emit", state, t_points=10,
+                 help="emit a CSV of grid samples and margins")
     pm.add_argument("--angles", type=int, default=4)
-    pm.add_argument("--t-min", type=float, default=None)
-    pm.add_argument("--t-max", type=float, default=None)
-    pm.add_argument("--out")
-    pm.set_defaults(func="cmd_emit")
     return parser
 
 
@@ -335,8 +316,7 @@ def main(argv=None) -> int:
     command = globals()[args.func]
     try:
         return command(args)
-    except (ValueError, KeyError, OSError, OverflowError, ConstructionError,
-            json.JSONDecodeError, RuntimeError) as exc:
+    except (ValueError, KeyError, OSError, OverflowError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -45,6 +45,7 @@ _TAIL_BLOCK = 1 << 14  # float64 tail terms per block of intervals (128 kB)
 _XI_BRACKET = 1e-12  # half-width, relative to |xi|, tried around a stored xi
 _X_FLOOR = -2.0 ** -53  # x halves toward 0 no further: exp(x) is the last float < 1
 
+_FLOOR_DIVISOR = 1024  # a line's log_a may have an ulp of at most h / this
 _GATE_POINTS = 200
 _GATE_SHRINK = 1e-6
 _MAX_RESTARTS = 8
@@ -63,6 +64,10 @@ class SlowGrowthError(ConstructionError):
 
 
 class ExponentCollisionError(ConstructionError):
+    pass
+
+
+class FloatFloorError(ConstructionError):
     pass
 
 
@@ -287,6 +292,8 @@ def run_construction(w: WeightFunction, params: ConstructionParams) -> Construct
     """Run the induction until t_k > t_stop or k_max lines are placed.
 
     Preconditions: F strictly convex on the gate grid over [x0, x0*1e-6].
+    Raises FloatFloorError at the first line whose log_a has an ulp above
+    h/1024, where float64 no longer resolves the gap h between lines.
     Raises ExponentCollisionError when floor(delta_k)+1 fails to increase
     strictly, advising a start closer to 0 (with auto_restart the run
     retries with x0/2, up to 8 times).
@@ -311,6 +318,11 @@ def _run_once(w: WeightFunction, params: ConstructionParams) -> ConstructionStat
     x_prev = params.x0
     for _ in range(params.k_max):
         line, x_next = next_tangent(w, x_prev, params.h, params.root_tol)
+        if math.ulp(line.log_a) > params.h / _FLOOR_DIVISOR:
+            raise FloatFloorError(
+                f"line {len(lines) + 1} is past the float floor: one ulp of log_a = "
+                f"{line.log_a:.6g} is {math.ulp(line.log_a):.3g}, more than h/{_FLOOR_DIVISOR}; "
+                "start farther from 0, or lower t_stop or k_max")
         e = math.floor(line.delta) + 1
         if es and e <= es[-1]:
             raise ExponentCollisionError(

@@ -299,7 +299,7 @@ def hadamard_check(fs: Sequence[Callable], r_grid, theta_count: int = 0,
         raise ValueError("need at least one function")
     if rs.size < 3:
         raise ValueError("r_grid needs at least 3 points")
-    if np.any(rs <= 0) or np.any(rs >= 1) or np.any(np.diff(rs) <= 0):
+    if not (np.all(rs > 0) and np.all(rs < 1) and np.all(np.diff(rs) > 0)):
         raise ValueError("r_grid must be strictly increasing inside (0, 1)")
     us = np.log(rs)
     du = np.diff(us)
@@ -455,8 +455,10 @@ def log_convex_envelope(w: WeightFunction, x_grid,
     xs = np.asarray(x_grid, dtype=float)
     if xs.size < 3:
         raise ValueError("x_grid needs at least 3 points")
-    if np.any(xs >= 0.0) or np.any(np.diff(xs) <= 0.0):
+    if not (np.all(xs < 0.0) and np.all(np.diff(xs) > 0.0)):
         raise ValueError("x_grid must be strictly increasing and negative")
+    if math.isnan(gap_bound):
+        raise ValueError("gap_bound must not be NaN")
     x_list = xs.tolist()
     f_list = list(map(w.big_f, x_list))
     ys = np.array(f_list)

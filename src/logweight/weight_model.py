@@ -140,8 +140,11 @@ def _inv_log_fp(x, p):
 
 def _central_difference(big_f):
     """(F, F') from big_f alone, F' by a central difference with step
-    max(eps^(1/3) |x|, 1e-8), capped at |x|/2 so both points stay negative."""
+    max(eps^(1/3) |x|, 1e-8), capped at |x|/2 so both points stay negative.
+    There is no F' at x = -inf (t = 0): the step would be inf and x + h NaN."""
     def big_f_and_prime(x, p):
+        if x == -math.inf:
+            raise ValueError("F' by central difference needs x > -inf (t > 0)")
         h = min(max(_EPS_CBRT * abs(x), 1e-8), abs(x) / 2.0)
         return big_f(x, p), (big_f(x + h, p) - big_f(x - h, p)) / (2.0 * h)
     return big_f_and_prime
@@ -365,7 +368,7 @@ def check_log_convexity(w: WeightFunction, x_grid, tol: float = STRICTNESS_TOL) 
     xs = np.asarray(x_grid, dtype=float)
     if xs.size < 3:
         raise ValueError("convexity grid needs at least 3 points")
-    if np.any(xs >= 0.0) or np.any(np.diff(xs) <= 0.0):
+    if not (np.all(xs < 0.0) and np.all(np.diff(xs) > 0.0)):
         raise ValueError("convexity grid must be strictly increasing and negative")
     slopes = np.array([w.big_f_prime(float(x)) for x in xs])
     if not np.all(np.isfinite(slopes)):

@@ -71,6 +71,14 @@ class TestConstruct:
         assert (float(t0), float(t_last)) == (state.t0, state.t_last)
         assert float(t_last) < 1.0
 
+    def test_float_floor_is_input_error(self, capsys):
+        rc = main(["construct", "--family", "double_exp", "--t0", "0.9758528039767908",
+                   "--k-max", "40"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "past the float floor" in captured.err
+
     def test_malformed_flags_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["construct", "--no-such-flag"])
@@ -167,6 +175,17 @@ class TestVerify:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and match in err
+
+    @pytest.mark.parametrize("argv", [["hadamard", "--r-min", "nan"],
+                                      ["hadamard", "--r-max", "nan"],
+                                      ["envelope", "--family", "perturbed_unbounded_sawtooth",
+                                       "--gap-bound", "nan"],
+                                      ["envelope", "--family", "ramey_ullrich",
+                                       "--x-min", "nan"]])
+    def test_nan_inputs_are_input_errors(self, argv, capsys):
+        assert main(["verify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
 
     def test_ball_monomial(self, state_file, capsys):
         rc = main(["verify", "ball", "--state", str(state_file),

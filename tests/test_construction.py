@@ -247,6 +247,22 @@ class TestExponentCollision:
         assert state.params.x0 > -120.0  # restarted closer to 0
 
 
+class TestFloatFloor:
+    def test_past_floor_is_named(self):
+        # line 1 has log_a = 4.05e19, one ulp 8192: it cannot resolve h = 2
+        w = lw.make_weight("double_exp")
+        params = ConstructionParams(x0=math.log(0.9758528039767908), h=2.0, k_max=40)
+        with pytest.raises(lw.FloatFloorError, match="line 1 is past the float floor"):
+            lw.run_construction(w, params)
+        assert issubclass(lw.FloatFloorError, ConstructionError)
+
+    def test_bench_depth_stays_above_floor(self):
+        w = lw.make_weight("double_exp")
+        state = lw.run_construction(w, ConstructionParams(x0=math.log(0.95), k_max=2000))
+        assert len(state.lines) == 2000
+        assert max(math.ulp(a) for a in state.log_as) <= 2.0 / 1024 / 1000
+
+
 def bits(values):
     return np.asarray(values, dtype=float).view(np.uint64)
 

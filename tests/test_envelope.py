@@ -88,6 +88,13 @@ class TestHadamard:
         with pytest.raises(ValueError, match="at least one function"):
             lw.hadamard_check([], np.geomspace(0.1, 0.9, 16))
 
+    @pytest.mark.parametrize("i", [0, 7, 15])
+    def test_nan_radius_rejected(self, i):
+        r_grid = np.geomspace(0.1, 0.9, 16)
+        r_grid[i] = math.nan
+        with pytest.raises(ValueError, match="strictly increasing inside"):
+            lw.hadamard_check([lambda z: z + 1.0], r_grid)
+
     def test_bench_report_pinned(self):
         # the sampled report of the CLI's polynomials, as sampling every
         # angle afresh at each doubling gave it; polyval keeps them opaque
@@ -197,6 +204,17 @@ class TestEnvelope:
             lw.log_convex_envelope(w, [-1.0, -0.5])
         with pytest.raises(ValueError):
             lw.log_convex_envelope(w, [-1.0, -1.2, -0.5])
+
+    @pytest.mark.parametrize("grid", [[math.nan, -1.0, -0.5], [-1.0, math.nan, -0.5],
+                                      [-1.0, -0.5, math.nan]])
+    def test_nan_grid_rejected(self, grid):
+        with pytest.raises(ValueError, match="strictly increasing and negative"):
+            lw.log_convex_envelope(lw.make_weight("ramey_ullrich"), grid)
+
+    def test_nan_gap_bound_rejected(self):
+        with pytest.raises(ValueError, match="gap_bound"):
+            lw.log_convex_envelope(lw.make_weight("perturbed_unbounded_sawtooth"),
+                                   np.linspace(-2.0, -0.005, 101), gap_bound=math.nan)
 
 
 class TestRegularizationPathway:
