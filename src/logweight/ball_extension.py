@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .construction import ConstructionState, h_for_delta
+from .construction import ConstructionState, check_gap
 from .numerics import MARGIN_SLACK, NEG_INF, exp_or_inf, logsumexp, normalized_margins
 from .series import (_TWO_PI, LacunarySeries, ScaledArray, _check_radii, _eval_points,
                      _first_worst, _grid_kernel, _log_omegas, _log_radii, _row_blocks,
@@ -116,13 +116,13 @@ def monomial_family() -> PolynomialFamily:
                             name="monomial_d1")
 
 
-def coordinate_family_d2(delta_claimed: float = 0.5) -> PolynomialFamily:
-    """d = 2, Q = 2, W_q[n](z) = z_q^n: a deliberate negative example.
-    At balanced points |z_1| = |z_2| = 1/sqrt(2) the max drops like
-    2^{-n/2}, so no uniform delta exists and verify_family must reject
-    the claim for large enough degree."""
-    return PolynomialFamily(d=2, Q=2, delta_claimed=delta_claimed,
-                            provider=_coordinate_power, name="coordinate_d2")
+def coordinate_family_d2() -> PolynomialFamily:
+    """d = 2, Q = 2, W_q[n](z) = z_q^n, claiming delta = 1/2: a deliberate
+    negative example.  At balanced points |z_1| = |z_2| = 1/sqrt(2) the max
+    drops like 2^{-n/2}, so no uniform delta exists and verify_family must
+    reject the claim for large enough degree."""
+    return PolynomialFamily(d=2, Q=2, delta_claimed=0.5, provider=_coordinate_power,
+                            name="coordinate_d2")
 
 
 # The builtin families by name, as `verify ball --poly-family` offers them.
@@ -186,6 +186,18 @@ def _uniform_shift(seed: int, count: int) -> np.ndarray:
     return out * 2.0 ** -53
 
 
+def _nonnegative_int(value, what: str) -> int:
+    """value as an int >= 0, by operator.index, so a float is refused
+    however integral; otherwise ValueError "<what> >= 0, got <value>"."""
+    try:
+        index = operator.index(value)
+    except TypeError:
+        index = -1
+    if index < 0:
+        raise ValueError(f"{what} >= 0, got {value!r}")
+    return index
+
+
 def sphere_points(d: int, count: int, seed: int = 0) -> np.ndarray:
     """Deterministic points on the unit sphere of C^d: the same (d, count,
     seed) give the same bits.
@@ -205,12 +217,7 @@ def sphere_points(d: int, count: int, seed: int = 0) -> np.ndarray:
         raise ValueError(f"sphere_points needs d >= 1, got d={d}")
     if count < 2 * d + 2:
         raise ValueError(f"need at least {2 * d + 2} sphere samples for d={d}")
-    try:
-        index = operator.index(seed)
-    except TypeError:
-        index = -1
-    if index < 0:
-        raise ValueError(f"sphere_points needs an integer seed >= 0, got {seed!r}")
+    index = _nonnegative_int(seed, "sphere_points needs an integer seed")
     eye = np.eye(d, dtype=complex)
     structured = [row for q in range(d)
                   for row in (eye[q], eye[q] * cmath.exp(0.5j * math.pi / (q + 1)))]
@@ -289,8 +296,8 @@ def verify_family(fam: PolynomialFamily, degrees, sphere_samples: int = 256,
     sphere samples and the homogeneity probes together."""
     if sphere_samples < 64:
         raise ValueError("sphere_samples must be at least 64")
+    degrees = [_nonnegative_int(n, "verify_family needs integer degrees") for n in degrees]
     pts = sphere_points(fam.d, sphere_samples, seed=seed)
-    degrees = [int(n) for n in degrees]
     ns = np.array(degrees, dtype=float)
     # Float sphere points carry norms 1 + O(eps); a degree-n homogeneous
     # polynomial amplifies that to (1 + O(eps))^n, which swamps the 1e-9
@@ -326,7 +333,10 @@ class BallFunction:
 
     q: int  # 0 for the constant function
     terms: tuple  # ((log_a, e), ...), empty for the constant
-    is_one: bool = False
+
+    @property
+    def is_one(self) -> bool:
+        return self.q == 0
 
     @cached_property
     def series(self) -> LacunarySeries:
@@ -360,7 +370,7 @@ class BallFunctionSystem:
         """
         if not 0.0 <= t < 1.0:
             raise ValueError(f"t={t} outside [0, 1)")
-        return _eval_points(*self._line(index, zeta), np.array(t + 0j))
+        return self.slice_callable(index, zeta)(t)
 
     def slice_callable(self, index: int, zeta: np.ndarray, shift: int = 0):
         """The slice lam -> f(lam * zeta) as a one-variable callable.
@@ -389,21 +399,16 @@ class BallFunctionSystem:
 
 
 def build_ball_functions(state: ConstructionState, fam: PolynomialFamily,
-                         sphere_samples: int = 256, seed: int = 0,
                          family_report: Optional[FamilyReport] = None) -> BallFunctionSystem:
     """Assemble the 2Q + 1 functions from a construction state.
 
     Preconditions: the state was built with h >= h_for_delta(delta) and the
-    family passes verify_family on every degree the state uses (a report
-    can be passed in to skip re-measuring).
+    family passes verify_family on every degree the state uses.  Without a
+    report, verify_family measures it at its default samples.
     """
-    need_h = h_for_delta(fam.delta_claimed)
-    if state.params.h < need_h - 1e-12:
-        raise ValueError(
-            f"state used h={state.params.h} but delta={fam.delta_claimed} "
-            f"needs h >= {need_h}")
+    check_gap(state.params.h, fam.delta_claimed)
     if family_report is None:
-        family_report = verify_family(fam, state.es, sphere_samples, seed=seed)
+        family_report = verify_family(fam, state.es)
     else:
         have = {r.degree for r in family_report.per_degree}
         missing = [e for e in state.es if e not in have]
@@ -416,7 +421,7 @@ def build_ball_functions(state: ConstructionState, fam: PolynomialFamily,
     pair = split_parity(state)
     funcs = [BallFunction(q=q, terms=series.terms)
              for series in (pair.g1, pair.g2) for q in range(1, fam.Q + 1)]
-    funcs.append(BallFunction(q=0, terms=(), is_one=True))
+    funcs.append(BallFunction(q=0, terms=()))
     return BallFunctionSystem(functions=tuple(funcs), family=fam, state=state)
 
 

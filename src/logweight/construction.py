@@ -28,13 +28,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .numerics import MARGIN_SLACK, NEG_INF, logsumexp, normalized_margins
-from .weight_model import (STRICTNESS_TOL, ConvexityReport, WeightFunction,
-                           _slope_report, is_known_convex)
+from .weight_model import ConvexityReport, WeightFunction, _slope_report, is_known_convex
 
 # Threshold t_0 above which the integer-exponent estimates keep the 9/10
 # and 5/9 constants used by the verifier (they need 1/t < 10/9).
@@ -112,14 +112,17 @@ class TangentLine:
 
 @dataclass(frozen=True)
 class ConstructionState:
-    """The full output of a run: abscissas (xs includes x0), radii
-    ts = exp(xs), lines l_1..l_K and integer exponents e_k = floor(delta_k)+1."""
+    """The full output of a run: abscissas (xs includes x0), lines
+    l_1..l_K and integer exponents e_k = floor(delta_k)+1; ts = exp(xs)."""
 
     params: ConstructionParams
     xs: tuple
-    ts: tuple
     lines: tuple
     es: tuple
+
+    @cached_property
+    def ts(self) -> tuple:
+        return tuple(math.exp(x) for x in self.xs)
 
     @property
     def deltas(self) -> tuple:
@@ -149,17 +152,22 @@ class ConstructionState:
 
     @staticmethod
     def from_json_dict(d: dict) -> "ConstructionState":
-        xs = tuple(float(x) for x in d["xs"])
-        params = ConstructionParams(x0=float(d["x0"]), h=float(d["h"]))
-        lines = tuple(TangentLine(delta=float(dd), log_a=float(la))
-                      for dd, la in zip(d["deltas"], d["log_as"]))
-        return ConstructionState(
-            params=params,
-            xs=xs,
-            ts=tuple(math.exp(x) for x in xs),
-            lines=lines,
-            es=tuple(int(e) for e in d["es"]),
-        )
+        """The state of to_json_dict; ValueError names a field that does not
+        hold a number (h, x0) or a list of numbers (xs, deltas, log_as, es)."""
+        if not isinstance(d, dict):
+            raise ValueError("a state is a JSON object")
+
+        def read(key, convert=float, each=True):
+            try:
+                return tuple(map(convert, d[key])) if each else convert(d[key])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"state field {key!r} is malformed ({exc})") from exc
+
+        params = ConstructionParams(x0=read("x0", each=False), h=read("h", each=False))
+        lines = tuple(TangentLine(delta=dd, log_a=la)
+                      for dd, la in zip(read("deltas"), read("log_as")))
+        return ConstructionState(params=params, xs=read("xs"), lines=lines,
+                                 es=read("es", int))
 
 
 def _bisect(fn, lo, hi, positive_at_lo, tol):
@@ -279,7 +287,7 @@ def _convexity_gate(w: WeightFunction, x0: float) -> ConvexityReport:
         slopes.append(fp)
     if len(finite) < 3:
         raise OverflowError("F is not finite on enough of the gate grid")
-    report = _slope_report(np.array(finite), np.array(slopes), STRICTNESS_TOL)
+    report = _slope_report(np.array(finite), np.array(slopes))
     if not report.is_strictly_convex:
         raise NotStrictlyConvexError(
             "weight is not strictly convex on the gate grid "
@@ -339,7 +347,6 @@ def _run_once(w: WeightFunction, params: ConstructionParams) -> ConstructionStat
     return ConstructionState(
         params=params,
         xs=tuple(xs),
-        ts=tuple(math.exp(x) for x in xs),
         lines=tuple(lines),
         es=tuple(es),
     )
@@ -353,6 +360,13 @@ def h_for_delta(delta: float) -> float:
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta={delta} outside (0, 1]")
     return max(2.0, math.log(1.0 + 4.0 / delta))
+
+
+def check_gap(h: float, delta: float) -> None:
+    """Raise ValueError unless a gap h may claim delta: h >= h_for_delta(delta)."""
+    need = h_for_delta(delta)
+    if h < need - 1e-12:
+        raise ValueError(f"state was built with h={h} < h_for_delta({delta}) = {need}")
 
 
 # -- lemma verification -----------------------------------------------------
@@ -518,16 +532,9 @@ def verify_tangent_lemmas(state: ConstructionState, w: WeightFunction,
     """
     if samples_per_interval < 2:
         raise ValueError("samples_per_interval must be at least 2")
-    if not state.lines:
-        raise ValueError("state has no lines")
+    check_state_matches(state, w)
     if delta is not None:
-        if not 0.0 < delta <= 1.0:
-            raise ValueError(f"delta={delta} outside (0, 1]")
-        need = h_for_delta(delta)
-        if state.params.h < need - 1e-12:
-            raise ValueError(
-                f"state was built with h={state.params.h} < h_for_delta({delta})"
-                f" = {need}")
+        check_gap(state.params.h, delta)
 
     h = state.params.h
     xs = np.asarray(state.xs)
@@ -539,7 +546,6 @@ def verify_tangent_lemmas(state: ConstructionState, w: WeightFunction,
     es = np.asarray(state.es, dtype=float)
     ks = np.arange(1, K + 1)
 
-    check_state_matches(state, w)
     lb, c, f_c = np.array([
         _min_above_line(w, line, xs[k], xs[k + 1], xs[0], state.params.root_tol)
         for k, line in enumerate(state.lines)]).T

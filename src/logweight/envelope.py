@@ -31,7 +31,7 @@ import numpy as np
 
 from .numerics import logsumexp
 from .series import ScaledArray
-from .weight_model import WeightFunction
+from .weight_model import WeightFunction, _x_grid
 
 # Discrete convexity tolerance of the three-circles check.  Under basis
 # "sampled" it absorbs the angle-grid error of sampled maxima, which
@@ -273,16 +273,15 @@ class HadamardReport:
         return asdict(self)
 
 
-def hadamard_check(fs: Sequence[Callable], r_grid, theta_count: int = 0,
-                   tol: float = HADAMARD_TOL) -> HadamardReport:
+def hadamard_check(fs: Sequence[Callable], r_grid, theta_count: int = 0) -> HadamardReport:
     """Discrete three-circles check of S(r) = sum_m M_{|f_m|}(r).
 
     Requires f_m(0) != 0 for every function (the standard normalization:
     a modulus sum that vanishes at the origin cannot match a positive
     radial weight there, and zero adjustment removes such zeros) and a
     log-uniform radius grid with at least 3 points; verifies every raw
-    second difference of log S against log r is >= -tol.  theta_count 0
-    selects adaptive angle refinement.
+    second difference of log S against log r is >= -HADAMARD_TOL.
+    theta_count 0 selects adaptive angle refinement.
 
     `passed` is decided on the values of S either way; the basis says
     what they are.  Under basis "bracket" every function is a
@@ -321,13 +320,13 @@ def hadamard_check(fs: Sequence[Callable], r_grid, theta_count: int = 0,
         log_upper = logsumexp(np.array([p.upper for p in profiles]), axis=0)
         width = float(np.max(log_upper - log_s))
     return HadamardReport(
-        passed=bool(d2[i] >= -tol),
+        passed=bool(d2[i] >= -HADAMARD_TOL),
         min_second_diff=float(d2[i]),
         witness_r=float(rs[i + 1]),
         n_functions=len(fs),
         r_count=int(rs.size),
         theta_count=max(p.theta_count for p in profiles),
-        tol=tol,
+        tol=HADAMARD_TOL,
         basis="bracket" if bracketed else "sampled",
         converged=all(p.converged for p in profiles),
         log_bracket_width=width,
@@ -452,11 +451,7 @@ def log_convex_envelope(w: WeightFunction, x_grid,
                         gap_bound: float = GAP_BOUND) -> EnvelopeResult:
     """Lower convex hull of {(x, F(x))} over the grid and the decision
     gap = max(F - hull) <= gap_bound."""
-    xs = np.asarray(x_grid, dtype=float)
-    if xs.size < 3:
-        raise ValueError("x_grid needs at least 3 points")
-    if not (np.all(xs < 0.0) and np.all(np.diff(xs) > 0.0)):
-        raise ValueError("x_grid must be strictly increasing and negative")
+    xs = _x_grid(x_grid, "x_grid")
     if math.isnan(gap_bound):
         raise ValueError("gap_bound must not be NaN")
     x_list = xs.tolist()

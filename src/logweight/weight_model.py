@@ -187,6 +187,9 @@ def _knot_args(params, table):
     """The tabulated family's args (xs, Fs, params) from its (x, F) knots."""
     if not table or len(table) < 2:
         raise ValueError("tabulated weight needs at least 2 knots")
+    for x, f in table:
+        if not (math.isfinite(x) and math.isfinite(f)):
+            raise ValueError(f"tabulated knot (x={x}, F={f}) is not finite")
     xs, fs = zip(*table)
     if any(b <= a for a, b in zip(xs, xs[1:])) or xs[-1] >= 0.0:
         raise ValueError("tabulated knots must be strictly increasing and negative")
@@ -315,7 +318,6 @@ class ConvexityReport:
     is_strictly_convex: bool
     min_slope_gap: float
     violation_points: tuple
-    tol: float = STRICTNESS_TOL
 
 
 # -- public operations ----------------------------------------------------
@@ -325,17 +327,23 @@ def make_weight(family: str, params: Sequence[float] = (), table=None) -> Weight
     """Build a WeightFunction, resolving family aliases.  A table, for the
     tabulated family only, holds (t, omega) pairs, read as (x, F) knots."""
     family = _FAMILY_ALIASES.get(family, family)
+    try:
+        params = tuple(float(p) for p in params)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"params must be a list of numbers ({exc})") from exc
     tab = None
     if table is not None:
-        tab = tuple((float(t), float(v)) for t, v in table)
+        try:
+            tab = tuple((float(t), float(v)) for t, v in table)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"table must be a list of [t, omega] pairs ({exc})") from exc
         for t, v in tab:
             if not 0.0 < t < 1.0:
                 raise ValueError(f"table abscissa t={t} outside (0, 1)")
-            if v <= 0.0:
-                raise ValueError(f"table value omega={v} must be positive")
+            if not 0.0 < v < math.inf:
+                raise ValueError(f"table value omega={v} at t={t} must be positive and finite")
         tab = tuple((math.log(t), math.log(v)) for t, v in tab)
-    return WeightFunction(family=family, params=tuple(float(p) for p in params),
-                          table=tab)
+    return WeightFunction(family=family, params=params, table=tab)
 
 
 def weight_from_knots(knots, strictify: float = 0.0) -> WeightFunction:
@@ -349,8 +357,8 @@ def weight_from_knots(knots, strictify: float = 0.0) -> WeightFunction:
 
 def weight_from_spec(spec: dict) -> WeightFunction:
     """Parse the JSON weight spec {"family":, "params":, "table":}."""
-    if "family" not in spec:
-        raise ValueError('weight spec needs a "family" field')
+    if not (isinstance(spec, dict) and isinstance(spec.get("family"), str)):
+        raise ValueError('weight spec needs a "family" field naming a family')
     return make_weight(spec["family"], spec.get("params") or (),
                        table=spec.get("table"))
 
@@ -362,30 +370,36 @@ def weight_to_spec(w: WeightFunction) -> dict:
     return spec
 
 
-def check_log_convexity(w: WeightFunction, x_grid, tol: float = STRICTNESS_TOL) -> ConvexityReport:
-    """Strict convexity of F on a grid: F' must increase between every pair
-    of consecutive grid points by more than `tol`."""
+def _x_grid(x_grid, name: str) -> np.ndarray:
+    """x_grid as a float array; ValueError, naming the grid, unless it has
+    at least 3 points, strictly increasing and negative."""
     xs = np.asarray(x_grid, dtype=float)
     if xs.size < 3:
-        raise ValueError("convexity grid needs at least 3 points")
+        raise ValueError(f"{name} needs at least 3 points")
     if not (np.all(xs < 0.0) and np.all(np.diff(xs) > 0.0)):
-        raise ValueError("convexity grid must be strictly increasing and negative")
+        raise ValueError(f"{name} must be strictly increasing and negative")
+    return xs
+
+
+def check_log_convexity(w: WeightFunction, x_grid) -> ConvexityReport:
+    """Strict convexity of F on a grid: F' must increase between every pair
+    of consecutive grid points by more than STRICTNESS_TOL."""
+    xs = _x_grid(x_grid, "convexity grid")
     slopes = np.array([w.big_f_prime(float(x)) for x in xs])
     if not np.all(np.isfinite(slopes)):
         raise OverflowError("F' is not finite on the whole grid")
-    return _slope_report(xs, slopes, tol)
+    return _slope_report(xs, slopes)
 
 
-def _slope_report(xs: np.ndarray, slopes: np.ndarray, tol: float) -> ConvexityReport:
+def _slope_report(xs: np.ndarray, slopes: np.ndarray) -> ConvexityReport:
     """check_log_convexity's report from the finite slopes F'(xs) on an
     increasing grid of at least 3 points."""
     gaps = np.diff(slopes)
-    bad = np.nonzero(gaps <= tol)[0]
+    bad = np.nonzero(gaps <= STRICTNESS_TOL)[0]
     return ConvexityReport(
         is_strictly_convex=bool(bad.size == 0),
         min_slope_gap=float(gaps.min()),
         violation_points=tuple(float(xs[i]) for i in bad),
-        tol=tol,
     )
 
 

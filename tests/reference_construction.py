@@ -125,5 +125,4 @@ def reference_run_construction(w, params):
         if math.exp(x_next) > params.t_stop:
             break
     return ConstructionState(params=params, xs=tuple(xs),
-                             ts=tuple(math.exp(x) for x in xs),
                              lines=tuple(lines), es=tuple(es))

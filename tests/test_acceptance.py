@@ -190,15 +190,14 @@ class TestAcceptance:
     def test_09_ball_reduction_and_negative_family(self):
         w, state = build("ramey_ullrich")
         pair = lw.split_parity(state)
-        system = lw.build_ball_functions(state, lw.monomial_family(),
-                                         sphere_samples=128)
+        system = lw.build_ball_functions(state, lw.monomial_family())
         assert system.functions[0].terms == pair.g1.terms
         assert system.functions[1].terms == pair.g2.terms
         assert system.functions[-1].is_one
         rep = lw.ball_lower_bound_check(
             system, w, np.linspace(0.9501, 0.9999, 40), sphere_samples=128)
         assert rep.passed
-        neg = lw.verify_family(lw.coordinate_family_d2(0.5), [8],
+        neg = lw.verify_family(lw.coordinate_family_d2(), [8],
                                sphere_samples=128)
         r8 = neg.degree(8)
         assert not neg.passed and not r8.min_ok

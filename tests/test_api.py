@@ -1,6 +1,7 @@
 """The public API: every exported name exists, and importing it stays light."""
 
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -41,6 +42,21 @@ REMOVED = {
                                "_PERTURBATIONS"),
     "logweight.numerics": ("logaddexp",),
 }
+
+
+# Parameters that one value served: the family report carries the sphere
+# samples, dataclasses.replace claims delta, and the tolerances are constants.
+REMOVED_PARAMETERS = {
+    lw.build_ball_functions: ("sphere_samples", "seed"),
+    lw.coordinate_family_d2: ("delta_claimed",),
+    lw.hadamard_check: ("tol",),
+    lw.check_log_convexity: ("tol",),
+}
+
+
+@pytest.mark.parametrize("func", REMOVED_PARAMETERS, ids=lambda f: f.__name__)
+def test_removed_parameters_stay_removed(func):
+    assert set(REMOVED_PARAMETERS[func]).isdisjoint(inspect.signature(func).parameters)
 
 
 @pytest.mark.parametrize("module", sorted(REMOVED))

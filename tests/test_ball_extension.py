@@ -104,7 +104,7 @@ class TestVerifyFamily:
             assert r.homogeneity_residual <= 1e-10
 
     def test_coordinate_family_rejected_at_degree_8(self):
-        fam = lw.coordinate_family_d2(delta_claimed=0.5)
+        fam = lw.coordinate_family_d2()
         rep = lw.verify_family(fam, [8], sphere_samples=128)
         r = rep.degree(8)
         assert not rep.passed
@@ -136,6 +136,17 @@ class TestVerifyFamily:
         rep = lw.verify_family(lw.coordinate_family_d2(), [], sphere_samples=64)
         assert rep.passed and rep.per_degree == ()
 
+    @pytest.mark.parametrize("degree", [1.5, 2.0, -1, "3", None])
+    def test_degrees_are_integers_at_least_zero(self, degree):
+        # int() would read 1.5 as degree 1, and z^-1 is no homogeneous polynomial
+        with pytest.raises(ValueError, match="integer degrees >= 0"):
+            lw.verify_family(lw.monomial_family(), [degree, 2], sphere_samples=64)
+
+    def test_degree_zero_and_numpy_integers_pass(self):
+        rep = lw.verify_family(lw.monomial_family(), np.array([0, 3]), sphere_samples=64)
+        assert rep.passed and [r.degree for r in rep.per_degree] == [0, 3]
+        assert all(type(r.degree) is int for r in rep.per_degree)
+
     def test_sample_floor(self):
         with pytest.raises(ValueError):
             lw.verify_family(lw.monomial_family(), [2], sphere_samples=32)
@@ -145,8 +156,7 @@ class TestBuildBallFunctions:
     def test_monomials_reproduce_disk_terms(self):
         w, state = ramey_state(t_stop=0.999999999)
         pair = lw.split_parity(state)
-        system = lw.build_ball_functions(state, lw.monomial_family(),
-                                         sphere_samples=64)
+        system = lw.build_ball_functions(state, lw.monomial_family())
         assert system.functions[0].terms == pair.g1.terms
         assert system.functions[1].terms == pair.g2.terms
         assert system.functions[-1].is_one
@@ -156,14 +166,13 @@ class TestBuildBallFunctions:
         fam = lw.PolynomialFamily(
             d=1, Q=3, delta_claimed=1.0,
             provider=first_coordinate_power, name="triple")
-        system = lw.build_ball_functions(state, fam, sphere_samples=64)
+        system = lw.build_ball_functions(state, fam)
         assert len(system.functions) == 7
 
     def test_pointwise_reduction_to_disk(self):
         w, state = ramey_state(t_stop=0.999999999)
         pair = lw.split_parity(state)
-        system = lw.build_ball_functions(state, lw.monomial_family(),
-                                         sphere_samples=64)
+        system = lw.build_ball_functions(state, lw.monomial_family())
         rng = np.random.default_rng(4)
         zeta = np.array([cmath.exp(1j * rng.uniform(0, 2 * math.pi))])
         for t in (0.96, 0.99, 0.9995):
@@ -182,7 +191,7 @@ class TestBuildBallFunctions:
         # is assembled directly; only the sup-norm condition matters here.
         w, state = ramey_state(t_stop=0.999999999)
         pair = lw.split_parity(state)
-        fam = lw.coordinate_family_d2(delta_claimed=0.5)
+        fam = lw.coordinate_family_d2()
         odd = tuple((l.log_a, e) for i, (l, e) in
                     enumerate(zip(state.lines, state.es)) if (i + 1) % 2 == 1)
         func = lw.ball_extension.BallFunction(q=1, terms=odd)
@@ -201,23 +210,22 @@ class TestBuildBallFunctions:
             d=1, Q=1, delta_claimed=0.01,
             provider=first_coordinate_power, name="needs_big_h")
         with pytest.raises(ValueError, match="h"):
-            lw.build_ball_functions(state, fam, sphere_samples=64)
+            lw.build_ball_functions(state, fam)
 
     def test_failing_family_rejected(self):
         w = lw.make_weight("ramey_ullrich")
         state = lw.run_construction(
             w, ConstructionParams(x0=math.log(0.95), h=lw.h_for_delta(0.5),
                                   t_stop=0.9999))
-        fam = lw.coordinate_family_d2(delta_claimed=0.5)
+        fam = lw.coordinate_family_d2()
         with pytest.raises(ValueError, match="fails"):
-            lw.build_ball_functions(state, fam, sphere_samples=64)
+            lw.build_ball_functions(state, fam)
 
 
 class TestBallLowerBound:
     def test_monomial_on_ramey(self):
         w, state = ramey_state()
-        system = lw.build_ball_functions(state, lw.monomial_family(),
-                                         sphere_samples=64)
+        system = lw.build_ball_functions(state, lw.monomial_family())
         t_grid = np.linspace(0.951, 0.9999, 25)
         rep = lw.ball_lower_bound_check(system, w, t_grid, sphere_samples=64)
         assert rep.passed
@@ -229,8 +237,7 @@ class TestBallLowerBound:
         # agrees with the disk bound at the sampled points.
         w, state = ramey_state()
         pair = lw.split_parity(state)
-        system = lw.build_ball_functions(state, lw.monomial_family(),
-                                         sphere_samples=64)
+        system = lw.build_ball_functions(state, lw.monomial_family())
         pts = lw.sphere_points(1, 64, seed=0)
         for t in (0.96, 0.999):
             for zeta in pts[:6]:
@@ -245,8 +252,7 @@ class TestBallLowerBound:
         w = lw.make_weight("ramey_ullrich")
         state = lw.run_construction(
             w, ConstructionParams(x0=math.log(0.95), h=4.0, t_stop=0.999))
-        system = lw.build_ball_functions(state, lw.monomial_family(),
-                                         sphere_samples=64)
+        system = lw.build_ball_functions(state, lw.monomial_family())
         zeta = np.ones(1, dtype=complex)
         assert len(state.lines) == 1
         for zero in (system.eval(1, 0.97, zeta), system.slice_callable(1, zeta)(0.5 + 0j)):
@@ -259,16 +265,14 @@ class TestBallLowerBound:
         w = lw.make_weight("exp_power", [1.0])
         state = lw.run_construction(
             w, ConstructionParams(x0=math.log(0.95), h=2.0, t_stop=0.999))
-        system = lw.build_ball_functions(state, lw.monomial_family(),
-                                         sphere_samples=64)
+        system = lw.build_ball_functions(state, lw.monomial_family())
         rep = lw.ball_lower_bound_check(
             system, w, np.linspace(0.951, 0.999, 20), sphere_samples=64)
         assert rep.passed
 
     def test_radius_range_enforced(self):
         w, state = ramey_state()
-        system = lw.build_ball_functions(state, lw.monomial_family(),
-                                         sphere_samples=64)
+        system = lw.build_ball_functions(state, lw.monomial_family())
         with pytest.raises(ValueError):
             lw.ball_lower_bound_check(system, w, [0.5], sphere_samples=64)
 
@@ -309,8 +313,7 @@ class TestBatchedBallCheck:
 
     def test_monomial_on_ramey(self):
         w, state = ramey_state(t_stop=1.0 - 1e-9)
-        system = lw.build_ball_functions(state, lw.monomial_family(),
-                                         sphere_samples=64)
+        system = lw.build_ball_functions(state, lw.monomial_family())
         self.assert_matches(system, w, np.linspace(0.951, state.t_last, 12))
 
     def test_coordinate_d2_with_complex_phases(self):
@@ -323,13 +326,13 @@ def coordinate_d2_system(state):
     """The coordinate_d2 functions assembled directly: the family fails
     verify_family, but its values z_q^e carry non-real phases at the
     sampled sphere points."""
-    fam = lw.coordinate_family_d2(delta_claimed=0.5)
+    fam = lw.coordinate_family_d2()
     funcs = []
     for parity in (1, 0):
         terms = tuple((l.log_a, e) for i, (l, e) in
                       enumerate(zip(state.lines, state.es)) if (i + 1) % 2 == parity)
         funcs += [lw.ball_extension.BallFunction(q=q, terms=terms) for q in (1, 2)]
-    funcs.append(lw.ball_extension.BallFunction(q=0, terms=(), is_one=True))
+    funcs.append(lw.ball_extension.BallFunction(q=0, terms=()))
     return lw.BallFunctionSystem(functions=tuple(funcs), family=fam, state=state)
 
 
@@ -349,7 +352,7 @@ class TestSliceReduction:
 
     def test_slice_matches_direct_evaluation(self):
         w, state = ramey_state()
-        fam = lw.coordinate_family_d2(delta_claimed=0.5)
+        fam = lw.coordinate_family_d2()
         odd = tuple((l.log_a, e) for i, (l, e) in
                     enumerate(zip(state.lines, state.es)) if (i + 1) % 2 == 1)
         func = lw.ball_extension.BallFunction(q=2, terms=odd)
@@ -367,7 +370,7 @@ class TestSliceReduction:
 
     def test_array_of_points_matches_pointwise(self):
         w, state = ramey_state()
-        fam = lw.coordinate_family_d2(delta_claimed=0.5)
+        fam = lw.coordinate_family_d2()
         odd = tuple((l.log_a, e) for i, (l, e) in
                     enumerate(zip(state.lines, state.es)) if (i + 1) % 2 == 1)
         func = lw.ball_extension.BallFunction(q=2, terms=odd)
@@ -388,14 +391,14 @@ class TestSliceReduction:
                                      1.0 + 0j])
     def test_points_off_the_open_disk_rejected(self, lam):
         w, state = ramey_state()
-        system = lw.build_ball_functions(state, lw.monomial_family(), sphere_samples=64)
+        system = lw.build_ball_functions(state, lw.monomial_family())
         sl = system.slice_callable(0, np.ones(1, dtype=complex))
         with pytest.raises(ValueError, match="open unit disk"):
             sl(lam)
 
     def test_shifted_slices_are_log_convex(self):
         w, state = ramey_state()
-        fam = lw.coordinate_family_d2(delta_claimed=0.5)
+        fam = lw.coordinate_family_d2()
         odd = tuple((l.log_a, e) for i, (l, e) in
                     enumerate(zip(state.lines, state.es)) if (i + 1) % 2 == 1)
         func = lw.ball_extension.BallFunction(q=1, terms=odd)
@@ -413,8 +416,7 @@ class TestSliceReduction:
 class TestConstantSlice:
     def test_takes_arrays(self):
         w, state = ramey_state()
-        system = lw.build_ball_functions(state, lw.monomial_family(),
-                                         sphere_samples=64)
+        system = lw.build_ball_functions(state, lw.monomial_family())
         sl = system.slice_callable(len(system.functions) - 1, np.ones(1, dtype=complex))
         lams = np.full((2, 3), 0.5 + 0j)
         values = sl(lams)
@@ -475,7 +477,7 @@ class TestArrayProviders:
                 assert lw.verify_family(fam, degrees, sphere_samples=samples).passed
                 assert [call[:2] for call in calls] == [(1, len(degrees)), (2, len(degrees))]
                 assert min(call[2] for call in calls) > samples
-        system = lw.build_ball_functions(state, fam, sphere_samples=64)
+        system = lw.build_ball_functions(state, fam)
         per_samples = []
         for samples in (64, 512):
             calls.clear()
@@ -565,7 +567,7 @@ def deep_ball_system():
     function, exponents to 1e14."""
     state = lw.run_construction(lw.make_weight("double_exp"),
                                 ConstructionParams(x0=math.log(0.95), k_max=2000))
-    return lw.build_ball_functions(state, lw.monomial_family(), sphere_samples=128)
+    return lw.build_ball_functions(state, lw.monomial_family())
 
 
 class TestStreamedBlocks:
@@ -578,7 +580,7 @@ class TestStreamedBlocks:
     @pytest.mark.parametrize("name", ["ramey_ullrich", "exp_power_a1"])
     def test_cli_grid_states(self, bench_states, name, family):
         state = bench_states[name]
-        system = (lw.build_ball_functions(state, lw.monomial_family(), sphere_samples=128)
+        system = (lw.build_ball_functions(state, lw.monomial_family())
                   if family == "monomial_d1" else coordinate_d2_system(state))
         ts = np.linspace(state.t0, state.t_last, 33)[1:]
         for seed in (0, 1, 7):
@@ -623,7 +625,7 @@ class TestHullFedStates:
         assert lw.sandwich_check(pair, w, ts).passed
         with pytest.raises(ValueError, match=self.T_ZERO):
             lw.zero_adjust(pair, w)
-        system = lw.build_ball_functions(state, lw.monomial_family(), sphere_samples=64)
+        system = lw.build_ball_functions(state, lw.monomial_family())
         with pytest.raises(ValueError, match=self.T_ZERO):
             lw.ball_lower_bound_check(system, w, ts[:32], sphere_samples=64)
 

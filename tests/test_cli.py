@@ -212,10 +212,73 @@ class TestVerify:
         assert rc == 2
         assert "integer seed >= 0, got -1" in capsys.readouterr().err
 
+    def test_ball_delta_needs_its_gap(self, state_file, capsys):
+        # delta 1/2 needs h >= log 9; the state was built with h = 2
+        rc = main(["verify", "ball", "--state", str(state_file), "--family", "ramey_ullrich",
+                   "--poly-family", "monomial_d1", "--delta", "0.5", "--t-points", "8",
+                   "--sphere-samples", "64"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert "h=2.0 < h_for_delta(0.5) = 2.1972245773362196" in captured.err
+
+    def test_ball_delta_with_its_gap(self, tmp_path, capsys):
+        h = "2.1972245773362196"
+        assert lw.h_for_delta(0.5) == float(h)
+        state = tmp_path / "state.json"
+        weight = ["--family", "ramey_ullrich"]
+        assert main(["construct", *weight, "--h", h, "--out", str(state)]) == 0
+        capsys.readouterr()
+        rc = main(["verify", "ball", *weight, "--state", str(state), "--poly-family",
+                   "monomial_d1", "--delta", "0.5", "--t-points", "8", "--sphere-samples", "64"])
+        report = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert report["family"]["delta_claimed"] == report["lower_bound"]["delta"] == 0.5
+        assert report["lower_bound"]["h"] == float(h)
+
     def test_missing_state_file(self, capsys):
         rc = main(["verify", "sandwich", "--state", "/nonexistent.json",
                    "--family", "ramey_ullrich"])
         assert rc == 2
+
+
+class TestMalformedInputs:
+    """A malformed or non-finite input file is an input error: exit 2 with
+    the field or the knot named, not a traceback and exit 1."""
+
+    @pytest.mark.parametrize("flags, content, match", [
+        (["--family", "tabulated", "--table"], [1, 2, 3], "table must be a list of"),
+        (["--weight"], {"family": "power", "params": 5}, "params must be a list of numbers"),
+        (["--family", "tabulated", "--table"], [[0.5, math.nan], [0.9, 2.0]],
+         "omega=nan at t=0.5"),
+        (["--family", "tabulated", "--table"], [[0.5, 1.0], [0.9, math.inf]],
+         "omega=inf at t=0.9")])
+    @pytest.mark.parametrize("command", [["construct"], ["verify", "envelope"]])
+    def test_weight_file(self, command, flags, content, match, tmp_path, capsys):
+        path = tmp_path / "weight.json"
+        path.write_text(json.dumps(content))
+        assert main([*command, *flags, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+        assert match in captured.err
+
+    @pytest.mark.parametrize("field, value", [("xs", 5), ("log_as", [None]), ("h", None),
+                                              ("es", ["e"])])
+    def test_state_file(self, field, value, state_file, tmp_path, capsys):
+        state = json.loads(state_file.read_text())
+        state[field] = value if not isinstance(value, list) else value + state[field][1:]
+        path = tmp_path / "bad_state.json"
+        path.write_text(json.dumps(state))
+        assert main(["verify", "lemmas", "--family", "ramey_ullrich",
+                     "--state", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"state field {field!r} is malformed" in captured.err
+
+    def test_state_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "list_state.json"
+        path.write_text("[1, 2, 3]")
+        assert main(["emit", "--family", "ramey_ullrich", "--state", str(path)]) == 2
+        assert "a state is a JSON object" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

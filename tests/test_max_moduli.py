@@ -22,7 +22,7 @@ def coordinate_slice():
     w = lw.make_weight("ramey_ullrich")
     state = lw.run_construction(
         w, lw.ConstructionParams(x0=math.log(0.95), h=2.0, t_stop=0.9999))
-    fam = lw.coordinate_family_d2(delta_claimed=0.5)
+    fam = lw.coordinate_family_d2()
     odd = tuple((l.log_a, e) for i, (l, e) in
                 enumerate(zip(state.lines, state.es)) if (i + 1) % 2 == 1)
     func = lw.ball_extension.BallFunction(q=1, terms=odd)

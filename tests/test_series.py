@@ -27,7 +27,6 @@ class TestSplitParity:
         state = lw.ConstructionState(
             params=ConstructionParams(x0=-1.0, h=2.0),
             xs=(-1.0, -0.8, -0.6, -0.4, -0.2),
-            ts=tuple(math.exp(x) for x in (-1.0, -0.8, -0.6, -0.4, -0.2)),
             lines=lines, es=(3, 5, 8, 13))
         pair = lw.split_parity(state)
         assert pair.g1.exponents == (3, 8)

@@ -42,7 +42,7 @@ def deep_pair(deep_state):
 def deep_ball(deep_state):
     """The monomial ball system of the double_exp state, and a 2000-radius
     grid over (t0, t_last]."""
-    system = lw.build_ball_functions(deep_state, lw.monomial_family(), sphere_samples=128)
+    system = lw.build_ball_functions(deep_state, lw.monomial_family())
     return system, np.linspace(deep_state.t0, deep_state.t_last, 2001)[1:]
 
 

@@ -566,3 +566,26 @@ class TestJsonSpec:
         # weight_from_knots
         with pytest.raises(ValueError, match="outside"):
             lw.make_weight("tabulated", table=[[-1.0, 0.0], [-0.5, 0.5]])
+
+    @pytest.mark.parametrize("table, match", [
+        ([1, 2, 3], "table must be a list of"), ([[0.5, None], [0.9, 2.0]], "table must be"),
+        ([[0.5, math.nan], [0.9, 2.0]], "omega=nan at t=0.5"),
+        ([[0.5, 1.0], [0.9, math.inf]], "omega=inf at t=0.9")])
+    def test_malformed_or_nonfinite_table_named(self, table, match):
+        # nan <= 0 is false, so a sign test alone lets a NaN omega through
+        with pytest.raises(ValueError, match=match):
+            lw.make_weight("tabulated", table=table)
+
+    @pytest.mark.parametrize("knot", [(-1.0, math.nan), (-1.0, math.inf), (math.nan, 0.5),
+                                      (-math.inf, 0.5)])
+    def test_nonfinite_knot_named(self, knot):
+        with pytest.raises(ValueError, match=r"tabulated knot \(x=.*\) is not finite"):
+            lw.weight_from_knots([knot, (-0.5, 2.0)])
+
+    @pytest.mark.parametrize("spec, match", [
+        ({"family": "power", "params": 5}, "params must be a list of numbers"),
+        ({"family": "power", "params": [None]}, "params must be a list of numbers"),
+        ({"family": ["power"]}, '"family" field'), (5, '"family" field')])
+    def test_malformed_spec_named(self, spec, match):
+        with pytest.raises(ValueError, match=match):
+            lw.weight_from_spec(spec)
