@@ -132,60 +132,6 @@ _BUILTIN_FAMILIES = {
 }
 
 
-_MASK32 = 0xFFFFFFFF
-_MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
-_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
-
-
-def _uniform_shift(seed: int, count: int) -> np.ndarray:
-    """np.random.default_rng(seed).random(count), bit for bit, without
-    importing numpy.random (about 6 MB of resident memory).
-
-    SeedSequence(seed) hashes the seed's 32-bit words, least significant
-    first, into a pool of four words and draws eight words from it; the
-    first 128 bits seed PCG64's state and the next its stream (O'Neill,
-    HMC-CS-2014-0905), and each double is (x >> 11) 2^-53 of one XSL-RR
-    output x."""
-    def hasher(const, mult):  # each call hashes one word with the next constant
-        def hashmix(value):
-            nonlocal const
-            value ^= const
-            const = const * mult & _MASK32
-            value = value * const & _MASK32
-            return value ^ value >> 16
-        return hashmix
-
-    def mix(x, y):
-        r = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
-        return r ^ r >> 16
-
-    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    hashmix = hasher(0x43B0D7E5, 0x931E8875)
-    pool = [hashmix(word) for word in (words + [0] * 4)[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    draw = hasher(0x8B51F9DD, 0x58F38DED)
-    state = [draw(pool[i % 4]) for i in range(8)]
-    u64 = [state[i] | state[i + 1] << 32 for i in range(0, 8, 2)]
-
-    # PCG64's set-seq start: from state 0, step, add the seed state, step
-    inc = ((u64[2] << 64 | u64[3]) << 1 | 1) & _MASK128
-    lcg = (inc + (u64[0] << 64 | u64[1])) * _PCG64_MULT + inc & _MASK128
-    out = np.empty(count)
-    for i in range(count):
-        lcg = lcg * _PCG64_MULT + inc & _MASK128
-        rot = lcg >> 122
-        x = (lcg >> 64 ^ lcg) & _MASK64
-        out[i] = ((x >> rot | x << (64 - rot)) & _MASK64) >> 11
-    return out * 2.0 ** -53
-
-
 def _nonnegative_int(value, what: str) -> int:
     """value as an int >= 0, by operator.index, so a float is refused
     however integral; otherwise ValueError "<what> >= 0, got <value>"."""
@@ -202,16 +148,18 @@ def sphere_points(d: int, count: int, seed: int = 0) -> np.ndarray:
     """Deterministic points on the unit sphere of C^d: the same (d, count,
     seed) give the same bits.
 
-    A small structured prefix (coordinate vectors and balanced-modulus
-    vectors, where coordinate families are extremal) is always included so
-    that degenerate families are measured at their worst points exactly.
-    The rest is a Kronecker sequence u_n = frac(s + n alpha), n = 1, 2, ...,
-    in [0, 1)^{2d}, with alpha_j = phi^{-j} for phi the root of
-    x^{2d+1} = x + 1 (Roberts' generalized golden ratio) and a seeded
-    random shift s (Cranley-Patterson), mapped by complex Box-Muller,
-    z_j = sqrt(-2 log(1 - u_j)) e^{2 pi i u_{d+j}}, and normalized.  The
-    shift is numpy's np.random.default_rng(seed).random(2 d), for an integer
-    seed >= 0.
+    A small structured prefix (coordinate vectors and, for d > 1,
+    balanced-modulus vectors, where coordinate families are extremal) is
+    always included so that degenerate families are measured at their worst
+    points exactly.  The rest is a Kronecker sequence u_n = frac((s + n)
+    alpha), n = 1, 2, ..., in [0, 1)^{2d}, with alpha_j = phi^{-j} for phi
+    the root of x^{2d+1} = x + 1 (Roberts' generalized golden ratio), mapped
+    by complex Box-Muller, z_j = sqrt(-2 log(1 - u_j)) e^{2 pi i u_{d+j}},
+    and normalized.  The integer seed s >= 0 enters as the Cranley-Patterson
+    shift frac(s alpha_j), exact from the float alpha_j: seed 0 gives the
+    unshifted sequence and seed s starts it at n = s + 1.  Each alpha_j lies
+    in (1/2, 1), so its denominator divides 2^53, and seeds that agree
+    modulo 2^53 share a shift.
     """
     if d < 1:
         raise ValueError(f"sphere_points needs d >= 1, got d={d}")
@@ -221,18 +169,23 @@ def sphere_points(d: int, count: int, seed: int = 0) -> np.ndarray:
     eye = np.eye(d, dtype=complex)
     structured = [row for q in range(d)
                   for row in (eye[q], eye[q] * cmath.exp(0.5j * math.pi / (q + 1)))]
-    structured.append(np.full(d, 1.0 / math.sqrt(d), dtype=complex))
-    structured.append(np.exp(2j * math.pi * np.arange(d) / max(d, 2)) / math.sqrt(d))
+    if d > 1:  # for d = 1 both balanced vectors are the coordinate vector
+        structured.append(np.full(d, 1.0 / math.sqrt(d), dtype=complex))
+        structured.append(np.exp(2j * math.pi * np.arange(d) / d) / math.sqrt(d))
     structured = np.asarray(structured)
 
     phi = 2.0
     for _ in range(32):  # x -> (1 + x)^{1/(2d+1)} contracts by < 1/4 on x >= 1
         phi = (1.0 + phi) ** (1.0 / (2 * d + 1))
     alpha = phi ** -np.arange(1.0, 2 * d + 1)
-    shift = _uniform_shift(index, 2 * d)
+    shift = [index * num % den / den for num, den in map(float.as_integer_ratio, alpha)]
     n = np.arange(1.0, count - len(structured) + 1)
     u = (shift + n[:, None] * alpha) % 1.0
-    z = np.sqrt(-2.0 * np.log1p(-u[:, :d])) * np.exp(1j * _TWO_PI * u[:, d:])
+    # u_j = 0 where seed + n is a multiple of alpha_j's denominator; at seed
+    # 2^64 - 1, n = 1 every u_j is, and the least positive radius makes that
+    # row the real balanced vector instead of 0 / 0
+    radius = np.sqrt(-2.0 * np.log1p(-np.maximum(u[:, :d], math.ulp(0.0))))
+    z = radius * np.exp(1j * _TWO_PI * u[:, d:])
     z = z / np.linalg.norm(z, axis=1)[:, None]
     return np.concatenate([structured, z], axis=0)
 

@@ -153,7 +153,8 @@ class ConstructionState:
     @staticmethod
     def from_json_dict(d: dict) -> "ConstructionState":
         """The state of to_json_dict; ValueError names a field that does not
-        hold a number (h, x0) or a list of numbers (xs, deltas, log_as, es)."""
+        hold a number (h, x0) or a list of numbers (xs, deltas, log_as, es),
+        or a list whose length disagrees with the K exponents es."""
         if not isinstance(d, dict):
             raise ValueError("a state is a JSON object")
 
@@ -164,10 +165,14 @@ class ConstructionState:
                 raise ValueError(f"state field {key!r} is malformed ({exc})") from exc
 
         params = ConstructionParams(x0=read("x0", each=False), h=read("h", each=False))
-        lines = tuple(TangentLine(delta=dd, log_a=la)
-                      for dd, la in zip(read("deltas"), read("log_as")))
-        return ConstructionState(params=params, xs=read("xs"), lines=lines,
-                                 es=read("es", int))
+        xs, deltas, log_as, es = read("xs"), read("deltas"), read("log_as"), read("es", int)
+        for key, values, size in (("xs", xs, len(es) + 1), ("deltas", deltas, len(es)),
+                                  ("log_as", log_as, len(es))):
+            if len(values) != size:
+                raise ValueError(f"state field {key!r} has {len(values)} entries, not {size} "
+                                 f"for K = {len(es)} exponents")
+        lines = tuple(TangentLine(delta=dd, log_a=la) for dd, la in zip(deltas, log_as))
+        return ConstructionState(params=params, xs=xs, lines=lines, es=es)
 
 
 def _bisect(fn, lo, hi, positive_at_lo, tol):

@@ -259,11 +259,12 @@ class WeightFunction:
         if params and len(params) != row.n_params:
             raise ValueError(f"family {self.family!r} takes {row.n_params} "
                              f"parameter(s), got {len(params)}")
+        if not all(map(math.isfinite, params)):
+            raise ValueError(f"family {self.family!r} needs finite parameters, got {params}")
         if row.analytic and any(p <= 0 for p in params):
             raise ValueError(f"family {self.family!r} parameters must be positive")
-        if row.divisor and not (math.isfinite(params[-1]) and params[-1] != 0.0):
-            raise ValueError(f"family {self.family!r} needs a finite nonzero {row.divisor}, "
-                             f"got {params[-1]}")
+        if row.divisor and params[-1] == 0.0:
+            raise ValueError(f"family {self.family!r} needs a nonzero {row.divisor}")
         if self.table is not None and self.family != "tabulated":
             raise ValueError(f"family {self.family!r} takes no table")
         object.__setattr__(self, "params", params)

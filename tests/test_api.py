@@ -33,7 +33,8 @@ REMOVED = {
     "logweight.series": ("ScaledComplex", "modulus_sum", "frequency_profile",
                          "ScaledArray.item", "AdjustedPair.eval_f1", "sandwich_samples"),
     "logweight.ball_extension": ("BallFunctionSystem.log_modulus_sum",
-                                 "provider_from_interleaved", "family_from_manifest"),
+                                 "provider_from_interleaved", "family_from_manifest",
+                                 "_uniform_shift", "_PCG64_MULT"),
     "logweight.envelope": ("max_modulus", "hull_weight", "equivalence_constants",
                            "EquivalenceConstants", "EnvelopeResult.hull_value"),
     "logweight.weight_model": ("check_doubling", "DoublingResult", "check_unbounded",

@@ -57,12 +57,20 @@ class TestSpherePoints:
         pts = lw.sphere_points(d, 2 * d + 2 + extra, seed)
         assert pts.shape == (2 * d + 2 + extra, d) and not np.isnan(pts.view(float)).any()
         assert np.abs(np.linalg.norm(pts, axis=1) - 1.0).max() <= 1e-15
-        assert pts[:2 * d + 2].tobytes() == structured_prefix(d).tobytes()
+        prefix = structured_prefix(d)
+        assert pts[:len(prefix)].tobytes() == prefix.tobytes()
 
     def test_d_40_accepted(self):
         pts = lw.sphere_points(40, 200, seed=3)
         assert pts.shape == (200, 40)
         assert np.abs(np.linalg.norm(pts, axis=1) - 1.0).max() <= 1e-15
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_d1_rows_distinct(self, seed):
+        # two coordinate rows, 1 and i, then Kronecker points: no row twice
+        pts = lw.sphere_points(1, 1000, seed)
+        assert pts[:2, 0].tolist() == [1.0, cmath.exp(0.5j * math.pi)]
+        assert len(np.unique(pts[:, 0])) == len(pts)
 
     def test_d1_angular_gaps(self):
         # For d = 1 the m points after the prefix sit at the angles
@@ -71,25 +79,26 @@ class TestSpherePoints:
         # where the partial quotient 12 of alpha_2 = [0; 1, 1, 3, 12, ...]
         # acts, m = 26 ... 78, where it reaches 4.2 (2 pi / m) at m = 50.
         for seed in (0, 7):
-            for m in range(1, 1001):
-                angles = np.sort(np.angle(lw.sphere_points(1, m + 4, seed)[4:, 0]))
+            for m in range(2, 1001):
+                angles = np.sort(np.angle(lw.sphere_points(1, m + 2, seed)[2:, 0]))
                 gaps = np.diff(angles, append=angles[0] + 2.0 * math.pi)
                 bound = 4.25 if 26 <= m <= 78 else 3.0
                 assert gaps.max() < bound * 2.0 * math.pi / m, (seed, m)
 
 
 def structured_prefix(d):
-    """The first 2d + 2 sphere points: each coordinate vector and its
-    rotation by e^{i pi / (2 (q + 1))}, the real balanced vector, and the
-    balanced vector with phases e^{2 pi i q / max(d, 2)}."""
+    """The first sphere points: each coordinate vector and its rotation by
+    e^{i pi / (2 (q + 1))}, then for d > 1 the real balanced vector and the
+    balanced vector with phases e^{2 pi i q / d}, 2d + 2 rows in all."""
     rows = []
     for q in range(d):
         for phase in (1.0, cmath.exp(0.5j * math.pi / (q + 1))):
             v = np.zeros(d, dtype=complex)
             v[q] = phase
             rows.append(v)
-    rows.append(np.full(d, 1.0 / math.sqrt(d), dtype=complex))
-    rows.append(np.exp(2j * math.pi * np.arange(d) / max(d, 2)) / math.sqrt(d))
+    if d > 1:
+        rows.append(np.full(d, 1.0 / math.sqrt(d), dtype=complex))
+        rows.append(np.exp(2j * math.pi * np.arange(d) / d) / math.sqrt(d))
     return np.asarray(rows)
 
 

@@ -274,6 +274,25 @@ class TestMalformedInputs:
         assert captured.out == ""
         assert f"state field {field!r} is malformed" in captured.err
 
+    @pytest.mark.parametrize("trim, message", [
+        (("deltas", "log_as"), "state field 'deltas' has 63 entries, not 68 for K = 68"),
+        (("log_as",), "state field 'log_as' has 63 entries, not 68 for K = 68"),
+        (("es",), "state field 'xs' has 69 entries, not 64 for K = 63"),
+        (("xs",), "state field 'xs' has 64 entries, not 69 for K = 68")])
+    def test_state_lengths_agree(self, trim, message, exp_power_state, tmp_path, capsys):
+        # zip dropped the extra entries: with 5 lines cut off, the state
+        # loaded as 63 lines over 69 xs and 68 es, and a sandwich exit 1
+        state = json.loads(exp_power_state.read_text())
+        assert len(state["es"]) == 68
+        for key in trim:
+            state[key] = state[key][:-5]
+        path = tmp_path / "short_state.json"
+        path.write_text(json.dumps(state))
+        assert main(["verify", "sandwich", "--family", "exp_power", "--params", "1",
+                     "--state", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
     def test_state_not_an_object(self, tmp_path, capsys):
         path = tmp_path / "list_state.json"
         path.write_text("[1, 2, 3]")
@@ -429,7 +448,8 @@ class TestEmit:
 # id -> (arguments, exit code, sha256 of the --out bytes), recorded before
 # the entry-point deletions in series and envelope: a refactor that keeps
 # these keeps every report's bytes.  The two ball reports also depend on
-# the sphere samples; they were re-recorded for the Kronecker sampler.
+# the sphere samples; they were re-recorded for the Kronecker sampler and
+# again when its shift became frac(seed alpha_j).
 # STATE is the state_file fixture.
 GOLDEN = {
     "construct": (["construct", "--family", "ramey_ullrich", "--h", "2", "--t0", "0.95",
@@ -442,10 +462,10 @@ GOLDEN = {
                "7d437cd33b891d2e6a6ca8cfea2d8843b1bf2a5fa7963aacee40f53e7133114e"),
     "ball_monomial": (["verify", "ball", "--state", "STATE", "--family", "ramey_ullrich",
                        "--poly-family", "monomial_d1"], 0,
-                      "a27f9427409756971a16ae50c6b1043b21ade2aa43c346728d686932416561e3"),
+                      "39d35f3dfaab672c714a7711a9342f8d8a8f9da58a55b610fbbb50b5a2864519"),
     "ball_coordinate": (["verify", "ball", "--state", "STATE", "--family", "ramey_ullrich",
                          "--poly-family", "coordinate_d2", "--degrees", "8"], 1,
-                        "c0c6a93b48fe9aaf8d906716fe0101b50bce7ee0359032b7a3960c6287cd150d"),
+                        "a252716e860605a00b0ca213c2af68d09af3a0d1065fee6c5f835676a82bfed1"),
     "hadamard": (["verify", "hadamard", "--random-polys", "10", "--seed", "7"], 0,
                  "2927a48810da37195291bd277d3d256c632c355a1afbb886811dbd7d38a6f4ab"),
     "envelope": (["verify", "envelope", "--family", "ramey_ullrich"], 0,

@@ -141,6 +141,37 @@ class TestNextTangentRamey:
             lw.next_tangent(w, -1.0, 2.0)
 
 
+class Profile:
+    """Duck-typed weight with F and F' given in closed form."""
+
+    def __init__(self, f, fp):
+        self.f, self.fp = f, fp
+
+    def big_f(self, x):
+        return self.f(x)
+
+    def big_f_and_prime(self, x):
+        return self.f(x), self.fp(x)
+
+
+class TestTangentStageAFailures:
+    """The two names stage (a) gives a profile whose tangent never drops h
+    below F: bounded growth and concavity."""
+
+    def test_bounded_profile_is_slow_growth(self):
+        # F = e^x < 1: G falls, but from x_prev = -1 stays above G(0^-) = h - 1/e > 0
+        w = Profile(math.exp, math.exp)
+        with pytest.raises(lw.SlowGrowthError, match=r"no tangent line drops 2\.0 below F"):
+            lw.next_tangent(w, -1.0, 2.0)
+
+    def test_concave_profile_is_not_strictly_convex(self):
+        # F = -x^2: G(xi) = (xi - x_prev)^2 + h grows at the first probe
+        w = Profile(lambda x: -x * x, lambda x: -2.0 * x)
+        with pytest.raises(lw.NotStrictlyConvexError,
+                           match=r"not strictly convex near x = -0\.5$"):
+            lw.next_tangent(w, -1.0, 2.0)
+
+
 class TestRunConstruction:
     def test_invariants_and_stop(self):
         w, state = ramey_state()

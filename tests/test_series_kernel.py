@@ -512,10 +512,10 @@ class TestBenchmarkSlices:
     rs = np.geomspace(0.1, 0.9, 24)
     # sha256 of the per-radius log max |f| and of the (mantissa, log scale)
     # bits of every point
-    pins = {0: ("36ffc853aa3a3ed4549a06f25be502494ef23e6e7bd762dac3f598d3d723535b",
-                "452ebf041aa0992e5e198685c50de01516246e35e6c574850b42a351f41fcd9d"),
-            1: ("e62e5731779c6a05af394b005e4e732ace52ffd5f13a736e57664a320d6a6253",
-                "857ecc91002f0e64323755255ecea0b9bd781871eb818e3da68fc877caff5871")}
+    pins = {0: ("3ec9300242ddfc1171c8bd08f80669a1fe3ebd387fc605dc1e45203182c46da4",
+                "5a398a6b77e576bcd9600e425f51cba9a6b33f27f8029db52f69e7182425bfcc"),
+            1: ("fd6be8f8cdd8a30f3a4513c63713a80ddb46facd8dba9047f575be4f32f0c46f",
+                "6cb72607cfcc1a90a5ef5e378d911255f7fd44b5d9ed6a304269f8d8dec0973c")}
 
     def slice_fn(self, slice_system, index):
         system, zeta = slice_system

@@ -1,7 +1,7 @@
 """The sphere points against a reference that finds phi with scipy and
-draws the shift with numpy.random, bit for bit, and the argument checks of
-`sphere_points`. (The module keeps the name it had when the points came
-from a scrambled Sobol sequence.)"""
+takes the shift frac(seed alpha_j) in exact rational arithmetic, bit for
+bit, and the argument checks of `sphere_points`. (The module keeps the name
+it had when the points came from a scrambled Sobol sequence.)"""
 
 import numpy as np
 import pytest
@@ -21,7 +21,9 @@ def assert_same_bits(a, b):
 
 # (d, count, seed) as the tests, the CLI defaults (--sphere-samples 128,
 # --seed 0 for both families) and the converse benchmark's (1, 64, 7) use
-# them, then seeds at and past the 32-, 64- and 128-bit word boundaries
+# them, then seeds at and past the 32-, 64- and 128-bit word boundaries;
+# 2^160 - 1 is -1 modulo every alpha_j's denominator, so its first
+# Kronecker row has u = 0 in every coordinate
 SPHERE_CASES = [(1, 64, 0), (1, 64, 7), (1, 128, 0), (1, 256, 0),
                 (2, 64, 0), (2, 64, 1), (2, 64, 3), (2, 100, 0), (2, 100, 1),
                 (2, 128, 0), (2, 256, 0), (3, 200, 9),
@@ -42,6 +44,33 @@ class TestSpherePoints:
         count = 2 * d + 2 + extra
         assert_same_bits(lw.sphere_points(d, count, seed).view(float),
                          reference_sphere_points(d, count, seed).view(float))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [1, 7, 100])
+    def test_seed_starts_the_sequence_later(self, d, seed):
+        # shift frac(s alpha) + n alpha = (s + n) alpha modulo 1: seed s gives
+        # the points of seed 0 from n = s + 1 on, up to rounding
+        prefix = 2 * d + 2 if d > 1 else 2
+        shifted = lw.sphere_points(d, prefix + 200, seed)[prefix:]
+        unshifted = lw.sphere_points(d, prefix + 200 + seed, 0)[prefix + seed:]
+        assert np.abs(shifted - unshifted).max() < 1e-9
+
+    @pytest.mark.parametrize("d", [1, 3, 40])
+    def test_seeds_agreeing_modulo_2_53_share_points(self, d):
+        # every alpha_j lies in (1/2, 1): its denominator divides 2^53
+        assert lw.sphere_points(d, 200, 12345).tobytes() == \
+            lw.sphere_points(d, 200, 12345 + 2**53).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    @pytest.mark.parametrize("seed", [2**53 - 1, 2**64 - 1])
+    def test_zero_row_seeds_stay_on_the_sphere(self, d, seed):
+        # u = 0 in every coordinate at n = 1: the least positive radius
+        # makes that row the real balanced vector, not 0 / 0
+        pts = lw.sphere_points(d, 64, seed)
+        first = 2 * d + 2 if d > 1 else 2
+        assert not np.isnan(pts.view(float)).any()
+        assert np.abs(pts[first] - 1.0 / np.sqrt(d)).max() <= 1e-15
+        assert np.abs(np.linalg.norm(pts, axis=1) - 1.0).max() <= 1e-15
 
     def test_d_below_one_rejected(self):
         with pytest.raises(ValueError, match="sphere_points needs d >= 1, got d=0"):

@@ -529,14 +529,38 @@ class TestJsonSpec:
         with pytest.raises(ValueError):
             lw.make_weight("tabulated", table=[[0.2, 2.0], [0.5, 1.0], [0.8, 3.0]])
 
-    @pytest.mark.parametrize("family, params", [
-        ("perturbed_bump", (3.0, -1.0, 0.0)), ("perturbed_sawtooth", (0.5, 0.0)),
-        ("perturbed_sawtooth", (0.5, math.inf)),
-        ("perturbed_unbounded_sawtooth", (2.0, math.nan))])
-    def test_zero_or_nonfinite_divisor_rejected(self, family, params):
+    @pytest.mark.parametrize("family, params, match", [
+        ("perturbed_bump", (3.0, -1.0, 0.0), "needs a nonzero width"),
+        ("perturbed_sawtooth", (0.5, 0.0), "needs a nonzero period"),
+        ("perturbed_sawtooth", (0.5, math.inf), r"needs finite parameters, got \(0.5, inf\)"),
+        ("perturbed_unbounded_sawtooth", (2.0, math.nan), "needs finite parameters")])
+    def test_zero_or_nonfinite_divisor_rejected(self, family, params, match):
         # the width, period or log-period divides x in F
-        with pytest.raises(ValueError, match=f"'{family}' needs a finite nonzero"):
+        with pytest.raises(ValueError, match=f"'{family}' {match}"):
             lw.make_weight(family, params)
+
+    @pytest.mark.parametrize("family, params", [
+        ("perturbed_bump", (math.nan, -1.0, 0.02)), ("perturbed_bump", (3.0, math.nan, 0.02)),
+        ("perturbed_sawtooth", (-math.inf, 0.25)), ("exp_power", (math.nan,)),
+        ("power", (math.inf,)), ("log_power", (math.nan,))])
+    def test_nonfinite_parameter_rejected(self, family, params):
+        # a NaN height or centre made F NaN, and NaN passed the positivity
+        # check of the analytic rows
+        with pytest.raises(ValueError, match=f"'{family}' needs finite parameters"):
+            lw.make_weight(family, params)
+
+    @pytest.mark.parametrize("strictify", [math.nan, math.inf])
+    def test_nonfinite_strictify_rejected(self, strictify):
+        # F = NaN everywhere for strictify NaN, from the table or the knots
+        with pytest.raises(ValueError, match="'tabulated' needs finite parameters"):
+            lw.make_weight("tabulated", (strictify,), table=[[0.2, 1.0], [0.5, 2.0]])
+        with pytest.raises(ValueError, match="'tabulated' needs finite parameters"):
+            lw.weight_from_knots([(-1.0, 0.0), (-0.5, 1.0)], strictify=strictify)
+
+    def test_nan_parameter_exits_2(self, capsys):
+        assert main(["verify", "envelope", "--family", "perturbed_bump",
+                     "--params", "nan,-1,0.02"]) == 2
+        assert "'perturbed_bump' needs finite parameters" in capsys.readouterr().err
 
     def test_negative_bump_width_rejected(self, capsys):
         # 1 - |x - x*| / width with width < 0 is an unbounded tent, not a
