@@ -84,14 +84,9 @@ def _load_weight(args) -> WeightFunction:
         with open(args.weight) as fh:
             return weight_from_spec(json.load(fh))
     if not args.family:
-        raise ValueError("give --family (with optional --params/--table) or --weight")
-    table = None
-    if args.table:
-        with open(args.table) as fh:
-            loaded = json.load(fh)
-        table = loaded["table"] if isinstance(loaded, dict) else loaded
+        raise ValueError("give --family (with optional --params) or --weight")
     params = [float(p) for p in args.params.split(",") if p != ""]
-    return make_weight(args.family, params, table=table)
+    return make_weight(args.family, params)
 
 
 def _load_inputs(args) -> tuple:
@@ -118,8 +113,7 @@ def cmd_construct(args) -> int:
         raise ValueError(f"--t0 must lie in (0, 1), got {args.t0}")
     x0 = args.x0 if args.x0 is not None else math.log(args.t0)
     params = ConstructionParams(x0=x0, h=args.h, k_max=args.k_max,
-                                t_stop=args.t_stop, root_tol=args.root_tol,
-                                auto_restart=args.auto_restart)
+                                t_stop=args.t_stop, auto_restart=args.auto_restart)
     state = run_construction(w, params)
     return _report(args, state.to_json_dict(), True,
                    f"constructed {len(state.lines)} lines, t range "
@@ -245,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     weight = argparse.ArgumentParser(add_help=False, parents=[out])
     weight.add_argument("--family", help="builtin weight family name")
     weight.add_argument("--params", default="", help="comma-separated family parameters")
-    weight.add_argument("--table", help="JSON file with [[t, omega], ...] pairs")
     weight.add_argument("--weight", help='JSON weight spec {"family":, "params":, "table":}')
     state = argparse.ArgumentParser(add_help=False, parents=[weight])
     state.add_argument("--state", required=True)
@@ -269,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--x0", type=float, default=None, help="overrides --t0")
     pc.add_argument("--t-stop", type=float, default=0.9999)
     pc.add_argument("--k-max", type=int, default=500)
-    pc.add_argument("--root-tol", type=float, default=1e-13)
     pc.add_argument("--auto-restart", action="store_true")
 
     pv = sub.add_parser("verify", help="run a verification suite")

@@ -16,7 +16,7 @@ Exponentiating, l_k describes the monomial bound a_k t^{delta_k}, which
 
 Both solves are bisection on residual functions that are strictly
 monotone whenever F is strictly convex, so every step is deterministic
-and costs O(log(1/root_tol)) evaluations of F and F'.
+and costs O(log(1/_ROOT_TOL)) evaluations of F and F'.
 
 A weight is duck-typed: this module calls only `big_f(x)`,
 `big_f_prime(x)` and `big_f_and_prime(x)` (which returns the pair
@@ -44,6 +44,7 @@ _TAIL_WINDOW = 8  # lines summed on each side of k in the lemma tail sums
 _TAIL_BLOCK = 1 << 14  # float64 tail terms per block of intervals (128 kB)
 _XI_BRACKET = 1e-12  # half-width, relative to |xi|, tried around a stored xi
 _X_FLOOR = -2.0 ** -53  # x halves toward 0 no further: exp(x) is the last float < 1
+_ROOT_TOL = 1e-13  # relative bracket width at which the bisections stop
 
 _FLOOR_DIVISOR = 1024  # a line's log_a may have an ulp of at most h / this
 _GATE_POINTS = 200
@@ -81,7 +82,6 @@ class ConstructionParams:
     h: float = 2.0
     k_max: int = 500
     t_stop: float = 0.9999
-    root_tol: float = 1e-13
     auto_restart: bool = False
 
     def __post_init__(self):
@@ -93,8 +93,6 @@ class ConstructionParams:
             raise ValueError(f"t_stop={self.t_stop} must lie in (0, 1)")
         if self.k_max < 1:
             raise ValueError("k_max must be at least 1")
-        if not 0.0 < self.root_tol < 1e-3:
-            raise ValueError("root_tol must lie in (0, 1e-3)")
 
 
 @dataclass(frozen=True)
@@ -154,7 +152,8 @@ class ConstructionState:
     def from_json_dict(d: dict) -> "ConstructionState":
         """The state of to_json_dict; ValueError names a field that does not
         hold a number (h, x0) or a list of numbers (xs, deltas, log_as, es),
-        or a list whose length disagrees with the K exponents es."""
+        a list whose length disagrees with the K exponents es, a non-finite
+        entry of xs, deltas or log_as, or an x0 other than xs[0]."""
         if not isinstance(d, dict):
             raise ValueError("a state is a JSON object")
 
@@ -171,11 +170,16 @@ class ConstructionState:
             if len(values) != size:
                 raise ValueError(f"state field {key!r} has {len(values)} entries, not {size} "
                                  f"for K = {len(es)} exponents")
+            for i, v in enumerate(values):
+                if not math.isfinite(v):
+                    raise ValueError(f"state field {key!r} entry {i} is not finite ({v})")
+        if params.x0 != xs[0]:
+            raise ValueError(f"state field 'x0' = {params.x0!r} is not xs[0] = {xs[0]!r}")
         lines = tuple(TangentLine(delta=dd, log_a=la) for dd, la in zip(deltas, log_as))
         return ConstructionState(params=params, xs=xs, lines=lines, es=es)
 
 
-def _bisect(fn, lo, hi, positive_at_lo, tol):
+def _bisect(fn, lo, hi, positive_at_lo, tol=_ROOT_TOL):
     # The tolerance is relative to the abscissa magnitude: near 0 the
     # slopes of F blow up like 1/|x| or faster, so an absolute-in-x stop
     # would leave function residuals that grow without bound.  Both the
@@ -192,8 +196,7 @@ def _bisect(fn, lo, hi, positive_at_lo, tol):
     return lo, hi
 
 
-def next_tangent(w: WeightFunction, x_prev: float, h: float,
-                 root_tol: float = 1e-13):
+def next_tangent(w: WeightFunction, x_prev: float, h: float):
     """One induction step: the tangent line through (x_prev, F(x_prev) - h)
     and the next crossing abscissa.
 
@@ -208,7 +211,7 @@ def next_tangent(w: WeightFunction, x_prev: float, h: float,
 
     Both roots are bracketed by geometrically halving the abscissa toward
     0, no further than the float floor _X_FLOOR, and then bisected to the
-    relative tolerance root_tol.
+    relative tolerance _ROOT_TOL.
     """
     if x_prev >= 0.0:
         raise ValueError("x_prev must be negative")
@@ -245,7 +248,7 @@ def next_tangent(w: WeightFunction, x_prev: float, h: float,
             break
         lo, g_lo = hi, g_hi
         hi = hi / 2.0
-    xi = 0.5 * sum(_bisect(big_g, lo, hi, positive_at_lo=True, tol=root_tol))
+    xi = 0.5 * sum(_bisect(big_g, lo, hi, positive_at_lo=True))
     f_xi, delta = w.big_f_and_prime(xi)
     log_a = f_xi - delta * xi
     if not (delta > 0.0 and math.isfinite(log_a)):
@@ -269,7 +272,7 @@ def next_tangent(w: WeightFunction, x_prev: float, h: float,
             break
         lo2 = hi2
         hi2 = hi2 / 2.0
-    x_next = 0.5 * sum(_bisect(big_h, lo2, hi2, positive_at_lo=False, tol=root_tol))
+    x_next = 0.5 * sum(_bisect(big_h, lo2, hi2, positive_at_lo=False))
     return TangentLine(delta=delta, log_a=log_a, xi=xi), x_next
 
 
@@ -330,7 +333,7 @@ def _run_once(w: WeightFunction, params: ConstructionParams) -> ConstructionStat
     es = []
     x_prev = params.x0
     for _ in range(params.k_max):
-        line, x_next = next_tangent(w, x_prev, params.h, params.root_tol)
+        line, x_next = next_tangent(w, x_prev, params.h)
         if math.ulp(line.log_a) > params.h / _FLOOR_DIVISOR:
             raise FloatFloorError(
                 f"line {len(lines) + 1} is past the float floor: one ulp of log_a = "
@@ -424,20 +427,22 @@ def _worst(name, margins, xs, ks, points_each=1) -> LemmaCheck:
                       margins.size * points_each, worst >= -MARGIN_SLACK)
 
 
-def _min_above_line(w, line, x_lo, x_hi, x0, tol):
+def _min_above_line(w, line, x_lo, x_hi, x0):
     """Certified lower bound of g = F - l over [x0, 0), the point c it is
     attached to, and F(c).  g is convex with its minimum where F' = slope,
     bracketed around the stored xi when the F' signs confirm it, else
     bisected from [x_lo, x_hi] (widened to [x0, x_lo], or halved toward 0
-    down to _X_FLOOR as in next_tangent) to the relative tolerance tol.
+    down to _X_FLOOR as in next_tangent) to the relative tolerance _ROOT_TOL.
     On the bracket [p, q] with midpoint c the secant bounds give
     g >= 2 g(c) - max g(p, c, q), outside it min(g(p), g(q)).  F at p and
-    q comes from the fused (F, F') calls of the sign tests, so the stored
-    xi costs three evaluations of the weight."""
+    q comes from the fused (F, F') calls of the sign tests, which
+    evaluate each abscissa once, so the stored xi costs three evaluations
+    of the weight."""
     fused = {}
 
     def psi(x):
-        fused[x] = w.big_f_and_prime(x)
+        if x not in fused:
+            fused[x] = w.big_f_and_prime(x)
         return fused[x][1] - line.delta
 
     xi = line.xi
@@ -454,7 +459,7 @@ def _min_above_line(w, line, x_lo, x_hi, x0, tol):
         elif psi(hi) < 0.0:  # F - l still decreases at the floor of |x|
             lo = hi
         else:
-            lo, hi = _bisect(psi, lo, hi, positive_at_lo=False, tol=tol)
+            lo, hi = _bisect(psi, lo, hi, positive_at_lo=False)
     c = 0.5 * (lo + hi)
     f_lo, f_c, f_hi = (fused[x][0] if x in fused else w.big_f(x) for x in (lo, c, hi))
     g_lo, g_c, g_hi = f_lo - line.value(lo), f_c - line.value(c), f_hi - line.value(hi)
@@ -490,7 +495,7 @@ def check_state_matches(state: ConstructionState, w: WeightFunction) -> None:
         x = float(state.xs[k - 1])
         lhs = state.lines[k - 1].value(x)
         rhs = w.big_f(x) - h
-        if abs(lhs - rhs) > 1e-6 * max(1.0, abs(rhs)):
+        if not abs(lhs - rhs) <= 1e-6 * max(1.0, abs(rhs)):
             raise ValueError(
                 "state does not match this weight (chord residual "
                 f"{abs(lhs - rhs):.3g} at k={k})")
@@ -551,9 +556,8 @@ def verify_tangent_lemmas(state: ConstructionState, w: WeightFunction,
     es = np.asarray(state.es, dtype=float)
     ks = np.arange(1, K + 1)
 
-    lb, c, f_c = np.array([
-        _min_above_line(w, line, xs[k], xs[k + 1], xs[0], state.params.root_tol)
-        for k, line in enumerate(state.lines)]).T
+    lb, c, f_c = np.array([_min_above_line(w, line, xs[k], xs[k + 1], xs[0])
+                           for k, line in enumerate(state.lines)]).T
 
     # line pairs (l_i, l_{i+1}) in row i, at the two ends of each range
     i = np.arange(K - 1)

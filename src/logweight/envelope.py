@@ -371,12 +371,11 @@ def random_polynomials(count: int, max_degree: int, seed: int):
 
 
 class PolynomialCallable:
-    """z -> sum_k coeffs[k] z^k on a scalar or an array, by Horner's rule
-    in place.  It starts and steps as numpy.polynomial.polynomial.polyval
-    does (c[-1] + z*0, then c[k] + acc*z), so the values agree bit for
-    bit, without a new array per step.  Inside hadamard_check's call at 0
-    it also records its output, so that a wrapper returning that output
-    is known to be this polynomial."""
+    """z -> sum_k coeffs[k] z^k on a scalar or an array, by
+    numpy.polynomial.polynomial.polyval (imported on the first call, so
+    that importing this module does not load numpy.polynomial).  Inside
+    hadamard_check's call at 0 it also records its output, so that a
+    wrapper returning that output is known to be this polynomial."""
 
     __slots__ = ("coeffs",)
 
@@ -387,11 +386,7 @@ class PolynomialCallable:
         self.coeffs = c + 0.0 if c.dtype.kind in "biu" else c
 
     def __call__(self, z):
-        c = self.coeffs
-        acc = c[-1] + z * 0
-        for k in range(c.size - 2, -1, -1):
-            acc *= z
-            acc += c[k]
+        acc = np.polynomial.polynomial.polyval(z, self.coeffs)
         calls = _POLYNOMIAL_CALLS.get()
         if calls is not None:
             calls.append((self, acc))

@@ -564,23 +564,12 @@ class AdjustedPair:
     c_high: float
     log_c_low: float
     log_c_high: float
-    t0: float
-    t_last: float
-    grid_spec: tuple  # (inner_radii, inner_angles, outer_t_points, outer_angles)
     log_dominance: float
     log_c_low_inner: float
     log_c_high_inner: float
     log_c_low_annulus: float | None
     log_c_high_annulus: float | None
     log_inner_floor: float
-
-    def sample_log_ratios(self, w: WeightFunction):
-        """(log omega, log(|f1|+|f2|)) over exactly the sample grid the
-        constants were measured on, as flat arrays, inner disk first, for
-        cross-checks against independent two-sided constant estimators."""
-        rings = _ratio_rings(self.f1, self.f2, w, self.t0, self.t_last, *self.grid_spec)
-        return (np.concatenate([np.repeat(log_w, log_s.shape[1]) for log_w, log_s in rings]),
-                np.concatenate([log_s.ravel() for _, log_s in rings]))
 
     def to_json_dict(self) -> dict:
         return {
@@ -689,9 +678,6 @@ def zero_adjust(pair: SeriesPair, w: WeightFunction, theta_count: int = 720,
         c_high=exp_or_inf(log_c_high),
         log_c_low=log_c_low,
         log_c_high=log_c_high,
-        t0=pair.t0,
-        t_last=pair.t_last,
-        grid_spec=(inner_radii, inner_angles, outer_t_points, outer_angles),
         log_dominance=log_rho,
         log_c_low_inner=float(inner.min()),
         log_c_high_inner=float(inner.max()),

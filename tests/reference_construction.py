@@ -13,7 +13,7 @@ import math
 
 from logweight.construction import (ConstructionError, ConstructionState,
                                     ExponentCollisionError, NotStrictlyConvexError,
-                                    SlowGrowthError, TangentLine, _bisect)
+                                    SlowGrowthError, TangentLine, _bisect, _ROOT_TOL)
 from logweight.numerics import LOG_MAX, NEG_INF
 
 
@@ -51,7 +51,7 @@ def separate_f_prime(w, x):
     return formula(x, w.params)
 
 
-def reference_next_tangent(w, x_prev, h, root_tol=1e-13):
+def reference_next_tangent(w, x_prev, h, root_tol=_ROOT_TOL):
     """One induction step with F and F' called apart; see next_tangent."""
     if x_prev >= 0.0:
         raise ValueError("x_prev must be negative")
@@ -114,7 +114,7 @@ def reference_run_construction(w, params):
     xs, lines, es = [params.x0], [], []
     x_prev = params.x0
     for _ in range(params.k_max):
-        line, x_next = reference_next_tangent(w, x_prev, params.h, params.root_tol)
+        line, x_next = reference_next_tangent(w, x_prev, params.h)
         e = math.floor(line.delta) + 1
         if es and e <= es[-1]:
             raise ExponentCollisionError(f"integer exponents collide at k={len(es) + 1}")

@@ -13,7 +13,7 @@ import pytest
 
 import logweight as lw
 from logweight.construction import ConstructionParams
-from reference_series import to_complex
+from reference_series import reference_log_ratio_samples, to_complex
 
 T0 = 0.95
 X0 = math.log(T0)
@@ -178,7 +178,8 @@ class TestAcceptance:
                              outer_angles=256)
         assert adj.c_low > 0.0
         assert math.isfinite(adj.c_high)
-        log_u, log_v = adj.sample_log_ratios(w)
+        log_u, log_v = reference_log_ratio_samples(adj.f1, adj.f2, w, pair.t0, pair.t_last,
+                                                   100, 64, 2000, 256)
         log_c1, log_c2 = float(np.min(log_v - log_u)), float(np.max(log_v - log_u))
         assert abs(log_c1 - adj.log_c_low) <= 1e-12
         assert abs(log_c2 - adj.log_c_high) <= 1e-12

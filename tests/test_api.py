@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import logweight as lw
+from logweight.cli import build_parser
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -31,7 +32,8 @@ REMOVED = {
                   "check_doubling", "DoublingResult", "check_unbounded", "sandwich_samples",
                   "provider_from_interleaved", "family_from_manifest"),
     "logweight.series": ("ScaledComplex", "modulus_sum", "frequency_profile",
-                         "ScaledArray.item", "AdjustedPair.eval_f1", "sandwich_samples"),
+                         "ScaledArray.item", "AdjustedPair.eval_f1",
+                         "AdjustedPair.sample_log_ratios", "sandwich_samples"),
     "logweight.ball_extension": ("BallFunctionSystem.log_modulus_sum",
                                  "provider_from_interleaved", "family_from_manifest",
                                  "_uniform_shift", "_PCG64_MULT"),
@@ -52,12 +54,29 @@ REMOVED_PARAMETERS = {
     lw.coordinate_family_d2: ("delta_claimed",),
     lw.hadamard_check: ("tol",),
     lw.check_log_convexity: ("tol",),
+    lw.next_tangent: ("root_tol",),
+    lw.ConstructionParams: ("root_tol",),
 }
+
+# Command-line flags that went with them: the bisection tolerance is a
+# constant, and a table arrives only inside a --weight spec.
+REMOVED_FLAGS = [
+    ["construct", "--family", "ramey_ullrich", "--root-tol", "1e-9"],
+    ["verify", "envelope", "--family", "tabulated", "--table", "f.json"],
+]
 
 
 @pytest.mark.parametrize("func", REMOVED_PARAMETERS, ids=lambda f: f.__name__)
 def test_removed_parameters_stay_removed(func):
     assert set(REMOVED_PARAMETERS[func]).isdisjoint(inspect.signature(func).parameters)
+
+
+@pytest.mark.parametrize("argv", REMOVED_FLAGS, ids=lambda argv: argv[-2])
+def test_removed_flags_stay_removed(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("module", sorted(REMOVED))
@@ -80,6 +99,16 @@ def test_import_loads_no_scipy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_import_loads_no_numpy_polynomial():
+    # PolynomialCallable looks numpy.polynomial up on its first call, so
+    # that importing the package does not pay the module's import
+    code = "import sys, logweight; print('numpy.polynomial' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_cli_ball_runs_load_no_scipy(tmp_path):

@@ -644,11 +644,12 @@ class TestHullFedStates:
         # stops verify first (chord residual 0.04 at k = 1, above its
         # 1e-6); past it, the inner ball raises at t = 0.
         source = lw.make_weight("exp_power", (1.0,))
-        table = tmp_path / "hull.json"
-        table.write_text(json.dumps([[math.exp(x), math.exp(source.big_f(x))]
-                                     for x in (-np.geomspace(2.0, 2e-3, 400)).tolist()]))
+        spec = tmp_path / "hull.json"
+        spec.write_text(json.dumps({"family": "tabulated", "params": [1],
+                                    "table": [[math.exp(x), math.exp(source.big_f(x))]
+                                              for x in (-np.geomspace(2.0, 2e-3, 400)).tolist()]}))
         state = tmp_path / "state.json"
-        flags = ["--family", "tabulated", "--params", "1", "--table", str(table)]
+        flags = ["--weight", str(spec)]
         assert main(["construct", *flags, "--t-stop", "0.99", "--out", str(state)]) == 0
         verify = ["verify", "ball", *flags, "--state", str(state), "--poly-family", "monomial_d1"]
         assert main(verify) == 2

@@ -246,11 +246,11 @@ class TestMalformedInputs:
     the field or the knot named, not a traceback and exit 1."""
 
     @pytest.mark.parametrize("flags, content, match", [
-        (["--family", "tabulated", "--table"], [1, 2, 3], "table must be a list of"),
+        (["--weight"], {"family": "tabulated", "table": [1, 2, 3]}, "table must be a list of"),
         (["--weight"], {"family": "power", "params": 5}, "params must be a list of numbers"),
-        (["--family", "tabulated", "--table"], [[0.5, math.nan], [0.9, 2.0]],
+        (["--weight"], {"family": "tabulated", "table": [[0.5, math.nan], [0.9, 2.0]]},
          "omega=nan at t=0.5"),
-        (["--family", "tabulated", "--table"], [[0.5, 1.0], [0.9, math.inf]],
+        (["--weight"], {"family": "tabulated", "table": [[0.5, 1.0], [0.9, math.inf]]},
          "omega=inf at t=0.9")])
     @pytest.mark.parametrize("command", [["construct"], ["verify", "envelope"]])
     def test_weight_file(self, command, flags, content, match, tmp_path, capsys):
@@ -289,6 +289,32 @@ class TestMalformedInputs:
         path = tmp_path / "short_state.json"
         path.write_text(json.dumps(state))
         assert main(["verify", "sandwich", "--family", "exp_power", "--params", "1",
+                     "--state", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+    @pytest.mark.parametrize("field, index, value, message", [
+        ("xs", 10, math.nan, "state field 'xs' entry 10 is not finite (nan)"),
+        ("log_as", 10, math.nan, "state field 'log_as' entry 10 is not finite (nan)"),
+        ("deltas", 10, math.inf, "state field 'deltas' entry 10 is not finite (inf)"),
+        ("x0", None, -0.5, "state field 'x0' = -0.5 is not xs[0] = -0.05129329438755058")],
+        ids=["xs_nan", "log_as_nan", "deltas_inf", "x0_not_xs0"])
+    @pytest.mark.parametrize("command", [["verify", "lemmas"],
+                                         ["verify", "sandwich", "--t-points", "50",
+                                          "--angles", "8"],
+                                         ["emit"]], ids=["lemmas", "sandwich", "emit"])
+    def test_state_entries_finite(self, field, index, value, message, command,
+                                  exp_power_state, tmp_path, capsys):
+        # each of these states used to load, and the commands exited 0 or
+        # 1 as if a bound had been checked
+        state = json.loads(exp_power_state.read_text())
+        if index is None:
+            state[field] = value
+        else:
+            state[field][index] = value
+        path = tmp_path / "bad_state.json"
+        path.write_text(json.dumps(state))
+        assert main([*command, "--family", "exp_power", "--params", "1",
                      "--state", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err

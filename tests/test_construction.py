@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 import logweight as lw
 from logweight.construction import (ConstructionError, ConstructionParams,
-                                    _convexity_gate, _gate_grid, _min_above_line)
+                                    _ROOT_TOL, _convexity_gate, _gate_grid,
+                                    _min_above_line, check_state_matches)
 from logweight.weight_model import check_log_convexity
 from reference_construction import reference_run_construction
 
@@ -188,7 +189,7 @@ class TestRunConstruction:
         # Tangency and chord residuals, relative to the local size of F,
         # stay within 10x the bisection tolerance.
         w, state = ramey_state(t_stop=0.999999999)
-        tol = 10.0 * state.params.root_tol
+        tol = 10.0 * _ROOT_TOL
         h = state.params.h
         for k, line in enumerate(state.lines, start=1):
             f_xi = w.big_f(line.xi)
@@ -234,12 +235,12 @@ class TestRunConstruction:
                                       t_stop=1.0 - 1e-15, k_max=50))
 
     def test_deep_run_passes_the_bisection_tolerance(self):
-        # The halving searches stop at x = -2^-53, not at -root_tol: a run
-        # to t = 1 - 1e-12 brackets its last crossing, within 2 root_tol of
-        # 0, by an abscissa right of x = -root_tol.
+        # The halving searches stop at x = -2^-53, not at -_ROOT_TOL: a run
+        # to t = 1 - 1e-12 brackets its last crossing, within 2 _ROOT_TOL of
+        # 0, by an abscissa right of x = -_ROOT_TOL.
         w, state = ramey_state(t_stop=0.999999999999)
         assert len(state.lines) == 6
-        assert -2.0 * state.params.root_tol < state.xs[-1] < -state.params.root_tol
+        assert -2.0 * _ROOT_TOL < state.xs[-1] < -_ROOT_TOL
         assert state.t_last > 0.999999999999
         assert lw.verify_tangent_lemmas(state, w).passed
         ts = np.linspace(state.t0, state.t_last, 201)[1:]
@@ -259,6 +260,13 @@ class TestRunConstruction:
         assert back.xs == state.xs
         assert back.es == state.es
         assert back.deltas == state.deltas
+
+    def test_nan_abscissa_fails_the_state_gate(self):
+        # abs(nan) > tol is false, so the residual test must fail a NaN
+        w, state = ramey_state()
+        bad = replace(state, xs=(math.nan,) + state.xs[1:])
+        with pytest.raises(ValueError, match="chord residual nan at k=1"):
+            check_state_matches(bad, w)
 
 
 class TestExponentCollision:
@@ -308,10 +316,12 @@ def assert_same_run(w, params):
 
 
 class CountingWeight:
-    """A weight's F, F' and fused (F, F'), counting the calls of each."""
+    """A weight's F, F' and fused (F, F'), counting the calls of each and
+    recording the abscissas of the fused ones."""
 
     def __init__(self, w):
         self.w, self.calls = w, {"big_f": 0, "big_f_prime": 0, "big_f_and_prime": 0}
+        self.fused_xs = []
 
     def __getattr__(self, name):
         method = getattr(self.w, name)
@@ -320,6 +330,8 @@ class CountingWeight:
 
         def counted(x):
             self.calls[name] += 1
+            if name == "big_f_and_prime":
+                self.fused_xs.append(x)
             return method(x)
         return counted
 
@@ -376,8 +388,7 @@ class TestMinAboveLineCalls:
         xs = state.xs
         for k, line in enumerate(state.lines):
             counted = CountingWeight(w)
-            _, c, f_c = _min_above_line(counted, line, xs[k], xs[k + 1], xs[0],
-                                        state.params.root_tol)
+            _, c, f_c = _min_above_line(counted, line, xs[k], xs[k + 1], xs[0])
             assert counted.calls == {"big_f": 1, "big_f_prime": 0, "big_f_and_prime": 2}
             assert f_c == w.big_f(c)
 
@@ -387,9 +398,10 @@ class TestMinAboveLineCalls:
         xs = state.xs
         for k, line in enumerate(state.lines):
             counted = CountingWeight(w)
-            _min_above_line(counted, replace(line, xi=None), xs[k], xs[k + 1], xs[0],
-                            state.params.root_tol)
+            _min_above_line(counted, replace(line, xi=None), xs[k], xs[k + 1], xs[0])
             assert counted.calls["big_f_prime"] == 0 and counted.calls["big_f"] <= 1
+            # the searches' end points are not evaluated again after them
+            assert len(set(counted.fused_xs)) == len(counted.fused_xs)
 
 
 class TestFusedStepOracle:

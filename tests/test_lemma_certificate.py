@@ -240,8 +240,7 @@ class TestTangencyBound:
         for k in (2, 30, 67):
             line = dataclasses.replace(loaded.lines[k - 1],
                                        delta=loaded.lines[k - 1].delta * factor)
-            lb, c, f_c = _min_above_line(w, line, xs[k - 1], xs[k], xs[0],
-                                         loaded.params.root_tol)
+            lb, c, f_c = _min_above_line(w, line, xs[k - 1], xs[k], xs[0])
             sampled = np.min(f - line.value(grid))
             assert lb <= sampled + 1e-12 * max(1.0, abs(f_c))
             assert f_c == w.big_f(c)

@@ -51,6 +51,14 @@ def assert_bit_equal(got, expected):
         np.testing.assert_array_equal(a, b)
 
 
+def ratio_samples(f1, f2, w, t0, t_last, *grid):
+    """series._ratio_rings flattened as reference_log_ratio_samples is:
+    (log omega, log(|f1| + |f2|)) per sample, inner disk first."""
+    rings = series._ratio_rings(f1, f2, w, t0, t_last, *grid)
+    return (np.concatenate([np.repeat(log_w, log_s.shape[1]) for log_w, log_s in rings]),
+            np.concatenate([log_s.ravel() for _, log_s in rings]))
+
+
 class TestEmitMatchesCellwiseCopy:
     @pytest.mark.parametrize("extra, t_min, t_points, angles", [
         (["--t-points", "200", "--angles", "64"], None, 200, 64),
@@ -89,10 +97,14 @@ class TestLogRatioSamplesMatchTwoRingCopy:
     def test_bit_equal(self, cli_state, grid):
         _, _, state, w = cli_state
         pair = lw.split_parity(state)
-        adj = lw.zero_adjust(pair, w, **({} if grid is None else dict(zip(ADJUST_KEYS, grid))))
-        assert_bit_equal(adj.sample_log_ratios(w),
-                         reference_log_ratio_samples(adj.f1, adj.f2, w, adj.t0, adj.t_last,
-                                                     *adj.grid_spec))
+        kw = dict(zip(ADJUST_KEYS, grid or (720, 100, 64, 200, 64)))
+        adj = lw.zero_adjust(pair, w, **({} if grid is None else kw))
+        rings = [kw[key] for key in ADJUST_KEYS[1:]]
+        expected = reference_log_ratio_samples(adj.f1, adj.f2, w, pair.t0, pair.t_last, *rings)
+        assert_bit_equal(ratio_samples(adj.f1, adj.f2, w, pair.t0, pair.t_last, *rings),
+                         expected)
+        log_ratios = expected[1] - expected[0]
+        assert (adj.log_c_low, adj.log_c_high) == (log_ratios.min(), log_ratios.max())
 
 
 def gather_sandwich_blocks(pair, w, ts, theta_count):

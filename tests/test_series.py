@@ -9,8 +9,8 @@ import pytest
 
 import logweight as lw
 from logweight.construction import ConstructionParams
-from reference_series import (reference_log_abs, reference_modulus_sum,
-                              reference_normalize, to_complex)
+from reference_series import (reference_log_abs, reference_log_ratio_samples,
+                              reference_modulus_sum, reference_normalize, to_complex)
 
 
 def ramey_pair(t_stop=0.9999, h=2.0):
@@ -284,7 +284,8 @@ class TestZeroAdjust:
         w, _, pair = ramey_pair()
         adj = lw.zero_adjust(pair, w, theta_count=64, inner_radii=24,
                              inner_angles=16, outer_t_points=32, outer_angles=16)
-        log_u, log_v = adj.sample_log_ratios(w)
+        log_u, log_v = reference_log_ratio_samples(adj.f1, adj.f2, w, pair.t0, pair.t_last,
+                                                   24, 16, 32, 16)
         ratios = log_v - log_u
         assert ratios.min() == adj.log_c_low
         assert ratios.max() == adj.log_c_high

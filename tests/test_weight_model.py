@@ -579,10 +579,9 @@ class TestJsonSpec:
     def test_table_only_for_tabulated(self, tmp_path, capsys):
         with pytest.raises(ValueError, match="'power' takes no table"):
             lw.make_weight("power", (3.0,), table=[[0.2, 1.0], [0.5, 2.0]])
-        table = tmp_path / "table.json"
-        table.write_text("[[0.2, 1.0], [0.5, 2.0]]")
-        assert main(["verify", "envelope", "--family", "power", "--params", "3",
-                     "--table", str(table)]) == 2
+        spec = tmp_path / "weight.json"
+        spec.write_text('{"family": "power", "params": [3], "table": [[0.2, 1.0], [0.5, 2.0]]}')
+        assert main(["verify", "envelope", "--weight", str(spec)]) == 2
         assert "takes no table" in capsys.readouterr().err
 
     def test_table_pairs_only(self):

@@ -77,15 +77,19 @@ def dominant_pair():
     return lw.SeriesPair(g1=g1, g2=g2, t0=0.9, h=2.0, t_last=0.95)
 
 
-def assert_matches_oracle(adj, pair, w, **grid):
-    report = reference_zero_adjust(pair, w, **grid)
+def assert_matches_oracle(adj, pair, w):
+    """adj is zero_adjust(pair, w) at its default grid."""
+    report = reference_zero_adjust(pair, w)
     got = adj.to_json_dict()
     assert list(got)[:len(report)] == list(report)
     assert tuple(got)[len(report):] == NEW_KEYS
     assert json.dumps({k: got[k] for k in report}) == json.dumps(report)
-    expected = reference_log_ratio_samples(adj.f1, adj.f2, w, adj.t0, adj.t_last,
-                                           *adj.grid_spec)
-    for a, b in zip(adj.sample_log_ratios(w), expected, strict=True):
+    grid = (100, 64, 200, 64)  # inner_radii, inner_angles, outer_t_points, outer_angles
+    expected = reference_log_ratio_samples(adj.f1, adj.f2, w, pair.t0, pair.t_last, *grid)
+    rings = series._ratio_rings(adj.f1, adj.f2, w, pair.t0, pair.t_last, *grid)
+    samples = (np.concatenate([np.repeat(log_w, log_s.shape[1]) for log_w, log_s in rings]),
+               np.concatenate([log_s.ravel() for _, log_s in rings]))
+    for a, b in zip(samples, expected, strict=True):
         np.testing.assert_array_equal(a, b)
 
 
@@ -228,7 +232,8 @@ class TestRingConstants:
                 lw.split_parity(lw.run_construction(w, lw.ConstructionParams(x0=X0))))
         adj = lw.zero_adjust(pair, w, theta_count=32, inner_radii=16, inner_angles=16,
                              outer_t_points=24, outer_angles=8)
-        log_w, log_s = adj.sample_log_ratios(w)
+        log_w, log_s = reference_log_ratio_samples(adj.f1, adj.f2, w, pair.t0, pair.t_last,
+                                                   16, 16, 24, 8)
         ratios = log_s - log_w
         inner, annulus = ratios[:16 * 16], ratios[16 * 16:]
         assert (adj.log_c_low_inner, adj.log_c_high_inner) == (inner.min(), inner.max())
