@@ -14,14 +14,19 @@ Exponentiating, l_k describes the monomial bound a_k t^{delta_k}, which
   * dominates the other monomials geometrically away from its own
     interval (successive lines separate by h per index step).
 
-Both solves are bisection on residual functions that are strictly
-monotone whenever F is strictly convex, so every step is deterministic
-and costs O(log(1/_ROOT_TOL)) evaluations of F and F'.
+Both solves are safeguarded Newton iterations on residual functions that
+are strictly monotone whenever F is strictly convex: each starts from the
+quadratic model of its residual, and a step that leaves the root's
+bracket, or has no finite nonzero slope, bisects it instead.  A weight
+without F'' gets no slope and bisects throughout.  Every step is
+deterministic and costs a handful of evaluations of F, F' and F'' with
+F'', O(log(1/_ROOT_TOL)) without.
 
 A weight is duck-typed: this module calls only `big_f(x)`,
-`big_f_prime(x)` and `big_f_and_prime(x)` (which returns the pair
-(F(x), F'(x)) with the bits of the two separate calls) at x < 0, and
-reads an optional `family` to name the lemma basis.
+`big_f_prime(x)`, `big_f_and_prime(x)` (which returns the pair
+(F(x), F'(x)) with the bits of the two separate calls) and an optional
+`big_f_second(x)` (F'', or None) at x < 0, and reads an optional
+`family` to name the lemma basis.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ _TAIL_WINDOW = 8  # lines summed on each side of k in the lemma tail sums
 _TAIL_BLOCK = 1 << 14  # float64 tail terms per block of intervals (128 kB)
 _XI_BRACKET = 1e-12  # half-width, relative to |xi|, tried around a stored xi
 _X_FLOOR = -2.0 ** -53  # x halves toward 0 no further: exp(x) is the last float < 1
-_ROOT_TOL = 1e-13  # relative bracket width at which the bisections stop
+_ROOT_TOL = 1e-13  # relative bracket width or Newton step at which root searches stop
 
 _FLOOR_DIVISOR = 1024  # a line's log_a may have an ulp of at most h / this
 _GATE_POINTS = 200
@@ -85,6 +90,9 @@ class ConstructionParams:
     auto_restart: bool = False
 
     def __post_init__(self):
+        for name in ("h", "x0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name}={getattr(self, name)} must be finite")
         if not self.h >= 2.0:
             raise ValueError(f"h={self.h} must be >= 2")
         if not self.x0 < 0.0:
@@ -196,6 +204,44 @@ def _bisect(fn, lo, hi, positive_at_lo, tol=_ROOT_TOL):
     return lo, hi
 
 
+def _newton(fn, lo, hi, positive_at_lo, x=None):
+    """A root of fn in the bracket [lo, hi], where fn(x) returns the pair
+    (value, slope or None) and the value is positive at lo iff
+    positive_at_lo.  Each evaluation narrows the bracket by the sign of its
+    value, then takes the Newton step from it; the next evaluation is at
+    the stepped point if it lies inside the bracket, else at the bracket's
+    midpoint, as is the first without a start x.  Stops, relative to the
+    abscissa as _bisect does, at a Newton step of at most _ROOT_TOL
+    landing in the bracket (its point is the root) or at a bracket of
+    width _ROOT_TOL (its midpoint is).  Without slopes this is _bisect."""
+    for _ in range(200):
+        if hi - lo <= _ROOT_TOL * abs(hi):
+            break
+        if x is None or not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        value, slope = fn(x)
+        if (value > 0.0) == positive_at_lo:
+            lo = x
+        else:
+            hi = x
+        if slope is None or not (math.isfinite(slope) and slope != 0.0):
+            x = None
+            continue
+        step = value / slope
+        x = x - step
+        if abs(step) <= _ROOT_TOL * abs(x) and lo <= x <= hi:
+            return x
+    return 0.5 * (lo + hi)
+
+
+def _quadratic_start(x, f_second, h):
+    """x + sqrt(2h / F''(x)), where a residual with curvature F''(x) at its
+    extremum x gains h; None without a positive F''(x)."""
+    if f_second is None or not f_second > 0.0:
+        return None
+    return x + math.sqrt(2.0 * h / f_second)
+
+
 def next_tangent(w: WeightFunction, x_prev: float, h: float):
     """One induction step: the tangent line through (x_prev, F(x_prev) - h)
     and the next crossing abscissa.
@@ -207,26 +253,40 @@ def next_tangent(w: WeightFunction, x_prev: float, h: float):
         which equals h at xi = x_prev and is strictly decreasing in xi
         (G' = F''(xi)(x_prev - xi) < 0 under strict convexity);
     (b) x_next > xi is the root of H(x) = F(x) - h - l(x), which equals
-        -h at xi and is strictly increasing there.
+        -h at xi and is strictly increasing there (H' = F'(x) - delta).
 
     Both roots are bracketed by geometrically halving the abscissa toward
-    0, no further than the float floor _X_FLOOR, and then bisected to the
-    relative tolerance _ROOT_TOL.
+    0, no further than the float floor _X_FLOOR, and then found by _newton
+    to the relative tolerance _ROOT_TOL.  Near its extremum each residual
+    moves by F'' (s - extremum)^2 / 2, so Newton starts where that reaches
+    h: xi ~ x_prev + sqrt(2h / F''(x_prev)) and x_next ~ xi + sqrt(2h /
+    F''(xi)).  Both starts lie right of the root when F'' increases, and
+    from there Newton's iterates fall monotonically onto it.  A weight
+    whose F''(x_prev) is None (or that has no big_f_second) gets no start
+    and no slope: both stages bisect, on F alone in stage (b).
     """
     if x_prev >= 0.0:
         raise ValueError("x_prev must be negative")
     f_prev = w.big_f(x_prev)
     if not math.isfinite(f_prev):
         raise OverflowError(f"F({x_prev}) is not finite; start farther from 0")
+    f_second = getattr(w, "big_f_second", lambda x: None)
+    fpp_prev = f_second(x_prev)
+    newton = fpp_prev is not None
 
-    def big_g(xi):
+    def drop(xi):  # G(xi) - h; -inf where F or F' overflows
         f, fp = w.big_f_and_prime(xi)
         if not (math.isfinite(f) and math.isfinite(fp)):
             return NEG_INF
-        return f + fp * (x_prev - xi) - f_prev + h
+        return f + fp * (x_prev - xi) - f_prev
 
-    # Stage (a): bracket the tangency.
-    lo, g_lo = x_prev, h
+    def big_g(xi):
+        fpp = f_second(xi)
+        return drop(xi) + h, None if fpp is None else fpp * (x_prev - xi)
+
+    # Stage (a): bracket the tangency.  The convexity and growth checks
+    # compare G - h, not G: next to a huge h every change of G rounds away.
+    lo, d_lo = x_prev, 0.0
     hi = x_prev / 2.0
     decreased = False
     while True:
@@ -238,27 +298,31 @@ def next_tangent(w: WeightFunction, x_prev: float, h: float):
             raise NotStrictlyConvexError(
                 "weight profile is not strictly convex: the tangent never "
                 "separates from the chord")
-        g_hi = big_g(hi)
-        if g_hi > g_lo + 1e-9 * max(1.0, abs(g_lo)):
+        d_hi = drop(hi)
+        if d_hi > d_lo + 1e-9 * max(1.0, abs(d_lo)):
             raise NotStrictlyConvexError(
                 f"weight profile is not strictly convex near x = {hi}")
-        if g_hi < g_lo - 1e-12 * max(1.0, abs(g_lo)):
+        if d_hi < d_lo - 1e-12 * max(1.0, abs(d_lo)):
             decreased = True
-        if g_hi <= 0.0:
+        if d_hi + h <= 0.0:
             break
-        lo, g_lo = hi, g_hi
+        lo, d_lo = hi, d_hi
         hi = hi / 2.0
-    xi = 0.5 * sum(_bisect(big_g, lo, hi, positive_at_lo=True))
+    xi = _newton(big_g, lo, hi, positive_at_lo=True,
+                 x=_quadratic_start(x_prev, fpp_prev, h))
     f_xi, delta = w.big_f_and_prime(xi)
     log_a = f_xi - delta * xi
     if not (delta > 0.0 and math.isfinite(log_a)):
         raise ConstructionError(f"degenerate tangent at xi={xi}")
 
     def big_h(x):
-        f = w.big_f(x)
+        if newton:
+            f, fp = w.big_f_and_prime(x)
+        else:
+            f, fp = w.big_f(x), None
         if not math.isfinite(f):
-            return math.inf
-        return f - h - (log_a + delta * x)
+            return math.inf, None
+        return f - h - (log_a + delta * x), None if fp is None else fp - delta
 
     # Stage (b): bracket the next crossing.
     lo2 = xi
@@ -268,11 +332,12 @@ def next_tangent(w: WeightFunction, x_prev: float, h: float):
             raise SlowGrowthError(
                 "weight grows too slowly (or is not unbounded): F - h never "
                 f"crosses the tangent line again left of the float floor x = {_X_FLOOR}")
-        if big_h(hi2) >= 0.0:
+        if big_h(hi2)[0] >= 0.0:
             break
         lo2 = hi2
         hi2 = hi2 / 2.0
-    x_next = 0.5 * sum(_bisect(big_h, lo2, hi2, positive_at_lo=False))
+    x_next = _newton(big_h, lo2, hi2, positive_at_lo=False,
+                     x=_quadratic_start(xi, f_second(xi), h))
     return TangentLine(delta=delta, log_a=log_a, xi=xi), x_next
 
 

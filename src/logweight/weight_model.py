@@ -8,11 +8,17 @@ growth analysis happens through
 
 because omega is comparable to a sum of two holomorphic moduli exactly
 when F is (equivalent to) a convex function.  Every family is one row of
-_FAMILIES, its F and its pair (F, F'), and omega is evaluated only through
-F: log omega(t) = F(log t) and log omega(1 - s) = F(log1p(-s)).  F' is in
-closed form for the six analytic families, the segment slope for
-tabulated, and a central difference for perturbed_*.  Everything stays in
-the log domain: omega itself overflows float64 long before the fast
+_FAMILIES, its F, its pair (F, F') and, for the six analytic families,
+its F'', and omega is evaluated only through F: log omega(t) = F(log t)
+and log omega(1 - s) = F(log1p(-s)).  F' is in closed form for the
+analytic families, the segment slope for tabulated, and a central
+difference for perturbed_*.  F'' is in closed form for the analytic
+families and absent (None) for the others; the tangent construction
+takes Newton steps with it and bisects without it.  F, F' and F'' read
++inf where their values overflow.  log(1 - e^x) is taken as
+log(-expm1(x)) right of x = -log 2 and log1p(-e^x) left of it, which
+keeps it accurate to a few ulps on both sides.  Everything stays in the
+log domain: omega itself overflows float64 long before the fast
 families stop being tractable.
 
 Families
@@ -53,9 +59,19 @@ _EPS_CBRT = float(np.finfo(float).eps) ** (1.0 / 3.0)
 CONSTRUCTIBLE_FAMILIES = ("ramey_ullrich", "power", "exp_power", "double_exp")
 
 
+_MINUS_LOG_2 = -math.log(2.0)
+
+
 def _u(x: float) -> float:
     """1 - e^x computed accurately for x near 0-."""
     return -math.expm1(x)
+
+
+def _log_u(x: float) -> float:
+    """log(1 - e^x) to a few ulps on both sides of x = -log 2 (Maechler,
+    "Accurately computing log(1 - exp(-|a|))", 2012): log(-expm1(x)) loses
+    its relative accuracy as x -> -inf, log1p(-e^x) as x -> 0-."""
+    return math.log(-math.expm1(x)) if x > _MINUS_LOG_2 else math.log1p(-math.exp(x))
 
 
 @dataclass(frozen=True)
@@ -63,31 +79,39 @@ class _Family:
     n_params: int  # a tabulated weight may also take none
     defaults: tuple
     big_f: Callable  # (x, args) -> F, may return +inf for fast weights
-    # (x, args) -> (F, F'); its F has the bits of big_f, and an analytic
-    # family computes u = 1 - e^x once for both
+    # (x, args) -> (F, F'); its F has the bits of big_f
     big_f_and_prime: Callable
     analytic: bool  # closed-form F', positive params, omega(0) = exp(F(-inf))
     # (params, table) -> the args of the two above; only tabulated takes a table
     args: Callable = lambda params, table: params
     divisor: str = ""  # the name of a last parameter that x is divided by
+    big_f_second: Optional[Callable] = None  # (x, args) -> F'', analytic rows only
 
 
 def _ramey_f(x, p):
-    return -math.log(_u(x))
+    return -_log_u(x)
 
 
 def _ramey_fp(x, p):
+    return -_log_u(x), math.exp(x) / _u(x)
+
+
+def _ramey_fpp(x, p):
+    # F'' = e^x / u^2, divided twice so that u^2 never underflows to 0
     u = _u(x)
-    return -math.log(u), math.exp(x) / u
+    return math.exp(x) / u / u
 
 
 def _power_f(x, p):
-    return -p[0] * math.log(_u(x))
+    return -p[0] * _log_u(x)
 
 
 def _power_fp(x, p):
-    u = _u(x)
-    return -p[0] * math.log(u), p[0] * math.exp(x) / u
+    return -p[0] * _log_u(x), p[0] * math.exp(x) / _u(x)
+
+
+def _power_fpp(x, p):
+    return p[0] * _ramey_fpp(x, p)
 
 
 def _pow_or_inf(u, a):
@@ -107,6 +131,14 @@ def _exp_power_fp(x, p):
     return _pow_or_inf(u, -p[0]), p[0] * _pow_or_inf(u, -p[0] - 1.0) * math.exp(x)
 
 
+def _exp_power_fpp(x, p):
+    # F'' = alpha e^x u^(-alpha-2) (u + (alpha+1) e^x).  u^(-alpha) / u / u
+    # keeps the exponent exact where -alpha - 2 would round, and as the last
+    # factor is 1 + alpha e^x >= 1, no partial product exceeds F''
+    u, e = _u(x), math.exp(x)
+    return p[0] * e * _pow_or_inf(u, -p[0]) / u / u * (u + (p[0] + 1.0) * e)
+
+
 def _double_exp_f(x, p):
     inner = 1.0 / _u(x)
     return math.exp(inner) if inner <= LOG_MAX else math.inf
@@ -120,14 +152,26 @@ def _double_exp_fp(x, p):
             if inner + x - 2.0 * math.log(u) <= LOG_MAX else math.inf)
 
 
+def _double_exp_fpp(x, p):
+    # F'' = F q (q + 1 + 2 e^x / u) with q = e^x / u^2
+    u, e = _u(x), math.exp(x)
+    q = e / u / u
+    return _double_exp_f(x, p) * q * (q + 1.0 + 2.0 * e / u)
+
+
 def _log_power_f(x, p):
-    return p[0] * math.log1p(-math.log(_u(x)))
+    return p[0] * math.log1p(-_log_u(x))
 
 
 def _log_power_fp(x, p):
-    u = _u(x)
-    log_u = math.log(u)
-    return p[0] * math.log1p(-log_u), p[0] * math.exp(x) / (u * (1.0 - log_u))
+    log_u = _log_u(x)
+    return p[0] * math.log1p(-log_u), p[0] * math.exp(x) / (_u(x) * (1.0 - log_u))
+
+
+def _log_power_fpp(x, p):
+    # F'' = b e^x (u - log u) / (u^2 (1 - log u)^2)
+    u, log_u = _u(x), _log_u(x)
+    return p[0] * (math.exp(x) / u / u) * (u - log_u) / (1.0 - log_u) ** 2
 
 
 def _inv_log_f(x, p):
@@ -136,6 +180,10 @@ def _inv_log_f(x, p):
 
 def _inv_log_fp(x, p):
     return -1.0 / x, 1.0 / (x * x)
+
+
+def _inv_log_fpp(x, p):
+    return -2.0 / x / x / x  # F'' = -2/x^3, divided so that x^3 never underflows to 0
 
 
 def _central_difference(big_f):
@@ -212,12 +260,15 @@ def _tabulated_fp(x, a):
 
 
 _FAMILIES = {
-    "ramey_ullrich": _Family(0, (), _ramey_f, _ramey_fp, True),
-    "power": _Family(1, (2.0,), _power_f, _power_fp, True),
-    "exp_power": _Family(1, (1.0,), _exp_power_f, _exp_power_fp, True),
-    "double_exp": _Family(0, (), _double_exp_f, _double_exp_fp, True),
-    "log_power": _Family(1, (2.0,), _log_power_f, _log_power_fp, True),
-    "inv_log": _Family(0, (), _inv_log_f, _inv_log_fp, True),
+    "ramey_ullrich": _Family(0, (), _ramey_f, _ramey_fp, True, big_f_second=_ramey_fpp),
+    "power": _Family(1, (2.0,), _power_f, _power_fp, True, big_f_second=_power_fpp),
+    "exp_power": _Family(1, (1.0,), _exp_power_f, _exp_power_fp, True,
+                         big_f_second=_exp_power_fpp),
+    "double_exp": _Family(0, (), _double_exp_f, _double_exp_fp, True,
+                          big_f_second=_double_exp_fpp),
+    "log_power": _Family(1, (2.0,), _log_power_f, _log_power_fp, True,
+                         big_f_second=_log_power_fpp),
+    "inv_log": _Family(0, (), _inv_log_f, _inv_log_fp, True, big_f_second=_inv_log_fpp),
     "tabulated": _Family(1, (), lambda x, a: _tabulated_fp(x, a)[0], _tabulated_fp, False,
                          _knot_args),
     "perturbed_bump": _Family(3, (3.0, -1.0, 0.02), _bump_f,
@@ -235,14 +286,15 @@ _FAMILY_ALIASES = {"perturbed": "perturbed_bump"}
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """A radial weight, evaluated only through F = log omega(e^x) and F'.
+    """A radial weight, evaluated only through F = log omega(e^x), F' and F''.
 
     Immutable and side-effect free; instances are safe to share across
     threads.  `params` are family-specific (see module docstring);
     `table` holds (x, F) knots for the tabulated family.  Each method reads
     the family's row of _FAMILIES: F' is closed-form for the analytic
     families, the segment slope for tabulated, and a central difference
-    for the perturbed ones.
+    for the perturbed ones; F'' is closed-form for the analytic families
+    and None for the others.
     """
 
     family: str
@@ -310,6 +362,14 @@ class WeightFunction:
         if x >= 0.0:
             raise ValueError(f"x={x} must be negative")
         return self._row.big_f_and_prime(x, self._args)
+
+    def big_f_second(self, x: float) -> Optional[float]:
+        """F''(x) for an analytic family, +inf where it overflows; None for
+        a family without a closed form (tabulated, perturbed_*)."""
+        if x >= 0.0:
+            raise ValueError(f"x={x} must be negative")
+        second = self._row.big_f_second
+        return None if second is None else second(x, self._args)
 
 
 @dataclass(frozen=True)

@@ -480,24 +480,24 @@ class TestEmit:
 GOLDEN = {
     "construct": (["construct", "--family", "ramey_ullrich", "--h", "2", "--t0", "0.95",
                    "--t-stop", "0.9999"], 0,
-                  "668f6a7bd809f4cae3145370ac23dc74424b85f3abc63c6cc43aef1fa39fb40b"),
+                  "f37ac33f8fd71aa1293e1aa97631c3d4441b484571d00352c212d11b108d9d2e"),
     "sandwich": (["verify", "sandwich", "--state", "STATE", "--family", "ramey_ullrich",
                   "--t-points", "200", "--angles", "32"], 0,
-                 "f8c7514a994b3491f29960251f58c337dcee2cffd02f2c93d8da942e781241ae"),
+                 "9bd9326209b1cdfbd967bbb13a72b07f22df491fc2372d3e585922a634f73de6"),
     "lemmas": (["verify", "lemmas", "--state", "STATE", "--family", "ramey_ullrich"], 0,
-               "7d437cd33b891d2e6a6ca8cfea2d8843b1bf2a5fa7963aacee40f53e7133114e"),
+               "31a76aabf20dda5c62962d2bc281ccfcdd8e3c421be4bb81e1e9a9c877ab8d06"),
     "ball_monomial": (["verify", "ball", "--state", "STATE", "--family", "ramey_ullrich",
                        "--poly-family", "monomial_d1"], 0,
-                      "39d35f3dfaab672c714a7711a9342f8d8a8f9da58a55b610fbbb50b5a2864519"),
+                      "03a4a3fd6324786230223dbc73d1b3ccb40b615fecb216de61eff13b480b476f"),
     "ball_coordinate": (["verify", "ball", "--state", "STATE", "--family", "ramey_ullrich",
                          "--poly-family", "coordinate_d2", "--degrees", "8"], 1,
                         "a252716e860605a00b0ca213c2af68d09af3a0d1065fee6c5f835676a82bfed1"),
     "hadamard": (["verify", "hadamard", "--random-polys", "10", "--seed", "7"], 0,
                  "2927a48810da37195291bd277d3d256c632c355a1afbb886811dbd7d38a6f4ab"),
     "envelope": (["verify", "envelope", "--family", "ramey_ullrich"], 0,
-                 "c9fa1067b6ab4024406d3d861bff17acc0fbcf00b0c7c4586232289f8a2f51a9"),
+                 "223e6729bf204ffc351399a41d7d0acdc83f297c3240eaf37747c09b446f587f"),
     "emit": (["emit", "--state", "STATE", "--family", "ramey_ullrich"], 0,
-             "0b93954d75a190667d6b7874b77cbb943f4180acf258fe1dd233f4aaa3c4880f"),
+             "90d926039c8dd860652526d37d58b01a9e3014d9c72c0b33fa7d6f82f2307454"),
 }
 
 
@@ -523,11 +523,11 @@ def deep_state_file(tmp_path_factory):
 # id -> (arguments, sha256 of the --out bytes), recorded while the grid
 # kernel still tabulated every term at every radius.
 DEEP_GOLDEN = {
-    "state": ([], "56bed2338b1ede655e9c5b74a01aa0c383e10c8e09da73c1e9b0f302ba887d91"),
+    "state": ([], "1e359f7292a46a7d5450bbf07215ebda750a4ded75cc29c0223685f5305fb678"),
     "sandwich": (["verify", "sandwich", "--t-points", "200", "--angles", "64"],
-                 "2771c97580b7b20d84025c25e2437f18d008b2e2c9edfe54d6fb88253aa0684a"),
+                 "ca3abbc53abdb98c9235525b212ee22a3d87de8f0bb9abe1784fb6c5113f6e72"),
     "emit": (["emit", "--t-points", "200", "--angles", "64"],
-             "55e125f7a9fc4846598c71baa61e3b9cd709ed2e74f40d06a741ef5e52bab703"),
+             "3d367153847b958c7503c368fa21df806731d4dae64ad3a83a223e8b69a6c2b7"),
 }
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 from dataclasses import replace
 
 import mpmath
@@ -11,11 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import logweight as lw
+from logweight.cli import main
 from logweight.construction import (ConstructionError, ConstructionParams,
                                     _ROOT_TOL, _convexity_gate, _gate_grid,
                                     _min_above_line, check_state_matches)
 from logweight.weight_model import check_log_convexity
-from reference_construction import reference_run_construction
+from reference_construction import (reference_bisection_tangent, reference_newton_tangent,
+                                    reference_run_construction)
 
 
 SQRT2 = math.sqrt(2.0)
@@ -227,6 +230,27 @@ class TestRunConstruction:
         with pytest.raises(ValueError):
             ConstructionParams(x0=-1.0, t_stop=1.0)
 
+    @pytest.mark.parametrize("field, kw", [
+        ("h", dict(x0=-1.0, h=math.inf)), ("h", dict(x0=-1.0, h=math.nan)),
+        ("x0", dict(x0=-math.inf)), ("x0", dict(x0=math.nan))])
+    def test_nonfinite_param_named(self, field, kw):
+        with pytest.raises(ValueError, match=f"^{field}=.* must be finite$"):
+            ConstructionParams(**kw)
+
+    def test_nonfinite_x0_exits_2_without_warning(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["construct", "--family", "ramey_ullrich", "--x0=-inf"]) == 2
+        assert capsys.readouterr().err == "error: x0=-inf must be finite\n"
+
+    def test_huge_gap_is_slow_growth(self, capsys):
+        # next to h = 1e300 the drop of G rounds away; G - h still falls
+        w = lw.make_weight("ramey_ullrich")
+        with pytest.raises(lw.SlowGrowthError, match="no tangent line drops 1e[+]300 below F"):
+            lw.next_tangent(w, math.log(0.95), 1e300)
+        assert main(["construct", "--family", "ramey_ullrich", "--h", "1e300"]) == 2
+        assert "grows too slowly" in capsys.readouterr().err
+
     def test_slow_growth_error(self):
         w = lw.make_weight("log_power")
         with pytest.raises(lw.SlowGrowthError, match=r"float floor x = -1\.1102230246251565e-16"):
@@ -404,18 +428,22 @@ class TestMinAboveLineCalls:
             assert len(set(counted.fused_xs)) == len(counted.fused_xs)
 
 
-class TestFusedStepOracle:
-    """run_construction, with F and F' fused, against the step that calls
-    them apart: every abscissa, coefficient and tangency point bit for bit."""
+BENCH_STATES = [
+    ("double_exp", (), dict(k_max=200), 200),
+    ("exp_power", (2.0,), dict(k_max=5000, t_stop=0.999), 601),
+    ("exp_power", (1.0,), {}, 68),
+    ("ramey_ullrich", (), dict(t_stop=1.0 - 1e-9), 4),
+    ("power", (3.0,), {}, None),
+    ("inv_log", (), {}, None),
+]
 
-    @pytest.mark.parametrize("family, params, kw, lines", [
-        ("double_exp", (), dict(k_max=200), 200),
-        ("exp_power", (2.0,), dict(k_max=5000, t_stop=0.999), 601),
-        ("exp_power", (1.0,), {}, 68),
-        ("ramey_ullrich", (), dict(t_stop=1.0 - 1e-9), 4),
-        ("power", (3.0,), {}, None),
-        ("inv_log", (), {}, None),
-    ])
+
+class TestFusedStepOracle:
+    """run_construction, with F and F' fused, against the Newton step that
+    calls F, F' and F'' apart, each analytic F' and F'' from its own
+    formula: every abscissa, coefficient and tangency point bit for bit."""
+
+    @pytest.mark.parametrize("family, params, kw, lines", BENCH_STATES)
     def test_bench_states(self, family, params, kw, lines):
         state = assert_same_run(lw.make_weight(family, params),
                                 ConstructionParams(x0=math.log(0.95), **kw))
@@ -431,6 +459,88 @@ class TestFusedStepOracle:
         except ConstructionError as err:
             with pytest.raises(type(err)):
                 reference_run_construction(w, params)
+
+
+class TestNewtonStep:
+    """The Newton step finds the bisection step's roots, to within the
+    rounding noise of the residuals, in a fraction of the evaluations."""
+
+    @pytest.mark.parametrize("family, params, kw, lines", BENCH_STATES)
+    def test_bisection_is_a_tolerance_oracle(self, family, params, kw, lines):
+        # es may differ: on double_exp delta ~ 1e11, so a relative move of
+        # 1e-12 in xi can carry floor(delta) across an integer
+        w, params = lw.make_weight(family, params), ConstructionParams(x0=math.log(0.95), **kw)
+        new = lw.run_construction(w, params)
+        ref = reference_run_construction(w, params, step=reference_bisection_tangent)
+        assert len(new.lines) == len(ref.lines)
+        np.testing.assert_allclose(new.xs, ref.xs, rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose(new.deltas, ref.deltas, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("family, params, kw", [
+        ("double_exp", (), dict(k_max=200)),
+        ("exp_power", (2.0,), dict(k_max=5000, t_stop=0.999)),
+    ])
+    def test_fused_calls_per_line(self, family, params, kw):
+        # bisection took 45 fused calls and 45 F calls per line
+        counted = CountingWeight(lw.make_weight(family, params))
+        state = lw.run_construction(counted, ConstructionParams(x0=math.log(0.95), **kw))
+        assert counted.calls["big_f_and_prime"] <= 25 * len(state.lines)
+        assert counted.calls["big_f"] == len(state.lines)  # F(x_prev) once per line
+
+
+class WithoutSecond:
+    """A weight's F, F' and fused (F, F') without its big_f_second."""
+
+    def __init__(self, w):
+        self.big_f, self.big_f_prime = w.big_f, w.big_f_prime
+        self.big_f_and_prime = w.big_f_and_prime
+
+
+def step_outcomes(step, w, x0, n=8, h=2.0):
+    """The bits of n induction steps from x0, up to the type of the first
+    error one raises."""
+    out, x = [], x0
+    for _ in range(n):
+        try:
+            line, x = step(w, x, h)
+        except (ConstructionError, ArithmeticError, ValueError) as err:
+            return out, type(err)
+        out.append(bits([line.delta, line.log_a, line.xi, x]).tolist())
+    return out, None
+
+
+class TestBisectionFallback:
+    """A weight without F'' (tabulated, perturbed_*, duck-typed) gets no
+    Newton step: each step is the bisection step, bit for bit."""
+
+    def test_hull_run(self):
+        source = lw.make_weight("exp_power", (1.0,))
+        knots = [(x, source.big_f(x)) for x in (-np.geomspace(2.0, 1e-9, 400)).tolist()]
+        w = lw.weight_from_knots(knots, strictify=1.0)
+        params = ConstructionParams(x0=math.log(0.95), t_stop=0.999)
+        new = lw.run_construction(w, params)
+        ref = reference_run_construction(w, params, step=reference_bisection_tangent)
+        assert len(new.lines) == 20 and new.es == ref.es
+        for get in (lambda s: s.xs, lambda s: s.deltas, lambda s: s.log_as,
+                    lambda s: [line.xi for line in s.lines]):
+            np.testing.assert_array_equal(bits(get(new)), bits(get(ref)))
+
+    @pytest.mark.parametrize("w, x0, steps, error", [
+        (lw.make_weight("perturbed_bump"), math.log(0.95), 7, lw.SlowGrowthError),
+        (lw.make_weight("perturbed_bump", (0.5, -0.2, 0.05)), -0.4, 0,
+         lw.NotStrictlyConvexError),
+        (lw.make_weight("perturbed_sawtooth", (0.01, 0.25)), -0.6, 8, None),
+        (lw.make_weight("perturbed_unbounded_sawtooth", (0.01, 0.5)), -0.6, 1,
+         lw.NotStrictlyConvexError),
+        (collision_profile(), -120.0, 8, None),
+        (WithoutSecond(lw.make_weight("exp_power", (2.0,))), math.log(0.95), 8, None),
+    ], ids=["bump", "bump-near", "sawtooth", "unbounded_sawtooth", "soft_lines",
+            "exp_power-without-second"])
+    def test_steps(self, w, x0, steps, error):
+        new = step_outcomes(lw.next_tangent, w, x0)
+        assert (len(new[0]), new[1]) == (steps, error)
+        assert new == step_outcomes(reference_bisection_tangent, w, x0)
+        assert new == step_outcomes(reference_newton_tangent, w, x0)
 
 
 class TestHForDelta:

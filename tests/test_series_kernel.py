@@ -512,10 +512,10 @@ class TestBenchmarkSlices:
     rs = np.geomspace(0.1, 0.9, 24)
     # sha256 of the per-radius log max |f| and of the (mantissa, log scale)
     # bits of every point
-    pins = {0: ("3ec9300242ddfc1171c8bd08f80669a1fe3ebd387fc605dc1e45203182c46da4",
-                "5a398a6b77e576bcd9600e425f51cba9a6b33f27f8029db52f69e7182425bfcc"),
-            1: ("fd6be8f8cdd8a30f3a4513c63713a80ddb46facd8dba9047f575be4f32f0c46f",
-                "6cb72607cfcc1a90a5ef5e378d911255f7fd44b5d9ed6a304269f8d8dec0973c")}
+    pins = {0: ("fac6222324cc2e8d3a7213b5e14b39ab3413a76ee8fa9f9144925b7380d40b67",
+                "ffddedbdd8c8644fb0632decb638670f6aad8c725187adaa93742790f39d96b8"),
+            1: ("e4461b7e352f69d7cb6e8cc2071ca073b819842cd4e433ad1450c91f86832cdb",
+                "6a30cc16a1292f793d94efbbfd30e2cc757b6ea8ccc679e03a592c03ff9023f6")}
 
     def slice_fn(self, slice_system, index):
         system, zeta = slice_system

@@ -5,6 +5,7 @@ import hashlib
 import math
 import pickle
 import struct
+import sys
 
 import mpmath
 import numpy as np
@@ -14,7 +15,7 @@ import logweight as lw
 from logweight.cli import main
 from logweight.construction import _gate_grid
 from logweight.weight_model import _central_difference, _triangle_wave
-from reference_construction import separate_f_prime
+from reference_construction import separate_f_prime, separate_f_second
 
 
 ANALYTIC_FAMILIES = [
@@ -254,26 +255,128 @@ class TestFusedFAndPrime:
                 w.big_f_and_prime(x)
 
 
+# F of each analytic family as an mpmath expression, with u = 1 - e^x by
+# expm1 and log u by log1p, which keep their digits at every x.
+MP_BIG_F = {
+    "ramey_ullrich": lambda x, p: -mpmath.log1p(-mpmath.exp(x)),
+    "power": lambda x, p: -p[0] * mpmath.log1p(-mpmath.exp(x)),
+    "exp_power": lambda x, p: (-mpmath.expm1(x)) ** (-p[0]),
+    "double_exp": lambda x, p: mpmath.exp(1 / -mpmath.expm1(x)),
+    "log_power": lambda x, p: p[0] * mpmath.log1p(-mpmath.log1p(-mpmath.exp(x))),
+    "inv_log": lambda x, p: -1 / x,
+}
+FLOAT_MAX = sys.float_info.max
+EPS = sys.float_info.epsilon
+
+
+def mp_second(family, params, x):
+    """F''(x) by mpmath's central second difference, step 1e-18 |x|."""
+    with mpmath.workdps(60):
+        x = mpmath.mpf(x)
+        return mpmath.diff(lambda s: MP_BIG_F[family](s, params), x, 2,
+                           h=abs(x) * mpmath.mpf("1e-18"))
+
+
+class TestFSecond:
+    """big_f_second: F'' in closed form for the analytic families, +inf
+    past the float range, None for the others."""
+
+    @pytest.mark.parametrize("family,params", FUSED_ANALYTIC)
+    def test_against_mpmath(self, family, params):
+        w = lw.make_weight(family, params)
+        for x in (-np.geomspace(5.0, 1e-12, 400)).tolist():
+            want, got = mp_second(family, params, x), w.big_f_second(x)
+            if want > FLOAT_MAX:
+                assert got == math.inf
+                continue
+            # double_exp's F = exp(1/u) carries u's rounding error times 1/u
+            cond = 1.0 - 1.0 / math.expm1(x) if family == "double_exp" else 1.0
+            assert 0.0 < got < math.inf
+            assert abs(got - want) <= 16.0 * EPS * cond * want, x
+
+    @pytest.mark.parametrize("family,params", [("double_exp", ()), ("exp_power", (2.0,)),
+                                               ("exp_power", (1.7,)), ("inv_log", ())])
+    def test_inf_at_the_overflow_edge(self, family, params):
+        # the last float x with a finite F''(x) and the next one toward 0
+        w = lw.make_weight(family, params)
+        lo, hi = -1.0, -5e-324
+        assert math.isfinite(w.big_f_second(lo)) and w.big_f_second(hi) == math.inf
+        while math.nextafter(lo, 0.0) != hi:
+            mid = 0.5 * (lo + hi) if lo / hi < 4.0 else -math.sqrt(lo * hi)
+            lo, hi = (mid, hi) if math.isfinite(w.big_f_second(mid)) else (lo, mid)
+        assert mp_second(family, params, lo) <= FLOAT_MAX * (1.0 + 1e-12)
+        assert mp_second(family, params, hi) >= FLOAT_MAX * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("family,params", FUSED_ANALYTIC)
+    def test_separate_formula_bits(self, family, params):
+        # the reference construction's own F'' formulas give the same bits
+        w = lw.make_weight(family, params)
+        got = [w.big_f_second(x) for x in FUSED_XS.tolist()]
+        want = [separate_f_second(w, x) for x in FUSED_XS.tolist()]
+        np.testing.assert_array_equal(np.asarray(got).view(np.uint64),
+                                      np.asarray(want).view(np.uint64))
+
+    @pytest.mark.parametrize("w", EVERY_KIND, ids=deriv_id)
+    def test_none_without_closed_form(self, w):
+        analytic = w.family in CLOSED_FORM_LOG_OMEGA
+        assert (w.big_f_second(-0.5) is not None) == analytic
+        for x in (0.0, -0.0, 5e-324, 1.0):
+            with pytest.raises(ValueError):
+                w.big_f_second(x)
+
+
+class TestLogOneMinusExp:
+    """The rows built on log(1 - e^x) take log1p(-e^x) left of x = -log 2
+    and log(-expm1(x)) right of it, so F keeps its relative accuracy both
+    far from 0 and next to it."""
+
+    @pytest.mark.parametrize("family,params", [("ramey_ullrich", ()), ("power", (2.5,)),
+                                               ("log_power", (1.5,)), ("log_power", (2.0,))])
+    def test_f_within_ulps(self, family, params):
+        w = lw.make_weight(family, params)
+        with mpmath.workdps(50):
+            for x in (-np.geomspace(700.0, 1e-12, 400)).tolist():
+                want = MP_BIG_F[family](mpmath.mpf(x), params)
+                assert abs(w.big_f(x) - want) <= 3 * math.ulp(float(want)), x
+
+    def test_ramey_far_from_zero(self):
+        # log(-expm1(-40)) rounds to log(1) = 0
+        w = lw.make_weight("ramey_ullrich")
+        assert w.big_f(-40.0) == pytest.approx(4.248354255291589e-18, rel=1e-15)
+
+    @pytest.mark.parametrize("family", ["perturbed_bump", "perturbed_sawtooth",
+                                        "perturbed_unbounded_sawtooth"])
+    def test_perturbed_bases(self, family):
+        # the perturbations add their own term to ramey_ullrich's F
+        w, base = lw.make_weight(family), lw.make_weight("ramey_ullrich")
+        zero = lw.make_weight(family, (0.0,) + w.params[1:])
+        for x in (-np.geomspace(700.0, 1e-12, 50)).tolist():
+            assert zero.big_f(x) == base.big_f(x)
+
+
 # One weight of every kind, alias and tabulated variant, with the digest
 # of everything it returns or raises on PINNED_XS: F, F', (F, F') at each
 # x, then log omega at t = 0, 0.3, 0.9.  The digests were recorded before
 # every kind became one row of the family table, which kept these bits and
-# exception types; so must any later change to how a weight is evaluated.
+# exception types; so must any later change to how a weight is evaluated,
+# unless it means to move them.  The rows on log(1 - e^x) (ramey_ullrich,
+# power, log_power and the perturbations of ramey_ullrich) were re-recorded
+# when that log became log1p(-e^x) left of x = -log 2.
 PINNED_KNOTS = [(-2.0, 0.1), (-1.0, 0.5), (-0.4, 1.2), (-0.1, 3.0)]
 PINNED_PAIRS = [[0.2, 1.0], [0.5, 2.0], [0.8, 4.0], [0.9, 10.0]]
 PINNED_WEIGHTS = {
-    "ramey_ullrich": (lambda: lw.make_weight("ramey_ullrich"), "a426470d9b5856ec"),
-    "power": (lambda: lw.make_weight("power", (2.5,)), "fa91d790a4c4a65b"),
+    "ramey_ullrich": (lambda: lw.make_weight("ramey_ullrich"), "daf082b7582de154"),
+    "power": (lambda: lw.make_weight("power", (2.5,)), "20dfdf00593c5f27"),
     "exp_power-1": (lambda: lw.make_weight("exp_power", (1.0,)), "baa530ca4bae4524"),
     "exp_power-2": (lambda: lw.make_weight("exp_power", (2.0,)), "432d68c3b494b7c9"),
     "double_exp": (lambda: lw.make_weight("double_exp"), "94aaa89ec6436c28"),
-    "log_power": (lambda: lw.make_weight("log_power", (1.5,)), "680184a3a5d58e4d"),
+    "log_power": (lambda: lw.make_weight("log_power", (1.5,)), "942ac3dc21ed651a"),
     "inv_log": (lambda: lw.make_weight("inv_log"), "08116c9aca543bbb"),
-    "perturbed_bump": (lambda: lw.make_weight("perturbed_bump"), "41067cb2422dd2fa"),
-    "perturbed_sawtooth": (lambda: lw.make_weight("perturbed_sawtooth"), "06f588120d5391da"),
+    "perturbed_bump": (lambda: lw.make_weight("perturbed_bump"), "0fb800aadcc16f79"),
+    "perturbed_sawtooth": (lambda: lw.make_weight("perturbed_sawtooth"), "2616900ebcbf2d1c"),
     "perturbed_unbounded_sawtooth": (lambda: lw.make_weight("perturbed_unbounded_sawtooth"),
-                                     "48242dc62059ecaa"),
-    "perturbed": (lambda: lw.make_weight("perturbed", (2.0, -0.5, 0.1)), "1d07bc2e12670bcb"),
+                                     "5212325862369ec1"),
+    "perturbed": (lambda: lw.make_weight("perturbed", (2.0, -0.5, 0.1)), "90efa9fe72b60a76"),
     "knots": (lambda: lw.weight_from_knots(PINNED_KNOTS), "cef33681403b2c30"),
     "knots-strictify": (lambda: lw.weight_from_knots(PINNED_KNOTS, strictify=0.3),
                         "8b0dc984ffdd52c3"),
@@ -404,7 +507,8 @@ class TestTriangleWave:
         w = lw.make_weight(name)
         scale, period = w.params
         xs = np.linspace(-2.0, -0.005, 2001).tolist()
-        ramey = [-math.log(-math.expm1(x)) for x in xs]
+        ramey = [-(math.log(-math.expm1(x)) if x > -math.log(2.0) else math.log1p(-math.exp(x)))
+                 for x in xs]
         if name == "perturbed_sawtooth":
             want = [f + scale * float(_numpy_triangle_wave(x / period))
                     for f, x in zip(ramey, xs)]
