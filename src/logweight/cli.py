@@ -216,8 +216,9 @@ def _emit_rows(t_grid, thetas, log_w, lo, hi, blocks):
 def cmd_emit(args) -> int:
     w, state = _load_inputs(args)
     t_grid = _t_grid(args, state)
-    grid = _sandwich_blocks(split_parity(state), w, t_grid, args.angles)
-    _write(itertools.chain([EMIT_HEADER], _emit_rows(t_grid, *grid)), args.out)
+    thetas, log_w, lo, hi, blocks = _sandwich_blocks(split_parity(state), w, t_grid, args.angles)
+    _write(itertools.chain([EMIT_HEADER], _emit_rows(t_grid, thetas, log_w, lo, hi, blocks())),
+           args.out)
     print(f"emitted {t_grid.size * args.angles} rows", file=sys.stderr)
     return EXIT_PASS
 

@@ -51,6 +51,11 @@ _RUN_ROWS = 32
 _REACH = DROP_THRESHOLD + 1.0
 _LOG_RANGE = 2.0 ** 46
 
+# Relative widening of the per-radius brackets of log(|G1| + |G2|) and of
+# the margin ranges drawn from them: 2^9 units of rounding (2^-53), where
+# the kernel's logs, sums and margins lose a few (see _log_sum_bounds).
+_WIDEN = 2.0 ** -44
+
 
 @dataclass(frozen=True)
 class ScaledArray:
@@ -257,34 +262,38 @@ def _term_windows(log_coeffs: np.ndarray, exponents: np.ndarray):
         hull.append(k)
         take.append(x)
     c, s, xb = log_coeffs[hull], exponents[hull], np.array(take)
+    del lc, es, hull, take  # K-long lists of Python floats, freed before the search
     with np.errstate(invalid="ignore"):
         u = c + s * xb  # U at each take-over point (NaN at -inf, never read)
 
-    # One binary search for both ends of every term.  For a_k: the last
+    # A binary search for each end of every term, one end at a time so
+    # that the search holds K-long arrays, not 2K.  For a_k: the last
     # line i in [0, below_k) of U whose take-over point has U - L_k >
     # _REACH, i.e. lies left of a_k (line 0 always counts).  For b_k: the
     # last i in [above_k, H) whose take-over point has U - L_k < _REACH
     # (line above_k always counts).  Slopes below (above) e_k make
     # U - L_k fall (rise), so each test flips once along its range.
-    count, size = exponents.size, s.size
+    size = s.size
+    level = log_coeffs + _REACH
     below = np.searchsorted(s, exponents, "left")
     above = np.searchsorted(s, exponents, "right")
-    e2 = np.concatenate([exponents, exponents])
-    level = np.concatenate([log_coeffs, log_coeffs]) + _REACH
-    sign = np.repeat([1.0, -1.0], count)
-    pos = np.concatenate([np.zeros_like(below), np.minimum(above, size - 1)])
-    end = np.concatenate([below, np.full_like(above, size)])
-    step = 1 << (size.bit_length() - 1)
-    while step:
-        cand = pos + step
-        at = np.minimum(cand, size - 1)
-        move = (cand < end) & (sign * (u[at] - e2 * xb[at] - level) > 0.0)
-        pos = np.where(move, cand, pos)
-        step >>= 1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cross = (c[pos] - level) / (e2 - s[pos])  # where L_k + _REACH meets line pos
-    a = np.where(below > 0, cross[:count], NEG_INF)
-    b = np.where(above < size, cross[count:], -NEG_INF)
+
+    def cross(pos, end, sign):
+        """Where L_k + _REACH meets the line of U that the search from
+        pos, bounded by end, stops at."""
+        step = 1 << (size.bit_length() - 1)
+        while step:
+            cand = pos + step
+            at = np.minimum(cand, size - 1)
+            move = (cand < end) & (sign * (u[at] - exponents * xb[at] - level) > 0.0)
+            pos = np.where(move, cand, pos)
+            step >>= 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (c[pos] - level) / (exponents - s[pos])
+
+    a = np.where(below > 0, cross(np.zeros_like(below), below, 1.0), NEG_INF)
+    b = np.where(above < size, cross(np.minimum(above, size - 1), np.full_like(above, size),
+                                     -1.0), -NEG_INF)
     empty = ~(a <= b)
     a[empty], b[empty] = -NEG_INF, NEG_INF
     return np.minimum.accumulate(a[::-1])[::-1], np.maximum.accumulate(b)
@@ -317,42 +326,47 @@ def _runs(windows, xs) -> list:
     return runs
 
 
+def _by_runs(s: LacunarySeries, xs, reduce):
+    """reduce(mant, live_rows, log_scales) of _scaled_terms over the runs
+    of the log-radii xs (_runs), each a (radii, columns) array, gathered
+    by radius; live_rows are the term indices of mant's rows.
+
+    Each run tabulates its candidate rows alone, so no call tabulates more
+    than _RUN_ROWS terms unless one radius needs them or the windows make
+    every row a candidate.  A radius keeps the live set, the maximum and
+    the mantissas of one call over all the terms, bit for bit, and only
+    rows that are zero at every radius of a call leave its table."""
+    log_coeffs, exponents = s.log_coeff_array, s.exponent_array
+
+    def run(rows, xs):
+        mant, live, scales = _scaled_terms(log_coeffs[rows], exponents[rows], xs)
+        return reduce(mant, rows.start + np.flatnonzero(live), scales)
+
+    runs = _runs(s.windows, xs)
+    if len(runs) == 1:
+        return run(runs[0][0], xs)
+    out = None
+    for rows, at in runs:
+        part = run(rows, xs[at])
+        out = np.empty((xs.size, part.shape[1])) if out is None else out
+        out[at] = part
+    return out
+
+
 def _grid_kernel(s: LacunarySeries, factors):
     """The block evaluator of the product grid sum_k c_k t^{e_k} F_kj over
     the series s: log-radii of at most _BLOCK radii -> log|sum|, rows by
-    radius.  factors(k) gives F_kj for the live term rows k of a call (an
-    index array): angle phases (_phase_kernel) or a ball family's values
-    W_q[e_k](zeta_j).
-
-    Each block goes through _scaled_terms in runs of radii over their
-    candidate rows alone (_runs), so no call tabulates more than _RUN_ROWS
-    terms unless one radius needs them or the windows make every row a
-    candidate.  A radius keeps the live set, the maximum and the mantissas
-    of one call over all the terms, bit for bit, and only rows that are
-    zero at every radius of a call leave its contraction.
-    """
-    log_coeffs, exponents, windows = s.log_coeff_array, s.exponent_array, s.windows
-
-    def contract(rows, xs):
-        mant, live, scales = _scaled_terms(log_coeffs[rows], exponents[rows], xs)
-        sums = mant.T @ factors(rows.start + np.flatnonzero(live))
+    radius, contracted run by run (_by_runs).  factors(k) gives F_kj for
+    the live term rows k of a call (an index array): angle phases
+    (_phase_kernel) or a ball family's values W_q[e_k](zeta_j)."""
+    def contract(mant, live, scales):
+        sums = mant.T @ factors(live)
         with np.errstate(divide="ignore"):
             logs = np.log(np.abs(sums))
         logs += scales[:, None]
         return logs
 
-    def block(xs):
-        runs = _runs(windows, xs)
-        if len(runs) == 1:
-            return contract(runs[0][0], xs)
-        out = None
-        for rows, at in runs:
-            logs = contract(rows, xs[at])
-            out = np.empty((xs.size, logs.shape[1])) if out is None else out
-            out[at] = logs
-        return out
-
-    return block
+    return lambda xs: _by_runs(s, xs, contract)
 
 
 def _phase_kernel(s: LacunarySeries, theta_count: int, columns: int | None = None):
@@ -395,6 +409,65 @@ def eval_series_grid(s: LacunarySeries, t_values, theta_count: int) -> np.ndarra
     for rows in _row_blocks(ts.size):
         out[rows] = kernel(xs[rows])
     return out
+
+
+def _log_modulus_bounds(s: LacunarySeries, xs):
+    """(lo, hi) per log-radius of xs for a series with positive
+    coefficients: bounds on every log|s(e^x e^{i theta})| that the phase
+    kernel computes, as l + log (2 - sigma')_+ and l + log sigma', l the
+    log of the largest term and sigma' the widened sum of the kept
+    mantissas, each end widened once more (see _log_sum_bounds).  The
+    mantissas are those of the grid kernel, from _scaled_terms over the
+    same runs, with no phases and no contraction; _BLOCK radii at a
+    time."""
+    def reduce(mant, live, scales):
+        return np.stack([mant.sum(axis=0), scales], axis=1)
+
+    sigma, ell = np.concatenate([_by_runs(s, xs[rows], reduce) for rows in _row_blocks(xs.size)]).T
+    sigma *= 1.0 + (2.0 ** 20 + len(s.terms)) * 2.0 ** -50
+    slack = _WIDEN * (64.0 + np.where(np.isfinite(ell), np.abs(ell), 0.0))
+    with np.errstate(divide="ignore"):
+        return (ell + np.log(np.maximum(2.0 - sigma, 0.0)) - slack,
+                ell + np.log(sigma) + slack)
+
+
+def _log_sum_bounds(f1: LacunarySeries, f2: LacunarySeries, xs):
+    """(lo, hi) per log-radius of xs: every sample of log(|f1| + |f2|) at
+    that radius that the phase kernels and np.logaddexp compute, at any
+    angle, lies in [lo, hi].  Both series have positive coefficients.
+
+    Per series the kernel sums n kept mantissas m_k (n at most the term
+    count), the largest exactly 1, sigma = sum m_k, against unit phases,
+    and the triangle inequality puts the exact sum in [(2 - sigma)_+,
+    sigma] in modulus.  In floating
+    point (u = 2^-53) a computed phase has modulus within 2u of 1, each
+    product m_k p_k rounds by u per component, any summation order over
+    the nonzero terms adds gamma_{n-1} sigma per component, and hypot and
+    the sum behind sigma round too: the computed modulus lies within
+    (3n + 6) u sigma of the bracket.  Widening sigma by (2^20 + n) 2^-50
+    = (2^20 + n) 4u covers that with 2^22 u sigma to spare, which also
+    absorbs the rounding of 2 - sigma next to 0.  So the lower end, where
+    positive, is at least 2^-52, and the log of a computed modulus lies
+    in (-40, 40) or below the upper end.  The log and the added scale l
+    round by a few u times 40 + |l|, inside the widening of each end by
+    _WIDEN (64 + |l|).  np.logaddexp is monotone in both arguments and
+    rounds by a few u times 1 + |result|, inside the last widening by
+    _WIDEN (64 + |lo| + |hi|); finite terms alone.  A series' error
+    enters the sum only through its own bracket, so a negligible series
+    with a large |l| widens nothing."""
+    (lo1, hi1), (lo2, hi2) = _log_modulus_bounds(f1, xs), _log_modulus_bounds(f2, xs)
+    lo, hi = np.logaddexp(lo1, lo2), np.logaddexp(hi1, hi2)
+    ends = np.abs(np.stack([lo, hi]))
+    slack = _WIDEN * (64.0 + np.where(np.isfinite(ends), ends, 0.0).sum(axis=0))
+    return lo - slack, hi + slack
+
+
+def _rows_reaching_min(lo, hi) -> np.ndarray:
+    """Mask of the rows of a grid that can hold its smallest value, row r
+    lying in [lo_r, hi_r]: those with not lo_r > T, T = min(hi).  A
+    skipped row lies above T and so above the smallest value, which it
+    can neither hold nor tie; a NaN bound makes T NaN and keeps them all."""
+    return ~(lo > hi.min())
 
 
 def _log_omegas(w: WeightFunction, radii) -> np.ndarray:
@@ -447,19 +520,25 @@ def _sandwich_blocks(pair: SeriesPair, w: WeightFunction, t_grid, theta_count: i
     """The sandwich (2/5)e^{-h} omega < |G1|+|G2| < 4 omega sampled at
     z = t e^{i theta_j}, theta_j = 2 pi j / theta_count, streamed: (thetas,
     log_omega, log_lower, log_upper, blocks), per radius log omega and the
-    bounds log(2/5) - h + log omega and log 4 + log omega, and blocks
-    yielding (rows, log|G1|, log|G2|), rows indexed by t, for consecutive
-    slices rows of at most _BLOCK radii.  Only the first `columns` angles
-    are evaluated, all theta_count by default: sandwich_check asks for
-    the distinct half theta_j <= pi, emit for every angle, as it prints
-    every cell and reuses a mirror cell's text only when the bits agree.
-    Every input error is raised here, before the first block is
-    evaluated."""
+    bounds log(2/5) - h + log omega and log 4 + log omega.  blocks(at)
+    yields (rows, log|G1|, log|G2|), rows indexed by t, for consecutive
+    runs rows of at most _BLOCK of the rows `at`, an increasing index
+    array; by default every row, in slices.  Only the first `columns`
+    angles are evaluated, all theta_count by default: sandwich_check asks
+    for the distinct half theta_j <= pi on the rows that can hold a
+    witness, emit for every angle of every row, as it prints every cell
+    and reuses a mirror cell's text only when the bits agree.  Every
+    input error is raised here, before the first block is evaluated."""
     g1, g2 = (_phase_kernel(s, theta_count, columns) for s in (pair.g1, pair.g2))
     log_w = _log_omegas(w, t_grid)
     ts, xs = _log_radii(t_grid)
     thetas = _TWO_PI * np.arange(theta_count if columns is None else columns) / theta_count
-    blocks = ((rows, g1(xs[rows]), g2(xs[rows])) for rows in _row_blocks(ts.size))
+
+    def blocks(at=None):
+        for rows in (_row_blocks(ts.size) if at is None
+                     else [at[run] for run in _row_blocks(at.size)]):
+            yield rows, g1(xs[rows]), g2(xs[rows])
+
     return thetas, log_w, math.log(0.4) - pair.h + log_w, math.log(4.0) + log_w, blocks
 
 
@@ -502,29 +581,64 @@ def sandwich_check(pair: SeriesPair, w: WeightFunction, t_grid,
     the text of column j once and repeats it at N - j only where the
     five values there have the same bits.  zero_adjust's sample ratios
     are pinned to the full-grid reference.
+
+    Only the rows that can hold a worst cell are sampled.  Every sample
+    of a row lies in its bracket [lo, hi] of log(|G1|+|G2|) from
+    _log_sum_bounds, computed without phases.  A margin is monotone in
+    log_s between its kinks at -c and c, c = max(1, |bound|), so over the
+    bracket its extremes lie among its values at lo, hi and the kinks
+    inside.  A computed margin is the exact one up to two relative
+    roundings, of the difference and of the quotient (the scale is at
+    least 1 and at least the larger side, so nothing underflows), so
+    widening that range by _WIDEN relative covers every sample of the row;
+    a row with a non-finite bracket end gets (-inf, inf).  A row is
+    sampled when it can hold the worst margin of either side
+    (_rows_reaching_min), so a skipped row can neither hold nor tie a
+    witness and the report keeps its bytes.  On the benchmark states 2
+    of 2000 rows are sampled; a NaN bound, or every row tying, samples
+    every row.
     """
     ts = _check_radii(t_grid, pair.t0, pair.t_last)
     thetas, _, lo_bound, hi_bound, blocks = _sandwich_blocks(pair, w, ts, theta_count,
                                                              theta_count // 2 + 1)
+    lo_bound, hi_bound = lo_bound[:, None], hi_bound[:, None]
     # max(1, |bound|) once per radius; a cell's scale is its max with |log_s|
-    lo_scale = np.maximum(1.0, np.abs(lo_bound))[:, None]
-    hi_scale = np.maximum(1.0, np.abs(hi_bound))[:, None]
+    lo_scale = np.maximum(1.0, np.abs(lo_bound))
+    hi_scale = np.maximum(1.0, np.abs(hi_bound))
+
+    def margins(log_s, rows):
+        """The lower and upper margins of log_s, its rows the radii rows."""
+        abs_s = np.abs(log_s)
+        return (normalized_margins(log_s, lo_bound[rows], np.maximum(abs_s, lo_scale[rows])),
+                normalized_margins(hi_bound[rows], log_s, np.maximum(abs_s, hi_scale[rows])))
+
+    x_lo, x_hi = (x[:, None] for x in _log_sum_bounds(pair.g1, pair.g2, _log_radii(ts)[1]))
+    kinks = np.concatenate([-lo_scale, lo_scale, -hi_scale, hi_scale], axis=1)
+    probes = np.concatenate([x_lo, x_hi, np.clip(kinks, x_lo, x_hi)], axis=1)
+    bounded = (np.isfinite(x_lo) & np.isfinite(x_hi))[:, 0]
+    shrink, grow = 1.0 - _WIDEN, 1.0 + _WIDEN
+    keep = np.zeros(ts.size, dtype=bool)
+    for m in margins(probes, slice(None)):
+        lo, hi = m.min(axis=1), m.max(axis=1)
+        keep |= _rows_reaching_min(
+            np.where(bounded, np.minimum(lo * shrink, lo * grow), -math.inf),
+            np.where(bounded, np.maximum(hi * shrink, hi * grow), math.inf))
+
+    at = np.flatnonzero(keep)
     lower = upper = None
-    for rows, log_s, log_g2 in blocks:
+    for run, (rows, log_s, log_g2) in zip(_row_blocks(at.size), blocks(at)):
         np.logaddexp(log_s, log_g2, out=log_s)
         del log_g2
-        abs_s = np.abs(log_s)
-        lower = _first_worst(lower, normalized_margins(
-            log_s, lo_bound[rows, None], np.maximum(abs_s, lo_scale[rows])), rows.start)
-        upper = _first_worst(upper, normalized_margins(
-            hi_bound[rows, None], log_s, np.maximum(abs_s, hi_scale[rows])), rows.start)
-        del log_s, abs_s  # freed before the next block is evaluated
+        lower_m, upper_m = margins(log_s, rows)
+        lower = _first_worst(lower, lower_m, run.start)
+        upper = _first_worst(upper, upper_m, run.start)
+        del log_s, lower_m, upper_m  # freed before the next block is evaluated
     return SandwichReport(
         passed=bool(lower[0] >= -MARGIN_SLACK and upper[0] >= -MARGIN_SLACK),
         lower_margin=lower[0],
-        lower_witness=(float(ts[lower[1]]), float(thetas[lower[2]])),
+        lower_witness=(float(ts[at[lower[1]]]), float(thetas[lower[2]])),
         upper_margin=upper[0],
-        upper_witness=(float(ts[upper[1]]), float(thetas[upper[2]])),
+        upper_witness=(float(ts[at[upper[1]]]), float(thetas[upper[2]])),
         t_count=int(ts.size),
         theta_count=theta_count,
         h=pair.h,
@@ -609,19 +723,33 @@ def _log_dominance(f1: LacunarySeries, t0: float) -> float:
                      + (exponents[1:] - exponents[0]) * math.log(t0))
 
 
-def _ratio_rings(f1: LacunarySeries, f2: LacunarySeries,
-                 w: WeightFunction, t0: float, t_last: float,
-                 inner_radii: int, inner_angles: int,
-                 outer_t_points: int, outer_angles: int):
-    """Per ring (the inner disk, then the outer grid over (t0, t_last] when
-    outer_t_points > 0): log omega per radius and log(|f1| + |f2|) with
-    rows indexed by radius, on every angle of each ring."""
+def _rings(t0: float, t_last: float, inner_radii: int, inner_angles: int,
+           outer_t_points: int, outer_angles: int) -> list:
+    """(radii, angle count) per ring: the inner disk, then the outer grid
+    over (t0, t_last] when outer_t_points > 0."""
     rings = [(inner_disk_radii(t0, inner_radii), inner_angles)]
     if outer_t_points > 0:
         rings.append((np.linspace(t0, t_last, outer_t_points + 1)[1:], outer_angles))
-    return [(_log_omegas(w, radii), np.logaddexp(eval_series_grid(f1, radii, angles),
-                                                 eval_series_grid(f2, radii, angles)))
-            for radii, angles in rings]
+    return rings
+
+
+def _ring_log_sums(f1: LacunarySeries, f2: LacunarySeries, radii, angles: int):
+    """The ring sampler: log(|f1| + |f2|) at t e^{2 pi i j / angles}, rows
+    indexed by the radii t, one eval_series_grid call per series."""
+    return np.logaddexp(eval_series_grid(f1, radii, angles), eval_series_grid(f2, radii, angles))
+
+
+def _ratio_extremes(f1: LacunarySeries, f2: LacunarySeries, radii, angles: int, log_w):
+    """(min, max) of the sample ratios log(|f1| + |f2|) - log omega on one
+    ring, log_w its log omega per radius.  A ratio is a rounded
+    difference, monotone in log(|f1| + |f2|), so a row's bracket from
+    _log_sum_bounds less its log omega holds every ratio of the row; the
+    ring sampler runs on the rows that can hold the smallest or the
+    largest alone (_rows_reaching_min), in one call per series."""
+    lo, hi = (x - log_w for x in _log_sum_bounds(f1, f2, _log_radii(radii)[1]))
+    at = np.flatnonzero(_rows_reaching_min(lo, hi) | _rows_reaching_min(-hi, -lo))
+    ratios = _ring_log_sums(f1, f2, radii[at], angles) - log_w[at, None]
+    return float(ratios.min()), float(ratios.max())
 
 
 def zero_adjust(pair: SeriesPair, w: WeightFunction, theta_count: int = 720,
@@ -646,7 +774,9 @@ def zero_adjust(pair: SeriesPair, w: WeightFunction, theta_count: int = 720,
 
     theta_count is only recorded, as theta_candidates.  The constants
     c_low/c_high are measured over a polar grid of the inner disk united
-    with an outer grid spanning (t0, t_last].
+    with an outer grid spanning (t0, t_last], each ring sampled only on
+    the radii whose brackets can hold its smallest or largest ratio
+    (_ratio_extremes): the extremes of the whole grid, bit for bit.
     """
     if (min(theta_count, inner_angles) < 1 or inner_radii < 2
             or (outer_t_points > 0 and outer_angles < 1)):
@@ -662,13 +792,14 @@ def zero_adjust(pair: SeriesPair, w: WeightFunction, theta_count: int = 720,
                          f"rho = {exp_or_inf(log_rho):.6g} > DOMINANCE_BOUND = "
                          f"{DOMINANCE_BOUND}")
 
-    rings = _ratio_rings(f1, pair.g2, w, pair.t0, pair.t_last, inner_radii, inner_angles,
-                         outer_t_points, outer_angles)
-    ratios = [log_s - log_w[:, None] for log_w, log_s in rings]
-    inner, *annulus = ratios
-    log_c_low = float(np.min([r.min() for r in ratios]))
-    log_c_high = float(np.max([r.max() for r in ratios]))
-    log_w_in = rings[0][0]
+    rings = [(radii, angles, _log_omegas(w, radii))
+             for radii, angles in _rings(pair.t0, pair.t_last, inner_radii, inner_angles,
+                                         outer_t_points, outer_angles)]
+    extremes = [_ratio_extremes(f1, pair.g2, *ring) for ring in rings]
+    (low_inner, high_inner), *annulus = extremes
+    log_c_low = float(np.min([low for low, _ in extremes]))
+    log_c_high = float(np.max([high for _, high in extremes]))
+    log_w_in = rings[0][2]
     return AdjustedPair(
         f1=f1,
         f2=pair.g2,
@@ -679,10 +810,10 @@ def zero_adjust(pair: SeriesPair, w: WeightFunction, theta_count: int = 720,
         log_c_low=log_c_low,
         log_c_high=log_c_high,
         log_dominance=log_rho,
-        log_c_low_inner=float(inner.min()),
-        log_c_high_inner=float(inner.max()),
-        log_c_low_annulus=float(annulus[0].min()) if annulus else None,
-        log_c_high_annulus=float(annulus[0].max()) if annulus else None,
+        log_c_low_inner=low_inner,
+        log_c_high_inner=high_inner,
+        log_c_low_annulus=annulus[0][0] if annulus else None,
+        log_c_high_annulus=annulus[0][1] if annulus else None,
         log_inner_floor=float(log_w_in[-1] - log_w_in[0]),
     )
 

@@ -179,7 +179,8 @@ def _inv_log_f(x, p):
 
 
 def _inv_log_fp(x, p):
-    return -1.0 / x, 1.0 / (x * x)
+    xx = x * x
+    return -1.0 / x, 1.0 / xx if xx else math.inf  # x * x underflows to 0 below ~1e-162
 
 
 def _inv_log_fpp(x, p):

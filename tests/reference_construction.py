@@ -50,7 +50,7 @@ SEPARATE_F_PRIME = {
                                 if 1.0 / _u(x) + x - 2.0 * math.log(_u(x)) <= LOG_MAX
                                 else math.inf),
     "log_power": lambda x, p: p[0] * math.exp(x) / (_u(x) * (1.0 - _log_u(x))),
-    "inv_log": lambda x, p: 1.0 / (x * x),
+    "inv_log": lambda x, p: 1.0 / (x * x) if x * x else math.inf,  # x * x underflows
 }
 
 # The analytic F'' of every family, as separate formulas; each divides by

@@ -36,13 +36,17 @@ live.
 
 `reference_sandwich_check` forms the whole (t, theta) grid of margins
 and takes its witnesses by `np.argmin`; `logweight.sandwich_check`
-reduces blocks of 256 radii over the distinct angles theta <= pi alone
-(|G(conj z)| = |G(z)|) and never holds the grid.
-`reference_emit_csv` formats the sandwich samples of `logweight emit`
-cell by cell, and `reference_log_ratio_samples` evaluates zero
-adjustment's inner and outer rings as two separate blocks, both on
-`reference_grid`; `logweight` takes both from one (t, theta) ring
-sampler.
+samples only the radii whose per-radius brackets of log(|G1| + |G2|)
+can hold a worst margin, reduces them in blocks of 256 radii over the
+distinct angles theta <= pi alone (|G(conj z)| = |G(z)|) and never
+holds the grid.  `reference_emit_csv` formats the sandwich samples of
+`logweight emit` cell by cell, and `reference_log_ratio_samples`
+evaluates zero adjustment's inner and outer rings in full as two
+separate blocks, both on `reference_grid`; `logweight` takes both from
+one (t, theta) ring sampler, and zero adjustment samples each ring
+only on the radii that can hold its smallest or largest ratio.
+`reference_extreme_bits` gives zero adjustment's six extremes as the
+min and max of those ratios.
 
 `reference_zero_adjust` always runs the search over every candidate
 rotation on the inner disk, on the lcm grid of the inner angles and the
@@ -184,16 +188,19 @@ def reference_points(log_mods, units, exponents, zs):
     return stack_scaled(out)
 
 
-def reference_sandwich_check(pair, w, t_grid, theta_count):
+def reference_sandwich_check(pair, w, t_grid, theta_count, half=False):
     """The report dict of `sandwich_check` from the full grids of
-    log|G1|, log|G2| and both normalized margins."""
+    log|G1|, log|G2| and both normalized margins; with half, from their
+    columns j <= theta_count // 2 alone, the distinct angles that
+    sandwich_check samples."""
     ts = np.asarray(t_grid, dtype=float)
-    log_s = np.logaddexp(reference_grid(pair.g1, ts, theta_count),
-                         reference_grid(pair.g2, ts, theta_count))
+    j = np.arange(theta_count // 2 + 1 if half else theta_count)
+    log_s = np.logaddexp(reference_grid(pair.g1, ts, theta_count, j),
+                         reference_grid(pair.g2, ts, theta_count, j))
     log_w = np.array([w.log_omega(float(t)) for t in ts])
     lower = normalized_margins(log_s, (math.log(0.4) - pair.h + log_w)[:, None])
     upper = normalized_margins((math.log(4.0) + log_w)[:, None], log_s)
-    thetas = 2.0 * math.pi * np.arange(theta_count) / theta_count
+    thetas = 2.0 * math.pi * j / theta_count
     li = np.unravel_index(np.argmin(lower), lower.shape)
     ui = np.unravel_index(np.argmin(upper), upper.shape)
     lower_margin, upper_margin = float(lower[li]), float(upper[ui])
@@ -241,6 +248,31 @@ def reference_log_ratio_samples(f1, f2, w, t0, t_last, inner_radii, inner_angles
         log_w_parts.append(np.repeat([w.log_omega(float(t)) for t in radii], angles))
         log_s_parts.append(log_s.ravel())
     return np.concatenate(log_w_parts), np.concatenate(log_s_parts)
+
+
+EXTREME_FIELDS = ("log_c_low", "log_c_high", "log_c_low_inner", "log_c_high_inner",
+                  "log_c_low_annulus", "log_c_high_annulus")
+
+
+def _bits(value):
+    return None if value is None else float(value).hex()
+
+
+def extreme_bits(adj) -> dict:
+    """The six measured extremes of an AdjustedPair, each as float.hex
+    (so -0.0 and 0.0 differ), None where there is no outer ring."""
+    return {name: _bits(getattr(adj, name)) for name in EXTREME_FIELDS}
+
+
+def reference_extreme_bits(samples, inner_count) -> dict:
+    """The six extremes of zero_adjust as the min and max of the ratios of
+    reference_log_ratio_samples, the first inner_count of them the inner
+    disk, in the form of extreme_bits."""
+    ratios = samples[1] - samples[0]
+    inner, annulus = ratios[:inner_count], ratios[inner_count:]
+    values = (ratios.min(), ratios.max(), inner.min(), inner.max(),
+              *((annulus.min(), annulus.max()) if annulus.size else (None, None)))
+    return {name: _bits(v) for name, v in zip(EXTREME_FIELDS, values)}
 
 
 def reference_zero_adjust(pair, w, theta_count=720, inner_radii=100, inner_angles=64,

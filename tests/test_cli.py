@@ -430,8 +430,8 @@ class TestEmit:
                      "--angles", str(angles), "--out", str(out)]) == 0
         state = lw.ConstructionState.from_json_dict(json.loads(path.read_text()))
         t_grid = np.linspace(state.t0, state.t_last, 41)[1:]
-        grid = _sandwich_blocks(lw.split_parity(state), w, t_grid, angles)
-        expected = cli.EMIT_HEADER + reference_emit_rows(t_grid, *grid)
+        thetas, log_w, lo, hi, blocks = _sandwich_blocks(lw.split_parity(state), w, t_grid, angles)
+        expected = cli.EMIT_HEADER + reference_emit_rows(t_grid, thetas, log_w, lo, hi, blocks())
         assert out.read_text() == expected
         if angles == 64:
             # the mirror pairs that emit must format apart occur here

@@ -4,6 +4,7 @@ two-ring copies in `reference_series`, within a memory bound, and input
 errors for grid sizes the samplers cannot use.
 """
 
+import dataclasses
 import itertools
 import json
 import math
@@ -11,13 +12,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import logweight as lw
 from logweight import series
 from logweight.cli import main, render_json
 from logweight.series import _sandwich_blocks
 
-from reference_series import (reference_emit_csv, reference_grid, reference_log_ratio_samples,
+from reference_series import (extreme_bits, reference_emit_csv, reference_extreme_bits,
+                              reference_grid, reference_log_ratio_samples,
                               reference_sandwich_check)
 
 X0 = math.log(0.95)
@@ -52,9 +56,11 @@ def assert_bit_equal(got, expected):
 
 
 def ratio_samples(f1, f2, w, t0, t_last, *grid):
-    """series._ratio_rings flattened as reference_log_ratio_samples is:
-    (log omega, log(|f1| + |f2|)) per sample, inner disk first."""
-    rings = series._ratio_rings(f1, f2, w, t0, t_last, *grid)
+    """The ring sampler series._ring_log_sums on every row of each ring,
+    flattened as reference_log_ratio_samples is: (log omega, log(|f1| +
+    |f2|)) per sample, inner disk first."""
+    rings = [(series._log_omegas(w, radii), series._ring_log_sums(f1, f2, radii, angles))
+             for radii, angles in series._rings(t0, t_last, *grid)]
     return (np.concatenate([np.repeat(log_w, log_s.shape[1]) for log_w, log_s in rings]),
             np.concatenate([log_s.ravel() for _, log_s in rings]))
 
@@ -103,8 +109,7 @@ class TestLogRatioSamplesMatchTwoRingCopy:
         expected = reference_log_ratio_samples(adj.f1, adj.f2, w, pair.t0, pair.t_last, *rings)
         assert_bit_equal(ratio_samples(adj.f1, adj.f2, w, pair.t0, pair.t_last, *rings),
                          expected)
-        log_ratios = expected[1] - expected[0]
-        assert (adj.log_c_low, adj.log_c_high) == (log_ratios.min(), log_ratios.max())
+        assert extreme_bits(adj) == reference_extreme_bits(expected, rings[0] * rings[1])
 
 
 def gather_sandwich_blocks(pair, w, ts, theta_count):
@@ -113,7 +118,7 @@ def gather_sandwich_blocks(pair, w, ts, theta_count):
     thetas, log_w, lo, hi, blocks = _sandwich_blocks(pair, w, ts, theta_count)
     log_g1 = np.empty((log_w.size, theta_count))
     log_g2 = np.empty_like(log_g1)
-    for rows, g1, g2 in blocks:
+    for rows, g1, g2 in blocks():
         log_g1[rows], log_g2[rows] = g1, g2
     return thetas, log_g1, log_g2, log_w, lo, hi
 
@@ -186,9 +191,9 @@ def deep_state(request):
     return lw.run_construction(w, lw.ConstructionParams(x0=X0, **params)), w
 
 
-def assert_same_report(pair, w, ts, theta_count):
+def assert_same_report(pair, w, ts, theta_count, half=False):
     report = lw.sandwich_check(pair, w, ts, theta_count=theta_count)
-    expected = reference_sandwich_check(pair, w, ts, theta_count)
+    expected = reference_sandwich_check(pair, w, ts, theta_count, half)
     assert render_json(report.to_json_dict()) == render_json(expected)
     return report
 
@@ -245,6 +250,144 @@ class TestSandwichCheckMatchesFullGrid:
         assert not report.passed
 
 
+def tampered(state, data):
+    """state with the log_a of 0-3 drawn lines moved by up to 4 either
+    way, as the benchmark's tampered state lowers one line's by 4."""
+    lines = list(state.lines)
+    for k in data.draw(st.lists(st.integers(0, len(lines) - 1), max_size=3, unique=True)):
+        shift = data.draw(st.floats(-4.0, 4.0))
+        lines[k] = dataclasses.replace(lines[k], log_a=lines[k].log_a + shift)
+    return dataclasses.replace(state, lines=tuple(lines))
+
+
+def drawn_radii(pair, data, max_count):
+    """1 .. max_count radii in (t0, t_last]: evenly spaced, or sorted
+    uniform draws."""
+    count = data.draw(st.integers(1, max_count))
+    if data.draw(st.booleans()):
+        return np.linspace(pair.t0, pair.t_last, count + 1)[1:]
+    u = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))).random(count)
+    return np.sort(np.maximum(pair.t_last - (pair.t_last - pair.t0) * u,
+                              np.nextafter(pair.t0, 1.0)))
+
+
+def assert_pruned_matches_full_grid(state, w, data, max_count):
+    """sandwich_check and zero_adjust, which sample only the rows that can
+    hold a worst cell or an extreme, give the full-grid references' bytes
+    and bits on a tampered state and a drawn grid.  The sandwich reference
+    takes every row over the distinct angles theta <= pi: on tampered
+    states the full grid's two roundings of a mirror pair can differ and
+    move a witness to theta_{N-j} (ramey_ullrich at N = 5), as its
+    docstring allows, with or without pruning."""
+    pair = lw.split_parity(tampered(state, data))
+    ts = drawn_radii(pair, data, max_count)
+    theta_count = data.draw(st.sampled_from([1, 2, 3, 5, 16, 64, 256]))
+    assert_same_report(pair, w, ts, theta_count, half=True)
+    grid = data.draw(st.sampled_from(ADJUST_GRIDS))
+    kw = dict(zip(ADJUST_KEYS, grid or (720, 100, 64, 200, 64)))
+    try:
+        adj = lw.zero_adjust(pair, w, **({} if grid is None else kw))
+    except ValueError as err:  # a tampered f1 may not be dominated on |z| <= t0
+        assert "not dominated" in str(err)
+        return
+    rings = [kw[key] for key in ADJUST_KEYS[1:]]
+    expected = reference_log_ratio_samples(adj.f1, adj.f2, w, pair.t0, pair.t_last, *rings)
+    assert extreme_bits(adj) == reference_extreme_bits(expected, rings[0] * rings[1])
+
+
+class TestPrunedRowsMatchFullGrid:
+    """Row pruning keeps every report byte: the sandwich report renders as
+    the reference over every row and the distinct angles does, and the
+    six zero adjustment extremes are the min and max of the full two-ring
+    samples, bit for bit."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_deep_states(self, deep_state, data):
+        assert_pruned_matches_full_grid(*deep_state, data, 600)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_cli_states(self, cli_state, data):
+        assert_pruned_matches_full_grid(*cli_state[2:], data, 2000)
+
+
+class TestRowBrackets:
+    """_log_sum_bounds brackets every sample of log(|G1| + |G2|) in its
+    row, and sandwich_check runs the phase kernels on the few rows whose
+    brackets can hold a witness."""
+
+    @staticmethod
+    def assert_samples_inside(state, w):
+        pair = lw.split_parity(state)
+        ts = np.linspace(state.t0, state.t_last, 2001)[1:]
+        _, g1, g2, *_ = gather_sandwich_blocks(pair, w, ts, 256)
+        log_s = np.logaddexp(g1, g2)
+        lo, hi = series._log_sum_bounds(pair.g1, pair.g2, np.log(ts))
+        assert np.isfinite(lo).all() and np.isfinite(hi).all()
+        assert ((lo[:, None] <= log_s) & (log_s <= hi[:, None])).all()
+
+    def test_deep_samples_inside(self, deep_state):
+        self.assert_samples_inside(*deep_state)
+
+    def test_cli_samples_inside(self, cli_state):
+        self.assert_samples_inside(*cli_state[2:])
+
+    def test_worst_margin_at_a_kink_inside_a_bracket(self):
+        # log omega = 5 and h = 2 put the lower bound at b = 2.084, so the
+        # lower margin (x - b) / max(|x|, b) has its minimum -2 at the
+        # kink x = -b.  At t = 0.999, G1 = A (1 + z^1001 / 2 / 0.999^1001)
+        # brackets x = log|G1| in [log A/2, log 3A/2], both ends with
+        # margins above -1.9, and its sample at theta = pi/2 lies on the
+        # kink.  At t = 0.5 the z^1001 term drops out: the one sample
+        # there has margin -1.95, below the bracket ends of t = 0.999.
+        # At t = 0.99999 G2 = e^7 z^100000 takes over and holds the worst
+        # upper margin alone, so only the lower margin's kink keeps the
+        # row t = 0.999.
+        b = math.log(0.4) - 2.0 + 5.0
+        log_a = -b - 0.5 * math.log(1.25)
+        g1 = lw.LacunarySeries(((log_a, 0), (log_a - math.log(2.0) - 1001 * math.log(0.999),
+                                              1001)))
+        g2 = lw.LacunarySeries(((7.0, 100000),))
+        pair = lw.SeriesPair(g1=g1, g2=g2, t0=0.4, h=2.0, t_last=0.99999)
+        w = lw.weight_from_knots([(-10.0, 5.0), (-1e-6, 5.0)])
+        report = assert_same_report(pair, w, [0.5, 0.999, 0.99999], 4, half=True)
+        assert report.lower_witness == (0.999, 0.5 * math.pi)
+        assert report.lower_margin == pytest.approx(-2.0, abs=1e-9)
+        assert report.upper_witness[0] == 0.99999
+
+    @staticmethod
+    def kernel_radii(monkeypatch, state, w):
+        """The radii each series' phase kernel evaluates in one
+        sandwich_check on 2000 x 256."""
+        counts = []
+        make = series._grid_kernel
+
+        def recording(*args):
+            kernel = make(*args)
+            counts.append(0)
+            at = len(counts) - 1
+
+            def block(xs):
+                counts[at] += xs.size
+                return kernel(xs)
+
+            return block
+
+        monkeypatch.setattr(series, "_grid_kernel", recording)
+        ts = np.linspace(state.t0, state.t_last, 2001)[1:]
+        assert lw.sandwich_check(lw.split_parity(state), w, ts, 256).passed
+        return counts
+
+    def test_deep_rows_evaluated(self, deep_state, monkeypatch):
+        counts = self.kernel_radii(monkeypatch, *deep_state)
+        assert len(counts) == 2 and all(1 <= n <= 20 for n in counts)
+
+    def test_cli_rows_evaluated(self, cli_state, monkeypatch):
+        counts = self.kernel_radii(monkeypatch, *cli_state[2:])
+        assert len(counts) == 2 and all(1 <= n <= 20 for n in counts)
+
+
 class TestHalfAngleGrid:
     """The sandwich check samples theta_j, j = 0 .. N // 2, alone: G1 and G2
     have positive coefficients, so |G(conj z)| = |G(z)|."""
@@ -268,9 +411,8 @@ class TestHalfAngleGrid:
         monkeypatch.setattr(series, "_grid_kernel", recording)
         ts = np.linspace(state.t0, state.t_last, 301)[1:]
         report = lw.sandwich_check(lw.split_parity(state), w, ts, theta_count=theta_count)
-        # two series, two blocks of radii (256 + 44)
-        assert sorted(shapes) == sorted([(256, theta_count // 2 + 1), (44, theta_count // 2 + 1)]
-                                        * 2)
+        # every kernel call, of either series, contracts the distinct columns alone
+        assert shapes and {columns for _, columns in shapes} == {theta_count // 2 + 1}
         assert report.lower_witness[1] <= math.pi and report.upper_witness[1] <= math.pi
 
     @staticmethod

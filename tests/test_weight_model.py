@@ -307,6 +307,13 @@ class TestFSecond:
         assert mp_second(family, params, lo) <= FLOAT_MAX * (1.0 + 1e-12)
         assert mp_second(family, params, hi) >= FLOAT_MAX * (1.0 - 1e-12)
 
+    @pytest.mark.parametrize("x", [-1e-160, -1e-170, -1e-320, -5e-324])
+    def test_inv_log_slope_inf_where_x_squared_underflows(self, x):
+        # F' = 1/x^2 is past the float range here, and x * x is 0 from
+        # about -1.5e-162 on: F' is +inf as F'' is, not a ZeroDivisionError
+        w = lw.make_weight("inv_log")
+        assert w.big_f_prime(x) == w.big_f_and_prime(x)[1] == w.big_f_second(x) == math.inf
+
     @pytest.mark.parametrize("family,params", FUSED_ANALYTIC)
     def test_separate_formula_bits(self, family, params):
         # the reference construction's own F'' formulas give the same bits

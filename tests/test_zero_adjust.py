@@ -26,7 +26,8 @@ import logweight as lw
 from logweight import series
 from logweight.cli import main
 
-from reference_series import reference_log_ratio_samples, reference_zero_adjust
+from reference_series import (extreme_bits, reference_extreme_bits,
+                              reference_log_ratio_samples, reference_zero_adjust)
 
 X0 = math.log(0.95)
 
@@ -86,22 +87,26 @@ def assert_matches_oracle(adj, pair, w):
     assert json.dumps({k: got[k] for k in report}) == json.dumps(report)
     grid = (100, 64, 200, 64)  # inner_radii, inner_angles, outer_t_points, outer_angles
     expected = reference_log_ratio_samples(adj.f1, adj.f2, w, pair.t0, pair.t_last, *grid)
-    rings = series._ratio_rings(adj.f1, adj.f2, w, pair.t0, pair.t_last, *grid)
+    rings = [(series._log_omegas(w, radii), series._ring_log_sums(adj.f1, adj.f2, radii, angles))
+             for radii, angles in series._rings(pair.t0, pair.t_last, *grid)]
     samples = (np.concatenate([np.repeat(log_w, log_s.shape[1]) for log_w, log_s in rings]),
                np.concatenate([log_s.ravel() for _, log_s in rings]))
     for a, b in zip(samples, expected, strict=True):
         np.testing.assert_array_equal(a, b)
+    assert extreme_bits(adj) == reference_extreme_bits(expected, 100 * 64)
 
 
 class CallCounter:
-    """Wraps `series.eval_series_grid`, recording the angle count of each call."""
+    """Wraps `series.eval_series_grid`, recording the angle count and the
+    radius count of each call."""
 
     def __init__(self, monkeypatch):
-        self.calls = []
+        self.calls, self.radii = [], []
         inner = series.eval_series_grid
 
         def counted(s, t_values, theta_count):
             self.calls.append(theta_count)
+            self.radii.append(len(t_values))
             return inner(s, t_values, theta_count)
 
         monkeypatch.setattr(series, "eval_series_grid", counted)
@@ -124,6 +129,15 @@ class TestDominance:
         adj = lw.zero_adjust(lw.split_parity(state), w)
         assert adj.rotation_basis == "dominance"
         assert counter.calls == [64] * 4  # f1 and f2 on each ring, at its own angles
+
+    def test_few_rows_sampled_per_ring(self, bench_state, monkeypatch):
+        # the per-radius brackets leave the rows of the smallest and the
+        # largest ratio; the rings have 100 and 200 radii
+        w, state = bench_state
+        counter = CallCounter(monkeypatch)
+        lw.zero_adjust(lw.split_parity(state), w)
+        assert counter.calls == [64] * 4
+        assert all(1 <= n <= 4 for n in counter.radii)
 
     def test_each_series_set_up_once(self, bench_state, monkeypatch):
         # Series of more than _RUN_ROWS terms run in candidate windows: the
