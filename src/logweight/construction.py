@@ -17,15 +17,20 @@ Exponentiating, l_k describes the monomial bound a_k t^{delta_k}, which
 Both solves are safeguarded Newton iterations on residual functions that
 are strictly monotone whenever F is strictly convex: each starts from the
 quadratic model of its residual, and a step that leaves the root's
-bracket, or has no finite nonzero slope, bisects it instead.  A weight
-without F'' gets no slope and bisects throughout.  Every step is
-deterministic and costs a handful of evaluations of F, F' and F'' with
-F'', O(log(1/_ROOT_TOL)) without.
+bracket, or has no finite nonzero slope, bisects it instead.  Each stops
+at the first evaluation whose residual lies within its own rounding
+error, which the weight's rounding_shift bounds, and that evaluated point
+is the root.  A weight without F'' gets no slope and bisects throughout,
+and one without a rounding bound stops at the relative tolerance
+_ROOT_TOL.  Every step is deterministic and costs a handful of
+evaluations of F, F' and F'' with F'' (about 4 fused (F, F') and 3 F''
+calls per double_exp line), O(log(1/_ROOT_TOL)) without.
 
 A weight is duck-typed: this module calls only `big_f(x)`,
 `big_f_prime(x)`, `big_f_and_prime(x)` (which returns the pair
-(F(x), F'(x)) with the bits of the two separate calls) and an optional
-`big_f_second(x)` (F'', or None) at x < 0, and reads an optional
+(F(x), F'(x)) with the bits of the two separate calls), an optional
+`big_f_second(x)` (F'', or None) and an optional `rounding_shift(x)` (the
+abscissa error of F, F' and F'', or None) at x < 0, and reads an optional
 `family` to name the lemma basis.
 """
 
@@ -39,7 +44,8 @@ from typing import Optional
 import numpy as np
 
 from .numerics import MARGIN_SLACK, NEG_INF, logsumexp, normalized_margins
-from .weight_model import ConvexityReport, WeightFunction, _slope_report, is_known_convex
+from .weight_model import (ROUNDING, ConvexityReport, WeightFunction,
+                           _slope_report, is_known_convex)
 
 # Threshold t_0 above which the integer-exponent estimates keep the 9/10
 # and 5/9 constants used by the verifier (they need 1/t < 10/9).
@@ -204,26 +210,37 @@ def _bisect(fn, lo, hi, positive_at_lo, tol=_ROOT_TOL):
     return lo, hi
 
 
-def _newton(fn, lo, hi, positive_at_lo, x=None):
-    """A root of fn in the bracket [lo, hi], where fn(x) returns the pair
-    (value, slope or None) and the value is positive at lo iff
-    positive_at_lo.  Each evaluation narrows the bracket by the sign of its
-    value, then takes the Newton step from it; the next evaluation is at
-    the stepped point if it lies inside the bracket, else at the bracket's
-    midpoint, as is the first without a start x.  Stops, relative to the
-    abscissa as _bisect does, at a Newton step of at most _ROOT_TOL
-    landing in the bracket (its point is the root) or at a bracket of
-    width _ROOT_TOL (its midpoint is).  Without slopes this is _bisect."""
+def _newton(fn, lo, hi, positive_at_lo, target=0.0, at_hi=None):
+    """A root of fn(x) = target in the bracket [lo, hi], where fn(x)
+    returns the triple (value, slope or None, err) and value - target is
+    positive at lo iff positive_at_lo.  Each evaluation narrows the bracket
+    by the sign of value - target, and returns its point as the root when
+    |value - target| <= err < inf, err being the value's rounding bound.
+    Else it takes the Newton step from it; the next evaluation is at the
+    stepped point if it lies inside the bracket, else at the bracket's
+    midpoint.  The first is at the midpoint, or, with at_hi = fn(hi) from
+    the probe that closed the bracket, is that one.  Without a finite err
+    it stops, relative to the abscissa as _bisect does, at a Newton step
+    of at most _ROOT_TOL landing in the bracket (its point is the root) or
+    at a bracket of width _ROOT_TOL (its midpoint is).  Without slopes or
+    errs this is _bisect."""
+    x, fx = (None, None) if at_hi is None else (hi, at_hi)
     for _ in range(200):
         if hi - lo <= _ROOT_TOL * abs(hi):
             break
-        if x is None or not lo < x < hi:
-            x = 0.5 * (lo + hi)
-        value, slope = fn(x)
+        if fx is None:
+            if x is None or not lo < x < hi:
+                x = 0.5 * (lo + hi)
+            fx = fn(x)
+        value, slope, err = fx
+        fx = None
+        value -= target
         if (value > 0.0) == positive_at_lo:
             lo = x
         else:
             hi = x
+        if abs(value) <= err < math.inf:
+            return x
         if slope is None or not (math.isfinite(slope) and slope != 0.0):
             x = None
             continue
@@ -234,12 +251,21 @@ def _newton(fn, lo, hi, positive_at_lo, x=None):
     return 0.5 * (lo + hi)
 
 
-def _quadratic_start(x, f_second, h):
-    """x + sqrt(2h / F''(x)), where a residual with curvature F''(x) at its
-    extremum x gains h; None without a positive F''(x)."""
-    if f_second is None or not f_second > 0.0:
-        return None
-    return x + math.sqrt(2.0 * h / f_second)
+def _absent(x):
+    """An optional weight method the weight does not have: no value."""
+    return None
+
+
+def _first_probe(x, f_second, h):
+    """A stage's first bracket probe right of its residual's extremum x:
+    the quadratic start x + sqrt(2h / F''(x)), where a residual with
+    curvature F''(x) at x gains h, if it is a float in (x, _X_FLOOR]; else,
+    as without a positive F''(x), x / 2."""
+    if f_second is not None and f_second > 0.0:
+        start = x + math.sqrt(2.0 * h / f_second)
+        if x < start <= _X_FLOOR:
+            return start
+    return x / 2.0
 
 
 def next_tangent(w: WeightFunction, x_prev: float, h: float):
@@ -255,39 +281,68 @@ def next_tangent(w: WeightFunction, x_prev: float, h: float):
     (b) x_next > xi is the root of H(x) = F(x) - h - l(x), which equals
         -h at xi and is strictly increasing there (H' = F'(x) - delta).
 
-    Both roots are bracketed by geometrically halving the abscissa toward
-    0, no further than the float floor _X_FLOOR, and then found by _newton
-    to the relative tolerance _ROOT_TOL.  Near its extremum each residual
-    moves by F'' (s - extremum)^2 / 2, so Newton starts where that reaches
-    h: xi ~ x_prev + sqrt(2h / F''(x_prev)) and x_next ~ xi + sqrt(2h /
-    F''(xi)).  Both starts lie right of the root when F'' increases, and
-    from there Newton's iterates fall monotonically onto it.  A weight
-    whose F''(x_prev) is None (or that has no big_f_second) gets no start
-    and no slope: both stages bisect, on F alone in stage (b).
+    Both roots are bracketed by probing toward 0, halving the abscissa no
+    further than the float floor _X_FLOOR, and then found by _newton.
+    Near its extremum each residual moves by F'' (s - extremum)^2 / 2, so
+    Newton starts where that reaches h: xi ~ x_prev + sqrt(2h /
+    F''(x_prev)) and x_next ~ xi + sqrt(2h / F''(xi)).  Both starts lie
+    right of the root when F'' increases, and from there Newton's iterates
+    fall monotonically onto it.  Each start is its stage's first bracket
+    probe, and that evaluation is also Newton's first.
+
+    Newton stops at the first evaluation whose residual is at most its
+    rounding error err.  With R = ROUNDING and s(x) the weight's
+    rounding_shift, F and F' as computed are within err_F(x) = R |F| +
+    s(x) |F'| and err_F'(x) = R |F'| + s(x) |F''| of the exact values, so
+
+        err_G = err_F(xi) + err_F(x_prev) + |x_prev - xi| err_F'(xi)
+                + R (|F(xi)| + |F'(xi)(x_prev - xi)| + |F(x_prev)| + h),
+        err_H = err_F(x) + R (|F(x)| + |log_a| + |delta x| + h),
+
+    the last terms for the residuals' own arithmetic.  err_F(x_prev) takes
+    F'(xi) >= F'(x_prev) (F is convex), so F(x_prev) costs one big_f call.
+    The root xi is then an evaluated point, and its F, F' and F'' give the
+    line and stage (b)'s start without another call.  A weight without
+    rounding_shift (or where err is infinite) stops at _ROOT_TOL instead.
+    A weight whose F''(x_prev) is None (or that has no big_f_second) gets
+    no start and no slope: both stages bisect to _ROOT_TOL, stage (b) on F
+    alone, from the probes x_prev / 2 and xi / 2.
     """
     if x_prev >= 0.0:
         raise ValueError("x_prev must be negative")
     f_prev = w.big_f(x_prev)
     if not math.isfinite(f_prev):
         raise OverflowError(f"F({x_prev}) is not finite; start farther from 0")
-    f_second = getattr(w, "big_f_second", lambda x: None)
+    f_second = getattr(w, "big_f_second", _absent)
     fpp_prev = f_second(x_prev)
     newton = fpp_prev is not None
+    shift = getattr(w, "rounding_shift", _absent)
+    s_prev = shift(x_prev) if newton else None
+    seen = {}  # xi -> (F, F', F'') at each Newton evaluation of stage (a)
 
-    def drop(xi):  # G(xi) - h; -inf where F or F' overflows
+    def drop(xi):  # (G - h, G', err_G); G - h is -inf where F or F' overflows
         f, fp = w.big_f_and_prime(xi)
         if not (math.isfinite(f) and math.isfinite(fp)):
-            return NEG_INF
-        return f + fp * (x_prev - xi) - f_prev
-
-    def big_g(xi):
+            return NEG_INF, None, math.inf
+        gap = x_prev - xi
+        if not newton:
+            return f + fp * gap - f_prev, None, math.inf
         fpp = f_second(xi)
-        return drop(xi) + h, None if fpp is None else fpp * (x_prev - xi)
+        seen[xi] = f, fp, fpp
+        arm = fp * gap
+        err = math.inf
+        if s_prev is not None:  # err_F(xi) + err_F(x_prev) + |gap| err_F'(xi) + arithmetic
+            s_xi = shift(xi)
+            err = ((ROUNDING * abs(f) + s_xi * abs(fp))
+                   + (ROUNDING * abs(f_prev) + s_prev * abs(fp))
+                   + abs(gap) * (ROUNDING * abs(fp) + s_xi * abs(fpp))
+                   + ROUNDING * (abs(f) + abs(arm) + abs(f_prev) + h))
+        return f + arm - f_prev, fpp * gap, err
 
     # Stage (a): bracket the tangency.  The convexity and growth checks
     # compare G - h, not G: next to a huge h every change of G rounds away.
     lo, d_lo = x_prev, 0.0
-    hi = x_prev / 2.0
+    hi = _first_probe(x_prev, fpp_prev, h)
     decreased = False
     while True:
         if hi > _X_FLOOR:
@@ -298,7 +353,8 @@ def next_tangent(w: WeightFunction, x_prev: float, h: float):
             raise NotStrictlyConvexError(
                 "weight profile is not strictly convex: the tangent never "
                 "separates from the chord")
-        d_hi = drop(hi)
+        at_hi = drop(hi)
+        d_hi = at_hi[0]
         if d_hi > d_lo + 1e-9 * max(1.0, abs(d_lo)):
             raise NotStrictlyConvexError(
                 f"weight profile is not strictly convex near x = {hi}")
@@ -308,36 +364,44 @@ def next_tangent(w: WeightFunction, x_prev: float, h: float):
             break
         lo, d_lo = hi, d_hi
         hi = hi / 2.0
-    xi = _newton(big_g, lo, hi, positive_at_lo=True,
-                 x=_quadratic_start(x_prev, fpp_prev, h))
-    f_xi, delta = w.big_f_and_prime(xi)
+    xi = _newton(drop, lo, hi, positive_at_lo=True, target=-h,
+                 at_hi=at_hi if newton else None)
+    if xi in seen:
+        f_xi, delta, fpp_xi = seen[xi]
+    else:
+        f_xi, delta = w.big_f_and_prime(xi)
+        fpp_xi = f_second(xi)
     log_a = f_xi - delta * xi
     if not (delta > 0.0 and math.isfinite(log_a)):
         raise ConstructionError(f"degenerate tangent at xi={xi}")
 
-    def big_h(x):
-        if newton:
-            f, fp = w.big_f_and_prime(x)
-        else:
-            f, fp = w.big_f(x), None
+    def big_h(x):  # (H, H', err_H); H is +inf where F overflows
+        if not newton:
+            f = w.big_f(x)
+            return (f - h - (log_a + delta * x) if math.isfinite(f) else math.inf), None, math.inf
+        f, fp = w.big_f_and_prime(x)
         if not math.isfinite(f):
-            return math.inf, None
-        return f - h - (log_a + delta * x), None if fp is None else fp - delta
+            return math.inf, None, math.inf
+        line = delta * x
+        err = math.inf if s_prev is None else (  # err_F(x) + arithmetic
+            (ROUNDING * abs(f) + shift(x) * abs(fp))
+            + ROUNDING * (abs(f) + abs(log_a) + abs(line) + h))
+        return f - h - (log_a + line), fp - delta, err
 
     # Stage (b): bracket the next crossing.
     lo2 = xi
-    hi2 = xi / 2.0
+    hi2 = _first_probe(xi, fpp_xi, h)
     while True:
         if hi2 > _X_FLOOR:
             raise SlowGrowthError(
                 "weight grows too slowly (or is not unbounded): F - h never "
                 f"crosses the tangent line again left of the float floor x = {_X_FLOOR}")
-        if big_h(hi2)[0] >= 0.0:
+        at_hi = big_h(hi2)
+        if at_hi[0] >= 0.0:
             break
         lo2 = hi2
         hi2 = hi2 / 2.0
-    x_next = _newton(big_h, lo2, hi2, positive_at_lo=False,
-                     x=_quadratic_start(xi, f_second(xi), h))
+    x_next = _newton(big_h, lo2, hi2, positive_at_lo=False, at_hi=at_hi if newton else None)
     return TangentLine(delta=delta, log_a=log_a, xi=xi), x_next
 
 

@@ -14,12 +14,13 @@ and log omega(1 - s) = F(log1p(-s)).  F' is in closed form for the
 analytic families, the segment slope for tabulated, and a central
 difference for perturbed_*.  F'' is in closed form for the analytic
 families and absent (None) for the others; the tangent construction
-takes Newton steps with it and bisects without it.  F, F' and F'' read
-+inf where their values overflow.  log(1 - e^x) is taken as
-log(-expm1(x)) right of x = -log 2 and log1p(-e^x) left of it, which
-keeps it accurate to a few ulps on both sides.  Everything stays in the
-log domain: omega itself overflows float64 long before the fast
-families stop being tractable.
+takes Newton steps with it and bisects without it, and stops them where
+the rounding of F and F' hides the root, which rounding_shift bounds for
+the analytic families.  F, F' and F'' read +inf where their values
+overflow.  log(1 - e^x) is taken as log(-expm1(x)) right of x = -log 2
+and log1p(-e^x) left of it, which keeps it accurate to a few ulps on
+both sides.  Everything stays in the log domain: omega itself overflows
+float64 long before the fast families stop being tractable.
 
 Families
 --------
@@ -51,6 +52,11 @@ from .numerics import LOG_MAX
 STRICTNESS_TOL = 1e-10
 
 _EPS_CBRT = float(np.finfo(float).eps) ** (1.0 / 3.0)
+
+# R = c 2^-53 of WeightFunction.rounding_shift: against mpmath the worst
+# rounding of F and F' is about 2 units of 2^-53 (|F| + expm1(-x) |F'|) on
+# every analytic family (tests), so c = 4 bounds it with a factor 2 spare.
+ROUNDING = 4.0 * 2.0 ** -53
 
 # The four analytic families fast enough to drive the tangent construction
 # at desk scale.  log_power grows too slowly (log omega(1 - 1e-6) is below
@@ -127,8 +133,10 @@ def _exp_power_f(x, p):
 
 
 def _exp_power_fp(x, p):
+    # F' = alpha e^x u^(-alpha) / u: -alpha - 1 would round for a non-dyadic alpha
     u = _u(x)
-    return _pow_or_inf(u, -p[0]), p[0] * _pow_or_inf(u, -p[0] - 1.0) * math.exp(x)
+    f = _pow_or_inf(u, -p[0])
+    return f, p[0] * math.exp(x) * f / u
 
 
 def _exp_power_fpp(x, p):
@@ -371,6 +379,25 @@ class WeightFunction:
             raise ValueError(f"x={x} must be negative")
         second = self._row.big_f_second
         return None if second is None else second(x, self._args)
+
+    def rounding_shift(self, x: float) -> Optional[float]:
+        """The abscissa error s(x) of this family's F, F' and F'' at x, or
+        None for a family without closed forms: to first order the computed
+        values are the exact ones at a point within s(x) of x, times 1 + R
+        at most (R = ROUNDING), so
+
+            |F(x) - F_computed(x)|   <= R |F(x)| + s(x) |F'(x)|,
+            |F'(x) - F'_computed(x)| <= R |F'(x)| + s(x) |F''(x)|.
+
+        An analytic F is phi(u) of u = -expm1(x), rounded by about an ulp,
+        and 1 - u(1 + theta) = e^(x - theta expm1(-x)) to first order, so
+        s(x) = R expm1(-x); F's own last roundings take a few ulps of |F|.
+        inv_log (F = -1/x) has no u, and s(x) |F'| ~ |F| over-counts."""
+        if x >= 0.0:
+            raise ValueError(f"x={x} must be negative")
+        if not self._row.analytic:
+            return None
+        return ROUNDING * math.expm1(-x) if -x <= LOG_MAX else math.inf
 
 
 @dataclass(frozen=True)

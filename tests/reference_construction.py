@@ -1,10 +1,12 @@
 """Test-only references for `logweight.construction.next_tangent`.
 
 `reference_newton_tangent` is the step `next_tangent` takes: both roots by
-safeguarded Newton from the quadratic start.  F' and F'' of an analytic
-weight come from the family's own formulas below, not from the package,
-so this oracle does not share the evaluations it checks; `run_construction`
-must reproduce it exactly, tangency points included.
+safeguarded Newton from the quadratic start, which is also each stage's
+first bracket probe, stopped at the first evaluation whose residual is
+within its rounding bound.  F' and F'' of an analytic weight, and that
+bound, come from formulas below, not from the package, so this oracle does
+not share the evaluations it checks; `run_construction` must reproduce it
+exactly, tangency points included.
 
 `reference_bisection_tangent` is the step Newton replaced, with F and F'
 called apart and both roots bisected.  It is a tolerance oracle for the
@@ -19,6 +21,7 @@ from logweight.construction import (ConstructionError, ConstructionState,
                                     SlowGrowthError, TangentLine, _bisect, _ROOT_TOL,
                                     _X_FLOOR)
 from logweight.numerics import LOG_MAX, NEG_INF
+from logweight.weight_model import ROUNDING
 
 
 def _u(x):
@@ -45,7 +48,7 @@ def _double_exp_f(x):
 SEPARATE_F_PRIME = {
     "ramey_ullrich": lambda x, p: math.exp(x) / _u(x),
     "power": lambda x, p: p[0] * math.exp(x) / _u(x),
-    "exp_power": lambda x, p: p[0] * _pow_or_inf(_u(x), -p[0] - 1.0) * math.exp(x),
+    "exp_power": lambda x, p: p[0] * math.exp(x) * _pow_or_inf(_u(x), -p[0]) / _u(x),
     "double_exp": lambda x, p: (math.exp(1.0 / _u(x) + x) / _u(x) ** 2
                                 if 1.0 / _u(x) + x - 2.0 * math.log(_u(x)) <= LOG_MAX
                                 else math.inf),
@@ -89,10 +92,11 @@ def separate_f_second(w, x):
     return _separate(SEPARATE_F_SECOND, getattr(w, "big_f_second", lambda x: None), w, x)
 
 
-def _tangent_bracket(big_g, x_prev, h):
-    """Stage (a)'s bracket [lo, hi] of the tangency, halving toward 0."""
+def _tangent_bracket(big_g, x_prev, h, first):
+    """Stage (a)'s bracket [lo, hi] of the tangency, probing first and
+    then halving toward 0."""
     lo, g_lo = x_prev, h
-    hi = x_prev / 2.0
+    hi = first
     decreased = False
     while True:
         if hi > _X_FLOOR:
@@ -110,9 +114,10 @@ def _tangent_bracket(big_g, x_prev, h):
         hi = hi / 2.0
 
 
-def _crossing_bracket(big_h, xi):
-    """Stage (b)'s bracket [lo, hi] of the next crossing, halving toward 0."""
-    lo, hi = xi, xi / 2.0
+def _crossing_bracket(big_h, xi, first):
+    """Stage (b)'s bracket [lo, hi] of the next crossing, probing first and
+    then halving toward 0."""
+    lo, hi = xi, first
     while True:
         if hi > _X_FLOOR:
             raise SlowGrowthError("F - h never crosses the tangent line again")
@@ -149,7 +154,8 @@ def reference_bisection_tangent(w, x_prev, h):
             return NEG_INF
         return f + fp * (x_prev - xi) - f_prev + h
 
-    xi = 0.5 * sum(_bisect(big_g, *_tangent_bracket(big_g, x_prev, h), positive_at_lo=True))
+    xi = 0.5 * sum(_bisect(big_g, *_tangent_bracket(big_g, x_prev, h, x_prev / 2.0),
+                           positive_at_lo=True))
     line = _line_at(w, xi)
 
     def big_h(x):
@@ -158,26 +164,44 @@ def reference_bisection_tangent(w, x_prev, h):
             return math.inf
         return f - h - line.value(x)
 
-    x_next = 0.5 * sum(_bisect(big_h, *_crossing_bracket(big_h, xi), positive_at_lo=False))
+    x_next = 0.5 * sum(_bisect(big_h, *_crossing_bracket(big_h, xi, xi / 2.0),
+                               positive_at_lo=False))
     return line, x_next
 
 
-def _rtsafe(value_and_slope, bracket, positive_at_lo, x):
-    """Newton from x inside the bracket; a step out of it, or without a
-    finite nonzero slope, goes to the midpoint.  Returns the point of a
-    step of at most _ROOT_TOL relative that stays in the bracket, else the
-    midpoint of a bracket narrowed to _ROOT_TOL relative."""
+def _rounding_err(w, x, value, slope):
+    """R |value| + R expm1(-x) |slope|, R = ROUNDING: the rounding bound of
+    an analytic family's F (value F, slope F') or F' (F', F''); inf for any
+    other weight."""
+    if getattr(w, "family", None) not in SEPARATE_F_PRIME:
+        return math.inf
+    shift = ROUNDING * math.expm1(-x) if -x <= LOG_MAX else math.inf
+    return ROUNDING * abs(value) + shift * abs(slope)
+
+
+def _rtsafe(evaluate, bracket, positive_at_lo):
+    """Newton in the bracket on evaluate(x) = (value, slope, err), first
+    from its right end (the probe that closed it), then from each stepped
+    point inside it; a step out of it, or without a finite nonzero slope,
+    goes to the midpoint.  Returns the first evaluated point with |value|
+    <= err < inf, else the point of a step of at most _ROOT_TOL relative
+    that stays in the bracket, else the midpoint of a bracket narrowed to
+    _ROOT_TOL relative."""
     lo, hi = bracket
+    x, first = hi, True
     for _ in range(200):
         if hi - lo <= _ROOT_TOL * abs(hi):
             break
-        if x is None or not lo < x < hi:
+        if not first and (x is None or not lo < x < hi):
             x = 0.5 * (lo + hi)
-        value, slope = value_and_slope(x)
+        first = False
+        value, slope, err = evaluate(x)
         if (value > 0.0) == positive_at_lo:
             lo = x
         else:
             hi = x
+        if abs(value) <= err and err != math.inf:
+            return x
         if slope is None or slope == 0.0 or math.isinf(slope) or math.isnan(slope):
             x = None
             continue
@@ -188,8 +212,14 @@ def _rtsafe(value_and_slope, bracket, positive_at_lo, x):
     return 0.5 * (lo + hi)
 
 
-def _start(x, f_second, h):
-    return x + math.sqrt(2.0 * h / f_second) if f_second is not None and f_second > 0.0 else None
+def _first_probe(x, f_second, h):
+    """The quadratic start x + sqrt(2h / F''(x)) if it lies in (x, _X_FLOOR],
+    else x / 2."""
+    if f_second is not None and f_second > 0.0:
+        start = x + math.sqrt(2.0 * h / f_second)
+        if x < start <= _X_FLOOR:
+            return start
+    return x / 2.0
 
 
 def reference_newton_tangent(w, x_prev, h):
@@ -197,31 +227,39 @@ def reference_newton_tangent(w, x_prev, h):
     F, F' and F'' called apart; see next_tangent.  Without F'' it bisects
     as reference_bisection_tangent does."""
     f_prev = _f_prev(w, x_prev)
-    if separate_f_second(w, x_prev) is None:
+    fpp_prev = separate_f_second(w, x_prev)
+    if fpp_prev is None:
         return reference_bisection_tangent(w, x_prev, h)
 
-    def big_g(xi):
-        f = w.big_f(xi)
-        fp = separate_f_prime(w, xi)
-        if not (math.isfinite(f) and math.isfinite(fp)):
-            return NEG_INF
-        return f + fp * (x_prev - xi) - f_prev + h
-
     def g_and_slope(xi):
-        return big_g(xi), separate_f_second(w, xi) * (x_prev - xi)
+        f, fp, fpp = w.big_f(xi), separate_f_prime(w, xi), separate_f_second(w, xi)
+        if not (math.isfinite(f) and math.isfinite(fp)):
+            return NEG_INF, None, math.inf
+        gap = x_prev - xi
+        arm = fp * gap
+        # F'(x_prev) <= F'(xi): F is convex
+        err = (_rounding_err(w, xi, f, fp) + _rounding_err(w, x_prev, f_prev, fp)
+               + abs(gap) * _rounding_err(w, xi, fp, fpp)
+               + ROUNDING * (abs(f) + abs(arm) + abs(f_prev) + h))
+        return f + arm - f_prev + h, fpp * gap, err
 
-    bracket = _tangent_bracket(big_g, x_prev, h)
-    xi = _rtsafe(g_and_slope, bracket, True, _start(x_prev, separate_f_second(w, x_prev), h))
+    bracket = _tangent_bracket(lambda xi: g_and_slope(xi)[0], x_prev, h,
+                               _first_probe(x_prev, fpp_prev, h))
+    xi = _rtsafe(g_and_slope, bracket, True)
     line = _line_at(w, xi)
 
     def h_and_slope(x):
         f = w.big_f(x)
         if not math.isfinite(f):
-            return math.inf, None
-        return f - h - line.value(x), separate_f_prime(w, x) - line.delta
+            return math.inf, None, math.inf
+        fp = separate_f_prime(w, x)
+        err = (_rounding_err(w, x, f, fp)
+               + ROUNDING * (abs(f) + abs(line.log_a) + abs(line.delta * x) + h))
+        return f - h - line.value(x), fp - line.delta, err
 
-    bracket = _crossing_bracket(lambda x: h_and_slope(x)[0], xi)
-    x_next = _rtsafe(h_and_slope, bracket, False, _start(xi, separate_f_second(w, xi), h))
+    bracket = _crossing_bracket(lambda x: h_and_slope(x)[0], xi,
+                                _first_probe(xi, separate_f_second(w, xi), h))
+    x_next = _rtsafe(h_and_slope, bracket, False)
     return line, x_next
 
 

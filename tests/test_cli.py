@@ -480,12 +480,12 @@ class TestEmit:
 GOLDEN = {
     "construct": (["construct", "--family", "ramey_ullrich", "--h", "2", "--t0", "0.95",
                    "--t-stop", "0.9999"], 0,
-                  "f37ac33f8fd71aa1293e1aa97631c3d4441b484571d00352c212d11b108d9d2e"),
+                  "d91e062589d37bdc5f32ec0ff10e399a29a3fefa4cc9b585dbf0850dbeeaf1b4"),
     "sandwich": (["verify", "sandwich", "--state", "STATE", "--family", "ramey_ullrich",
                   "--t-points", "200", "--angles", "32"], 0,
                  "9bd9326209b1cdfbd967bbb13a72b07f22df491fc2372d3e585922a634f73de6"),
     "lemmas": (["verify", "lemmas", "--state", "STATE", "--family", "ramey_ullrich"], 0,
-               "31a76aabf20dda5c62962d2bc281ccfcdd8e3c421be4bb81e1e9a9c877ab8d06"),
+               "28f803a47d10067c8e94f4b5deab4e2acc433f7a16f9ae69ef4e82430f723c4c"),
     "ball_monomial": (["verify", "ball", "--state", "STATE", "--family", "ramey_ullrich",
                        "--poly-family", "monomial_d1"], 0,
                       "03a4a3fd6324786230223dbc73d1b3ccb40b615fecb216de61eff13b480b476f"),
@@ -521,13 +521,15 @@ def deep_state_file(tmp_path_factory):
 
 
 # id -> (arguments, sha256 of the --out bytes), recorded while the grid
-# kernel still tabulated every term at every radius.
+# kernel still tabulated every term at every radius; re-recorded when the
+# tangent step came to stop at its residuals' rounding noise, which moves
+# the state's bits.
 DEEP_GOLDEN = {
-    "state": ([], "1e359f7292a46a7d5450bbf07215ebda750a4ded75cc29c0223685f5305fb678"),
+    "state": ([], "80cc77001726c1322e4932d2f603e8e0fb1a6ad84cde8e94d9025fd95ea3c5e1"),
     "sandwich": (["verify", "sandwich", "--t-points", "200", "--angles", "64"],
-                 "ca3abbc53abdb98c9235525b212ee22a3d87de8f0bb9abe1784fb6c5113f6e72"),
+                 "2b4877912ebd89237e5dd744f381c300eae12c42b670a8b4b3346f2ba1badf20"),
     "emit": (["emit", "--t-points", "200", "--angles", "64"],
-             "3d367153847b958c7503c368fa21df806731d4dae64ad3a83a223e8b69a6c2b7"),
+             "7a21c94de3eb5a2ac171dac19b8b7b6bc4883d9706e576891359987bf6f04339"),
 }
 
 

@@ -138,59 +138,60 @@ def exp_power_a2():
 # (worst_margin, witness_x, witness_k) of every check, as the verifier
 # reported them at 50 samples per interval before basis "convexity" moved
 # to the interval endpoints; re-recorded when the tangent step became
-# Newton's, whose roots move by the rounding noise of the residuals.
+# Newton's, whose roots move by the rounding noise of the residuals, and
+# again when Newton stopped at that noise.
 PINNED_50 = {
     'ramey_ullrich': {
         'lines_later_below': (0.9883587318491878, -0.05129329438755058, 3),
-        'lines_earlier_below': (0.1278353059280347, -9.436093173814654e-10, 4),
-        'segment_upper': (-1.9921262217577046e-16, -1.7984096603565974e-08, 4),
+        'lines_earlier_below': (0.1278353059280347, -9.43609317381464e-10, 4),
+        'segment_upper': (-1.9921262217577046e-16, -1.798409660356598e-08, 4),
         'segment_lower': (-4.440892098500626e-16, -0.05129329438755058, 1),
-        'segment_tail_half': (0.27107266205480407, -8.102269828273325e-08, 4),
-        'segment_upper_int': (-1.9921262217577046e-16, -1.7984096603565974e-08, 4),
-        'segment_lower_int': (0.005609860065005202, -9.436093173814654e-10, 4),
-        'segment_tail_int': (0.2766618875168189, -8.102269828273325e-08, 4),
+        'segment_tail_half': (0.27107266205480396, -8.102269828273332e-08, 4),
+        'segment_upper_int': (-1.9921262217577046e-16, -1.798409660356598e-08, 4),
+        'segment_lower_int': (0.005609860065005202, -9.43609317381464e-10, 4),
+        'segment_tail_int': (0.27666188751681864, -8.102269828273332e-08, 4),
     },
     'exp_power': {
-        'lines_later_below': (0.0015018335399316018, -0.00010464908681735668, 67),
-        'lines_earlier_below': (0.0013508485970461627, -9.88462432440611e-05, 68),
-        'segment_upper': (-5.32365792944286e-16, -0.0001951331637616586, 48),
-        'segment_lower': (-3.469630878974026e-16, -0.0015224752389521906, 16),
-        'segment_tail_half': (0.0015221885800364178, -0.00010168560422357556, 68),
-        'segment_upper_int': (-5.323657929442862e-16, -0.0001951331637616586, 48),
-        'segment_lower_int': (1.0409893534634355e-05, -9.88462432440611e-05, 68),
-        'segment_tail_int': (0.001532889600510405, -0.00010168560422357556, 68),
+        'lines_later_below': (0.001501833539933481, -0.000104649086817355, 67),
+        'lines_earlier_below': (0.0013508485970475377, -9.884624324405643e-05, 68),
+        'segment_upper': (-6.172009399463937e-16, -0.0018112916925594486, 14),
+        'segment_lower': (-3.2060071388416413e-15, -0.019057427273931133, 3),
+        'segment_tail_half': (0.0015221885800380394, -0.00010168560422357265, 68),
+        'segment_upper_int': (-6.17200939946394e-16, -0.0018112916925594486, 14),
+        'segment_lower_int': (1.0409893602248087e-05, -9.884624324405643e-05, 68),
+        'segment_tail_int': (0.0015328896005781484, -0.00010168560422357265, 68),
     },
     'power_delta': {
         'lines_later_below': (0.9967421557292555, -0.05129329438755058, 3),
-        'lines_earlier_below': (0.11848933753570697, -5.778678563307637e-12, 4),
-        'segment_upper': (-2.1968402328711813e-16, -9.475932824750453e-08, 3),
-        'segment_lower': (-8.881784197001252e-16, -0.05129329438755058, 1),
-        'segment_tail_half': (0.3190062901262687, -1.773717646150621e-09, 4),
-        'segment_upper_int': (-2.1968402328711813e-16, -9.475932824750453e-08, 3),
-        'segment_lower_int': (0.0023024723694723493, -5.778678563307637e-12, 4),
-        'segment_tail_int': (0.32113418951990985, -1.773717646150621e-09, 4),
-        'segment_tail_delta': (0.21089537614924792, -1.773717646150621e-09, 4),
-        'segment_tail_delta_int': (0.21375111626808305, -1.773717646150621e-09, 4),
+        'lines_earlier_below': (0.11848933753570683, -5.778678563307634e-12, 4),
+        'segment_upper': (-1.8805120593037193e-16, -0.008927611577567201, 1),
+        'segment_lower': (-2.6645352591003757e-15, -0.05129329438755058, 1),
+        'segment_tail_half': (0.3190062901262687, -1.7737176461506303e-09, 4),
+        'segment_upper_int': (-1.8805120593037193e-16, -0.008927611577567201, 1),
+        'segment_lower_int': (0.0023024723694721944, -5.778678563307634e-12, 4),
+        'segment_tail_int': (0.3211341895199085, -1.7737176461506303e-09, 4),
+        'segment_tail_delta': (0.21089537614924786, -1.7737176461506303e-09, 4),
+        'segment_tail_delta_int': (0.21375111626808127, -1.7737176461506303e-09, 4),
     },
     'double_exp': {
-        'lines_later_below': (2.7894434730521535e-08, -0.05120409714519751, 199),
-        'lines_earlier_below': (2.7881698791931413e-08, -0.05120320537684069, 200),
-        'segment_upper': (-1.1884989641295365e-14, -0.051286245854527526, 16),
-        'segment_lower': (-9.461167380636617e-15, -0.051259744995047, 75),
-        'segment_tail_half': (3.048969743070816e-08, -0.05120365123826605, 200),
-        'segment_upper_int': (-1.188498964129543e-14, -0.051286245854527526, 16),
-        'segment_lower_int': (1.0972244722709333e-10, -0.051245766539643495, 105),
-        'segment_tail_int': (3.0646600523110735e-08, -0.05120721976876666, 192),
+        'lines_later_below': (2.7894457539975608e-08, -0.05120409714603297, 199),
+        'lines_earlier_below': (2.7881713993620988e-08, -0.05120320537745009, 200),
+        'segment_upper': (-1.0829525408838853e-14, -0.05120967482754907, 186),
+        'segment_lower': (-7.109558095665583e-15, -0.05128738194624717, 14),
+        'segment_tail_half': (3.0489720235054674e-08, -0.0512036512389245, 200),
+        'segment_upper_int': (-1.0829525408838906e-14, -0.05120967482754907, 186),
+        'segment_lower_int': (1.0970959490976183e-10, -0.051229140809525925, 142),
+        'segment_tail_int': (3.0668269518541854e-08, -0.051206773544026245, 193),
     },
     'exp_power_a2': {
-        'lines_later_below': (1.409657026632308e-05, -0.0010030072730985902, 600),
-        'lines_earlier_below': (1.3952493520552729e-05, -0.0009997328866280897, 601),
-        'segment_upper': (-1.3233819945326654e-15, -0.0027567055662804105, 211),
-        'segment_lower': (-7.458505166492969e-16, -0.0012663830737844853, 473),
-        'segment_tail_half': (1.5307219672328658e-05, -0.0010013674033524204, 601),
-        'segment_upper_int': (-1.3233819945326664e-15, -0.0027567055662804105, 211),
-        'segment_lower_int': (1.0435745066318269e-07, -0.0009997328866280897, 601),
-        'segment_tail_int': (1.5412392064859217e-05, -0.0010013674033524204, 601),
+        'lines_later_below': (1.409657026584115e-05, -0.0010030072730980945, 600),
+        'lines_earlier_below': (1.3952493522627277e-05, -0.0009997328866274543, 601),
+        'segment_upper': (-1.0651901283851369e-15, -0.010881133669240994, 45),
+        'segment_lower': (-3.865639993602342e-15, -0.006675819747804123, 80),
+        'segment_tail_half': (1.5307219673012522e-05, -0.0010013674033519024, 601),
+        'segment_upper_int': (-1.0651901283851373e-15, -0.010881133669240994, 45),
+        'segment_lower_int': (1.0436025953266318e-07, -0.0009997328866274543, 601),
+        'segment_tail_int': (1.5412391802177396e-05, -0.0010013674033519024, 601),
     },
 }
 

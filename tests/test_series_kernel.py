@@ -514,8 +514,8 @@ class TestBenchmarkSlices:
     # bits of every point
     pins = {0: ("fac6222324cc2e8d3a7213b5e14b39ab3413a76ee8fa9f9144925b7380d40b67",
                 "ffddedbdd8c8644fb0632decb638670f6aad8c725187adaa93742790f39d96b8"),
-            1: ("e4461b7e352f69d7cb6e8cc2071ca073b819842cd4e433ad1450c91f86832cdb",
-                "6a30cc16a1292f793d94efbbfd30e2cc757b6ea8ccc679e03a592c03ff9023f6")}
+            1: ("bbc616e201241e85dbd6b86fb63a1af993ea788ca124665e819bd760bcfc7341",
+                "c8768716c7aaf80bc69cc8b34bb48e7083a0416acf961cf38a7386f7fbc15133")}
 
     def slice_fn(self, slice_system, index):
         system, zeta = slice_system

@@ -1,6 +1,7 @@
 """Weight families, the log-log profile F, and its diagnostics."""
 
 import dataclasses
+import functools
 import hashlib
 import math
 import pickle
@@ -14,7 +15,7 @@ import pytest
 import logweight as lw
 from logweight.cli import main
 from logweight.construction import _gate_grid
-from logweight.weight_model import _central_difference, _triangle_wave
+from logweight.weight_model import ROUNDING, _central_difference, _triangle_wave
 from reference_construction import separate_f_prime, separate_f_second
 
 
@@ -332,6 +333,79 @@ class TestFSecond:
                 w.big_f_second(x)
 
 
+# F' of each analytic family as an mpmath expression, as MP_BIG_F is
+MP_BIG_F_PRIME = {
+    "ramey_ullrich": lambda x, p: mpmath.exp(x) / -mpmath.expm1(x),
+    "power": lambda x, p: p[0] * mpmath.exp(x) / -mpmath.expm1(x),
+    "exp_power": lambda x, p: (p[0] * mpmath.exp(x)
+                               * (-mpmath.expm1(x)) ** -(mpmath.mpf(p[0]) + 1)),
+    "double_exp": lambda x, p: mpmath.exp(1 / -mpmath.expm1(x) + x) / mpmath.expm1(x) ** 2,
+    "log_power": lambda x, p: (p[0] * mpmath.exp(x)
+                               / (-mpmath.expm1(x) * (1 - mpmath.log1p(-mpmath.exp(x))))),
+    "inv_log": lambda x, p: 1 / x ** 2,
+}
+ROUNDING_FAMILIES = [("ramey_ullrich", ()), ("power", (3.0,)), ("exp_power", (1.0,)),
+                     ("exp_power", (1.7,)), ("exp_power", (2.0,)), ("double_exp", ()),
+                     ("log_power", (2.0,)), ("inv_log", ())]
+
+
+@functools.cache
+def rounding_xs():
+    """-geomspace(5, 1e-12, 400) and the xs of the four benchmark states."""
+    xs = (-np.geomspace(5.0, 1e-12, 400)).tolist()
+    for family, params, kw in [("double_exp", (), dict(k_max=2000)),
+                               ("exp_power", (2.0,), dict(k_max=5000, t_stop=0.999)),
+                               ("exp_power", (1.0,), dict(t_stop=0.9999)),
+                               ("ramey_ullrich", (), dict(t_stop=0.999999999))]:
+        run = lw.ConstructionParams(x0=math.log(0.95), **kw)
+        xs += lw.run_construction(lw.make_weight(family, params), run).xs
+    return xs
+
+
+class TestRoundingShift:
+    """rounding_shift s(x): F and F' as computed are within R |F| + s |F'|
+    and R |F'| + s |F''| of mpmath's (R = ROUNDING), and not vacuously."""
+
+    @pytest.mark.parametrize("family,params", ROUNDING_FAMILIES)
+    def test_bounds_the_error_against_mpmath(self, family, params):
+        w = lw.make_weight(family, params)
+        ratios = []
+        with mpmath.workprec(160):
+            for x in rounding_xs():
+                f, fp = w.big_f_and_prime(x)
+                fpp, shift = w.big_f_second(x), w.rounding_shift(x)
+                if not math.isfinite(fpp):
+                    continue
+                err_f = abs(mpmath.mpf(f) - MP_BIG_F[family](mpmath.mpf(x), params))
+                err_fp = abs(mpmath.mpf(fp) - MP_BIG_F_PRIME[family](mpmath.mpf(x), params))
+                ratios.append((float(err_f) / (ROUNDING * f + shift * fp),
+                               float(err_fp) / (ROUNDING * fp + shift * fpp)))
+        worst = np.max(ratios, axis=0)
+        assert len(ratios) > 400
+        assert np.all(worst <= 1.0), worst
+        assert np.all(worst >= 2.0 ** -10), worst
+
+    def test_exp_power_slope_exponent_does_not_round(self):
+        # -alpha - 1 rounds for a non-dyadic alpha, and u^(-alpha - 1) then
+        # misses F' by 36 ulps at u = 1e-12; alpha e^x u^(-alpha) / u does not
+        w, x = lw.make_weight("exp_power", (1.7,)), -1e-12
+        with mpmath.workprec(160):
+            want = MP_BIG_F_PRIME["exp_power"](mpmath.mpf(x), (1.7,))
+            assert abs(w.big_f_prime(x) - want) <= 2 * math.ulp(float(want))
+
+    @pytest.mark.parametrize("w", EVERY_KIND, ids=deriv_id)
+    def test_none_without_closed_form(self, w):
+        assert (w.rounding_shift(-0.5) is not None) == (w.family in CLOSED_FORM_LOG_OMEGA)
+        for x in (0.0, -0.0, 5e-324, 1.0):
+            with pytest.raises(ValueError):
+                w.rounding_shift(x)
+
+    def test_inf_where_expm1_overflows(self):
+        w = lw.make_weight("ramey_ullrich")
+        assert w.rounding_shift(-700.0) == ROUNDING * math.expm1(700.0)
+        assert w.rounding_shift(-710.0) == math.inf
+
+
 class TestLogOneMinusExp:
     """The rows built on log(1 - e^x) take log1p(-e^x) left of x = -log 2
     and log(-expm1(x)) right of it, so F keeps its relative accuracy both
@@ -374,8 +448,8 @@ PINNED_PAIRS = [[0.2, 1.0], [0.5, 2.0], [0.8, 4.0], [0.9, 10.0]]
 PINNED_WEIGHTS = {
     "ramey_ullrich": (lambda: lw.make_weight("ramey_ullrich"), "daf082b7582de154"),
     "power": (lambda: lw.make_weight("power", (2.5,)), "20dfdf00593c5f27"),
-    "exp_power-1": (lambda: lw.make_weight("exp_power", (1.0,)), "baa530ca4bae4524"),
-    "exp_power-2": (lambda: lw.make_weight("exp_power", (2.0,)), "432d68c3b494b7c9"),
+    "exp_power-1": (lambda: lw.make_weight("exp_power", (1.0,)), "5887c4b504a7f622"),
+    "exp_power-2": (lambda: lw.make_weight("exp_power", (2.0,)), "78d089399bfedfb1"),
     "double_exp": (lambda: lw.make_weight("double_exp"), "94aaa89ec6436c28"),
     "log_power": (lambda: lw.make_weight("log_power", (1.5,)), "942ac3dc21ed651a"),
     "inv_log": (lambda: lw.make_weight("inv_log"), "08116c9aca543bbb"),
