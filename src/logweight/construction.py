@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -556,43 +557,53 @@ def _worst(name, margins, xs, ks, points_each=1) -> LemmaCheck:
                       margins.size * points_each, worst >= -MARGIN_SLACK)
 
 
-def _min_above_line(w, line, x_lo, x_hi, x0):
-    """Certified lower bound of g = F - l over [x0, 0), the point c it is
-    attached to, and F(c).  g is convex with its minimum where F' = slope,
-    bracketed around the stored xi when the F' signs confirm it, else
+def _tangency_bracket(w, line, x_lo, x_hi, x0):
+    """(p, c, q, F(p), F(c), F(q)): a bracket [p, q] of the minimum of the
+    convex g = F - l over [x0, 0), where F' = slope, and its midpoint c:
+    xi (1 +- _XI_BRACKET) when the F' signs confirm the stored xi, else
     bisected from [x_lo, x_hi] (widened to [x0, x_lo], or halved toward 0
-    down to _X_FLOOR as in next_tangent) to the relative tolerance _ROOT_TOL.
-    On the bracket [p, q] with midpoint c the secant bounds give
-    g >= 2 g(c) - max g(p, c, q), outside it min(g(p), g(q)).  F at p and
-    q comes from the fused (F, F') calls of the sign tests, which
-    evaluate each abscissa once, so the stored xi costs three evaluations
-    of the weight."""
-    fused = {}
+    down to _X_FLOOR) to the relative tolerance _ROOT_TOL.  F at p and q
+    comes from the sign tests' fused calls: a stored xi costs three calls."""
+    xi, delta, fused = line.xi, line.delta, {}
+    if xi is not None:
+        p, q = xi * (1.0 + _XI_BRACKET), xi * (1.0 - _XI_BRACKET)
+        f_p, d_p = fused[p] = w.big_f_and_prime(p)
+        if d_p - delta <= 0.0:
+            f_q, d_q = fused[q] = w.big_f_and_prime(q)
+            if 0.0 <= d_q - delta:
+                return p, 0.5 * (p + q), q, f_p, w.big_f(0.5 * (p + q)), f_q
 
     def psi(x):
         if x not in fused:
             fused[x] = w.big_f_and_prime(x)
-        return fused[x][1] - line.delta
+        return fused[x][1] - delta
 
-    xi = line.xi
-    if xi is not None and psi(xi * (1.0 + _XI_BRACKET)) <= 0.0 <= psi(xi * (1.0 - _XI_BRACKET)):
-        lo, hi = xi * (1.0 + _XI_BRACKET), xi * (1.0 - _XI_BRACKET)
+    lo, hi = x_lo, x_hi
+    if psi(lo) > 0.0:
+        lo, hi = x0, lo
+    while psi(hi) < 0.0 and hi < _X_FLOOR:
+        lo, hi = hi, hi / 2.0
+    if psi(lo) >= 0.0:  # F - l increases from x0 on
+        hi = lo
+    elif psi(hi) < 0.0:  # F - l still decreases at the floor of |x|
+        lo = hi
     else:
-        lo, hi = x_lo, x_hi
-        if psi(lo) > 0.0:
-            lo, hi = x0, lo
-        while psi(hi) < 0.0 and hi < _X_FLOOR:
-            lo, hi = hi, hi / 2.0
-        if psi(lo) >= 0.0:  # F - l increases from x0 on
-            hi = lo
-        elif psi(hi) < 0.0:  # F - l still decreases at the floor of |x|
-            lo = hi
-        else:
-            lo, hi = _bisect(psi, lo, hi, positive_at_lo=False)
+        lo, hi = _bisect(psi, lo, hi, positive_at_lo=False)
     c = 0.5 * (lo + hi)
-    f_lo, f_c, f_hi = (fused[x][0] if x in fused else w.big_f(x) for x in (lo, c, hi))
-    g_lo, g_c, g_hi = f_lo - line.value(lo), f_c - line.value(c), f_hi - line.value(hi)
-    return min(g_lo, g_hi, 2.0 * g_c - max(g_lo, g_c, g_hi)), c, f_c
+    return (lo, c, hi, *(fused[x][0] if x in fused else w.big_f(x) for x in (lo, c, hi)))
+
+
+def _tangency_bounds(log_as, deltas, brackets):
+    """Certified lower bounds of g = F - l_k over [x0, 0) from the rows of
+    _tangency_bracket by the secant bounds, min(g(p), g(q), 2 g(c) - max
+    g(p, c, q)) per line, with the bits of Python's min and max."""
+    p, c, q, f_p, f_c, f_q = brackets
+    with np.errstate(all="ignore"):  # inf and NaN pass silently, as in scalar floats
+        g_p, g_c, g_q = (f - (log_as + deltas * x) for f, x in ((f_p, p), (f_c, c), (f_q, q)))
+        top = np.where(g_c > g_p, g_c, g_p)
+        mid = 2.0 * g_c - np.where(g_q > top, g_q, top)
+    low = np.where(g_q < g_p, g_q, g_p)
+    return np.where(mid < low, mid, low)
 
 
 def _tail_log_bound(k, pts, log_as, slopes, gap):
@@ -656,7 +667,8 @@ def verify_tangent_lemmas(state: ConstructionState, w: WeightFunction,
     Each check is decided where it is extreme: line pairs at the ends of
     their ranges (x -> 0 as a limit, witness_x = 0), segment_upper at one
     tangency bracket per line (its integer form follows as e_k > delta_k),
-    the rest at the interval endpoints.  basis "convexity" (F convex by
+    the rest at the interval endpoints; only segment_upper's weight calls
+    go line by line (_tangency_bracket).  basis "convexity" (F convex by
     construction) makes a pass a proof up to the slack: F - l_k and every
     log-sum-exp of lines are convex, so the raw margins of segment_lower*,
     segment_tail_* and segment_tail_delta* are concave in x and these
@@ -685,8 +697,11 @@ def verify_tangent_lemmas(state: ConstructionState, w: WeightFunction,
     es = np.asarray(state.es, dtype=float)
     ks = np.arange(1, K + 1)
 
-    lb, c, f_c = np.array([_min_above_line(w, line, xs[k], xs[k + 1], xs[0])
-                           for k, line in enumerate(state.lines)]).T
+    brackets = np.fromiter(chain.from_iterable(
+        _tangency_bracket(w, line, x_lo, x_hi, state.xs[0])
+        for line, x_lo, x_hi in zip(state.lines, state.xs, state.xs[1:])),
+        float, 6 * K).reshape(K, 6).T
+    lb, c, f_c = _tangency_bounds(log_as, deltas, brackets), brackets[1], brackets[4]
 
     # line pairs (l_i, l_{i+1}) in row i, at the two ends of each range
     i = np.arange(K - 1)

@@ -90,23 +90,33 @@ class ScaledArray:
         return np.add(logs, self.log_scale.ravel()).reshape(m.shape)
 
 
+def _canonical(terms) -> bool:
+    """A tuple of (float, int) pairs, exponents increasing from 0 on."""
+    last = -1
+    for te in terms:
+        if not (type(te) is tuple and len(te) == 2 and type(te[0]) is float
+                and type(te[1]) is int and te[1] > last):
+            return False
+        last = te[1]
+    return type(terms) is tuple
+
+
 @dataclass(frozen=True)
 class LacunarySeries:
     """Finite list of terms exp(log_coeff) z^exponent, exponents strictly
-    increasing non-negative integers.  Construction sorts the terms, so the
-    summation order downstream never depends on input order."""
+    increasing non-negative integers.  Construction sorts the terms (unless
+    _canonical), so the summation order never depends on input order."""
 
     terms: tuple  # ((log_coeff, exponent), ...)
 
     def __post_init__(self):
-        terms = tuple(sorted(((float(lc), int(e)) for lc, e in self.terms),
-                             key=lambda te: te[1]))
-        es = [e for _, e in terms]
-        if any(e < 0 for e in es):
-            raise ValueError("exponents must be non-negative")
-        if any(b <= a for a, b in zip(es, es[1:])):
-            raise ValueError("exponents must be strictly increasing")
-        object.__setattr__(self, "terms", terms)
+        if not _canonical(self.terms):  # else kept as given: no K new tuples
+            terms = tuple(sorted(((float(lc), int(e)) for lc, e in self.terms),
+                                 key=lambda te: te[1]))
+            if not _canonical(terms):  # sorted: a negative first exponent or a tie
+                raise ValueError("exponents must be non-negative" if terms[0][1] < 0
+                                 else "exponents must be strictly increasing")
+            object.__setattr__(self, "terms", terms)
 
     @property
     def exponents(self) -> tuple:
@@ -132,7 +142,7 @@ class LacunarySeries:
 
     @cached_property
     def windows(self):
-        """(first, last, room, e_0) for the grid kernel's runs: _term_windows,
+        """(first, last, room, e_0) for _candidates: _term_windows,
         or every row a candidate (one call per block) for at most _RUN_ROWS
         terms and where _term_windows could fail: on a coefficient
         non-finite or past _LOG_RANGE, or an exponent past 2^53."""
@@ -173,6 +183,16 @@ def split_parity(state: ConstructionState) -> SeriesPair:
     )
 
 
+def _term_logs(log_mods, exponents, log_radii):
+    """(L - l, l), L = log_mods + exponents * log_radii, l = max L per radius."""
+    with np.errstate(invalid="ignore"):  # 0 * -inf at z = 0; all terms -inf
+        logs = log_mods + exponents * log_radii
+        np.copyto(logs, log_mods, where=np.isnan(logs))  # z^0 = 1
+        l_max = logs.max(axis=0, initial=NEG_INF)
+        logs -= l_max
+    return logs, l_max
+
+
 def _scaled_terms(log_mods, exponents, log_radii):
     """The kernel behind every series evaluation: the term magnitudes
     exp(log_mods_k + exponents_k x_r) at log-radii x_r, with the largest
@@ -185,16 +205,9 @@ def _scaled_terms(log_mods, exponents, log_radii):
     mant against the phases or factors of the live terms alone; the value
     at radius r is that sum times exp(log_scales[r]).  x = -inf (radius 0)
     keeps only the exponent-0 terms; a radius with no nonzero term gives
-    an all-zero column and scale -inf.  The table is (terms given, radii),
-    so the grid path hands over only the candidate rows of a run of radii
-    (see _grid_kernel): every term that could be kept at those radii, so
-    the maximum, the live set and the mantissas are those over all terms.
-    """
-    with np.errstate(invalid="ignore"):  # 0 * -inf at z = 0; all terms -inf
-        logs = log_mods[:, None] + exponents[:, None] * log_radii
-        np.copyto(logs, log_mods[:, None], where=np.isnan(logs))  # z^0 = 1
-        l_max = logs.max(axis=0, initial=NEG_INF)
-        logs -= l_max
+    an all-zero column and scale -inf.  The grid path hands over the
+    candidate rows of a run of radii alone (see _grid_kernel)."""
+    logs, l_max = _term_logs(log_mods[:, None], exponents[:, None], log_radii)
     keep = logs >= -DROP_THRESHOLD
     live = keep.any(axis=1)
     return np.where(keep[live], np.exp(logs[live]), 0.0), live, l_max
@@ -299,21 +312,26 @@ def _term_windows(log_coeffs: np.ndarray, exponents: np.ndarray):
     return np.minimum.accumulate(a[::-1])[::-1], np.maximum.accumulate(b)
 
 
-def _runs(windows, xs) -> list:
-    """The kernel calls of one block of log-radii xs: (rows, at) pairs,
-    rows a slice of term indices holding every candidate of the radii
-    xs[at].  Radii go by increasing x, and a run grows while its rows stay
-    within _RUN_ROWS, or within the rows of its first radius where that
-    radius needs more; so windows that make every row a candidate give
-    one run.  A radius where rounding might pass _REACH (e_0 |x| past the
-    room left by the coefficients) takes every row, in one more call; NaN
-    radii never get here, as _log_radii rejects them."""
+def _candidates(windows, xs):
+    """(lo, hi, wide) per log-radius of xs: each term that can be kept there
+    is in range(lo, hi), every row at a wide radius, where rounding might
+    pass _REACH (e_0 |x| past the room left by the coefficients)."""
     first, last, room, e0 = windows
-    lo = np.searchsorted(last, xs, "left")
-    hi = np.searchsorted(first, xs, "right")
+    lo, hi = np.searchsorted(last, xs, "left"), np.searchsorted(first, xs, "right")
     with np.errstate(invalid="ignore"):  # 0 * inf at x = -inf
         wide = ~(e0 * -xs <= room) & (xs != NEG_INF)
-    runs = [(slice(0, first.size), np.flatnonzero(wide))] if wide.any() else []
+    lo[wide], hi[wide] = 0, first.size
+    return lo, hi, wide
+
+
+def _runs(windows, xs) -> list:
+    """The kernel calls of one block of log-radii xs: (rows, at) pairs,
+    rows a slice holding every candidate (_candidates) of the radii xs[at].
+    Radii go by increasing x, and a run grows while its rows stay within
+    _RUN_ROWS, or within those of its first radius where it needs more, so
+    windows making every row a candidate give one run; wide radii one more."""
+    lo, hi, wide = _candidates(windows, xs)
+    runs = [(slice(0, windows[0].size), np.flatnonzero(wide))] if wide.any() else []
     order = np.flatnonzero(~wide)
     order = order[np.argsort(xs[order], kind="stable")]
     lo, hi = lo[order], hi[order]  # both nondecreasing now
@@ -326,47 +344,35 @@ def _runs(windows, xs) -> list:
     return runs
 
 
-def _by_runs(s: LacunarySeries, xs, reduce):
-    """reduce(mant, live_rows, log_scales) of _scaled_terms over the runs
-    of the log-radii xs (_runs), each a (radii, columns) array, gathered
-    by radius; live_rows are the term indices of mant's rows.
-
-    Each run tabulates its candidate rows alone, so no call tabulates more
-    than _RUN_ROWS terms unless one radius needs them or the windows make
-    every row a candidate.  A radius keeps the live set, the maximum and
-    the mantissas of one call over all the terms, bit for bit, and only
-    rows that are zero at every radius of a call leave its table."""
+def _grid_kernel(s: LacunarySeries, factors):
+    """The block evaluator of the product grid sum_k c_k t^{e_k} F_kj over
+    the series s: log-radii of at most _BLOCK radii -> log|sum|, rows by
+    radius, contracted run by run (_runs).  factors(k) gives F_kj for the
+    live term rows k of a call (an index array): angle phases
+    (_phase_kernel) or a ball family's values W_q[e_k](zeta_j).  A radius
+    keeps the live set, maximum and mantissas of one call over all terms,
+    bit for bit; only rows zero at every radius of a call leave its table."""
     log_coeffs, exponents = s.log_coeff_array, s.exponent_array
 
     def run(rows, xs):
         mant, live, scales = _scaled_terms(log_coeffs[rows], exponents[rows], xs)
-        return reduce(mant, rows.start + np.flatnonzero(live), scales)
-
-    runs = _runs(s.windows, xs)
-    if len(runs) == 1:
-        return run(runs[0][0], xs)
-    out = None
-    for rows, at in runs:
-        part = run(rows, xs[at])
-        out = np.empty((xs.size, part.shape[1])) if out is None else out
-        out[at] = part
-    return out
-
-
-def _grid_kernel(s: LacunarySeries, factors):
-    """The block evaluator of the product grid sum_k c_k t^{e_k} F_kj over
-    the series s: log-radii of at most _BLOCK radii -> log|sum|, rows by
-    radius, contracted run by run (_by_runs).  factors(k) gives F_kj for
-    the live term rows k of a call (an index array): angle phases
-    (_phase_kernel) or a ball family's values W_q[e_k](zeta_j)."""
-    def contract(mant, live, scales):
-        sums = mant.T @ factors(live)
+        sums = mant.T @ factors(rows.start + np.flatnonzero(live))
         with np.errstate(divide="ignore"):
             logs = np.log(np.abs(sums))
-        logs += scales[:, None]
-        return logs
+        return np.add(logs, scales[:, None], out=logs)
 
-    return lambda xs: _by_runs(s, xs, contract)
+    def kernel(xs):
+        runs = _runs(s.windows, xs)
+        if len(runs) == 1:
+            return run(runs[0][0], xs)
+        out = None
+        for rows, at in runs:
+            part = run(rows, xs[at])
+            out = np.empty((xs.size, part.shape[1])) if out is None else out
+            out[at] = part
+        return out
+
+    return kernel
 
 
 def _phase_kernel(s: LacunarySeries, theta_count: int, columns: int | None = None):
@@ -390,9 +396,9 @@ def _log_radii(t_values):
         return ts, np.log(ts)
 
 
-def _row_blocks(count: int) -> list:
-    """Consecutive slices of at most _BLOCK rows covering range(count)."""
-    return [slice(start, min(start + _BLOCK, count)) for start in range(0, count, _BLOCK)]
+def _row_blocks(count: int, size: int = _BLOCK) -> list:
+    """Consecutive slices of at most `size` rows covering range(count)."""
+    return [slice(start, min(start + size, count)) for start in range(0, count, size)]
 
 
 def eval_series_grid(s: LacunarySeries, t_values, theta_count: int) -> np.ndarray:
@@ -417,13 +423,20 @@ def _log_modulus_bounds(s: LacunarySeries, xs):
     kernel computes, as l + log (2 - sigma')_+ and l + log sigma', l the
     log of the largest term and sigma' the widened sum of the kept
     mantissas, each end widened once more (see _log_sum_bounds).  The
-    mantissas are those of the grid kernel, from _scaled_terms over the
-    same runs, with no phases and no contraction; _BLOCK radii at a
-    time."""
-    def reduce(mant, live, scales):
-        return np.stack([mant.sum(axis=0), scales], axis=1)
-
-    sigma, ell = np.concatenate([_by_runs(s, xs[rows], reduce) for rows in _row_blocks(xs.size)]).T
+    radii's candidate rows (_candidates) go through _term_logs as in a
+    kernel call, gathered into (rows, radii) tables of at most _RUN_ROWS *
+    _BLOCK cells (or one radius' rows), padded with -inf; sigma sums each
+    column in row order, the kernel's kept mantissas with its bits."""
+    log_coeffs, exponents = s.log_coeff_array, s.exponent_array
+    sigma, ell = np.zeros(xs.size), np.full(xs.size, NEG_INF)
+    if log_coeffs.size:  # an empty series is 0 at every radius
+        lo, hi, _ = _candidates(s.windows, xs)
+        rows = np.arange(np.max(hi - lo, initial=1))[:, None]
+        for at in _row_blocks(xs.size, max(1, _RUN_ROWS * _BLOCK // rows.size)):
+            index = lo[at] + rows
+            lc = np.where(index < hi[at], np.take(log_coeffs, index, mode="clip"), NEG_INF)
+            logs, ell[at] = _term_logs(lc, np.take(exponents, index, mode="clip"), xs[at])
+            sigma[at] = np.where(logs >= -DROP_THRESHOLD, np.exp(logs), 0.0).sum(axis=0)
     sigma *= 1.0 + (2.0 ** 20 + len(s.terms)) * 2.0 ** -50
     slack = _WIDEN * (64.0 + np.where(np.isfinite(ell), np.abs(ell), 0.0))
     with np.errstate(divide="ignore"):
@@ -439,11 +452,11 @@ def _log_sum_bounds(f1: LacunarySeries, f2: LacunarySeries, xs):
     Per series the kernel sums n kept mantissas m_k (n at most the term
     count), the largest exactly 1, sigma = sum m_k, against unit phases,
     and the triangle inequality puts the exact sum in [(2 - sigma)_+,
-    sigma] in modulus.  In floating
-    point (u = 2^-53) a computed phase has modulus within 2u of 1, each
-    product m_k p_k rounds by u per component, any summation order over
-    the nonzero terms adds gamma_{n-1} sigma per component, and hypot and
-    the sum behind sigma round too: the computed modulus lies within
+    sigma] in modulus.  In floating point (u = 2^-53) a computed phase has
+    modulus within 2u of 1, each product m_k p_k rounds by u per component,
+    any summation order over the nonzero terms adds gamma_{n-1} sigma per
+    component, and hypot and sigma, the same m_k gathered per radius and
+    summed in row order, round too: the computed modulus lies within
     (3n + 6) u sigma of the bracket.  Widening sigma by (2^20 + n) 2^-50
     = (2^20 + n) 4u covers that with 2^22 u sigma to spare, which also
     absorbs the rounding of 2 - sigma next to 0.  So the lower end, where
@@ -575,16 +588,12 @@ def sandwich_check(pair: SeriesPair, w: WeightFunction, t_grid,
     witnesses have theta <= pi.  The one exception: the full grid
     evaluates theta_j and theta_{N-j} separately, and on some inputs the
     two roundings of one true value differ, so a margin there can differ
-    by that gap.  emit, eval_series_grid and zero_adjust keep all N
-    columns.  emit keeps every column and its bytes: the two roundings
-    can differ by up to 512 ulps (exp_power alpha = 1), so it formats
-    the text of column j once and repeats it at N - j only where the
-    five values there have the same bits.  zero_adjust's sample ratios
-    are pinned to the full-grid reference.
+    by that gap (up to 512 ulps on exp_power alpha = 1).  emit (see
+    cli), eval_series_grid and zero_adjust keep all N columns' bits.
 
     Only the rows that can hold a worst cell are sampled.  Every sample
     of a row lies in its bracket [lo, hi] of log(|G1|+|G2|) from
-    _log_sum_bounds, computed without phases.  A margin is monotone in
+    _log_sum_bounds, gathered without phases.  A margin is monotone in
     log_s between its kinks at -c and c, c = max(1, |bound|), so over the
     bracket its extremes lie among its values at lo, hi and the kinks
     inside.  A computed margin is the exact one up to two relative
@@ -743,9 +752,10 @@ def _ratio_extremes(f1: LacunarySeries, f2: LacunarySeries, radii, angles: int, 
     """(min, max) of the sample ratios log(|f1| + |f2|) - log omega on one
     ring, log_w its log omega per radius.  A ratio is a rounded
     difference, monotone in log(|f1| + |f2|), so a row's bracket from
-    _log_sum_bounds less its log omega holds every ratio of the row; the
-    ring sampler runs on the rows that can hold the smallest or the
-    largest alone (_rows_reaching_min), in one call per series."""
+    _log_sum_bounds (no kernel call) less its log omega holds every ratio
+    of the row; the ring sampler runs on the rows that can hold the
+    smallest or the largest alone (_rows_reaching_min), in one call per
+    series."""
     lo, hi = (x - log_w for x in _log_sum_bounds(f1, f2, _log_radii(radii)[1]))
     at = np.flatnonzero(_rows_reaching_min(lo, hi) | _rows_reaching_min(-hi, -lo))
     ratios = _ring_log_sums(f1, f2, radii[at], angles) - log_w[at, None]

@@ -6,6 +6,11 @@ eight points past the last abscissa) and keeps, per interval, the lines
 whose endpoint ranges can matter there.  It costs about K^2 work and makes
 no claim between its samples, so it serves only as an oracle: the
 certificate must never be more lenient than this sampling.
+
+`reference_min_above_line` is the per-line tangency bound in scalar
+Python, sign tests, secant bound and all; the verifier does only the
+weight calls per line and the bound's arithmetic as arrays over all lines,
+and must give the same bits.
 """
 
 import math
@@ -13,7 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from logweight.construction import T0_INTEGER_ESTIMATES, LemmaCheck, LemmaReport, h_for_delta
+from logweight.construction import (_X_FLOOR, _XI_BRACKET, T0_INTEGER_ESTIMATES, LemmaCheck,
+                                    LemmaReport, _bisect, h_for_delta)
 from logweight.numerics import MARGIN_SLACK
 
 
@@ -22,6 +28,39 @@ def _normalized_margins(lhs, rhs):
     rhs = np.asarray(rhs, dtype=float)
     scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
     return (lhs - rhs) / scale
+
+
+def reference_min_above_line(w, line, x_lo, x_hi, x0):
+    """(lower bound of F - l over [x0, 0), the bracket midpoint c, F(c)),
+    one line at a time: the bracket [lo, hi] around the stored xi when the
+    F' signs confirm it, else bisected from [x_lo, x_hi]; then
+    min(g(lo), g(hi), 2 g(c) - max g(lo, c, hi))."""
+    fused = {}
+
+    def psi(x):
+        if x not in fused:
+            fused[x] = w.big_f_and_prime(x)
+        return fused[x][1] - line.delta
+
+    xi = line.xi
+    if xi is not None and psi(xi * (1.0 + _XI_BRACKET)) <= 0.0 <= psi(xi * (1.0 - _XI_BRACKET)):
+        lo, hi = xi * (1.0 + _XI_BRACKET), xi * (1.0 - _XI_BRACKET)
+    else:
+        lo, hi = x_lo, x_hi
+        if psi(lo) > 0.0:
+            lo, hi = x0, lo
+        while psi(hi) < 0.0 and hi < _X_FLOOR:
+            lo, hi = hi, hi / 2.0
+        if psi(lo) >= 0.0:
+            hi = lo
+        elif psi(hi) < 0.0:
+            lo = hi
+        else:
+            lo, hi = _bisect(psi, lo, hi, positive_at_lo=False)
+    c = 0.5 * (lo + hi)
+    f_lo, f_c, f_hi = (fused[x][0] if x in fused else w.big_f(x) for x in (lo, c, hi))
+    g_lo, g_c, g_hi = f_lo - line.value(lo), f_c - line.value(c), f_hi - line.value(hi)
+    return min(g_lo, g_hi, 2.0 * g_c - max(g_lo, g_c, g_hi)), c, f_c
 
 
 class _Worst:

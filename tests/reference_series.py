@@ -14,6 +14,12 @@ lacunary series of a construction, where a few terms are live at any
 radius, it must reproduce `reference_points` bit for bit; on dense
 series its block contraction sums many live terms in another order.
 
+`reference_log_modulus_bounds` is the per-radius bracket of a positive
+series as the run-based kernel gave it: l and the sum of the kept
+mantissas of each run's table (`series._runs`).  `logweight.series`
+gathers each radius' candidate rows into one table per series and makes
+no kernel call; it must give the same bits.
+
 `reference_normalize` and `reference_log_abs` put one value in the
 mantissa window by math.frexp, math.ldexp and math.log; `ScaledArray`
 normalizes whole arrays and must give the same bits.
@@ -59,6 +65,7 @@ import math
 
 import numpy as np
 
+from logweight import series
 from logweight.numerics import MARGIN_SLACK, NEG_INF, exp_or_inf, logsumexp, normalized_margins
 from logweight.series import (DROP_THRESHOLD, ScaledArray, eval_series,
                               inner_disk_radii)
@@ -113,6 +120,24 @@ def reference_grid(s, t_values, theta_count, theta_indices=None):
             sums, scales = _lacunary_sums(log_coeffs, units, exponents, xs[block], phases)
             out[block] = np.log(np.abs(sums)) + scales[:, None]
     return out
+
+
+def reference_log_modulus_bounds(s, xs):
+    """series._log_modulus_bounds as the run-based kernel computes it: per
+    block of 256 log-radii, the kept mantissas of each run of the grid
+    kernel (series._runs) summed over its rows, with the same widening."""
+    log_coeffs, exponents = s.log_coeff_array, s.exponent_array
+    sigma, ell = np.empty(xs.size), np.empty(xs.size)
+    for start in range(0, xs.size, 256):
+        block = np.arange(start, min(start + 256, xs.size))
+        for rows, at in series._runs(s.windows, xs[block]):
+            mant, _, scales = _live_terms(log_coeffs[rows], exponents[rows], xs[block[at]])
+            sigma[block[at]], ell[block[at]] = mant.sum(axis=0), scales
+    sigma *= 1.0 + (2.0 ** 20 + len(s.terms)) * 2.0 ** -50
+    slack = series._WIDEN * (64.0 + np.where(np.isfinite(ell), np.abs(ell), 0.0))
+    with np.errstate(divide="ignore"):
+        return (ell + np.log(np.maximum(2.0 - sigma, 0.0)) - slack,
+                ell + np.log(sigma) + slack)
 
 
 def reference_normalize(value: complex, log_scale: float = 0.0) -> tuple:

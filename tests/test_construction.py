@@ -15,7 +15,7 @@ import logweight as lw
 from logweight.cli import main
 from logweight.construction import (ConstructionError, ConstructionParams,
                                     _ROOT_TOL, _convexity_gate, _gate_grid,
-                                    _min_above_line, check_state_matches)
+                                    _tangency_bracket, check_state_matches)
 from logweight.weight_model import ROUNDING, check_log_convexity
 from reference_construction import (reference_bisection_tangent, reference_newton_tangent,
                                     reference_run_construction)
@@ -422,7 +422,7 @@ class TestMinAboveLineCalls:
         xs = state.xs
         for k, line in enumerate(state.lines):
             counted = CountingWeight(w)
-            _, c, f_c = _min_above_line(counted, line, xs[k], xs[k + 1], xs[0])
+            _, c, _, _, f_c, _ = _tangency_bracket(counted, line, xs[k], xs[k + 1], xs[0])
             assert counted.calls == {"big_f": 1, "big_f_prime": 0, "big_f_and_prime": 2,
                                      "big_f_second": 0}
             assert f_c == w.big_f(c)
@@ -437,7 +437,7 @@ class TestMinAboveLineCalls:
         counted = CountingWeight(w)
         xs = state.xs
         for k, line in enumerate(state.lines):
-            _min_above_line(counted, line, xs[k], xs[k + 1], xs[0])
+            _tangency_bracket(counted, line, xs[k], xs[k + 1], xs[0])
         assert counted.calls["big_f_and_prime"] == 2 * len(state.lines)
 
     def test_bisection_path_evaluates_f_at_the_midpoint_only(self):
@@ -446,7 +446,7 @@ class TestMinAboveLineCalls:
         xs = state.xs
         for k, line in enumerate(state.lines):
             counted = CountingWeight(w)
-            _min_above_line(counted, replace(line, xi=None), xs[k], xs[k + 1], xs[0])
+            _tangency_bracket(counted, replace(line, xi=None), xs[k], xs[k + 1], xs[0])
             assert counted.calls["big_f_prime"] == 0 and counted.calls["big_f"] <= 1
             # the searches' end points are not evaluated again after them
             assert len(set(counted.fused_xs)) == len(counted.fused_xs)

@@ -4,6 +4,7 @@ the basis a lemma report names."""
 
 import dataclasses
 import functools
+import hashlib
 import json
 import math
 
@@ -13,10 +14,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import logweight as lw
-from logweight.cli import main
-from logweight.construction import ConstructionParams, _min_above_line
+from logweight.cli import main, render_json
+from logweight.construction import (_XI_BRACKET, ConstructionParams, _tangency_bounds,
+                                    _tangency_bracket)
 from logweight.weight_model import is_known_convex
-from reference_lemmas import reference_verify_tangent_lemmas
+from reference_lemmas import reference_min_above_line, reference_verify_tangent_lemmas
 
 X0 = math.log(0.95)
 
@@ -242,7 +244,9 @@ class TestTangencyBound:
         for k in (2, 30, 67):
             line = dataclasses.replace(loaded.lines[k - 1],
                                        delta=loaded.lines[k - 1].delta * factor)
-            lb, c, f_c = _min_above_line(w, line, xs[k - 1], xs[k], xs[0])
+            bracket = _tangency_bracket(w, line, xs[k - 1], xs[k], xs[0])
+            lb = float(_tangency_bounds(line.log_a, line.delta, bracket))
+            c, f_c = bracket[1], bracket[4]
             sampled = np.min(f - line.value(grid))
             assert lb <= sampled + 1e-12 * max(1.0, abs(f_c))
             assert f_c == w.big_f(c)
@@ -261,6 +265,112 @@ class TestTangencyBound:
             assert c_disk.name == c_mem.name
             assert c_disk.passed == c_mem.passed
             assert c_disk.worst_margin == pytest.approx(c_mem.worst_margin, rel=0, abs=1e-12)
+
+
+def nudged(state):
+    """The state with every stored xi moved by 1e-8 relative, alternately
+    left and right of the tangency, past its +-_XI_BRACKET bracket."""
+    return dataclasses.replace(state, lines=tuple(
+        dataclasses.replace(line, xi=line.xi * (1.0 + (1e-8 if k % 2 else -1e-8)))
+        for k, line in enumerate(state.lines)))
+
+
+# sha256 of the rendered lemma report at 7 samples per interval (delta as
+# in STATES) by state, tangency points (stored, none after a JSON round
+# trip, or nudged) and weight (the family, or DuckWeight's sampled basis),
+# as the per-line tangency bound gave them
+LEMMA_DIGESTS = {
+    "ramey_ullrich/stored/family":
+        "a40205b22ce9ea6e4afa3c7f145c2e293055de7ab6da968e98b30da784f32bf6",
+    "ramey_ullrich/stored/duck":
+        "11e4d2c79bbf0409ea21b64aa76b5bca42b550b622b92a001a9f8193d7afc66f",
+    "ramey_ullrich/json/family":
+        "c88ad6615bf1b340662075019733416d4182b9c2d170c0287ef8ba9ee8f58712",
+    "ramey_ullrich/json/duck":
+        "7e89af09af9fc96bfa1283ce1343b36c784520a04a9cfb4a614ff30d93b6c20f",
+    "ramey_ullrich/nudged/family":
+        "c88ad6615bf1b340662075019733416d4182b9c2d170c0287ef8ba9ee8f58712",
+    "ramey_ullrich/nudged/duck":
+        "7e89af09af9fc96bfa1283ce1343b36c784520a04a9cfb4a614ff30d93b6c20f",
+    "exp_power/stored/family":
+        "79b4fe5c8e62c1cd18565e05e6b5d877044c1ec51814464f73bc02c1c1a63887",
+    "exp_power/json/family":
+        "2823e1fc3bb8e0a94a2e23110d37a2b4f2ff2bdfec45d33df5162574a720f271",
+    "exp_power/nudged/family":
+        "2823e1fc3bb8e0a94a2e23110d37a2b4f2ff2bdfec45d33df5162574a720f271",
+    "power_delta/stored/family":
+        "203d6907ec022c67dc8be8e8ca3b674c101612e1530759db3d28220aaa702713",
+    "power_delta/json/family":
+        "59accec9b04cdc8f8f50a8c2523edc20c7901439a1e847e72755f4d2888950e3",
+    "power_delta/nudged/family":
+        "59accec9b04cdc8f8f50a8c2523edc20c7901439a1e847e72755f4d2888950e3",
+    "double_exp/stored/family":
+        "2cde6985834941c049d64675c0d5ceef483e06e920efd0518b14c08ce5eb0a5f",
+    "double_exp/json/family":
+        "ca3d430948a98fcc59cc2d0fbd8797dce5e4d07fa3e8c94d3179bc4f11e4064c",
+    "double_exp/nudged/family":
+        "ca3d430948a98fcc59cc2d0fbd8797dce5e4d07fa3e8c94d3179bc4f11e4064c",
+    "exp_power_a2/stored/family":
+        "0189eabd9be4868ba9b100b1658cfe978f90eda392507a6820ba7dcfe3ce2244",
+    "exp_power_a2/json/family":
+        "758343559131249a1a24682ceca142cb5c4e7bb7bc4d6a8db6b617e875d8d31c",
+    "exp_power_a2/nudged/family":
+        "758343559131249a1a24682ceca142cb5c4e7bb7bc4d6a8db6b617e875d8d31c",
+}
+
+
+def lemma_case(key):
+    """(weight, state, delta) of a LEMMA_DIGESTS key."""
+    name, form, weight = key.split("/")
+    w, state, delta = exp_power_a2() if name == "exp_power_a2" else built(name)
+    state = {"stored": state, "json": from_json(state), "nudged": nudged(state)}[form]
+    return (DuckWeight() if weight == "duck" else w), state, delta
+
+
+class TestTangencyArrays:
+    """verify_tangent_lemmas makes each line's weight calls alone and
+    takes the tangency bounds as arrays over all lines: the bits of the
+    scalar bound per line and the report bytes it gave."""
+
+    @pytest.mark.parametrize("key", list(LEMMA_DIGESTS))
+    def test_bounds_match_scalar_reference(self, key):
+        w, state, _ = lemma_case(key)
+        xs = state.xs
+        brackets = np.array([_tangency_bracket(w, line, xs[k], xs[k + 1], xs[0])
+                             for k, line in enumerate(state.lines)]).T
+        got = (_tangency_bounds(np.asarray(state.log_as), np.asarray(state.deltas), brackets),
+               brackets[1], brackets[4])
+        expected = np.array([reference_min_above_line(w, line, xs[k], xs[k + 1], xs[0])
+                             for k, line in enumerate(state.lines)]).T
+        for a, b in zip(got, expected, strict=True):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("key", list(LEMMA_DIGESTS))
+    def test_report_bytes_pinned(self, key):
+        w, state, delta = lemma_case(key)
+        text = render_json(lw.verify_tangent_lemmas(state, w, 7, delta=delta).to_json_dict())
+        assert hashlib.sha256(text.encode()).hexdigest() == LEMMA_DIGESTS[key]
+
+    @pytest.mark.parametrize("name", list(STATES))
+    def test_nudged_xi_takes_the_bisection(self, name):
+        w, state, _ = built(name)
+        xs = state.xs
+        for k, line in enumerate(nudged(state).lines):
+            p = _tangency_bracket(w, line, xs[k], xs[k + 1], xs[0])[0]
+            assert p != line.xi * (1.0 + _XI_BRACKET)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=8, max_size=8))
+    def test_bound_arithmetic_as_scalar(self, values):
+        # Python's min and max keep the first of equal or unordered values
+        # (NaN, or -0.0 against 0.0); the arrays must do the same
+        log_a, delta, p, c, q, f_p, f_c, f_q = values
+        line = lw.TangentLine(delta=delta, log_a=log_a)
+        g_p, g_c, g_q = f_p - line.value(p), f_c - line.value(c), f_q - line.value(q)
+        expected = min(g_p, g_q, 2.0 * g_c - max(g_p, g_c, g_q))
+        got = float(_tangency_bounds(np.array([log_a]), np.array([delta]),
+                                     np.array([[p], [c], [q], [f_p], [f_c], [f_q]]))[0])
+        assert np.array([got]).tobytes() == np.array([expected]).tobytes()
 
 
 class TestBasis:

@@ -5,6 +5,7 @@ same values.
 |z|-grouped point evaluation as oracles.
 """
 
+import gc
 import hashlib
 import math
 import tracemalloc
@@ -20,8 +21,8 @@ from logweight import series
 from logweight.envelope import _log_max_moduli
 from logweight.series import ScaledArray, _eval_points, inner_disk_radii
 
-from reference_series import (reference_grid, reference_log_abs, reference_normalize,
-                              reference_points, stack_scaled)
+from reference_series import (reference_grid, reference_log_abs, reference_log_modulus_bounds,
+                              reference_normalize, reference_points, stack_scaled)
 
 X0 = math.log(0.95)
 
@@ -223,6 +224,81 @@ class TestGridMatchesReference:
         assert peak < 24e6
 
 
+@pytest.fixture(scope="module")
+def ramey_pair():
+    """ramey_ullrich to t = 0.999999999: K = 4, two terms per series."""
+    w = lw.make_weight("ramey_ullrich")
+    state = lw.run_construction(w, lw.ConstructionParams(x0=X0, t_stop=0.999999999))
+    return lw.split_parity(state)
+
+
+def assert_brackets_match_runs(s, ts):
+    """The gathered bracket of s at the radii ts has the bits of the
+    run-based one."""
+    _, xs = series._log_radii(ts)
+    got, expected = series._log_modulus_bounds(s, xs), reference_log_modulus_bounds(s, xs)
+    for a, b in zip(got, expected, strict=True):
+        assert a.tobytes() == b.tobytes()
+    return got
+
+
+class TestGatheredBrackets:
+    """_log_modulus_bounds gathers each radius' candidate rows into one
+    table per series and sums the same mantissas as the grid kernel's runs
+    (reference_log_modulus_bounds), bit for bit."""
+
+    @pytest.mark.parametrize("case", ["deep_pair", "deep_pair_a2", "shallow_case", "ramey_pair"])
+    def test_bench_states_match_runs(self, case, request):
+        # the 2000-radius sandwich grid of G1 and G2, then zero_adjust's
+        # inner ring (radius 0 included) and outer ring of f1 and G2
+        pair = request.getfixturevalue(case)
+        pair = pair[0] if case == "shallow_case" else pair
+        f1 = pair.g1.shifted(pair.g1.exponents[0])
+        for s in (pair.g1, pair.g2):
+            assert_brackets_match_runs(s, np.linspace(pair.t0, pair.t_last, 2001)[1:])
+        for radii, _ in series._rings(pair.t0, pair.t_last, 100, 64, 200, 64):
+            for s in (f1, pair.g2):
+                assert_brackets_match_runs(s, radii)
+
+    def test_empty_series(self):
+        lo, hi = assert_brackets_match_runs(lw.LacunarySeries(()), np.array([0.0, 0.5, 0.9]))
+        assert (lo == -math.inf).all() and (hi == -math.inf).all()
+
+    @pytest.mark.parametrize("n_terms", [1, 2, 31, 32])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_short_series(self, n_terms, seed):
+        # up to _RUN_ROWS terms every row is a candidate at every radius
+        s, ts = tangent_like_case(n_terms, 600, from_zero=seed % 2 == 0,
+                                  sharpness=(0.05, 1.0, 20.0, 1.0)[seed],
+                                  n_sunk=2 if n_terms > 2 else 0, dead=seed == 3, seed=seed)
+        assert len(s.terms) <= series._RUN_ROWS
+        assert_brackets_match_runs(s, ts)
+
+    def test_wide_radii(self):
+        # e_0 = 1e12: at t = 1e-300 and 1e-200, e_0 |x| passes the room
+        # below _LOG_RANGE, so those radii take every row
+        es = 10**12 + np.arange(300) * 10**9
+        s = series.LacunarySeries(tuple(zip((0.01 * (es - 10**12) ** 0.5).tolist(),
+                                            es.tolist())))
+        ts = np.concatenate([np.linspace(0.0, 0.999, 300), [1e-300, 1e-200]])
+        _, hi, wide = series._candidates(s.windows, series._log_radii(ts)[1])
+        assert wide.sum() == 2 and (hi[wide] == 300).all()
+        assert_brackets_match_runs(s, ts)
+
+    @settings(max_examples=25, deadline=None)
+    @given(**TANGENT_LIKE)
+    def test_any_series_matches_runs(self, theta_count, **case):
+        assert_brackets_match_runs(*tangent_like_case(**case))
+
+    def test_no_kernel_calls(self, deep_pair, monkeypatch):
+        # the run-based bracket made 36 to 39 _scaled_terms calls per
+        # series on this grid, one per run of candidate rows
+        ts = np.linspace(deep_pair.t0, deep_pair.t_last, 2001)[1:]
+        rows = TestNoLongTables.rows_per_call(monkeypatch, lambda: series._log_sum_bounds(
+            deep_pair.g1, deep_pair.g2, series._log_radii(ts)[1]))
+        assert rows == []
+
+
 class TestNoLongTables:
     """On the sandwich, zero adjustment and ball check paths no kernel call
     tabulates more than _RUN_ROWS terms of a series: of the 1,000 of
@@ -359,6 +435,29 @@ class TestSetUpOnSeries:
         system.eval(0, 0.5, zeta)
         system.slice_callable(1, zeta)(np.array([0.3, 0.5j]))
         assert built == []
+
+    def test_canonical_terms_kept(self, deep_pair):
+        # split_parity and shifted hand over sorted (float, int) pairs; a
+        # rebuild allocates 1,000 new pairs (about 64 kB) and two 1,000-long
+        # sequences.  Holding 4,000 pairs empties the free list of pairs, so
+        # that new ones would show in the trace.
+        terms = deep_pair.g1.terms
+        held = [(float(i), i) for i in range(4000)]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            s = lw.LacunarySeries(terms)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del held
+        assert peak < 4096
+        assert s.terms is terms
+
+    def test_other_terms_made_canonical(self):
+        s = lw.LacunarySeries([(np.float64(2.0), 3), (1, True)])
+        assert s.terms == ((1.0, 1), (2.0, 3))
+        assert [type(v) for te in s.terms for v in te] == [float, int, float, int]
 
     def test_cached_arrays_read_only(self, deep_pair):
         for values in (deep_pair.g1.log_coeff_array, deep_pair.g1.exponent_array):
