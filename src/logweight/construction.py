@@ -37,6 +37,7 @@ abscissa error of F, F' and F'', or None) at x < 0, and reads an optional
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from itertools import chain
@@ -166,8 +167,9 @@ class ConstructionState:
     @staticmethod
     def from_json_dict(d: dict) -> "ConstructionState":
         """The state of to_json_dict; ValueError names a field that does not
-        hold a number (h, x0) or a list of numbers (xs, deltas, log_as, es),
-        a list whose length disagrees with the K exponents es, a non-finite
+        hold a number (h, x0), a list of numbers (xs, deltas, log_as) or a
+        list of integers (es, by operator.index, so 1.5 is refused), a list
+        whose length disagrees with the K exponents es, a non-finite
         entry of xs, deltas or log_as, or an x0 other than xs[0]."""
         if not isinstance(d, dict):
             raise ValueError("a state is a JSON object")
@@ -179,7 +181,8 @@ class ConstructionState:
                 raise ValueError(f"state field {key!r} is malformed ({exc})") from exc
 
         params = ConstructionParams(x0=read("x0", each=False), h=read("h", each=False))
-        xs, deltas, log_as, es = read("xs"), read("deltas"), read("log_as"), read("es", int)
+        xs, deltas, log_as = read("xs"), read("deltas"), read("log_as")
+        es = read("es", operator.index)
         for key, values, size in (("xs", xs, len(es) + 1), ("deltas", deltas, len(es)),
                                   ("log_as", log_as, len(es))):
             if len(values) != size:
@@ -194,14 +197,14 @@ class ConstructionState:
         return ConstructionState(params=params, xs=xs, lines=lines, es=es)
 
 
-def _bisect(fn, lo, hi, positive_at_lo, tol=_ROOT_TOL):
+def _bisect(fn, lo, hi, positive_at_lo):
     # The tolerance is relative to the abscissa magnitude: near 0 the
     # slopes of F blow up like 1/|x| or faster, so an absolute-in-x stop
     # would leave function residuals that grow without bound.  Both the
     # bracket width and the tolerance scale with |x|, so the iteration
-    # count stays near log2(1/tol) regardless of scale; returns the bracket.
+    # count stays near log2(1/_ROOT_TOL) at any scale; returns the bracket.
     for _ in range(200):
-        if hi - lo <= tol * abs(hi):
+        if hi - lo <= _ROOT_TOL * abs(hi):
             break
         mid = 0.5 * (lo + hi)
         if (fn(mid) > 0.0) == positive_at_lo:

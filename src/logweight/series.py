@@ -375,14 +375,14 @@ def _grid_kernel(s: LacunarySeries, factors):
     return kernel
 
 
-def _phase_kernel(s: LacunarySeries, theta_count: int, columns: int | None = None):
-    """_grid_kernel of s on the first `columns` (default all) angles
-    2 pi j / theta_count, phases from the exact residues e mod theta_count."""
+def _phase_kernel(s: LacunarySeries, theta_count: int):
+    """_grid_kernel of s on the angles 2 pi j / theta_count, j <
+    theta_count, phases from the exact residues e mod theta_count."""
     if theta_count < 1:
         raise ValueError(f"theta_count must be at least 1, got {theta_count}")
     residues = np.array([e % theta_count for e in s.exponents], dtype=np.int64)
-    j = np.arange(theta_count if columns is None else columns)
-    base = np.exp(2j * math.pi * np.arange(theta_count) / theta_count)
+    j = np.arange(theta_count)
+    base = np.exp(2j * math.pi * j / theta_count)
     return _grid_kernel(s, lambda k: base[residues[k, None] * j % theta_count])
 
 
@@ -406,8 +406,7 @@ def eval_series_grid(s: LacunarySeries, t_values, theta_count: int) -> np.ndarra
 
     Angles are theta_j = 2 pi j / theta_count, j < theta_count.  Returns
     shape (len(t_values), theta_count), filled _BLOCK radii at a time by
-    the evaluator of _phase_kernel.  Every column is evaluated, mirror
-    angles included (see sandwich_check).
+    the evaluator of _phase_kernel.
     """
     kernel = _phase_kernel(s, theta_count)
     ts, xs = _log_radii(t_values)
@@ -528,24 +527,21 @@ class SandwichReport:
         }
 
 
-def _sandwich_blocks(pair: SeriesPair, w: WeightFunction, t_grid, theta_count: int,
-                     columns: int | None = None):
+def _sandwich_blocks(pair: SeriesPair, w: WeightFunction, t_grid, theta_count: int):
     """The sandwich (2/5)e^{-h} omega < |G1|+|G2| < 4 omega sampled at
-    z = t e^{i theta_j}, theta_j = 2 pi j / theta_count, streamed: (thetas,
-    log_omega, log_lower, log_upper, blocks), per radius log omega and the
-    bounds log(2/5) - h + log omega and log 4 + log omega.  blocks(at)
-    yields (rows, log|G1|, log|G2|), rows indexed by t, for consecutive
-    runs rows of at most _BLOCK of the rows `at`, an increasing index
-    array; by default every row, in slices.  Only the first `columns`
-    angles are evaluated, all theta_count by default: sandwich_check asks
-    for the distinct half theta_j <= pi on the rows that can hold a
-    witness, emit for every angle of every row, as it prints every cell
-    and reuses a mirror cell's text only when the bits agree.  Every
-    input error is raised here, before the first block is evaluated."""
-    g1, g2 = (_phase_kernel(s, theta_count, columns) for s in (pair.g1, pair.g2))
+    z = t e^{i theta_j}, theta_j = 2 pi j / theta_count, j < theta_count,
+    streamed: (thetas, log_omega, log_lower, log_upper, blocks), per
+    radius log omega and the bounds log(2/5) - h + log omega and log 4 +
+    log omega.  blocks(at) yields (rows, log|G1|, log|G2|), rows indexed
+    by t, for consecutive runs rows of at most _BLOCK of the rows `at`,
+    an increasing index array; by default every row, in slices.
+    sandwich_check asks for the rows that can hold a witness, emit for
+    every row.  Every input error is raised here, before the first block
+    is evaluated."""
+    g1, g2 = (_phase_kernel(s, theta_count) for s in (pair.g1, pair.g2))
     log_w = _log_omegas(w, t_grid)
     ts, xs = _log_radii(t_grid)
-    thetas = _TWO_PI * np.arange(theta_count if columns is None else columns) / theta_count
+    thetas = _TWO_PI * np.arange(theta_count) / theta_count
 
     def blocks(at=None):
         for rows in (_row_blocks(ts.size) if at is None
@@ -577,19 +573,11 @@ def sandwich_check(pair: SeriesPair, w: WeightFunction, t_grid,
     are log-domain differences normalized by the magnitudes of the sides,
     and the check passes when every margin is >= -1e-9.
 
-    G1 and G2 have positive coefficients, so G(conj z) = conj G(z) and
-    the bound takes one true value at theta_j and theta_{N-j}, N =
-    theta_count.  The check samples the distinct points alone, j = 0 ..
-    N // 2 (theta in [0, pi]), _BLOCK radii at a time, and never holds
-    the grid.  Each witness is the first (t, theta) cell in row-major
-    order, rows indexed by t, whose margin is the worst, a NaN margin
-    counting as worst; a mirror column N - j > j comes later in its row,
-    so this is the cell np.argmin picks over the whole grid, and both
-    witnesses have theta <= pi.  The one exception: the full grid
-    evaluates theta_j and theta_{N-j} separately, and on some inputs the
-    two roundings of one true value differ, so a margin there can differ
-    by that gap (up to 512 ulps on exp_power alpha = 1).  emit (see
-    cli), eval_series_grid and zero_adjust keep all N columns' bits.
+    The check samples every angle theta_j = 2 pi j / theta_count, _BLOCK
+    radii at a time, and never holds the grid.  Each witness is the first
+    (t, theta) cell in row-major order, rows indexed by t, whose margin
+    is the worst, a NaN margin counting as worst: the cell np.argmin
+    picks over the whole grid.
 
     Only the rows that can hold a worst cell are sampled.  Every sample
     of a row lies in its bracket [lo, hi] of log(|G1|+|G2|) from
@@ -608,8 +596,7 @@ def sandwich_check(pair: SeriesPair, w: WeightFunction, t_grid,
     every row.
     """
     ts = _check_radii(t_grid, pair.t0, pair.t_last)
-    thetas, _, lo_bound, hi_bound, blocks = _sandwich_blocks(pair, w, ts, theta_count,
-                                                             theta_count // 2 + 1)
+    thetas, _, lo_bound, hi_bound, blocks = _sandwich_blocks(pair, w, ts, theta_count)
     lo_bound, hi_bound = lo_bound[:, None], hi_bound[:, None]
     # max(1, |bound|) once per radius; a cell's scale is its max with |log_s|
     lo_scale = np.maximum(1.0, np.abs(lo_bound))

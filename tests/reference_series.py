@@ -43,14 +43,14 @@ live.
 `reference_sandwich_check` forms the whole (t, theta) grid of margins
 and takes its witnesses by `np.argmin`; `logweight.sandwich_check`
 samples only the radii whose per-radius brackets of log(|G1| + |G2|)
-can hold a worst margin, reduces them in blocks of 256 radii over the
-distinct angles theta <= pi alone (|G(conj z)| = |G(z)|) and never
-holds the grid.  `reference_emit_csv` formats the sandwich samples of
-`logweight emit` cell by cell, and `reference_log_ratio_samples`
-evaluates zero adjustment's inner and outer rings in full as two
-separate blocks, both on `reference_grid`; `logweight` takes both from
-one (t, theta) ring sampler, and zero adjustment samples each ring
-only on the radii that can hold its smallest or largest ratio.
+can hold a worst margin, reduces them in blocks of 256 radii over every
+angle and never holds the grid.  `reference_emit_csv` formats the
+sandwich samples of `logweight emit` cell by cell, and
+`reference_log_ratio_samples` evaluates zero adjustment's inner and
+outer rings in full as two separate blocks, both on `reference_grid`;
+`logweight` takes both from one (t, theta) ring sampler, and zero
+adjustment samples each ring only on the radii that can hold its
+smallest or largest ratio.
 `reference_extreme_bits` gives zero adjustment's six extremes as the
 min and max of those ratios.
 
@@ -213,19 +213,16 @@ def reference_points(log_mods, units, exponents, zs):
     return stack_scaled(out)
 
 
-def reference_sandwich_check(pair, w, t_grid, theta_count, half=False):
+def reference_sandwich_check(pair, w, t_grid, theta_count):
     """The report dict of `sandwich_check` from the full grids of
-    log|G1|, log|G2| and both normalized margins; with half, from their
-    columns j <= theta_count // 2 alone, the distinct angles that
-    sandwich_check samples."""
+    log|G1|, log|G2| and both normalized margins."""
     ts = np.asarray(t_grid, dtype=float)
-    j = np.arange(theta_count // 2 + 1 if half else theta_count)
-    log_s = np.logaddexp(reference_grid(pair.g1, ts, theta_count, j),
-                         reference_grid(pair.g2, ts, theta_count, j))
+    log_s = np.logaddexp(reference_grid(pair.g1, ts, theta_count),
+                         reference_grid(pair.g2, ts, theta_count))
     log_w = np.array([w.log_omega(float(t)) for t in ts])
     lower = normalized_margins(log_s, (math.log(0.4) - pair.h + log_w)[:, None])
     upper = normalized_margins((math.log(4.0) + log_w)[:, None], log_s)
-    thetas = 2.0 * math.pi * j / theta_count
+    thetas = 2.0 * math.pi * np.arange(theta_count) / theta_count
     li = np.unravel_index(np.argmin(lower), lower.shape)
     ui = np.unravel_index(np.argmin(upper), upper.shape)
     lower_margin, upper_margin = float(lower[li]), float(upper[ui])

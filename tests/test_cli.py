@@ -262,7 +262,7 @@ class TestMalformedInputs:
         assert match in captured.err
 
     @pytest.mark.parametrize("field, value", [("xs", 5), ("log_as", [None]), ("h", None),
-                                              ("es", ["e"])])
+                                              ("es", ["e"]), ("es", [88.5])])
     def test_state_file(self, field, value, state_file, tmp_path, capsys):
         state = json.loads(state_file.read_text())
         state[field] = value if not isinstance(value, list) else value + state[field][1:]

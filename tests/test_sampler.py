@@ -159,9 +159,10 @@ class TestSandwichSamples:
                 lw.eval_series_grid(s, [0.5, state.t_last], theta_count)
 
     def test_check_memory_bound(self):
-        # The check reduces blocks of 256 radii over the 129 distinct
-        # angles theta <= pi: its peak stays below one 2000 x 129 grid of
-        # doubles (2.064 MB).
+        # The check samples only the rows whose brackets can hold a
+        # witness, in blocks of 256 radii over all 256 angles, and never
+        # holds the grid: its peak stays below 2000 x 129 doubles
+        # (2.064 MB), half of one 2000 x 256 grid.
         w = lw.make_weight("exp_power", (1.0,))
         state = lw.run_construction(w, lw.ConstructionParams(x0=X0, t_stop=0.9999))
         assert len(state.lines) == 68
@@ -191,9 +192,9 @@ def deep_state(request):
     return lw.run_construction(w, lw.ConstructionParams(x0=X0, **params)), w
 
 
-def assert_same_report(pair, w, ts, theta_count, half=False):
+def assert_same_report(pair, w, ts, theta_count):
     report = lw.sandwich_check(pair, w, ts, theta_count=theta_count)
-    expected = reference_sandwich_check(pair, w, ts, theta_count, half)
+    expected = reference_sandwich_check(pair, w, ts, theta_count)
     assert render_json(report.to_json_dict()) == render_json(expected)
     return report
 
@@ -274,15 +275,11 @@ def drawn_radii(pair, data, max_count):
 def assert_pruned_matches_full_grid(state, w, data, max_count):
     """sandwich_check and zero_adjust, which sample only the rows that can
     hold a worst cell or an extreme, give the full-grid references' bytes
-    and bits on a tampered state and a drawn grid.  The sandwich reference
-    takes every row over the distinct angles theta <= pi: on tampered
-    states the full grid's two roundings of a mirror pair can differ and
-    move a witness to theta_{N-j} (ramey_ullrich at N = 5), as its
-    docstring allows, with or without pruning."""
+    and bits on a tampered state and a drawn grid."""
     pair = lw.split_parity(tampered(state, data))
     ts = drawn_radii(pair, data, max_count)
     theta_count = data.draw(st.sampled_from([1, 2, 3, 5, 16, 64, 256]))
-    assert_same_report(pair, w, ts, theta_count, half=True)
+    assert_same_report(pair, w, ts, theta_count)
     grid = data.draw(st.sampled_from(ADJUST_GRIDS))
     kw = dict(zip(ADJUST_KEYS, grid or (720, 100, 64, 200, 64)))
     try:
@@ -297,7 +294,7 @@ def assert_pruned_matches_full_grid(state, w, data, max_count):
 
 class TestPrunedRowsMatchFullGrid:
     """Row pruning keeps every report byte: the sandwich report renders as
-    the reference over every row and the distinct angles does, and the
+    the reference over the full (t, theta) grid does, and the
     six zero adjustment extremes are the min and max of the full two-ring
     samples, bit for bit."""
 
@@ -351,7 +348,7 @@ class TestRowBrackets:
         g2 = lw.LacunarySeries(((7.0, 100000),))
         pair = lw.SeriesPair(g1=g1, g2=g2, t0=0.4, h=2.0, t_last=0.99999)
         w = lw.weight_from_knots([(-10.0, 5.0), (-1e-6, 5.0)])
-        report = assert_same_report(pair, w, [0.5, 0.999, 0.99999], 4, half=True)
+        report = assert_same_report(pair, w, [0.5, 0.999, 0.99999], 4)
         assert report.lower_witness == (0.999, 0.5 * math.pi)
         assert report.lower_margin == pytest.approx(-2.0, abs=1e-9)
         assert report.upper_witness[0] == 0.99999
@@ -389,8 +386,10 @@ class TestRowBrackets:
 
 
 class TestHalfAngleGrid:
-    """The sandwich check samples theta_j, j = 0 .. N // 2, alone: G1 and G2
-    have positive coefficients, so |G(conj z)| = |G(z)|."""
+    """Column N - j of the angle grid evaluates the conjugate points of
+    column j, |G(conj z)| = |G(z)|, but rounds apart, so the sandwich check
+    contracts all N distinct columns and its witnesses are np.argmin's
+    over the full grid."""
 
     @pytest.mark.parametrize("theta_count", [1, 2, 5, 64, 256])
     def test_check_contracts_distinct_columns(self, cli_state, monkeypatch, theta_count):
@@ -411,9 +410,35 @@ class TestHalfAngleGrid:
         monkeypatch.setattr(series, "_grid_kernel", recording)
         ts = np.linspace(state.t0, state.t_last, 301)[1:]
         report = lw.sandwich_check(lw.split_parity(state), w, ts, theta_count=theta_count)
-        # every kernel call, of either series, contracts the distinct columns alone
-        assert shapes and {columns for _, columns in shapes} == {theta_count // 2 + 1}
-        assert report.lower_witness[1] <= math.pi and report.upper_witness[1] <= math.pi
+        # every kernel call, of either series, contracts every column
+        assert shapes and {columns for _, columns in shapes} == {theta_count}
+        assert render_json(report.to_json_dict()) == render_json(
+            reference_sandwich_check(lw.split_parity(state), w, ts, theta_count))
+
+    def test_mirror_witness_is_full_grid_argmin(self, tmp_path, capsys):
+        # The ramey_ullrich state of the CLI benchmark (K = 4) with line
+        # 2's log a raised by 0.5 (the chord gate still passes): at t_last
+        # and N = 3 the lower margin rounds apart at theta = 2 pi/3 and
+        # 4 pi/3.  Sampling theta <= pi alone reported 0.04939850327058834
+        # at 2 pi/3, above the full grid's smallest margin.
+        w = lw.make_weight("ramey_ullrich")
+        state = lw.run_construction(w, lw.ConstructionParams(x0=X0, t_stop=0.999999999))
+        assert len(state.lines) == 4
+        lines = list(state.lines)
+        lines[1] = dataclasses.replace(lines[1], log_a=lines[1].log_a + 0.5)
+        state = dataclasses.replace(state, lines=tuple(lines))
+        pair, witness = lw.split_parity(state), (state.t_last, 2.0 * math.pi * 2 / 3)
+        expected = reference_sandwich_check(pair, w, [state.t_last], 3)
+        assert expected["lower_margin"] == 0.04939850327058816
+        assert assert_same_report(pair, w, [state.t_last], 3).lower_witness == witness
+
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(state.to_json_dict()))
+        assert main(["verify", "sandwich", "--family", "ramey_ullrich", "--state", str(path),
+                     "--angles", "3", "--t-points", "1"]) == 0
+        cli_report = json.loads(capsys.readouterr().out)
+        assert cli_report["lower_witness"] == expected["lower_witness"]
+        assert cli_report["lower_margin"] == expected["lower_margin"]
 
     @staticmethod
     def assert_mirror_columns_agree(state):

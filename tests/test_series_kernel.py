@@ -145,19 +145,6 @@ class TestGridMatchesReference:
         assert lw.eval_series_grid(s, ts, theta_count).tobytes() == \
             reference_grid(s, ts, theta_count).tobytes()
 
-    @settings(max_examples=25, deadline=None)
-    @given(**TANGENT_LIKE)
-    def test_half_columns_match_reference(self, theta_count, **case):
-        # the columns j <= N // 2 that sandwich_check asks for have the
-        # bits of the full grid's first columns
-        s, ts = tangent_like_case(**case)
-        columns = theta_count // 2 + 1
-        kernel = series._phase_kernel(s, theta_count, columns)
-        _, xs = series._log_radii(ts)
-        half = np.concatenate([kernel(xs[rows]) for rows in series._row_blocks(ts.size)])
-        assert half.shape == (ts.size, columns)
-        assert half.tobytes() == reference_grid(s, ts, theta_count)[:, :columns].tobytes()
-
     def test_radii_past_the_log_range(self):
         # e_0 = 1e12: at t = 1e-300 the logs reach 7e14, where rounding
         # could pass the candidate margin, so such radii take every row
