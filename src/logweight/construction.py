@@ -14,17 +14,19 @@ Exponentiating, l_k describes the monomial bound a_k t^{delta_k}, which
   * dominates the other monomials geometrically away from its own
     interval (successive lines separate by h per index step).
 
-Both solves are safeguarded Newton iterations on residual functions that
-are strictly monotone whenever F is strictly convex: each starts from the
-quadratic model of its residual, and a step that leaves the root's
-bracket, or has no finite nonzero slope, bisects it instead.  Each stops
-at the first evaluation whose residual lies within its own rounding
-error, which the weight's rounding_shift bounds, and that evaluated point
-is the root.  A weight without F'' gets no slope and bisects throughout,
-and one without a rounding bound stops at the relative tolerance
-_ROOT_TOL.  Every step is deterministic and costs a handful of
-evaluations of F, F' and F'' with F'' (about 4 fused (F, F') and 3 F''
-calls per double_exp line), O(log(1/_ROOT_TOL)) without.
+Both solves go through one root solver, _newton: safeguarded Newton on
+residual functions that are strictly monotone whenever F is strictly
+convex.  Each starts from the quadratic model of its residual, and a step
+that leaves the root's bracket, or has no finite nonzero slope, bisects
+it instead.  Each stops at the first evaluation whose residual lies
+within its own rounding error, which the weight's rounding_shift bounds,
+and that evaluated point is the root; one without a rounding bound stops
+at the relative tolerance _ROOT_TOL.  A weight without F'' gets no slope
+and no rounding stop, so it bisects throughout to _ROOT_TOL, as does the
+lemma verifier's search for the tangency of a line loaded without its
+xi.  Every step is deterministic and costs a handful of evaluations of F,
+F' and F'' with F'' (about 4 fused (F, F') and 3 F'' calls per double_exp
+line), O(log(1/_ROOT_TOL)) fused calls without.
 
 A weight is duck-typed: this module calls only `big_f(x)`,
 `big_f_prime(x)`, `big_f_and_prime(x)` (which returns the pair
@@ -37,7 +39,6 @@ abscissa error of F, F' and F'', or None) at x < 0, and reads an optional
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from itertools import chain
@@ -168,21 +169,29 @@ class ConstructionState:
     def from_json_dict(d: dict) -> "ConstructionState":
         """The state of to_json_dict; ValueError names a field that does not
         hold a number (h, x0), a list of numbers (xs, deltas, log_as) or a
-        list of integers (es, by operator.index, so 1.5 is refused), a list
-        whose length disagrees with the K exponents es, a non-finite
-        entry of xs, deltas or log_as, or an x0 other than xs[0]."""
+        list of integers (es), where a number is a JSON int or float (not a
+        string or a boolean) and an integer a JSON int (not 1.5 or true), a
+        list whose length disagrees with the K exponents es, a non-finite
+        entry of xs, deltas or log_as, an x0 other than xs[0], or an es[k]
+        other than floor(deltas[k]) + 1."""
         if not isinstance(d, dict):
             raise ValueError("a state is a JSON object")
 
         def read(key, convert=float, each=True):
-            try:
-                return tuple(map(convert, d[key])) if each else convert(d[key])
-            except (TypeError, ValueError) as exc:
+            values = d[key] if each else [d[key]]
+            kinds, kind = ({int}, "an integer") if convert is int else ({int, float}, "a number")
+            try:  # by exact type, so a bool is no int
+                if not set(map(type, values)) <= kinds:
+                    bad = next(v for v in values if type(v) not in kinds)
+                    raise TypeError(f"{bad!r} is not {kind}")
+                values = tuple(map(convert, values))
+            except (TypeError, OverflowError) as exc:
                 raise ValueError(f"state field {key!r} is malformed ({exc})") from exc
+            return values if each else values[0]
 
         params = ConstructionParams(x0=read("x0", each=False), h=read("h", each=False))
         xs, deltas, log_as = read("xs"), read("deltas"), read("log_as")
-        es = read("es", operator.index)
+        es = read("es", int)
         for key, values, size in (("xs", xs, len(es) + 1), ("deltas", deltas, len(es)),
                                   ("log_as", log_as, len(es))):
             if len(values) != size:
@@ -193,66 +202,52 @@ class ConstructionState:
                     raise ValueError(f"state field {key!r} entry {i} is not finite ({v})")
         if params.x0 != xs[0]:
             raise ValueError(f"state field 'x0' = {params.x0!r} is not xs[0] = {xs[0]!r}")
+        for i, (e, dd) in enumerate(zip(es, deltas)):
+            if e != math.floor(dd) + 1:
+                raise ValueError(f"state field 'es' entry {i} is {e}, not floor(deltas[{i}]) + 1 "
+                                 f"= {math.floor(dd) + 1}")
         lines = tuple(TangentLine(delta=dd, log_a=la) for dd, la in zip(deltas, log_as))
         return ConstructionState(params=params, xs=xs, lines=lines, es=es)
 
 
-def _bisect(fn, lo, hi, positive_at_lo):
-    # The tolerance is relative to the abscissa magnitude: near 0 the
-    # slopes of F blow up like 1/|x| or faster, so an absolute-in-x stop
-    # would leave function residuals that grow without bound.  Both the
-    # bracket width and the tolerance scale with |x|, so the iteration
-    # count stays near log2(1/_ROOT_TOL) at any scale; returns the bracket.
-    for _ in range(200):
-        if hi - lo <= _ROOT_TOL * abs(hi):
-            break
-        mid = 0.5 * (lo + hi)
-        if (fn(mid) > 0.0) == positive_at_lo:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
-
-
 def _newton(fn, lo, hi, positive_at_lo, target=0.0, at_hi=None):
-    """A root of fn(x) = target in the bracket [lo, hi], where fn(x)
-    returns the triple (value, slope or None, err) and value - target is
-    positive at lo iff positive_at_lo.  Each evaluation narrows the bracket
-    by the sign of value - target, and returns its point as the root when
-    |value - target| <= err < inf, err being the value's rounding bound.
-    Else it takes the Newton step from it; the next evaluation is at the
-    stepped point if it lies inside the bracket, else at the bracket's
-    midpoint.  The first is at the midpoint, or, with at_hi = fn(hi) from
-    the probe that closed the bracket, is that one.  Without a finite err
-    it stops, relative to the abscissa as _bisect does, at a Newton step
-    of at most _ROOT_TOL landing in the bracket (its point is the root) or
-    at a bracket of width _ROOT_TOL (its midpoint is).  Without slopes or
-    errs this is _bisect."""
-    x, fx = (None, None) if at_hi is None else (hi, at_hi)
+    """(root, lo, hi): a root of fn(x) = target and the bracket [lo, hi]
+    it narrowed to.  fn(x) returns (value, slope or None, err), and value -
+    target is positive at lo iff positive_at_lo.  Each evaluation narrows
+    the bracket by the sign of value - target and is the root when |value -
+    target| <= err < inf, err being the value's rounding bound.  Else the
+    next evaluation is at its Newton step if that lands inside the bracket,
+    else at the bracket's midpoint; the first is at the midpoint or, given
+    at_hi = fn(hi) from the probe that closed the bracket, at hi.  Without
+    a finite err it stops at a Newton step of at most _ROOT_TOL |x| landing
+    in the bracket (its point is the root) or at a bracket of width
+    _ROOT_TOL |hi| (its midpoint is); without slopes too, it bisects.  The
+    stops are relative to |x| because near 0 the slopes of F blow up like
+    1/|x| or faster: an absolute stop in x would leave residuals that grow
+    without bound, while a relative one keeps about log2(1/_ROOT_TOL)
+    bisections at any scale."""
+    x, fx = (0.5 * (lo + hi) if at_hi is None else hi), at_hi
     for _ in range(200):
         if hi - lo <= _ROOT_TOL * abs(hi):
             break
-        if fx is None:
-            if x is None or not lo < x < hi:
-                x = 0.5 * (lo + hi)
-            fx = fn(x)
-        value, slope, err = fx
+        value, slope, err = fx or fn(x)
         fx = None
         value -= target
         if (value > 0.0) == positive_at_lo:
             lo = x
         else:
             hi = x
-        if abs(value) <= err < math.inf:
-            return x
-        if slope is None or not (math.isfinite(slope) and slope != 0.0):
-            x = None
-            continue
-        step = value / slope
-        x = x - step
-        if abs(step) <= _ROOT_TOL * abs(x) and lo <= x <= hi:
-            return x
-    return 0.5 * (lo + hi)
+        if err < math.inf and abs(value) <= err:
+            return x, lo, hi
+        if slope and math.isfinite(slope):
+            step = value / slope
+            x -= step
+            if abs(step) <= _ROOT_TOL * abs(x) and lo <= x <= hi:
+                return x, lo, hi
+            if lo < x < hi:
+                continue
+        x = 0.5 * (lo + hi)
+    return 0.5 * (lo + hi), lo, hi
 
 
 def _absent(x):
@@ -309,8 +304,9 @@ def next_tangent(w: WeightFunction, x_prev: float, h: float):
     line and stage (b)'s start without another call.  A weight without
     rounding_shift (or where err is infinite) stops at _ROOT_TOL instead.
     A weight whose F''(x_prev) is None (or that has no big_f_second) gets
-    no start and no slope: both stages bisect to _ROOT_TOL, stage (b) on F
-    alone, from the probes x_prev / 2 and xi / 2.
+    no start, no slope and no rounding stop (its err would need F''): both
+    stages bisect to _ROOT_TOL from the probes x_prev / 2 and xi / 2, each
+    residual still one fused (F, F') call, whose F has the bits of big_f.
     """
     if x_prev >= 0.0:
         raise ValueError("x_prev must be negative")
@@ -329,8 +325,6 @@ def next_tangent(w: WeightFunction, x_prev: float, h: float):
         if not (math.isfinite(f) and math.isfinite(fp)):
             return NEG_INF, None, math.inf
         gap = x_prev - xi
-        if not newton:
-            return f + fp * gap - f_prev, None, math.inf
         fpp = f_second(xi)
         seen[xi] = f, fp, fpp
         arm = fp * gap
@@ -341,7 +335,7 @@ def next_tangent(w: WeightFunction, x_prev: float, h: float):
                    + (ROUNDING * abs(f_prev) + s_prev * abs(fp))
                    + abs(gap) * (ROUNDING * abs(fp) + s_xi * abs(fpp))
                    + ROUNDING * (abs(f) + abs(arm) + abs(f_prev) + h))
-        return f + arm - f_prev, fpp * gap, err
+        return f + arm - f_prev, None if fpp is None else fpp * gap, err
 
     # Stage (a): bracket the tangency.  The convexity and growth checks
     # compare G - h, not G: next to a huge h every change of G rounds away.
@@ -369,7 +363,7 @@ def next_tangent(w: WeightFunction, x_prev: float, h: float):
         lo, d_lo = hi, d_hi
         hi = hi / 2.0
     xi = _newton(drop, lo, hi, positive_at_lo=True, target=-h,
-                 at_hi=at_hi if newton else None)
+                 at_hi=at_hi if newton else None)[0]
     if xi in seen:
         f_xi, delta, fpp_xi = seen[xi]
     else:
@@ -380,9 +374,6 @@ def next_tangent(w: WeightFunction, x_prev: float, h: float):
         raise ConstructionError(f"degenerate tangent at xi={xi}")
 
     def big_h(x):  # (H, H', err_H); H is +inf where F overflows
-        if not newton:
-            f = w.big_f(x)
-            return (f - h - (log_a + delta * x) if math.isfinite(f) else math.inf), None, math.inf
         f, fp = w.big_f_and_prime(x)
         if not math.isfinite(f):
             return math.inf, None, math.inf
@@ -390,7 +381,7 @@ def next_tangent(w: WeightFunction, x_prev: float, h: float):
         err = math.inf if s_prev is None else (  # err_F(x) + arithmetic
             (ROUNDING * abs(f) + shift(x) * abs(fp))
             + ROUNDING * (abs(f) + abs(log_a) + abs(line) + h))
-        return f - h - (log_a + line), fp - delta, err
+        return f - h - (log_a + line), fp - delta if newton else None, err
 
     # Stage (b): bracket the next crossing.
     lo2 = xi
@@ -405,7 +396,7 @@ def next_tangent(w: WeightFunction, x_prev: float, h: float):
             break
         lo2 = hi2
         hi2 = hi2 / 2.0
-    x_next = _newton(big_h, lo2, hi2, positive_at_lo=False, at_hi=at_hi if newton else None)
+    x_next = _newton(big_h, lo2, hi2, positive_at_lo=False, at_hi=at_hi if newton else None)[0]
     return TangentLine(delta=delta, log_a=log_a, xi=xi), x_next
 
 
@@ -564,9 +555,10 @@ def _tangency_bracket(w, line, x_lo, x_hi, x0):
     """(p, c, q, F(p), F(c), F(q)): a bracket [p, q] of the minimum of the
     convex g = F - l over [x0, 0), where F' = slope, and its midpoint c:
     xi (1 +- _XI_BRACKET) when the F' signs confirm the stored xi, else
-    bisected from [x_lo, x_hi] (widened to [x0, x_lo], or halved toward 0
-    down to _X_FLOOR) to the relative tolerance _ROOT_TOL.  F at p and q
-    comes from the sign tests' fused calls: a stored xi costs three calls."""
+    bisected by _newton from [x_lo, x_hi] (widened to [x0, x_lo], or halved
+    toward 0 down to _X_FLOOR) to the relative tolerance _ROOT_TOL.  F at p
+    and q comes from the sign tests' fused calls: a stored xi costs three
+    calls."""
     xi, delta, fused = line.xi, line.delta, {}
     if xi is not None:
         p, q = xi * (1.0 + _XI_BRACKET), xi * (1.0 - _XI_BRACKET)
@@ -576,22 +568,22 @@ def _tangency_bracket(w, line, x_lo, x_hi, x0):
             if 0.0 <= d_q - delta:
                 return p, 0.5 * (p + q), q, f_p, w.big_f(0.5 * (p + q)), f_q
 
-    def psi(x):
+    def psi(x):  # (F' - delta, no slope, no rounding stop): _newton bisects
         if x not in fused:
             fused[x] = w.big_f_and_prime(x)
-        return fused[x][1] - delta
+        return fused[x][1] - delta, None, math.inf
 
     lo, hi = x_lo, x_hi
-    if psi(lo) > 0.0:
+    if psi(lo)[0] > 0.0:
         lo, hi = x0, lo
-    while psi(hi) < 0.0 and hi < _X_FLOOR:
+    while psi(hi)[0] < 0.0 and hi < _X_FLOOR:
         lo, hi = hi, hi / 2.0
-    if psi(lo) >= 0.0:  # F - l increases from x0 on
+    if psi(lo)[0] >= 0.0:  # F - l increases from x0 on
         hi = lo
-    elif psi(hi) < 0.0:  # F - l still decreases at the floor of |x|
+    elif psi(hi)[0] < 0.0:  # F - l still decreases at the floor of |x|
         lo = hi
     else:
-        lo, hi = _bisect(psi, lo, hi, positive_at_lo=False)
+        _, lo, hi = _newton(psi, lo, hi, positive_at_lo=False)
     c = 0.5 * (lo + hi)
     return (lo, c, hi, *(fused[x][0] if x in fused else w.big_f(x) for x in (lo, c, hi)))
 

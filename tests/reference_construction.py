@@ -18,8 +18,7 @@ import math
 
 from logweight.construction import (ConstructionError, ConstructionState,
                                     ExponentCollisionError, NotStrictlyConvexError,
-                                    SlowGrowthError, TangentLine, _bisect, _ROOT_TOL,
-                                    _X_FLOOR)
+                                    SlowGrowthError, TangentLine, _ROOT_TOL, _X_FLOOR)
 from logweight.numerics import LOG_MAX, NEG_INF
 from logweight.weight_model import ROUNDING
 
@@ -92,6 +91,21 @@ def separate_f_second(w, x):
     return _separate(SEPARATE_F_SECOND, getattr(w, "big_f_second", lambda x: None), w, x)
 
 
+def reference_bisect(fn, lo, hi, positive_at_lo):
+    """The bracket [lo, hi] of a sign change of fn (positive at lo iff
+    positive_at_lo), halved until its width is at most _ROOT_TOL |hi|, or
+    200 times."""
+    for _ in range(200):
+        if hi - lo <= _ROOT_TOL * abs(hi):
+            break
+        mid = 0.5 * (lo + hi)
+        if (fn(mid) > 0.0) == positive_at_lo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def _tangent_bracket(big_g, x_prev, h, first):
     """Stage (a)'s bracket [lo, hi] of the tangency, probing first and
     then halving toward 0."""
@@ -154,8 +168,8 @@ def reference_bisection_tangent(w, x_prev, h):
             return NEG_INF
         return f + fp * (x_prev - xi) - f_prev + h
 
-    xi = 0.5 * sum(_bisect(big_g, *_tangent_bracket(big_g, x_prev, h, x_prev / 2.0),
-                           positive_at_lo=True))
+    xi = 0.5 * sum(reference_bisect(big_g, *_tangent_bracket(big_g, x_prev, h, x_prev / 2.0),
+                                    positive_at_lo=True))
     line = _line_at(w, xi)
 
     def big_h(x):
@@ -164,8 +178,8 @@ def reference_bisection_tangent(w, x_prev, h):
             return math.inf
         return f - h - line.value(x)
 
-    x_next = 0.5 * sum(_bisect(big_h, *_crossing_bracket(big_h, xi, xi / 2.0),
-                               positive_at_lo=False))
+    x_next = 0.5 * sum(reference_bisect(big_h, *_crossing_bracket(big_h, xi, xi / 2.0),
+                                        positive_at_lo=False))
     return line, x_next
 
 

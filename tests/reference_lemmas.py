@@ -19,8 +19,9 @@ from typing import Optional
 import numpy as np
 
 from logweight.construction import (_X_FLOOR, _XI_BRACKET, T0_INTEGER_ESTIMATES, LemmaCheck,
-                                    LemmaReport, _bisect, h_for_delta)
+                                    LemmaReport, h_for_delta)
 from logweight.numerics import MARGIN_SLACK
+from reference_construction import reference_bisect
 
 
 def _normalized_margins(lhs, rhs):
@@ -56,7 +57,7 @@ def reference_min_above_line(w, line, x_lo, x_hi, x0):
         elif psi(hi) < 0.0:
             lo = hi
         else:
-            lo, hi = _bisect(psi, lo, hi, positive_at_lo=False)
+            lo, hi = reference_bisect(psi, lo, hi, positive_at_lo=False)
     c = 0.5 * (lo + hi)
     f_lo, f_c, f_hi = (fused[x][0] if x in fused else w.big_f(x) for x in (lo, c, hi))
     g_lo, g_c, g_hi = f_lo - line.value(lo), f_c - line.value(c), f_hi - line.value(hi)

@@ -261,11 +261,23 @@ class TestMalformedInputs:
         assert captured.out == "" and captured.err.startswith("error:")
         assert match in captured.err
 
-    @pytest.mark.parametrize("field, value", [("xs", 5), ("log_as", [None]), ("h", None),
-                                              ("es", ["e"]), ("es", [88.5])])
+    @pytest.mark.parametrize("field, value", [
+        ("xs", 5), ("log_as", [None]), ("h", None), ("es", ["e"]), ("es", [88.5]),
+        # each of these loaded as numbers, and verify lemmas exited 0
+        pytest.param("h", "2", id="h-string"),
+        pytest.param("h", " 2.0 ", id="h-padded_string"),
+        pytest.param("x0", repr, id="x0-string"),
+        pytest.param("xs", lambda xs: list(map(repr, xs)), id="xs-strings"),
+        pytest.param("log_as", lambda log_as: list(map(repr, log_as)), id="log_as-strings"),
+        pytest.param("es", [True], id="es-true")])
     def test_state_file(self, field, value, state_file, tmp_path, capsys):
+        # a list value replaces the field's first entry, a function maps the field
         state = json.loads(state_file.read_text())
-        state[field] = value if not isinstance(value, list) else value + state[field][1:]
+        if callable(value):
+            value = value(state[field])
+        elif isinstance(value, list):
+            value = value + state[field][1:]
+        state[field] = value
         path = tmp_path / "bad_state.json"
         path.write_text(json.dumps(state))
         assert main(["verify", "lemmas", "--family", "ramey_ullrich",
@@ -293,29 +305,35 @@ class TestMalformedInputs:
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err
 
-    @pytest.mark.parametrize("field, index, value, message", [
-        ("xs", 10, math.nan, "state field 'xs' entry 10 is not finite (nan)"),
-        ("log_as", 10, math.nan, "state field 'log_as' entry 10 is not finite (nan)"),
-        ("deltas", 10, math.inf, "state field 'deltas' entry 10 is not finite (inf)"),
-        ("x0", None, -0.5, "state field 'x0' = -0.5 is not xs[0] = -0.05129329438755058")],
-        ids=["xs_nan", "log_as_nan", "deltas_inf", "x0_not_xs0"])
+    @pytest.mark.parametrize("field, index, value, message, source", [
+        ("xs", 10, math.nan, "state field 'xs' entry 10 is not finite (nan)", "exp_power_state"),
+        ("log_as", 10, math.nan, "state field 'log_as' entry 10 is not finite (nan)",
+         "exp_power_state"),
+        ("deltas", 10, math.inf, "state field 'deltas' entry 10 is not finite (inf)",
+         "exp_power_state"),
+        ("x0", None, -0.5, "state field 'x0' = -0.5 is not xs[0] = -0.05129329438755058",
+         "exp_power_state"),
+        # verify lemmas passed this one, taking e_k > delta_k unchecked,
+        # while verify sandwich failed its upper side
+        ("es", 0, 1, "state field 'es' entry 0 is 1, not floor(deltas[0]) + 1 = 88",
+         "ramey_deep_state")],
+        ids=["xs_nan", "log_as_nan", "deltas_inf", "x0_not_xs0", "es_not_floor_delta"])
     @pytest.mark.parametrize("command", [["verify", "lemmas"],
                                          ["verify", "sandwich", "--t-points", "50",
                                           "--angles", "8"],
                                          ["emit"]], ids=["lemmas", "sandwich", "emit"])
-    def test_state_entries_finite(self, field, index, value, message, command,
-                                  exp_power_state, tmp_path, capsys):
+    def test_state_entries_finite(self, field, index, value, message, source, command,
+                                  request, tmp_path, capsys):
         # each of these states used to load, and the commands exited 0 or
         # 1 as if a bound had been checked
-        state = json.loads(exp_power_state.read_text())
+        state = json.loads(request.getfixturevalue(source).read_text())
         if index is None:
             state[field] = value
         else:
             state[field][index] = value
         path = tmp_path / "bad_state.json"
         path.write_text(json.dumps(state))
-        assert main([*command, "--family", "exp_power", "--params", "1",
-                     "--state", str(path)]) == 2
+        assert main([*command, *STATE_WEIGHTS[source], "--state", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err
 
@@ -329,9 +347,22 @@ class TestMalformedInputs:
 @pytest.fixture(scope="module")
 def exp_power_state(tmp_path_factory):
     path = tmp_path_factory.mktemp("exp_power") / "state.json"
-    assert main(["construct", "--family", "exp_power", "--params", "1",
+    assert main(["construct", *STATE_WEIGHTS["exp_power_state"],
                  "--t-stop", "0.9999", "--out", str(path)]) == 0
     return path
+
+
+@pytest.fixture(scope="module")
+def ramey_deep_state(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ramey_deep") / "state.json"
+    assert main(["construct", *STATE_WEIGHTS["ramey_deep_state"],
+                 "--t-stop", "0.999999999", "--out", str(path)]) == 0
+    return path
+
+
+# the weight flags of each state fixture
+STATE_WEIGHTS = {"exp_power_state": ["--family", "exp_power", "--params", "1"],
+                 "ramey_deep_state": ["--family", "ramey_ullrich"]}
 
 
 class TestStateWeightGate:

@@ -543,11 +543,14 @@ def root_noise(w, x_prev, h, line, x_next):
 
 
 class WithoutSecond:
-    """A weight's F, F' and fused (F, F') without its big_f_second."""
+    """A weight's F, F' and fused (F, F') without its big_f_second, and
+    with the other methods named in `keep`."""
 
-    def __init__(self, w):
+    def __init__(self, w, *keep):
         self.big_f, self.big_f_prime = w.big_f, w.big_f_prime
         self.big_f_and_prime = w.big_f_and_prime
+        for name in keep:
+            setattr(self, name, getattr(w, name))
 
 
 def step_outcomes(step, w, x0, n=8, h=2.0):
@@ -588,8 +591,11 @@ class TestBisectionFallback:
          lw.NotStrictlyConvexError),
         (collision_profile(), -120.0, 8, None),
         (WithoutSecond(lw.make_weight("exp_power", (2.0,))), math.log(0.95), 8, None),
+        # a rounding bound without F'' gives no rounding stop: its err needs F''
+        (WithoutSecond(lw.make_weight("exp_power", (2.0,)), "rounding_shift"),
+         math.log(0.95), 8, None),
     ], ids=["bump", "bump-near", "sawtooth", "unbounded_sawtooth", "soft_lines",
-            "exp_power-without-second"])
+            "exp_power-without-second", "exp_power-without-second-with-shift"])
     def test_steps(self, w, x0, steps, error):
         new = step_outcomes(lw.next_tangent, w, x0)
         assert (len(new[0]), new[1]) == (steps, error)
