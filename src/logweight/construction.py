@@ -26,7 +26,8 @@ and no rounding stop, so it bisects throughout to _ROOT_TOL, as does the
 lemma verifier's search for the tangency of a line loaded without its
 xi.  Every step is deterministic and costs a handful of evaluations of F,
 F' and F'' with F'' (about 4 fused (F, F') and 3 F'' calls per double_exp
-line), O(log(1/_ROOT_TOL)) fused calls without.
+line), O(log(1/_ROOT_TOL)) fused calls for the tangency and as many F
+calls for the crossing without.
 
 A weight is duck-typed: this module calls only `big_f(x)`,
 `big_f_prime(x)`, `big_f_and_prime(x)` (which returns the pair
@@ -202,12 +203,18 @@ class ConstructionState:
                     raise ValueError(f"state field {key!r} entry {i} is not finite ({v})")
         if params.x0 != xs[0]:
             raise ValueError(f"state field 'x0' = {params.x0!r} is not xs[0] = {xs[0]!r}")
-        for i, (e, dd) in enumerate(zip(es, deltas)):
-            if e != math.floor(dd) + 1:
-                raise ValueError(f"state field 'es' entry {i} is {e}, not floor(deltas[{i}]) + 1 "
-                                 f"= {math.floor(dd) + 1}")
+        check_exponents(es, deltas)
         lines = tuple(TangentLine(delta=dd, log_a=la) for dd, la in zip(deltas, log_as))
         return ConstructionState(params=params, xs=xs, lines=lines, es=es)
+
+
+def check_exponents(es, deltas) -> None:
+    """Raise ValueError naming the first entry es[k] other than
+    floor(deltas[k]) + 1: the lemma checks take e_k > delta_k for granted."""
+    for i, (e, dd) in enumerate(zip(es, deltas)):
+        if e != math.floor(dd) + 1:
+            raise ValueError(f"state field 'es' entry {i} is {e}, not floor(deltas[{i}]) + 1 "
+                             f"= {math.floor(dd) + 1}")
 
 
 def _newton(fn, lo, hi, positive_at_lo, target=0.0, at_hi=None):
@@ -305,8 +312,9 @@ def next_tangent(w: WeightFunction, x_prev: float, h: float):
     rounding_shift (or where err is infinite) stops at _ROOT_TOL instead.
     A weight whose F''(x_prev) is None (or that has no big_f_second) gets
     no start, no slope and no rounding stop (its err would need F''): both
-    stages bisect to _ROOT_TOL from the probes x_prev / 2 and xi / 2, each
-    residual still one fused (F, F') call, whose F has the bits of big_f.
+    stages bisect to _ROOT_TOL from the probes x_prev / 2 and xi / 2.  Each
+    G is then one fused (F, F') call, whose F has the bits of big_f, and
+    each H, which reads no F', one big_f call.
     """
     if x_prev >= 0.0:
         raise ValueError("x_prev must be negative")
@@ -374,14 +382,14 @@ def next_tangent(w: WeightFunction, x_prev: float, h: float):
         raise ConstructionError(f"degenerate tangent at xi={xi}")
 
     def big_h(x):  # (H, H', err_H); H is +inf where F overflows
-        f, fp = w.big_f_and_prime(x)
+        f, fp = w.big_f_and_prime(x) if newton else (w.big_f(x), None)
         if not math.isfinite(f):
             return math.inf, None, math.inf
         line = delta * x
         err = math.inf if s_prev is None else (  # err_F(x) + arithmetic
             (ROUNDING * abs(f) + shift(x) * abs(fp))
             + ROUNDING * (abs(f) + abs(log_a) + abs(line) + h))
-        return f - h - (log_a + line), fp - delta if newton else None, err
+        return f - h - (log_a + line), None if fp is None else fp - delta, err
 
     # Stage (b): bracket the next crossing.
     lo2 = xi
@@ -606,16 +614,20 @@ def _tail_log_bound(k, pts, log_as, slopes, gap):
     on I_{k+1} (0-based k per row): lines within _TAIL_WINDOW of k are
     summed; past each window edge every line lies `gap` below its
     neighbour (the separation checks), so the rest is at most the edge
-    line times e^{-gap} / (1 - e^{-gap}).  -inf: empty; +inf: gap <= 0."""
+    line times e^{-gap} / (1 - e^{-gap}).  -inf: empty; +inf: gap <= 0.
+
+    The table is window-first, (window, rows, points): the sum runs over
+    its leading axis, one contiguous rows x points slab per window line,
+    adding the lines one after another."""
     K, W = log_as.size, _TAIL_WINDOW
-    idx = k[:, None] + np.r_[-W:-1, 2:W + 1, -W, W]  # the window, then its edges
+    idx = np.r_[-W:-1, 2:W + 1, -W, W][:, None] + k  # the window, then its edges
     valid = (idx >= 0) & (idx < K)
-    valid[:, -2], valid[:, -1] = k - W >= 1, k + W <= K - 2
+    valid[-2], valid[-1] = k - W >= 1, k + W <= K - 2
     idx = np.clip(idx, 0, K - 1)
-    terms = log_as[idx][:, :, None] + slopes[idx][:, :, None] * pts[:, None, :]
-    terms[:, -2:] += -gap - math.log(-math.expm1(-gap)) if gap > 0.0 else math.inf
+    terms = log_as[idx][:, :, None] + slopes[idx][:, :, None] * pts
+    terms[-2:] += -gap - math.log(-math.expm1(-gap)) if gap > 0.0 else math.inf
     terms[~valid] = -np.inf
-    return logsumexp(terms, axis=1)
+    return logsumexp(terms, axis=0)
 
 
 def check_state_matches(state: ConstructionState, w: WeightFunction) -> None:
@@ -661,7 +673,8 @@ def verify_tangent_lemmas(state: ConstructionState, w: WeightFunction,
 
     Each check is decided where it is extreme: line pairs at the ends of
     their ranges (x -> 0 as a limit, witness_x = 0), segment_upper at one
-    tangency bracket per line (its integer form follows as e_k > delta_k),
+    tangency bracket per line (its integer form follows as e_k > delta_k:
+    a state whose es[k] is not floor(delta_k) + 1 raises ValueError),
     the rest at the interval endpoints; only segment_upper's weight calls
     go line by line (_tangency_bracket).  basis "convexity" (F convex by
     construction) makes a pass a proof up to the slack: F - l_k and every
@@ -679,6 +692,7 @@ def verify_tangent_lemmas(state: ConstructionState, w: WeightFunction,
     if samples_per_interval < 2:
         raise ValueError("samples_per_interval must be at least 2")
     check_state_matches(state, w)
+    check_exponents(state.es, state.deltas)
     if delta is not None:
         check_gap(state.params.h, delta)
 

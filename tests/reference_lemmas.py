@@ -11,6 +11,10 @@ certificate must never be more lenient than this sampling.
 Python, sign tests, secant bound and all; the verifier does only the
 weight calls per line and the bound's arithmetic as arrays over all lines,
 and must give the same bits.
+
+`reference_tail_log_bound` is the verifier's tail bound on a (rows,
+window, points) table, summed along its middle axis; the verifier's
+window-first table must give the same bits.
 """
 
 import math
@@ -18,9 +22,9 @@ from typing import Optional
 
 import numpy as np
 
-from logweight.construction import (_X_FLOOR, _XI_BRACKET, T0_INTEGER_ESTIMATES, LemmaCheck,
-                                    LemmaReport, h_for_delta)
-from logweight.numerics import MARGIN_SLACK
+from logweight.construction import (_TAIL_WINDOW, _X_FLOOR, _XI_BRACKET, T0_INTEGER_ESTIMATES,
+                                    LemmaCheck, LemmaReport, h_for_delta)
+from logweight.numerics import MARGIN_SLACK, logsumexp
 from reference_construction import reference_bisect
 
 
@@ -62,6 +66,22 @@ def reference_min_above_line(w, line, x_lo, x_hi, x0):
     f_lo, f_c, f_hi = (fused[x][0] if x in fused else w.big_f(x) for x in (lo, c, hi))
     g_lo, g_c, g_hi = f_lo - line.value(lo), f_c - line.value(c), f_hi - line.value(hi)
     return min(g_lo, g_hi, 2.0 * g_c - max(g_lo, g_c, g_hi)), c, f_c
+
+
+def reference_tail_log_bound(k, pts, log_as, slopes, gap):
+    """Log upper bound of sum_{|m-k|>=2} exp(log_a_m + slope_m x) at `pts`
+    on I_{k+1}, from a (rows, window, points) table: the window of lines
+    within _TAIL_WINDOW of k, then the two edge lines times e^{-gap} / (1 -
+    e^{-gap}).  -inf: empty; +inf: gap <= 0."""
+    K, W = log_as.size, _TAIL_WINDOW
+    idx = k[:, None] + np.r_[-W:-1, 2:W + 1, -W, W]
+    valid = (idx >= 0) & (idx < K)
+    valid[:, -2], valid[:, -1] = k - W >= 1, k + W <= K - 2
+    idx = np.clip(idx, 0, K - 1)
+    terms = log_as[idx][:, :, None] + slopes[idx][:, :, None] * pts[:, None, :]
+    terms[:, -2:] += -gap - math.log(-math.expm1(-gap)) if gap > 0.0 else math.inf
+    terms[~valid] = -np.inf
+    return logsumexp(terms, axis=1)
 
 
 class _Worst:

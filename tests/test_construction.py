@@ -582,6 +582,13 @@ class TestBisectionFallback:
                     lambda s: [line.xi for line in s.lines]):
             np.testing.assert_array_equal(bits(get(new)), bits(get(ref)))
 
+    def test_crossing_bisects_on_plain_f(self):
+        # stage (b) reads no F' without F'': 47 fused calls bisect to the
+        # tangency, then 48 big_f calls to the crossing, plus F(x_prev)
+        counted = CountingWeight(lw.make_weight("perturbed_bump"))
+        lw.next_tangent(counted, -0.6, 2.0)
+        assert (counted.calls["big_f_and_prime"], counted.calls["big_f"]) == (47, 49)
+
     @pytest.mark.parametrize("w, x0, steps, error", [
         (lw.make_weight("perturbed_bump"), math.log(0.95), 7, lw.SlowGrowthError),
         (lw.make_weight("perturbed_bump", (0.5, -0.2, 0.05)), -0.4, 0,
@@ -675,3 +682,11 @@ class TestVerifyTangentLemmas:
         other = lw.make_weight("exp_power", [1.0])
         with pytest.raises(ValueError):
             lw.verify_tangent_lemmas(state, other, 20)
+
+    def test_exponents_checked(self):
+        # e_1 = 1 < delta_1: segment_upper_int is decided from the delta
+        # form's bound, so without the check this state passed
+        w, state = ramey_state(t_stop=0.999999999)
+        bad = replace(state, es=(1,) + state.es[1:])
+        with pytest.raises(ValueError, match=r"'es' entry 0 is 1, not floor\(deltas\[0\]\) \+ 1"):
+            lw.verify_tangent_lemmas(bad, w, 50)

@@ -7,18 +7,22 @@ import functools
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import logweight as lw
 from logweight.cli import main, render_json
-from logweight.construction import (_XI_BRACKET, ConstructionParams, _tangency_bounds,
-                                    _tangency_bracket)
+from logweight import construction
+from logweight.construction import (_TAIL_BLOCK, _TAIL_WINDOW, _XI_BRACKET, ConstructionParams,
+                                    _tail_log_bound, _tangency_bounds, _tangency_bracket)
 from logweight.weight_model import is_known_convex
-from reference_lemmas import reference_min_above_line, reference_verify_tangent_lemmas
+from reference_lemmas import (reference_min_above_line, reference_tail_log_bound,
+                              reference_verify_tangent_lemmas)
 
 X0 = math.log(0.95)
 
@@ -371,6 +375,127 @@ class TestTangencyArrays:
         got = float(_tangency_bounds(np.array([log_a]), np.array([delta]),
                                      np.array([[p], [c], [q], [f_p], [f_c], [f_q]]))[0])
         assert np.array([got]).tobytes() == np.array([expected]).tobytes()
+
+
+def assert_tail_bits(k, pts, log_as, slopes, gap):
+    # with gap <= 0 an edge line at log_a = -inf adds -inf + inf = NaN, and
+    # beside a +inf term the large finite ones overflow exp (the sum is
+    # +inf either way)
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = _tail_log_bound(k, pts, log_as, slopes, gap)
+        ref = reference_tail_log_bound(k, pts, log_as, slopes, gap)
+    assert got.shape == ref.shape == pts.shape
+    assert got.tobytes() == ref.tobytes()
+    return got
+
+
+class TestTailWindowLayout:
+    """_tail_log_bound sums its window down the leading axis of a (window,
+    rows, points) table, one line after another, as the (rows, window,
+    points) reference did down its middle axis: the same bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), size=st.integers(1, 2 * _TAIL_WINDOW + 1),
+           n=st.sampled_from([2, 50]),
+           gap=st.one_of(st.sampled_from([-1.0, 0.0]), st.floats(1e-3, 50.0)))
+    def test_matches_reference(self, data, size, n, gap):
+        # K below 2 _TAIL_WINDOW + 2, so windows run past both ends; a block
+        # of rows with k = 0 or K - 1 at one end or both
+        start = data.draw(st.sampled_from([0, data.draw(st.integers(0, size - 1))]), label="start")
+        stop = data.draw(st.sampled_from([size, data.draw(st.integers(start + 1, size))]),
+                         label="stop")
+        k = np.arange(start, stop)
+        log_as = data.draw(arrays(float, size, elements=st.one_of(
+            st.floats(-1e3, 1e3), st.just(-math.inf))), label="log_as")
+        slopes = data.draw(arrays(float, size, elements=st.floats(0.0, 1e3)), label="slopes")
+        pts = data.draw(arrays(float, (k.size, n), elements=st.floats(-10.0, 0.0)), label="pts")
+        assert_tail_bits(k, pts, log_as, slopes, gap)
+
+    @pytest.mark.parametrize("gap", [-1.0, 0.0, 2.0])
+    @pytest.mark.parametrize("size", [1, 2, 3, 2 * _TAIL_WINDOW + 1, 2 * _TAIL_WINDOW + 2])
+    @pytest.mark.parametrize("n", [2, 50])
+    def test_empty_and_minus_inf_windows(self, size, n, gap):
+        # K <= 2 leaves every window empty, and log_a = -inf every term at
+        # -inf: both sum to -inf wherever no edge line carries gap <= 0
+        k = np.arange(size)
+        pts = np.linspace(-1.0, -0.5, size * n).reshape(size, n)
+        slopes = np.linspace(1.0, 3.0, size)
+        for log_as in (np.zeros(size), np.full(size, -math.inf)):
+            got = assert_tail_bits(k, pts, log_as, slopes, gap)
+            if size <= 2 or (gap > 0.0 and log_as[0] == -math.inf):
+                assert np.all(got == -math.inf)
+            elif gap <= 0.0 and log_as[0] == 0.0 and size > _TAIL_WINDOW + 2:
+                assert np.isposinf(got[k - _TAIL_WINDOW >= 1]).all()
+
+
+@functools.lru_cache(maxsize=None)
+def double_exp_2000():
+    # the deep benchmark state, K = 2000
+    w = lw.make_weight("double_exp")
+    return w, lw.run_construction(w, ConstructionParams(x0=X0, k_max=2000))
+
+
+def traced_peak(fn):
+    """The tracemalloc peak of fn() above the memory traced when it starts."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+class TestVerifierMemory:
+    """The lemma verifier works in blocks of intervals: its traced peak on
+    the K = 2000 double_exp state is one block's tail sums above the
+    per-line arrays, and each tail table holds _TAIL_BLOCK floats."""
+
+    def test_traced_peak(self):
+        # 1,052,214 bytes with the (rows, window, points) tables, 1,053,078
+        # window-first (numpy 2.4, Python 3.11): about 0.58 MB of per-line
+        # arrays live at the last block plus one tail call's own peak of
+        # about 0.48 MB.  1.1 MB leaves 5%, under half of one more
+        # table-sized temporary (8 _TAIL_BLOCK bytes = 128 kB).
+        w, state = double_exp_2000()
+        lw.verify_tangent_lemmas(state, w, 50)
+        assert traced_peak(lambda: lw.verify_tangent_lemmas(state, w, 50)) < 1.1e6
+
+    @staticmethod
+    def record_tables(monkeypatch):
+        """The (shape, axis) of every table _tail_log_bound sums."""
+        shapes, logsumexp = [], construction.logsumexp
+
+        def recording(terms, axis):
+            shapes.append((terms.shape, axis))
+            return logsumexp(terms, axis)
+
+        monkeypatch.setattr(construction, "logsumexp", recording)
+        return shapes
+
+    @pytest.mark.parametrize("n", [2, 50])
+    def test_tail_call_within_a_block(self, monkeypatch, n):
+        # a full block's call peaks under four tables of _TAIL_BLOCK
+        # floats: the window indices (_TAIL_BLOCK / n), the gathered lines,
+        # the table, its shift and its exponentials, never all at once
+        _, state = double_exp_2000()
+        shapes = self.record_tables(monkeypatch)
+        rows = _TAIL_BLOCK // (2 * _TAIL_WINDOW * n)
+        k = np.arange(100, 100 + rows)
+        xs, log_as, deltas = (np.asarray(v) for v in (state.xs, state.log_as, state.deltas))
+        pts = np.linspace(xs[k], xs[k + 1], n, axis=1)
+        peak = traced_peak(lambda: _tail_log_bound(k, pts, log_as, deltas, 2.0))
+        assert shapes == [((2 * _TAIL_WINDOW, rows, n), 0)]
+        assert peak < 4 * 8 * _TAIL_BLOCK
+
+    @pytest.mark.parametrize("weight", ["family", "duck"])
+    def test_verifier_tables_window_first(self, monkeypatch, weight):
+        w, state, _ = lemma_case(f"exp_power/stored/{weight}" if weight == "family"
+                                 else "ramey_ullrich/stored/duck")
+        shapes = self.record_tables(monkeypatch)
+        lw.verify_tangent_lemmas(state, w, 50)
+        assert shapes and all(shape[0] == 2 * _TAIL_WINDOW and axis == 0
+                              and math.prod(shape) <= _TAIL_BLOCK for shape, axis in shapes)
 
 
 class TestBasis:
