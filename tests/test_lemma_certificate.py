@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import logweight as lw
-from logweight.cli import main, render_json
 from logweight import construction
+from logweight.cli import main, render_json
 from logweight.construction import (_TAIL_BLOCK, _TAIL_WINDOW, _XI_BRACKET, ConstructionParams,
                                     _tail_log_bound, _tangency_bounds, _tangency_bracket)
 from logweight.weight_model import is_known_convex
@@ -488,10 +488,9 @@ class TestVerifierMemory:
         assert shapes == [((2 * _TAIL_WINDOW, rows, n), 0)]
         assert peak < 4 * 8 * _TAIL_BLOCK
 
-    @pytest.mark.parametrize("weight", ["family", "duck"])
-    def test_verifier_tables_window_first(self, monkeypatch, weight):
-        w, state, _ = lemma_case(f"exp_power/stored/{weight}" if weight == "family"
-                                 else "ramey_ullrich/stored/duck")
+    @pytest.mark.parametrize("key", ["exp_power/stored/family", "ramey_ullrich/stored/duck"])
+    def test_verifier_tables_window_first(self, monkeypatch, key):
+        w, state, _ = lemma_case(key)
         shapes = self.record_tables(monkeypatch)
         lw.verify_tangent_lemmas(state, w, 50)
         assert shapes and all(shape[0] == 2 * _TAIL_WINDOW and axis == 0
