@@ -14,27 +14,18 @@ Exponentiating, l_k describes the monomial bound a_k t^{delta_k}, which
   * dominates the other monomials geometrically away from its own
     interval (successive lines separate by h per index step).
 
-Both solves go through one root solver, _newton: safeguarded Newton on
-residual functions that are strictly monotone whenever F is strictly
-convex.  Each starts from the quadratic model of its residual, and a step
-that leaves the root's bracket, or has no finite nonzero slope, bisects
-it instead.  Each stops at the first evaluation whose residual lies
-within its own rounding error, which the weight's rounding_shift bounds,
-and that evaluated point is the root; one without a rounding bound stops
-at the relative tolerance _ROOT_TOL.  A weight without F'' gets no slope
-and no rounding stop, so it bisects throughout to _ROOT_TOL, as does the
-lemma verifier's search for the tangency of a line loaded without its
-xi.  Every step is deterministic and costs a handful of evaluations of F,
-F' and F'' with F'' (about 4 fused (F, F') and 3 F'' calls per double_exp
-line), O(log(1/_ROOT_TOL)) fused calls for the tangency and as many F
-calls for the crossing without.
+next_tangent solves each step in one loop per stage, by safeguarded
+Newton stopped at the rounding error that the weight's rounding_shift
+bounds; a weight without F'' bisects, as does the lemma verifier's
+search for the tangency of a line loaded without its xi.
 
 A weight is duck-typed: this module calls only `big_f(x)`,
-`big_f_prime(x)`, `big_f_and_prime(x)` (which returns the pair
-(F(x), F'(x)) with the bits of the two separate calls), an optional
-`big_f_second(x)` (F'', or None) and an optional `rounding_shift(x)` (the
-abscissa error of F, F' and F'', or None) at x < 0, and reads an optional
-`family` to name the lemma basis.
+`big_f_and_prime(x)` (which returns the pair (F(x), F'(x)) with the bits
+of the two separate calls), an optional `big_f_second(x)` (F'', or None)
+and an optional `rounding_shift(x)` (the abscissa error of F, F' and F'',
+or None) at x < 0, and reads an optional `family` to name the lemma
+basis.  next_tangent evaluates a WeightFunction itself through its
+family's row functions instead, with the same bits.
 """
 
 from __future__ import annotations
@@ -49,7 +40,7 @@ import numpy as np
 
 from .numerics import MARGIN_SLACK, NEG_INF, logsumexp, normalized_margins
 from .weight_model import (ROUNDING, ConvexityReport, WeightFunction,
-                           _slope_report, is_known_convex)
+                           _rounding_shift, _slope_report, is_known_convex)
 
 # Threshold t_0 above which the integer-exponent estimates keep the 9/10
 # and 5/9 constants used by the verifier (they need 1/t < 10/9).
@@ -210,56 +201,18 @@ class ConstructionState:
 
 def check_exponents(es, deltas) -> None:
     """Raise ValueError naming the first entry es[k] other than
-    floor(deltas[k]) + 1: the lemma checks take e_k > delta_k for granted."""
-    for i, (e, dd) in enumerate(zip(es, deltas)):
-        if e != math.floor(dd) + 1:
-            raise ValueError(f"state field 'es' entry {i} is {e}, not floor(deltas[{i}]) + 1 "
-                             f"= {math.floor(dd) + 1}")
-
-
-def _newton(fn, lo, hi, positive_at_lo, target=0.0, at_hi=None):
-    """(root, lo, hi): a root of fn(x) = target and the bracket [lo, hi]
-    it narrowed to.  fn(x) returns (value, slope or None, err), and value -
-    target is positive at lo iff positive_at_lo.  Each evaluation narrows
-    the bracket by the sign of value - target and is the root when |value -
-    target| <= err < inf, err being the value's rounding bound.  Else the
-    next evaluation is at its Newton step if that lands inside the bracket,
-    else at the bracket's midpoint; the first is at the midpoint or, given
-    at_hi = fn(hi) from the probe that closed the bracket, at hi.  Without
-    a finite err it stops at a Newton step of at most _ROOT_TOL |x| landing
-    in the bracket (its point is the root) or at a bracket of width
-    _ROOT_TOL |hi| (its midpoint is); without slopes too, it bisects.  The
-    stops are relative to |x| because near 0 the slopes of F blow up like
-    1/|x| or faster: an absolute stop in x would leave residuals that grow
-    without bound, while a relative one keeps about log2(1/_ROOT_TOL)
-    bisections at any scale."""
-    x, fx = (0.5 * (lo + hi) if at_hi is None else hi), at_hi
-    for _ in range(200):
-        if hi - lo <= _ROOT_TOL * abs(hi):
-            break
-        value, slope, err = fx or fn(x)
-        fx = None
-        value -= target
-        if (value > 0.0) == positive_at_lo:
-            lo = x
-        else:
-            hi = x
-        if err < math.inf and abs(value) <= err:
-            return x, lo, hi
-        if slope and math.isfinite(slope):
-            step = value / slope
-            x -= step
-            if abs(step) <= _ROOT_TOL * abs(x) and lo <= x <= hi:
-                return x, lo, hi
-            if lo < x < hi:
-                continue
-        x = 0.5 * (lo + hi)
-    return 0.5 * (lo + hi), lo, hi
-
-
-def _absent(x):
-    """An optional weight method the weight does not have: no value."""
-    return None
+    floor(deltas[k]) + 1: the lemma checks take e_k > delta_k for granted.
+    An int64 es passes on arrays where |delta| and |e| < 2^52 make
+    np.floor(delta) + 1 and e exact floats; math.floor decides the rest."""
+    e, d = np.asarray(es), np.asarray(deltas, dtype=float)
+    suspects = range(min(len(es), len(deltas)))
+    if e.dtype.kind == "i" and e.shape == d.shape:
+        suspects = np.flatnonzero((e != np.floor(d) + 1.0) | (np.abs(d) >= 2.0 ** 52)
+                                  | (np.abs(e) >= 2.0 ** 52)).tolist()
+    for i in suspects:
+        if es[i] != math.floor(deltas[i]) + 1:
+            raise ValueError(f"state field 'es' entry {i} is {es[i]}, not floor(deltas[{i}]) + 1 "
+                             f"= {math.floor(deltas[i]) + 1}")
 
 
 def _first_probe(x, f_second, h):
@@ -272,6 +225,11 @@ def _first_probe(x, f_second, h):
         if x < start <= _X_FLOOR:
             return start
     return x / 2.0
+
+
+def _as_row(method):
+    """A bound method as a row function (x, args); None stays None."""
+    return None if method is None else lambda x, _: method(x)
 
 
 def next_tangent(w: WeightFunction, x_prev: float, h: float):
@@ -287,125 +245,164 @@ def next_tangent(w: WeightFunction, x_prev: float, h: float):
     (b) x_next > xi is the root of H(x) = F(x) - h - l(x), which equals
         -h at xi and is strictly increasing there (H' = F'(x) - delta).
 
-    Both roots are bracketed by probing toward 0, halving the abscissa no
-    further than the float floor _X_FLOOR, and then found by _newton.
-    Near its extremum each residual moves by F'' (s - extremum)^2 / 2, so
-    Newton starts where that reaches h: xi ~ x_prev + sqrt(2h /
-    F''(x_prev)) and x_next ~ xi + sqrt(2h / F''(xi)).  Both starts lie
-    right of the root when F'' increases, and from there Newton's iterates
-    fall monotonically onto it.  Each start is its stage's first bracket
-    probe, and that evaluation is also Newton's first.
+    Each stage is one loop.  It probes toward 0, halving the abscissa no
+    further than the float floor _X_FLOOR, until the residual's sign
+    closes a bracket, and from that probe on takes safeguarded Newton
+    steps (rtsafe): each evaluation narrows the bracket, and the next is at
+    its Newton step if that lands strictly inside, else at the midpoint.
+    The first probe is where F'' (s - extremum)^2 / 2 reaches h, xi ~
+    x_prev + sqrt(2h / F''(x_prev)) and x_next ~ xi + sqrt(2h / F''(xi)):
+    right of the roots when F'' increases, so the iterates fall onto them.
 
-    Newton stops at the first evaluation whose residual is at most its
-    rounding error err.  With R = ROUNDING and s(x) the weight's
-    rounding_shift, F and F' as computed are within err_F(x) = R |F| +
-    s(x) |F'| and err_F'(x) = R |F'| + s(x) |F''| of the exact values, so
+    The root is the first evaluation within its rounding error err: with R
+    = ROUNDING and s(x) the weight's rounding_shift, F and F' as computed
+    are within err_F(x) = R |F| + s(x) |F'| and err_F'(x) = R |F'| + s(x)
+    |F''| of the exact values, so (err_F(x_prev) at F'(xi) >= F'(x_prev))
 
         err_G = err_F(xi) + err_F(x_prev) + |x_prev - xi| err_F'(xi)
                 + R (|F(xi)| + |F'(xi)(x_prev - xi)| + |F(x_prev)| + h),
-        err_H = err_F(x) + R (|F(x)| + |log_a| + |delta x| + h),
+        err_H = err_F(x) + R (|F(x)| + |log_a| + |delta x| + h).
 
-    the last terms for the residuals' own arithmetic.  err_F(x_prev) takes
-    F'(xi) >= F'(x_prev) (F is convex), so F(x_prev) costs one big_f call.
-    The root xi is then an evaluated point, and its F, F' and F'' give the
-    line and stage (b)'s start without another call.  A weight without
-    rounding_shift (or where err is infinite) stops at _ROOT_TOL instead.
-    A weight whose F''(x_prev) is None (or that has no big_f_second) gets
-    no start, no slope and no rounding stop (its err would need F''): both
-    stages bisect to _ROOT_TOL from the probes x_prev / 2 and xi / 2.  Each
-    G is then one fused (F, F') call, whose F has the bits of big_f, and
-    each H, which reads no F', one big_f call.
+    Without a finite err it is a Newton step of at most _ROOT_TOL |x| into
+    the bracket, or the midpoint of a bracket _ROOT_TOL |hi| wide: relative,
+    as near 0 the slopes of F blow up like 1/|x| or faster.  A weight whose
+    F''(x_prev) is None (or missing) gets no start, slope, rounding stop or
+    further F'' call: both stages bisect from x_prev / 2 and xi / 2, with a
+    fused (F, F') call per G and an F call per H.  A WeightFunction is
+    evaluated through its family's row functions, read once per step, any
+    other weight through its methods.
     """
     if x_prev >= 0.0:
         raise ValueError("x_prev must be negative")
-    f_prev = w.big_f(x_prev)
+    if type(w) is WeightFunction:
+        row, args = w._row, w._args
+        big_f, fused, second = row.big_f, row.big_f_and_prime, row.big_f_second
+        shift = _rounding_shift if row.analytic else None
+    else:
+        args, big_f, fused = None, _as_row(w.big_f), _as_row(w.big_f_and_prime)
+        second = _as_row(getattr(w, "big_f_second", None))
+        shift = getattr(w, "rounding_shift", None)
+    f_prev = big_f(x_prev, args)
     if not math.isfinite(f_prev):
         raise OverflowError(f"F({x_prev}) is not finite; start farther from 0")
-    f_second = getattr(w, "big_f_second", _absent)
-    fpp_prev = f_second(x_prev)
+    fpp_prev = None if second is None else second(x_prev, args)
     newton = fpp_prev is not None
-    shift = getattr(w, "rounding_shift", _absent)
-    s_prev = shift(x_prev) if newton else None
-    seen = {}  # xi -> (F, F', F'') at each Newton evaluation of stage (a)
+    s_prev = shift(x_prev) if newton and shift is not None else None
+    a_prev, r_prev = abs(f_prev), ROUNDING * abs(f_prev)
 
-    def drop(xi):  # (G - h, G', err_G); G - h is -inf where F or F' overflows
-        f, fp = w.big_f_and_prime(xi)
-        if not (math.isfinite(f) and math.isfinite(fp)):
-            return NEG_INF, None, math.inf
-        gap = x_prev - xi
-        fpp = f_second(xi)
-        seen[xi] = f, fp, fpp
-        arm = fp * gap
-        err = math.inf
-        if s_prev is not None:  # err_F(xi) + err_F(x_prev) + |gap| err_F'(xi) + arithmetic
-            s_xi = shift(xi)
-            err = ((ROUNDING * abs(f) + s_xi * abs(fp))
-                   + (ROUNDING * abs(f_prev) + s_prev * abs(fp))
-                   + abs(gap) * (ROUNDING * abs(fp) + s_xi * abs(fpp))
-                   + ROUNDING * (abs(f) + abs(arm) + abs(f_prev) + h))
-        return f + arm - f_prev, None if fpp is None else fpp * gap, err
-
-    # Stage (a): bracket the tangency.  The convexity and growth checks
-    # compare G - h, not G: next to a huge h every change of G rounds away.
-    lo, d_lo = x_prev, 0.0
-    hi = _first_probe(x_prev, fpp_prev, h)
-    decreased = False
+    # Stage (a).  The convexity and growth checks compare G - h, not G: next to a
+    # huge h every change of G rounds away.  F None: not evaluated, or not finite.
+    lo, d_lo, f_lo, hi, xi = x_prev, 0.0, None, None, _first_probe(x_prev, fpp_prev, h)
+    fpp, slope, err, decreased, n = None, 0.0, math.inf, False, 0
     while True:
-        if hi > _X_FLOOR:
+        if hi is None and xi > _X_FLOOR:
             if decreased:
                 raise SlowGrowthError(
                     "weight grows too slowly (or is not unbounded): no tangent "
                     f"line drops {h} below F left of the float floor x = {_X_FLOOR}")
-            raise NotStrictlyConvexError(
-                "weight profile is not strictly convex: the tangent never "
-                "separates from the chord")
-        at_hi = drop(hi)
-        d_hi = at_hi[0]
-        if d_hi > d_lo + 1e-9 * max(1.0, abs(d_lo)):
-            raise NotStrictlyConvexError(
-                f"weight profile is not strictly convex near x = {hi}")
-        if d_hi < d_lo - 1e-12 * max(1.0, abs(d_lo)):
-            decreased = True
-        if d_hi + h <= 0.0:
+            raise NotStrictlyConvexError("weight profile is not strictly convex: the tangent "
+                                         "never separates from the chord")
+        f, fp = fused(xi, args)
+        if math.isfinite(f) and math.isfinite(fp):
+            gap = x_prev - xi
+            arm = fp * gap
+            d = f + arm - f_prev  # G - h
+            if newton:
+                fpp = second(xi, args)
+                slope = fpp * gap
+                if s_prev is not None:  # err_F(xi) + err_F(x_prev) + |gap| err_F'(xi) + arithmetic
+                    s_xi, a_f, a_fp = shift(xi), abs(f), abs(fp)
+                    err = ((ROUNDING * a_f + s_xi * a_fp) + (r_prev + s_prev * a_fp)
+                           + abs(gap) * (ROUNDING * a_fp + s_xi * abs(fpp))
+                           + ROUNDING * (a_f + abs(arm) + a_prev + h))
+        else:  # G - h = -inf; a slope of 0 is none
+            f, d, slope, err = None, NEG_INF, 0.0, math.inf
+        value = d + h
+        if hi is None:
+            if d > d_lo + 1e-9 * max(1.0, abs(d_lo)):
+                raise NotStrictlyConvexError(
+                    f"weight profile is not strictly convex near x = {xi}")
+            decreased = decreased or d < d_lo - 1e-12 * max(1.0, abs(d_lo))
+            if not value <= 0.0:
+                lo, d_lo, f_lo, fp_lo, fpp_lo = xi, d, f, fp, fpp
+                xi = xi / 2.0
+                continue
+            hi, f_hi, fp_hi, fpp_hi = xi, f, fp, fpp
+            if not newton or hi - lo <= _ROOT_TOL * abs(hi):  # bisect from the midpoint
+                xi = 0.5 * (lo + hi)
+                if hi - lo <= _ROOT_TOL * abs(hi):
+                    break
+                continue
+        if value > 0.0:
+            lo, f_lo, fp_lo, fpp_lo = xi, f, fp, fpp
+        else:
+            hi, f_hi, fp_hi, fpp_hi = xi, f, fp, fpp
+        if err < math.inf and abs(value) <= err:
             break
-        lo, d_lo = hi, d_hi
-        hi = hi / 2.0
-    xi = _newton(drop, lo, hi, positive_at_lo=True, target=-h,
-                 at_hi=at_hi if newton else None)[0]
-    if xi in seen:
-        f_xi, delta, fpp_xi = seen[xi]
+        step = value / slope if slope and math.isfinite(slope) else math.nan
+        xi -= step  # NaN without a finite nonzero slope: it lands nowhere
+        if abs(step) <= _ROOT_TOL * abs(xi) and lo <= xi <= hi:
+            break
+        if not lo < xi < hi:
+            xi = 0.5 * (lo + hi)
+        n += 1
+        if n == 200 or hi - lo <= _ROOT_TOL * abs(hi):
+            xi = 0.5 * (lo + hi)
+            break
+    if xi == hi and f_hi is not None:  # a root at an end of the bracket keeps its calls
+        f_xi, delta, fpp_xi = f_hi, fp_hi, fpp_hi
+    elif xi == lo and f_lo is not None:
+        f_xi, delta, fpp_xi = f_lo, fp_lo, fpp_lo
     else:
-        f_xi, delta = w.big_f_and_prime(xi)
-        fpp_xi = f_second(xi)
+        (f_xi, delta), fpp_xi = fused(xi, args), second(xi, args) if newton else None
     log_a = f_xi - delta * xi
     if not (delta > 0.0 and math.isfinite(log_a)):
         raise ConstructionError(f"degenerate tangent at xi={xi}")
 
-    def big_h(x):  # (H, H', err_H); H is +inf where F overflows
-        f, fp = w.big_f_and_prime(x) if newton else (w.big_f(x), None)
-        if not math.isfinite(f):
-            return math.inf, None, math.inf
-        line = delta * x
-        err = math.inf if s_prev is None else (  # err_F(x) + arithmetic
-            (ROUNDING * abs(f) + shift(x) * abs(fp))
-            + ROUNDING * (abs(f) + abs(log_a) + abs(line) + h))
-        return f - h - (log_a + line), None if fp is None else fp - delta, err
-
-    # Stage (b): bracket the next crossing.
-    lo2 = xi
-    hi2 = _first_probe(xi, fpp_xi, h)
+    lo, hi, x, n = xi, None, _first_probe(xi, fpp_xi, h), 0
     while True:
-        if hi2 > _X_FLOOR:
+        if hi is None and x > _X_FLOOR:
             raise SlowGrowthError(
                 "weight grows too slowly (or is not unbounded): F - h never "
                 f"crosses the tangent line again left of the float floor x = {_X_FLOOR}")
-        at_hi = big_h(hi2)
-        if at_hi[0] >= 0.0:
+        f, fp = fused(x, args) if newton else (big_f(x, args), None)
+        if math.isfinite(f):
+            line = delta * x
+            value = f - h - (log_a + line)  # H
+            if newton:
+                slope = fp - delta
+                if s_prev is not None:  # err_F(x) + arithmetic
+                    err = ((ROUNDING * abs(f) + shift(x) * abs(fp))
+                           + ROUNDING * (abs(f) + abs(log_a) + abs(line) + h))
+        else:  # H = +inf
+            value, slope, err = math.inf, 0.0, math.inf
+        if hi is None:
+            if not value >= 0.0:
+                lo, x = x, x / 2.0
+                continue
+            hi = x
+            if not newton or hi - lo <= _ROOT_TOL * abs(hi):
+                x = 0.5 * (lo + hi)
+                if hi - lo <= _ROOT_TOL * abs(hi):
+                    break
+                continue
+        if value > 0.0:
+            hi = x
+        else:
+            lo = x
+        if err < math.inf and abs(value) <= err:
             break
-        lo2 = hi2
-        hi2 = hi2 / 2.0
-    x_next = _newton(big_h, lo2, hi2, positive_at_lo=False, at_hi=at_hi if newton else None)[0]
-    return TangentLine(delta=delta, log_a=log_a, xi=xi), x_next
+        step = value / slope if slope and math.isfinite(slope) else math.nan
+        x -= step  # NaN without a finite nonzero slope: it lands nowhere
+        if abs(step) <= _ROOT_TOL * abs(x) and lo <= x <= hi:
+            break
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        n += 1
+        if n == 200 or hi - lo <= _ROOT_TOL * abs(hi):
+            x = 0.5 * (lo + hi)
+            break
+    return TangentLine(delta=delta, log_a=log_a, xi=xi), x
 
 
 def _gate_grid(x0: float):
@@ -563,10 +560,9 @@ def _tangency_bracket(w, line, x_lo, x_hi, x0):
     """(p, c, q, F(p), F(c), F(q)): a bracket [p, q] of the minimum of the
     convex g = F - l over [x0, 0), where F' = slope, and its midpoint c:
     xi (1 +- _XI_BRACKET) when the F' signs confirm the stored xi, else
-    bisected by _newton from [x_lo, x_hi] (widened to [x0, x_lo], or halved
-    toward 0 down to _X_FLOOR) to the relative tolerance _ROOT_TOL.  F at p
-    and q comes from the sign tests' fused calls: a stored xi costs three
-    calls."""
+    bisected from [x_lo, x_hi] (widened to [x0, x_lo], or halved toward 0
+    down to _X_FLOOR) to the relative tolerance _ROOT_TOL.  F at p and q
+    comes from the sign tests' fused calls: a stored xi costs three calls."""
     xi, delta, fused = line.xi, line.delta, {}
     if xi is not None:
         p, q = xi * (1.0 + _XI_BRACKET), xi * (1.0 - _XI_BRACKET)
@@ -576,22 +572,26 @@ def _tangency_bracket(w, line, x_lo, x_hi, x0):
             if 0.0 <= d_q - delta:
                 return p, 0.5 * (p + q), q, f_p, w.big_f(0.5 * (p + q)), f_q
 
-    def psi(x):  # (F' - delta, no slope, no rounding stop): _newton bisects
+    def psi(x):  # F' - delta
         if x not in fused:
             fused[x] = w.big_f_and_prime(x)
-        return fused[x][1] - delta, None, math.inf
+        return fused[x][1] - delta
 
     lo, hi = x_lo, x_hi
-    if psi(lo)[0] > 0.0:
+    if psi(lo) > 0.0:
         lo, hi = x0, lo
-    while psi(hi)[0] < 0.0 and hi < _X_FLOOR:
+    while psi(hi) < 0.0 and hi < _X_FLOOR:
         lo, hi = hi, hi / 2.0
-    if psi(lo)[0] >= 0.0:  # F - l increases from x0 on
+    if psi(lo) >= 0.0:  # F - l increases from x0 on
         hi = lo
-    elif psi(hi)[0] < 0.0:  # F - l still decreases at the floor of |x|
+    elif psi(hi) < 0.0:  # F - l still decreases at the floor of |x|
         lo = hi
-    else:
-        _, lo, hi = _newton(psi, lo, hi, positive_at_lo=False)
+    else:  # bisect to a width of _ROOT_TOL |hi|
+        for _ in range(200):
+            if hi - lo <= _ROOT_TOL * abs(hi):
+                break
+            c = 0.5 * (lo + hi)
+            lo, hi = (lo, c) if psi(c) > 0.0 else (c, hi)
     c = 0.5 * (lo + hi)
     return (lo, c, hi, *(fused[x][0] if x in fused else w.big_f(x) for x in (lo, c, hi)))
 

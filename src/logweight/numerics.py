@@ -19,13 +19,21 @@ MARGIN_SLACK = 1e-9
 def logsumexp(log_values, axis=None):
     """Stable log(sum(exp(v))) over all values (a float) or along `axis`
     (an array).  -inf entries add nothing, so an empty or all -inf sum is
-    -inf; a +inf entry makes the sum +inf."""
+    -inf; a +inf entry makes the sum +inf, and no term beside it is
+    exponentiated (unshifted, a finite one could overflow)."""
     arr = np.asarray(log_values, dtype=float)
     top = np.max(arr, axis=axis, keepdims=True, initial=NEG_INF)
+    inf_top = top == np.inf
+    if inf_top.any():  # such a sum is +inf: exponentiate none of its terms
+        arr = np.where(inf_top, NEG_INF, arr)
+    else:
+        inf_top = None
     top = np.where(np.isfinite(top), top, 0.0)
     with np.errstate(divide="ignore"):
         out = (np.squeeze(top, axis=axis)
                + np.log(np.sum(np.exp(arr - top), axis=axis)))
+    if inf_top is not None:
+        out = np.where(np.squeeze(inf_top, axis=axis), np.inf, out)
     return float(out) if axis is None else out
 
 

@@ -80,6 +80,12 @@ def _log_u(x: float) -> float:
     return math.log(-math.expm1(x)) if x > _MINUS_LOG_2 else math.log1p(-math.exp(x))
 
 
+def _rounding_shift(x: float) -> float:
+    """s(x) = R expm1(-x) of WeightFunction.rounding_shift for an analytic
+    family at x < 0, +inf where expm1 overflows."""
+    return ROUNDING * math.expm1(-x) if -x <= LOG_MAX else math.inf
+
+
 @dataclass(frozen=True)
 class _Family:
     n_params: int  # a tabulated weight may also take none
@@ -395,9 +401,7 @@ class WeightFunction:
         inv_log (F = -1/x) has no u, and s(x) |F'| ~ |F| over-counts."""
         if x >= 0.0:
             raise ValueError(f"x={x} must be negative")
-        if not self._row.analytic:
-            return None
-        return ROUNDING * math.expm1(-x) if -x <= LOG_MAX else math.inf
+        return _rounding_shift(x) if self._row.analytic else None
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import logweight as lw
 from logweight.cli import main
 from logweight.construction import (ConstructionError, ConstructionParams,
                                     _ROOT_TOL, _convexity_gate, _gate_grid,
-                                    _tangency_bracket, check_state_matches)
+                                    _tangency_bracket, check_exponents, check_state_matches)
 from logweight.weight_model import ROUNDING, check_log_convexity
 from reference_construction import (reference_bisection_tangent, reference_newton_tangent,
                                     reference_run_construction)
@@ -473,6 +473,24 @@ class TestFusedStepOracle:
                                 ConstructionParams(x0=math.log(0.95), **kw))
         assert lines is None or len(state.lines) == lines
 
+    @pytest.mark.parametrize("family, params, kw", BENCH_RUNS)
+    def test_row_functions_match_methods(self, family, params, kw):
+        # next_tangent evaluates a WeightFunction through its row functions,
+        # and a wrapper weight through the methods it forwards to
+        w = lw.make_weight(family, params)
+        params = ConstructionParams(x0=math.log(0.95), **kw)
+        new, ref = lw.run_construction(w, params), lw.run_construction(CountingWeight(w), params)
+        assert new.es == ref.es
+        for get in (lambda s: s.xs, lambda s: s.deltas, lambda s: s.log_as,
+                    lambda s: [line.xi for line in s.lines]):
+            np.testing.assert_array_equal(bits(get(new)), bits(get(ref)))
+
+    @pytest.mark.parametrize("x_prev", [0.0, 1.0, math.inf])
+    def test_nonnegative_start_rejected(self, x_prev):
+        # the row functions skip the methods' x < 0 guard: next_tangent keeps its own
+        with pytest.raises(ValueError, match="x_prev must be negative"):
+            lw.next_tangent(lw.make_weight("double_exp"), x_prev, 2.0)
+
     @settings(max_examples=25, deadline=None)
     @given(alpha=st.floats(0.25, 4.0), t0=st.floats(0.5, 0.97))
     def test_exp_power_property(self, alpha, t0):
@@ -516,13 +534,15 @@ class TestNewtonStep:
     def test_fused_calls_per_line(self, family, params, kw):
         # bisection took 45 fused and 45 F calls per line, Newton to
         # _ROOT_TOL about 15 fused and 8 F'' on double_exp and 9.4 and 5.3
-        # on exp_power; the convexity gate's fused calls count here too
-        fused, second = {"double_exp": (5, 4), "exp_power": (7, 5)}[family]
+        # on exp_power; stopped at the rounding noise, a step makes exactly
+        # these calls (the convexity gate's fused calls included)
+        fused, second = {"double_exp": (853, 600), "exp_power": (4023, 2542)}[family]
         counted = CountingWeight(lw.make_weight(family, params))
         state = lw.run_construction(counted, ConstructionParams(x0=math.log(0.95), **kw))
-        assert counted.calls["big_f_and_prime"] <= fused * len(state.lines)
-        assert counted.calls["big_f_second"] <= second * len(state.lines)
+        assert counted.calls["big_f_and_prime"] == fused
+        assert counted.calls["big_f_second"] == second
         assert counted.calls["big_f"] == len(state.lines)  # F(x_prev) once per line
+        assert len(state.lines) == {"double_exp": 200, "exp_power": 601}[family]
 
 
 def root_noise(w, x_prev, h, line, x_next):
@@ -608,6 +628,8 @@ class TestBisectionFallback:
         assert (len(new[0]), new[1]) == (steps, error)
         assert new == step_outcomes(reference_bisection_tangent, w, x0)
         assert new == step_outcomes(reference_newton_tangent, w, x0)
+        # a WeightFunction's row functions and the methods a wrapper calls
+        assert new == step_outcomes(lw.next_tangent, CountingWeight(w), x0)
 
 
 class TestHForDelta:
@@ -690,3 +712,79 @@ class TestVerifyTangentLemmas:
         bad = replace(state, es=(1,) + state.es[1:])
         with pytest.raises(ValueError, match=r"'es' entry 0 is 1, not floor\(deltas\[0\]\) \+ 1"):
             lw.verify_tangent_lemmas(bad, w, 50)
+
+    def test_raised_line_fails_tails_without_warning(self):
+        # line 101 raised by 30 tops its neighbours, so the smallest gap is
+        # negative and the tail sums are +inf beside finite terms above 709,
+        # which logsumexp must not exponentiate
+        w = lw.make_weight("double_exp")
+        state = lw.run_construction(w, ConstructionParams(x0=math.log(0.95), k_max=200))
+        lines = list(state.lines)
+        lines[100] = replace(lines[100], log_a=lines[100].log_a + 30.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = lw.verify_tangent_lemmas(replace(state, lines=tuple(lines)), w)
+        assert [str(c.message) for c in caught] == []
+        tail = report.check("segment_tail_half")
+        assert tail.worst_margin == -math.inf and not tail.passed
+
+
+def reference_check_exponents(es, deltas):
+    """check_exponents entry by entry, by math.floor."""
+    for i, (e, dd) in enumerate(zip(es, deltas)):
+        if e != math.floor(dd) + 1:
+            raise ValueError(f"state field 'es' entry {i} is {e}, not floor(deltas[{i}]) + 1 "
+                             f"= {math.floor(dd) + 1}")
+
+
+def exponent_outcome(check, es, deltas):
+    try:
+        check(es, deltas)
+    except (ValueError, OverflowError) as err:
+        return type(err), str(err)
+    return None
+
+
+# integers, one ulp below and above them, and the magnitudes where floats
+# stop resolving fractions (2^52) and consecutive integers (2^53), up to
+# floors past the int64 range (2^63, 2^64)
+EXPONENT_DELTAS = [0.0, -0.0, 0.5, 3.0, math.nextafter(3.0, 0.0), math.nextafter(3.0, 4.0),
+                   -2.0, math.nextafter(-2.0, -3.0), 1e11, math.nextafter(1e11, 0.0),
+                   2.0 ** 52, math.nextafter(2.0 ** 52, 0.0), -(2.0 ** 52), 2.0 ** 53,
+                   math.nextafter(2.0 ** 53, 0.0), -(2.0 ** 53), 2.0 ** 63, -(2.0 ** 63),
+                   2.0 ** 64]
+
+
+class TestCheckExponents:
+    """check_exponents decides es[k] == floor(deltas[k]) + 1 on arrays
+    where that is exact and by math.floor elsewhere: the verdict, the error
+    and its message are those of the rule applied entry by entry."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_math_floor(self, data):
+        deltas = data.draw(st.lists(st.one_of(st.sampled_from(EXPONENT_DELTAS),
+                                              st.floats(-1e17, 1e17)), max_size=6))
+        es = [math.floor(d) + 1 + data.draw(st.sampled_from([0, 0, 0, 1, -1, 2 ** 63, 2 ** 64]))
+              for d in deltas]
+        got = exponent_outcome(check_exponents, tuple(es), tuple(deltas))
+        assert got == exponent_outcome(reference_check_exponents, es, deltas)
+
+    @pytest.mark.parametrize("es, deltas", [
+        ((1, 2 ** 63 + 1), (0.5, 2.0 ** 63)),  # an int past int64 sends es to math.floor
+        ((1, 2 ** 63 + 2), (0.5, 2.0 ** 63)),
+        ((2, 4, 2 ** 53 + 1), (1.0, 3.0, 2.0 ** 53)),
+        ((2, 4, 2 ** 53 + 2), (1.0, 3.0, 2.0 ** 53)),  # 2^53 + 2 == float(2^53) + 1.0
+        ((1, 3), (0.5, math.nextafter(3.0, 0.0))),
+        ((1, 4), (0.5, math.nextafter(3.0, 0.0))),
+        ((1, 2, 7), (0.5, math.inf, 5.0)),  # math.floor raises at the infinite entry
+        ((1, 7, 2), (0.5, 5.0, math.inf)),  # the first bad entry comes before it
+        ((1, 2), (0.5, math.nan)),
+        ((1.0, 2), (0.5, 1.5)),  # a float es goes by math.floor
+        ((1.5, 2), (0.5, 1.5)),
+        ((1,), (0.5, 1.5)),  # zip's common prefix
+        ((), ()),
+    ])
+    def test_fixed_cases(self, es, deltas):
+        assert (exponent_outcome(check_exponents, es, deltas)
+                == exponent_outcome(reference_check_exponents, es, deltas))

@@ -20,6 +20,7 @@ from logweight import construction
 from logweight.cli import main, render_json
 from logweight.construction import (_TAIL_BLOCK, _TAIL_WINDOW, _XI_BRACKET, ConstructionParams,
                                     _tail_log_bound, _tangency_bounds, _tangency_bracket)
+from logweight.numerics import logsumexp
 from logweight.weight_model import is_known_convex
 from reference_lemmas import (reference_min_above_line, reference_tail_log_bound,
                               reference_verify_tangent_lemmas)
@@ -379,8 +380,8 @@ class TestTangencyArrays:
 
 def assert_tail_bits(k, pts, log_as, slopes, gap):
     # with gap <= 0 an edge line at log_a = -inf adds -inf + inf = NaN, and
-    # beside a +inf term the large finite ones overflow exp (the sum is
-    # +inf either way)
+    # beside that NaN the large finite terms overflow exp unshifted (the
+    # sum is NaN either way)
     with np.errstate(invalid="ignore", over="ignore"):
         got = _tail_log_bound(k, pts, log_as, slopes, gap)
         ref = reference_tail_log_bound(k, pts, log_as, slopes, gap)
@@ -426,6 +427,15 @@ class TestTailWindowLayout:
                 assert np.all(got == -math.inf)
             elif gap <= 0.0 and log_as[0] == 0.0 and size > _TAIL_WINDOW + 2:
                 assert np.isposinf(got[k - _TAIL_WINDOW >= 1]).all()
+
+
+def test_logsumexp_skips_exp_beside_inf():
+    # a +inf term makes its sum +inf without exponentiating the finite
+    # terms beside it, which unshifted overflow above 709
+    got = logsumexp(np.array([[800.0, math.inf], [1.0, 2.0], [-math.inf, -math.inf]]), axis=1)
+    finite = 2.0 + np.log(np.sum(np.exp(np.array([-1.0, 0.0]))))
+    assert got.tobytes() == np.array([math.inf, finite, -math.inf]).tobytes()
+    assert logsumexp([900.0, math.inf, -math.inf]) == math.inf
 
 
 @functools.lru_cache(maxsize=None)
