@@ -14,7 +14,7 @@ Exponentiating, l_k describes the monomial bound a_k t^{delta_k}, which
   * dominates the other monomials geometrically away from its own
     interval (successive lines separate by h per index step).
 
-next_tangent solves each step in one loop per stage, by safeguarded
+next_tangent solves both stages of a step in one loop, by safeguarded
 Newton stopped at the rounding error that the weight's rounding_shift
 bounds; a weight without F'' bisects, as does the lemma verifier's
 search for the tangency of a line loaded without its xi.
@@ -245,10 +245,13 @@ def next_tangent(w: WeightFunction, x_prev: float, h: float):
     (b) x_next > xi is the root of H(x) = F(x) - h - l(x), which equals
         -h at xi and is strictly increasing there (H' = F'(x) - delta).
 
-    Each stage is one loop.  It probes toward 0, halving the abscissa no
-    further than the float floor _X_FLOOR, until the residual's sign
-    closes a bracket, and from that probe on takes safeguarded Newton
-    steps (rtsafe): each evaluation narrows the bracket, and the next is at
+    Both stages run one loop, which differs between them only in the
+    residual it evaluates: G, with its convexity and growth checks, then H.
+    It probes toward 0, halving the abscissa no further than the float
+    floor _X_FLOOR, until the residual's sign closes a bracket (G <= 0,
+    H >= 0), and from that probe on takes safeguarded Newton steps
+    (rtsafe): each evaluation moves the bracket end on its side (lo where
+    G > 0, and where H is not, an exact 0 included), and the next is at
     its Newton step if that lands strictly inside, else at the midpoint.
     The first probe is where F'' (s - extremum)^2 / 2 reaches h, xi ~
     x_prev + sqrt(2h / F''(x_prev)) and x_next ~ xi + sqrt(2h / F''(xi)):
@@ -264,13 +267,15 @@ def next_tangent(w: WeightFunction, x_prev: float, h: float):
         err_H = err_F(x) + R (|F(x)| + |log_a| + |delta x| + h).
 
     Without a finite err it is a Newton step of at most _ROOT_TOL |x| into
-    the bracket, or the midpoint of a bracket _ROOT_TOL |hi| wide: relative,
-    as near 0 the slopes of F blow up like 1/|x| or faster.  A weight whose
-    F''(x_prev) is None (or missing) gets no start, slope, rounding stop or
-    further F'' call: both stages bisect from x_prev / 2 and xi / 2, with a
-    fused (F, F') call per G and an F call per H.  A WeightFunction is
-    evaluated through its family's row functions, read once per step, any
-    other weight through its methods.
+    the bracket, or the midpoint of a bracket _ROOT_TOL |hi| wide (or after
+    200 steps): relative, as near 0 the slopes of F blow up like 1/|x| or
+    faster.  The tangent at xi keeps F, F' and F'' of the last evaluation
+    when xi is its abscissa, and calls them afresh otherwise.  A weight
+    whose F''(x_prev) is None (or missing) gets no start, slope, rounding
+    stop or further F'' call: both stages bisect from x_prev / 2 and
+    xi / 2, with a fused (F, F') call per G and an F call per H.  A
+    WeightFunction is evaluated through its family's row functions, read
+    once per step, any other weight through its methods.
     """
     if x_prev >= 0.0:
         raise ValueError("x_prev must be negative")
@@ -285,124 +290,97 @@ def next_tangent(w: WeightFunction, x_prev: float, h: float):
     f_prev = big_f(x_prev, args)
     if not math.isfinite(f_prev):
         raise OverflowError(f"F({x_prev}) is not finite; start farther from 0")
-    fpp_prev = None if second is None else second(x_prev, args)
-    newton = fpp_prev is not None
+    fpp = None if second is None else second(x_prev, args)
+    newton = fpp is not None
     s_prev = shift(x_prev) if newton and shift is not None else None
     a_prev, r_prev = abs(f_prev), ROUNDING * abs(f_prev)
 
-    # Stage (a).  The convexity and growth checks compare G - h, not G: next to a
-    # huge h every change of G rounds away.  F None: not evaluated, or not finite.
-    lo, d_lo, f_lo, hi, xi = x_prev, 0.0, None, None, _first_probe(x_prev, fpp_prev, h)
-    fpp, slope, err, decreased, n = None, 0.0, math.inf, False, 0
-    while True:
-        if hi is None and xi > _X_FLOOR:
-            if decreased:
+    # The convexity and growth checks compare G - h, not G: next to a huge h
+    # every change of G rounds away.
+    x, d_lo, decreased, slope, err = x_prev, 0.0, False, 0.0, math.inf
+    for stage_a in (True, False):  # the root of G from x_prev, then of H from xi
+        lo, hi, x, n = x, None, _first_probe(x, fpp, h), 0
+        while True:
+            if hi is not None:
+                if n == 200 or hi - lo <= _ROOT_TOL * abs(hi):
+                    x = 0.5 * (lo + hi)
+                    break
+            elif x > _X_FLOOR:
+                if stage_a and not decreased:
+                    raise NotStrictlyConvexError("weight profile is not strictly convex: the "
+                                                 "tangent never separates from the chord")
                 raise SlowGrowthError(
-                    "weight grows too slowly (or is not unbounded): no tangent "
-                    f"line drops {h} below F left of the float floor x = {_X_FLOOR}")
-            raise NotStrictlyConvexError("weight profile is not strictly convex: the tangent "
-                                         "never separates from the chord")
-        f, fp = fused(xi, args)
-        if math.isfinite(f) and math.isfinite(fp):
-            gap = x_prev - xi
-            arm = fp * gap
-            d = f + arm - f_prev  # G - h
-            if newton:
-                fpp = second(xi, args)
-                slope = fpp * gap
-                if s_prev is not None:  # err_F(xi) + err_F(x_prev) + |gap| err_F'(xi) + arithmetic
-                    s_xi, a_f, a_fp = shift(xi), abs(f), abs(fp)
-                    err = ((ROUNDING * a_f + s_xi * a_fp) + (r_prev + s_prev * a_fp)
-                           + abs(gap) * (ROUNDING * a_fp + s_xi * abs(fpp))
-                           + ROUNDING * (a_f + abs(arm) + a_prev + h))
-        else:  # G - h = -inf; a slope of 0 is none
-            f, d, slope, err = None, NEG_INF, 0.0, math.inf
-        value = d + h
-        if hi is None:
-            if d > d_lo + 1e-9 * max(1.0, abs(d_lo)):
-                raise NotStrictlyConvexError(
-                    f"weight profile is not strictly convex near x = {xi}")
-            decreased = decreased or d < d_lo - 1e-12 * max(1.0, abs(d_lo))
-            if not value <= 0.0:
-                lo, d_lo, f_lo, fp_lo, fpp_lo = xi, d, f, fp, fpp
-                xi = xi / 2.0
-                continue
-            hi, f_hi, fp_hi, fpp_hi = xi, f, fp, fpp
-            if not newton or hi - lo <= _ROOT_TOL * abs(hi):  # bisect from the midpoint
-                xi = 0.5 * (lo + hi)
-                if hi - lo <= _ROOT_TOL * abs(hi):
-                    break
-                continue
-        if value > 0.0:
-            lo, f_lo, fp_lo, fpp_lo = xi, f, fp, fpp
-        else:
-            hi, f_hi, fp_hi, fpp_hi = xi, f, fp, fpp
-        if err < math.inf and abs(value) <= err:
-            break
-        step = value / slope if slope and math.isfinite(slope) else math.nan
-        xi -= step  # NaN without a finite nonzero slope: it lands nowhere
-        if abs(step) <= _ROOT_TOL * abs(xi) and lo <= xi <= hi:
-            break
-        if not lo < xi < hi:
-            xi = 0.5 * (lo + hi)
-        n += 1
-        if n == 200 or hi - lo <= _ROOT_TOL * abs(hi):
-            xi = 0.5 * (lo + hi)
-            break
-    if xi == hi and f_hi is not None:  # a root at an end of the bracket keeps its calls
-        f_xi, delta, fpp_xi = f_hi, fp_hi, fpp_hi
-    elif xi == lo and f_lo is not None:
-        f_xi, delta, fpp_xi = f_lo, fp_lo, fpp_lo
-    else:
-        (f_xi, delta), fpp_xi = fused(xi, args), second(xi, args) if newton else None
-    log_a = f_xi - delta * xi
-    if not (delta > 0.0 and math.isfinite(log_a)):
-        raise ConstructionError(f"degenerate tangent at xi={xi}")
-
-    lo, hi, x, n = xi, None, _first_probe(xi, fpp_xi, h), 0
-    while True:
-        if hi is None and x > _X_FLOOR:
-            raise SlowGrowthError(
-                "weight grows too slowly (or is not unbounded): F - h never "
-                f"crosses the tangent line again left of the float floor x = {_X_FLOOR}")
-        f, fp = fused(x, args) if newton else (big_f(x, args), None)
-        if math.isfinite(f):
-            line = delta * x
-            value = f - h - (log_a + line)  # H
-            if newton:
-                slope = fp - delta
-                if s_prev is not None:  # err_F(x) + arithmetic
-                    err = ((ROUNDING * abs(f) + shift(x) * abs(fp))
-                           + ROUNDING * (abs(f) + abs(log_a) + abs(line) + h))
-        else:  # H = +inf
-            value, slope, err = math.inf, 0.0, math.inf
-        if hi is None:
-            if not value >= 0.0:
-                lo, x = x, x / 2.0
-                continue
-            hi = x
-            if not newton or hi - lo <= _ROOT_TOL * abs(hi):
+                    "weight grows too slowly (or is not unbounded): "
+                    + (f"no tangent line drops {h} below F" if stage_a else
+                       "F - h never crosses the tangent line again")
+                    + f" left of the float floor x = {_X_FLOOR}")
+            at = x
+            if stage_a:
+                f, fp = fused(x, args)
+                if math.isfinite(f) and math.isfinite(fp):
+                    gap = x_prev - x
+                    arm = fp * gap
+                    d = f + arm - f_prev  # G - h
+                    if newton:
+                        fpp = second(x, args)
+                        slope = fpp * gap
+                        if s_prev is not None:  # err_G
+                            s_x, a_f, a_fp = shift(x), abs(f), abs(fp)
+                            err = ((ROUNDING * a_f + s_x * a_fp) + (r_prev + s_prev * a_fp)
+                                   + abs(gap) * (ROUNDING * a_fp + s_x * abs(fpp))
+                                   + ROUNDING * (a_f + abs(arm) + a_prev + h))
+                else:  # G - h = -inf; a slope of 0 is none
+                    d, slope, err = NEG_INF, 0.0, math.inf
+                value = d + h
+                if hi is None:
+                    if d > d_lo + 1e-9 * max(1.0, abs(d_lo)):
+                        raise NotStrictlyConvexError(
+                            f"weight profile is not strictly convex near x = {x}")
+                    decreased = decreased or d < d_lo - 1e-12 * max(1.0, abs(d_lo))
+                    d_lo = d
+            else:
+                f, fp = fused(x, args) if newton else (big_f(x, args), None)
+                if math.isfinite(f):
+                    arm = delta * x
+                    value = f - h - (log_a + arm)  # H
+                    if newton:
+                        slope = fp - delta
+                        if s_prev is not None:  # err_H
+                            a_f = abs(f)
+                            err = ((ROUNDING * a_f + shift(x) * abs(fp))
+                                   + ROUNDING * (a_f + a_log_a + abs(arm) + h))
+                else:  # H = +inf
+                    value, slope, err = math.inf, 0.0, math.inf
+            if hi is None:
+                if not (value <= 0.0 if stage_a else value >= 0.0):  # the probe closes no bracket
+                    lo, x = x, x / 2.0
+                    continue
+                hi = x
+                if not newton or hi - lo <= _ROOT_TOL * abs(hi):  # bisect from the midpoint
+                    x = 0.5 * (lo + hi)
+                    continue
+            if value > 0.0 if stage_a else not value > 0.0:  # lo's side, an exact 0 of H too
+                lo = x
+            else:
+                hi = x
+            if abs(value) <= err < math.inf:
+                break
+            step = value / slope if slope and math.isfinite(slope) else math.nan
+            x -= step  # NaN without a finite nonzero slope: it lands nowhere
+            if abs(step) <= _ROOT_TOL * abs(x) and lo <= x <= hi:
+                break
+            if not lo < x < hi:
                 x = 0.5 * (lo + hi)
-                if hi - lo <= _ROOT_TOL * abs(hi):
-                    break
-                continue
-        if value > 0.0:
-            hi = x
-        else:
-            lo = x
-        if err < math.inf and abs(value) <= err:
-            break
-        step = value / slope if slope and math.isfinite(slope) else math.nan
-        x -= step  # NaN without a finite nonzero slope: it lands nowhere
-        if abs(step) <= _ROOT_TOL * abs(x) and lo <= x <= hi:
-            break
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-        n += 1
-        if n == 200 or hi - lo <= _ROOT_TOL * abs(hi):
-            x = 0.5 * (lo + hi)
-            break
-    return TangentLine(delta=delta, log_a=log_a, xi=xi), x
+            n += 1
+        if stage_a:
+            if x != at:  # else xi keeps the last evaluation's F, F' and F''
+                (f, fp), fpp = fused(x, args), second(x, args) if newton else None
+            delta, log_a = fp, f - fp * x
+            a_log_a = abs(log_a)
+            if not (delta > 0.0 and math.isfinite(log_a)):
+                raise ConstructionError(f"degenerate tangent at xi={x}")
+            line = TangentLine(delta=delta, log_a=log_a, xi=x)
+    return line, x
 
 
 def _gate_grid(x0: float):

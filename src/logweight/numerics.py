@@ -19,21 +19,22 @@ MARGIN_SLACK = 1e-9
 def logsumexp(log_values, axis=None):
     """Stable log(sum(exp(v))) over all values (a float) or along `axis`
     (an array).  -inf entries add nothing, so an empty or all -inf sum is
-    -inf; a +inf entry makes the sum +inf, and no term beside it is
-    exponentiated (unshifted, a finite one could overflow)."""
+    -inf; a +inf entry makes the sum +inf and a NaN entry makes it NaN, and
+    no term beside either is exponentiated (unshifted, a finite one could
+    overflow)."""
     arr = np.asarray(log_values, dtype=float)
     top = np.max(arr, axis=axis, keepdims=True, initial=NEG_INF)
-    inf_top = top == np.inf
-    if inf_top.any():  # such a sum is +inf: exponentiate none of its terms
-        arr = np.where(inf_top, NEG_INF, arr)
+    settled = ~(top < np.inf)  # a maximum of +inf or NaN is the sum
+    if settled.any():  # exponentiate none of such a sum's terms
+        arr = np.where(settled, NEG_INF, arr)
     else:
-        inf_top = None
-    top = np.where(np.isfinite(top), top, 0.0)
+        settled = None
+    shift = np.where(np.isfinite(top), top, 0.0)
     with np.errstate(divide="ignore"):
-        out = (np.squeeze(top, axis=axis)
-               + np.log(np.sum(np.exp(arr - top), axis=axis)))
-    if inf_top is not None:
-        out = np.where(np.squeeze(inf_top, axis=axis), np.inf, out)
+        out = (np.squeeze(shift, axis=axis)
+               + np.log(np.sum(np.exp(arr - shift), axis=axis)))
+    if settled is not None:
+        out = np.where(np.squeeze(settled, axis=axis), np.squeeze(top, axis=axis), out)
     return float(out) if axis is None else out
 
 

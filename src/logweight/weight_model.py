@@ -457,9 +457,17 @@ def weight_from_spec(spec: dict) -> WeightFunction:
 
 
 def weight_to_spec(w: WeightFunction) -> dict:
+    """The JSON weight spec of w, a table as (t, omega) pairs; ValueError
+    names the first knot whose omega = e^F overflows float64."""
     spec = {"family": w.family, "params": list(w.params)}
     if w.table is not None:
-        spec["table"] = [[math.exp(x), math.exp(f)] for x, f in w.table]
+        spec["table"] = []
+        for i, (x, f) in enumerate(w.table):
+            try:
+                spec["table"].append([math.exp(x), math.exp(f)])
+            except OverflowError:
+                raise ValueError(f"table knot {i} (x = {x!r}, F = {f!r}) has omega = e^F past "
+                                 "the float64 range: no (t, omega) spec holds it") from None
     return spec
 
 

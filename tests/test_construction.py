@@ -503,6 +503,45 @@ class TestFusedStepOracle:
                 reference_run_construction(w, params)
 
 
+def repeated_fused_abscissas(w, params):
+    """Step the induction from params.x0 as run_construction does, each
+    step through a fresh CountingWeight, until t_stop, k_max or the first
+    ConstructionError: (steps, fused abscissas evaluated more than once
+    within their step)."""
+    x_prev, steps, repeats = params.x0, 0, 0
+    while x_prev is not None and steps < params.k_max and math.exp(x_prev) <= params.t_stop:
+        counted = CountingWeight(w)
+        steps += 1
+        try:
+            _, x_prev = lw.next_tangent(counted, x_prev, params.h)
+        except ConstructionError:
+            x_prev = None
+        repeats += len(counted.fused_xs) - len(set(counted.fused_xs))
+    return steps, repeats
+
+
+class TestOneEvaluationPerAbscissa:
+    """A step evaluates (F, F') at each abscissa once: the tangent at xi
+    takes F, F' and F'' from the last evaluation when xi is its abscissa,
+    and stage (b) starts right of xi."""
+
+    @pytest.mark.parametrize("family, params, kw", BENCH_RUNS + [
+        ("power", (3.0,), {}),
+        ("ramey_ullrich", (), {}),
+    ])
+    def test_states(self, family, params, kw):
+        steps, repeats = repeated_fused_abscissas(
+            lw.make_weight(family, params), ConstructionParams(x0=math.log(0.95), **kw))
+        assert steps > 0 and repeats == 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(alpha=st.floats(0.25, 4.0), t0=st.floats(0.5, 0.97))
+    def test_exp_power_property(self, alpha, t0):
+        params = ConstructionParams(x0=math.log(t0), k_max=60, t_stop=0.999)
+        steps, repeats = repeated_fused_abscissas(lw.make_weight("exp_power", (alpha,)), params)
+        assert steps > 0 and repeats == 0
+
+
 class TestNewtonStep:
     """The Newton step finds the bisection step's roots, to within the
     rounding noise of the residuals, in a fraction of the evaluations."""

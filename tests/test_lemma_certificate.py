@@ -380,9 +380,8 @@ class TestTangencyArrays:
 
 def assert_tail_bits(k, pts, log_as, slopes, gap):
     # with gap <= 0 an edge line at log_a = -inf adds -inf + inf = NaN, and
-    # beside that NaN the large finite terms overflow exp unshifted (the
-    # sum is NaN either way)
-    with np.errstate(invalid="ignore", over="ignore"):
+    # the sum is NaN (logsumexp exponentiates no term beside it)
+    with np.errstate(invalid="ignore"):
         got = _tail_log_bound(k, pts, log_as, slopes, gap)
         ref = reference_tail_log_bound(k, pts, log_as, slopes, gap)
     assert got.shape == ref.shape == pts.shape
@@ -430,12 +429,15 @@ class TestTailWindowLayout:
 
 
 def test_logsumexp_skips_exp_beside_inf():
-    # a +inf term makes its sum +inf without exponentiating the finite
-    # terms beside it, which unshifted overflow above 709
-    got = logsumexp(np.array([[800.0, math.inf], [1.0, 2.0], [-math.inf, -math.inf]]), axis=1)
+    # a +inf (NaN) term makes its sum +inf (NaN) without exponentiating the
+    # finite terms beside it, which unshifted overflow above 709
+    got = logsumexp(np.array([[800.0, math.inf], [1.0, 2.0], [-math.inf, -math.inf],
+                              [math.nan, 800.0]]), axis=1)
     finite = 2.0 + np.log(np.sum(np.exp(np.array([-1.0, 0.0]))))
-    assert got.tobytes() == np.array([math.inf, finite, -math.inf]).tobytes()
+    assert got[:3].tobytes() == np.array([math.inf, finite, -math.inf]).tobytes()
+    assert math.isnan(got[3])
     assert logsumexp([900.0, math.inf, -math.inf]) == math.inf
+    assert math.isnan(logsumexp([900.0, math.nan]))
 
 
 @functools.lru_cache(maxsize=None)

@@ -671,6 +671,16 @@ class TestJsonSpec:
         back = lw.weight_to_spec(w)
         assert np.allclose(back["table"], spec["table"])
 
+    def test_table_past_float_range(self):
+        # the hull of exp_power alpha=1 to x = -1e-4 reaches F ~ 1e4: its
+        # omega has no float64, so the (t, omega) spec names the knot
+        source = lw.make_weight("exp_power", (1.0,))
+        knots = [(x, source.big_f(x)) for x in (-np.geomspace(2.0, 1e-4, 50)).tolist()]
+        first = next(i for i, (_, f) in enumerate(knots) if f > 710.0)
+        with pytest.raises(ValueError, match=rf"table knot {first} \(x = .*omega = e\^F past"):
+            lw.weight_to_spec(lw.weight_from_knots(knots))
+        assert lw.weight_to_spec(lw.weight_from_knots(knots[:first]))["table"][-1][1] < math.inf
+
     def test_perturbed_alias(self):
         w = lw.weight_from_spec({"family": "perturbed", "params": []})
         assert w.family == "perturbed_bump"
